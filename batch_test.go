@@ -32,12 +32,12 @@ func randomBatchWorkload(rng *rand.Rand) WorkloadConfig {
 // CheckInAsync+Flush — and requires bitwise agreement on every observable.
 func checkBatchEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint64, batch int) {
 	t.Helper()
-	sess, err := NewSession(in, algo, SolveOptions{Seed: seed})
+	sess, err := NewSession(in, algo, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	newPlat := func() *Platform {
-		p, err := NewPlatform(in, algo, PlatformOptions{Shards: 1, Seed: seed})
+		p, err := NewPlatform(in, algo, WithShards(1), WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func benchAlgorithm(b *testing.B, algo Algorithm) {
 	b.ResetTimer()
 	var latency int
 	for i := 0; i < b.N; i++ {
-		res, err := Solve(in, algo, SolveOptions{Index: ci, Seed: uint64(i)})
+		res, err := Solve(in, algo, WithIndex(ci), WithSeed(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkAblationEligibility(b *testing.B) {
 			b.ResetTimer()
 			var latency float64
 			for i := 0; i < b.N; i++ {
-				res, err := Solve(in, AAM, SolveOptions{Index: ci})
+				res, err := Solve(in, AAM, WithIndex(ci))
 				if err != nil && res == nil {
 					b.Fatal(err)
 				}
@@ -252,7 +252,7 @@ func BenchmarkPlatformCheckIn(b *testing.B) {
 			b.ResetTimer()
 			checkins := 0
 			for checkins < b.N {
-				plat, err := NewPlatform(in, AAM, PlatformOptions{Shards: shards})
+				plat, err := NewPlatform(in, AAM, WithShards(shards))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -305,7 +305,7 @@ func BenchmarkPlatformCheckInBatch(b *testing.B) {
 				b.ResetTimer()
 				checkins := 0
 				for checkins < b.N {
-					plat, err := NewPlatform(in, AAM, PlatformOptions{Shards: shards})
+					plat, err := NewPlatform(in, AAM, WithShards(shards))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -359,7 +359,7 @@ func BenchmarkPlatformCheckInAsync(b *testing.B) {
 			b.ResetTimer()
 			checkins := 0
 			for checkins < b.N {
-				plat, err := NewPlatform(in, AAM, PlatformOptions{Shards: shards})
+				plat, err := NewPlatform(in, AAM, WithShards(shards))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -400,7 +400,7 @@ func BenchmarkSessionArrive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; {
-		sess, err := NewSession(in, AAM, SolveOptions{Index: ci})
+		sess, err := NewSession(in, AAM, WithIndex(ci))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -121,7 +121,7 @@ func renderTrace(name string, algo Algorithm, in *Instance,
 
 func sessionTrace(t *testing.T, name string, algo Algorithm, in *Instance) string {
 	t.Helper()
-	sess, err := NewSession(in, algo, SolveOptions{Seed: goldenSeed})
+	sess, err := NewSession(in, algo, WithSeed(goldenSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func sessionTrace(t *testing.T, name string, algo Algorithm, in *Instance) strin
 
 func platformTrace(t *testing.T, name string, algo Algorithm, in *Instance) string {
 	t.Helper()
-	plat, err := NewPlatform(in, algo, PlatformOptions{Shards: 1, Seed: goldenSeed})
+	plat, err := NewPlatform(in, algo, WithShards(1), WithSeed(goldenSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func platformTrace(t *testing.T, name string, algo Algorithm, in *Instance) stri
 // per-call Session trace.
 func platformBatchTrace(t *testing.T, name string, algo Algorithm, in *Instance, batch int) string {
 	t.Helper()
-	plat, err := NewPlatform(in, algo, PlatformOptions{Shards: 1, Seed: goldenSeed})
+	plat, err := NewPlatform(in, algo, WithShards(1), WithSeed(goldenSeed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package cluster is the multi-node routing tier over the ltcd gateway: a
-// static tile→node table built with the same tiling math as the dispatch
+// static tile→node table over the same geo.TileGrid that backs the dispatch
 // layer's model.Partition, one level up. The task bounding rect is tiled
 // into near-square cells at node granularity, every non-empty tile becomes
 // one node's territory, and task-free tiles are folded onto the nearest
-// task tile (deterministic multi-source BFS), so routing any location —
+// task tile (the grid's deterministic multi-source BFS), so routing any location —
 // a worker check-in or a task posted online — is a single table lookup on
 // every node and on every client.
 //
@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"os"
 	"strconv"
 
@@ -44,7 +43,7 @@ type Topology struct {
 	Rows int `json:"rows"`
 	// OriginX/OriginY anchor the grid at the task bounding rect's lower
 	// left; TileW/TileH are the tile dimensions. Together with Cols/Rows
-	// they reproduce model.Partition's tileIndex clamp exactly.
+	// they are the file form of a geo.TileGrid (see grid).
 	OriginX float64 `json:"origin_x"`
 	OriginY float64 `json:"origin_y"`
 	TileW   float64 `json:"tile_w"`
@@ -64,14 +63,11 @@ type Topology struct {
 const topologyVersion = 1
 
 // Build derives the cluster topology for the given instance and node
-// count. The tiling reuses model.Partition's striped math at node
-// granularity: cols = ⌊√n⌋, rows = n/cols (so cols·rows ≤ n and every
-// non-empty tile can own a distinct node), near-square tiles over the task
-// bounding rect with degenerate extents widened to one unit. Non-empty
-// tiles are assigned node IDs in ascending tile order; task-free tiles are
-// folded onto task tiles by a deterministic multi-source BFS over the grid
-// (the same attribution model.Partition's balanced layout uses), so the
-// whole table is a pure function of (tasks, nodes).
+// count: the striped near-square tiling of model.Partition at node
+// granularity (cols·rows ≤ n, so every non-empty tile can own a distinct
+// node). Non-empty tiles are assigned node IDs in ascending tile order;
+// task-free tiles are folded onto task tiles by the grid's BFS, so the whole
+// table is a pure function of (tasks, nodes).
 func Build(in *model.Instance, nodes int) (*Topology, error) {
 	if nodes < 1 {
 		return nil, fmt.Errorf("cluster: node count must be ≥ 1, got %d", nodes)
@@ -84,80 +80,46 @@ func Build(in *model.Instance, nodes int) (*Topology, error) {
 		pts[i] = t.Loc
 	}
 	rect, _ := geo.BoundingRect(pts)
+	g := geo.NearSquareTileGrid(rect, nodes)
 
-	t := &Topology{Version: topologyVersion, Nodes: nodes, TotalTasks: len(in.Tasks)}
-	t.Cols = int(math.Sqrt(float64(nodes)))
-	if t.Cols < 1 {
-		t.Cols = 1
+	// Task tiles become nodes in ascending tile order; the rest fold onto them.
+	owner := make([]int32, g.NumTiles())
+	for c := range owner {
+		owner[c] = -1
 	}
-	t.Rows = nodes / t.Cols
-	t.OriginX, t.OriginY = rect.Min.X, rect.Min.Y
-	t.TileW = rect.Width() / float64(t.Cols)
-	t.TileH = rect.Height() / float64(t.Rows)
-	if t.TileW <= 0 {
-		t.TileW = 1 // degenerate extent: all tasks share one column
-	}
-	if t.TileH <= 0 {
-		t.TileH = 1
-	}
-
-	// Non-empty tiles become nodes in ascending tile order.
-	hasTask := make([]bool, t.Cols*t.Rows)
 	for _, p := range pts {
-		hasTask[t.TileIndex(p)] = true
+		owner[g.Index(p)] = 0
 	}
-	tileNode := make([]int, t.Cols*t.Rows)
-	queue := make([]int, 0, len(tileNode))
-	next := 0
-	for c := range tileNode {
-		if hasTask[c] {
-			tileNode[c] = next
+	next := int32(0)
+	for c, o := range owner {
+		if o == 0 {
+			owner[c] = next
 			next++
-			queue = append(queue, c)
-		} else {
-			tileNode[c] = -1
 		}
 	}
-	// Fold task-free tiles onto the nearest task tile: multi-source BFS in
-	// deterministic queue order, exactly as the balanced partition
-	// attributes free-tile traffic.
-	for head := 0; head < len(queue); head++ {
-		c := queue[head]
-		cx, cy := c%t.Cols, c/t.Cols
-		for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-			nx, ny := cx+d[0], cy+d[1]
-			if nx < 0 || nx >= t.Cols || ny < 0 || ny >= t.Rows {
-				continue
-			}
-			nc := ny*t.Cols + nx
-			if tileNode[nc] < 0 {
-				tileNode[nc] = tileNode[c]
-				queue = append(queue, nc)
-			}
-		}
+	g.FoldFree(owner)
+
+	t := &Topology{
+		Version: topologyVersion, Nodes: nodes, TotalTasks: len(in.Tasks),
+		Cols: g.Cols, Rows: g.Rows, OriginX: g.Origin.X, OriginY: g.Origin.Y, TileW: g.TileW, TileH: g.TileH,
+		TileNode: make([]int, len(owner)),
 	}
-	t.TileNode = tileNode
+	for c, n := range owner {
+		t.TileNode[c] = int(n)
+	}
 	return t, nil
 }
 
-// TileIndex returns the tile containing loc, clamped into the grid — the
-// same clamp as model.Partition, so out-of-rect check-ins route to border
-// tiles on the cluster exactly as they do on a single node's shards.
-func (t *Topology) TileIndex(loc geo.Point) int {
-	tx := int(math.Floor((loc.X - t.OriginX) / t.TileW))
-	ty := int(math.Floor((loc.Y - t.OriginY) / t.TileH))
-	if tx < 0 {
-		tx = 0
-	} else if tx >= t.Cols {
-		tx = t.Cols - 1
-	}
-	if ty < 0 {
-		ty = 0
-	} else if ty >= t.Rows {
-		ty = t.Rows - 1
-	}
-	return ty*t.Cols + tx
+// grid is the topology's tiling as the geo.TileGrid it was built from.
+func (t *Topology) grid() geo.TileGrid {
+	return geo.TileGrid{Origin: geo.Point{X: t.OriginX, Y: t.OriginY}, TileW: t.TileW, TileH: t.TileH, Cols: t.Cols, Rows: t.Rows}
 }
+
+// TileIndex returns the tile containing loc, clamped into the grid — the
+// same geo.TileGrid clamp as model.Partition, so out-of-rect check-ins route
+// to border tiles on the cluster exactly as they do on a single node's
+// shards.
+func (t *Topology) TileIndex(loc geo.Point) int { return t.grid().Index(loc) }
 
 // NodeFor routes a location to its owning node.
 func (t *Topology) NodeFor(loc geo.Point) int { return t.TileNode[t.TileIndex(loc)] }

@@ -77,10 +77,9 @@ func (d *Dispatcher) CheckInBatchInto(ws []model.Worker, dst []Receipt) ([]Recei
 }
 
 // ingestRun offers a same-shard run of workers to shard si under one mutex
-// acquisition and one pinned candidate snapshot — the batched inner loop
-// shared by CheckInBatch and the async drainers. CheckIn is semantically a
-// run of length one but keeps its own allocation-lean body;
-// TestCheckInBatchMatchesSequential pins the two implementations together.
+// acquisition and one pinned candidate snapshot — the one ingestion body
+// behind every front door: CheckIn (a run of length one), CheckInBatch and
+// the async drainers. It is the only caller of the solver's Arrive.
 //
 // truncate selects the completion semantics: when true the run stops before
 // the first worker that would arrive on a completed platform (the
@@ -102,15 +101,17 @@ func (d *Dispatcher) CheckInBatchInto(ws []model.Worker, dst []Receipt) ([]Recei
 func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []Receipt) (consumed int) {
 	s := d.shards[si]
 	runMaxUsed, runMaxRel := 0, 0
-	// completions collects the run's TaskCompleted events while the shard
-	// is locked; publication waits for the unlock. Collected whether or not
-	// anyone subscribes (a task completes once ever, so the appends are
-	// negligible): gating collection on a start-of-run Active() snapshot
-	// would let a subscriber attaching mid-run observe the run's
-	// PlatformDone without its completions — a silent exactly-once
-	// violation Publish's own per-event gate cannot cause.
+	// The run's TaskCompleted events are published after the unlock. With
+	// receipts they are read back from the grants (runCompleted says whether
+	// there is anything to read); the receipt-less drainers collect them in
+	// completions instead. Collected whether or not anyone subscribes (a
+	// task completes once ever, so the appends are negligible): gating
+	// collection on a start-of-run Active() snapshot would let a subscriber
+	// attaching mid-run observe the run's PlatformDone without its
+	// completions — a silent exactly-once violation Publish's own per-event
+	// gate cannot cause.
 	var completions []events.Event
-	platformDone := false
+	runCompleted, platformDone := 0, false
 	ldLock("shard", si)
 	s.mu.Lock()
 	s.eng.BeginBatch()
@@ -141,7 +142,9 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 			gid := s.sub.Global[oc.Task]
 			if oc.Completed {
 				completedDelta++
-				completions = append(completions, events.Event{Kind: events.TaskCompleted, Task: gid, Worker: w.Index}) //ltclint:ignore noalloc the fresh slice is load-bearing — publication happens after the unlock, when the next run may already hold the shard mutex, so a reused shard-owned buffer would race; a task completes once ever, so the appends are negligible
+				if out == nil {
+					completions = append(completions, events.Event{Kind: events.TaskCompleted, Task: gid, Worker: w.Index}) //ltclint:ignore noalloc the fresh slice is load-bearing — publication happens after the unlock, when the next run may already hold the shard mutex, so a reused shard-owned buffer would race; a task completes once ever, so the appends are negligible
+				}
 			}
 			if rel := w.Index - s.eng.TaskPostIndex(oc.Task); rel > runMaxRel {
 				runMaxRel = rel
@@ -156,8 +159,12 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 				runMaxUsed = w.Index
 			}
 		}
-		if completedDelta > 0 && d.remaining.Add(int64(-completedDelta)) == 0 {
-			platformDone = true
+		if completedDelta > 0 {
+			runCompleted += completedDelta
+			d.resolved.Add(int64(completedDelta))
+			if d.remaining.Add(int64(-completedDelta)) == 0 {
+				platformDone = true
+			}
 		}
 		if out != nil {
 			out[i] = Receipt{Worker: w.Index, Shard: si, Assignments: grants, Done: d.Done()}
@@ -171,6 +178,15 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 	ldUnlock("shard", si)
 	s.mu.Unlock()
 	d.addArrived(int64(consumed))
+	if out != nil && runCompleted > 0 {
+		for _, rec := range out[:consumed] {
+			for _, g := range rec.Assignments {
+				if g.Completed {
+					d.publish(events.Event{Kind: events.TaskCompleted, Task: g.Task, Worker: rec.Worker})
+				}
+			}
+		}
+	}
 	for _, e := range completions {
 		d.publish(e)
 	}

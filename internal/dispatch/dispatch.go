@@ -157,6 +157,7 @@ type Dispatcher struct {
 	part      *model.Partition
 	shards    []*shard
 	remaining atomic.Int64 // live tasks not yet at δ, across all shards
+	resolved  atomic.Int64 // tasks that reached δ or were retired open
 	total     atomic.Int64 // tasks ever posted (initial + PostTask)
 	arrived   atomic.Int64 // total check-ins received
 	maxSeen   atomic.Int64 // arrival clock: largest worker index seen (incl. bounced)
@@ -227,13 +228,9 @@ func New(in *model.Instance, nShards int, factory core.OnlineFactory, opts ...Op
 	if err := in.ValidateStreaming(); err != nil {
 		return nil, err
 	}
-	popt := model.PartitionOptions{Balanced: o.Balanced}
-	if o.Balanced {
-		if o.LoadSample != nil {
-			popt.LoadSample = o.LoadSample
-		} else {
-			popt.LoadSample = loadSample(in.Workers)
-		}
+	popt := model.PartitionOptions{Balanced: o.Balanced, LoadSample: o.LoadSample}
+	if o.Balanced && popt.LoadSample == nil {
+		popt.LoadSample = loadSample(in.Workers)
 	}
 	part, err := model.PartitionInstanceOpts(in, nShards, popt)
 	if err != nil {
@@ -316,62 +313,11 @@ func (d *Dispatcher) CheckIn(w model.Worker) (Receipt, error) {
 		d.addArrived(1)
 		return Receipt{Worker: w.Index, Shard: -1, Done: true}, ErrDone
 	}
-	// Semantically a batch run of length one, but kept as a dedicated
-	// allocation-lean body: routing ingestRun's sink through a closure costs
-	// the hottest per-call path two heap allocations per check-in.
-	// TestCheckInBatchMatchesSequential pins the two paths together.
-	si := d.locate(w.Loc)
-	s := d.shards[si]
-
-	ldLock("shard", si)
-	s.mu.Lock()
-	s.routed++
-	if s.eng.Done() {
-		ldUnlock("shard", si)
-		s.mu.Unlock()
-		d.addArrived(1)
-		return Receipt{Worker: w.Index, Shard: si, Done: d.Done()}, nil
-	}
-	s.offered++
-	outcomes := s.eng.Arrive(w)
-	var grants []TaskGrant
-	maxRel, completedDelta := 0, 0
-	if len(outcomes) > 0 {
-		grants = s.arena.carve(len(outcomes))
-		for i, oc := range outcomes {
-			grants[i] = TaskGrant{Task: s.sub.Global[oc.Task], Credit: oc.Credit, Completed: oc.Completed}
-			if oc.Completed {
-				completedDelta++
-			}
-			if rel := w.Index - s.eng.TaskPostIndex(oc.Task); rel > maxRel {
-				maxRel = rel
-			}
-		}
-		s.workers = append(s.workers, w)
-	}
-	ldUnlock("shard", si)
-	s.mu.Unlock()
-
-	d.addArrived(1)
-	if len(outcomes) > 0 {
-		atomicMax(&d.maxUsed, int64(w.Index))
-		atomicMax(&d.maxRel, int64(maxRel))
-	}
-	done := false
-	if completedDelta > 0 {
-		done = d.remaining.Add(int64(-completedDelta)) == 0
-		for _, g := range grants {
-			if g.Completed {
-				d.publish(events.Event{Kind: events.TaskCompleted, Task: g.Task, Worker: w.Index})
-			}
-		}
-		if done {
-			d.publish(events.Event{Kind: events.PlatformDone, Task: -1})
-		}
-	} else {
-		done = d.Done()
-	}
-	return Receipt{Worker: w.Index, Shard: si, Assignments: grants, Done: done}, nil
+	// A run of length one through the shared ingestion body: per-call, batch
+	// and drainer check-ins cannot drift apart. The arrays stay on the stack.
+	run, out := [1]model.Worker{w}, [1]Receipt{}
+	d.ingestRun(d.locate(w.Loc), run[:], false, out[:])
+	return out[0], nil
 }
 
 // Subscribe registers a platform-event subscriber with a buffer of the
@@ -465,10 +411,11 @@ func (d *Dispatcher) RetireTask(id model.TaskID) error {
 		d.regMu.RUnlock()
 		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
 	}
+	// The registry stays read-locked across the shard section: a tile
+	// migration (a registry writer) slipping in between the record lookup
+	// and the shard lock would move the task and leave this retire on the
+	// source shard's evicted ghost — published, but never applied.
 	rec := d.records[id]
-	ldUnlock("regMu", 0)
-	d.regMu.RUnlock()
-
 	s := d.shards[rec.shard]
 	ldLock("shard", int(rec.shard))
 	s.mu.Lock()
@@ -476,11 +423,14 @@ func (d *Dispatcher) RetireTask(id model.TaskID) error {
 	wasOpen, err := s.eng.RetireTask(rec.local)
 	ldUnlock("shard", int(rec.shard))
 	s.mu.Unlock()
+	ldUnlock("regMu", 0)
+	d.regMu.RUnlock()
 	if err != nil {
 		return err
 	}
 	platformDone := false
 	if wasOpen {
+		d.resolved.Add(1)
 		platformDone = d.remaining.Add(-1) == 0
 	}
 	if !already {
@@ -519,8 +469,11 @@ func (d *Dispatcher) Arrived() int { return int(d.arrived.Load()) }
 // tasks ever posted). Resolved means reached δ or retired before reaching
 // it — both never need another worker.
 func (d *Dispatcher) Progress() (resolved, total int) {
-	total = int(d.total.Load())
-	return total - int(d.remaining.Load()), total
+	// Both counters only grow, and a task is counted in total before it can
+	// resolve; loading resolved first keeps resolved ≤ total and each value
+	// monotone across calls even while posts and completions race the read.
+	resolved = int(d.resolved.Load())
+	return resolved, int(d.total.Load())
 }
 
 // ShardStats is one shard's progress/credit/load snapshot.

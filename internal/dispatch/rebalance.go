@@ -216,23 +216,14 @@ func (rb *rebalancer) rebalance() {
 	}
 }
 
-// noteLocate records one routed arrival against its owner tile.
-func (rb *rebalancer) noteLocate(ownerTile int) {
-	if ownerTile >= 0 {
-		rb.tileLoad[ownerTile].n.Add(1)
-	}
-}
-
-// locate routes a location to its shard, feeding the rebalancer's per-tile
-// arrival counter when rebalancing is on. The disabled path is exactly the
-// partition lookup — rebalancing off costs one nil check.
+// locate routes a location to its shard, recording the arrival against its
+// owner tile when rebalancing is on (off, it costs one nil check).
 func (d *Dispatcher) locate(loc geo.Point) int {
-	if rb := d.rb; rb != nil {
-		si, owner := d.part.LocateOwner(loc)
-		rb.noteLocate(owner)
-		return si
+	si, owner := d.part.LocateOwner(loc)
+	if rb := d.rb; rb != nil && owner >= 0 {
+		rb.tileLoad[owner].n.Add(1)
 	}
-	return d.part.Locate(loc)
+	return si
 }
 
 // addArrived advances the arrival total and, when rebalancing is on, kicks

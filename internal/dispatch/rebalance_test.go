@@ -603,7 +603,7 @@ func TestRebalanceBelowThresholdIsNoOp(t *testing.T) {
 	in := hotspotInstance(t, 0.02)
 	d := rebalanced(t, in, 4, &RebalanceOptions{Interval: 1 << 30, Threshold: 1e9, MaxMoves: 1, Alpha: 1})
 	defer d.Close()
-	d.rb.noteLocate(d.part.OwnerTiles()[0])
+	d.rb.tileLoad[d.part.OwnerTiles()[0]].n.Add(1)
 	before := d.Migrations()
 	d.rb.rebalance()
 	if got := d.Migrations(); got != before {

@@ -224,9 +224,9 @@ func sweepPool(e *Experiment, o Options, labels []string, gen func(xIdx, rep int
 	table := newTable(e, o)
 	reps := o.Reps
 	results := make([]map[string]Metrics, len(labels)*reps)
-	pending := make([]int32, len(labels))
+	pending := make([]atomic.Int32, len(labels))
 	for i := range pending {
-		pending[i] = int32(reps)
+		pending[i].Store(int32(reps))
 	}
 	par := o.parallelism()
 	err := forEach(len(results), par, func(j int) error {
@@ -240,7 +240,7 @@ func sweepPool(e *Experiment, o Options, labels []string, gen func(xIdx, rep int
 			return fmt.Errorf("%s x=%s: %w", e.ID, labels[xIdx], err)
 		}
 		results[j] = m
-		if atomic.AddInt32(&pending[xIdx], -1) == 0 {
+		if pending[xIdx].Add(-1) == 0 {
 			o.progress("%s: %s=%s done", e.ID, e.XLabel, labels[xIdx])
 		}
 		return nil

@@ -6,8 +6,10 @@
 package geo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Point is a location in grid units. On the synthetic dataset one unit is a
@@ -104,8 +106,7 @@ func ConvexHull(pts []Point) []Point {
 		return nil
 	}
 	sorted := append([]Point(nil), pts...)
-	// Sort by (X, Y) lexicographically.
-	sortPoints(sorted)
+	slices.SortFunc(sorted, comparePoints)
 	// Deduplicate.
 	uniq := sorted[:1]
 	for _, p := range sorted[1:] {
@@ -141,63 +142,12 @@ func ConvexHull(pts []Point) []Point {
 	return hull
 }
 
-func sortPoints(pts []Point) {
-	// Insertion-free: use sort.Slice equivalent inline to avoid importing
-	// sort for a single call site... plain sort is clearer.
-	// (kept as a helper so the hull code reads top-down)
-	quickSortPoints(pts, 0, len(pts)-1)
-}
-
-func quickSortPoints(pts []Point, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && lessPoint(pts[j], pts[j-1]); j-- {
-					pts[j], pts[j-1] = pts[j-1], pts[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		if lessPoint(pts[mid], pts[lo]) {
-			pts[mid], pts[lo] = pts[lo], pts[mid]
-		}
-		if lessPoint(pts[hi], pts[lo]) {
-			pts[hi], pts[lo] = pts[lo], pts[hi]
-		}
-		if lessPoint(pts[hi], pts[mid]) {
-			pts[hi], pts[mid] = pts[mid], pts[hi]
-		}
-		pivot := pts[mid]
-		i, j := lo, hi
-		for i <= j {
-			for lessPoint(pts[i], pivot) {
-				i++
-			}
-			for lessPoint(pivot, pts[j]) {
-				j--
-			}
-			if i <= j {
-				pts[i], pts[j] = pts[j], pts[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSortPoints(pts, lo, j)
-			lo = i
-		} else {
-			quickSortPoints(pts, i, hi)
-			hi = j
-		}
+// comparePoints orders points by (X, Y) lexicographically.
+func comparePoints(a, b Point) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
 	}
-}
-
-func lessPoint(a, b Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Y < b.Y
+	return cmp.Compare(a.Y, b.Y)
 }
 
 // InConvexHull reports whether p lies inside or on the boundary of the

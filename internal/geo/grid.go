@@ -71,19 +71,7 @@ func (g *GridIndex) Len() int { return len(g.pts) }
 func (g *GridIndex) CellSize() float64 { return g.cellSize }
 
 func (g *GridIndex) cellCoords(p Point) (cx, cy int) {
-	cx = int(math.Floor((p.X - g.origin.X) / g.cellSize))
-	cy = int(math.Floor((p.Y - g.origin.Y) / g.cellSize))
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.rows {
-		cy = g.rows - 1
-	}
-	return cx, cy
+	return clampTile((p.X-g.origin.X)/g.cellSize, g.cols), clampTile((p.Y-g.origin.Y)/g.cellSize, g.rows)
 }
 
 func (g *GridIndex) cellIndex(p Point) int {

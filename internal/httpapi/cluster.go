@@ -20,11 +20,10 @@
 package httpapi
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"ltc"
@@ -79,23 +78,22 @@ type NodeStats struct {
 	ClusterNodes int `json:"cluster_nodes"`
 }
 
-// ClusterServer serves one cluster node: the plain gateway surface with
-// ownership enforcement, global↔local task-ID translation and a replayable
-// event log. Construct with NewClusterServer, serve Handler(), and Close
-// when done (it detaches the event recorder from the platform).
+// ClusterServer serves one cluster node: a decorator around the plain
+// gateway's node that adds only what is cluster-specific — the ownership
+// check, global↔local task-ID translation, the replayable event log and
+// /cluster/info — and is served by the same handler set. Construct with
+// NewClusterServer, serve Handler(), and Close when done (it detaches the
+// event recorder from the platform).
 type ClusterServer struct {
-	topo      *cluster.Topology
-	node      int
-	p         *ltc.Platform // nil when the node owns no tiles (and no tasks)
-	algo      string
-	requested int
-	global    []ltc.TaskID       // local → cluster-global, initial tasks
-	localOf   map[int]ltc.TaskID // cluster-global → local, initial tasks
-	ownerOf   []int32            // cluster-global initial task → owning node
-	log       *eventLog
-	sub       *ltc.Subscription
-	closeOnce sync.Once
-	mux       *http.ServeMux
+	topo    *cluster.Topology
+	node    int
+	inner   ingress            // the node's platform, speaking local task IDs
+	global  []ltc.TaskID       // local → cluster-global, initial tasks
+	localOf map[int]ltc.TaskID // cluster-global → local, initial tasks
+	ownerOf []int32            // cluster-global initial task → owning node
+	log     *eventLog
+	sub     *ltc.Subscription // the event recorder's feed; nil when the node owns no tiles
+	mux     *http.ServeMux
 }
 
 // NewClusterServer wraps node's platform in the cluster HTTP surface.
@@ -120,11 +118,11 @@ func NewClusterServer(p *ltc.Platform, algo ltc.Algorithm, requestedShards int,
 			node, sub != nil, p != nil)
 	}
 	s := &ClusterServer{
-		topo: topo, node: node, p: p, algo: string(algo), requested: requestedShards,
-		ownerOf: split.OwnerOf, localOf: make(map[int]ltc.TaskID),
-		log: newEventLog(), mux: http.NewServeMux(),
+		topo: topo, node: node, inner: idleNode{algo: string(algo), requested: requestedShards},
+		ownerOf: split.OwnerOf, localOf: make(map[int]ltc.TaskID), log: newEventLog(),
 	}
 	if sub != nil {
+		s.inner = platformNode{p: p, algo: string(algo), requested: requestedShards}
 		s.global = sub.Global
 		for local, g := range sub.Global {
 			s.localOf[int(g)] = ltc.TaskID(local)
@@ -141,16 +139,18 @@ func NewClusterServer(p *ltc.Platform, algo ltc.Algorithm, requestedShards int,
 					s.log.markCorrupt()
 					return
 				}
-				s.log.append(s.wireEvent(e))
+				we := FromEvent(e)
+				// tile_migrated frames carry Task -1, which passes through
+				// untouched. Seq stays the node-local dense sequence — the
+				// cluster merger folds per-node sequences, never rewrites them.
+				if we.Task >= 0 {
+					we.Task = s.globalID(we.Task)
+				}
+				s.log.append(we)
 			}
 		}()
 	}
-	s.mux.HandleFunc("POST /checkin", s.handleCheckIn)
-	s.mux.HandleFunc("POST /checkin/batch", s.handleCheckInBatch)
-	s.mux.HandleFunc("POST /tasks", s.handlePostTask)
-	s.mux.HandleFunc("DELETE /tasks/{id}", s.handleRetireTask)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /events", s.handleEvents)
+	s.mux = newMux(s)
 	s.mux.HandleFunc("GET /cluster/info", s.handleInfo)
 	return s, nil
 }
@@ -161,11 +161,9 @@ func (s *ClusterServer) Handler() http.Handler { return s.mux }
 // Close detaches the event recorder from the platform. Open /events streams
 // drain the recorded log and then block until their clients disconnect.
 func (s *ClusterServer) Close() {
-	s.closeOnce.Do(func() {
-		if s.sub != nil {
-			s.sub.Close()
-		}
-	})
+	if s.sub != nil {
+		s.sub.Close() // idempotent
+	}
 }
 
 // globalID translates a node-local task ID to its cluster-global ID:
@@ -179,169 +177,113 @@ func (s *ClusterServer) globalID(local int) int {
 	return s.topo.PostedGlobalID(s.node, local-len(s.global))
 }
 
-// wireEvent converts a platform event to its wire form with the task ID
-// translated to cluster-global (tile_migrated frames carry Task -1, which
-// passes through untouched). Seq stays the node-local dense sequence — the
-// cluster merger folds per-node sequences, it never rewrites them.
-func (s *ClusterServer) wireEvent(e ltc.Event) Event {
-	we := FromEvent(e)
-	if we.Task >= 0 {
-		we.Task = s.globalID(we.Task)
-	}
-	return we
-}
-
-// wireReceipt converts a receipt with every grant's task ID translated.
-func (s *ClusterServer) wireReceipt(r ltc.Receipt, bounced bool) Receipt {
-	out := FromReceipt(r, bounced)
-	for i := range out.Assignments {
-		out.Assignments[i].Task = s.globalID(out.Assignments[i].Task)
-	}
-	return out
-}
-
-func (s *ClusterServer) handleCheckIn(w http.ResponseWriter, r *http.Request) {
-	var body Worker
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad worker: %w", err))
-		return
-	}
-	if owner := s.topo.NodeFor(geo.Point{X: body.X, Y: body.Y}); owner != s.node {
-		writeRedirect(w, owner, -1,
-			fmt.Sprintf("check-in at (%g, %g) belongs to node %d", body.X, body.Y, owner))
-		return
-	}
-	// Owning a tile implies owning its tasks, so a consistent topology never
-	// routes traffic to a platform-less node; reaching this with p == nil
-	// means the served topology diverged from the split.
-	if s.p == nil {
-		writeError(w, http.StatusInternalServerError, errors.New("node owns the tile but has no platform"))
-		return
-	}
-	rec, err := s.p.CheckIn(body.Model())
-	switch {
-	case errors.Is(err, ltc.ErrPlatformDone):
-		writeJSON(w, http.StatusOK, s.wireReceipt(rec, true))
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusOK, s.wireReceipt(rec, false))
+// globalize translates every grant's task ID in place.
+func (s *ClusterServer) globalize(grants []Grant) {
+	for i := range grants {
+		grants[i].Task = s.globalID(grants[i].Task)
 	}
 }
 
-func (s *ClusterServer) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
-	var body BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch: %w", err))
-		return
+// owner routes a wire location to the node owning it.
+func (s *ClusterServer) owner(x, y float64) int { return s.topo.NodeFor(geo.Point{X: x, Y: y}) }
+
+// redirect is the typed 421: the request belongs to owner. index is the
+// misrouted worker's offset in its batch, -1 for single-object requests.
+func redirect(owner, index int, format string, args ...any) error {
+	return &RedirectError{Owner: owner, Index: index, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (s *ClusterServer) checkIn(w Worker) (Receipt, error) {
+	if owner := s.owner(w.X, w.Y); owner != s.node {
+		return Receipt{}, redirect(owner, -1, "check-in at (%g, %g) belongs to node %d", w.X, w.Y, owner)
 	}
+	rec, err := s.inner.checkIn(w)
+	s.globalize(rec.Assignments)
+	return rec, err
+}
+
+func (s *ClusterServer) checkInBatch(req BatchRequest) (BatchResponse, error) {
 	// Ownership is all-or-nothing per batch: reject before ingesting anything
 	// so a redirected batch is fully re-presentable after the client heals.
-	for i, ww := range body.Workers {
-		if owner := s.topo.NodeFor(geo.Point{X: ww.X, Y: ww.Y}); owner != s.node {
-			writeRedirect(w, owner, i,
-				fmt.Sprintf("batch worker %d (index %d) belongs to node %d", i, ww.Index, owner))
-			return
+	for i, w := range req.Workers {
+		if owner := s.owner(w.X, w.Y); owner != s.node {
+			return BatchResponse{}, redirect(owner, i, "batch worker %d (index %d) belongs to node %d", i, w.Index, owner)
 		}
 	}
-	if s.p == nil {
-		if len(body.Workers) == 0 {
-			writeJSON(w, http.StatusOK, BatchResponse{Done: true})
-			return
-		}
-		writeError(w, http.StatusInternalServerError, errors.New("node owns the tile but has no platform"))
-		return
+	resp, err := s.inner.checkInBatch(req)
+	for _, rec := range resp.Receipts {
+		s.globalize(rec.Assignments)
 	}
-	ws := make([]ltc.Worker, len(body.Workers))
-	for i, ww := range body.Workers {
-		ws[i] = ww.Model()
-	}
-	recs, err := s.p.CheckInBatch(ws)
-	resp := BatchResponse{Done: errors.Is(err, ltc.ErrPlatformDone)}
-	if err != nil && !resp.Done {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if n := len(recs); n > 0 && recs[n-1].Done {
-		resp.Done = true
-	}
-	for _, rec := range recs {
-		resp.Receipts = append(resp.Receipts, s.wireReceipt(rec, false))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, err
 }
 
-func (s *ClusterServer) handlePostTask(w http.ResponseWriter, r *http.Request) {
-	var body TaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad task: %w", err))
-		return
+func (s *ClusterServer) postTask(t TaskRequest) (TaskResponse, error) {
+	if owner := s.owner(t.X, t.Y); owner != s.node {
+		return TaskResponse{}, redirect(owner, -1, "task at (%g, %g) belongs to node %d", t.X, t.Y, owner)
 	}
-	if owner := s.topo.NodeFor(geo.Point{X: body.X, Y: body.Y}); owner != s.node {
-		writeRedirect(w, owner, -1,
-			fmt.Sprintf("task at (%g, %g) belongs to node %d", body.X, body.Y, owner))
-		return
+	resp, err := s.inner.postTask(t)
+	if err == nil {
+		resp.ID = s.globalID(resp.ID)
 	}
-	if s.p == nil {
-		writeError(w, http.StatusInternalServerError, errors.New("node owns the tile but has no platform"))
-		return
-	}
-	var task ltc.Task
-	task.Loc.X, task.Loc.Y = body.X, body.Y
-	id, err := s.p.PostTask(task)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TaskResponse{ID: s.globalID(int(id))})
+	return resp, err
 }
 
-func (s *ClusterServer) handleRetireTask(w http.ResponseWriter, r *http.Request) {
-	g, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil || g < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad task id %q", r.PathValue("id")))
-		return
+func (s *ClusterServer) retireTask(g int) error {
+	if g < 0 {
+		return &statusError{http.StatusBadRequest, fmt.Errorf("bad task id \"%d\"", g)}
 	}
+	// Initial IDs are owned by the split's table, posted IDs by arithmetic.
 	var owner int
 	var local ltc.TaskID
 	if g < s.topo.TotalTasks {
-		owner = int(s.ownerOf[g])
-		local = s.localOf[g] // valid iff owner == s.node
+		owner, local = int(s.ownerOf[g]), s.localOf[g] // local valid iff owner == s.node
 	} else {
-		n, k, err := s.topo.PostedOwner(g)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+		n, k, _ := s.topo.PostedOwner(g) // cannot fail: g is in the posted range
 		owner, local = n, ltc.TaskID(len(s.global)+k)
 	}
 	if owner != s.node {
-		writeRedirect(w, owner, -1, fmt.Sprintf("task %d belongs to node %d", g, owner))
-		return
+		return redirect(owner, -1, "task %d belongs to node %d", g, owner)
 	}
 	// A posted ID can claim this node as owner without the node ever having
-	// posted it; the platform's own range check turns that into a 404. A
-	// platform-less node owns nothing retirable at all.
-	if s.p == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown task %d", g))
-		return
-	}
-	if err := s.p.RetireTask(local); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	// posted it; the platform's own range check turns that into a 404.
+	return s.inner.retireTask(int(local))
 }
 
-func (s *ClusterServer) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := NodeStats{Node: s.node, ClusterNodes: s.topo.Nodes}
-	if s.p == nil {
-		// A node owning no tasks is trivially complete and perfectly even.
-		st.Stats = Stats{Algo: s.algo, RequestedShards: s.requested, Done: true, Imbalance: 1}
-	} else {
-		st.Stats = statsSnapshot(s.p, s.algo, s.requested)
+func (s *ClusterServer) stats() any {
+	// Both ingress implementations snapshot a plain Stats.
+	return NodeStats{Stats: s.inner.stats().(Stats), Node: s.node, ClusterNodes: s.topo.Nodes}
+}
+
+// errLogTruncated ends an event stream whose recorder was overrun: the log
+// has a hole at the tail, so the stream stops rather than serve a gapped
+// sequence.
+var errLogTruncated = errors.New("event log truncated (recorder overrun)")
+
+// events replays the node's recorded log from since (the per-node sequence
+// number after which to resume; 0 is the beginning), then follows the live
+// feed — unlike the plain gateway's subscribe-from-now stream — so a
+// reconnecting cluster client can rebuild the global gapless sequence
+// without losing its audit.
+func (s *ClusterServer) events(since uint64) (func(context.Context) (Event, error), func()) {
+	pos := int(since) // log[i] is the event with per-node Seq i+1
+	next := func(ctx context.Context) (Event, error) {
+		for {
+			e, wait, corrupt := s.log.at(pos)
+			if corrupt {
+				return Event{}, errLogTruncated
+			}
+			if wait == nil {
+				pos++
+				return e, nil
+			}
+			select {
+			case <-ctx.Done():
+				return Event{}, ctx.Err()
+			case <-wait:
+			}
+		}
 	}
-	writeJSON(w, http.StatusOK, st)
+	return next, func() {}
 }
 
 func (s *ClusterServer) handleInfo(w http.ResponseWriter, _ *http.Request) {
@@ -355,58 +297,33 @@ func (s *ClusterServer) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// handleEvents streams the node's recorded event log as SSE, then follows
-// the live feed. Unlike the plain gateway's subscribe-from-now stream, the
-// cluster stream replays from the beginning (or from ?since=N, the per-node
-// sequence number after which to resume), so a reconnecting cluster client
-// can rebuild the global gapless sequence without losing its audit.
-func (s *ClusterServer) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
+// idleNode is the platform of a node the topology assigns no tiles: it owns
+// nothing, so it is trivially done and perfectly even, holds no retirable
+// task, and ingests nothing. Owning a tile implies owning its tasks, so a
+// consistent topology never routes traffic here; a worker or post reaching
+// it means the served topology diverged from the split.
+type idleNode struct {
+	algo      string
+	requested int
+}
+
+var errNoPlatform = &statusError{http.StatusInternalServerError, errors.New("node owns the tile but has no platform")}
+
+func (idleNode) checkIn(Worker) (Receipt, error) { return Receipt{}, errNoPlatform }
+
+func (idleNode) checkInBatch(req BatchRequest) (BatchResponse, error) {
+	if len(req.Workers) > 0 {
+		return BatchResponse{}, errNoPlatform
 	}
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad since %q: %w", v, err))
-			return
-		}
-		since = n
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	ctx := r.Context()
-	pos := int(since) // log[i] is the event with per-node Seq i+1
-	for {
-		e, wait, corrupt := s.log.at(pos)
-		if corrupt {
-			// The recorder was overrun: the log has a hole at the tail, so
-			// the stream ends here rather than serving a gapped sequence.
-			_, _ = fmt.Fprintf(w, ": event log truncated (recorder overrun)\n\n")
-			return
-		}
-		if wait == nil {
-			data, err := json.Marshal(e)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind, data); err != nil {
-				return
-			}
-			flusher.Flush()
-			pos++
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-wait:
-		}
-	}
+	return BatchResponse{Done: true}, nil
+}
+
+func (idleNode) postTask(TaskRequest) (TaskResponse, error) { return TaskResponse{}, errNoPlatform }
+
+func (idleNode) retireTask(id int) error { return fmt.Errorf("unknown task %d", id) }
+
+func (n idleNode) stats() any {
+	return Stats{Algo: n.algo, RequestedShards: n.requested, Done: true, Imbalance: 1}
 }
 
 // eventLog is the node's append-only recorded event history backing

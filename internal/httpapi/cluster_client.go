@@ -90,39 +90,50 @@ func (c *ClusterClient) Nodes() int { return len(c.nodes) }
 
 // Route returns the node the client's live table routes the worker to.
 func (c *ClusterClient) Route(w Worker) int {
-	return int(c.table[c.topo.TileIndex(geo.Point{X: w.X, Y: w.Y})].Load())
+	return int(c.table[c.tile(w.X, w.Y)].Load())
 }
 
-// heal patches the live table after a redirect named owner for tile.
-func (c *ClusterClient) heal(tile, owner int) error {
-	if owner < 0 || owner >= len(c.nodes) {
-		return fmt.Errorf("httpapi: redirect to out-of-range node %d", owner)
+// tile is the topology tile a wire location falls in.
+func (c *ClusterClient) tile(x, y float64) int { return c.topo.TileIndex(geo.Point{X: x, Y: y}) }
+
+// heal is the one statement of the redirect-heal policy. err is what a node
+// answered on the given attempt (0-based) of one logical operation routed by
+// slot — a tile's table entry or a task's cached owner. Anything but a 421
+// is final and returned as is (retry false; nil means success). A 421 names
+// the owner: it must be a cluster node, it is stored in slot, and the
+// operation retries — unless maxRedirects heals already failed to converge.
+func (c *ClusterClient) heal(err error, attempt int, slot *atomic.Int32) (retry bool, _ error) {
+	var re *RedirectError
+	switch {
+	case !errors.As(err, &re):
+		return false, err
+	case re.Owner < 0 || re.Owner >= len(c.nodes):
+		return false, fmt.Errorf("httpapi: redirect to out-of-range node %d", re.Owner)
+	case attempt >= maxRedirects:
+		return false, fmt.Errorf("httpapi: redirect loop, %d heals did not converge: %w", maxRedirects, re)
 	}
-	c.table[tile].Store(int32(owner))
-	return nil
+	slot.Store(int32(re.Owner))
+	return true, nil
 }
 
 // CheckIn routes one worker to its owning node. A completed node bounces
 // exactly as a completed single-node gateway does (200, "bounced":true),
 // so a cluster feed behaves per node as N independent gateway feeds.
 func (c *ClusterClient) CheckIn(w Worker) (Receipt, error) {
-	tile := c.topo.TileIndex(geo.Point{X: w.X, Y: w.Y})
-	for attempt := 0; attempt <= maxRedirects; attempt++ {
-		n := int(c.table[tile].Load())
+	slot := &c.table[c.tile(w.X, w.Y)]
+	for attempt := 0; ; attempt++ {
+		n := int(slot.Load())
 		rec, err := c.nodes[n].CheckIn(w)
-		var re *RedirectError
-		if errors.As(err, &re) {
-			if err := c.heal(tile, re.Owner); err != nil {
+		if retry, err := c.heal(err, attempt, slot); !retry {
+			if err != nil {
 				return Receipt{}, err
 			}
-			continue
+			if rec.Done {
+				c.done[n].Store(true)
+			}
+			return rec, nil
 		}
-		if err == nil && rec.Done {
-			c.done[n].Store(true)
-		}
-		return rec, err
 	}
-	return Receipt{}, fmt.Errorf("httpapi: redirect loop checking in worker %d (tile %d)", w.Index, tile)
 }
 
 // CheckInBatch routes one batch across the cluster by splitting it into
@@ -152,16 +163,14 @@ func (c *ClusterClient) CheckInBatch(ws []Worker) ([]Receipt, bool, error) {
 			// The node disowned the run's re.Index-th worker: heal that tile
 			// and re-split from i (nothing was ingested — node-side ownership
 			// checks run before the batch touches the platform).
-			if heals++; heals > maxRedirects {
-				return nil, false, fmt.Errorf("httpapi: redirect loop in batch at worker %d", i)
-			}
 			if re.Index < 0 || i+re.Index >= j {
 				return nil, false, fmt.Errorf("httpapi: batch redirect with bad index %d", re.Index)
 			}
 			w := ws[i+re.Index]
-			if err := c.heal(c.topo.TileIndex(geo.Point{X: w.X, Y: w.Y}), re.Owner); err != nil {
+			if _, err := c.heal(err, heals, &c.table[c.tile(w.X, w.Y)]); err != nil {
 				return nil, false, err
 			}
+			heals++
 			continue
 		}
 		if err != nil {
@@ -191,47 +200,32 @@ func (c *ClusterClient) Complete() bool {
 // PostTask posts a task at (x, y) on its owning node and returns its
 // cluster-global ID (owner-recoverable: see cluster.PostedOwner).
 func (c *ClusterClient) PostTask(x, y float64) (int, error) {
-	tile := c.topo.TileIndex(geo.Point{X: x, Y: y})
-	for attempt := 0; attempt <= maxRedirects; attempt++ {
-		n := int(c.table[tile].Load())
-		id, err := c.nodes[n].PostTask(x, y)
-		var re *RedirectError
-		if errors.As(err, &re) {
-			if err := c.heal(tile, re.Owner); err != nil {
-				return 0, err
-			}
-			continue
+	slot := &c.table[c.tile(x, y)]
+	for attempt := 0; ; attempt++ {
+		id, err := c.nodes[slot.Load()].PostTask(x, y)
+		if retry, err := c.heal(err, attempt, slot); !retry {
+			return id, err
 		}
-		return id, err
 	}
-	return 0, fmt.Errorf("httpapi: redirect loop posting task at (%g, %g)", x, y)
 }
 
 // RetireTask retires a cluster-global task ID on its owning node. Posted
 // IDs carry their owner arithmetically; initial IDs use the ownership map
 // Sync fetched, or redirect-following when the client never synced.
 func (c *ClusterClient) RetireTask(id int) error {
-	n := 0
+	var uncached atomic.Int32 // the route of an ID with no ownership entry
+	slot := &uncached
 	if node, _, err := c.topo.PostedOwner(id); err == nil {
-		n = node
+		uncached.Store(int32(node))
 	} else if id >= 0 && id < len(c.ownerOf) {
-		n = int(c.ownerOf[id].Load())
+		slot = &c.ownerOf[id]
 	}
-	for attempt := 0; attempt <= maxRedirects; attempt++ {
-		err := c.nodes[n].RetireTask(id)
-		var re *RedirectError
-		if !errors.As(err, &re) {
+	for attempt := 0; ; attempt++ {
+		err := c.nodes[slot.Load()].RetireTask(id)
+		if retry, err := c.heal(err, attempt, slot); !retry {
 			return err
 		}
-		if re.Owner < 0 || re.Owner >= len(c.nodes) {
-			return fmt.Errorf("httpapi: redirect to out-of-range node %d", re.Owner)
-		}
-		n = re.Owner
-		if id >= 0 && id < len(c.ownerOf) {
-			c.ownerOf[id].Store(int32(n))
-		}
 	}
-	return fmt.Errorf("httpapi: redirect loop retiring task %d", id)
 }
 
 // Sync waits for every node to answer, verifies each serves the slot and

@@ -17,13 +17,16 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
 	"ltc"
+	"ltc/internal/geo"
 )
 
 // Worker is the wire form of ltc.Worker.
@@ -36,9 +39,7 @@ type Worker struct {
 
 // Model converts to the in-process worker.
 func (w Worker) Model() ltc.Worker {
-	out := ltc.Worker{Index: w.Index, Acc: w.Acc}
-	out.Loc.X, out.Loc.Y = w.X, w.Y
-	return out
+	return ltc.Worker{Index: w.Index, Loc: geo.Point{X: w.X, Y: w.Y}, Acc: w.Acc}
 }
 
 // FromWorker converts an in-process worker to its wire form.
@@ -163,26 +164,78 @@ func FromEvent(e ltc.Event) Event {
 		Tile: e.Tile, FromShard: e.FromShard, ToShard: e.ToShard}
 }
 
-// Server serves a live Platform over HTTP.
-type Server struct {
-	p         *ltc.Platform
-	algo      string
-	requested int
-	mux       *http.ServeMux
+// node is what the one handler set serves: a check-in platform behind the
+// wire DTOs. The plain gateway is the Platform adapter (platformNode); a
+// cluster node decorates one with ownership, ID translation and a replayable
+// event log (ClusterServer). Handlers never ask which they were given.
+type node interface {
+	ingress
+	// events opens the node's event stream resuming after sequence number
+	// since (nodes without history start at the subscription point). next
+	// blocks for the following event; errLogTruncated ends the stream with a
+	// closing comment, any other error (ctx's, io.EOF) ends it silently.
+	events(since uint64) (next func(context.Context) (Event, error), stop func())
+}
+
+// ingress is the request/response half of a node. Task IDs are the node's
+// own: a platform's dense local IDs below a ClusterServer, cluster-global
+// IDs above it.
+type ingress interface {
+	checkIn(Worker) (Receipt, error)
+	checkInBatch(BatchRequest) (BatchResponse, error)
+	postTask(TaskRequest) (TaskResponse, error)
+	retireTask(id int) error
+	stats() any
 }
 
 // NewHandler wraps the platform in the gateway's HTTP surface. algo and
 // requestedShards (the resolved shard count passed to NewPlatform — never
 // 0) are echoed in /stats so clients can mirror the run in-process.
 func NewHandler(p *ltc.Platform, algo ltc.Algorithm, requestedShards int) http.Handler {
-	s := &Server{p: p, algo: string(algo), requested: requestedShards, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /checkin", s.handleCheckIn)
-	s.mux.HandleFunc("POST /checkin/batch", s.handleCheckInBatch)
-	s.mux.HandleFunc("POST /tasks", s.handlePostTask)
-	s.mux.HandleFunc("DELETE /tasks/{id}", s.handleRetireTask)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /events", s.handleEvents)
-	return s.mux
+	return newMux(platformNode{p: p, algo: string(algo), requested: requestedShards})
+}
+
+// newMux registers the gateway routes — the one handler set of the package —
+// over n. The second argument of call is the status of a node failure that
+// does not name its own (see writeError).
+func newMux(n node) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /checkin", call("worker", http.StatusBadRequest, n.checkIn))
+	mux.HandleFunc("POST /checkin/batch", call("batch", http.StatusBadRequest, n.checkInBatch))
+	mux.HandleFunc("POST /tasks", call("task", http.StatusInternalServerError, n.postTask))
+	mux.HandleFunc("DELETE /tasks/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id, err := strconv.Atoi(r.PathValue("id"))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad task id: %w", err))
+		} else if err := n.retireTask(id); err != nil {
+			writeError(w, http.StatusNotFound, err)
+		} else {
+			w.WriteHeader(http.StatusNoContent)
+		}
+	})
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, n.stats())
+	})
+	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) { serveEvents(w, r, n) })
+	return mux
+}
+
+// call is the JSON request handler: decode the body, make the one node
+// call, map a failure to its status, encode the result.
+func call[Req, Resp any](what string, failStatus int, do func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body Req
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+			return
+		}
+		resp, err := do(body)
+		if err != nil {
+			writeError(w, failStatus, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // writeJSON writes v with the given status; encoding errors at this point
@@ -198,96 +251,133 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
+// statusError is a node failure that names its own HTTP status, for the
+// cases the handler's default does not fit.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+
+// writeError is the one error→status mapping: a misrouted request is a 421
+// redirect naming the owner, a statusError carries its own code, anything
+// else gets the calling handler's default.
 func writeError(w http.ResponseWriter, status int, err error) {
+	var re *RedirectError
+	var se *statusError
+	if errors.As(err, &re) {
+		writeRedirect(w, re.Owner, re.Index, re.Msg)
+		return
+	}
+	if errors.As(err, &se) {
+		status = se.status
+	}
 	writeJSON(w, status, httpError{Error: err.Error()})
 }
 
-func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
-	var body Worker
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad worker: %w", err))
+// serveEvents streams the node's event feed as Server-Sent Events: one
+// frame per event, named by the event kind, with the JSON Event as data.
+// The feed is opened before the response headers are written, so a client
+// that sees the 200 has a live subscription. A client that stops reading is
+// dropped by the write path, never the platform. The stream stays open
+// after platform_done — a PostTask can revive the run — until the client
+// disconnects.
+func serveEvents(w http.ResponseWriter, r *http.Request, n node) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
-	rec, err := s.p.CheckIn(body.Model())
-	switch {
-	case errors.Is(err, ltc.ErrPlatformDone):
-		writeJSON(w, http.StatusOK, FromReceipt(rec, true))
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusOK, FromReceipt(rec, false))
+	var since uint64
+	if v := r.URL.Query().Get("since"); v != "" {
+		var err error
+		if since, err = strconv.ParseUint(v, 10, 64); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad since %q: %w", v, err))
+			return
+		}
+	}
+	next, stop := n.events(since)
+	defer stop()
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	for {
+		e, err := next(r.Context())
+		if err == errLogTruncated {
+			_, _ = fmt.Fprintf(w, ": %s\n\n", err)
+		}
+		if err != nil {
+			return
+		}
+		data, err := json.Marshal(e)
+		if err != nil {
+			return
+		}
+		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind, data); err != nil {
+			return
+		}
+		flusher.Flush()
 	}
 }
 
-func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
-	var body BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch: %w", err))
-		return
+// platformNode adapts a live ltc.Platform to the node interface — the plain
+// gateway. Its event stream has no history: it starts at the subscription
+// point and ignores since.
+type platformNode struct {
+	p         *ltc.Platform
+	algo      string
+	requested int
+}
+
+// checkIn maps a bounce off a completed platform to its 200 receipt
+// ("bounced":true), matching ltc.ErrPlatformDone's in-process contract.
+func (n platformNode) checkIn(w Worker) (Receipt, error) {
+	rec, err := n.p.CheckIn(w.Model())
+	bounced := errors.Is(err, ltc.ErrPlatformDone)
+	if err != nil && !bounced {
+		return Receipt{}, err
 	}
-	ws := make([]ltc.Worker, len(body.Workers))
-	for i, ww := range body.Workers {
+	return FromReceipt(rec, bounced), nil
+}
+
+func (n platformNode) checkInBatch(req BatchRequest) (BatchResponse, error) {
+	ws := make([]ltc.Worker, len(req.Workers))
+	for i, ww := range req.Workers {
 		ws[i] = ww.Model()
 	}
-	recs, err := s.p.CheckInBatch(ws)
+	recs, err := n.p.CheckInBatch(ws)
 	resp := BatchResponse{Done: errors.Is(err, ltc.ErrPlatformDone)}
 	if err != nil && !resp.Done {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return BatchResponse{}, err
 	}
 	// The platform can complete exactly on the batch's last worker, in
 	// which case CheckInBatch returns no error (nothing was truncated);
 	// the final receipt still carries the done flag the response promises.
-	if n := len(recs); n > 0 && recs[n-1].Done {
+	if k := len(recs); k > 0 && recs[k-1].Done {
 		resp.Done = true
 	}
 	for _, rec := range recs {
 		resp.Receipts = append(resp.Receipts, FromReceipt(rec, false))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (s *Server) handlePostTask(w http.ResponseWriter, r *http.Request) {
-	var body TaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad task: %w", err))
-		return
-	}
-	var task ltc.Task
-	task.Loc.X, task.Loc.Y = body.X, body.Y
-	id, err := s.p.PostTask(task)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TaskResponse{ID: int(id)})
+func (n platformNode) postTask(t TaskRequest) (TaskResponse, error) {
+	id, err := n.p.PostTask(ltc.Task{Loc: geo.Point{X: t.X, Y: t.Y}})
+	return TaskResponse{ID: int(id)}, err
 }
 
-func (s *Server) handleRetireTask(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad task id: %w", err))
-		return
-	}
-	if err := s.p.RetireTask(ltc.TaskID(id)); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
+func (n platformNode) retireTask(id int) error { return n.p.RetireTask(ltc.TaskID(id)) }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, statsSnapshot(s.p, s.algo, s.requested))
-}
-
-// statsSnapshot assembles the /stats DTO from a live platform; shared by
-// the plain gateway and the cluster node handler.
-func statsSnapshot(p *ltc.Platform, algo string, requested int) Stats {
+func (n platformNode) stats() any {
+	p := n.p
 	resolved, total := p.Progress()
 	st := Stats{
-		Algo:            algo,
+		Algo:            n.algo,
 		Shards:          p.Shards(),
-		RequestedShards: requested,
+		RequestedShards: n.requested,
 		Balanced:        p.Balanced(),
 		Latency:         p.Latency(),
 		RelativeLatency: p.RelativeLatency(),
@@ -310,42 +400,18 @@ func statsSnapshot(p *ltc.Platform, algo string, requested int) Stats {
 	return st
 }
 
-// handleEvents streams the platform's event feed as Server-Sent Events:
-// one frame per event, named by the event kind, with the JSON Event as
-// data. The subscription starts at the first event published after the
-// request reaches the platform; a client that stops reading (or whose
-// buffer falls behind the stream) is dropped by the write path, never the
-// platform. The stream stays open after platform_done — a PostTask can
-// revive the run — until the client disconnects.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
-	}
-	sub := s.p.Subscribe()
-	defer sub.Close()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	ctx := r.Context()
-	for {
+func (n platformNode) events(uint64) (func(context.Context) (Event, error), func()) {
+	sub := n.p.Subscribe()
+	next := func(ctx context.Context) (Event, error) {
 		select {
 		case <-ctx.Done():
-			return
+			return Event{}, ctx.Err()
 		case e, ok := <-sub.Events():
 			if !ok {
-				return
+				return Event{}, io.EOF
 			}
-			data, err := json.Marshal(FromEvent(e))
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind, data); err != nil {
-				return
-			}
-			flusher.Flush()
+			return FromEvent(e), nil
 		}
 	}
+	return next, sub.Close
 }

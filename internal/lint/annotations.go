@@ -1,8 +1,9 @@
-// Package lint implements the ltclint analyzer suite: five static checks
+// Package lint implements the ltclint analyzer suite: four static checks
 // that enforce the dispatch layer's documented concurrency contracts
 // (CONCURRENCY.md) — lock ordering, hot-path allocation freedom,
-// copy-on-write snapshot discipline, atomic field access discipline, and
-// hot-struct field alignment. Analyzers read intent from //ltc: annotations
+// copy-on-write snapshot discipline, and hot-struct field alignment.
+// (Atomic access discipline needs no analyzer: every atomically accessed
+// field is a sync/atomic type.) Analyzers read intent from //ltc: annotations
 // in the source and diagnostics can be suppressed only by an
 // //ltclint:ignore waiver that names the analyzer and carries a reason.
 package lint

@@ -23,10 +23,6 @@ func TestCowSnapshotFixtures(t *testing.T) {
 	linttest.Run(t, lint.CowSnapshot, "testdata/src/cowsnapshot")
 }
 
-func TestAtomicFieldFixtures(t *testing.T) {
-	linttest.Run(t, lint.AtomicField, "testdata/src/atomicfield")
-}
-
 func TestFieldAlignFixtures(t *testing.T) {
 	linttest.Run(t, lint.FieldAlign, "testdata/src/fieldalign")
 }

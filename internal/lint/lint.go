@@ -16,13 +16,12 @@ var Analyzers = []*analysis.Analyzer{
 	LockOrder,
 	NoAlloc,
 	CowSnapshot,
-	AtomicField,
 	FieldAlign,
 }
 
 // analyzerNames is a plain list (not derived from Analyzers) so that waiver
 // parsing, which runs during analysis, avoids an initialization cycle.
-var analyzerNames = []string{"lockorder", "noalloc", "cowsnapshot", "atomicfield", "fieldalign"}
+var analyzerNames = []string{"lockorder", "noalloc", "cowsnapshot", "fieldalign"}
 
 func knownAnalyzer(name string) bool {
 	for _, n := range analyzerNames {

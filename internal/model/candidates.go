@@ -171,18 +171,8 @@ func newCellGrid(tasks []Task, cellSize float64) *cellGrid {
 }
 
 func (g *cellGrid) cellIndex(p geo.Point) int {
-	cx := int(math.Floor((p.X - g.origin.X) / g.cellSize))
-	cy := int(math.Floor((p.Y - g.origin.Y) / g.cellSize))
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.rows {
-		cy = g.rows - 1
-	}
+	cx := clampCell(int(math.Floor((p.X-g.origin.X)/g.cellSize)), g.cols)
+	cy := clampCell(int(math.Floor((p.Y-g.origin.Y)/g.cellSize)), g.rows)
 	return cy*g.cols + cx
 }
 

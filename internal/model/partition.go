@@ -61,11 +61,10 @@ func (s *SubInstance) TruncateLast() {
 	s.source = s.source[:n]
 }
 
-// Partition splits an Instance's task set into spatially coherent shards,
-// reusing the uniform-grid idea of internal/geo: the task bounding rect is
-// tiled into ~n cells (cols × rows), each non-empty tile becomes one shard,
-// and Locate routes an arbitrary location (a worker check-in or a task
-// posted online) to its shard.
+// Partition splits an Instance's task set into spatially coherent shards:
+// the task bounding rect is tiled by a geo.TileGrid into ~n tiles, each
+// non-empty tile becomes one shard, and Locate routes an arbitrary location
+// (a worker check-in or a task posted online) to its shard.
 //
 // The routing table is built from the initial task set. For striped layouts
 // it is immutable after construction; balanced layouts additionally support
@@ -85,14 +84,13 @@ type Partition struct {
 	// to a nearest-task query.
 	Balanced bool
 
-	origin     geo.Point
-	tileW      float64
-	tileH      float64
-	cols, rows int
+	// grid is the tiling: geometry, the clamped location→tile index, and
+	// the fold of task-free tiles onto task tiles (see geo.TileGrid).
+	grid geo.TileGrid
 	// tileShard maps a tile index to its shard, -1 for task-free tiles.
-	// Elements are read with atomic loads and swapped with atomic stores
-	// (MigrateTile); the slice itself never changes after construction.
-	tileShard []int32
+	// MigrateTile swaps entries while Locate reads them; the slice itself
+	// never changes after construction.
+	tileShard []atomic.Int32
 	// taskShard maps an initial global TaskID to the shard the layout
 	// originally assigned it. Migration does not rewrite it — current
 	// ownership of migrated tasks lives in the dispatch layer's records;
@@ -172,7 +170,6 @@ func PartitionInstanceOpts(in *Instance, n int, opt PartitionOptions) (*Partitio
 		pts[i] = t.Loc
 	}
 	rect, _ := geo.BoundingRect(pts)
-	p.origin = rect.Min
 
 	if p.Balanced {
 		p.buildBalanced(in, n, opt.LoadSample, rect, pts)
@@ -188,36 +185,27 @@ func PartitionInstanceOpts(in *Instance, n int, opt PartitionOptions) (*Partitio
 // buildStriped is the fixed spatial striping of PR 1: the rect is tiled
 // into ~n near-square tiles and each non-empty tile becomes one shard.
 func (p *Partition) buildStriped(in *Instance, n int, rect geo.Rect, pts []geo.Point) {
-	// Near-square tiling with cols·rows ≤ n, so the shard count never
-	// exceeds the request (empty tiles can only shrink it further).
-	p.cols = int(math.Sqrt(float64(n)))
-	if p.cols < 1 {
-		p.cols = 1
-	}
-	p.rows = n / p.cols
-	p.setTileDims(rect)
+	// cols·rows ≤ n, so the shard count never exceeds the request (empty
+	// tiles can only shrink it further).
+	p.grid = geo.NearSquareTileGrid(rect, n)
 
 	// Bucket tasks by tile; iterate in global order so each shard's local
 	// task order follows ascending global TaskID.
 	tileTasks := p.bucketTasks(in)
-	// Steady-state readers use atomic loads on tileShard (tiles migrate
-	// live); build the table in a local and publish it once so every
-	// element store after publication is atomic.
-	tileShard := make([]int32, p.cols*p.rows)
+	p.tileShard = make([]atomic.Int32, p.grid.NumTiles())
 	p.taskShard = make([]int32, len(in.Tasks))
 	for c, ids := range tileTasks {
 		if len(ids) == 0 {
-			tileShard[c] = -1
+			p.tileShard[c].Store(-1)
 			continue
 		}
-		tileShard[c] = p.addShard(in, ids)
+		p.tileShard[c].Store(p.addShard(in, ids))
 	}
-	p.tileShard = tileShard
 
 	// Fallback router: a check-in landing on a task-free tile (or outside
 	// the rect) goes to the shard of the nearest task. Cell size of one tile
 	// edge keeps nearest-neighbour ring scans short.
-	cell := math.Min(p.tileW, p.tileH)
+	cell := math.Min(p.grid.TileW, p.grid.TileH)
 	p.taskGrid = geo.NewGridIndex(pts, cell)
 }
 
@@ -227,8 +215,7 @@ func (p *Partition) buildStriped(in *Instance, n int, rect geo.Rect, pts []geo.P
 // tiles onto shards by greedy largest-load-first balance, and precomputes
 // a shard for every task-free tile — Locate stays a single table lookup.
 func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect geo.Rect, pts []geo.Point) {
-	p.cols, p.rows = fineTiling(rect, balancedTileFactor*n)
-	p.setTileDims(rect)
+	p.grid = geo.FineTileGrid(rect, balancedTileFactor*n)
 
 	tileTasks := p.bucketTasks(in)
 	// The runtime Locate never needs the nearest-task fallback in balanced
@@ -238,42 +225,25 @@ func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect 
 	p.taskGrid = geo.NewGridIndex(pts, side)
 
 	// freeOwner maps every task-free tile to the task tile whose tasks
-	// will serve its traffic: a multi-source BFS from the task tiles over
-	// the tile grid (O(tiles), visited in deterministic queue order), so
-	// both the load attribution below and the final routing table agree.
-	// BFS hop distance stands in for Euclidean distance here — tiles are
-	// near-square, and per-tile ring scans would dominate the whole
-	// partitioning cost at this tiling resolution.
-	freeOwner := make([]int32, p.cols*p.rows)
-	queue := make([]int32, 0, p.cols*p.rows)
+	// will serve its traffic (task tiles own themselves): the grid's
+	// multi-source BFS fold, O(tiles) and deterministic, so both the load
+	// attribution below and the final routing table agree. Per-tile
+	// nearest-task ring scans would dominate the whole partitioning cost at
+	// this tiling resolution.
+	freeOwner := make([]int32, p.grid.NumTiles())
 	for c, ids := range tileTasks {
 		if len(ids) > 0 {
 			freeOwner[c] = int32(c)
-			queue = append(queue, int32(c))
 		} else {
 			freeOwner[c] = -1
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		c := queue[head]
-		cx, cy := int(c)%p.cols, int(c)/p.cols
-		for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-			nx, ny := cx+d[0], cy+d[1]
-			if nx < 0 || nx >= p.cols || ny < 0 || ny >= p.rows {
-				continue
-			}
-			nc := int32(ny*p.cols + nx)
-			if freeOwner[nc] < 0 {
-				freeOwner[nc] = freeOwner[c]
-				queue = append(queue, nc)
-			}
-		}
-	}
+	p.grid.FoldFree(freeOwner)
 
 	// Sampled load profile: count sample points per tile, folding traffic
 	// that lands on task-free tiles into the task tile serving it. With no
 	// sample, task counts stand in for traffic.
-	load := make([]float64, p.cols*p.rows)
+	load := make([]float64, p.grid.NumTiles())
 	if len(sample) == 0 {
 		for c, ids := range tileTasks {
 			load[c] = float64(len(ids))
@@ -282,7 +252,7 @@ func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect 
 		for _, pt := range sample {
 			// Task tiles own themselves in freeOwner, so this folds
 			// task-free-tile traffic onto the tile serving it in one step.
-			load[freeOwner[p.tileIndex(pt)]]++
+			load[freeOwner[p.grid.Index(pt)]]++
 		}
 		// A task tile no sample point hit still carries its tasks: weight
 		// it in so the pack never stacks all quiet tiles on one shard.
@@ -360,9 +330,7 @@ func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect 
 		s := shardOf[binOf[c]]
 		shardIDs[s] = append(shardIDs[s], ids...)
 	}
-	// As in buildStriped: fill a local table, publish once, so post-build
-	// element stores are exclusively atomic.
-	tileShard := make([]int32, p.cols*p.rows)
+	p.tileShard = make([]atomic.Int32, p.grid.NumTiles())
 	p.taskShard = make([]int32, len(in.Tasks))
 	for s, ids := range shardIDs {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -370,10 +338,9 @@ func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect 
 			panic("model: balanced shard numbering out of order")
 		}
 	}
-	for c := range tileShard {
-		tileShard[c] = shardOf[binOf[int(freeOwner[c])]]
+	for c := range p.tileShard {
+		p.tileShard[c].Store(shardOf[binOf[int(freeOwner[c])]])
 	}
-	p.tileShard = tileShard
 
 	// Keep the ownership structure: migration moves a task tile together
 	// with the free tiles it serves.
@@ -390,59 +357,12 @@ func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect 
 	}
 }
 
-// fineTiling picks a cols×rows grid of ≈ tiles near-square cells over rect,
-// degrading gracefully for zero-extent rects.
-func fineTiling(rect geo.Rect, tiles int) (cols, rows int) {
-	w, h := rect.Width(), rect.Height()
-	switch {
-	case w <= 0 && h <= 0:
-		return 1, 1
-	case w <= 0:
-		return 1, tiles
-	case h <= 0:
-		return tiles, 1
-	}
-	side := math.Sqrt(w * h / float64(tiles))
-	cols = int(math.Ceil(w / side))
-	rows = int(math.Ceil(h / side))
-	if cols < 1 {
-		cols = 1
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	// Extreme aspect ratios blow the ceil up (a near-line task rect can
-	// yield millions of columns for a 1-row grid); halve the long axis
-	// until the tile count is back within a small factor of the budget.
-	// Sane rects never enter the loop, so the common layout is untouched.
-	for cols*rows > 4*tiles {
-		if cols >= rows {
-			cols = (cols + 1) / 2
-		} else {
-			rows = (rows + 1) / 2
-		}
-	}
-	return cols, rows
-}
-
-// setTileDims derives the tile dimensions from the rect and grid shape.
-func (p *Partition) setTileDims(rect geo.Rect) {
-	p.tileW = rect.Width() / float64(p.cols)
-	p.tileH = rect.Height() / float64(p.rows)
-	if p.tileW <= 0 {
-		p.tileW = 1 // degenerate extent: all tasks share one column
-	}
-	if p.tileH <= 0 {
-		p.tileH = 1
-	}
-}
-
 // bucketTasks groups the instance's tasks by tile, ascending global ID
 // within each tile.
 func (p *Partition) bucketTasks(in *Instance) [][]TaskID {
-	tileTasks := make([][]TaskID, p.cols*p.rows)
+	tileTasks := make([][]TaskID, p.grid.NumTiles())
 	for _, t := range in.Tasks {
-		c := p.tileIndex(t.Loc)
+		c := p.grid.Index(t.Loc)
 		tileTasks[c] = append(tileTasks[c], t.ID)
 	}
 	return tileTasks
@@ -532,14 +452,8 @@ func (p *Partition) TaskShard(t TaskID) int { return int(p.taskShard[t]) }
 // — when that tile holds no tasks — the shard of the nearest initial task.
 // Safe for concurrent use, including while MigrateTile swaps entries.
 func (p *Partition) Locate(loc geo.Point) int {
-	if s := atomic.LoadInt32(&p.tileShard[p.tileIndex(loc)]); s >= 0 {
-		return int(s)
-	}
-	id, _, ok := p.taskGrid.Nearest(loc)
-	if !ok {
-		return 0 // unreachable: partitions always hold ≥ 1 task
-	}
-	return int(p.taskShard[id])
+	shard, _ := p.LocateOwner(loc)
+	return shard
 }
 
 // ErrNotRebalanceable is returned by MigrateTile on layouts without the
@@ -555,10 +469,10 @@ func (p *Partition) Rebalanceable() bool {
 }
 
 // NumTiles returns the size of the tile grid (task-free tiles included).
-func (p *Partition) NumTiles() int { return p.cols * p.rows }
+func (p *Partition) NumTiles() int { return p.grid.NumTiles() }
 
 // TileOf returns the tile index containing loc (clamped into the grid).
-func (p *Partition) TileOf(loc geo.Point) int { return p.tileIndex(loc) }
+func (p *Partition) TileOf(loc geo.Point) int { return p.grid.Index(loc) }
 
 // OwnerTile returns the task tile serving loc's traffic on a rebalanceable
 // layout (the migration unit loc belongs to), or -1 when the layout has no
@@ -567,25 +481,26 @@ func (p *Partition) OwnerTile(loc geo.Point) int {
 	if p.freeOwner == nil {
 		return -1
 	}
-	return int(p.freeOwner[p.tileIndex(loc)])
+	return int(p.freeOwner[p.grid.Index(loc)])
 }
 
-// LocateOwner is Locate plus the owner tile of the location, sharing one
-// tile computation — the hot-path variant the load forecaster rides on.
-// The owner tile is -1 on layouts without the ownership structure.
+// LocateOwner is Locate plus the owner tile of the location (-1 on layouts
+// without the ownership structure), sharing one tile computation — the
+// variant the load forecaster rides on.
 func (p *Partition) LocateOwner(loc geo.Point) (shard, ownerTile int) {
-	c := p.tileIndex(loc)
+	c := p.grid.Index(loc)
+	ownerTile = -1
 	if p.freeOwner != nil {
-		return int(atomic.LoadInt32(&p.tileShard[c])), int(p.freeOwner[c])
+		ownerTile = int(p.freeOwner[c])
 	}
-	if s := atomic.LoadInt32(&p.tileShard[c]); s >= 0 {
-		return int(s), -1
+	if s := p.tileShard[c].Load(); s >= 0 {
+		return int(s), ownerTile
 	}
 	id, _, ok := p.taskGrid.Nearest(loc)
 	if !ok {
-		return 0, -1
+		return 0, ownerTile // unreachable: partitions always hold ≥ 1 task
 	}
-	return int(p.taskShard[id]), -1
+	return int(p.taskShard[id]), ownerTile
 }
 
 // OwnerTiles returns the task tiles of a rebalanceable layout — the units
@@ -603,7 +518,7 @@ func (p *Partition) OwnerTiles() []int {
 // TileShard returns the shard currently routing the given tile (-1 for
 // task-free tiles of a striped layout). Safe for concurrent use.
 func (p *Partition) TileShard(tile int) int {
-	return int(atomic.LoadInt32(&p.tileShard[tile]))
+	return int(p.tileShard[tile].Load())
 }
 
 // MigrateTile reroutes a task tile — and every free tile it serves — to the
@@ -623,24 +538,7 @@ func (p *Partition) MigrateTile(tile, shard int) error {
 		return fmt.Errorf("model: migration target shard %d out of range [0,%d)", shard, len(p.Shards))
 	}
 	for _, c := range p.ownedTiles[int32(tile)] {
-		atomic.StoreInt32(&p.tileShard[c], int32(shard))
+		p.tileShard[c].Store(int32(shard))
 	}
 	return nil
-}
-
-// tileIndex returns the tile containing loc, clamped to the tiling extent.
-func (p *Partition) tileIndex(loc geo.Point) int {
-	tx := int(math.Floor((loc.X - p.origin.X) / p.tileW))
-	ty := int(math.Floor((loc.Y - p.origin.Y) / p.tileH))
-	if tx < 0 {
-		tx = 0
-	} else if tx >= p.cols {
-		tx = p.cols - 1
-	}
-	if ty < 0 {
-		ty = 0
-	} else if ty >= p.rows {
-		ty = p.rows - 1
-	}
-	return ty*p.cols + tx
 }

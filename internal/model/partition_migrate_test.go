@@ -42,8 +42,8 @@ func TestPartitionMigrateTileReroutes(t *testing.T) {
 	for c := range before {
 		got := p.TileShard(c)
 		owned := p.OwnerTile(geo.Point{
-			X: p.origin.X + (float64(c%p.cols)+0.5)*p.tileW,
-			Y: p.origin.Y + (float64(c/p.cols)+0.5)*p.tileH,
+			X: p.grid.Origin.X + (float64(c%p.grid.Cols)+0.5)*p.grid.TileW,
+			Y: p.grid.Origin.Y + (float64(c/p.grid.Cols)+0.5)*p.grid.TileH,
 		}) == tile
 		switch {
 		case owned && got != to:
@@ -54,8 +54,8 @@ func TestPartitionMigrateTileReroutes(t *testing.T) {
 	}
 	// Locate agrees with the swapped table for a point inside the tile.
 	center := geo.Point{
-		X: p.origin.X + (float64(tile%p.cols)+0.5)*p.tileW,
-		Y: p.origin.Y + (float64(tile/p.cols)+0.5)*p.tileH,
+		X: p.grid.Origin.X + (float64(tile%p.grid.Cols)+0.5)*p.grid.TileW,
+		Y: p.grid.Origin.Y + (float64(tile/p.grid.Cols)+0.5)*p.grid.TileH,
 	}
 	if got := p.Locate(center); got != to {
 		t.Fatalf("Locate inside migrated tile: %d, want %d", got, to)
@@ -150,8 +150,8 @@ func TestPartitionLocateDuringMigration(t *testing.T) {
 	from := p.TileShard(tile)
 	to := (from + 1) % p.NumShards()
 	center := geo.Point{
-		X: p.origin.X + (float64(tile%p.cols)+0.5)*p.tileW,
-		Y: p.origin.Y + (float64(tile/p.cols)+0.5)*p.tileH,
+		X: p.grid.Origin.X + (float64(tile%p.grid.Cols)+0.5)*p.grid.TileW,
+		Y: p.grid.Origin.Y + (float64(tile/p.grid.Cols)+0.5)*p.grid.TileH,
 	}
 
 	stop := make(chan struct{})
@@ -218,7 +218,7 @@ scan:
 	for x := 0.0; x <= 500; x += 25 {
 		for y := 0.0; y <= 500; y += 25 {
 			pt := geo.Point{X: x, Y: y}
-			if p.tileShard[p.TileOf(pt)] >= 0 {
+			if p.TileShard(p.TileOf(pt)) >= 0 {
 				continue
 			}
 			if s, o := p.LocateOwner(pt); s != p.Locate(pt) || o != -1 {

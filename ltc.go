@@ -139,23 +139,6 @@ var ErrUnknownAlgorithm = errors.New("ltc: unknown algorithm")
 // reaches its quality threshold. The partial Result is still returned.
 var ErrIncomplete = core.ErrIncomplete
 
-// SolveOptions tunes Solve and NewSession.
-//
-// Deprecated: use the composable functional options (WithSeed, WithIndex,
-// WithBatchMultiplier, WithExactMaxNodes) instead. SolveOptions implements
-// Option, so existing call sites keep working.
-type SolveOptions struct {
-	// Seed drives the Random algorithm (ignored by the deterministic
-	// algorithms). Zero is a valid seed.
-	Seed uint64
-	// Index reuses a prebuilt candidate index (must match the instance).
-	Index *CandidateIndex
-	// BatchMultiplier scales MCF-LTC's batch size m (default 1.0).
-	BatchMultiplier float64
-	// ExactMaxNodes bounds the Exact solver's search (default 5e6).
-	ExactMaxNodes int64
-}
-
 func (c config) indexFor(in *Instance) *CandidateIndex {
 	if c.index != nil {
 		return c.index

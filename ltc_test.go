@@ -66,7 +66,7 @@ func TestSolveAll(t *testing.T) {
 func TestSolveSharedIndex(t *testing.T) {
 	in := tinyInstance(t)
 	ci := NewCandidateIndex(in)
-	a, err := Solve(in, LAF, SolveOptions{Index: ci})
+	a, err := Solve(in, LAF, WithIndex(ci))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestCityPresetsReexported(t *testing.T) {
 
 func TestMCFBatchMultiplierOption(t *testing.T) {
 	in := tinyInstance(t)
-	res, err := Solve(in, MCFLTC, SolveOptions{BatchMultiplier: 0.5})
+	res, err := Solve(in, MCFLTC, WithBatchMultiplier(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,11 @@ import (
 	"ltc/internal/geo"
 )
 
-// The v2 options system: every constructor and runner — Solve, SolveAll,
+// The options system: every constructor and runner — Solve, SolveAll,
 // NewSession, NewPlatform, ReplayChurn — accepts the same composable
 // functional options, and each consumes the subset that applies to it
 // (WithShards tunes a Platform, WithBatchMultiplier the MCF-LTC solver;
-// irrelevant options are ignored, never an error). The v1 structs
-// SolveOptions and PlatformOptions implement Option themselves, so
-// existing call sites keep compiling unchanged.
+// irrelevant options are ignored, never an error).
 
 // Option configures Solve, NewSession, NewPlatform or ReplayChurn. Options
 // are applied in order, so a later option overrides an earlier one for the
@@ -158,42 +156,4 @@ func WithBatchMultiplier(m float64) Option {
 // (default 5e6 nodes). Only the Exact algorithm reads it.
 func WithExactMaxNodes(n int64) Option {
 	return optionFunc(func(c *config) { c.exactMaxNodes = n })
-}
-
-// applyOption makes the v1 struct a valid Option: passing SolveOptions{…}
-// where an Option is expected keeps old call sites compiling. Only fields
-// set away from their zero value apply — zero already means "default" for
-// every field here — so a legacy struct composes with functional options
-// instead of silently resetting them mid-migration.
-func (o SolveOptions) applyOption(c *config) {
-	if o.Seed != 0 {
-		c.seed = o.Seed
-	}
-	if o.Index != nil {
-		c.index = o.Index
-	}
-	if o.BatchMultiplier != 0 {
-		c.batchMultiplier = o.BatchMultiplier
-	}
-	if o.ExactMaxNodes != 0 {
-		c.exactMaxNodes = o.ExactMaxNodes
-	}
-}
-
-// applyOption makes the v1 struct a valid Option: passing
-// PlatformOptions{…} where an Option is expected keeps old call sites
-// compiling. Non-zero fields only, as with SolveOptions.
-func (o PlatformOptions) applyOption(c *config) {
-	if o.Shards != 0 {
-		c.shards = o.Shards
-	}
-	if o.Seed != 0 {
-		c.seed = o.Seed
-	}
-	if o.QueueCap != 0 {
-		c.queueCap = o.QueueCap
-	}
-	if o.MaxDrain != 0 {
-		c.maxDrain = o.MaxDrain
-	}
 }

@@ -4,55 +4,8 @@ import (
 	"testing"
 )
 
-// TestFunctionalOptionsMatchLegacyStructs: the v1 structs and the v2
-// functional options must configure identical runs — the shim contract
-// that keeps old call sites both compiling and behaving.
-func TestFunctionalOptionsMatchLegacyStructs(t *testing.T) {
-	in := tinyInstance(t)
-	ci := NewCandidateIndex(in)
-
-	legacy, err := Solve(in, RandomAssign, SolveOptions{Seed: 99, Index: ci})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := Solve(in, RandomAssign, WithSeed(99), WithIndex(ci))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Latency != v2.Latency || len(legacy.Arrangement.Pairs) != len(v2.Arrangement.Pairs) {
-		t.Fatalf("legacy latency %d vs v2 %d", legacy.Latency, v2.Latency)
-	}
-
-	feed := func(p *Platform) {
-		t.Helper()
-		for _, w := range in.Workers {
-			if p.Done() {
-				break
-			}
-			if _, err := p.CheckIn(w); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	pLegacy, err := NewPlatform(in, RandomAssign, PlatformOptions{Shards: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pV2, err := NewPlatform(in, RandomAssign, WithShards(2), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(pLegacy)
-	feed(pV2)
-	if pLegacy.Latency() != pV2.Latency() || pLegacy.Shards() != pV2.Shards() {
-		t.Fatalf("legacy platform latency %d/%d shards vs v2 %d/%d",
-			pLegacy.Latency(), pLegacy.Shards(), pV2.Latency(), pV2.Shards())
-	}
-}
-
 // TestOptionsComposeAndOverride: options apply in order (last wins), and
-// every constructor accepts the same Option type — including ReplayChurn,
-// which took a positional struct in v1.
+// every constructor accepts the same Option type, ReplayChurn included.
 func TestOptionsComposeAndOverride(t *testing.T) {
 	in := tinyInstance(t)
 	p, err := NewPlatform(in, AAM, WithShards(8), WithShards(1))
@@ -62,23 +15,13 @@ func TestOptionsComposeAndOverride(t *testing.T) {
 	if p.Shards() != 1 {
 		t.Fatalf("override: %d shards, want 1", p.Shards())
 	}
-	// A legacy struct composes with functional options: only its non-zero
-	// fields apply (zero means "default" everywhere), so it neither
-	// clobbers earlier options it doesn't mention nor survives a later
-	// override.
-	p2, err := NewPlatform(in, AAM, PlatformOptions{Shards: 4}, WithShards(2))
+	// An option leaves the settings it does not mention alone.
+	p2, err := NewPlatform(in, AAM, WithShards(2), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2.Shards() != 2 {
-		t.Fatalf("struct-then-option: %d shards, want 2", p2.Shards())
-	}
-	p3, err := NewPlatform(in, AAM, WithShards(2), PlatformOptions{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3.Shards() != 2 {
-		t.Fatalf("zero struct field clobbered an earlier option: %d shards, want 2", p3.Shards())
+		t.Fatalf("unrelated option clobbered the shard count: %d shards, want 2", p2.Shards())
 	}
 
 	cc := DefaultChurn(DefaultWorkload().Scale(0.01))
@@ -87,10 +30,6 @@ func TestOptionsComposeAndOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ReplayChurn(cw, LAF, WithShards(1)); err != nil {
-		t.Fatal(err)
-	}
-	// The v1 positional-struct call shape still compiles and runs.
-	if _, err := ReplayChurn(cw, LAF, PlatformOptions{Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

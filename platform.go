@@ -59,29 +59,6 @@ var (
 // Subscribe when WithEventBuffer was not given.
 const DefaultEventBuffer = 256
 
-// PlatformOptions tunes NewPlatform.
-//
-// Deprecated: use the composable functional options (WithShards, WithSeed,
-// WithQueueCap, WithMaxDrain, WithEventBuffer) instead. PlatformOptions
-// implements Option, so existing call sites keep working.
-type PlatformOptions struct {
-	// Shards is the requested spatial shard count. 0 uses GOMAXPROCS;
-	// negative counts are rejected. The effective count can be lower: empty
-	// spatial tiles collapse and shards never outnumber tasks.
-	Shards int
-	// Seed drives the Random algorithm (per shard), as in SolveOptions.
-	Seed uint64
-	// QueueCap bounds each shard's CheckInAsync queue: enqueues block
-	// (backpressure) while the owning shard's queue is full. 0 uses the
-	// dispatch layer's default (1024); negative values are rejected.
-	QueueCap int
-	// MaxDrain caps how many queued workers a shard's drainer ingests under
-	// one mutex acquisition. 0 drains everything queued; smaller values
-	// bound how long a drain run can make a concurrent PostTask or
-	// RetireTask wait. Negative values are rejected.
-	MaxDrain int
-}
-
 // RebalanceOptions tunes the adaptive live re-sharding enabled by
 // WithRebalance: the arrival-count interval between forecast folds, the
 // imbalance threshold that triggers a pass, the per-pass migration cap and

@@ -18,7 +18,7 @@ func TestPlatformSingleShardMatchesSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plat, err := NewPlatform(in, algo, PlatformOptions{Shards: 1})
+		plat, err := NewPlatform(in, algo, WithShards(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestPlatformSingleShardMatchesSession(t *testing.T) {
 // latencies reconcile with the platform's.
 func TestPlatformShardedRun(t *testing.T) {
 	in := tinyInstance(t)
-	plat, err := NewPlatform(in, AAM, PlatformOptions{Shards: 4})
+	plat, err := NewPlatform(in, AAM, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPlatformShardedRun(t *testing.T) {
 func TestPlatformShardingChangesLatency(t *testing.T) {
 	in := tinyInstance(t)
 	run := func(shards int) (latency int, perShard []int) {
-		plat, err := NewPlatform(in, LAF, PlatformOptions{Shards: shards})
+		plat, err := NewPlatform(in, LAF, WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestPlatformShardingChangesLatency(t *testing.T) {
 // (meaningful under -race).
 func TestPlatformConcurrentCheckIn(t *testing.T) {
 	in := tinyInstance(t)
-	plat, err := NewPlatform(in, AAM, PlatformOptions{Shards: 8})
+	plat, err := NewPlatform(in, AAM, WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestPlatformValidation(t *testing.T) {
 	if _, err := NewPlatform(good, MCFLTC); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("offline algorithm: err = %v", err)
 	}
-	if _, err := NewPlatform(good, AAM, PlatformOptions{Shards: -2}); err == nil {
+	if _, err := NewPlatform(good, AAM, WithShards(-2)); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
 	// Shards = 0 defaults to GOMAXPROCS.
@@ -238,7 +238,7 @@ func TestPlatformValidation(t *testing.T) {
 // TestPlatformCheckInErrors covers the runtime error paths.
 func TestPlatformCheckInErrors(t *testing.T) {
 	in := tinyInstance(t)
-	plat, err := NewPlatform(in, LAF, PlatformOptions{Shards: 2})
+	plat, err := NewPlatform(in, LAF, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestPlatformCheckInErrors(t *testing.T) {
 // absolute and relative latency.
 func TestPlatformTaskLifecycle(t *testing.T) {
 	in := tinyInstance(t)
-	plat, err := NewPlatform(in, AAM, PlatformOptions{Shards: 2})
+	plat, err := NewPlatform(in, AAM, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestPlatformChurnReplay(t *testing.T) {
 	if late := cw.PostedLate(); late*5 < cw.TotalTasks {
 		t.Fatalf("only %d/%d tasks posted late; churn fixture must exceed 20%%", late, cw.TotalTasks)
 	}
-	rep, err := ReplayChurn(cw, LAF, PlatformOptions{Shards: 1})
+	rep, err := ReplayChurn(cw, LAF, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestReplayChurnFiresTrailingExpiries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayChurn(cw, AAM, PlatformOptions{Shards: 1})
+	rep, err := ReplayChurn(cw, AAM, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}

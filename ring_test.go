@@ -21,7 +21,7 @@ import (
 // same final state regardless of queue capacity or drain bound.
 func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint64, qcap, drain, flushEvery int) {
 	t.Helper()
-	ref, err := NewPlatform(in, algo, PlatformOptions{Shards: 1, Seed: seed})
+	ref, err := NewPlatform(in, algo, WithShards(1), WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint6
 		}
 	}
 
-	async, err := NewPlatform(in, algo, PlatformOptions{Shards: 1, Seed: seed, QueueCap: qcap, MaxDrain: drain})
+	async, err := NewPlatform(in, algo, WithShards(1), WithSeed(seed), WithQueueCap(qcap), WithMaxDrain(drain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint6
 // the merged arrangement is valid for the instance.
 func checkRingConcurrent(t *testing.T, in *Instance, algo Algorithm, seed uint64, qcap, drain, feeders int) {
 	t.Helper()
-	plat, err := NewPlatform(in, algo, PlatformOptions{Shards: 4, Seed: seed, QueueCap: qcap, MaxDrain: drain})
+	plat, err := NewPlatform(in, algo, WithShards(4), WithSeed(seed), WithQueueCap(qcap), WithMaxDrain(drain))
 	if err != nil {
 		t.Fatal(err)
 	}
