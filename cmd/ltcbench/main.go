@@ -3,7 +3,11 @@
 // Every panel of Fig. 3 and Fig. 4 maps to one experiment id; `-exp all`
 // runs the whole evaluation. Results print in the paper's layout (one
 // section per figure panel, one row per algorithm) and can also be dumped
-// as long-format CSV for plotting.
+// as long-format CSV for plotting. Beside the paper's evaluation it keeps
+// one exploratory sweep (`-exp scenarios`: throughput against the latency it
+// costs, per scenario × shards × layout) and one audited smoke driver for a
+// running ltcd (`-exp loadgen`). Performance claims and regression gates
+// live in bench/ (`go run ./bench`, `go run ./bench -compare`), not here.
 //
 // Examples:
 //
@@ -11,14 +15,13 @@
 //	ltcbench -exp fig3-tasks -scale 0.05 -reps 3
 //	ltcbench -exp all -scale 0.1 -reps 5 -csv results.csv
 //	ltcbench -exp all -parallel 1            # paper-faithful runtime/memory metrics
-//	ltcbench -exp table4 -exp-table5
+//	ltcbench -exp table4
 //	ltcbench -exp fig4-newyork -algos LAF,AAM,Random
-//	ltcbench -exp throughput -shards 1,4,16  # sharded dispatch workers/sec
-//	ltcbench -exp throughput -batch 64,256 -async -json bench.json  # batched/async + artifact
-//	ltcbench -exp scenarios -shards 1,8 -async -json skew.json      # skewed-workload suite, striped vs balanced
-//	ltcbench -exp scenarios -shards 8,16 -rebalance                 # + adaptive live re-sharding cells
-//	ltcbench -exp scenarios -scenarios hotspot,flashcrowd           # scenario subset
-//	ltcbench -exp churn -churn-initial 0.6 -churn-ttl 400  # online posts + expiry
+//	ltcbench -exp scenarios -shards 1,8 -batch 64 -async    # skewed-workload suite, striped vs balanced
+//	ltcbench -exp scenarios -scenarios uniform -shards 1,4,16  # plain Table IV dispatch sweep
+//	ltcbench -exp scenarios -shards 8,16 -rebalance         # + adaptive live re-sharding cells
+//	ltcbench -exp loadgen -url http://127.0.0.1:8080 -scale 0.01
+//	ltcbench -exp loadgen -cluster http://127.0.0.1:8080,http://127.0.0.1:8081 -loadgen-batch 64
 package main
 
 import (
@@ -37,134 +40,85 @@ func main() {
 	log.SetPrefix("ltcbench: ")
 
 	var (
-		expID     = flag.String("exp", "", "experiment id (see -list), 'all', 'table4', 'table5', 'throughput', 'scenarios' or 'churn'")
+		expID     = flag.String("exp", "", "experiment id (see -list), or 'all' for every figure")
 		scale     = flag.Float64("scale", 0.05, "dataset scale factor (1.0 = full paper sizes)")
 		reps      = flag.Int("reps", 3, "repetitions per sweep point (paper used 30)")
 		seed      = flag.Uint64("seed", 42, "base seed")
-		algos     = flag.String("algos", "", "comma-separated algorithm subset (default: all five)")
+		algos     = flag.String("algos", "", "comma-separated algorithm subset (default: all five; scenarios and loadgen use the first)")
 		csvPath   = flag.String("csv", "", "also write long-format CSV to this path ('-' for stdout)")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 		parallel  = flag.Int("parallel", 0, "sweep worker-pool size (0 = all cores; use 1 for paper-faithful runtime/memory metrics)")
-		shards    = flag.String("shards", "1,2,4,8", "shard counts for -exp throughput/scenarios (comma-separated)")
-		batch     = flag.String("batch", "", "also measure CheckInBatch at these batch sizes for -exp throughput/scenarios (comma-separated)")
-		feeders   = flag.String("feeders", "", "feeder goroutine counts for -exp throughput/scenarios (comma-separated; default: GOMAXPROCS)")
-		async     = flag.Bool("async", false, "also measure CheckInAsync ingestion for -exp throughput/scenarios")
+		shards    = flag.String("shards", "1,2,4,8", "shard counts for -exp scenarios (comma-separated)")
+		batch     = flag.String("batch", "", "also measure CheckInBatch at these batch sizes for -exp scenarios (comma-separated)")
+		feeders   = flag.String("feeders", "", "feeder goroutine counts for -exp scenarios (comma-separated; default: GOMAXPROCS)")
+		async     = flag.Bool("async", false, "also measure CheckInAsync ingestion for -exp scenarios")
 		rebalance = flag.Bool("rebalance", false, "also measure multi-shard -exp scenarios cells with adaptive live re-sharding (WithRebalance) on top of the balanced layout")
-		jsonPath  = flag.String("json", "", "write the -exp throughput/scenarios results as a JSON benchmark artifact to this path ('-' for stdout)")
-
 		scenarios = flag.String("scenarios", "", "scenario subset for -exp scenarios (comma-separated; default: all kinds)")
-
-		churnShards  = flag.Int("churn-shards", 4, "shard count for -exp churn")
-		churnInitial = flag.Float64("churn-initial", 0, "initial task fraction for -exp churn (0 = default 0.6; rest posted online)")
-		churnTTL     = flag.Int("churn-ttl", 0, "task TTL in arrivals for -exp churn (0 = no expiry)")
-
-		url        = flag.String("url", "", "ltcd base URL for -exp loadgen (e.g. http://127.0.0.1:8080)")
-		lgCluster  = flag.String("cluster", "", "comma-separated node URLs for -exp loadgen against an ltcd cluster (node-ID order; overrides -url)")
-		lgBatch    = flag.Int("loadgen-batch", 0, "feed -exp loadgen through /checkin/batch chunks of this size (0/1 = per-call)")
-		lgConns    = flag.Int("loadgen-conns", 1, "concurrent connections for -exp loadgen (1 = sequential feed with in-process latency audit)")
-		baseline   = flag.String("baseline", "", "baseline throughput artifact for -exp benchdiff")
-		candidate  = flag.String("candidate", "", "candidate throughput artifact for -exp benchdiff")
-		tolerance  = flag.Float64("tolerance", 0.10, "allowed fractional workers/s regression for -exp benchdiff")
-		hotGain    = flag.Float64("hotspot-gain", 0, "for -exp benchdiff: require the candidate's hotspot cells at ≥ 8 shards to show at least this fractional balanced-over-striped speedup (0 disables)")
-		rushGain   = flag.Float64("rushhour-gain", 0, "for -exp benchdiff: require the candidate's rushhour rebalanced cells at ≥ 8 shards to improve post-handoff imbalance over their presampled static twins by at least this fraction, at near-parity throughput (0 disables)")
-		asyncFloor = flag.Float64("async-floor", 0, "for -exp benchdiff: require every shared async cell's candidate/baseline workers/s ratio to be at least this (1.0 = no async regression at all; 0 disables)")
-		maxAllocs  = flag.Float64("max-allocs", -1, "for -exp benchdiff: fail when any candidate cell exceeds this many allocs/op (-1 disables; 0 = steady-state allocation-free)")
+		url       = flag.String("url", "", "ltcd base URL for -exp loadgen (e.g. http://127.0.0.1:8080)")
+		lgCluster = flag.String("cluster", "", "comma-separated node URLs for -exp loadgen against an ltcd cluster (node-ID order; overrides -url)")
+		lgBatch   = flag.Int("loadgen-batch", 0, "feed -exp loadgen through /checkin/batch chunks of this size (0/1 = per-call)")
 	)
 	flag.Parse()
+
+	algoList := splitList(*algos)
+	firstAlgo := ""
+	if len(algoList) > 0 {
+		firstAlgo = algoList[0]
+	}
+	// others is the one table of non-figure experiments: -list prints it and
+	// -exp dispatches through it, so the two cannot drift.
+	others := []struct {
+		id, help string
+		run      func() error
+	}{
+		{"table4", "print the synthetic dataset settings (Table IV)", func() error {
+			_, err := fmt.Print(experiments.FormatTableIV())
+			return err
+		}},
+		{"table5", "print the check-in dataset presets (Table V)", func() error {
+			_, err := fmt.Print(experiments.FormatTableV())
+			return err
+		}},
+		{"scenarios", "exploratory throughput-vs-latency sweep: scenario × shards × mode × layout (-scenarios, -shards, -batch, -feeders, -async, -rebalance)", func() error {
+			return runScenarios(*scenarios, *shards, *batch, *feeders, *async, *rebalance, *scale, *seed, firstAlgo)
+		}},
+		{"loadgen", "drive a running ltcd gateway or cluster end to end and audit it (-url | -cluster, -loadgen-batch)", func() error {
+			if *lgCluster == "" {
+				return runLoadgen(os.Stdout, []string{*url}, false, *scale, *seed, firstAlgo, *lgBatch)
+			}
+			return runLoadgen(os.Stdout, splitList(*lgCluster), true, *scale, *seed, firstAlgo, *lgBatch)
+		}},
+	}
 
 	if *list {
 		fmt.Println("experiments (each covers three figure panels):")
 		for _, e := range experiments.Registry() {
 			fmt.Printf("  %-17s %s  [%s %s %s]\n", e.ID, e.Title, e.Panels[0], e.Panels[1], e.Panels[2])
 		}
-		fmt.Println("  table4            print the synthetic dataset settings (Table IV)")
-		fmt.Println("  table5            print the check-in dataset presets (Table V)")
-		fmt.Println("  throughput        measure sharded dispatch check-in throughput (-shards, -batch, -async, -json)")
-		fmt.Println("  scenarios         skewed-workload throughput suite: scenario × shards × mode × layout (-scenarios, -shards, -batch, -async, -json)")
-		fmt.Println("  churn             dynamic task lifecycle: online posts + TTL expiry (-churn-*)")
-		fmt.Println("  loadgen           drive a running ltcd gateway end to end (-url, -loadgen-*)")
-		fmt.Println("  benchdiff         compare two throughput artifacts (-baseline, -candidate, -tolerance)")
+		for _, o := range others {
+			fmt.Printf("  %-17s %s\n", o.id, o.help)
+		}
 		return
 	}
 	if *expID == "" {
 		log.Fatal("missing -exp; use -list to see the available experiments")
 	}
-	switch *expID {
-	case "table4":
-		fmt.Print(experiments.FormatTableIV())
-		return
-	case "table5":
-		fmt.Print(experiments.FormatTableV())
-		return
-	case "throughput":
-		var algo string
-		if *algos != "" {
-			algo = strings.TrimSpace(strings.Split(*algos, ",")[0])
-		}
-		if err := runThroughput(*shards, *batch, *feeders, *async, *jsonPath, *scale, *seed, algo); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "scenarios":
-		var algo string
-		if *algos != "" {
-			algo = strings.TrimSpace(strings.Split(*algos, ",")[0])
-		}
-		if err := runScenarios(*scenarios, *shards, *batch, *feeders, *async, *rebalance, *jsonPath, *scale, *seed, algo); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "churn":
-		var churnAlgos []string
-		if *algos != "" {
-			for _, a := range strings.Split(*algos, ",") {
-				churnAlgos = append(churnAlgos, strings.TrimSpace(a))
-			}
-		}
-		if err := runChurn(*scale, *seed, *churnShards, *churnInitial, *churnTTL, churnAlgos); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "loadgen":
-		var algo string
-		if *algos != "" {
-			algo = strings.TrimSpace(strings.Split(*algos, ",")[0])
-		}
-		if *lgCluster != "" {
-			var nodeURLs []string
-			for _, u := range strings.Split(*lgCluster, ",") {
-				nodeURLs = append(nodeURLs, strings.TrimSpace(u))
-			}
-			if err := runLoadgenCluster(nodeURLs, *scale, *seed, algo, *lgBatch, *lgConns); err != nil {
+	for _, o := range others {
+		if *expID == o.id {
+			if err := o.run(); err != nil {
 				log.Fatal(err)
 			}
 			return
 		}
-		if err := runLoadgen(*url, *scale, *seed, algo, *lgBatch, *lgConns); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "benchdiff":
-		if *baseline == "" || *candidate == "" {
-			log.Fatal("benchdiff needs -baseline and -candidate artifact paths")
-		}
-		if err := runBenchDiff(*baseline, *candidate, *tolerance, *hotGain, *asyncFloor, *maxAllocs, *rushGain); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	opts := experiments.Options{
-		Scale:    *scale,
-		Reps:     *reps,
-		Seed:     *seed,
-		Parallel: *parallel,
-	}
-	if *algos != "" {
-		for _, a := range strings.Split(*algos, ",") {
-			opts.Algorithms = append(opts.Algorithms, strings.TrimSpace(a))
-		}
+		Scale:      *scale,
+		Reps:       *reps,
+		Seed:       *seed,
+		Parallel:   *parallel,
+		Algorithms: algoList,
 	}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {
@@ -172,11 +126,9 @@ func main() {
 		}
 	}
 
-	var ids []string
+	ids := splitList(*expID)
 	if *expID == "all" {
 		ids = experiments.IDs()
-	} else {
-		ids = strings.Split(*expID, ",")
 	}
 
 	var csvOut io.Writer
@@ -196,9 +148,13 @@ func main() {
 	}
 
 	for i, id := range ids {
-		e, err := experiments.Lookup(strings.TrimSpace(id))
+		e, err := experiments.Lookup(id)
 		if err != nil {
-			log.Fatal(err)
+			valid := append([]string{"all"}, experiments.IDs()...)
+			for _, o := range others {
+				valid = append(valid, o.id)
+			}
+			log.Fatalf("%v; valid -exp ids: %s", err, strings.Join(valid, ", "))
 		}
 		table, err := e.Run(opts)
 		if err != nil {
@@ -216,4 +172,17 @@ func main() {
 			}
 		}
 	}
+}
+
+// splitList splits a comma-separated flag value, trimming each entry; an
+// empty value yields nil.
+func splitList(s string) []string {
+	if s == "" {
+		return nil
+	}
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
 }

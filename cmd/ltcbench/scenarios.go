@@ -1,38 +1,27 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
-	"strings"
 	"text/tabwriter"
 
 	"ltc"
 )
 
-// runScenarios measures check-in throughput under the skewed workload
-// suite: every requested scenario × shard count × ingestion mode, each
-// multi-shard cell under both fixed striping and the balanced tile→shard
-// layout (WithBalancedShards) — and, when rebalance is set, drift
-// scenarios gain a comparison pair packed from the causal stream prefix
-// (WithLoadPrefix): once static, once with adaptive live re-sharding on
-// top (WithRebalance). The artifact schema is -exp throughput's
-// (throughputArtifact), with scenario/balanced/presampled/rebalanced/
-// imbalance columns filled in, so `-exp benchdiff` gates scenario
-// artifacts exactly like plain throughput ones — uniform-scenario cells
-// share their keys with -exp throughput cells and are directly comparable
-// across PRs, and presampled/rebalanced cells carry their own keys so
-// older artifacts never collide with them.
-func runScenarios(scenarioList, shardList, batchList, feedersList string, async, rebalance bool, jsonPath string, scale float64, seed uint64, algoName string) error {
-	var kinds []string
-	if scenarioList == "" {
+// runScenarios is the exploratory trade-off sweep: check-in throughput
+// beside the LTC latency it costs, for every requested scenario × shard
+// count × ingestion mode, each multi-shard cell under both fixed striping
+// and the balanced tile→shard layout (WithBalancedShards) — and, when
+// rebalance is set, drift scenarios gain a comparison pair packed from the
+// causal stream prefix (WithLoadPrefix): once static, once with adaptive
+// live re-sharding on top (WithRebalance). `-scenarios uniform` is the
+// plain Table IV instance. Numbers are best-of-three on whatever box runs
+// them; claims and regression gates use bench/ instead.
+func runScenarios(scenarioList, shardList, batchList, feedersList string, async, rebalance bool, scale float64, seed uint64, algoName string) error {
+	kinds := splitList(scenarioList)
+	if len(kinds) == 0 {
 		kinds = ltc.ScenarioKinds()
-	} else {
-		for _, s := range strings.Split(scenarioList, ",") {
-			kinds = append(kinds, strings.TrimSpace(s))
-		}
 	}
 	shardCounts, err := parseCountList("-shards", shardList)
 	if err != nil {
@@ -53,17 +42,10 @@ func runScenarios(scenarioList, shardList, batchList, feedersList string, async,
 
 	cfg := ltc.DefaultWorkload().Scale(scale)
 	cfg.Seed = seed
-	art := throughputArtifact{
-		Preset:     fmt.Sprintf("tableiv-default-x%g", scale),
-		Algo:       string(algo),
-		Scale:      scale,
-		Feeders:    feederCounts[0],
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "scenario\tmode\tshards\tlayout\tbatch\tfeeders\tworkers/s\tns/op\timbalance\tglobal latency\truns")
-	for _, kind := range kinds {
+	fmt.Fprintln(w, "scenario\tmode\tshards\tlayout\tbatch\tfeeders\tworkers/s\tns/op\tallocs/op\tB/op\timbalance\tmigrations\tglobal latency\truns")
+	for k, kind := range kinds {
 		scn, err := ltc.NewScenario(kind, cfg)
 		if err != nil {
 			return err
@@ -72,8 +54,7 @@ func runScenarios(scenarioList, shardList, batchList, feedersList string, async,
 		if err != nil {
 			return err
 		}
-		if art.Tasks == 0 {
-			art.Tasks, art.Workers = len(in.Tasks), len(in.Workers)
+		if k == 0 {
 			fmt.Printf("scenarios: %s over %d tasks / %d workers, feeder counts %v\n\n",
 				algo, len(in.Tasks), len(in.Workers), feederCounts)
 		}
@@ -91,8 +72,8 @@ func runScenarios(scenarioList, shardList, batchList, feedersList string, async,
 					// sides: the full-stream oracle layout above already
 					// knows where the drift lands, so there is nothing
 					// left for migrations to fix there. The presampled
-					// static twin is the deployment-honest baseline the
-					// gate measures rebalancing against.
+					// static twin is the deployment-honest baseline
+					// rebalancing is read against.
 					layouts = append(layouts,
 						layoutSpec{true, true, false},
 						layoutSpec{true, true, true})
@@ -114,7 +95,6 @@ func runScenarios(scenarioList, shardList, batchList, feedersList string, async,
 				if err != nil {
 					return err
 				}
-				art.Results = append(art.Results, res)
 				layout := "striped"
 				if res.Balanced {
 					layout = "balanced"
@@ -129,32 +109,13 @@ func runScenarios(scenarioList, shardList, batchList, feedersList string, async,
 				if res.BatchSize > 0 {
 					batchCol = strconv.Itoa(res.BatchSize)
 				}
-				fmt.Fprintf(w, "%s\t%s\t%d\t%s\t%s\t%d\t%.0f\t%.0f\t%.2f\t%d\t%d\n",
+				fmt.Fprintf(w, "%s\t%s\t%d\t%s\t%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.2f\t%d\t%d\t%d\n",
 					res.Scenario, res.Mode, res.Shards, layout, batchCol, res.Feeders,
-					res.WorkersPerSec, res.NsPerOp, res.Imbalance, res.Latency, res.Runs)
+					res.WorkersPerSec, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, res.Imbalance, res.Migrations, res.Latency, res.Runs)
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(&art, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if jsonPath == "-" {
-			_, err = os.Stdout.Write(data)
-			return err
-		}
-		if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote benchmark artifact to %s\n", jsonPath)
-	}
-	return nil
+	return w.Flush()
 }
 
 // driftScenario reports whether the scenario's load moves mid-stream —

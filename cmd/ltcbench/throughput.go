@@ -1,182 +1,60 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 
 	"ltc"
 )
 
 // throughputResult is one measured (scenario, mode, shard count, batch
-// size, shard layout) cell of the benchmark artifact.
+// size, shard layout, feeders) cell of the -exp scenarios sweep.
 type throughputResult struct {
-	// Scenario names the workload scenario the cell was measured on
-	// (-exp scenarios). Empty for -exp throughput, whose workload is the
-	// uniform Table IV instance — identical to the "uniform" scenario, so
-	// benchdiff treats the two labels as the same cell.
-	Scenario string `json:"scenario,omitempty"`
+	Scenario string
 	// Mode is "percall" (one CheckIn per worker), "batch" (CheckInBatch
 	// chunks of BatchSize) or "async" (CheckInAsync + Flush).
-	Mode      string `json:"mode"`
-	Shards    int    `json:"shards"`
-	Effective int    `json:"effective_shards"`
-	BatchSize int    `json:"batch_size,omitempty"`
+	Mode      string
+	Shards    int
+	BatchSize int
 	// Balanced marks cells measured under the load-aware tile→shard
 	// layout (WithBalancedShards) instead of fixed striping.
-	Balanced bool `json:"balanced,omitempty"`
+	Balanced bool
 	// Presampled marks cells whose balanced layout was packed from only
 	// the causal prefix of the worker stream (WithLoadPrefix) instead of
 	// the default full-stream oracle sample — the profile a live
 	// deployment actually has at partition time. Drift scenarios measured
-	// against this layout expose the staleness that rebalancing corrects;
-	// the oracle-balanced cells (Presampled false) keep their identity.
-	Presampled bool `json:"presampled,omitempty"`
+	// against this layout expose the staleness that rebalancing corrects.
+	Presampled bool
 	// Rebalanced marks cells measured with adaptive live re-sharding on
-	// top of the balanced layout (WithRebalance). Absent from artifacts
-	// recorded before migrations existed, which decodes as false — those
-	// cells keep their pre-rebalance identity in benchdiff (see cellKey).
-	Rebalanced bool `json:"rebalanced,omitempty"`
+	// top of the balanced layout (WithRebalance).
+	Rebalanced bool
 	// Migrations is the last stream's committed tile-migration count (0
 	// unless Rebalanced).
-	Migrations int `json:"migrations,omitempty"`
-	// Feeders is the number of concurrent feeder goroutines the cell was
-	// measured with. 0 (artifacts recorded before the feeders axis existed)
-	// means the artifact's top-level Feeders value — benchdiff normalizes
-	// through that default so pre-axis artifacts keep their cell identity.
-	Feeders int `json:"feeders,omitempty"`
+	Migrations int
+	// Feeders is the number of concurrent feeder goroutines.
+	Feeders int
 	// WorkersPerSec is ingested check-ins per wall-clock second — the
 	// headline throughput number.
-	WorkersPerSec float64 `json:"workers_per_sec"`
-	NsPerOp       float64 `json:"ns_per_op"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-	BytesPerOp    float64 `json:"bytes_per_op"`
-	// Latency is the global LTC objective of the last completed stream —
-	// the quality side of the throughput trade.
-	Latency int `json:"latency"`
+	WorkersPerSec float64
+	NsPerOp       float64
+	AllocsPerOp   float64
+	BytesPerOp    float64
+	// Latency is the global LTC objective of the last stream — the quality
+	// side of the throughput trade.
+	Latency int
 	// Imbalance is the last stream's load imbalance (max shard's routed
 	// check-ins over the per-shard mean; 1.0 = even).
-	Imbalance float64 `json:"imbalance,omitempty"`
-	Runs      int     `json:"runs"`
-}
-
-// throughputArtifact is the machine-readable output of -exp throughput
-// -json: enough context to compare the trajectory across PRs.
-type throughputArtifact struct {
-	Preset     string             `json:"preset"`
-	Algo       string             `json:"algo"`
-	Scale      float64            `json:"scale"`
-	Tasks      int                `json:"tasks"`
-	Workers    int                `json:"workers"`
-	Feeders    int                `json:"feeders"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Results    []throughputResult `json:"results"`
-}
-
-// runThroughput measures the dispatch layer's check-in throughput from the
-// CLI. For each requested shard count and feeder count it feeds the full
-// worker stream to a fresh Platform from that many concurrent goroutines —
-// per-call, in CheckInBatch chunks (one row per -batch size) and via
-// CheckInAsync (-async) — each repeated for at least passDur, and prints
-// workers/sec alongside the resulting global latency. With -json the same
-// numbers are written as a machine-readable artifact (see
-// throughputArtifact).
-func runThroughput(shardList, batchList, feedersList string, async bool, jsonPath string, scale float64, seed uint64, algoName string) error {
-	shardCounts, err := parseCountList("-shards", shardList)
-	if err != nil {
-		return err
-	}
-	if len(shardCounts) == 0 {
-		return fmt.Errorf("-shards must list at least one shard count")
-	}
-	batchSizes, err := parseCountList("-batch", batchList)
-	if err != nil {
-		return err
-	}
-	feederCounts, err := parseFeeders(feedersList)
-	if err != nil {
-		return err
-	}
-	algo := benchAlgo(algoName)
-
-	cfg := ltc.DefaultWorkload().Scale(scale)
-	cfg.Seed = seed
-	in, err := cfg.Generate()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("throughput: %s over %d tasks / %d workers, feeder counts %v\n\n",
-		algo, len(in.Tasks), len(in.Workers), feederCounts)
-
-	art := throughputArtifact{
-		Preset:     fmt.Sprintf("tableiv-default-x%g", scale),
-		Algo:       string(algo),
-		Scale:      scale,
-		Tasks:      len(in.Tasks),
-		Workers:    len(in.Workers),
-		Feeders:    feederCounts[0],
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "mode\tshards\teffective\tbatch\tfeeders\tworkers/s\tns/op\tallocs/op\tglobal latency\truns")
-	for _, n := range shardCounts {
-		var cells []throughputResult
-		for _, f := range feederCounts {
-			cells = append(cells, throughputResult{Mode: "percall", Shards: n, Feeders: f})
-			for _, b := range batchSizes {
-				cells = append(cells, throughputResult{Mode: "batch", Shards: n, BatchSize: b, Feeders: f})
-			}
-			if async {
-				cells = append(cells, throughputResult{Mode: "async", Shards: n, Feeders: f})
-			}
-		}
-		for _, cell := range cells {
-			res, err := measureThroughput(in, algo, seed, cell)
-			if err != nil {
-				return err
-			}
-			art.Results = append(art.Results, res)
-			batchCol := "-"
-			if res.BatchSize > 0 {
-				batchCol = strconv.Itoa(res.BatchSize)
-			}
-			fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%d\t%.0f\t%.0f\t%.1f\t%d\t%d\n",
-				res.Mode, res.Shards, res.Effective, batchCol, res.Feeders,
-				res.WorkersPerSec, res.NsPerOp, res.AllocsPerOp, res.Latency, res.Runs)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(&art, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if jsonPath == "-" {
-			_, err = os.Stdout.Write(data)
-			return err
-		}
-		if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote benchmark artifact to %s\n", jsonPath)
-	}
-	return nil
+	Imbalance float64
+	Runs      int
 }
 
 // parseFeeders parses the -feeders list, defaulting to a single entry of
-// GOMAXPROCS (the pre-axis behaviour) when the flag is empty.
+// GOMAXPROCS when the flag is empty.
 func parseFeeders(list string) ([]int, error) {
 	counts, err := parseCountList("-feeders", list)
 	if err != nil {
@@ -216,11 +94,9 @@ func benchAlgo(name string) ltc.Algorithm {
 // passMetrics accumulates the measured cost of feedStream calls and
 // nothing else: the wall clock and the allocation counters bracket exactly
 // the feed, so platform construction, drainer startup and the pass
-// bookkeeping around each run are never charged to the hot path. Earlier
-// artifacts (through BENCH_pr5.json) bracketed the whole pass loop —
-// NewPlatform included — which inflated allocs/op by the per-run
-// construction cost; TestPassMetricsBracketsFeedOnly pins the corrected
-// accounting.
+// bookkeeping around each run are never charged to the hot path —
+// bracketing the whole pass loop would inflate allocs/op by the per-run
+// construction cost. TestPassMetricsBracketsFeedOnly pins this.
 type passMetrics struct {
 	checkins int
 	elapsed  time.Duration
@@ -282,9 +158,9 @@ func (m *passMetrics) bytesPerOp() float64 {
 // feeders) cell as best-of-N passes: each pass feeds fresh platforms the
 // full stream until passDur elapses, and the cell reports the fastest pass.
 // Scheduling interference on a shared box only ever slows a pass down, so
-// taking the best pass filters one-sided noise out of the committed
-// BENCH_pr*.json artifacts (which the benchdiff gate compares at a 10%
-// tolerance). Only the feedStream calls themselves are measured (see
+// taking the best pass filters one-sided noise out of an exploratory sweep
+// (claims and gates use bench/, which reports medians and their spread).
+// Only the feedStream calls themselves are measured (see
 // passMetrics); allocation metrics aggregate across all passes —
 // allocations are deterministic per check-in, so they need no noise
 // filtering.
@@ -335,7 +211,6 @@ func measureThroughput(in *ltc.Instance, algo ltc.Algorithm, seed uint64, cell t
 			}
 			res.Runs++
 			res.Latency = plat.Latency()
-			res.Effective = plat.Shards()
 			res.Imbalance = plat.Imbalance()
 			res.Migrations = plat.Migrations()
 			// Release the platform between runs (a no-op after the async

@@ -13,9 +13,9 @@ var allocSink []byte
 // TestPassMetricsBracketsFeedOnly pins the corrected throughput accounting:
 // the clock and allocation counters bracket exactly the measured feed call,
 // so work done around it — platform construction, drainer startup, pass
-// bookkeeping — is never charged to the hot path. Artifacts through
-// BENCH_pr5.json bracketed the whole pass loop and inflated allocs/op by
-// the per-run construction cost; this test fails if that regresses.
+// bookkeeping — is never charged to the hot path. Bracketing the whole
+// pass loop inflates allocs/op by the per-run construction cost; this test
+// fails if that regresses.
 func TestPassMetricsBracketsFeedOnly(t *testing.T) {
 	var pm passMetrics
 

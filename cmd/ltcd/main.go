@@ -27,9 +27,15 @@
 //	ltcd -cluster node=1 -topology topo.json -addr :8081
 //	ltcd -cluster node=2 -topology topo.json -addr :8082
 //
-// Drive it end to end with the bundled load generator:
+// Drive it end to end with the bundled load generator, which audits the
+// run against an in-process replay built with the layout /stats reports
+// (so -balanced and -rebalance gateways audit too):
 //
 //	go run ./cmd/ltcbench -exp loadgen -url http://127.0.0.1:8080 -scale 0.01
+//	go run ./cmd/ltcbench -exp loadgen -cluster http://127.0.0.1:8080,http://127.0.0.1:8081,http://127.0.0.1:8082 -scale 0.01
+//
+// Its speed is measured by the repository benchmark, `go run ./bench`
+// (workloads wire-batch and wire-cluster), not by the load generator.
 package main
 
 import (
