@@ -95,7 +95,7 @@ func BenchmarkAlgorithmRandom(b *testing.B)  { benchAlgorithm(b, RandomAssign) }
 func BenchmarkAlgorithmLAF(b *testing.B)     { benchAlgorithm(b, LAF) }
 func BenchmarkAlgorithmAAM(b *testing.B)     { benchAlgorithm(b, AAM) }
 
-// Ablation benchmarks for the design choices DESIGN.md §5 calls out.
+// Ablation benchmarks for the design choices README "Design notes" calls out.
 
 // BenchmarkAblationAAMStrategies compares the published hybrid switching
 // rule against LGF-only and LRF-only scoring: the hybrid's latency should
@@ -192,7 +192,7 @@ func BenchmarkAblationSSPAEngine(b *testing.B) {
 }
 
 // BenchmarkAblationEligibility sweeps the MinAcc eligibility threshold
-// (DESIGN.md §2): 0.50 puts the radius exactly at dmax; stricter values
+// (README "Design notes"): 0.50 puts the radius exactly at dmax; stricter values
 // shrink candidate sets and push latency up.
 func BenchmarkAblationEligibility(b *testing.B) {
 	for _, minAcc := range []float64{0.50, 0.66, 0.78} {

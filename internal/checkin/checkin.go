@@ -92,7 +92,7 @@ func NewYork() CityConfig {
 		K:           6,
 		Epsilon:     0.10,
 		DMax:        30,
-		MinAcc:      0.5, // eligibility radius = dmax exactly; see DESIGN.md
+		MinAcc:      0.5, // eligibility radius = dmax exactly; see README "Design notes"
 		AccMean:     0.86,
 		AccStd:      0.05,
 

@@ -29,13 +29,9 @@ const (
 // avg ≥ maxRemain, or by remaining need δ − S[t] (LRF) otherwise.
 // Competitive ratio 7.738 under the paper's assumptions (Theorem 6).
 type AAM struct {
-	in       *model.Instance
-	ci       *model.CandidateIndex
-	state    *taskState
+	solver
 	strategy AAMStrategy
 	topk     *pqueue.TopK[scoredCandidate]
-	cands    []model.Candidate
-	out      []model.TaskID
 
 	// lgfArrivals / lrfArrivals count strategy choices, exposed for the
 	// ablation experiments.
@@ -57,9 +53,7 @@ func NewAAM(in *model.Instance, ci *model.CandidateIndex) *AAM {
 // used by the LGF/LRF ablation benchmarks.
 func NewAAMWithStrategy(in *model.Instance, ci *model.CandidateIndex, s AAMStrategy) *AAM {
 	return &AAM{
-		in:       in,
-		ci:       ci,
-		state:    newTaskState(len(in.Tasks), in.Delta()),
+		solver:   newSolver(in, ci),
 		strategy: s,
 		// Ties keep the first-seen task, matching Example 4's walk-through.
 		topk: pqueue.NewTopK(in.K, func(a, b scoredCandidate) bool {
@@ -80,18 +74,15 @@ func (a *AAM) Name() string {
 	}
 }
 
-// Done implements Online.
-func (a *AAM) Done() bool { return a.state.allDone() }
-
 // StrategyCounts reports how many arrivals used LGF and LRF scoring.
 func (a *AAM) StrategyCounts() (lgf, lrf int) { return a.lgfArrivals, a.lrfArrivals }
 
 // Arrive implements Online (Algorithm 3 lines 4-15).
-func (a *AAM) Arrive(w model.Worker) []model.TaskID { return a.ArriveVia(w, a.ci) }
+func (a *AAM) Arrive(w model.Worker) []Outcome { return a.ArriveVia(w, a.ci) }
 
-// ArriveVia implements BatchOnline: Arrive drawing candidates from src.
-func (a *AAM) ArriveVia(w model.Worker, src model.CandidateSource) []model.TaskID {
-	if a.state.allDone() {
+// ArriveVia implements Online.
+func (a *AAM) ArriveVia(w model.Worker, src model.CandidateSource) []Outcome {
+	if !a.begin(w, src) {
 		return nil
 	}
 	useLGF := true
@@ -111,7 +102,6 @@ func (a *AAM) ArriveVia(w model.Worker, src model.CandidateSource) []model.TaskI
 		a.lrfArrivals++
 	}
 
-	a.cands = src.Candidates(w, a.cands[:0])
 	a.topk.Reset()
 	for _, c := range a.cands {
 		if a.state.done(c.Task) {
@@ -125,11 +115,8 @@ func (a *AAM) ArriveVia(w model.Worker, src model.CandidateSource) []model.TaskI
 		}
 		a.topk.Offer(scoredCandidate{Candidate: c, score: score})
 	}
-	a.out = a.out[:0]
 	for a.topk.Len() > 0 {
-		c := a.topk.PopMin()
-		a.state.add(c.Task, c.AccStar)
-		a.out = append(a.out, c.Task)
+		a.grant(w, a.topk.PopMin().Candidate)
 	}
 	return a.out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ltc/internal/flow"
@@ -492,22 +493,28 @@ func TestTaskStateAccounting(t *testing.T) {
 	if got := ts.need(0); got != 2.0 {
 		t.Fatalf("need = %v", got)
 	}
-	if completed := ts.add(0, 1.0); completed {
+	if completed := ts.add(3, 0, 1.0); completed {
 		t.Fatal("half credit cannot complete")
 	}
-	if completed := ts.add(0, 1.0); !completed {
+	if completed := ts.add(5, 0, 1.0); !completed {
 		t.Fatal("full credit must complete")
 	}
-	if ts.add(0, 5.0) {
+	if ts.add(4, 0, 5.0) {
 		t.Fatal("extra credit on a done task must not re-complete")
 	}
 	sum, maxNeed := ts.totalNeed()
 	if math.Abs(sum-4.0) > 1e-12 || math.Abs(maxNeed-2.0) > 1e-12 {
 		t.Fatalf("totalNeed = (%v, %v), want (4, 2)", sum, maxNeed)
 	}
-	ts.add(1, 2)
-	ts.add(2, 2)
+	ts.add(6, 1, 2)
+	ts.add(6, 2, 2)
 	if !ts.allDone() {
 		t.Fatal("all tasks credited, state must be done")
+	}
+	// The same adds built the arrangement: pairs in grant order, S[t], and
+	// the latency as a max over worker indices.
+	wantPairs := []model.Assignment{{Worker: 3, Task: 0}, {Worker: 5, Task: 0}, {Worker: 4, Task: 0}, {Worker: 6, Task: 1}, {Worker: 6, Task: 2}}
+	if !slices.Equal(ts.arr.Pairs, wantPairs) || !slices.Equal(ts.arr.Accumulated, []float64{7, 2, 2}) || ts.arr.Latency() != 6 {
+		t.Fatalf("arrangement %+v latency %d", ts.arr, ts.arr.Latency())
 	}
 }

@@ -22,7 +22,6 @@ type scarceCandidate struct {
 // Solve implements Offline.
 func (BaseOff) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arrangement, error) {
 	state := newTaskState(len(in.Tasks), in.Delta())
-	arr := model.NewArrangement(len(in.Tasks))
 
 	// Offline knowledge: for every task the ascending arrival indices of
 	// its eligible workers; ptr[t] advances as those workers arrive, so
@@ -57,9 +56,8 @@ func (BaseOff) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arran
 		}
 		for topk.Len() > 0 {
 			c := topk.PopMin()
-			state.add(c.Task, c.AccStar)
-			arr.Add(w.Index, c.Task, c.AccStar)
+			state.add(w.Index, c.Task, c.AccStar)
 		}
 	}
-	return arr, nil
+	return &state.arr, nil
 }

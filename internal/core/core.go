@@ -33,27 +33,46 @@ type Offline interface {
 
 // Online is an algorithm fed one worker at a time. Implementations must
 // decide each worker's assignment immediately and irrevocably (the online
-// LTC temporal constraint) using only the workers seen so far.
+// LTC temporal constraint) using only the workers seen so far. LAF, AAM and
+// Random satisfy it by embedding solver, which keeps the ledger and the task
+// lifecycle; each adds only its selection rule.
 type Online interface {
 	Name() string
-	// Arrive offers the next worker and returns the tasks assigned to it
-	// (possibly none). Workers must be offered in arrival order.
-	Arrive(w model.Worker) []model.TaskID
-	// Done reports whether every task has reached the quality threshold.
+	// Arrive offers the next worker and returns one Outcome per task
+	// assigned to it (possibly none), in a reusable buffer valid until the
+	// next arrival. Workers must be offered in arrival order.
+	Arrive(w model.Worker) []Outcome
+	// ArriveVia is Arrive drawing candidates from an explicit source instead
+	// of the solver's own index. The engine's batch step passes a
+	// model.PinnedQuery so a whole run of workers shares one snapshot load
+	// and one scratch buffer. It behaves exactly like Arrive whenever the
+	// source serves the snapshot the solver's own index would — the paper's
+	// solvers are pure functions of the candidate list.
+	ArriveVia(w model.Worker, src model.CandidateSource) []Outcome
+	// Done reports whether every live task has reached the quality
+	// threshold.
 	Done() bool
+	// ledger is the solver's task state, where the engine posts, retires
+	// and migrates tasks and reads credit; solver supplies it.
+	ledger() *taskState
 }
 
-// BatchOnline extends Online with an arrival that draws candidates from an
-// explicit source instead of the solver's own index reference. The engine's
-// batch step passes a model.PinnedQuery so a whole run of workers shares
-// one snapshot load and one scratch buffer. ArriveVia must behave exactly
-// like Arrive whenever the source serves the snapshot the solver's own
-// index would — the paper's solvers are pure functions of the candidate
-// list, so LAF, AAM and Random all satisfy this by construction.
-type BatchOnline interface {
-	Online
-	// ArriveVia is Arrive with an explicit candidate source.
-	ArriveVia(w model.Worker, src model.CandidateSource) []model.TaskID
+// Outcome is one assignment made by Arrive, with the bookkeeping a service
+// caller needs to build a check-in receipt without re-polling: the task,
+// the Acc* credit the assignment contributed, and whether it pushed the
+// task over its quality threshold δ. The paper's solvers never assign a
+// completed task, so Completed marks exactly the assignment that finished
+// each task.
+//
+// Outcomes fill the solver's reusable per-arrival buffer; the
+// alignment-optimal field order (Credit first) keeps each entry at 16
+// bytes instead of the declaration-ordered 24 — enforced by fieldalign.
+//
+//ltc:hot
+type Outcome struct {
+	Credit    float64
+	Task      model.TaskID
+	Completed bool
 }
 
 // OnlineFactory builds a fresh Online solver bound to an instance. The

@@ -7,10 +7,11 @@ import (
 )
 
 // Engine binds an Online solver to an instance (or to one shard's
-// sub-instance) and keeps the bookkeeping every caller of Arrive was
-// duplicating: the growing Arrangement, per-task credit, an O(1)
-// completed-task counter, and — for the online task lifecycle — each task's
-// post index and the last worker index assigned to it. It is the
+// sub-instance) and adds what the solver's ledger does not hold: an O(1)
+// completed-task counter and — for the online task lifecycle — each task's
+// post index and the last worker index assigned to it, plus the candidate
+// index half of posting, retiring and migrating a task. Credit, pairs and
+// the closed set are the ledger's; the engine reads them there. It is the
 // single-threaded building block of both the streaming Session API and the
 // sharded dispatch layer — callers that share an Engine across goroutines
 // must serialize access themselves.
@@ -18,8 +19,7 @@ type Engine struct {
 	in        *model.Instance
 	ci        *model.CandidateIndex
 	algo      Online
-	arr       *model.Arrangement
-	delta     float64
+	state     *taskState // algo's ledger
 	completed int
 	retired   int
 	// postIndex[t] is the caller's arrival clock when task t was posted
@@ -30,10 +30,6 @@ type Engine struct {
 	// when the per-arrival loop touches them.
 	postIndex []int32
 	lastUsed  []int32
-	// retiredMask mirrors the solver's closed set (one bit per task) so the
-	// engine can answer per-task status without reaching into solver
-	// internals.
-	retiredMask []uint64
 	// evictedMask marks tasks handed to another engine via EvictTask. An
 	// evicted task keeps its dense slot (IDs never shrink) but stops counting
 	// toward Progress and Retired: the adopting engine owns those counts now.
@@ -43,56 +39,26 @@ type Engine struct {
 	evictedCount     int
 	evictedCompleted int
 	evictedRetired   int
-	// batchAlgo is the solver's BatchOnline view, nil when unsupported; pq
-	// is the engine's reusable pinned query for batch runs (one snapshot
+	// pq is the engine's reusable pinned query for batch runs (one snapshot
 	// load and one scratch buffer per run instead of per arrival).
-	batchAlgo BatchOnline
-	pq        *model.PinnedQuery
-	// outBuf is the reusable Outcome slice returned by Arrive (valid until
-	// the next call), keeping the per-arrival hot path allocation-free.
-	// Capacity K from construction; never regrows.
-	outBuf []Outcome //ltc:arena
-}
-
-// Outcome is one assignment made by Arrive, with the bookkeeping a service
-// caller needs to build a check-in receipt without re-polling: the task,
-// the Acc* credit the assignment contributed, and whether it pushed the
-// task over its quality threshold δ. The paper's solvers never assign a
-// completed task, so Completed marks exactly the assignment that finished
-// each task.
-//
-// Outcomes fill the engine's reusable per-arrival buffer; the
-// alignment-optimal field order (Credit first) keeps each entry at 16
-// bytes instead of the declaration-ordered 24 — enforced by fieldalign.
-//
-//ltc:hot
-type Outcome struct {
-	Credit    float64
-	Task      model.TaskID
-	Completed bool
+	pq *model.PinnedQuery
 }
 
 // NewEngine builds an engine around a fresh solver from factory. The
 // candidate index must have been built for the same instance. The
 // instance's Workers slice may be empty: workers arrive via Arrive.
 func NewEngine(in *model.Instance, ci *model.CandidateIndex, factory OnlineFactory) *Engine {
-	e := &Engine{
+	algo := factory(in, ci)
+	return &Engine{
 		in:          in,
 		ci:          ci,
-		algo:        factory(in, ci),
-		arr:         model.NewArrangement(len(in.Tasks)),
-		delta:       in.Delta(),
+		algo:        algo,
+		state:       algo.ledger(),
 		postIndex:   make([]int32, len(in.Tasks)),
 		lastUsed:    make([]int32, len(in.Tasks)),
-		retiredMask: make([]uint64, (len(in.Tasks)+63)/64),
 		evictedMask: make([]uint64, (len(in.Tasks)+63)/64),
 		pq:          ci.NewPinnedQuery(),
-		// A worker receives at most K assignments, so the outcome buffer
-		// never regrows after this.
-		outBuf: make([]Outcome, 0, in.K),
 	}
-	e.batchAlgo, _ = e.algo.(BatchOnline)
-	return e
 }
 
 // BeginBatch starts a batch run: the candidate index's current snapshot is
@@ -100,89 +66,50 @@ func NewEngine(in *model.Instance, ci *model.CandidateIndex, factory OnlineFacto
 // view through one reusable scratch buffer — no per-arrival atomic snapshot
 // load, no pool round-trip. The caller must guarantee the index is not
 // mutated (PostTask/RetireTask) during the run; the dispatch layer does so
-// by holding the shard mutex. For solvers that don't implement BatchOnline
-// this is a no-op and Arrive keeps its per-call path — results are
-// identical either way, batching only amortizes the query plumbing.
-func (e *Engine) BeginBatch() {
-	if e.batchAlgo != nil {
-		e.pq.Pin()
-	}
-}
+// by holding the shard mutex. Results are identical either way, batching
+// only amortizes the query plumbing.
+func (e *Engine) BeginBatch() { e.pq.Pin() }
 
 // EndBatch ends a batch run, releasing the pinned snapshot.
-func (e *Engine) EndBatch() {
-	if e.batchAlgo != nil {
-		e.pq.Unpin()
-	}
-}
+func (e *Engine) EndBatch() { e.pq.Unpin() }
 
-// Arrive offers the next worker to the solver, records its assignments (with
-// their Acc* credit) in the arrangement, and returns one Outcome per
-// assignment. The returned slice is a reusable engine buffer, valid only
-// until the next call. Index discipline is the caller's job: Session
-// enforces consecutive indices starting at 1, while the dispatch layer
-// feeds each shard a sparse subsequence of global indices (the solvers
-// never read Worker.Index, and the arrangement only takes a max over it).
+// Arrive offers the next worker to the solver and returns one Outcome per
+// assignment, as the solver recorded them in its ledger (pair, Acc* credit,
+// completion); the engine only folds them into its counters. The returned
+// slice is the solver's reusable buffer, valid only until the next call.
+// Index discipline is the caller's job: Session enforces consecutive
+// indices starting at 1, while the dispatch layer feeds each shard a sparse
+// subsequence of global indices (the solvers never read Worker.Index, and
+// the arrangement only takes a max over it).
 //
 //ltc:noalloc
 func (e *Engine) Arrive(w model.Worker) []Outcome {
-	var out []model.TaskID
-	if e.batchAlgo != nil && e.pq.Pinned() {
-		out = e.batchAlgo.ArriveVia(w, e.pq)
+	var out []Outcome
+	if e.pq.Pinned() {
+		out = e.algo.ArriveVia(w, e.pq)
 	} else {
 		out = e.algo.Arrive(w)
 	}
-	e.outBuf = e.outBuf[:0]
-	for _, t := range out {
-		acc := e.in.Model.Predict(w, e.in.Tasks[t])
-		credit := model.AccStar(acc)
-		was := model.Completed(e.arr.Accumulated[t], e.delta)
-		e.arr.Add(w.Index, t, credit)
-		completed := !was && model.Completed(e.arr.Accumulated[t], e.delta)
-		if completed {
+	for _, oc := range out {
+		if oc.Completed {
 			e.completed++
 		}
-		if idx := int32(w.Index); idx > e.lastUsed[t] {
-			e.lastUsed[t] = idx
+		if idx := int32(w.Index); idx > e.lastUsed[oc.Task] {
+			e.lastUsed[oc.Task] = idx
 		}
-		e.outBuf = append(e.outBuf, Outcome{Task: t, Credit: credit, Completed: completed})
 	}
-	return e.outBuf
+	return out
 }
 
-// PostTask extends the engine — its candidate index and its solver — with a
-// task posted mid-stream. The caller must already have appended t to the
-// instance's Tasks slice — the engine checks the dense-ID invariant but
-// does not own the task table. postIndex is the caller's arrival clock at
-// post time (the dispatch layer passes the largest worker index seen); a
-// late-posted task's latency is reported both absolute (worker index) and
-// relative to this index.
+// PostTask extends the engine — its candidate index and its solver's ledger
+// — with a task posted mid-stream: the adoption of a task with no history.
+// The caller must already have appended t to the instance's Tasks slice —
+// the engine checks the dense-ID invariant but does not own the task table.
+// postIndex is the caller's arrival clock at post time (the dispatch layer
+// passes the largest worker index seen); a late-posted task's latency is
+// reported both absolute (worker index) and relative to this index.
 func (e *Engine) PostTask(t model.Task, postIndex int) error {
-	lc, ok := e.algo.(TaskLifecycle)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoLifecycle, e.algo.Name())
-	}
-	if n := len(e.arr.Accumulated); int(t.ID) != n {
-		return fmt.Errorf("core: posted task ID %d does not extend the dense ID space (%d tasks)", t.ID, n)
-	}
-	if int(t.ID) >= len(e.in.Tasks) || e.in.Tasks[t.ID].Loc != t.Loc {
-		return fmt.Errorf("core: posted task %d not present in the instance task table", t.ID)
-	}
-	// Index first: its dense check is the last failure point, so the solver
-	// is only notified once the task is fully visible.
-	if err := e.ci.Insert(t); err != nil {
-		return err
-	}
-	e.arr.EnsureTasks(int(t.ID) + 1)
-	e.postIndex = append(e.postIndex, int32(postIndex))
-	e.lastUsed = append(e.lastUsed, 0)
-	if int(t.ID)>>6 == len(e.retiredMask) { // crossed into a fresh word
-		e.retiredMask = append(e.retiredMask, 0)
-		e.evictedMask = append(e.evictedMask, 0)
-	}
-	bitClear(e.retiredMask, t.ID)
-	lc.PostTask(t.ID)
-	return nil
+	return e.AdoptTask(t, TaskSnapshot{PostIndex: postIndex})
 }
 
 // TaskSnapshot is one task's engine state in transit between shards: the
@@ -199,38 +126,34 @@ type TaskSnapshot struct {
 }
 
 // EvictTask hands task t's state out of this engine for adoption elsewhere.
-// The task leaves the candidate index and the solver (its local ID stays
+// The task leaves the candidate index and the ledger (its local ID stays
 // allocated — dense spaces never shrink — as a closed ghost that is never
 // assigned again), and it stops counting toward Progress and Retired: the
 // adopting engine owns those counts from now on. Evicting an unknown or
 // already-evicted task is an error.
 func (e *Engine) EvictTask(t model.TaskID) (TaskSnapshot, error) {
-	if t < 0 || int(t) >= len(e.arr.Accumulated) {
+	if t < 0 || int(t) >= len(e.lastUsed) {
 		return TaskSnapshot{}, fmt.Errorf("core: evict of unknown task %d", t)
-	}
-	lc, ok := e.algo.(TaskLifecycle)
-	if !ok {
-		return TaskSnapshot{}, fmt.Errorf("%w: %s", ErrNoLifecycle, e.algo.Name())
 	}
 	if bitGet(e.evictedMask, t) {
 		return TaskSnapshot{}, fmt.Errorf("core: task %d already evicted", t)
 	}
 	snap := TaskSnapshot{
-		Credit:    e.arr.Accumulated[t],
+		Credit:    e.state.arr.Accumulated[t],
 		PostIndex: int(e.postIndex[t]),
 		LastUsed:  int(e.lastUsed[t]),
-		Completed: model.Completed(e.arr.Accumulated[t], e.delta),
-		Retired:   bitGet(e.retiredMask, t),
+		Completed: e.TaskCompleted(t),
+		Retired:   e.TaskRetired(t),
 	}
 	if e.ci.Live(t) {
 		if err := e.ci.Remove(t); err != nil {
 			return TaskSnapshot{}, err
 		}
 	}
-	// Closing the task in the solver releases the source's interest in it:
+	// Closing the task in the ledger releases the source's interest in it:
 	// if it was still open, the solver stops waiting on it for Done — the
-	// target's solver now carries that obligation via adopt.
-	lc.RetireTask(t)
+	// target's ledger now carries that obligation via adopt.
+	e.state.close(t)
 	bitSet(e.evictedMask, t)
 	e.evictedCount++
 	if snap.Completed {
@@ -243,22 +166,20 @@ func (e *Engine) EvictTask(t model.TaskID) (TaskSnapshot, error) {
 }
 
 // AdoptTask extends the engine with a task evicted from another engine,
-// seeding credit, latency bookkeeping and status from the snapshot. Like
-// PostTask, the caller must already have appended t to the instance's Tasks
-// slice and t.ID must extend the dense ID space. A retired task is inserted
-// into and immediately removed from the candidate index so the index's dense
-// ID space stays in lockstep with the engine's.
+// seeding credit, latency bookkeeping and status from the snapshot. The
+// caller must already have appended t to the instance's Tasks slice and
+// t.ID must extend the dense ID space. A retired task is inserted into and
+// immediately removed from the candidate index so the index's dense ID
+// space stays in lockstep with the engine's.
 func (e *Engine) AdoptTask(t model.Task, snap TaskSnapshot) error {
-	mig, ok := e.algo.(TaskMigrator)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoMigration, e.algo.Name())
-	}
-	if n := len(e.arr.Accumulated); int(t.ID) != n {
-		return fmt.Errorf("core: adopted task ID %d does not extend the dense ID space (%d tasks)", t.ID, n)
+	if n := len(e.lastUsed); int(t.ID) != n {
+		return fmt.Errorf("core: task ID %d does not extend the dense ID space (%d tasks)", t.ID, n)
 	}
 	if int(t.ID) >= len(e.in.Tasks) || e.in.Tasks[t.ID].Loc != t.Loc {
-		return fmt.Errorf("core: adopted task %d not present in the instance task table", t.ID)
+		return fmt.Errorf("core: task %d not present in the instance task table", t.ID)
 	}
+	// Index first: its dense check is the last failure point, so the ledger
+	// is only extended once the task is fully visible.
 	if err := e.ci.Insert(t); err != nil {
 		return err
 	}
@@ -266,23 +187,17 @@ func (e *Engine) AdoptTask(t model.Task, snap TaskSnapshot) error {
 		if err := e.ci.Remove(t.ID); err != nil {
 			return err
 		}
-	}
-	e.arr.EnsureTasks(int(t.ID) + 1)
-	e.arr.Accumulated[t.ID] = snap.Credit
-	e.postIndex = append(e.postIndex, int32(snap.PostIndex))
-	e.lastUsed = append(e.lastUsed, int32(snap.LastUsed))
-	if int(t.ID)>>6 == len(e.retiredMask) { // crossed into a fresh word
-		e.retiredMask = append(e.retiredMask, 0)
-		e.evictedMask = append(e.evictedMask, 0)
-	}
-	if snap.Retired {
-		bitSet(e.retiredMask, t.ID)
 		e.retired++
 	}
 	if snap.Completed {
 		e.completed++
 	}
-	mig.AdoptTask(t.ID, snap.Credit, snap.Retired)
+	e.postIndex = append(e.postIndex, int32(snap.PostIndex))
+	e.lastUsed = append(e.lastUsed, int32(snap.LastUsed))
+	if int(t.ID)>>6 == len(e.evictedMask) { // crossed into a fresh word
+		e.evictedMask = append(e.evictedMask, 0)
+	}
+	e.state.adopt(t.ID, snap.Credit, snap.Retired)
 	return nil
 }
 
@@ -295,24 +210,18 @@ func (e *Engine) TaskEvicted(t model.TaskID) bool { return bitGet(e.evictedMask,
 // retiring a completed or already-retired task is a harmless no-op with
 // wasOpen = false.
 func (e *Engine) RetireTask(t model.TaskID) (wasOpen bool, err error) {
-	if t < 0 || int(t) >= len(e.arr.Accumulated) {
+	if t < 0 || int(t) >= len(e.lastUsed) {
 		return false, fmt.Errorf("core: retire of unknown task %d", t)
-	}
-	lc, ok := e.algo.(TaskLifecycle)
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrNoLifecycle, e.algo.Name())
 	}
 	if e.ci.Live(t) {
 		if err := e.ci.Remove(t); err != nil {
 			return false, err
 		}
 	}
-	wasOpen = lc.RetireTask(t)
-	if !bitGet(e.retiredMask, t) {
-		bitSet(e.retiredMask, t)
+	if !e.TaskRetired(t) {
 		e.retired++
 	}
-	return wasOpen, nil
+	return e.state.close(t), nil
 }
 
 // Done reports whether every live task has reached the quality threshold.
@@ -321,28 +230,16 @@ func (e *Engine) Done() bool { return e.algo.Done() }
 // Name returns the bound solver's algorithm name.
 func (e *Engine) Name() string { return e.algo.Name() }
 
-// CanMigrate reports whether the bound solver supports live task migration
-// — both eviction (TaskLifecycle) and adoption (TaskMigrator). All built-in
-// solvers do.
-func (e *Engine) CanMigrate() bool {
-	_, lc := e.algo.(TaskLifecycle)
-	_, mig := e.algo.(TaskMigrator)
-	return lc && mig
-}
-
-// Instance returns the instance the engine is bound to.
-func (e *Engine) Instance() *model.Instance { return e.in }
-
 // Arrangement returns the assignments made so far. The returned value is
 // live; callers must not mutate it.
-func (e *Engine) Arrangement() *model.Arrangement { return e.arr }
+func (e *Engine) Arrangement() *model.Arrangement { return &e.state.arr }
 
 // Progress returns the number of tasks that reached δ and the total number
 // of tasks ever tracked (retired tasks included in both totals when they
 // completed before retirement). Tasks evicted to another engine count in
 // neither: the adopting engine reports them.
 func (e *Engine) Progress() (completed, total int) {
-	return e.completed - e.evictedCompleted, len(e.arr.Accumulated) - e.evictedCount
+	return e.completed - e.evictedCompleted, len(e.lastUsed) - e.evictedCount
 }
 
 // Retired returns how many tasks have been retired (whether or not they
@@ -359,14 +256,15 @@ func (e *Engine) TaskLastUsed(t model.TaskID) int { return int(e.lastUsed[t]) }
 
 // TaskCompleted reports whether task t has reached δ.
 func (e *Engine) TaskCompleted(t model.TaskID) bool {
-	return model.Completed(e.arr.Accumulated[t], e.delta)
+	return model.Completed(e.state.arr.Accumulated[t], e.state.delta)
 }
 
-// TaskRetired reports whether task t has been retired.
-func (e *Engine) TaskRetired(t model.TaskID) bool { return bitGet(e.retiredMask, t) }
+// TaskRetired reports whether task t is out of play here: retired, or
+// evicted to another engine (which leaves a closed ghost behind).
+func (e *Engine) TaskRetired(t model.TaskID) bool { return bitGet(e.state.closed, t) }
 
 // Credits appends a snapshot of the per-task accumulated Acc* credit to dst
 // and returns the extended slice.
 func (e *Engine) Credits(dst []float64) []float64 {
-	return append(dst, e.arr.Accumulated...)
+	return append(dst, e.state.arr.Accumulated...)
 }

@@ -73,23 +73,15 @@ func (e *Exact) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arra
 	// only explores branches that strictly improve on it, pruning the bulk
 	// of the tree on easy instances.
 	laf := NewLAF(in, ci)
-	var heurPairs []model.Assignment
 	for _, w := range in.Workers {
 		if laf.Done() {
 			break
 		}
-		for _, t := range laf.Arrive(w) {
-			heurPairs = append(heurPairs, model.Assignment{Worker: w.Index, Task: t})
-		}
+		laf.Arrive(w)
 	}
 	if laf.Done() {
-		s.bestPairs = heurPairs
-		s.best = 0
-		for _, p := range heurPairs {
-			if p.Worker > s.best {
-				s.best = p.Worker
-			}
-		}
+		s.bestPairs = laf.state.arr.Pairs
+		s.best = laf.state.arr.Latency()
 	}
 
 	s.dfs(0, 0)

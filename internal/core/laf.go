@@ -10,20 +10,14 @@ import (
 // the largest Acc*(w, t), maintained in a bounded top-K heap. Competitive
 // ratio 7.967 under the paper's assumptions (Theorem 5).
 type LAF struct {
-	in    *model.Instance
-	ci    *model.CandidateIndex
-	state *taskState
-	topk  *pqueue.TopK[model.Candidate]
-	cands []model.Candidate
-	out   []model.TaskID
+	solver
+	topk *pqueue.TopK[model.Candidate]
 }
 
 // NewLAF returns a fresh LAF solver for the instance.
 func NewLAF(in *model.Instance, ci *model.CandidateIndex) *LAF {
 	return &LAF{
-		in:    in,
-		ci:    ci,
-		state: newTaskState(len(in.Tasks), in.Delta()),
+		solver: newSolver(in, ci),
 		// Rank candidates by Acc*; ties keep the first-seen task (lower
 		// TaskID), matching the paper's Example 3 walk-through.
 		topk: pqueue.NewTopK(in.K, func(a, b model.Candidate) bool {
@@ -35,18 +29,14 @@ func NewLAF(in *model.Instance, ci *model.CandidateIndex) *LAF {
 // Name implements Online.
 func (l *LAF) Name() string { return "LAF" }
 
-// Done implements Online.
-func (l *LAF) Done() bool { return l.state.allDone() }
-
 // Arrive implements Online (Algorithm 2 lines 4-10).
-func (l *LAF) Arrive(w model.Worker) []model.TaskID { return l.ArriveVia(w, l.ci) }
+func (l *LAF) Arrive(w model.Worker) []Outcome { return l.ArriveVia(w, l.ci) }
 
-// ArriveVia implements BatchOnline: Arrive drawing candidates from src.
-func (l *LAF) ArriveVia(w model.Worker, src model.CandidateSource) []model.TaskID {
-	if l.state.allDone() {
+// ArriveVia implements Online.
+func (l *LAF) ArriveVia(w model.Worker, src model.CandidateSource) []Outcome {
+	if !l.begin(w, src) {
 		return nil
 	}
-	l.cands = src.Candidates(w, l.cands[:0])
 	l.topk.Reset()
 	for _, c := range l.cands {
 		if l.state.done(c.Task) {
@@ -54,11 +44,8 @@ func (l *LAF) ArriveVia(w model.Worker, src model.CandidateSource) []model.TaskI
 		}
 		l.topk.Offer(c)
 	}
-	l.out = l.out[:0]
 	for l.topk.Len() > 0 {
-		c := l.topk.PopMin()
-		l.state.add(c.Task, c.AccStar)
-		l.out = append(l.out, c.Task)
+		l.grant(w, l.topk.PopMin())
 	}
 	return l.out
 }

@@ -177,7 +177,7 @@ func TestEngineLifecycleErrors(t *testing.T) {
 	}
 }
 
-// TestTaskStateLifecycle exercises the open/close bookkeeping directly:
+// TestTaskStateLifecycle exercises the adopt/close bookkeeping directly:
 // remaining counts live incomplete tasks only, need/totalNeed ignore closed
 // tasks, and the closed mask survives credit arriving after retirement.
 func TestTaskStateLifecycle(t *testing.T) {
@@ -185,20 +185,20 @@ func TestTaskStateLifecycle(t *testing.T) {
 	if ts.remaining != 2 {
 		t.Fatalf("remaining %d", ts.remaining)
 	}
-	ts.open(2)
-	if ts.remaining != 3 || len(ts.s) != 3 {
-		t.Fatalf("after open: remaining %d, len %d", ts.remaining, len(ts.s))
+	ts.adopt(2, 0, false) // a post: no credit, open
+	if ts.remaining != 3 || len(ts.arr.Accumulated) != 3 {
+		t.Fatalf("after post: remaining %d, len %d", ts.remaining, len(ts.arr.Accumulated))
 	}
-	// Opening out of dense order must panic (programming error).
+	// Posting out of dense order must panic (programming error).
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("non-dense open did not panic")
+				t.Fatal("non-dense post did not panic")
 			}
 		}()
-		ts.open(7)
+		ts.adopt(7, 0, false)
 	}()
-	ts.add(0, 2.5) // completes task 0
+	ts.add(1, 0, 2.5) // completes task 0
 	if ts.remaining != 2 || !ts.done(0) {
 		t.Fatalf("after complete: remaining %d", ts.remaining)
 	}

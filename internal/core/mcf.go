@@ -17,7 +17,7 @@ import (
 // assumptions (Theorem 3).
 //
 // The zero value runs the published configuration; the fields expose the
-// ablation knobs described in DESIGN.md §5.
+// ablation knobs described in README "Design notes".
 type MCFLTC struct {
 	// BatchMultiplier scales the batch size m (default 1.0 when zero).
 	BatchMultiplier float64
@@ -52,7 +52,6 @@ func (m *MCFLTC) batchSizes(in *model.Instance) (first, later int) {
 // Solve implements Offline.
 func (m *MCFLTC) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arrangement, error) {
 	state := newTaskState(len(in.Tasks), in.Delta())
-	arr := model.NewArrangement(len(in.Tasks))
 	first, later := m.batchSizes(in)
 
 	pos := 0
@@ -72,11 +71,11 @@ func (m *MCFLTC) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arr
 		}
 		batch := in.Workers[pos : pos+size]
 		pos += size
-		if err := m.solveBatch(in, ci, state, arr, batch, &cands, topk); err != nil {
+		if err := m.solveBatch(in, ci, state, batch, &cands, topk); err != nil {
 			return nil, fmt.Errorf("batch %d: %w", batchNo, err)
 		}
 	}
-	return arr, nil
+	return &state.arr, nil
 }
 
 // solveBatch runs lines 4-16 of Algorithm 1 for one batch of workers.
@@ -84,7 +83,6 @@ func (m *MCFLTC) solveBatch(
 	in *model.Instance,
 	ci *model.CandidateIndex,
 	state *taskState,
-	arr *model.Arrangement,
 	batch []model.Worker,
 	cands *[]model.Candidate,
 	topk *pqueue.TopK[model.Candidate],
@@ -158,8 +156,7 @@ func (m *MCFLTC) solveBatch(
 		b := batchPos(batch, p.worker)
 		used[b]++
 		assigned[b] = append(assigned[b], p.task)
-		state.add(p.task, p.accStar)
-		arr.Add(p.worker, p.task, p.accStar)
+		state.add(p.worker, p.task, p.accStar)
 	}
 
 	// Greedy top-up (lines 8-15): spend leftover capacity on the most
@@ -182,8 +179,7 @@ func (m *MCFLTC) solveBatch(
 		}
 		for topk.Len() > 0 {
 			c := topk.PopMin()
-			state.add(c.Task, c.AccStar)
-			arr.Add(w.Index, c.Task, c.AccStar)
+			state.add(w.Index, c.Task, c.AccStar)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -216,29 +215,6 @@ func TestEngineMigrationErrors(t *testing.T) {
 	}
 }
 
-// TestEngineMigrationNoSupport: solvers outside the TaskLifecycle /
-// TaskMigrator contracts fail with the sentinel errors.
-func TestEngineMigrationNoSupport(t *testing.T) {
-	base := lifecycleInstance(2, 4, 19)
-	shard := newMigrationShard(base, base.Tasks, func(in *model.Instance, ci *model.CandidateIndex) Online {
-		return staticOnline{}
-	})
-	if _, err := shard.eng.EvictTask(0); !errors.Is(err, ErrNoLifecycle) {
-		t.Fatalf("evict on a static solver: %v, want ErrNoLifecycle", err)
-	}
-	local := shard.appendTask(geo.Point{X: 1, Y: 1})
-	if err := shard.eng.AdoptTask(local, TaskSnapshot{}); !errors.Is(err, ErrNoMigration) {
-		t.Fatalf("adopt on a static solver: %v, want ErrNoMigration", err)
-	}
-}
-
-// staticOnline is an Online solver without lifecycle or migration support.
-type staticOnline struct{}
-
-func (staticOnline) Name() string                       { return "static" }
-func (staticOnline) Arrive(model.Worker) []model.TaskID { return nil }
-func (staticOnline) Done() bool                         { return true }
-
 // TestTaskStateAdopt exercises the adopt bookkeeping directly: credit at or
 // above δ lands settled (zeroNeed set), credit inside the epsilon band reads
 // done but keeps its residual need, closed adoption never counts toward
@@ -266,11 +242,16 @@ func TestTaskStateAdopt(t *testing.T) {
 		t.Fatalf("totalNeed %v/%v", sum, maxNeed)
 	}
 	// The adopted state keeps racing normally.
-	if !ts.add(0, 2.0) {
+	if !ts.add(9, 0, 2.0) {
 		t.Fatal("completing credit on an adopted task not reported")
 	}
 	if ts.remaining != 0 || !ts.allDone() {
 		t.Fatalf("remaining %d after completion", ts.remaining)
+	}
+	// Adopted credit seeds S[t] without inventing pairs: the source's pairs
+	// stay in the source's arrangement.
+	if len(ts.arr.Pairs) != 1 || ts.arr.Accumulated[0] != 2.5 || ts.arr.Accumulated[2] != 1.0 || ts.arr.Latency() != 9 {
+		t.Fatalf("arrangement after adopt+add: %+v", ts.arr)
 	}
 	func() {
 		defer func() {

@@ -87,8 +87,8 @@ func TestQuickOnlinePrefixProperty(t *testing.T) {
 			if full.Done() {
 				break
 			}
-			for _, tid := range full.Arrive(w) {
-				fullPairs = append(fullPairs, model.Assignment{Worker: w.Index, Task: tid})
+			for _, oc := range full.Arrive(w) {
+				fullPairs = append(fullPairs, model.Assignment{Worker: w.Index, Task: oc.Task})
 			}
 		}
 
@@ -102,8 +102,8 @@ func TestQuickOnlinePrefixProperty(t *testing.T) {
 			if part.Done() {
 				break
 			}
-			for _, tid := range part.Arrive(w) {
-				partPairs = append(partPairs, model.Assignment{Worker: w.Index, Task: tid})
+			for _, oc := range part.Arrive(w) {
+				partPairs = append(partPairs, model.Assignment{Worker: w.Index, Task: oc.Task})
 			}
 		}
 

@@ -11,39 +11,26 @@ import (
 // worker arrives, up to K of the nearby (eligible) uncompleted tasks are
 // assigned uniformly at random.
 type Random struct {
-	in    *model.Instance
-	ci    *model.CandidateIndex
-	state *taskState
-	rng   *rand.Rand
-	cands []model.Candidate
-	out   []model.TaskID
+	solver
+	rng *rand.Rand
 }
 
 // NewRandom returns a fresh Random solver seeded deterministically.
 func NewRandom(in *model.Instance, ci *model.CandidateIndex, seed uint64) *Random {
-	return &Random{
-		in:    in,
-		ci:    ci,
-		state: newTaskState(len(in.Tasks), in.Delta()),
-		rng:   stats.NewRand(seed),
-	}
+	return &Random{solver: newSolver(in, ci), rng: stats.NewRand(seed)}
 }
 
 // Name implements Online.
 func (r *Random) Name() string { return "Random" }
 
-// Done implements Online.
-func (r *Random) Done() bool { return r.state.allDone() }
-
 // Arrive implements Online.
-func (r *Random) Arrive(w model.Worker) []model.TaskID { return r.ArriveVia(w, r.ci) }
+func (r *Random) Arrive(w model.Worker) []Outcome { return r.ArriveVia(w, r.ci) }
 
-// ArriveVia implements BatchOnline: Arrive drawing candidates from src.
-func (r *Random) ArriveVia(w model.Worker, src model.CandidateSource) []model.TaskID {
-	if r.state.allDone() {
+// ArriveVia implements Online.
+func (r *Random) ArriveVia(w model.Worker, src model.CandidateSource) []Outcome {
+	if !r.begin(w, src) {
 		return nil
 	}
-	r.cands = src.Candidates(w, r.cands[:0])
 	// Compact to uncompleted candidates in place.
 	open := r.cands[:0]
 	for _, c := range r.cands {
@@ -56,12 +43,10 @@ func (r *Random) ArriveVia(w model.Worker, src model.CandidateSource) []model.Ta
 	if k > len(open) {
 		k = len(open)
 	}
-	r.out = r.out[:0]
 	for i := 0; i < k; i++ {
 		j := i + r.rng.IntN(len(open)-i)
 		open[i], open[j] = open[j], open[i]
-		r.state.add(open[i].Task, open[i].AccStar)
-		r.out = append(r.out, open[i].Task)
+		r.grant(w, open[i])
 	}
 	return r.out
 }

@@ -6,16 +6,18 @@ import (
 	"ltc/internal/model"
 )
 
-// taskState is the shared bookkeeping of every LTC algorithm: the per-task
-// accumulated Acc* credit S[t] (line "S stores accumulated value for each
-// task" of Algorithms 1-3) plus a count of tasks still below δ so AllDone
-// is O(1).
+// taskState is the one ledger of every LTC algorithm, online and offline:
+// the arrangement being built — its pairs and the per-task accumulated Acc*
+// credit S[t] (line "S stores accumulated value for each task" of
+// Algorithms 1-3) — plus a count of tasks still below δ so allDone is O(1).
+// A grant is recorded once, by add; nothing else writes the arrangement.
 //
-// The state supports the online task lifecycle: open extends S with a task
-// posted mid-stream (its δ-threshold race starts at zero from that moment),
-// close retires a task so it stops counting toward remaining and stops
-// being assignable. With no opens/closes the behaviour is exactly the
-// fixed-task-set original.
+// The state supports the online task lifecycle: adopt extends S with a task
+// posted mid-stream (zero credit: its δ-threshold race starts from that
+// moment) or migrated in from another ledger (seeded credit), close retires
+// a task so it stops counting toward remaining and stops being assignable.
+// With no adopts/closes the behaviour is exactly the fixed-task-set
+// original.
 //
 // Layout: the per-task flags live in bitset words rather than []bool, so the
 // AAM switching-rule scan (totalNeed) skips 64 settled tasks per word test
@@ -27,7 +29,7 @@ import (
 // (tiny) residual need, exactly as before.
 type taskState struct {
 	delta     float64
-	s         []float64
+	arr       model.Arrangement
 	closed    []uint64 // bitset: task retired via close
 	zeroNeed  []uint64 // bitset: need(t) == 0 exactly (closed or S[t] ≥ δ)
 	remaining int
@@ -39,67 +41,40 @@ func bitClear(b []uint64, t model.TaskID)    { b[t>>6] &^= 1 << (uint(t) & 63) }
 
 func newTaskState(numTasks int, delta float64) *taskState {
 	words := (numTasks + 63) / 64
-	ts := &taskState{
-		delta:     delta,
-		s:         make([]float64, numTasks),
+	return &taskState{
+		delta:     delta, // 2·ln(1/ε) > 0: every task starts with need
+		arr:       *model.NewArrangement(numTasks),
 		closed:    make([]uint64, words),
 		zeroNeed:  make([]uint64, words),
 		remaining: numTasks,
 	}
-	if delta <= 0 { // degenerate threshold: every task starts need-free
-		for t := 0; t < numTasks; t++ {
-			bitSet(ts.zeroNeed, model.TaskID(t))
-		}
-	}
-	return ts
 }
 
-// open extends the state with a newly posted task. Task IDs are dense:
-// opening id n is only valid when the state currently tracks n tasks.
-func (ts *taskState) open(t model.TaskID) {
-	if int(t) != len(ts.s) {
-		panic("core: task IDs must extend the dense ID space")
-	}
-	ts.s = append(ts.s, 0)
-	if int(t)>>6 == len(ts.closed) { // crossed into a fresh word
-		ts.closed = append(ts.closed, 0)
-		ts.zeroNeed = append(ts.zeroNeed, 0)
-	}
-	bitClear(ts.closed, t)
-	if ts.delta <= 0 {
-		bitSet(ts.zeroNeed, t)
-	} else {
-		bitClear(ts.zeroNeed, t)
-	}
-	ts.remaining++
-}
-
-// adopt extends the state with a task migrated in from another shard's
-// solver, seeding its accumulated credit (and closed flag) instead of
-// starting from zero. Like open, IDs are dense: adopting id n is only valid
-// when the state currently tracks n tasks. The resulting per-task state is
-// bit-identical to what open followed by the source's add/close history
-// would have produced: zeroNeed is set exactly when the task is closed or
-// its credit meets δ with no epsilon slack, and remaining counts the task
-// only while it is open and below the δ band.
+// adopt extends the state with one task: a task posted mid-stream (zero
+// credit, open) or one migrated in from another ledger, whose accumulated
+// credit and closed flag seed the slot. Task IDs are dense: adopting id n
+// is only valid when the state currently tracks n tasks. The resulting
+// per-task state is bit-identical to what a zero-credit adopt followed by
+// the source's add/close history would have produced: zeroNeed is set
+// exactly when the task is closed or its credit meets δ with no epsilon
+// slack, and remaining counts the task only while it is open and below the
+// δ band. The source's pairs stay in the source's arrangement.
 func (ts *taskState) adopt(t model.TaskID, credit float64, closed bool) {
-	if int(t) != len(ts.s) {
+	if int(t) != len(ts.arr.Accumulated) {
 		panic("core: task IDs must extend the dense ID space")
 	}
-	ts.s = append(ts.s, credit)
+	ts.arr.EnsureTasks(int(t) + 1)
+	ts.arr.Accumulated[t] = credit
 	if int(t)>>6 == len(ts.closed) { // crossed into a fresh word
 		ts.closed = append(ts.closed, 0)
 		ts.zeroNeed = append(ts.zeroNeed, 0)
 	}
+	// Bits beyond the dense space are never set, so t's start clear.
 	if closed {
 		bitSet(ts.closed, t)
-	} else {
-		bitClear(ts.closed, t)
 	}
 	if closed || credit >= ts.delta {
 		bitSet(ts.zeroNeed, t)
-	} else {
-		bitClear(ts.zeroNeed, t)
 	}
 	if !closed && !model.Completed(credit, ts.delta) {
 		ts.remaining++
@@ -114,7 +89,7 @@ func (ts *taskState) close(t model.TaskID) bool {
 	if bitGet(ts.closed, t) {
 		return false
 	}
-	open := !model.Completed(ts.s[t], ts.delta)
+	open := !model.Completed(ts.arr.Accumulated[t], ts.delta)
 	bitSet(ts.closed, t)
 	bitSet(ts.zeroNeed, t)
 	if open {
@@ -126,14 +101,16 @@ func (ts *taskState) close(t model.TaskID) bool {
 // done reports whether task t needs no further work: it reached the quality
 // threshold or was retired.
 func (ts *taskState) done(t model.TaskID) bool {
-	return bitGet(ts.closed, t) || model.Completed(ts.s[t], ts.delta)
+	return bitGet(ts.closed, t) || model.Completed(ts.arr.Accumulated[t], ts.delta)
 }
 
-// add credits task t and reports whether this credit completed it.
-func (ts *taskState) add(t model.TaskID, credit float64) bool {
+// add records the grant of task t to the worker with the given arrival
+// index — pair, credit and latency in the arrangement — and reports whether
+// this credit completed the task.
+func (ts *taskState) add(worker int, t model.TaskID, credit float64) bool {
 	was := ts.done(t)
-	ts.s[t] += credit
-	if ts.s[t] >= ts.delta {
+	ts.arr.Add(worker, t, credit)
+	if ts.arr.Accumulated[t] >= ts.delta {
 		bitSet(ts.zeroNeed, t)
 	} else if !bitGet(ts.closed, t) {
 		bitClear(ts.zeroNeed, t)
@@ -154,7 +131,7 @@ func (ts *taskState) need(t model.TaskID) float64 {
 	if bitGet(ts.closed, t) {
 		return 0
 	}
-	n := ts.delta - ts.s[t]
+	n := ts.delta - ts.arr.Accumulated[t]
 	if n < 0 {
 		return 0
 	}
@@ -168,7 +145,8 @@ func (ts *taskState) need(t model.TaskID) float64 {
 // tasks visited (and so the floating-point accumulation order) are exactly
 // the positive-need tasks of the dense scan, in ascending ID order.
 func (ts *taskState) totalNeed() (sum, maxNeed float64) {
-	n := len(ts.s)
+	s := ts.arr.Accumulated
+	n := len(s)
 	for wi, w := range ts.zeroNeed {
 		inv := ^w
 		if hi := n - wi<<6; hi < 64 { // mask off bits beyond the dense space
@@ -177,7 +155,7 @@ func (ts *taskState) totalNeed() (sum, maxNeed float64) {
 		for inv != 0 {
 			t := wi<<6 + bits.TrailingZeros64(inv)
 			inv &= inv - 1
-			if need := ts.delta - ts.s[t]; need > 0 {
+			if need := ts.delta - s[t]; need > 0 {
 				sum += need
 				if need > maxNeed {
 					maxNeed = need

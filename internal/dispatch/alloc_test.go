@@ -22,14 +22,15 @@ func allocFeed(in *model.Instance) func() model.Worker {
 // CheckInBatchInto with a recycled receipt slice, and CheckInAsync+Flush —
 // to zero steady-state heap allocations per operation on a warmed platform.
 // The instance's ε is tiny, so δ ≈ 21 keeps every task open for the whole
-// measurement: the hot assignment path (solver arrive, grant carving,
-// worker append) is exercised on every call, not the done-bounce path.
+// measurement: the hot assignment path (solver arrive, the ledger's pair
+// append, grant carving) is exercised on every call, not the done-bounce
+// path.
 // Amortized costs (arena blocks, slice regrowth) stay below one allocation
 // per run and therefore report 0 under AllocsPerRun's integer averaging —
 // exactly the accounting the benchmark artifact uses.
 func TestSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
+	if raceEnabled || lockdebugEnabled {
+		t.Skip("race-detector and lockdebug instrumentation allocate; counts are meaningless under either")
 	}
 	in := lifecycleInstance(400, 512, 60, 31)
 	in.Epsilon = 1e-9
@@ -40,7 +41,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		next := allocFeed(in)
-		for i := 0; i < 256; i++ { // warm: arena block, worker slice, solver state
+		for i := 0; i < 256; i++ { // warm: arena block, pair slice, solver state
 			if _, err := d.CheckIn(next()); err != nil {
 				t.Fatal(err)
 			}

@@ -153,11 +153,8 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 				grants[k] = TaskGrant{Task: gid, Credit: oc.Credit, Completed: oc.Completed}
 			}
 		}
-		if len(outcomes) > 0 {
-			s.workers = append(s.workers, w)
-			if w.Index > runMaxUsed {
-				runMaxUsed = w.Index
-			}
+		if len(outcomes) > 0 && w.Index > runMaxUsed {
+			runMaxUsed = w.Index
 		}
 		if completedDelta > 0 {
 			runCompleted += completedDelta

@@ -96,8 +96,7 @@ type Options struct {
 	// online and migrates tiles (routing plus full solver state) between
 	// shards mid-stream when the forecast load no longer matches the
 	// layout. Requires Balanced; silently inert on single-shard platforms
-	// (nothing to migrate between). The solver must support task migration
-	// (all built-in solvers do). See RebalanceOptions for the knobs.
+	// (nothing to migrate between). See RebalanceOptions for the knobs.
 	Rebalance *RebalanceOptions
 }
 
@@ -119,12 +118,6 @@ type shard struct {
 	mu  sync.Mutex
 	eng *core.Engine
 	sub *model.SubInstance
-	// workers holds the workers that received assignments, in arrival order
-	// (append-only — one amortized append on the hot path). The
-	// merged-arrangement rebuild, a cold path, indexes them by global index
-	// through a transient map; replaying the appends in order preserves the
-	// old map's last-write-wins semantics for repeated indices.
-	workers []model.Worker //ltc:arena
 	// arena carves the TaskGrant slices handed out in Receipts, so the
 	// per-check-in grant cost is one amortized block allocation instead of
 	// one make per call. Guarded by mu like the rest of the shard.
@@ -256,9 +249,6 @@ func New(in *model.Instance, nShards int, factory core.OnlineFactory, opts ...Op
 	d.remaining.Store(int64(len(in.Tasks)))
 	d.total.Store(int64(len(in.Tasks)))
 	if o.Rebalance != nil && part.Rebalanceable() {
-		if !d.shards[0].eng.CanMigrate() {
-			return nil, fmt.Errorf("%w: solver %s", core.ErrNoMigration, d.shards[0].eng.Name())
-		}
 		d.rb = newRebalancer(d, *o.Rebalance)
 	}
 	return d, nil
@@ -374,9 +364,8 @@ func (d *Dispatcher) PostTask(t model.Task) (model.TaskID, error) {
 		d.total.Add(1)
 		d.remaining.Add(1)
 	} else {
-		// Only reachable with a solver that lacks TaskLifecycle. Roll the
-		// append back so the sub-instance stays in step with the engine and
-		// the next post fails with the same honest error.
+		// Unreachable unless an engine invariant is broken; roll the append
+		// back so the sub-instance stays in step with the engine.
 		s.sub.TruncateLast()
 	}
 	ldUnlock("shard", si)
@@ -624,19 +613,27 @@ func (d *Dispatcher) Credits(dst []float64) []float64 {
 	dst = append(dst, make([]float64, int(d.total.Load()))...)
 	for si, s := range d.shards {
 		s.mu.Lock()
-		for local, acc := range s.eng.Arrangement().Accumulated {
-			gid := s.sub.Global[local]
-			// Skip evicted ghosts: a migrated task's stale source-side
-			// accumulator must not overwrite the live credit owned by the
-			// task's current shard (the registry names exactly one owner).
-			if rec := d.records[gid]; int(rec.shard) != si || rec.local != model.TaskID(local) {
-				continue
-			}
-			dst[base+int(gid)] = acc
-		}
+		d.ownedCredits(si, dst[base:])
 		s.mu.Unlock()
 	}
 	return dst
+}
+
+// ownedCredits copies shard si's ledger values into dst (global TaskID
+// order) for the tasks the registry says si owns. Caller holds regMu and
+// the shard's mutex.
+func (d *Dispatcher) ownedCredits(si int, dst []float64) {
+	s := d.shards[si]
+	for local, acc := range s.eng.Arrangement().Accumulated {
+		gid := s.sub.Global[local]
+		// Skip evicted ghosts: a migrated task's stale source-side
+		// accumulator must not overwrite the live credit owned by the
+		// task's current shard (the registry names exactly one owner).
+		if rec := d.records[gid]; int(rec.shard) != si || rec.local != model.TaskID(local) {
+			continue
+		}
+		dst[gid] = acc
+	}
 }
 
 // Arrangement merges the per-shard arrangements into one over the source
@@ -644,30 +641,19 @@ func (d *Dispatcher) Credits(dst []float64) []float64 {
 // IDs are mapped back via each shard's global table. Assignment pairs stay
 // with the shard that made them — a migrated task contributes its
 // pre-migration pairs through its old shard and later ones through its new
-// owner, so the merged view is complete. Assignment credit is re-derived
-// from the source accuracy model, which yields the same float additions in
-// the same order as the shard engines performed, so accumulated credit
-// matches Credits exactly — except across a migration, where the shard
-// iteration order can reorder a task's additions and the totals agree only
-// up to float-summation noise (≪ CompletionEps).
+// owner, so the merged view is complete. Accumulated credit is the owning
+// shard's ledger value, exactly what Credits reports.
 func (d *Dispatcher) Arrangement() *model.Arrangement {
 	// Pin the dense ID space during the merge (see Credits).
 	d.regMu.RLock()
 	defer d.regMu.RUnlock()
-	src := d.part.Source
 	merged := model.NewArrangement(int(d.total.Load()))
-	for _, s := range d.shards {
+	for si, s := range d.shards {
 		s.mu.Lock()
-		byIndex := make(map[int]model.Worker, len(s.workers))
-		for _, w := range s.workers {
-			byIndex[w.Index] = w
-		}
 		for _, p := range s.eng.Arrangement().Pairs {
-			srcTask := s.sub.SourceTask(p.Task)
-			w := byIndex[p.Worker]
-			acc := src.Model.Predict(w, srcTask)
-			merged.Add(w.Index, srcTask.ID, model.AccStar(acc))
+			merged.Add(p.Worker, s.sub.Global[p.Task], 0) // credit: ownedCredits below
 		}
+		d.ownedCredits(si, merged.Accumulated)
 		s.mu.Unlock()
 	}
 	return merged

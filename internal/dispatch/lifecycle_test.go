@@ -198,6 +198,40 @@ func TestDispatcherRetire(t *testing.T) {
 	}
 }
 
+// TestDispatcherLifecycleEngineErrorsSurface: the engine's dense-ID and
+// unknown-task guards are the lifecycle calls' only failure points. A shard
+// sub-instance running ahead of its engine trips the first on PostTask,
+// which must roll its speculative append back and count nothing; a registry
+// record pointing past the engine's task space trips the second on
+// RetireTask. Check-ins keep working after both.
+func TestDispatcherLifecycleEngineErrorsSurface(t *testing.T) {
+	in := lifecycleInstance(8, 10, 60, 41)
+	d, err := New(in, 1, lafFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.shards[0]
+	s.sub.AppendTask(model.Task{ID: 99, Loc: in.Tasks[0].Loc}) // the engine never saw it
+	before := len(s.sub.Global)
+	for attempt := 0; attempt < 2; attempt++ { // the rollback leaves the same state behind
+		if _, err := d.PostTask(model.Task{Loc: in.Tasks[0].Loc}); err == nil {
+			t.Fatal("post through a desynced sub-instance succeeded")
+		}
+		if _, total := d.Progress(); len(s.sub.Global) != before || total != len(in.Tasks) {
+			t.Fatalf("failed post left %d local tasks (want %d), total %d", len(s.sub.Global), before, total)
+		}
+	}
+	// Local ID 8 shares the last closed-set word with the real tasks but
+	// lies past the engine's dense space.
+	d.records = append(d.records, taskRecord{shard: 0, local: model.TaskID(len(in.Tasks))})
+	if err := d.RetireTask(model.TaskID(len(in.Tasks))); err == nil {
+		t.Fatal("retire of a task the engine does not know succeeded")
+	}
+	if _, err := d.CheckIn(in.Workers[0]); err != nil {
+		t.Fatalf("CheckIn after failed lifecycle calls: %v", err)
+	}
+}
+
 // TestDispatcherChurnStress is the -race stress test of the task lifecycle:
 // feeder goroutines stream check-ins while churner goroutines post and
 // retire tasks across shards. Invariants: PostTask returns dense unique

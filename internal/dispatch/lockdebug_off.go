@@ -6,7 +6,11 @@ package dispatch
 // lockdebug_on.go). Empty bodies compile to nothing and inline away, so the
 // instrumented lock sites cost zero when the tag is off. The same invariants
 // are enforced statically by ltclint's lockorder analyzer; the tagged build
-// re-checks them dynamically under -race in the nightly stress run.
+// re-checks them dynamically on every pull request and, under -race, in the
+// nightly stress run.
+
+// lockdebugEnabled reports whether the lockdebug hooks are compiled in.
+const lockdebugEnabled = false
 
 func ldLock(class string, ord int)   {}
 func ldUnlock(class string, ord int) {}

@@ -9,7 +9,7 @@ package dispatch
 // a test panics instead of deadlocking. The static analyzer proves the order
 // for the code it can see; this checker catches what only shows up live
 // (orders fed by runtime indices, paths through interface calls) and runs
-// under -race in the nightly stress job.
+// on every pull request, and under -race in the nightly stress job.
 //
 // Class levels mirror internal/lint's lockLevels table; ord disambiguates
 // same-class instances (the shard index) and must strictly ascend within a
@@ -22,6 +22,11 @@ import (
 	"strings"
 	"sync"
 )
+
+// lockdebugEnabled reports whether the hooks below are compiled in; they
+// allocate (runtime.Stack, the held-set map), so allocation-count tests skip
+// under the tag.
+const lockdebugEnabled = true
 
 var ldLevels = map[string]int{
 	"regMu": 10,

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"ltc/internal/core"
@@ -133,7 +132,7 @@ func checkMigrationEquivalence(t *testing.T, in *model.Instance, factory core.On
 	credits := mig.Credits(nil)
 	merged := mig.Arrangement().Accumulated
 	for i := range credits {
-		if math.Abs(credits[i]-merged[i]) > 1e-9 {
+		if credits[i] != merged[i] {
 			t.Fatalf("task %d credit: engines %v, merged %v", i, credits[i], merged[i])
 		}
 	}

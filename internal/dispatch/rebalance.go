@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"ltc/internal/core"
 	"ltc/internal/events"
 	"ltc/internal/geo"
 	"ltc/internal/model"
@@ -299,9 +298,6 @@ func (d *Dispatcher) migrateTileLocked(tile, to int) (from int, migrated bool, e
 		return from, false, nil
 	}
 	sf, st := d.shards[from], d.shards[to]
-	if !sf.eng.CanMigrate() || !st.eng.CanMigrate() {
-		return from, false, fmt.Errorf("%w: solver %s", core.ErrNoMigration, sf.eng.Name())
-	}
 
 	first, second := sf, st
 	if to < from {

@@ -2,11 +2,9 @@ package dispatch
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
-	"ltc/internal/core"
 	"ltc/internal/events"
 	"ltc/internal/geo"
 	"ltc/internal/model"
@@ -143,7 +141,7 @@ func TestMigrateTilePreservesState(t *testing.T) {
 
 // assertCreditsMatchArrangement cross-checks the two credit views — the
 // per-shard engine accumulators (Credits, registry-deduplicated) and the
-// merged arrangement rebuild — within float-summation noise.
+// merged arrangement — bit for bit.
 func assertCreditsMatchArrangement(t *testing.T, d *Dispatcher) {
 	t.Helper()
 	credits := d.Credits(nil)
@@ -152,7 +150,7 @@ func assertCreditsMatchArrangement(t *testing.T, d *Dispatcher) {
 		t.Fatalf("credit views disagree on task count: %d vs %d", len(credits), len(merged))
 	}
 	for i := range credits {
-		if math.Abs(credits[i]-merged[i]) > 1e-9 {
+		if credits[i] != merged[i] {
 			t.Fatalf("task %d credit: engines %v, merged arrangement %v", i, credits[i], merged[i])
 		}
 	}
@@ -355,11 +353,6 @@ func TestRebalanceOptionValidation(t *testing.T) {
 			t.Fatalf("rebalance options %+v: %v, want ErrBadOptions", bad, err)
 		}
 	}
-	// A solver without migration support is refused up front.
-	static := func(in *model.Instance, ci *model.CandidateIndex) core.Online { return &staticSolver{} }
-	if _, err := New(in, 4, static, Options{Balanced: true, Rebalance: &RebalanceOptions{}}); !errors.Is(err, core.ErrNoMigration) {
-		t.Fatalf("rebalance on static solver: %v, want ErrNoMigration", err)
-	}
 	// Single shard: nothing to migrate between — rebalancing is inert, not
 	// an error, so shard-count sweeps can keep one options struct.
 	d, err := New(in, 1, lafFactory, Options{Balanced: true, Rebalance: &RebalanceOptions{}})
@@ -407,17 +400,6 @@ func TestMigrateTileRejections(t *testing.T) {
 	}
 	if _, ok := <-sub.Events(); ok {
 		t.Fatal("no-op migration published an event")
-	}
-
-	// A balanced dispatcher over a solver without migration support refuses
-	// explicit migrations too.
-	static, err := New(in, 4, func(in *model.Instance, ci *model.CandidateIndex) core.Online { return &staticSolver{} }, Options{Balanced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tile2, from2 := hotOwnerTile(t, static)
-	if err := static.MigrateTile(tile2, (from2+1)%static.NumShards()); !errors.Is(err, core.ErrNoMigration) {
-		t.Fatalf("static-solver MigrateTile: %v, want ErrNoMigration", err)
 	}
 }
 

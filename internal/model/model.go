@@ -3,7 +3,7 @@
 // accuracy function of Eq. 1, the Hoeffding quality threshold δ = 2·ln(1/ε),
 // and task-worker arrangements with their feasibility constraints.
 //
-// The package is purely declarative — algorithms live in internal/ltc.
+// The package is purely declarative — algorithms live in internal/core.
 package model
 
 import (
@@ -157,8 +157,8 @@ func (HistoricalOnly) Predict(w Worker, _ Task) float64 { return w.Acc }
 // Instance is a complete LTC problem: the task set, the worker arrival
 // sequence, the shared tolerable error rate ε and capacity K, the accuracy
 // model, and the eligibility threshold MinAcc (a worker may perform a task
-// only when Acc(w,t) ≥ MinAcc; see DESIGN.md §2 for why this threshold is
-// explicit).
+// only when Acc(w,t) ≥ MinAcc; see README "Design notes" for why this
+// threshold is explicit).
 type Instance struct {
 	Tasks   []Task
 	Workers []Worker

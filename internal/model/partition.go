@@ -76,7 +76,6 @@ func (s *SubInstance) TruncateLast() {
 // worker at that location routes to (so late-posted tasks are always
 // reachable).
 type Partition struct {
-	Source *Instance
 	Shards []*SubInstance
 	// Balanced records whether the load-aware tile→shard pack was used
 	// (see PartitionOptions.Balanced); with it, every tile — task-free
@@ -97,8 +96,10 @@ type Partition struct {
 	// here it only backs the striped nearest-task fallback, which balanced
 	// (and so migratable) layouts never take.
 	taskShard []int32
-	// taskGrid answers nearest-task queries for locations whose own tile
-	// holds no tasks (routing fallback).
+	// taskGrid (striped layouts only) answers nearest-task queries for
+	// locations whose own tile holds no tasks — the routing fallback.
+	// Balanced layouts fold every task-free tile onto a task tile at build
+	// time, so every tile has a shard and the fallback is never taken.
 	taskGrid *geo.GridIndex
 	// freeOwner (balanced layouts only) maps every tile to the task tile
 	// whose tasks serve its traffic; task tiles own themselves. It is the
@@ -164,7 +165,7 @@ func PartitionInstanceOpts(in *Instance, n int, opt PartitionOptions) (*Partitio
 		n = len(in.Tasks)
 	}
 
-	p := &Partition{Source: in, Balanced: opt.Balanced && n > 1}
+	p := &Partition{Balanced: opt.Balanced && n > 1}
 	pts := make([]geo.Point, len(in.Tasks))
 	for i, t := range in.Tasks {
 		pts[i] = t.Loc
@@ -172,7 +173,7 @@ func PartitionInstanceOpts(in *Instance, n int, opt PartitionOptions) (*Partitio
 	rect, _ := geo.BoundingRect(pts)
 
 	if p.Balanced {
-		p.buildBalanced(in, n, opt.LoadSample, rect, pts)
+		p.buildBalanced(in, n, opt.LoadSample, rect)
 		// A degenerate pack can collapse to one shard (every task in one
 		// fine tile); the layouts then coincide, as with a requested n=1.
 		p.Balanced = len(p.Shards) > 1
@@ -214,15 +215,10 @@ func (p *Partition) buildStriped(in *Instance, n int, rect geo.Rect, pts []geo.P
 // of task-free tiles to the task tile that will serve it), packs the task
 // tiles onto shards by greedy largest-load-first balance, and precomputes
 // a shard for every task-free tile — Locate stays a single table lookup.
-func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect geo.Rect, pts []geo.Point) {
+func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect geo.Rect) {
 	p.grid = geo.FineTileGrid(rect, balancedTileFactor*n)
 
 	tileTasks := p.bucketTasks(in)
-	// The runtime Locate never needs the nearest-task fallback in balanced
-	// mode (every tile gets a shard below), but the index stays cheap to
-	// build and keeps the shared code path total.
-	side := math.Sqrt(math.Max(rect.Width(), 1) * math.Max(rect.Height(), 1) / float64(len(pts)))
-	p.taskGrid = geo.NewGridIndex(pts, side)
 
 	// freeOwner maps every task-free tile to the task tile whose tasks
 	// will serve its traffic (task tiles own themselves): the grid's

@@ -55,7 +55,7 @@ type Config struct {
 	GridHeight float64
 	// DMax is Eq. 1's accuracy horizon in grid units.
 	DMax float64
-	// MinAcc is the eligibility threshold (DESIGN.md §2).
+	// MinAcc is the eligibility threshold (README "Design notes").
 	MinAcc float64
 	// Accuracy is the historical-accuracy distribution.
 	Accuracy AccuracyDist
@@ -68,7 +68,8 @@ type Config struct {
 // "the largest distance that workers are able to perform the tasks" — for
 // every historical accuracy, and the per-assignment credit Acc* spans
 // (0, (2·p_w−1)²]. The paper's 0.66 threshold applies to the *historical*
-// accuracy p_w (spam filtering), not to pairwise Acc(w,t); see DESIGN.md.
+// accuracy p_w (spam filtering), not to pairwise Acc(w,t); see README
+// "Design notes".
 const DefaultMinAcc = 0.5
 
 // Default returns Table IV's default setting (bold values): |T| = 3000,

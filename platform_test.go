@@ -258,6 +258,35 @@ func TestPlatformCheckInErrors(t *testing.T) {
 	}
 }
 
+// TestArrangementRepeatedIndexMatchesCredits: a repeated arrival index (a
+// client retry) must not distort the merged arrangement. Arrangement used to
+// re-derive each pair's credit through a last-write-wins index→worker map,
+// so both pairs were credited with the second worker's accuracy (0.32
+// against the ledger's 0.97).
+func TestArrangementRepeatedIndexMatchesCredits(t *testing.T) {
+	in := &Instance{
+		Tasks:   []Task{{ID: 0}},
+		Epsilon: 0.1,
+		K:       1,
+		Model:   SigmoidDistance{DMax: 30},
+		MinAcc:  0.66,
+	}
+	plat, err := NewPlatform(in, LAF, WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, acc := range []float64{0.95, 0.70} {
+		rec, err := plat.CheckIn(Worker{Index: 1, Acc: acc})
+		if err != nil || len(rec.Assignments) != 1 {
+			t.Fatalf("check-in with accuracy %v: %+v, %v", acc, rec, err)
+		}
+	}
+	arr := plat.Arrangement()
+	if got, want := arr.Accumulated[0], plat.Credits(nil)[0]; got != want || len(arr.Pairs) != 2 {
+		t.Fatalf("Arrangement credit %v over %d pairs, Credits %v", got, len(arr.Pairs), want)
+	}
+}
+
 // TestPlatformTaskLifecycle drives the public dynamic-task API end to end:
 // post mid-stream, complete, retire, and read back per-task status with
 // absolute and relative latency.
