@@ -1,7 +1,7 @@
 // Command ltclint runs the ltclint analyzer suite (internal/lint): custom
 // static checks that enforce the dispatch layer's concurrency contracts —
-// lock ordering, hot-path allocation freedom, copy-on-write snapshot
-// discipline, and hot-struct field alignment.
+// lock ordering, hot-path allocation freedom, and hot-struct field
+// alignment.
 //
 // Standalone (the mode CI uses):
 //

@@ -78,11 +78,8 @@ func (a *AAM) Name() string {
 func (a *AAM) StrategyCounts() (lgf, lrf int) { return a.lgfArrivals, a.lrfArrivals }
 
 // Arrive implements Online (Algorithm 3 lines 4-15).
-func (a *AAM) Arrive(w model.Worker) []Outcome { return a.ArriveVia(w, a.ci) }
-
-// ArriveVia implements Online.
-func (a *AAM) ArriveVia(w model.Worker, src model.CandidateSource) []Outcome {
-	if !a.begin(w, src) {
+func (a *AAM) Arrive(w model.Worker) []Outcome {
+	if !a.begin(w) {
 		return nil
 	}
 	useLGF := true

@@ -42,13 +42,6 @@ type Online interface {
 	// assigned to it (possibly none), in a reusable buffer valid until the
 	// next arrival. Workers must be offered in arrival order.
 	Arrive(w model.Worker) []Outcome
-	// ArriveVia is Arrive drawing candidates from an explicit source instead
-	// of the solver's own index. The engine's batch step passes a
-	// model.PinnedQuery so a whole run of workers shares one snapshot load
-	// and one scratch buffer. It behaves exactly like Arrive whenever the
-	// source serves the snapshot the solver's own index would — the paper's
-	// solvers are pure functions of the candidate list.
-	ArriveVia(w model.Worker, src model.CandidateSource) []Outcome
 	// Done reports whether every live task has reached the quality
 	// threshold.
 	Done() bool

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"ltc/internal/geo"
@@ -141,6 +142,12 @@ func TestWorkerWithNoCandidates(t *testing.T) {
 	}
 	if err := mcf.Arrangement.Validate(in, true); err != nil {
 		t.Fatal(err)
+	}
+	// With only the far workers nobody is eligible for anything: the exact
+	// solver must report infeasibility before searching.
+	in.Workers = in.Workers[:3]
+	if _, err := (&Exact{}).Solve(in, ci); !errors.Is(err, model.ErrInfeasible) {
+		t.Fatalf("Exact with no eligible worker: %v, want ErrInfeasible", err)
 	}
 }
 

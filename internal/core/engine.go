@@ -39,9 +39,6 @@ type Engine struct {
 	evictedCount     int
 	evictedCompleted int
 	evictedRetired   int
-	// pq is the engine's reusable pinned query for batch runs (one snapshot
-	// load and one scratch buffer per run instead of per arrival).
-	pq *model.PinnedQuery
 }
 
 // NewEngine builds an engine around a fresh solver from factory. The
@@ -57,21 +54,17 @@ func NewEngine(in *model.Instance, ci *model.CandidateIndex, factory OnlineFacto
 		postIndex:   make([]int32, len(in.Tasks)),
 		lastUsed:    make([]int32, len(in.Tasks)),
 		evictedMask: make([]uint64, (len(in.Tasks)+63)/64),
-		pq:          ci.NewPinnedQuery(),
 	}
 }
 
-// BeginBatch starts a batch run: the candidate index's current snapshot is
-// pinned, and until EndBatch every Arrive draws candidates from that pinned
-// view through one reusable scratch buffer — no per-arrival atomic snapshot
-// load, no pool round-trip. The caller must guarantee the index is not
-// mutated (PostTask/RetireTask) during the run; the dispatch layer does so
-// by holding the shard mutex. Results are identical either way, batching
-// only amortizes the query plumbing.
-func (e *Engine) BeginBatch() { e.pq.Pin() }
+// BeginBatch and EndBatch do nothing: a run of arrivals needs no bracket now
+// that the candidate index is queried in place. They remain only because
+// bench/twin.go calls them and bench/ is frozen by BENCHMARK.json's paths;
+// delete them together with those calls.
+func (e *Engine) BeginBatch() {}
 
-// EndBatch ends a batch run, releasing the pinned snapshot.
-func (e *Engine) EndBatch() { e.pq.Unpin() }
+// EndBatch does nothing; see BeginBatch.
+func (e *Engine) EndBatch() {}
 
 // Arrive offers the next worker to the solver and returns one Outcome per
 // assignment, as the solver recorded them in its ledger (pair, Acc* credit,
@@ -84,12 +77,7 @@ func (e *Engine) EndBatch() { e.pq.Unpin() }
 //
 //ltc:noalloc
 func (e *Engine) Arrive(w model.Worker) []Outcome {
-	var out []Outcome
-	if e.pq.Pinned() {
-		out = e.algo.ArriveVia(w, e.pq)
-	} else {
-		out = e.algo.Arrive(w)
-	}
+	out := e.algo.Arrive(w)
 	for _, oc := range out {
 		if oc.Completed {
 			e.completed++

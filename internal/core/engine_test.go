@@ -20,39 +20,31 @@ func (m countingModel) Predict(w model.Worker, t model.Task) float64 {
 // TestArriveComputesCreditOnce pins the one-ledger invariant: a grant's
 // Acc* credit is the candidate query's, never predicted again. One
 // Engine.Arrive therefore calls the accuracy model exactly as often as a
-// bare candidate query for the same worker — live and inside a batch run.
+// bare candidate query for the same worker.
 func TestArriveComputesCreditOnce(t *testing.T) {
 	for name, factory := range allOnlineFactories(3) {
-		for _, batched := range []bool{false, true} {
-			in := lifecycleInstance(12, 80, 23)
-			calls := 0
-			in.Model = countingModel{SigmoidDistance: in.Model.(model.SigmoidDistance), calls: &calls}
-			ci := model.NewCandidateIndex(in)
-			eng := NewEngine(in, ci, factory)
-			if batched {
-				eng.BeginBatch()
+		in := lifecycleInstance(12, 80, 23)
+		calls := 0
+		in.Model = countingModel{SigmoidDistance: in.Model.(model.SigmoidDistance), calls: &calls}
+		ci := model.NewCandidateIndex(in)
+		eng := NewEngine(in, ci, factory)
+		grants := 0
+		for _, w := range in.Workers {
+			if eng.Done() {
+				break
 			}
-			grants := 0
-			for _, w := range in.Workers {
-				if eng.Done() {
-					break
-				}
-				calls = 0
-				ci.Candidates(w, nil)
-				query := calls
-				calls = 0
-				grants += len(eng.Arrive(w))
-				if calls != query {
-					t.Fatalf("%s batched=%t worker %d: Arrive made %d Predict calls, the candidate query %d",
-						name, batched, w.Index, calls, query)
-				}
+			calls = 0
+			ci.Candidates(w, nil)
+			query := calls
+			calls = 0
+			grants += len(eng.Arrive(w))
+			if calls != query {
+				t.Fatalf("%s worker %d: Arrive made %d Predict calls, the candidate query %d",
+					name, w.Index, calls, query)
 			}
-			if batched {
-				eng.EndBatch()
-			}
-			if grants == 0 {
-				t.Fatalf("%s batched=%t: no grants, the test checked nothing", name, batched)
-			}
+		}
+		if grants == 0 {
+			t.Fatalf("%s: no grants, the test checked nothing", name)
 		}
 	}
 }

@@ -30,11 +30,8 @@ func NewLAF(in *model.Instance, ci *model.CandidateIndex) *LAF {
 func (l *LAF) Name() string { return "LAF" }
 
 // Arrive implements Online (Algorithm 2 lines 4-10).
-func (l *LAF) Arrive(w model.Worker) []Outcome { return l.ArriveVia(w, l.ci) }
-
-// ArriveVia implements Online.
-func (l *LAF) ArriveVia(w model.Worker, src model.CandidateSource) []Outcome {
-	if !l.begin(w, src) {
+func (l *LAF) Arrive(w model.Worker) []Outcome {
+	if !l.begin(w) {
 		return nil
 	}
 	l.topk.Reset()

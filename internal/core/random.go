@@ -24,11 +24,8 @@ func NewRandom(in *model.Instance, ci *model.CandidateIndex, seed uint64) *Rando
 func (r *Random) Name() string { return "Random" }
 
 // Arrive implements Online.
-func (r *Random) Arrive(w model.Worker) []Outcome { return r.ArriveVia(w, r.ci) }
-
-// ArriveVia implements Online.
-func (r *Random) ArriveVia(w model.Worker, src model.CandidateSource) []Outcome {
-	if !r.begin(w, src) {
+func (r *Random) Arrive(w model.Worker) []Outcome {
+	if !r.begin(w) {
 		return nil
 	}
 	// Compact to uncompleted candidates in place.

@@ -35,14 +35,14 @@ func (s *solver) Done() bool { return s.state.allDone() }
 func (s *solver) ledger() *taskState { return s.state }
 
 // begin starts an arrival: it empties the outcome buffer and loads w's
-// candidates from src into s.cands. It reports false, having queried
-// nothing, when every task is already done.
-func (s *solver) begin(w model.Worker, src model.CandidateSource) bool {
+// candidates into s.cands. It reports false, having queried nothing, when
+// every task is already done.
+func (s *solver) begin(w model.Worker) bool {
 	s.out = s.out[:0]
 	if s.state.allDone() {
 		return false
 	}
-	s.cands = src.Candidates(w, s.cands[:0])
+	s.cands = s.ci.Candidates(w, s.cands[:0])
 	return true
 }
 

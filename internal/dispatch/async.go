@@ -293,8 +293,7 @@ func (q *shardQueue) pop(d *Dispatcher, max int, run []model.Worker) []model.Wor
 // back (it stays observable through Arrangement, Credits and TaskStatuses).
 // The first call starts one drainer goroutine per shard; each drainer pops
 // runs of queued workers and ingests every run under a single shard-mutex
-// acquisition and a single pinned candidate snapshot, which is where
-// batching beats per-call CheckIn. Within a shard workers are ingested in
+// acquisition, which is where batching beats per-call CheckIn. Within a shard workers are ingested in
 // enqueue order; across shards there is no order, exactly as with
 // concurrent CheckIn calls.
 //
@@ -414,9 +413,8 @@ func (d *Dispatcher) ensureDrainers() {
 
 // drainLoop is shard si's drainer — the ring's single consumer: it pops
 // runs of queued workers (up to Options.MaxDrain per pop, everything queued
-// when 0) and ingests each run under one shard-mutex acquisition and one
-// pinned candidate snapshot. It exits once the dispatcher is closed and the
-// ring fully drained.
+// when 0) and ingests each run under one shard-mutex acquisition. It exits
+// once the dispatcher is closed and the ring fully drained.
 func (d *Dispatcher) drainLoop(si int) {
 	defer d.drainWG.Done()
 	q := d.queues[si]

@@ -11,11 +11,10 @@ import (
 // CheckInBatch ingests a batch of workers with the sequential semantics of
 // a CheckIn loop at a fraction of the per-call overhead: consecutive
 // workers routing to the same shard form one run, ingested under a single
-// shard-mutex acquisition and a single pinned candidate-index snapshot
-// (one query-scratch buffer for the whole run). Workers keep their input
-// order, so a sequential caller gets bit-identical assignments, latency and
-// task statuses to feeding the same stream through CheckIn one by one —
-// the golden-trace suite pins this equivalence against Session.
+// shard-mutex acquisition. Workers keep their input order, so a sequential
+// caller gets bit-identical assignments, latency and task statuses to
+// feeding the same stream through CheckIn one by one — the golden-trace
+// suite pins this equivalence against Session.
 //
 // out[i] is ws[i]'s Receipt, exactly as per-call CheckIn would have
 // returned it. When the platform completes mid-batch, ingestion stops: out
@@ -77,9 +76,9 @@ func (d *Dispatcher) CheckInBatchInto(ws []model.Worker, dst []Receipt) ([]Recei
 }
 
 // ingestRun offers a same-shard run of workers to shard si under one mutex
-// acquisition and one pinned candidate snapshot — the one ingestion body
-// behind every front door: CheckIn (a run of length one), CheckInBatch and
-// the async drainers. It is the only caller of the solver's Arrive.
+// acquisition — the one ingestion body behind every front door: CheckIn (a
+// run of length one), CheckInBatch and the async drainers. It is the only
+// caller of the solver's Arrive.
 //
 // truncate selects the completion semantics: when true the run stops before
 // the first worker that would arrive on a completed platform (the
@@ -114,7 +113,6 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 	runCompleted, platformDone := 0, false
 	ldLock("shard", si)
 	s.mu.Lock()
-	s.eng.BeginBatch()
 	for i := range run {
 		if truncate && d.Done() {
 			break
@@ -167,7 +165,6 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 			out[i] = Receipt{Worker: w.Index, Shard: si, Assignments: grants, Done: d.Done()}
 		}
 	}
-	s.eng.EndBatch()
 	if runMaxUsed > 0 {
 		atomicMax(&d.maxUsed, int64(runMaxUsed))
 		atomicMax(&d.maxRel, int64(runMaxRel))

@@ -355,6 +355,7 @@ func (d *Dispatcher) PostTask(t model.Task) (model.TaskID, error) {
 	ldLock("shard", si)
 	s.mu.Lock()
 	local := s.sub.AppendTask(model.Task{ID: gid, Loc: t.Loc})
+	ldAssertHeld("shard", si)
 	err := s.eng.PostTask(local, post)
 	if err == nil {
 		// Count the task before releasing the shard: once unlocked, a
@@ -409,6 +410,7 @@ func (d *Dispatcher) RetireTask(id model.TaskID) error {
 	ldLock("shard", int(rec.shard))
 	s.mu.Lock()
 	already := s.eng.TaskRetired(rec.local)
+	ldAssertHeld("shard", int(rec.shard))
 	wasOpen, err := s.eng.RetireTask(rec.local)
 	ldUnlock("shard", int(rec.shard))
 	s.mu.Unlock()

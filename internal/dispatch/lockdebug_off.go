@@ -12,6 +12,7 @@ package dispatch
 // lockdebugEnabled reports whether the lockdebug hooks are compiled in.
 const lockdebugEnabled = false
 
-func ldLock(class string, ord int)   {}
-func ldUnlock(class string, ord int) {}
-func ldAssertNoneHeld(op string)     {}
+func ldLock(class string, ord int)       {}
+func ldUnlock(class string, ord int)     {}
+func ldAssertNoneHeld(op string)         {}
+func ldAssertHeld(class string, ord int) {}

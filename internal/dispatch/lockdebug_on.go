@@ -119,6 +119,23 @@ func ldUnlock(class string, ord int) {
 	panic(fmt.Sprintf("lockdebug: unlock of %s(%d), which this goroutine does not hold", class, ord))
 }
 
+// ldAssertHeld panics unless the calling goroutine holds class(ord). It is
+// the exclusivity proof for state a lock owns without the type system
+// knowing: a shard's engine and its candidate index mutate in place, so
+// every call that mutates them must sit under that shard's mutex.
+func ldAssertHeld(class string, ord int) {
+	g := ldGID()
+	ldMu.Lock()
+	defer ldMu.Unlock()
+	held := ldHeld[g]
+	for _, h := range held {
+		if h.class == class && h.ord == ord {
+			return
+		}
+	}
+	panic(fmt.Sprintf("lockdebug: %s(%d) must be held here; holding {%s}", class, ord, ldDescribe(held)))
+}
+
 func ldAssertNoneHeld(op string) {
 	g := ldGID()
 	ldMu.Lock()

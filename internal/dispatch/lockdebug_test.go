@@ -47,6 +47,8 @@ func TestLockdebugCleanSequences(t *testing.T) {
 	ldLock("regMu", 0)
 	ldLock("shard", 1)
 	ldLock("shard", 4)
+	ldAssertHeld("shard", 1) // an engine mutation under either held shard passes
+	ldAssertHeld("shard", 4)
 	ldUnlock("shard", 4)
 	ldUnlock("shard", 1)
 	ldUnlock("regMu", 0)
@@ -81,6 +83,14 @@ func TestLockdebugViolationsPanic(t *testing.T) {
 		{"publish under lock", "release every dispatch lock before publishing", func() {
 			ldLock("shard", 0)
 			ldAssertNoneHeld("bus.Publish")
+		}},
+		{"engine mutation without any lock", "shard(2) must be held here", func() {
+			ldAssertHeld("shard", 2)
+		}},
+		{"engine mutation under another shard's mutex", "shard(2) must be held here; holding {regMu(0), shard(1)}", func() {
+			ldLock("regMu", 0)
+			ldLock("shard", 1)
+			ldAssertHeld("shard", 2)
 		}},
 		{"unlock not held", "does not hold", func() {
 			ldUnlock("queue", 0)

@@ -318,12 +318,14 @@ func (d *Dispatcher) migrateTileLocked(tile, to int) (from int, migrated bool, e
 		if d.part.OwnerTile(src.Loc) != tile {
 			continue
 		}
+		ldAssertHeld("shard", from)
 		snap, err := sf.eng.EvictTask(lid)
 		if err != nil {
 			migrateErr = err
 			break
 		}
 		newLocal := st.sub.AppendTask(src)
+		ldAssertHeld("shard", to)
 		if err := st.eng.AdoptTask(newLocal, snap); err != nil {
 			// Unreachable unless an engine invariant is broken; roll the
 			// append back so the target sub-instance stays in step.

@@ -10,10 +10,7 @@ import "math"
 // locations up front, and worker check-ins are queried against it, so there
 // is no need for dynamic updates.
 type GridIndex struct {
-	cellSize float64
-	origin   Point
-	cols     int
-	rows     int
+	grid TileGrid // square cells of the configured size over the points' bounding rect
 	// CSR-style layout: ids of points bucketed by cell, with cellStart
 	// delimiting each cell's slice. This keeps the whole index in two
 	// allocations regardless of point count.
@@ -30,22 +27,14 @@ func NewGridIndex(pts []Point, cellSize float64) *GridIndex {
 	if cellSize <= 0 {
 		panic("geo: cellSize must be positive")
 	}
-	g := &GridIndex{cellSize: cellSize, pts: pts}
-	if len(pts) == 0 {
-		g.cols, g.rows = 1, 1
-		g.cellStart = make([]int32, 2)
-		return g
-	}
 	r, _ := BoundingRect(pts)
-	g.origin = r.Min
-	g.cols = int(math.Floor(r.Width()/cellSize)) + 1
-	g.rows = int(math.Floor(r.Height()/cellSize)) + 1
+	g := &GridIndex{grid: SquareTileGrid(r, cellSize), pts: pts}
 
 	// Counting sort of point ids into cells.
-	counts := make([]int32, g.cols*g.rows+1)
+	counts := make([]int32, g.grid.NumTiles()+1)
 	cellOf := make([]int32, len(pts))
 	for i, p := range pts {
-		c := g.cellIndex(p)
+		c := g.grid.Index(p)
 		cellOf[i] = int32(c)
 		counts[c+1]++
 	}
@@ -54,7 +43,7 @@ func NewGridIndex(pts []Point, cellSize float64) *GridIndex {
 	}
 	g.cellStart = counts
 	g.ids = make([]int32, len(pts))
-	cursor := make([]int32, g.cols*g.rows)
+	cursor := make([]int32, g.grid.NumTiles())
 	copy(cursor, counts[:len(counts)-1])
 	for i := range pts {
 		c := cellOf[i]
@@ -68,43 +57,19 @@ func NewGridIndex(pts []Point, cellSize float64) *GridIndex {
 func (g *GridIndex) Len() int { return len(g.pts) }
 
 // CellSize returns the configured cell edge length.
-func (g *GridIndex) CellSize() float64 { return g.cellSize }
-
-func (g *GridIndex) cellCoords(p Point) (cx, cy int) {
-	return clampTile((p.X-g.origin.X)/g.cellSize, g.cols), clampTile((p.Y-g.origin.Y)/g.cellSize, g.rows)
-}
-
-func (g *GridIndex) cellIndex(p Point) int {
-	cx, cy := g.cellCoords(p)
-	return cy*g.cols + cx
-}
+func (g *GridIndex) CellSize() float64 { return g.grid.TileW }
 
 // Within appends to dst the ids of all indexed points at Euclidean distance
 // ≤ radius from q, and returns the extended slice. Order is unspecified but
 // deterministic for a given index.
 func (g *GridIndex) Within(q Point, radius float64, dst []int32) []int32 {
-	if len(g.pts) == 0 || radius < 0 {
+	if radius < 0 {
 		return dst
 	}
 	r2 := radius * radius
-	minCX := int(math.Floor((q.X - radius - g.origin.X) / g.cellSize))
-	maxCX := int(math.Floor((q.X + radius - g.origin.X) / g.cellSize))
-	minCY := int(math.Floor((q.Y - radius - g.origin.Y) / g.cellSize))
-	maxCY := int(math.Floor((q.Y + radius - g.origin.Y) / g.cellSize))
-	if minCX < 0 {
-		minCX = 0
-	}
-	if minCY < 0 {
-		minCY = 0
-	}
-	if maxCX >= g.cols {
-		maxCX = g.cols - 1
-	}
-	if maxCY >= g.rows {
-		maxCY = g.rows - 1
-	}
+	minCX, maxCX, minCY, maxCY := g.grid.Window(q, radius)
 	for cy := minCY; cy <= maxCY; cy++ {
-		rowBase := cy * g.cols
+		rowBase := cy * g.grid.Cols
 		for cx := minCX; cx <= maxCX; cx++ {
 			c := rowBase + cx
 			for _, id := range g.ids[g.cellStart[c]:g.cellStart[c+1]] {
@@ -117,43 +82,6 @@ func (g *GridIndex) Within(q Point, radius float64, dst []int32) []int32 {
 	return dst
 }
 
-// CountWithin reports how many indexed points lie within radius of q.
-func (g *GridIndex) CountWithin(q Point, radius float64) int {
-	if len(g.pts) == 0 || radius < 0 {
-		return 0
-	}
-	r2 := radius * radius
-	minCX := int(math.Floor((q.X - radius - g.origin.X) / g.cellSize))
-	maxCX := int(math.Floor((q.X + radius - g.origin.X) / g.cellSize))
-	minCY := int(math.Floor((q.Y - radius - g.origin.Y) / g.cellSize))
-	maxCY := int(math.Floor((q.Y + radius - g.origin.Y) / g.cellSize))
-	if minCX < 0 {
-		minCX = 0
-	}
-	if minCY < 0 {
-		minCY = 0
-	}
-	if maxCX >= g.cols {
-		maxCX = g.cols - 1
-	}
-	if maxCY >= g.rows {
-		maxCY = g.rows - 1
-	}
-	n := 0
-	for cy := minCY; cy <= maxCY; cy++ {
-		rowBase := cy * g.cols
-		for cx := minCX; cx <= maxCX; cx++ {
-			c := rowBase + cx
-			for _, id := range g.ids[g.cellStart[c]:g.cellStart[c+1]] {
-				if g.pts[id].Dist2(q) <= r2 {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 // Nearest returns the id of the indexed point closest to q and its
 // distance. ok is false when the index is empty. Ties break toward the
 // lower id.
@@ -164,17 +92,15 @@ func (g *GridIndex) Nearest(q Point) (id int, dist float64, ok bool) {
 	// Expand rings of cells around q's cell until a hit is found, then one
 	// extra ring to guarantee correctness (a closer point can sit in the
 	// next ring when the first hit is near a cell corner).
-	cx, cy := g.cellCoords(q)
+	c := g.grid.Index(q)
+	cx, cy := c%g.grid.Cols, c/g.grid.Cols
 	best := -1
 	bestD2 := math.Inf(1)
-	maxRing := g.cols
-	if g.rows > maxRing {
-		maxRing = g.rows
-	}
+	maxRing := max(g.grid.Cols, g.grid.Rows)
 	for ring := 0; ring <= maxRing; ring++ {
 		if best >= 0 {
 			// Stop once the ring's nearest possible distance exceeds best.
-			minPossible := (float64(ring-1) * g.cellSize)
+			minPossible := (float64(ring-1) * g.grid.TileW)
 			if minPossible > 0 && minPossible*minPossible > bestD2 {
 				break
 			}
@@ -196,11 +122,11 @@ func (g *GridIndex) Nearest(q Point) (id int, dist float64, ok bool) {
 func (g *GridIndex) scanRing(q Point, cx, cy, ring int, best *int, bestD2 *float64) bool {
 	visited := false
 	check := func(x, y int) {
-		if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
+		if x < 0 || x >= g.grid.Cols || y < 0 || y >= g.grid.Rows {
 			return
 		}
 		visited = true
-		c := y*g.cols + x
+		c := y*g.grid.Cols + x
 		for _, id := range g.ids[g.cellStart[c]:g.cellStart[c+1]] {
 			d2 := g.pts[id].Dist2(q)
 			if d2 < *bestD2 || (d2 == *bestD2 && int(id) < *best) {

@@ -63,6 +63,15 @@ func FineTileGrid(rect Rect, tiles int) TileGrid {
 	return NewTileGrid(rect, cols, rows)
 }
 
+// SquareTileGrid covers rect with square tiles of the given side, anchored
+// at rect.Min, with as many columns and rows as it takes to reach rect.Max —
+// the layout of the radius-query indexes (GridIndex, model.CandidateIndex),
+// whose tile side is the query radius rather than a share of the rect.
+func SquareTileGrid(rect Rect, side float64) TileGrid {
+	return TileGrid{Origin: rect.Min, TileW: side, TileH: side,
+		Cols: int(math.Floor(rect.Width()/side)) + 1, Rows: int(math.Floor(rect.Height()/side)) + 1}
+}
+
 // NumTiles returns the size of the grid.
 func (g TileGrid) NumTiles() int { return g.Cols * g.Rows }
 
@@ -70,6 +79,16 @@ func (g TileGrid) NumTiles() int { return g.Cols * g.Rows }
 // outside the tiled rect route to the border tile on their side.
 func (g TileGrid) Index(p Point) int {
 	return clampTile((p.Y-g.Origin.Y)/g.TileH, g.Rows)*g.Cols + clampTile((p.X-g.Origin.X)/g.TileW, g.Cols)
+}
+
+// Window returns the inclusive column and row ranges of the tiles the disc of
+// the given radius around q can overlap. Every bound is clamped into the grid
+// like Index, not merely toward it: a point outside the tiled rect is filed
+// under its border tile, so a query from beyond the border must still visit
+// that tile. Callers filter by exact distance.
+func (g TileGrid) Window(q Point, radius float64) (minCX, maxCX, minCY, maxCY int) {
+	return clampTile((q.X-radius-g.Origin.X)/g.TileW, g.Cols), clampTile((q.X+radius-g.Origin.X)/g.TileW, g.Cols),
+		clampTile((q.Y-radius-g.Origin.Y)/g.TileH, g.Rows), clampTile((q.Y+radius-g.Origin.Y)/g.TileH, g.Rows)
 }
 
 // clampTile floors a tile coordinate and clamps it to [0, n) in the float

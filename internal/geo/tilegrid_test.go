@@ -92,6 +92,64 @@ func TestTileGridDegenerateRects(t *testing.T) {
 	}
 }
 
+// TestTileGridWindow pins the one query-window clamp the radius indexes
+// share: every bound lands inside the grid whatever the input, and a point
+// filed under Index(p) is always inside the window of a query from p — so a
+// task posted outside the rect is found by a worker standing on it.
+func TestTileGridWindow(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	// 4×3 grid of 30×30 tiles anchored at (100,50), reaching past (200,110).
+	g := SquareTileGrid(Rect{Min: Point{100, 50}, Max: Point{200, 110}}, 30)
+	if g.Cols != 4 || g.Rows != 3 || g.TileW != 30 || g.TileH != 30 {
+		t.Fatalf("grid dims: %+v", g)
+	}
+	type window struct{ minCX, maxCX, minCY, maxCY int }
+	for _, tc := range []struct {
+		name string
+		q    Point
+		want window // at radius 30
+	}{
+		{"interior", Point{160, 75}, window{1, 3, 0, 1}},
+		{"origin", Point{100, 50}, window{0, 1, 0, 1}},
+		{"just west", Point{math.Nextafter(100, 0), 75}, window{0, 1, 0, 1}}, // +30 rounds onto the 130 boundary
+		{"just east", Point{math.Nextafter(220, 1e9), 75}, window{3, 3, 0, 1}},
+		{"just south", Point{160, math.Nextafter(50, 0)}, window{1, 3, 0, 1}},
+		{"just north", Point{160, math.Nextafter(140, 1e9)}, window{1, 3, 2, 2}},
+		// A disc wholly outside the grid still visits the border tiles, where
+		// tasks posted out there are filed.
+		{"disc beyond the east border", Point{300, 75}, window{3, 3, 0, 1}},
+		{"disc beyond the south-west corner", Point{0, -50}, window{0, 0, 0, 0}},
+		{"far west", Point{-1e300, 75}, window{0, 0, 0, 1}},
+		{"far east", Point{1e300, 75}, window{3, 3, 0, 1}},
+		{"far south", Point{160, -1e300}, window{1, 3, 0, 0}},
+		{"far north-east", Point{1e300, 1e300}, window{3, 3, 2, 2}},
+		{"-Inf x", Point{-inf, 75}, window{0, 0, 0, 1}},
+		{"+Inf x", Point{inf, 75}, window{3, 3, 0, 1}},
+		{"-Inf y", Point{160, -inf}, window{1, 3, 0, 0}},
+		{"+Inf y", Point{160, inf}, window{1, 3, 2, 2}},
+		{"NaN x keeps the rows", Point{nan, 75}, window{0, 0, 0, 1}},
+		{"NaN y keeps the columns", Point{160, nan}, window{1, 3, 0, 0}},
+		{"NaN point", Point{nan, nan}, window{0, 0, 0, 0}},
+	} {
+		var got window
+		got.minCX, got.maxCX, got.minCY, got.maxCY = g.Window(tc.q, 30)
+		if got != tc.want {
+			t.Errorf("%s: Window(%v, 30) = %+v, want %+v", tc.name, tc.q, got, tc.want)
+		}
+		for _, radius := range []float64{0, 30, 1e300} {
+			minCX, maxCX, minCY, maxCY := g.Window(tc.q, radius)
+			if minCX < 0 || maxCX >= g.Cols || minCY < 0 || maxCY >= g.Rows {
+				t.Errorf("%s: Window(%v, %g) = [%d,%d]×[%d,%d] leaves the grid", tc.name, tc.q, radius, minCX, maxCX, minCY, maxCY)
+			}
+			c := g.Index(tc.q)
+			if cx, cy := c%g.Cols, c/g.Cols; cx < minCX || cx > maxCX || cy < minCY || cy > maxCY {
+				t.Errorf("%s: tile (%d,%d) of %v is outside its own Window(·, %g) = [%d,%d]×[%d,%d]",
+					tc.name, cx, cy, tc.q, radius, minCX, maxCX, minCY, maxCY)
+			}
+		}
+	}
+}
+
 func TestTileGridFoldFree(t *testing.T) {
 	for _, tc := range []struct {
 		name       string

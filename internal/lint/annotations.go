@@ -1,7 +1,7 @@
-// Package lint implements the ltclint analyzer suite: four static checks
+// Package lint implements the ltclint analyzer suite: three static checks
 // that enforce the dispatch layer's documented concurrency contracts
-// (CONCURRENCY.md) — lock ordering, hot-path allocation freedom,
-// copy-on-write snapshot discipline, and hot-struct field alignment.
+// (CONCURRENCY.md) — lock ordering, hot-path allocation freedom, and
+// hot-struct field alignment.
 // (Atomic access discipline needs no analyzer: every atomically accessed
 // field is a sync/atomic type.) Analyzers read intent from //ltc: annotations
 // in the source and diagnostics can be suppressed only by an
@@ -23,13 +23,12 @@ import (
 // Lock classes in acquisition order. A lock may only be acquired while all
 // held locks have a strictly lower level; leaf-class locks may only be
 // acquired with nothing held at all. The levels linearize the contract from
-// CONCURRENCY.md: regMu → shard mutex (ascending index) → candidate index →
+// CONCURRENCY.md: regMu → shard mutex (ascending index) → async lifecycle →
 // ingest queue, with the event bus (and other terminal mutexes) as leaves.
 var lockLevels = map[string]int{
 	"regMu": 10, // Dispatcher registry RWMutex
 	"shard": 20, // per-shard engine mutex (indexed: multiple instances)
 	"async": 30, // async-ingest lifecycle mutex
-	"index": 40, // CandidateIndex snapshot-swap mutex
 	"queue": 50, // Vyukov ring park/wake mutex
 	"leaf":  90, // terminal locks: event bus, flush dedup; nothing may be held
 }
@@ -59,7 +58,6 @@ type Annotations struct {
 	LockClass map[types.Object]LockAnn
 	NoAlloc   map[types.Object]bool
 	Acquires  map[types.Object][]string
-	Cow       map[types.Object]bool
 	Arena     map[types.Object]bool
 	Hot       map[types.Object]bool
 
@@ -109,7 +107,6 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 		LockClass: map[types.Object]LockAnn{},
 		NoAlloc:   map[types.Object]bool{},
 		Acquires:  map[types.Object][]string{},
-		Cow:       map[types.Object]bool{},
 		Arena:     map[types.Object]bool{},
 		Hot:       map[types.Object]bool{},
 		ascending: map[posKey]bool{},
@@ -281,12 +278,6 @@ func (a *Annotations) parseFieldDirectives(fset *token.FileSet, field *ast.Field
 				for _, name := range field.Names {
 					if obj := info.Defs[name]; obj != nil {
 						a.LockClass[obj] = LockAnn{Class: class, Indexed: indexed}
-					}
-				}
-			case text == "ltc:cow":
-				for _, name := range field.Names {
-					if obj := info.Defs[name]; obj != nil {
-						a.Cow[obj] = true
 					}
 				}
 			case text == "ltc:arena":

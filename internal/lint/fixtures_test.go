@@ -19,10 +19,6 @@ func TestNoAllocFixtures(t *testing.T) {
 	linttest.Run(t, lint.NoAlloc, "testdata/src/noalloc")
 }
 
-func TestCowSnapshotFixtures(t *testing.T) {
-	linttest.Run(t, lint.CowSnapshot, "testdata/src/cowsnapshot")
-}
-
 func TestFieldAlignFixtures(t *testing.T) {
 	linttest.Run(t, lint.FieldAlign, "testdata/src/fieldalign")
 }

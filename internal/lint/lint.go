@@ -15,13 +15,12 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	LockOrder,
 	NoAlloc,
-	CowSnapshot,
 	FieldAlign,
 }
 
 // analyzerNames is a plain list (not derived from Analyzers) so that waiver
 // parsing, which runs during analysis, avoids an initialization cycle.
-var analyzerNames = []string{"lockorder", "noalloc", "cowsnapshot", "fieldalign"}
+var analyzerNames = []string{"lockorder", "noalloc", "fieldalign"}
 
 func knownAnalyzer(name string) bool {
 	for _, n := range analyzerNames {

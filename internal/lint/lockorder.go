@@ -12,8 +12,8 @@ import (
 
 // LockOrder enforces the lock hierarchy documented in CONCURRENCY.md. Mutex
 // fields are annotated //ltc:lock <class> (classes: regMu < shard < async <
-// index < queue < leaf). The analyzer tracks the set of annotated locks held
-// at each statement and reports:
+// queue < leaf). The analyzer tracks the set of annotated locks held at each
+// statement and reports:
 //
 //   - acquiring a lock whose class level is not strictly above every held
 //     lock's level (same-class acquisitions of an indexed class are allowed
@@ -31,7 +31,7 @@ import (
 // `go` statements start with an empty held set.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the regMu → shard → index/queue lock order with the event bus as a leaf",
+	Doc:  "enforce the regMu → shard → async → queue lock order with the event bus as a leaf",
 	Run:  runLockOrder,
 }
 

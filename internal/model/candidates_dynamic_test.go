@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -119,11 +120,13 @@ func TestCandidateIndexLifecycleProperty(t *testing.T) {
 	}
 }
 
-// TestCandidateIndexLifecycleConcurrent: queries race Insert/Remove under
-// -race. Readers can't assert exact answers mid-mutation, but every answer
-// must be internally consistent: candidates strictly ascending, all
-// eligible, no candidate from before the dense ID frontier the snapshot
-// knows. A final quiescent check must match brute force exactly.
+// TestCandidateIndexLifecycleConcurrent: the index under its single-owner
+// contract, with one sync.RWMutex standing in for the shard mutex — readers
+// query and run the bulk helpers under the read lock (concurrent queries
+// write nothing), the writer inserts and removes under the write lock. Under
+// -race this pins both halves: shared queries are race-free, and in-place
+// mutation is safe under the owner's exclusion. With the lock held the
+// shadow state is stable, so every mid-churn answer must equal brute force.
 func TestCandidateIndexLifecycleConcurrent(t *testing.T) {
 	const width = 100.0
 	rng := rand.New(rand.NewPCG(17, 23))
@@ -140,7 +143,7 @@ func TestCandidateIndexLifecycleConcurrent(t *testing.T) {
 	}
 	ci := NewCandidateIndex(in)
 
-	var mu sync.Mutex // guards the shadow state (writer-side only)
+	var mu sync.RWMutex // the owner's lock: guards the index and the shadow state
 	tasks := append([]Task(nil), in.Tasks...)
 	live := make([]bool, len(tasks))
 	for i := range live {
@@ -148,52 +151,42 @@ func TestCandidateIndexLifecycleConcurrent(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			qrng := rand.New(rand.NewPCG(uint64(g), 7))
 			var buf []Candidate
-			for i := 0; i < 4000; i++ {
+			for i := 0; i < 2000; i++ {
 				w := Worker{Index: 1, Loc: geo.Point{X: qrng.Float64() * width, Y: qrng.Float64() * width}, Acc: 0.9}
+				mu.RLock()
 				buf = ci.Candidates(w, buf[:0])
-				for j, c := range buf {
-					if j > 0 && buf[j-1].Task >= c.Task {
-						t.Errorf("candidates not strictly ascending: %d then %d", buf[j-1].Task, c.Task)
-						return
-					}
-					if c.Acc < in.MinAcc {
-						t.Errorf("ineligible candidate %d (acc %v)", c.Task, c.Acc)
-						return
-					}
+				want := bruteCandidates(in, tasks, live, w)
+				mu.RUnlock()
+				if !slices.Equal(buf, want) {
+					t.Errorf("reader %d query %d: got %v, brute force %v", g, i, buf, want)
+					return
 				}
 			}
 		}(g)
 	}
-	initialTasks := len(in.Tasks)
 	wg.Add(1)
-	go func() { // bulk helpers: each scan sees one snapshot, so task-indexed
-		// outputs stay in bounds mid-churn (this used to panic). Separate
-		// calls may see different snapshots, so only per-call consistency
-		// and the grow-only dense space are assertable.
+	go func() { // bulk helpers: task-indexed outputs cover the whole dense space
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			if lists := ci.EligibleWorkerLists(); len(lists) < initialTasks {
-				t.Errorf("EligibleWorkerLists shrank below the initial %d tasks: %d", initialTasks, len(lists))
-				return
-			}
-			if credit := ci.MaxPossibleCredit(); len(credit) < initialTasks {
-				t.Errorf("MaxPossibleCredit shrank below the initial %d tasks: %d", initialTasks, len(credit))
-				return
-			}
+			mu.RLock()
+			nLists, nCredit, nTasks := len(ci.EligibleWorkerLists()), len(ci.MaxPossibleCredit()), len(tasks)
 			_ = ci.CheckFeasible() // may legitimately flag scarce tasks; must not panic
+			mu.RUnlock()
+			if nLists != nTasks || nCredit != nTasks {
+				t.Errorf("bulk helpers cover %d / %d tasks, want %d", nLists, nCredit, nTasks)
+				return
+			}
 		}
 	}()
 	wg.Add(1)
 	go func() { // writer
 		defer wg.Done()
-		defer close(stop)
 		wrng := rand.New(rand.NewPCG(5, 11))
 		for i := 0; i < 400; i++ {
 			mu.Lock()
@@ -221,7 +214,6 @@ func TestCandidateIndexLifecycleConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	<-stop
 
 	probes := make([]Worker, 20)
 	prng := rand.New(rand.NewPCG(3, 1))
@@ -239,6 +231,16 @@ func FuzzCandidateIndexLifecycle(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint64(1))
 	f.Add([]byte{10, 200, 30, 40, 250, 60, 70, 80}, uint64(42))
 	f.Add([]byte{255, 0, 255, 0, 255, 0}, uint64(7))
+	// Swap-delete edge cases. Seed 16 starts from one task, so the grid is a
+	// single cell listing every task in insertion order; four inserts make it
+	// [0 1 2 3 4]. Each script then removes the cell's first, a middle or its
+	// last entry (a remove byte b ≡ 1 mod 3 picks id b mod NumTasks),
+	// re-inserts, and does it once more on the reshuffled cell; the last one
+	// empties a one-entry cell and refills it.
+	f.Add([]byte{90, 93, 96, 99, 10, 96, 4, 99}, uint64(16))     // first: id 0, then id 4 swapped into its slot
+	f.Add([]byte{90, 93, 96, 99, 7, 96, 4, 93}, uint64(16))      // middle: id 2, then id 4 swapped into its slot
+	f.Add([]byte{90, 93, 96, 99, 4, 96, 99, 13, 90}, uint64(16)) // last: id 4, then id 6
+	f.Add([]byte{10, 96, 1, 96}, uint64(16))                     // only entry: id 0, then id 1
 	f.Fuzz(func(t *testing.T, script []byte, seed uint64) {
 		if len(script) > 256 {
 			script = script[:256]

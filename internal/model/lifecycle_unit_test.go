@@ -68,6 +68,41 @@ func TestCandidateIndexZeroRadius(t *testing.T) {
 	}
 }
 
+// TestCandidateIndexFarOutsidePosts: a task posted far outside the initial
+// rect — where float→int conversion of the cell coordinate is undefined — is
+// filed under a border cell by the same clamp the query window uses, so a
+// worker standing on it finds it, and Remove finds it again.
+func TestCandidateIndexFarOutsidePosts(t *testing.T) {
+	in := &Instance{
+		Tasks:   []Task{{ID: 0, Loc: geo.Point{X: 10, Y: 10}}, {ID: 1, Loc: geo.Point{X: 190, Y: 130}}},
+		Epsilon: 0.1, K: 2,
+		Model:  SigmoidDistance{DMax: 30},
+		MinAcc: 0.5,
+	}
+	ci := NewCandidateIndex(in)
+	tasks, live := append([]Task(nil), in.Tasks...), []bool{true, true}
+	var probes []Worker
+	for _, loc := range []geo.Point{{X: 1e300, Y: 1e300}, {X: -1e300, Y: 70}, {X: 100, Y: -1e300}, {X: 1e300, Y: -1e300}, {X: 250, Y: 160}} {
+		nt := Task{ID: TaskID(len(tasks)), Loc: loc}
+		if err := ci.Insert(nt); err != nil {
+			t.Fatal(err)
+		}
+		tasks, live = append(tasks, nt), append(live, true)
+		probes = append(probes, Worker{Index: len(probes) + 1, Loc: loc, Acc: 0.9})
+		if got := ci.Candidates(probes[len(probes)-1], nil); len(got) != 1 || got[0].Task != nt.ID {
+			t.Fatalf("worker on task %d at %v: candidates %v", nt.ID, loc, got)
+		}
+	}
+	checkAgainstBrute(t, ci, in, tasks, live, probes)
+	for id := 2; id < len(tasks); id++ {
+		if err := ci.Remove(TaskID(id)); err != nil {
+			t.Fatal(err)
+		}
+		live[id] = false
+	}
+	checkAgainstBrute(t, ci, in, tasks, live, probes)
+}
+
 // TestCheckFeasibleSkipsRemoved: an infeasible task stops blocking
 // CheckFeasible once removed — expiring unservable tasks is exactly how a
 // live platform restores feasibility.

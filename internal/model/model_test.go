@@ -386,16 +386,16 @@ func TestMaxPossibleCredit(t *testing.T) {
 	}
 }
 
-func TestSortInt32(t *testing.T) {
+func TestSortByTask(t *testing.T) {
 	// Exercise both the insertion-sort and quicksort paths.
 	for _, n := range []int{0, 1, 5, 23, 24, 200} {
-		s := make([]int32, n)
+		s := make([]Candidate, n)
 		for i := range s {
-			s[i] = int32((i*7919 + 13) % 97)
+			s[i].Task = TaskID((i*7919 + 13) % 97)
 		}
-		sortInt32(s)
+		sortByTask(s)
 		for i := 1; i < len(s); i++ {
-			if s[i] < s[i-1] {
+			if s[i].Task < s[i-1].Task {
 				t.Fatalf("n=%d: not sorted at %d: %v", n, i, s)
 			}
 		}

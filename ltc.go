@@ -85,7 +85,9 @@ type (
 
 // NewCandidateIndex builds the spatial eligibility index for an instance.
 // Solve and Session build one on demand; pre-building lets callers share it
-// across runs.
+// across runs. A query writes nothing to the index, so concurrent queries on
+// a shared index are safe; Insert and Remove mutate it in place and need the
+// caller's exclusion against every other call on it.
 var NewCandidateIndex = model.NewCandidateIndex
 
 // Delta returns δ = 2·ln(1/ε), the per-task quality credit threshold.

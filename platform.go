@@ -201,13 +201,13 @@ func (p *Platform) CheckInBatchInto(ws []Worker, dst []Receipt) ([]Receipt, erro
 // CheckInAsync enqueues the worker into its shard's bounded queue and
 // returns immediately — the fire-and-forget ingestion path. A background
 // drainer per shard pops runs of queued workers and processes each run
-// under one shard-lock acquisition and one candidate-index snapshot, so
-// sustained streams ingest faster than per-call CheckIn. Assignments stay
-// observable through Arrangement, Credits, TaskStatuses and the Subscribe
-// event stream; Flush gives the deterministic completion point. The call
-// blocks while the shard's queue is full (backpressure) and returns
-// ErrPlatformClosed after Close; use CheckInAsyncCtx when the block must
-// be cancellable. Safe for concurrent use.
+// under one shard-lock acquisition, so sustained streams ingest faster than
+// per-call CheckIn. Assignments stay observable through Arrangement,
+// Credits, TaskStatuses and the Subscribe event stream; Flush gives the
+// deterministic completion point. The call blocks while the shard's queue
+// is full (backpressure) and returns ErrPlatformClosed after Close; use
+// CheckInAsyncCtx when the block must be cancellable. Safe for concurrent
+// use.
 func (p *Platform) CheckInAsync(w Worker) error {
 	if err := p.d.CheckInAsync(w); err != nil {
 		return fmt.Errorf("ltc: %w", err)
