@@ -2,6 +2,7 @@ package ltc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -114,43 +115,51 @@ func checkBatchEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint
 		t.Fatal(err)
 	}
 
-	// Final-state agreement, Session as the reference.
-	sa := sess.Arrangement()
-	for name, plat := range map[string]*Platform{"per-call": platCall, "batched": platBatch, "async": platAsync} {
-		if plat.Done() != sess.Done() {
-			t.Fatalf("%s %s: done %v, session %v", algo, name, plat.Done(), sess.Done())
-		}
-		if plat.Latency() != sess.Latency() {
-			t.Fatalf("%s %s: latency %d, session %d", algo, name, plat.Latency(), sess.Latency())
-		}
-		pa := plat.Arrangement()
-		if len(pa.Pairs) != len(sa.Pairs) {
-			t.Fatalf("%s %s: %d pairs, session %d", algo, name, len(pa.Pairs), len(sa.Pairs))
-		}
-		for i := range sa.Pairs {
-			if pa.Pairs[i] != sa.Pairs[i] {
-				t.Fatalf("%s %s: pair %d = %+v, session %+v", algo, name, i, pa.Pairs[i], sa.Pairs[i])
-			}
-		}
-		sc, pc := sess.Credits(nil), plat.Credits(nil)
-		for i := range sc {
-			if sc[i] != pc[i] {
-				t.Fatalf("%s %s: credit %d drifted", algo, name, i)
-			}
+	// Final-state agreement: the per-call platform against the Session
+	// reference, then batched and async against the per-call platform (which
+	// adds the task statuses a Session does not carry).
+	label := fmt.Sprintf("%s batch=%d", algo, batch)
+	requireSamePlatformState(t, label+" per-call vs session", sess, platCall)
+	requireSamePlatformState(t, label+" batched vs per-call", platCall, platBatch)
+	requireSamePlatformState(t, label+" async vs per-call", platCall, platAsync)
+}
+
+// frontEnd is the final state every check-in front end exposes — Session
+// and Platform today; the first shared row of the conformance table.
+type frontEnd interface {
+	Done() bool
+	Latency() int
+	Arrangement() *Arrangement
+	Credits([]float64) []float64
+}
+
+// requireSamePlatformState fails unless got ended in exactly want's state:
+// done flag, latency, arrangement pairs and per-task credits bit for bit,
+// and — when both sides report them (a Session does not) — task statuses.
+func requireSamePlatformState(t *testing.T, label string, want, got frontEnd) {
+	t.Helper()
+	if got.Done() != want.Done() || got.Latency() != want.Latency() {
+		t.Fatalf("%s: done=%v latency=%d, want done=%v latency=%d", label, got.Done(), got.Latency(), want.Done(), want.Latency())
+	}
+	requireSameSlice(t, label+": arrangement pair", want.Arrangement().Pairs, got.Arrangement().Pairs)
+	requireSameSlice(t, label+": credit", want.Credits(nil), got.Credits(nil))
+	type statuser interface{ TaskStatuses() []TaskStatus }
+	if ws, ok := want.(statuser); ok {
+		if gs, ok := got.(statuser); ok {
+			requireSameSlice(t, label+": task status", ws.TaskStatuses(), gs.TaskStatuses())
 		}
 	}
-	// TaskStatuses: batched and async against the per-call platform (the
-	// per-call path is itself pinned to Session by the golden traces).
-	want := platCall.TaskStatuses()
-	for name, plat := range map[string]*Platform{"batched": platBatch, "async": platAsync} {
-		got := plat.TaskStatuses()
-		if len(got) != len(want) {
-			t.Fatalf("%s %s: %d statuses, want %d", algo, name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s %s: status %d = %+v, want %+v", algo, name, i, got[i], want[i])
-			}
+}
+
+// requireSameSlice reports the first position at which got departs from want.
+func requireSameSlice[T comparable](t *testing.T, what string, want, got []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s %d = %+v, want %+v", what, i, got[i], want[i])
 		}
 	}
 }

@@ -3,8 +3,6 @@ package ltc
 import (
 	"errors"
 	"fmt"
-
-	"ltc/internal/geo"
 )
 
 // ChurnReport summarises one sequential replay of a churn workload.
@@ -23,29 +21,15 @@ type ChurnReport struct {
 	Statuses []TaskStatus
 }
 
-// churnLoadSamplePrefix caps how much of the arrival stream feeds the
-// balanced layout's load profile, mirroring the dispatch layer's own
-// sample cap.
+// churnLoadSamplePrefix is how much of the arrival stream feeds the
+// balanced layout's load profile under churn, mirroring the dispatch
+// layer's own sample cap. The default profile samples the instance's full
+// worker set with a fixed stride — an oracle over arrivals that haven't
+// happened yet, which under churn skews the layout toward late traffic
+// while the late-posted tasks it anticipates don't exist at layout time.
+// The prefix is causally sound: it is exactly what an operator could have
+// observed before the stream ran.
 const churnLoadSamplePrefix = 4096
-
-// churnLoadSample is the load profile a balanced churn replay packs
-// against: the live arrival prefix of the worker stream, in arrival order.
-// The default profile samples the instance's full worker set with a fixed
-// stride — an oracle over arrivals that haven't happened yet, which under
-// churn skews the layout toward late traffic while the late-posted tasks it
-// anticipates don't exist at layout time. The prefix is causally sound: it
-// is exactly what an operator could have observed before the stream ran.
-func churnLoadSample(cw *ChurnWorkload) []geo.Point {
-	n := min(len(cw.Instance.Workers), churnLoadSamplePrefix)
-	if n == 0 {
-		return nil
-	}
-	pts := make([]geo.Point, n)
-	for i, w := range cw.Instance.Workers[:n] {
-		pts[i] = w.Loc
-	}
-	return pts
-}
 
 // ReplayChurn drives a churn workload sequentially through a fresh
 // Platform: workers check in one by one, and each lifecycle event fires
@@ -57,14 +41,13 @@ func churnLoadSample(cw *ChurnWorkload) []geo.Point {
 //
 // With a balanced layout (WithBalancedShards or WithRebalance) and a plan
 // that posts tasks mid-stream, the layout's load profile is the live
-// arrival prefix of the worker stream instead of the default full-stream
-// sample — see churnLoadSample. Plans with no late posts keep the default
-// profile, so existing replays are unchanged.
+// arrival prefix of the worker stream (WithLoadPrefix(churnLoadSamplePrefix))
+// instead of the default full-stream sample. An explicit WithLoadPrefix from
+// the caller wins; plans with no late posts keep the default profile, so
+// existing replays are unchanged.
 func ReplayChurn(cw *ChurnWorkload, algo Algorithm, opts ...Option) (*ChurnReport, error) {
-	if c := newConfig(opts); c.balanced && c.loadSample == nil && cw.PostedLate() > 0 {
-		if pts := churnLoadSample(cw); pts != nil {
-			opts = append(opts[:len(opts):len(opts)], withLoadSample(pts))
-		}
+	if c := newConfig(opts); c.balanced && c.loadPrefix == 0 && cw.PostedLate() > 0 {
+		opts = append(opts[:len(opts):len(opts)], WithLoadPrefix(churnLoadSamplePrefix))
 	}
 	plat, err := NewPlatform(cw.Instance, algo, opts...)
 	if err != nil {

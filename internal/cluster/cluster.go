@@ -1,11 +1,12 @@
 // Package cluster is the multi-node routing tier over the ltcd gateway: a
-// static tile→node table over the same geo.TileGrid that backs the dispatch
-// layer's model.Partition, one level up. The task bounding rect is tiled
+// static tile→node table built by the same fold as the dispatch layer's
+// striped model.Partition, one level up. The task bounding rect is tiled
 // into near-square cells at node granularity, every non-empty tile becomes
-// one node's territory, and task-free tiles are folded onto the nearest
-// task tile (the grid's deterministic multi-source BFS), so routing any location —
-// a worker check-in or a task posted online — is a single table lookup on
-// every node and on every client.
+// one node's territory, and task-free tiles take their owner tile's node
+// (geo.TileGrid.Owners, the fold every layout shares — NodeFor agrees with a
+// node-granularity Partition.Locate at every location), so routing any
+// location — a worker check-in or a task posted online — is a single table
+// lookup on every node and on every client.
 //
 // The topology is immutable once written: nodes load it at boot, validate
 // it against the instance they generated from their own flags (the
@@ -65,9 +66,9 @@ const topologyVersion = 1
 // Build derives the cluster topology for the given instance and node
 // count: the striped near-square tiling of model.Partition at node
 // granularity (cols·rows ≤ n, so every non-empty tile can own a distinct
-// node). Non-empty tiles are assigned node IDs in ascending tile order;
-// task-free tiles are folded onto task tiles by the grid's BFS, so the whole
-// table is a pure function of (tasks, nodes).
+// node). Non-empty tiles are assigned node IDs in ascending tile order and
+// task-free tiles follow their owner tile (geo.TileGrid.Owners), so the
+// whole table is a pure function of (tasks, nodes).
 func Build(in *model.Instance, nodes int) (*Topology, error) {
 	if nodes < 1 {
 		return nil, fmt.Errorf("cluster: node count must be ≥ 1, got %d", nodes)
@@ -82,30 +83,23 @@ func Build(in *model.Instance, nodes int) (*Topology, error) {
 	rect, _ := geo.BoundingRect(pts)
 	g := geo.NearSquareTileGrid(rect, nodes)
 
-	// Task tiles become nodes in ascending tile order; the rest fold onto them.
-	owner := make([]int32, g.NumTiles())
-	for c := range owner {
-		owner[c] = -1
-	}
-	for _, p := range pts {
-		owner[g.Index(p)] = 0
-	}
-	next := int32(0)
-	for c, o := range owner {
-		if o == 0 {
-			owner[c] = next
-			next++
-		}
-	}
-	g.FoldFree(owner)
-
+	// Task tiles become nodes in ascending tile order; every other tile takes
+	// its owner tile's node.
+	owner := g.Owners(pts)
 	t := &Topology{
 		Version: topologyVersion, Nodes: nodes, TotalTasks: len(in.Tasks),
 		Cols: g.Cols, Rows: g.Rows, OriginX: g.Origin.X, OriginY: g.Origin.Y, TileW: g.TileW, TileH: g.TileH,
 		TileNode: make([]int, len(owner)),
 	}
-	for c, n := range owner {
-		t.TileNode[c] = int(n)
+	next := 0
+	for c, o := range owner {
+		if int(o) == c {
+			t.TileNode[c] = next
+			next++
+		}
+	}
+	for c, o := range owner {
+		t.TileNode[c] = t.TileNode[o]
 	}
 	return t, nil
 }

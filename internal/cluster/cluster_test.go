@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ltc/internal/geo"
@@ -196,8 +200,26 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got.Fingerprint() != topo.Fingerprint() {
 		t.Fatal("round-tripped topology fingerprint diverged")
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file must fail")
+	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("absent file: %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestSaveRejectsUnencodableTopology: a table JSON cannot carry (a NaN tile
+// dimension) fails with the encoder's error and writes nothing.
+func TestSaveRejectsUnencodableTopology(t *testing.T) {
+	topo, err := Build(spread(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo.TileW = math.NaN()
+	path := filepath.Join(t.TempDir(), "topo.json")
+	var unsupported *json.UnsupportedValueError
+	if err := topo.Save(path); !errors.As(err, &unsupported) {
+		t.Fatalf("Save with NaN tile width: %v, want a json.UnsupportedValueError", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed Save left a file behind (stat: %v)", err)
 	}
 }
 
@@ -230,6 +252,19 @@ func TestLoadRejectsCorruptTopologies(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("bad JSON must fail")
+	}
+	// Well-formed JSON that fails validation names the file.
+	bad := *good
+	bad.Nodes = 0
+	data, err := json.Marshal(&bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("invalid topology file: %v, want a validation error naming %s", err, path)
 	}
 }
 

@@ -48,43 +48,75 @@ func TestFingerprintPinned(t *testing.T) {
 	}
 }
 
-// TestPartitionAndTopologyAgreeOnTiles: a striped n-shard Partition and an
-// n-node Topology over the same tasks put every location — inside the task
-// rect, outside it, and absurdly far away — in the same tile index. Both sit
-// on geo.TileGrid; this keeps it that way.
+// requireSameRouting fails unless an n-node Topology and a striped n-shard
+// Partition over in's tasks are the same routing table: every location —
+// inside the task rect, on a tile corner or the rect's border, outside it or
+// absurdly far away — has NodeFor == Locate.
+func requireSameRouting(t *testing.T, rng *rand.Rand, in *model.Instance, n int) {
+	t.Helper()
+	part, err := model.PartitionInstance(in, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := Build(in, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.NumTiles() != len(topo.TileNode) {
+		t.Fatalf("n=%d: partition has %d tiles, topology %d", n, part.NumTiles(), len(topo.TileNode))
+	}
+	check := func(p geo.Point) {
+		t.Helper()
+		if a, b := part.Locate(p), topo.NodeFor(p); a != b {
+			t.Fatalf("n=%d (%d tasks): %v is shard %d for the partition, node %d for the topology", n, len(in.Tasks), p, a, b)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		// Around the field with a wide margin, so both sides of every border
+		// are hit.
+		check(geo.Point{X: -500 + 2000*rng.Float64(), Y: -500 + 2000*rng.Float64()})
+	}
+	g := topo.grid()
+	for col := 0; col <= g.Cols; col++ {
+		for row := 0; row <= g.Rows; row++ {
+			check(geo.Point{X: g.Origin.X + float64(col)*g.TileW, Y: g.Origin.Y + float64(row)*g.TileH})
+		}
+	}
+	for _, task := range in.Tasks {
+		check(task.Loc)
+	}
+	for _, v := range []float64{-1e300, 1e300, math.Inf(-1), math.Inf(1), math.NaN()} {
+		check(geo.Point{X: v, Y: 500})
+		check(geo.Point{X: 500, Y: v})
+		check(geo.Point{X: v, Y: v})
+	}
+}
+
+// TestPartitionAndTopologyAgreeOnTiles: over two dense corner blobs, whose
+// node-granularity tilings leave the middle of the field task-free, a striped
+// n-shard Partition and an n-node Topology give every location's tile the
+// same owner. Both sit on geo.TileGrid.Owners; this keeps it that way.
 func TestPartitionAndTopologyAgreeOnTiles(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for _, n := range []int{1, 2, 3, 4, 6, 9, 12, 16} {
-		in := clusteredInstance(uint64(n), 150)
-		part, err := model.PartitionInstance(in, n)
-		if err != nil {
-			t.Fatal(err)
+		requireSameRouting(t, rng, clusteredInstance(uint64(n), 150), n)
+	}
+}
+
+// TestTopologyMatchesStripedPartition: the same agreement on random sparse
+// instances (3–22 tasks, 2…|T| owners, most tiles task-free) — where a second
+// rule for task-free tiles shows at once — and on dense uniform ones.
+func TestTopologyMatchesStripedPartition(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	for i := 0; i < 60; i++ {
+		nTasks := 3 + rng.IntN(20)
+		if i >= 50 {
+			nTasks = 200 + rng.IntN(200)
 		}
-		topo, err := Build(in, n)
-		if err != nil {
-			t.Fatal(err)
+		locs := make([]geo.Point, nTasks)
+		for j := range locs {
+			locs[j] = geo.Point{X: 1000 * rng.Float64(), Y: 1000 * rng.Float64()}
 		}
-		if part.NumTiles() != len(topo.TileNode) {
-			t.Fatalf("n=%d: partition has %d tiles, topology %d", n, part.NumTiles(), len(topo.TileNode))
-		}
-		check := func(p geo.Point) {
-			t.Helper()
-			if a, b := part.TileOf(p), topo.TileIndex(p); a != b {
-				t.Fatalf("n=%d: %v is tile %d for the partition, %d for the topology", n, p, a, b)
-			}
-		}
-		for i := 0; i < 2000; i++ {
-			// Mostly around the field with a wide margin, so both sides of
-			// every border are hit.
-			check(geo.Point{X: -500 + 2000*rng.Float64(), Y: -500 + 2000*rng.Float64()})
-		}
-		for _, task := range in.Tasks {
-			check(task.Loc)
-		}
-		for _, v := range []float64{-1e300, 1e300, math.Inf(-1), math.Inf(1), math.NaN()} {
-			check(geo.Point{X: v, Y: 500})
-			check(geo.Point{X: 500, Y: v})
-			check(geo.Point{X: v, Y: v})
-		}
+		requireSameRouting(t, rng, testInstance(locs...), 2+rng.IntN(min(nTasks, 24)-1))
 	}
 }

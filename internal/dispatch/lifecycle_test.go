@@ -48,9 +48,9 @@ func TestDispatcherPostRoutesToOwningShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Post into the far (initially task-free) corner: Locate falls back to
-	// the nearest-task shard, so the task must land where workers at that
-	// location are routed.
+	// Post into the far (initially task-free) corner: Locate reads the tile's
+	// owner-table entry for posts and check-ins alike, so the task must land
+	// where workers at that location are routed.
 	farLoc := geo.Point{X: 900, Y: 900}
 	gid, err := d.PostTask(model.Task{Loc: farLoc})
 	if err != nil {

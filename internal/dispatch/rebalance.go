@@ -19,8 +19,8 @@ const (
 )
 
 // ErrRebalanceLayout is returned by New when rebalancing is requested
-// without the balanced layout: only balanced partitions carry the tile
-// ownership structure live migration moves.
+// without the balanced layout: a striped shard is a single task tile, so
+// there is nothing live migration could move.
 var ErrRebalanceLayout = fmt.Errorf("dispatch: rebalancing requires the balanced layout: %w", model.ErrNotRebalanceable)
 
 // RebalanceOptions tunes the online rebalancer (Options.Rebalance). The
@@ -219,7 +219,7 @@ func (rb *rebalancer) rebalance() {
 // owner tile when rebalancing is on (off, it costs one nil check).
 func (d *Dispatcher) locate(loc geo.Point) int {
 	si, owner := d.part.LocateOwner(loc)
-	if rb := d.rb; rb != nil && owner >= 0 {
+	if rb := d.rb; rb != nil {
 		rb.tileLoad[owner].n.Add(1)
 	}
 	return si

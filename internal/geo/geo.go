@@ -1,8 +1,8 @@
 // Package geo implements the planar geometry substrate of the reproduction:
 // points and distances on the paper's 1000×1000 grid, bounding boxes, convex
 // hulls (used to place tasks inside the convex region of worker check-ins,
-// as in the paper's real-dataset setup), and an equirectangular projection
-// for converting latitude/longitude check-ins to grid units.
+// as in the paper's real-dataset setup), the uniform-grid radius index, and
+// the tile grid behind every routing table.
 package geo
 
 import (
@@ -32,9 +32,6 @@ func (p Point) Dist2(q Point) float64 {
 
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p minus q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
@@ -88,12 +85,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Intersects reports whether r and s share any point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
 
 // ConvexHull returns the convex hull of pts in counter-clockwise order
 // using Andrew's monotone chain. Collinear boundary points are dropped.
@@ -174,79 +165,4 @@ func InConvexHull(hull []Point, p Point) bool {
 		}
 	}
 	return true
-}
-
-// PolygonArea returns the (positive) area of a simple polygon given in
-// counter-clockwise order; 0 for degenerate inputs.
-func PolygonArea(poly []Point) float64 {
-	if len(poly) < 3 {
-		return 0
-	}
-	var twice float64
-	for i := range poly {
-		j := (i + 1) % len(poly)
-		twice += poly[i].X*poly[j].Y - poly[j].X*poly[i].Y
-	}
-	return math.Abs(twice) / 2
-}
-
-// EarthRadiusMeters is the mean Earth radius used by the projection.
-const EarthRadiusMeters = 6371000.0
-
-// LatLon is a geographic coordinate in degrees.
-type LatLon struct {
-	Lat, Lon float64
-}
-
-// Projection maps latitude/longitude onto the paper's grid coordinate
-// system (1 unit = UnitMeters metres) via an equirectangular projection
-// centred on Origin. At city scale (tens of km) the distortion is far below
-// the dmax granularity the accuracy model cares about.
-type Projection struct {
-	Origin     LatLon
-	UnitMeters float64
-	cosLat     float64
-}
-
-// NewProjection returns a projection centred at origin with the given grid
-// unit size in metres (the paper uses 10 m units).
-func NewProjection(origin LatLon, unitMeters float64) *Projection {
-	if unitMeters <= 0 {
-		panic("geo: unitMeters must be positive")
-	}
-	return &Projection{
-		Origin:     origin,
-		UnitMeters: unitMeters,
-		cosLat:     math.Cos(origin.Lat * math.Pi / 180),
-	}
-}
-
-// ToGrid converts a geographic coordinate to grid units.
-func (pr *Projection) ToGrid(ll LatLon) Point {
-	dLat := (ll.Lat - pr.Origin.Lat) * math.Pi / 180
-	dLon := (ll.Lon - pr.Origin.Lon) * math.Pi / 180
-	return Point{
-		X: dLon * pr.cosLat * EarthRadiusMeters / pr.UnitMeters,
-		Y: dLat * EarthRadiusMeters / pr.UnitMeters,
-	}
-}
-
-// ToLatLon converts a grid point back to geographic coordinates.
-func (pr *Projection) ToLatLon(p Point) LatLon {
-	return LatLon{
-		Lat: pr.Origin.Lat + p.Y*pr.UnitMeters/EarthRadiusMeters*180/math.Pi,
-		Lon: pr.Origin.Lon + p.X*pr.UnitMeters/(EarthRadiusMeters*pr.cosLat)*180/math.Pi,
-	}
-}
-
-// Haversine returns the great-circle distance between two coordinates in
-// metres. Used to validate the projection error in tests.
-func Haversine(a, b LatLon) float64 {
-	const rad = math.Pi / 180
-	lat1, lat2 := a.Lat*rad, b.Lat*rad
-	dLat := (b.Lat - a.Lat) * rad
-	dLon := (b.Lon - a.Lon) * rad
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(s)))
 }

@@ -5,7 +5,8 @@ import "math"
 // TileGrid is a Cols×Rows grid of equal tiles anchored at Origin, numbered
 // row-major — the one tiling behind both routing tables of the stack,
 // model.Partition's tile→shard layout and cluster.Topology's tile→node
-// layout, and the place a later geometry (wrap-around, lat/lon) would go.
+// layout (both built from Owners), and the place a later geometry
+// (wrap-around, lat/lon) would go.
 type TileGrid struct {
 	Origin       Point
 	TileW, TileH float64
@@ -106,6 +107,25 @@ func clampTile(f float64, n int) int {
 		return n - 1
 	}
 	return 0
+}
+
+// Owners returns the tile → owner tile table for the given points: a tile
+// holding a point owns itself and every other tile takes the owner FoldFree
+// reaches first, so with at least one point every tile has exactly one owner
+// (no points: all -1). It is the one fold behind every routing table —
+// model.Partition's striped and balanced layouts and cluster.Topology — so
+// the same location routes to the same task tile at every level.
+func (g TileGrid) Owners(pts []Point) []int32 {
+	owner := make([]int32, g.NumTiles())
+	for c := range owner {
+		owner[c] = -1
+	}
+	for _, p := range pts {
+		c := g.Index(p)
+		owner[c] = int32(c)
+	}
+	g.FoldFree(owner)
+	return owner
 }
 
 // FoldFree fills every free (negative) entry of the per-tile table owner

@@ -177,3 +177,43 @@ func TestTileGridFoldFree(t *testing.T) {
 		}
 	}
 }
+
+// TestTileGridOwners pins the one fold behind every routing table: a tile
+// holding a point owns itself, a free tile takes the owner FoldFree reaches
+// first, the table is a pure function of (grid, point set), and without
+// points no tile has an owner.
+func TestTileGridOwners(t *testing.T) {
+	// 4×3 grid of unit tiles; tile = row*4 + col.
+	g := NewTileGrid(Rect{Max: Point{4, 3}}, 4, 3)
+	at := func(col, row int) Point { return Point{float64(col) + 0.5, float64(row) + 0.5} }
+	for _, tc := range []struct {
+		name string
+		pts  []Point
+		want []int32
+	}{
+		{"no points", nil, []int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}},
+		{"one point owns the grid", []Point{at(1, 1)}, []int32{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}},
+		{"opposite corners split by hop distance, ties to the lower tile",
+			[]Point{at(3, 2), at(0, 0)}, []int32{0, 0, 0, 11, 0, 0, 11, 11, 0, 11, 11, 11}},
+		{"several points in one tile are one owner",
+			[]Point{at(0, 0), {0.1, 0.9}, at(2, 0)}, []int32{0, 0, 2, 2, 0, 0, 2, 2, 0, 0, 2, 2}},
+		{"points outside the rect own their border tile",
+			[]Point{{-50, -50}, {1e300, 99}}, []int32{0, 0, 0, 11, 0, 0, 11, 11, 0, 11, 11, 11}},
+	} {
+		got := g.Owners(tc.pts)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s:\n got  %v\n want %v", tc.name, got, tc.want)
+		}
+		// A pure function of the point set: order and repeats do not matter.
+		rev := slices.Clone(tc.pts)
+		slices.Reverse(rev)
+		if again := g.Owners(append(rev, tc.pts...)); !slices.Equal(again, got) {
+			t.Errorf("%s: reordered points changed the table: %v", tc.name, again)
+		}
+		for c, o := range got {
+			if o >= 0 && got[o] != o {
+				t.Errorf("%s: tile %d's owner %d does not own itself", tc.name, c, o)
+			}
+		}
+	}
+}

@@ -181,6 +181,7 @@ var (
 	ErrBadMinAcc    = errors.New("model: MinAcc outside [0,1)")
 	ErrWorkerOrder  = errors.New("model: workers not in arrival order 1..n")
 	ErrTaskIDs      = errors.New("model: task IDs not consecutive from 0")
+	ErrBadLocation  = errors.New("model: task location is not finite")
 	ErrSpamWorker   = errors.New("model: worker below spam threshold")
 	ErrAccuracyOOB  = errors.New("model: worker historical accuracy outside [0,1]")
 	ErrInfeasible   = errors.New("model: some tasks cannot reach the error-rate threshold")
@@ -219,6 +220,9 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("%w: position %d has ID %d", ErrTaskIDs, i, t.ID)
 		}
 	}
+	if err := in.validateTaskLocations(); err != nil {
+		return err
+	}
 	for i, w := range in.Workers {
 		if w.Index != i+1 {
 			return fmt.Errorf("%w: position %d has index %d", ErrWorkerOrder, i, w.Index)
@@ -248,6 +252,21 @@ func (in *Instance) ValidateStreaming() error {
 	}
 	if in.Epsilon <= 0 || in.Epsilon >= 1 {
 		return ErrBadEpsilon
+	}
+	return in.validateTaskLocations()
+}
+
+// validateTaskLocations rejects NaN and ±Inf initial task coordinates: one
+// of them turns the task bounding rect — and with it every tiling, routing
+// table and topology file built from the instance — into NaNs. Check-ins and
+// tasks posted online are clamped per call instead (geo.TileGrid.Index).
+func (in *Instance) validateTaskLocations() error {
+	for _, t := range in.Tasks {
+		for _, v := range [2]float64{t.Loc.X, t.Loc.Y} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: task %d at %v", ErrBadLocation, t.ID, t.Loc)
+			}
+		}
 	}
 	return nil
 }

@@ -3,7 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -61,13 +61,18 @@ func (s *SubInstance) TruncateLast() {
 	s.source = s.source[:n]
 }
 
-// Partition splits an Instance's task set into spatially coherent shards:
-// the task bounding rect is tiled by a geo.TileGrid into ~n tiles, each
-// non-empty tile becomes one shard, and Locate routes an arbitrary location
-// (a worker check-in or a task posted online) to its shard.
+// Partition splits an Instance's task set into spatially coherent shards
+// behind one routing table, tile → owner tile → shard: the task bounding rect
+// is tiled by a geo.TileGrid, every tile holding a task owns itself and every
+// task-free tile is folded onto the task tile that serves its traffic
+// (geo.TileGrid.Owners), and each owner tile belongs to one shard. Striped
+// layouts tile the rect into ~n near-square tiles and give every task tile its
+// own shard; balanced layouts tile it much finer and pack the task tiles onto
+// shards by load (see PartitionOptions). Either way every tile has a shard,
+// so Locate — for a worker check-in or a task posted online — is a single
+// table read.
 //
-// The routing table is built from the initial task set. For striped layouts
-// it is immutable after construction; balanced layouts additionally support
+// The table is built from the initial task set. Balanced layouts support
 // live tile migration (MigrateTile), which swaps tile→shard entries with
 // atomic stores — Locate reads the table with atomic loads, so routing stays
 // safe for concurrent use while a migration is in flight. Tasks posted after
@@ -77,39 +82,22 @@ func (s *SubInstance) TruncateLast() {
 // reachable).
 type Partition struct {
 	Shards []*SubInstance
-	// Balanced records whether the load-aware tile→shard pack was used
-	// (see PartitionOptions.Balanced); with it, every tile — task-free
-	// ones included — has a precomputed shard, so Locate never falls back
-	// to a nearest-task query.
+	// Balanced records whether the load-aware tile→shard pack is in effect
+	// (see PartitionOptions.Balanced) — the layouts whose shards hold more
+	// than one task tile, and so the ones MigrateTile can rebalance.
 	Balanced bool
 
-	// grid is the tiling: geometry, the clamped location→tile index, and
-	// the fold of task-free tiles onto task tiles (see geo.TileGrid).
+	// grid is the tiling: geometry and the clamped location→tile index.
 	grid geo.TileGrid
-	// tileShard maps a tile index to its shard, -1 for task-free tiles.
+	// freeOwner maps every tile to the task tile whose tasks serve its
+	// traffic; task tiles own themselves. An owner tile is the unit of
+	// migration: it moves together with its free satellites, so routing and
+	// task ownership never diverge. Immutable after construction.
+	freeOwner []int32
+	// tileShard maps every tile to its shard (its owner tile's shard).
 	// MigrateTile swaps entries while Locate reads them; the slice itself
 	// never changes after construction.
 	tileShard []atomic.Int32
-	// taskShard maps an initial global TaskID to the shard the layout
-	// originally assigned it. Migration does not rewrite it — current
-	// ownership of migrated tasks lives in the dispatch layer's records;
-	// here it only backs the striped nearest-task fallback, which balanced
-	// (and so migratable) layouts never take.
-	taskShard []int32
-	// taskGrid (striped layouts only) answers nearest-task queries for
-	// locations whose own tile holds no tasks — the routing fallback.
-	// Balanced layouts fold every task-free tile onto a task tile at build
-	// time, so every tile has a shard and the fallback is never taken.
-	taskGrid *geo.GridIndex
-	// freeOwner (balanced layouts only) maps every tile to the task tile
-	// whose tasks serve its traffic; task tiles own themselves. It is the
-	// unit of migration: a task tile moves together with its free
-	// satellites, so routing and task ownership never diverge.
-	freeOwner []int32
-	// ownedTiles inverts freeOwner: the tiles (owner first) each task tile
-	// routes. Built once; MigrateTile walks it to swap a whole ownership
-	// group atomically per entry.
-	ownedTiles map[int32][]int32
 }
 
 // ErrBadShardCount is returned when a non-positive shard count is requested.
@@ -118,12 +106,12 @@ var ErrBadShardCount = errors.New("model: shard count must be positive")
 // PartitionOptions tunes PartitionInstanceOpts. The zero value reproduces
 // PartitionInstance's fixed spatial striping exactly.
 type PartitionOptions struct {
-	// Balanced switches the tile→shard assignment from fixed striping (one
-	// near-square tile per shard) to a load-aware greedy pack: the task
-	// bounding rect is tiled much finer than the shard count and tiles are
-	// packed onto shards largest-load-first, so a spatial hotspot splits
-	// across shards instead of degenerating into one hot shard. Ignored
-	// (striping kept) for n = 1, where both modes coincide.
+	// Balanced switches the owner tile→shard assignment from fixed striping
+	// (one near-square task tile per shard) to a load-aware greedy pack: the
+	// task bounding rect is tiled much finer than the shard count and task
+	// tiles are packed onto shards largest-load-first, so a spatial hotspot
+	// splits across shards instead of degenerating into one hot shard.
+	// Ignored (striping kept) for n = 1, where both modes coincide.
 	Balanced bool
 	// LoadSample approximates the expected check-in distribution for the
 	// balanced pack — typically the known worker locations, or a sampled
@@ -164,91 +152,85 @@ func PartitionInstanceOpts(in *Instance, n int, opt PartitionOptions) (*Partitio
 	if n > len(in.Tasks) {
 		n = len(in.Tasks)
 	}
-
-	p := &Partition{Balanced: opt.Balanced && n > 1}
+	balanced := opt.Balanced && n > 1
 	pts := make([]geo.Point, len(in.Tasks))
 	for i, t := range in.Tasks {
 		pts[i] = t.Loc
 	}
 	rect, _ := geo.BoundingRect(pts)
 
-	if p.Balanced {
-		p.buildBalanced(in, n, opt.LoadSample, rect)
-		// A degenerate pack can collapse to one shard (every task in one
-		// fine tile); the layouts then coincide, as with a requested n=1.
-		p.Balanced = len(p.Shards) > 1
+	p := &Partition{}
+	if balanced {
+		p.grid = geo.FineTileGrid(rect, balancedTileFactor*n)
 	} else {
-		p.buildStriped(in, n, rect, pts)
+		// cols·rows ≤ n, so one shard per task tile never exceeds the request
+		// (task-free tiles can only shrink it further).
+		p.grid = geo.NearSquareTileGrid(rect, n)
 	}
+	p.freeOwner = p.grid.Owners(pts)
+
+	// Bucket tasks by tile in global order, so each tile — and, after the
+	// per-shard sort below, each shard — lists ascending global TaskIDs.
+	tileTasks := make([][]TaskID, p.grid.NumTiles())
+	for _, t := range in.Tasks {
+		c := p.grid.Index(t.Loc)
+		tileTasks[c] = append(tileTasks[c], t.ID)
+	}
+
+	// shardOf assigns every owner (task) tile its shard.
+	var shardOf []int32
+	var shards int
+	if balanced {
+		shardOf, shards = p.packBalanced(in, n, tileTasks, opt.LoadSample)
+	} else {
+		// Striped: one shard per task tile, in ascending tile order.
+		shardOf = make([]int32, len(tileTasks))
+		for c, ids := range tileTasks {
+			if len(ids) > 0 {
+				shardOf[c] = int32(shards)
+				shards++
+			}
+		}
+	}
+
+	shardIDs := make([][]TaskID, shards)
+	for c, ids := range tileTasks {
+		if len(ids) > 0 {
+			shardIDs[shardOf[c]] = append(shardIDs[shardOf[c]], ids...)
+		}
+	}
+	p.Shards = make([]*SubInstance, shards)
+	for s, ids := range shardIDs {
+		slices.Sort(ids) // tiles were visited in index order; make the cross-tile order ascending too
+		p.Shards[s] = NewSubInstance(in, ids)
+	}
+	p.tileShard = make([]atomic.Int32, len(tileTasks))
+	for c, o := range p.freeOwner {
+		p.tileShard[c].Store(shardOf[o])
+	}
+	// A degenerate pack can collapse to one shard (every task in one fine
+	// tile); the layouts then coincide, as with a requested n=1.
+	p.Balanced = balanced && shards > 1
 	return p, nil
 }
 
-// buildStriped is the fixed spatial striping of PR 1: the rect is tiled
-// into ~n near-square tiles and each non-empty tile becomes one shard.
-func (p *Partition) buildStriped(in *Instance, n int, rect geo.Rect, pts []geo.Point) {
-	// cols·rows ≤ n, so the shard count never exceeds the request (empty
-	// tiles can only shrink it further).
-	p.grid = geo.NearSquareTileGrid(rect, n)
-
-	// Bucket tasks by tile; iterate in global order so each shard's local
-	// task order follows ascending global TaskID.
-	tileTasks := p.bucketTasks(in)
-	p.tileShard = make([]atomic.Int32, p.grid.NumTiles())
-	p.taskShard = make([]int32, len(in.Tasks))
-	for c, ids := range tileTasks {
-		if len(ids) == 0 {
-			p.tileShard[c].Store(-1)
-			continue
-		}
-		p.tileShard[c].Store(p.addShard(in, ids))
-	}
-
-	// Fallback router: a check-in landing on a task-free tile (or outside
-	// the rect) goes to the shard of the nearest task. Cell size of one tile
-	// edge keeps nearest-neighbour ring scans short.
-	cell := math.Min(p.grid.TileW, p.grid.TileH)
-	p.taskGrid = geo.NewGridIndex(pts, cell)
-}
-
-// buildBalanced tiles the rect balancedTileFactor× finer than the shard
-// count, estimates each tile's load from the sample (attributing traffic
-// of task-free tiles to the task tile that will serve it), packs the task
-// tiles onto shards by greedy largest-load-first balance, and precomputes
-// a shard for every task-free tile — Locate stays a single table lookup.
-func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect geo.Rect) {
-	p.grid = geo.FineTileGrid(rect, balancedTileFactor*n)
-
-	tileTasks := p.bucketTasks(in)
-
-	// freeOwner maps every task-free tile to the task tile whose tasks
-	// will serve its traffic (task tiles own themselves): the grid's
-	// multi-source BFS fold, O(tiles) and deterministic, so both the load
-	// attribution below and the final routing table agree. Per-tile
-	// nearest-task ring scans would dominate the whole partitioning cost at
-	// this tiling resolution.
-	freeOwner := make([]int32, p.grid.NumTiles())
-	for c, ids := range tileTasks {
-		if len(ids) > 0 {
-			freeOwner[c] = int32(c)
-		} else {
-			freeOwner[c] = -1
-		}
-	}
-	p.grid.FoldFree(freeOwner)
-
-	// Sampled load profile: count sample points per tile, folding traffic
-	// that lands on task-free tiles into the task tile serving it. With no
+// packBalanced assigns task tiles to at most n shards by load: it estimates
+// each owner tile's load from the sample (traffic on a task-free tile counts
+// toward the task tile that serves it), packs the task tiles onto bins by
+// greedy largest-load-first balance, and numbers the bins by their smallest
+// global TaskID. It returns the per-tile shard (meaningful for task tiles
+// only) and the shard count.
+func (p *Partition) packBalanced(in *Instance, n int, tileTasks [][]TaskID, sample []geo.Point) ([]int32, int) {
+	// Sampled load profile: count sample points per owner tile. With no
 	// sample, task counts stand in for traffic.
-	load := make([]float64, p.grid.NumTiles())
+	load := make([]float64, len(tileTasks))
 	if len(sample) == 0 {
 		for c, ids := range tileTasks {
 			load[c] = float64(len(ids))
 		}
 	} else {
 		for _, pt := range sample {
-			// Task tiles own themselves in freeOwner, so this folds
-			// task-free-tile traffic onto the tile serving it in one step.
-			load[freeOwner[p.grid.Index(pt)]]++
+			load[p.OwnerTile(pt)]++
 		}
 		// A task tile no sample point hit still carries its tasks: weight
 		// it in so the pack never stacks all quiet tiles on one shard.
@@ -260,7 +242,7 @@ func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect 
 	}
 
 	// Greedy balance (LPT): task tiles largest-load-first, each onto the
-	// currently lightest shard. Ties break on tile index / bin index, so
+	// currently lightest bin. Ties break on tile index / bin index, so
 	// the pack is deterministic.
 	taskTiles := make([]int, 0, len(tileTasks))
 	for c, ids := range tileTasks {
@@ -278,7 +260,7 @@ func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect 
 		n = len(taskTiles) // a shard is never empty
 	}
 	binLoad := make([]float64, n)
-	binOf := make(map[int]int, len(taskTiles)) // task tile → bin
+	binOf := make([]int32, len(tileTasks)) // task tile → bin
 	for _, c := range taskTiles {
 		best := 0
 		for b := 1; b < n; b++ {
@@ -286,82 +268,29 @@ func (p *Partition) buildBalanced(in *Instance, n int, sample []geo.Point, rect 
 				best = b
 			}
 		}
-		binOf[c] = best
+		binOf[c] = int32(best)
 		binLoad[best] += load[c]
 	}
 
-	// Renumber bins by their smallest global TaskID so shard order (and
-	// with it ShardStats, stream replays, ...) is deterministic and
-	// independent of the pack's visit order.
-	binMin := make([]TaskID, n)
-	for b := range binMin {
-		binMin[b] = TaskID(len(in.Tasks))
+	// Renumber bins by their smallest global TaskID — the order a walk over
+	// the tasks first meets them — so shard order (and with it ShardStats,
+	// stream replays, ...) is deterministic and independent of the pack's
+	// visit order.
+	rank := make([]int32, n)
+	for b := range rank {
+		rank[b] = -1
 	}
-	for c, ids := range tileTasks {
-		if len(ids) == 0 {
-			continue
-		}
-		if b := binOf[c]; ids[0] < binMin[b] {
-			binMin[b] = ids[0]
-		}
-	}
-	order := make([]int, n)
-	for b := range order {
-		order[b] = b
-	}
-	sort.Slice(order, func(i, j int) bool { return binMin[order[i]] < binMin[order[j]] })
-	shardOf := make([]int32, n)
-	for rank, b := range order {
-		shardOf[b] = int32(rank)
-	}
-
-	// Collect each shard's global IDs in ascending order (tileTasks holds
-	// ascending IDs per tile; tiles visit in index order, then a sort makes
-	// the cross-tile order ascending too).
-	shardIDs := make([][]TaskID, n)
-	for c, ids := range tileTasks {
-		if len(ids) == 0 {
-			continue
-		}
-		s := shardOf[binOf[c]]
-		shardIDs[s] = append(shardIDs[s], ids...)
-	}
-	p.tileShard = make([]atomic.Int32, p.grid.NumTiles())
-	p.taskShard = make([]int32, len(in.Tasks))
-	for s, ids := range shardIDs {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if got := p.addShard(in, ids); int(got) != s {
-			panic("model: balanced shard numbering out of order")
-		}
-	}
-	for c := range p.tileShard {
-		p.tileShard[c].Store(shardOf[binOf[int(freeOwner[c])]])
-	}
-
-	// Keep the ownership structure: migration moves a task tile together
-	// with the free tiles it serves.
-	p.freeOwner = freeOwner
-	p.ownedTiles = make(map[int32][]int32, len(taskTiles))
-	for c, o := range freeOwner {
-		if int32(c) == o {
-			// Owner first, so a migration's routing swap starts at the tile
-			// whose tasks are moving.
-			p.ownedTiles[o] = append([]int32{o}, p.ownedTiles[o]...)
-		} else {
-			p.ownedTiles[o] = append(p.ownedTiles[o], int32(c))
-		}
-	}
-}
-
-// bucketTasks groups the instance's tasks by tile, ascending global ID
-// within each tile.
-func (p *Partition) bucketTasks(in *Instance) [][]TaskID {
-	tileTasks := make([][]TaskID, p.grid.NumTiles())
+	next := int32(0)
 	for _, t := range in.Tasks {
-		c := p.grid.Index(t.Loc)
-		tileTasks[c] = append(tileTasks[c], t.ID)
+		if b := binOf[p.grid.Index(t.Loc)]; rank[b] < 0 {
+			rank[b] = next
+			next++
+		}
 	}
-	return tileTasks
+	for _, c := range taskTiles {
+		binOf[c] = rank[binOf[c]]
+	}
+	return binOf, n
 }
 
 // NewSubInstance builds a standalone SubInstance over the given ascending
@@ -389,18 +318,6 @@ func NewSubInstance(in *Instance, ids []TaskID) *SubInstance {
 	}
 	sub.In.Model = newShardModel(in, sub)
 	return sub
-}
-
-// addShard builds the SubInstance over the given ascending global IDs,
-// records the task→shard mapping, and returns the new shard's index.
-func (p *Partition) addShard(in *Instance, ids []TaskID) int32 {
-	shard := int32(len(p.Shards))
-	sub := NewSubInstance(in, ids)
-	for _, gid := range ids {
-		p.taskShard[gid] = shard
-	}
-	p.Shards = append(p.Shards, sub)
-	return shard
 }
 
 // shardModel adapts the source accuracy model to a shard's local task
@@ -440,69 +357,44 @@ func (m *boundedShardModel) EligibilityRadius(minAcc float64) float64 {
 // NumShards reports the number of (non-empty) shards.
 func (p *Partition) NumShards() int { return len(p.Shards) }
 
-// TaskShard returns the shard holding the given initial global task. Tasks
-// posted after partitioning are tracked by the dispatch layer, not here.
-func (p *Partition) TaskShard(t TaskID) int { return int(p.taskShard[t]) }
-
-// Locate routes a location to a shard: the shard of its enclosing tile, or
-// — when that tile holds no tasks — the shard of the nearest initial task.
-// Safe for concurrent use, including while MigrateTile swaps entries.
+// Locate routes a location to a shard: the shard of the task tile that owns
+// its enclosing tile. Safe for concurrent use, including while MigrateTile
+// swaps entries.
 func (p *Partition) Locate(loc geo.Point) int {
-	shard, _ := p.LocateOwner(loc)
-	return shard
+	return int(p.tileShard[p.grid.Index(loc)].Load())
 }
 
-// ErrNotRebalanceable is returned by MigrateTile on layouts without the
-// ownership structure live migration needs (striped layouts, or balanced
-// packs that collapsed to one shard).
+// ErrNotRebalanceable is returned by MigrateTile on layouts with nothing to
+// migrate (striped layouts, whose shards are one task tile each, and
+// balanced packs that collapsed to one shard).
 var ErrNotRebalanceable = errors.New("model: partition layout does not support tile migration")
 
-// Rebalanceable reports whether the partition supports MigrateTile: only
-// balanced layouts carry the tile ownership structure, and a single-shard
-// layout has nowhere to migrate to.
-func (p *Partition) Rebalanceable() bool {
-	return p.Balanced && p.freeOwner != nil && len(p.Shards) > 1
-}
+// Rebalanceable reports whether the partition supports MigrateTile: only a
+// balanced layout packs several task tiles per shard, and a pack that
+// collapsed to one shard has nowhere to migrate to.
+func (p *Partition) Rebalanceable() bool { return p.Balanced }
 
 // NumTiles returns the size of the tile grid (task-free tiles included).
 func (p *Partition) NumTiles() int { return p.grid.NumTiles() }
 
-// TileOf returns the tile index containing loc (clamped into the grid).
-func (p *Partition) TileOf(loc geo.Point) int { return p.grid.Index(loc) }
-
-// OwnerTile returns the task tile serving loc's traffic on a rebalanceable
-// layout (the migration unit loc belongs to), or -1 when the layout has no
-// ownership structure.
+// OwnerTile returns the task tile serving loc's traffic — the migration
+// unit loc belongs to.
 func (p *Partition) OwnerTile(loc geo.Point) int {
-	if p.freeOwner == nil {
-		return -1
-	}
 	return int(p.freeOwner[p.grid.Index(loc)])
 }
 
-// LocateOwner is Locate plus the owner tile of the location (-1 on layouts
-// without the ownership structure), sharing one tile computation — the
+// LocateOwner is Locate plus OwnerTile, sharing one tile computation — the
 // variant the load forecaster rides on.
 func (p *Partition) LocateOwner(loc geo.Point) (shard, ownerTile int) {
 	c := p.grid.Index(loc)
-	ownerTile = -1
-	if p.freeOwner != nil {
-		ownerTile = int(p.freeOwner[c])
-	}
-	if s := p.tileShard[c].Load(); s >= 0 {
-		return int(s), ownerTile
-	}
-	id, _, ok := p.taskGrid.Nearest(loc)
-	if !ok {
-		return 0, ownerTile // unreachable: partitions always hold ≥ 1 task
-	}
-	return int(p.taskShard[id]), ownerTile
+	return int(p.tileShard[c].Load()), int(p.freeOwner[c])
 }
 
-// OwnerTiles returns the task tiles of a rebalanceable layout — the units
-// migration can move — in ascending tile order. The result is a fresh slice.
+// OwnerTiles returns the task tiles — the units migration can move on a
+// rebalanceable layout — in ascending tile order. The result is a fresh
+// slice.
 func (p *Partition) OwnerTiles() []int {
-	tiles := make([]int, 0, len(p.ownedTiles))
+	tiles := make([]int, 0, len(p.Shards))
 	for c, o := range p.freeOwner {
 		if int32(c) == o {
 			tiles = append(tiles, c)
@@ -511,8 +403,8 @@ func (p *Partition) OwnerTiles() []int {
 	return tiles
 }
 
-// TileShard returns the shard currently routing the given tile (-1 for
-// task-free tiles of a striped layout). Safe for concurrent use.
+// TileShard returns the shard currently routing the given tile. Safe for
+// concurrent use.
 func (p *Partition) TileShard(tile int) int {
 	return int(p.tileShard[tile].Load())
 }
@@ -522,7 +414,7 @@ func (p *Partition) TileShard(tile int) int {
 // calls always read a valid shard; callers that need the task handoff to be
 // atomic with the routing swap (the dispatch layer) serialize MigrateTile
 // with both shards' ingestion locks. The tile must be a task tile (an owner
-// in the ownership structure); task-free tiles move only with their owner.
+// tile); task-free tiles move only with their owner.
 func (p *Partition) MigrateTile(tile, shard int) error {
 	if !p.Rebalanceable() {
 		return ErrNotRebalanceable
@@ -533,8 +425,10 @@ func (p *Partition) MigrateTile(tile, shard int) error {
 	if shard < 0 || shard >= len(p.Shards) {
 		return fmt.Errorf("model: migration target shard %d out of range [0,%d)", shard, len(p.Shards))
 	}
-	for _, c := range p.ownedTiles[int32(tile)] {
-		p.tileShard[c].Store(int32(shard))
+	for c, o := range p.freeOwner {
+		if o == int32(tile) {
+			p.tileShard[c].Store(int32(shard))
+		}
 	}
 	return nil
 }

@@ -53,8 +53,8 @@ func TestBalancedPartitionInvariants(t *testing.T) {
 				if task.Loc != in.Tasks[gid].Loc {
 					t.Fatalf("n=%d shard %d: task %d location drifted", n, si, gid)
 				}
-				if p.TaskShard(gid) != si {
-					t.Fatalf("n=%d: TaskShard(%d) = %d, want %d", n, gid, p.TaskShard(gid), si)
+				if got := p.Locate(task.Loc); got != si {
+					t.Fatalf("n=%d: task %d is listed by shard %d but its location routes to %d", n, gid, si, got)
 				}
 			}
 			for i := 1; i < len(sub.Global); i++ {
@@ -80,7 +80,7 @@ func TestBalancedPartitionInvariants(t *testing.T) {
 		// A task's location routes to the shard owning it, and arbitrary
 		// points route in range.
 		for _, task := range in.Tasks {
-			if got, want := p.Locate(task.Loc), p.TaskShard(task.ID); got != want {
+			if got, want := p.Locate(task.Loc), shardListing(p, task.ID); got != want {
 				t.Fatalf("n=%d: task %d routed to %d, owned by %d", n, task.ID, got, want)
 			}
 		}
@@ -219,7 +219,7 @@ func TestBalancedPartitionDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range sliver.Tasks {
-		if got, want := p.Locate(task.Loc), p.TaskShard(task.ID); got != want {
+		if got, want := p.Locate(task.Loc), shardListing(p, task.ID); got != want {
 			t.Fatalf("sliver task %d routed to %d, owned by %d", task.ID, got, want)
 		}
 	}
@@ -233,7 +233,7 @@ func TestBalancedPartitionDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tall.Tasks {
-		if got, want := p.Locate(task.Loc), p.TaskShard(task.ID); got != want {
+		if got, want := p.Locate(task.Loc), shardListing(p, task.ID); got != want {
 			t.Fatalf("tall task %d routed to %d, owned by %d", task.ID, got, want)
 		}
 	}
@@ -251,7 +251,7 @@ func TestBalancedPartitionDegenerate(t *testing.T) {
 		t.Fatalf("line partition collapsed to %d shards", p.NumShards())
 	}
 	for _, task := range line.Tasks {
-		if got, want := p.Locate(task.Loc), p.TaskShard(task.ID); got != want {
+		if got, want := p.Locate(task.Loc), shardListing(p, task.ID); got != want {
 			t.Fatalf("line task %d routed to %d, owned by %d", task.ID, got, want)
 		}
 	}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestPartitionMigrateTileReroutes(t *testing.T) {
 }
 
 // TestPartitionMigrateTileErrors covers the rejection paths: striped
-// layouts, free tiles, and out-of-range tiles/shards.
+// layouts (whole, not per tile), free tiles, and out-of-range tiles/shards.
 func TestPartitionMigrateTileErrors(t *testing.T) {
 	in := partitionInstance(200, 11)
 	striped, err := PartitionInstance(in, 4)
@@ -86,17 +87,27 @@ func TestPartitionMigrateTileErrors(t *testing.T) {
 	if striped.Rebalanceable() {
 		t.Fatal("striped partition claims rebalanceable")
 	}
-	if err := striped.MigrateTile(0, 0); !errors.Is(err, ErrNotRebalanceable) {
+	// A striped layout has the same owner table as any other — one task tile
+	// per shard — but nothing to rebalance: even a well-formed request (an
+	// owner tile, a valid shard) is refused for the layout alone.
+	tiles := striped.OwnerTiles()
+	if len(tiles) != striped.NumShards() {
+		t.Fatalf("striped OwnerTiles: %d entries for %d shards", len(tiles), striped.NumShards())
+	}
+	for s, c := range tiles {
+		if striped.TileShard(c) != s {
+			t.Fatalf("striped owner tile %d routes to shard %d, want %d (ascending tile order)", c, striped.TileShard(c), s)
+		}
+	}
+	if err := striped.MigrateTile(tiles[0], 1); !errors.Is(err, ErrNotRebalanceable) {
 		t.Fatalf("striped migrate: %v, want ErrNotRebalanceable", err)
 	}
-	if got := striped.OwnerTile(in.Tasks[0].Loc); got != -1 {
-		t.Fatalf("striped OwnerTile: %d, want -1", got)
+	if striped.TileShard(tiles[0]) != 0 {
+		t.Fatal("refused migration moved the tile")
 	}
-	if s, o := striped.LocateOwner(in.Tasks[0].Loc); o != -1 || s != striped.Locate(in.Tasks[0].Loc) {
+	loc := in.Tasks[0].Loc
+	if s, o := striped.LocateOwner(loc); s != striped.Locate(loc) || o != striped.OwnerTile(loc) || !slices.Contains(tiles, o) {
 		t.Fatalf("striped LocateOwner: (%d,%d)", s, o)
-	}
-	if tiles := striped.OwnerTiles(); len(tiles) != 0 {
-		t.Fatalf("striped OwnerTiles: %d entries", len(tiles))
 	}
 
 	p, err := PartitionInstanceOpts(in, 4, PartitionOptions{Balanced: true})
@@ -190,45 +201,5 @@ func TestPartitionLocateDuringMigration(t *testing.T) {
 	wg.Wait()
 	if err := p.MigrateTile(tile, from); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLocateOwnerWithoutOwnershipStructure: striped layouts carry no tile
-// ownership, so LocateOwner degrades to Locate plus a -1 owner tile —
-// including on task-free tiles, where routing falls back to the nearest
-// initial task — and TileOf stays inside the grid everywhere.
-func TestLocateOwnerWithoutOwnershipStructure(t *testing.T) {
-	in := partitionInstance(3, 1)
-	p, err := PartitionInstance(in, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Rebalanceable() {
-		t.Fatal("striped partition claims to be rebalanceable")
-	}
-	loc := in.Tasks[0].Loc
-	if s, o := p.LocateOwner(loc); s != p.Locate(loc) || o != -1 {
-		t.Fatalf("LocateOwner(task tile) = (%d, %d), want (%d, -1)", s, o, p.Locate(loc))
-	}
-	if c := p.TileOf(loc); c < 0 || c >= p.NumTiles() {
-		t.Fatalf("TileOf = %d, outside the %d-tile grid", c, p.NumTiles())
-	}
-	foundEmpty := false
-scan:
-	for x := 0.0; x <= 500; x += 25 {
-		for y := 0.0; y <= 500; y += 25 {
-			pt := geo.Point{X: x, Y: y}
-			if p.TileShard(p.TileOf(pt)) >= 0 {
-				continue
-			}
-			if s, o := p.LocateOwner(pt); s != p.Locate(pt) || o != -1 {
-				t.Fatalf("LocateOwner(empty tile) = (%d, %d), want (%d, -1)", s, o, p.Locate(pt))
-			}
-			foundEmpty = true
-			break scan
-		}
-	}
-	if !foundEmpty {
-		t.Fatal("no task-free tile on a 3-task striped layout")
 	}
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,6 +25,18 @@ func partitionInstance(nTasks int, seed uint64) *Instance {
 		})
 	}
 	return in
+}
+
+// shardListing returns the shard whose sub-instance lists the given global
+// task, or -1 — the test-side oracle for "the shard Locate returns holds the
+// task", read off the shards themselves rather than a second accessor.
+func shardListing(p *Partition, id TaskID) int {
+	for si, sub := range p.Shards {
+		if slices.Contains(sub.Global, id) {
+			return si
+		}
+	}
+	return -1
 }
 
 func TestPartitionCoversEveryTaskOnce(t *testing.T) {
@@ -53,8 +66,8 @@ func TestPartitionCoversEveryTaskOnce(t *testing.T) {
 				if task.Loc != in.Tasks[gid].Loc {
 					t.Fatalf("n=%d shard %d: task %d location drifted", n, si, gid)
 				}
-				if p.TaskShard(gid) != si {
-					t.Fatalf("n=%d: TaskShard(%d) = %d, want %d", n, gid, p.TaskShard(gid), si)
+				if got := p.Locate(task.Loc); got != si {
+					t.Fatalf("n=%d: task %d is listed by shard %d but its location routes to %d", n, gid, si, got)
 				}
 			}
 			// Local order must follow ascending global ID (stable IDs).
@@ -100,7 +113,7 @@ func TestPartitionLocateRoutesToOwningShard(t *testing.T) {
 	}
 	// A task's own location must route to the shard holding it.
 	for _, task := range in.Tasks {
-		if got, want := p.Locate(task.Loc), p.TaskShard(task.ID); got != want {
+		if got, want := p.Locate(task.Loc), shardListing(p, task.ID); got != want {
 			t.Fatalf("task %d at %v routed to shard %d, owned by %d", task.ID, task.Loc, got, want)
 		}
 	}
@@ -232,4 +245,62 @@ func TestPartitionLocateConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// FuzzPartitionOwnerTable exposes the one routing structure to go fuzz: for
+// arbitrary task sets (two bytes per task, a 256×256 lattice), shard counts
+// and both layouts, tile → owner tile → shard must be total and consistent —
+// every tile has an in-range shard, an owner tile owns itself and routes its
+// satellites with it, the three lookups agree at every lattice point, and a
+// task's own location routes to the shard listing it.
+func FuzzPartitionOwnerTable(f *testing.F) {
+	f.Add([]byte{0, 0, 255, 0, 0, 255, 255, 255}, uint8(16), false) // one task per corner: every interior tile is task-free
+	f.Add([]byte{0, 0, 255, 0, 0, 255, 255, 255}, uint8(4), true)
+	f.Add([]byte{7, 7, 7, 7, 7, 7}, uint8(3), true)                                    // one point: layouts collapse to one shard
+	f.Add([]byte{0, 9, 40, 9, 80, 9, 120, 9, 160, 9, 200, 9, 240, 9}, uint8(5), false) // a line: zero-height rect
+	f.Add([]byte{3, 200, 10, 190, 250, 5, 240, 12, 128, 128, 20, 20, 22, 18, 90, 160}, uint8(6), true)
+	f.Fuzz(func(t *testing.T, coords []byte, rawShards uint8, balanced bool) {
+		in := &Instance{Epsilon: 0.1, K: 2, Model: ConstantAccuracy{P: 0.9}}
+		for i := 0; i+1 < len(coords) && len(in.Tasks) < 64; i += 2 {
+			in.Tasks = append(in.Tasks, Task{ID: TaskID(len(in.Tasks)), Loc: geo.Point{X: float64(coords[i]), Y: float64(coords[i+1])}})
+		}
+		if len(in.Tasks) == 0 {
+			t.Skip()
+		}
+		n := int(rawShards)%24 + 1
+		p, err := PartitionInstanceOpts(in, n, PartitionOptions{Balanced: balanced})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.NumShards() < 1 || p.NumShards() > min(n, len(in.Tasks)) {
+			t.Fatalf("%d shards for %d requested over %d tasks", p.NumShards(), n, len(in.Tasks))
+		}
+		owners := p.OwnerTiles()
+		if !p.Balanced && len(owners) != p.NumShards() {
+			t.Fatalf("striped layout: %d owner tiles for %d shards", len(owners), p.NumShards())
+		}
+		for c := 0; c < p.NumTiles(); c++ {
+			if s := p.TileShard(c); s < 0 || s >= p.NumShards() {
+				t.Fatalf("tile %d has shard %d outside [0,%d)", c, s, p.NumShards())
+			}
+		}
+		for x := -16.0; x <= 272; x += 8 {
+			for y := -16.0; y <= 272; y += 8 {
+				q := geo.Point{X: x, Y: y}
+				s, o := p.LocateOwner(q)
+				if s != p.Locate(q) || o != p.OwnerTile(q) {
+					t.Fatalf("LocateOwner(%v) = (%d,%d), Locate %d, OwnerTile %d", q, s, o, p.Locate(q), p.OwnerTile(q))
+				}
+				if !slices.Contains(owners, o) || p.TileShard(o) != s {
+					t.Fatalf("%v: owner tile %d (an owner: %v) routes to shard %d, the point to %d",
+						q, o, slices.Contains(owners, o), p.TileShard(o), s)
+				}
+			}
+		}
+		for _, task := range in.Tasks {
+			if got, want := p.Locate(task.Loc), shardListing(p, task.ID); got != want {
+				t.Fatalf("task %d at %v routes to shard %d, listed by %d", task.ID, task.Loc, got, want)
+			}
+		}
+	})
 }

@@ -1,9 +1,6 @@
 package ltc
 
-import (
-	"ltc/internal/dispatch"
-	"ltc/internal/geo"
-)
+import "ltc/internal/dispatch"
 
 // The options system: every constructor and runner — Solve, SolveAll,
 // NewSession, NewPlatform, ReplayChurn — accepts the same composable
@@ -24,7 +21,6 @@ type config struct {
 	shards          int
 	balanced        bool
 	rebalance       *dispatch.RebalanceOptions
-	loadSample      []geo.Point
 	loadPrefix      int
 	seed            uint64
 	queueCap        int
@@ -92,13 +88,6 @@ func WithRebalance(opts ...RebalanceOptions) Option {
 	})
 }
 
-// withLoadSample overrides the balanced layout's load profile — internal
-// plumbing for ReplayChurn, which packs against the live arrival prefix
-// instead of the full-stream oracle when tasks churn.
-func withLoadSample(pts []geo.Point) Option {
-	return optionFunc(func(c *config) { c.loadSample = pts })
-}
-
 // WithLoadPrefix restricts the balanced layout's load profile to the first
 // n workers of the instance's stream — the causally honest profile a live
 // deployment has when it partitions: arrivals that haven't happened yet
@@ -107,9 +96,9 @@ func withLoadSample(pts []geo.Point) Option {
 // (rush-hour corridors, flash crowds) the prefix layout instead goes stale
 // as the stream moves, which is exactly the regime WithRebalance corrects.
 // Implies WithBalancedShards. n <= 0 or beyond the stream keeps the
-// default full-stream sampling; an explicit load profile (ReplayChurn's
-// churn prefix) takes precedence. Ignored outside NewPlatform and
-// ReplayChurn.
+// default full-stream sampling. ReplayChurn sets a prefix of its own for
+// plans with late posts unless the caller passed one. Ignored outside
+// NewPlatform and ReplayChurn.
 func WithLoadPrefix(n int) Option {
 	return optionFunc(func(c *config) {
 		c.balanced = true

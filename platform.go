@@ -125,18 +125,18 @@ func NewPlatform(in *Instance, algo Algorithm, opts ...Option) (*Platform, error
 	if err != nil {
 		return nil, err
 	}
-	if c.loadSample == nil && c.loadPrefix > 0 && c.loadPrefix < len(in.Workers) {
-		pts := make([]geo.Point, c.loadPrefix)
+	var loadSample []geo.Point
+	if c.loadPrefix > 0 && c.loadPrefix < len(in.Workers) {
+		loadSample = make([]geo.Point, c.loadPrefix)
 		for i, w := range in.Workers[:c.loadPrefix] {
-			pts[i] = w.Loc
+			loadSample[i] = w.Loc
 		}
-		c.loadSample = pts
 	}
 	d, err := dispatch.New(in, c.shards, factory, dispatch.Options{
 		QueueCap:   c.queueCap,
 		MaxDrain:   c.maxDrain,
 		Balanced:   c.balanced,
-		LoadSample: c.loadSample,
+		LoadSample: loadSample,
 		Rebalance:  c.rebalance,
 	})
 	if err != nil {

@@ -2,9 +2,13 @@ package ltc
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ltc/internal/geo"
+	"ltc/internal/model"
 )
 
 // TestPlatformSingleShardMatchesSession is the equivalence contract of the
@@ -232,6 +236,102 @@ func TestPlatformValidation(t *testing.T) {
 	}
 	if p.Shards() < 1 {
 		t.Fatalf("default shards = %d", p.Shards())
+	}
+}
+
+// TestNonFiniteTaskLocationRejected: one NaN or ±Inf initial task coordinate
+// would turn the task bounding rect — and every layout and topology built on
+// it — into NaNs, so both validators and both streaming constructors refuse
+// it with ErrBadLocation.
+func TestNonFiniteTaskLocationRejected(t *testing.T) {
+	good := tinyInstance(t)
+	for _, tc := range []struct {
+		name string
+		loc  geo.Point
+	}{
+		{"NaN x", geo.Point{X: math.NaN(), Y: 5}},
+		{"NaN y", geo.Point{X: 5, Y: math.NaN()}},
+		{"+Inf x", geo.Point{X: math.Inf(1), Y: 5}},
+		{"+Inf y", geo.Point{X: 5, Y: math.Inf(1)}},
+		{"-Inf x", geo.Point{X: math.Inf(-1), Y: 5}},
+		{"-Inf y", geo.Point{X: 5, Y: math.Inf(-1)}},
+	} {
+		in := *good
+		in.Tasks = append([]Task(nil), good.Tasks...)
+		in.Tasks[len(in.Tasks)/2].Loc = tc.loc
+		_, platErr := NewPlatform(&in, AAM, WithShards(4))
+		_, sessErr := NewSession(&in, AAM)
+		for entry, err := range map[string]error{
+			"Validate": in.Validate(), "ValidateStreaming": in.ValidateStreaming(),
+			"NewPlatform": platErr, "NewSession": sessErr,
+		} {
+			if !errors.Is(err, model.ErrBadLocation) {
+				t.Errorf("%s through %s: %v, want ErrBadLocation", tc.name, entry, err)
+			}
+		}
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("the untouched instance must stay valid: %v", err)
+	}
+}
+
+// TestStripedLayoutIsTotal: a striped layout with task-free tiles (3 tasks,
+// 16 requested shards: a 1×3 grid whose middle tile is empty) routes every
+// tile through the same owner table as any other layout — every entry is a
+// shard — and a task posted into the task-free tile is served by a worker
+// checking in at the same point.
+func TestStripedLayoutIsTotal(t *testing.T) {
+	in := &Instance{
+		Epsilon: 0.1, K: 2, MinAcc: 0.5, Model: SigmoidDistance{DMax: 30},
+		Tasks: []Task{
+			{ID: 0, Loc: geo.Point{X: 0, Y: 0}},
+			{ID: 1, Loc: geo.Point{X: 50, Y: 10}},
+			{ID: 2, Loc: geo.Point{X: 100, Y: 300}},
+		},
+	}
+	p, err := model.PartitionInstance(in, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumTiles() != 3 || p.NumShards() != 2 || p.Rebalanceable() {
+		t.Fatalf("layout: %d tiles, %d shards, rebalanceable %v; want 3, 2, false", p.NumTiles(), p.NumShards(), p.Rebalanceable())
+	}
+	for c := 0; c < p.NumTiles(); c++ {
+		if s := p.TileShard(c); s < 0 || s >= p.NumShards() {
+			t.Fatalf("tile %d has shard %d", c, s)
+		}
+	}
+	for x := -100.0; x <= 200; x += 25 {
+		for y := -100.0; y <= 400; y += 12.5 {
+			q := geo.Point{X: x, Y: y}
+			s, o := p.LocateOwner(q)
+			if s != p.Locate(q) || o != p.OwnerTile(q) || p.TileShard(o) != s {
+				t.Fatalf("%v: LocateOwner (%d,%d), Locate %d, OwnerTile %d, owner's shard %d", q, s, o, p.Locate(q), p.OwnerTile(q), p.TileShard(o))
+			}
+		}
+	}
+	// The middle tile [100,200) is task-free; the fold hands it to the lower
+	// tile (ties go to the lower tile index), although the nearest task to
+	// its upper part is task 2, in the other shard.
+	free := geo.Point{X: 50, Y: 190}
+	if s, o := p.LocateOwner(free); s != 0 || o != 0 {
+		t.Fatalf("task-free tile routes to (shard %d, owner %d), want (0, 0)", s, o)
+	}
+
+	plat, err := NewPlatform(in, LAF, WithShards(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := plat.PostTask(Task{Loc: free})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := plat.CheckIn(Worker{Index: 1, Loc: free, Acc: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Shard != 0 || len(rec.Assignments) != 1 || rec.Assignments[0].Task != id {
+		t.Fatalf("worker on the posted task's spot got %+v from shard %d, want task %d from shard 0", rec.Assignments, rec.Shard, id)
 	}
 }
 

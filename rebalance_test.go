@@ -4,8 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"ltc/internal/geo"
 )
 
 // TestWithRebalancePublicSurface drives a skewed stream through a platform
@@ -112,18 +110,6 @@ func TestChurnLiveLoadSample(t *testing.T) {
 		t.Fatal("churn plan has no late posts; the fixture needs them")
 	}
 
-	pts := churnLoadSample(cw)
-	want := min(len(cw.Instance.Workers), churnLoadSamplePrefix)
-	if len(pts) != want {
-		t.Fatalf("sample holds %d points, want %d", len(pts), want)
-	}
-	for i := range pts {
-		if pts[i] != cw.Instance.Workers[i].Loc {
-			t.Fatalf("sample[%d] = %v, want worker %d's location %v — must be the arrival-order prefix",
-				i, pts[i], i, cw.Instance.Workers[i].Loc)
-		}
-	}
-
 	rep1, err := ReplayChurn(cw, LAF, WithShards(4), WithBalancedShards())
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +122,8 @@ func TestChurnLiveLoadSample(t *testing.T) {
 		t.Fatal("balanced churn replay is not deterministic")
 	}
 	// Passing the live prefix explicitly must reproduce the implicit run
-	// exactly: that is the profile ReplayChurn injects.
-	rep3, err := ReplayChurn(cw, LAF, WithShards(4), WithBalancedShards(), withLoadSample(churnLoadSample(cw)))
+	// exactly: that is the option ReplayChurn appends.
+	rep3, err := ReplayChurn(cw, LAF, WithShards(4), WithBalancedShards(), WithLoadPrefix(churnLoadSamplePrefix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +139,8 @@ func TestChurnLiveLoadSample(t *testing.T) {
 
 // TestWithLoadPrefix pins the public causal-profile option: WithLoadPrefix(n)
 // implies the balanced layout and packs it from exactly the first n worker
-// locations — the run must reproduce one given that prefix explicitly — while
+// locations — the run must reproduce a platform laid out from an instance
+// that knows only those n workers and is then fed the full stream — while
 // out-of-range prefixes fall back to the default full-stream sampling.
 func TestWithLoadPrefix(t *testing.T) {
 	cfg := DefaultWorkload().Scale(0.02)
@@ -167,9 +154,9 @@ func TestWithLoadPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(in.Workers) / 8
-	run := func(opts ...Option) ([]ShardStats, int) {
+	run := func(layout *Instance, opts ...Option) ([]ShardStats, int) {
 		t.Helper()
-		plat, err := NewPlatform(in, LAF, append([]Option{WithShards(4)}, opts...)...)
+		plat, err := NewPlatform(layout, LAF, append([]Option{WithShards(4)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,20 +175,18 @@ func TestWithLoadPrefix(t *testing.T) {
 		return plat.ShardStats(), plat.Latency()
 	}
 
-	prefix := make([]geo.Point, n)
-	for i, w := range in.Workers[:n] {
-		prefix[i] = w.Loc
-	}
-	gotStats, gotLat := run(WithLoadPrefix(n))
-	wantStats, wantLat := run(WithBalancedShards(), withLoadSample(prefix))
+	prefixOnly := *in
+	prefixOnly.Workers = in.Workers[:n]
+	gotStats, gotLat := run(in, WithLoadPrefix(n))
+	wantStats, wantLat := run(&prefixOnly, WithBalancedShards())
 	if gotLat != wantLat || !reflect.DeepEqual(gotStats, wantStats) {
-		t.Fatalf("WithLoadPrefix(%d) run differs from the explicit prefix profile: latency %d vs %d", n, gotLat, wantLat)
+		t.Fatalf("WithLoadPrefix(%d) run differs from the prefix-only layout: latency %d vs %d", n, gotLat, wantLat)
 	}
 
 	// n ≤ 0 and n beyond the stream keep the default full-stream sample.
-	defStats, defLat := run(WithBalancedShards())
+	defStats, defLat := run(in, WithBalancedShards())
 	for _, bad := range []int{0, -3, len(in.Workers), len(in.Workers) + 7} {
-		s, l := run(WithLoadPrefix(bad))
+		s, l := run(in, WithLoadPrefix(bad))
 		if l != defLat || !reflect.DeepEqual(s, defStats) {
 			t.Fatalf("WithLoadPrefix(%d) did not fall back to the default profile", bad)
 		}

@@ -2,6 +2,7 @@ package ltc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -58,31 +59,7 @@ func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint6
 	// against an asynchronous drainer, so the async leg can legitimately
 	// enqueue a straggler after the completing worker (it is routed but
 	// never assigned). Conservation is the concurrent leg's property.
-	if async.Done() != ref.Done() || async.Latency() != ref.Latency() {
-		t.Fatalf("cap=%d drain=%d: async done=%v latency=%d; per-call done=%v latency=%d",
-			qcap, drain, async.Done(), async.Latency(), ref.Done(), ref.Latency())
-	}
-	ra, aa := ref.Arrangement(), async.Arrangement()
-	if len(ra.Pairs) != len(aa.Pairs) {
-		t.Fatalf("cap=%d drain=%d: async made %d pairs, per-call %d", qcap, drain, len(aa.Pairs), len(ra.Pairs))
-	}
-	for i := range ra.Pairs {
-		if ra.Pairs[i] != aa.Pairs[i] {
-			t.Fatalf("cap=%d drain=%d: pair %d = %+v, per-call %+v", qcap, drain, i, aa.Pairs[i], ra.Pairs[i])
-		}
-	}
-	rc, ac := ref.Credits(nil), async.Credits(nil)
-	for i := range rc {
-		if rc[i] != ac[i] {
-			t.Fatalf("cap=%d drain=%d: credit %d drifted", qcap, drain, i)
-		}
-	}
-	rs, as := ref.TaskStatuses(), async.TaskStatuses()
-	for i := range rs {
-		if rs[i] != as[i] {
-			t.Fatalf("cap=%d drain=%d: status %d = %+v, per-call %+v", qcap, drain, i, as[i], rs[i])
-		}
-	}
+	requireSamePlatformState(t, fmt.Sprintf("cap=%d drain=%d async vs per-call", qcap, drain), ref, async)
 }
 
 // checkRingConcurrent hammers a sharded platform's rings from several
