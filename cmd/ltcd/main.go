@@ -73,7 +73,6 @@ func main() {
 		epsilon   = flag.Float64("epsilon", 0.10, "tolerable error rate ε")
 		k         = flag.Int("k", 6, "worker capacity K")
 		city      = flag.String("city", "", "serve a city trace's tasks instead: newyork or tokyo")
-		queueCap  = flag.Int("queue-cap", 0, "per-shard async queue capacity (0 = default)")
 		eventBuf  = flag.Int("event-buffer", 0, "per-subscriber event buffer (0 = default)")
 		clusterIn = flag.String("cluster", "", "cluster role: init=N writes an N-node topology file and exits; node=I serves cluster node I (both need -topology)")
 		topoPath  = flag.String("topology", "", "cluster topology file (written by -cluster init, read by -cluster node)")
@@ -121,8 +120,7 @@ func main() {
 	if requested == 0 {
 		requested = runtime.GOMAXPROCS(0)
 	}
-	popts := []ltc.Option{ltc.WithShards(requested), ltc.WithSeed(*seed),
-		ltc.WithQueueCap(*queueCap), ltc.WithEventBuffer(*eventBuf)}
+	popts := []ltc.Option{ltc.WithShards(requested), ltc.WithSeed(*seed), ltc.WithEventBuffer(*eventBuf)}
 	if *balanced {
 		popts = append(popts, ltc.WithBalancedShards())
 	}

@@ -32,7 +32,7 @@ func checkEventStreamFold(t *testing.T, rebalance bool) {
 		t.Fatal(err)
 	}
 	const maxPosts = 120
-	opts := []Option{WithShards(8), WithQueueCap(64), WithMaxDrain(16),
+	opts := []Option{WithShards(8), WithQueueCap(64),
 		// Room for every possible event: one completion per task, one
 		// retire per task, the posts, the done transitions, and (with
 		// rebalancing) a bounded number of migrations.

@@ -3,113 +3,48 @@ package dispatch
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ltc/internal/model"
 )
 
-// Producer and consumer spin budgets before falling back to the parked
-// (mutex + condvar) slow path. The budgets are yields, not busy waits:
-// on a loaded box each spin gives the scheduler a chance to run whichever
-// side of the queue is behind, which resolves most transient full/empty
-// states without ever touching the mutex.
-const (
-	pushSpins = 16
-	popSpins  = 16
-)
-
-// shardQueue is one shard's bounded CheckInAsync buffer: a Vyukov-style
-// MPSC ring. The backing array is fixed at construction (capacity rounded
-// up to a power of two so slot mapping is a mask, not a division) and each
-// slot carries a sequence number that encodes its state for lock-free
-// hand-off:
-//
-//	seq == pos          the slot is free for the producer claiming index pos
-//	seq == pos+1        the slot holds a published worker for the consumer
-//	seq == pos+cap      the slot was consumed and is free for the next lap
-//
-// Producers claim a slot by CAS on tail, write the worker, and publish by
-// storing seq = pos+1; the store is the release that makes the worker
-// visible, so the single consumer (the shard's drainer) only ever reads
-// slots whose sequence says "published" and never needs a lock. When the
-// ring is full, producers spin briefly and then park on notFull; when it is
-// empty the consumer parks on notEmpty. Both parks register themselves
-// (waiters / sleeping) before re-checking the ring under the mutex, and the
-// fast paths only touch the mutex when that registration is visible — the
-// uncontended enqueue and dequeue are entirely lock-free.
+// shardQueue is one shard's bounded CheckInAsync buffer: a slice under a
+// mutex. Producers append while there is room and wait on notFull while
+// there is none; the shard's drainer — the single consumer — waits on
+// notEmpty and takes the whole backlog by swapping in the emptied slice of
+// its previous run, so two cap-sized slices ping-pong for the queue's
+// lifetime and the steady state allocates nothing. Every closed check runs
+// under mu, so a drainer that saw "closed and empty" knows every later
+// producer sees closed too and is refused: Close loses nothing.
 type shardQueue struct {
-	buf  []model.Worker
-	seq  []atomic.Uint64
-	mask uint64
-
-	tail atomic.Uint64 // next slot index a producer claims
-	head atomic.Uint64 // next slot index the consumer reads
-
-	// active counts producers inside push — registered before push's closed
-	// check, released after the worker is published (or the push refused).
-	// The drainer only treats "closed and head == tail" as final when
-	// active is zero: a producer that passed the closed check just before
-	// Close may still publish, and this counter is what makes the drainer
-	// wait for that publication instead of exiting under it.
-	active atomic.Int64
-
-	// Parked slow path. waiters counts producers parked (or parking) on
-	// notFull; sleeping marks the consumer parked (or parking) on notEmpty.
-	// Both are written under mu and read lock-free by the opposite side to
-	// decide whether a wake-up is needed at all.
 	//ltc:lock queue
 	mu       sync.Mutex
 	notFull  sync.Cond
 	notEmpty sync.Cond
-	waiters  atomic.Int32
-	sleeping atomic.Bool
+	buf      []model.Worker //ltc:arena
+	cap      int
 }
 
 func newShardQueue(capacity int) *shardQueue {
-	// Minimum capacity 2: with a single slot the "published at pos" state
-	// (seq == pos+1) is indistinguishable from the "free for the next lap"
-	// state (seq == pos+cap), and a producer could claim a slot the
-	// consumer has not read yet.
-	c := 2
-	for c < capacity {
-		c <<= 1
-	}
-	q := &shardQueue{
-		buf:  make([]model.Worker, c),
-		seq:  make([]atomic.Uint64, c),
-		mask: uint64(c - 1),
-	}
-	for i := range q.seq {
-		q.seq[i].Store(uint64(i))
-	}
+	q := &shardQueue{buf: make([]model.Worker, 0, capacity), cap: capacity}
 	q.notFull.L = &q.mu
 	q.notEmpty.L = &q.mu
 	return q
 }
 
-// depth reports how many workers are claimed-or-published but not yet
-// consumed. head is only advanced by the consumer and tail only ever claims
-// free slots, so the difference is always within [0, cap].
-func (q *shardQueue) depth() int { return int(q.tail.Load() - q.head.Load()) }
-
-// published reports whether the slot at ring index pos holds a published
-// worker.
-func (q *shardQueue) published(pos uint64) bool {
-	return q.seq[pos&q.mask].Load() == pos+1
-}
-
-// full reports whether every slot is claimed. Used only by the parked
-// producer path; the lock-free path detects fullness from the slot
-// sequence itself.
-func (q *shardQueue) full() bool {
-	return q.tail.Load()-q.head.Load() >= uint64(len(q.buf))
+// depth reports how many workers are queued but not yet taken by the drainer.
+func (q *shardQueue) depth() int {
+	ldLock("queue", 0)
+	q.mu.Lock()
+	n := len(q.buf)
+	ldUnlock("queue", 0)
+	q.mu.Unlock()
+	return n
 }
 
 // wakeAll wakes both sides of the queue — the close broadcast and the
-// context-cancellation callback (both re-check their exit condition under
-// the mutex, so taking it here means no wake-up can be lost).
+// context-cancellation callback (both sides re-check their exit condition
+// under the mutex, so taking it here means no wake-up can be lost).
 func (q *shardQueue) wakeAll() {
 	ldLock("queue", 0)
 	q.mu.Lock()
@@ -119,185 +54,72 @@ func (q *shardQueue) wakeAll() {
 	q.mu.Unlock()
 }
 
-// wakeConsumer is the producer-side post-publish wake: it takes the mutex
-// only when the consumer has registered itself as sleeping. The sleeping
-// store (under mu, before the consumer's own re-check) and this load are
-// both sequentially consistent, so a consumer that missed the publication
-// is always visible here.
-func (q *shardQueue) wakeConsumer() {
-	if q.sleeping.Load() {
-		ldLock("queue", 0)
-		q.mu.Lock()
-		q.notEmpty.Signal()
-		ldUnlock("queue", 0)
-		q.mu.Unlock()
-	}
-}
-
-// wakeProducers is the consumer-side post-drain wake, the mirror image of
-// wakeConsumer for parked producers.
-func (q *shardQueue) wakeProducers() {
-	if q.waiters.Load() != 0 {
-		ldLock("queue", 0)
-		q.mu.Lock()
-		q.notFull.Broadcast()
-		ldUnlock("queue", 0)
-		q.mu.Unlock()
-	}
-}
-
-// stopCtxWake releases a context.AfterFunc wake-up registration, if one was
-// made.
-func stopCtxWake(stop func() bool) {
-	if stop != nil {
-		stop()
-	}
-}
-
-// push enqueues one worker, blocking (spin, then park) while the ring is
-// full. It fails with ErrClosed once the dispatcher closes and with
-// ctx.Err() once ctx is done — both checked before every claim attempt, so
-// close always wins over a concurrent slot release. The caller has already
-// registered itself in q.active.
+// push enqueues one worker, blocking while the queue is full. It fails with
+// ErrClosed once the dispatcher closes and with ctx.Err() once ctx is done;
+// closed is checked first, so close wins over both a freed slot and a
+// cancellation.
 //
 //ltc:noalloc
 func (q *shardQueue) push(ctx context.Context, d *Dispatcher, w model.Worker) error {
 	var stopWake func() bool
-	spins := 0
-	for {
-		if d.closed.Load() {
-			stopCtxWake(stopWake)
-			return ErrClosed
-		}
-		if err := ctx.Err(); err != nil {
-			stopCtxWake(stopWake)
-			return err
-		}
-		pos := q.tail.Load()
-		slot := &q.seq[pos&q.mask]
-		switch dif := int64(slot.Load()) - int64(pos); {
-		case dif == 0:
-			// The slot is free: claim it by advancing tail. A failed CAS
-			// means another producer claimed pos first — reload and retry.
-			if q.tail.CompareAndSwap(pos, pos+1) {
-				q.buf[pos&q.mask] = w
-				slot.Store(pos + 1) // publish: the worker is now visible
-				q.wakeConsumer()
-				stopCtxWake(stopWake)
-				return nil
-			}
-		case dif < 0:
-			// The slot has not been consumed since the previous lap: the
-			// ring is full. Yield a few times, then park until the drainer
-			// frees slots (or close/cancellation interrupts the wait).
-			if spins < pushSpins {
-				spins++
-				runtime.Gosched()
-				continue
-			}
-			spins = 0
-			if stopWake == nil && ctx.Done() != nil {
-				// About to park with a cancellable context: arrange for the
-				// wait to wake when ctx fires. The callback takes the queue
-				// mutex, so it cannot complete between the park's re-check
-				// and its Wait — no lost wake-up. Lock-free enqueues never
-				// pay for this.
-				stopWake = context.AfterFunc(ctx, q.wakeAll) //ltclint:ignore noalloc park slow path only — the ring was full for a whole spin phase, so one method-value allocation is noise
-			}
-			q.parkProducer(ctx, d)
-		}
-		// dif > 0: tail moved under us (another producer already published
-		// into pos); reload and retry.
-	}
-}
-
-// parkProducer blocks on notFull until the ring has room again, the
-// dispatcher closes, or ctx is done. The waiter registration happens under
-// the mutex before the fullness re-check: a drain that empties the ring
-// after the caller's lock-free check either sees the registration (and
-// broadcasts) or finished before it (and the re-check sees the free slots).
-func (q *shardQueue) parkProducer(ctx context.Context, d *Dispatcher) {
 	ldLock("queue", 0)
 	q.mu.Lock()
-	q.waiters.Add(1)
-	for q.full() && !d.closed.Load() && ctx.Err() == nil {
+	for len(q.buf) == q.cap && !d.closed.Load() && ctx.Err() == nil {
+		if stopWake == nil && ctx.Done() != nil {
+			// About to wait on a cancellable context: have ctx wake the wait
+			// when it fires. The callback takes the queue mutex, so it cannot
+			// run between this check and the Wait — no lost wake-up.
+			stopWake = context.AfterFunc(ctx, q.wakeAll) //ltclint:ignore noalloc full-queue slow path only — the caller is about to block, so one method-value allocation is noise
+		}
 		q.notFull.Wait()
 	}
-	q.waiters.Add(-1)
+	var err error
+	if d.closed.Load() {
+		err = ErrClosed
+	} else if err = ctx.Err(); err == nil {
+		q.buf = append(q.buf, w)
+		if len(q.buf) == 1 {
+			q.notEmpty.Signal()
+		}
+	}
 	ldUnlock("queue", 0)
 	q.mu.Unlock()
+	if stopWake != nil {
+		stopWake()
+	}
+	return err
 }
 
-// parkConsumer blocks until the slot at the consumer's head is published or
-// the dispatcher closes, yielding through a short spin phase first. The
-// sleeping registration happens under the mutex before the published
-// re-check, mirroring parkProducer's lost-wake-up discipline.
-func (q *shardQueue) parkConsumer(d *Dispatcher) {
-	head := q.head.Load()
-	for i := 0; i < popSpins && !q.published(head) && !d.closed.Load(); i++ {
-		runtime.Gosched()
-	}
-	ldLock("queue", 0)
-	q.mu.Lock()
-	q.sleeping.Store(true)
-	for !q.published(head) && !d.closed.Load() {
-		q.notEmpty.Wait()
-	}
-	q.sleeping.Store(false)
-	ldUnlock("queue", 0)
-	q.mu.Unlock()
-}
-
-// pop moves up to max published workers into run (appending; the caller
-// passes a reused buffer) and returns the extended slice. It blocks while
-// the ring is empty and returns run unchanged — the drainer's exit signal —
-// only once the dispatcher is closed, no producer is mid-push, and every
-// claimed slot has been consumed.
+// pop blocks while the queue is empty and the dispatcher open, then hands
+// the drainer the entire backlog by swapping buffers: run, the drainer's
+// previous and fully ingested run, becomes the queue's empty buffer. An
+// empty result — the drainer's exit signal — means closed and empty.
 //
 //ltc:noalloc
-func (q *shardQueue) pop(d *Dispatcher, max int, run []model.Worker) []model.Worker {
-	for {
-		head := q.head.Load()
-		n := uint64(0)
-		// Take the contiguous published prefix. A claimed-but-unpublished
-		// slot simply ends the run: its producer is about to store the
-		// sequence, and the next pop picks it up.
-		for n < uint64(max) && q.published(head+n) {
-			run = append(run, q.buf[(head+n)&q.mask])
-			n++
-		}
-		if n > 0 {
-			// Advance head before freeing the slots: producers measure
-			// fullness as tail−head, so depth never transiently exceeds the
-			// capacity.
-			q.head.Store(head + n)
-			for i := uint64(0); i < n; i++ {
-				q.seq[(head+i)&q.mask].Store(head + i + uint64(len(q.buf)))
-			}
-			q.wakeProducers()
-			return run
-		}
-		if d.closed.Load() && q.active.Load() == 0 && q.tail.Load() == head {
-			// Closed and fully drained: once active is zero every producer
-			// that slipped past the closed check has published (and later
-			// ones are refused before claiming), so head == tail is final.
-			return run
-		}
-		q.parkConsumer(d)
+func (q *shardQueue) pop(d *Dispatcher, run []model.Worker) []model.Worker {
+	ldLock("queue", 0)
+	q.mu.Lock()
+	for len(q.buf) == 0 && !d.closed.Load() {
+		q.notEmpty.Wait()
 	}
+	run, q.buf = q.buf, run[:0]
+	q.notFull.Broadcast()
+	ldUnlock("queue", 0)
+	q.mu.Unlock()
+	return run
 }
 
-// CheckInAsync routes the worker into its spatial shard's bounded ring
-// buffer and returns without waiting for ingestion — the fire-and-forget
+// CheckInAsync routes the worker into its spatial shard's bounded queue
+// and returns without waiting for ingestion — the fire-and-forget
 // counterpart of CheckIn for callers that don't need the assignment list
 // back (it stays observable through Arrangement, Credits and TaskStatuses).
 // The first call starts one drainer goroutine per shard; each drainer pops
 // runs of queued workers and ingests every run under a single shard-mutex
-// acquisition, which is where batching beats per-call CheckIn. Within a shard workers are ingested in
-// enqueue order; across shards there is no order, exactly as with
-// concurrent CheckIn calls.
+// acquisition, which is where batching beats per-call CheckIn. Within a
+// shard workers are ingested in enqueue order; across shards there is no
+// order, exactly as with concurrent CheckIn calls.
 //
-// The call blocks while the shard's ring is full (backpressure, bounded by
+// The call blocks while the shard's queue is full (backpressure, bounded by
 // Options.QueueCap) and fails with ErrClosed once Close has been called —
 // also when the block is interrupted by a concurrent Close. Workers
 // enqueued after the platform completed are ingested as bounced arrivals,
@@ -310,7 +132,7 @@ func (d *Dispatcher) CheckInAsync(w model.Worker) error {
 }
 
 // CheckInAsyncCtx is CheckInAsync with cancellable backpressure: while the
-// shard's ring is full the call blocks until a slot frees, the dispatcher
+// shard's queue is full the call blocks until a slot frees, the dispatcher
 // closes (ErrClosed), or ctx is done — in which case the worker is NOT
 // enqueued and ctx.Err() is returned. A context that is already done fails
 // the call before anything is queued. Cancellation never loses an accepted
@@ -333,9 +155,7 @@ func (d *Dispatcher) CheckInAsyncCtx(ctx context.Context, w model.Worker) error 
 	// draining at the old owner — a benign misroute, see MigrateTile.
 	q := d.queues[d.locate(w.Loc)]
 	d.pending.Add(1)
-	q.active.Add(1)
 	err := q.push(ctx, d, w)
-	q.active.Add(-1)
 	if err != nil {
 		d.retirePending(1)
 	}
@@ -363,16 +183,15 @@ func (d *Dispatcher) Flush() {
 // ErrClosed, the drainers ingest everything already queued and exit, and
 // Close waits for all of that to finish — including the online rebalancer,
 // which is stopped last. Synchronous CheckIn/CheckInBatch and the task
-// lifecycle remain fully usable afterwards (with the tile layout frozen). Safe to call
-// multiple times and from multiple goroutines; every call waits for the
-// complete shutdown.
+// lifecycle remain fully usable afterwards (with the tile layout frozen).
+// Safe to call multiple times and from multiple goroutines; every call
+// waits for the complete shutdown.
 func (d *Dispatcher) Close() error {
 	ldLock("async", 0)
 	d.asyncMu.Lock()
 	if !d.closed.Load() {
 		d.closed.Store(true)
-		// Wake everyone: blocked enqueuers bail out with ErrClosed, idle
-		// drainers re-check the exit condition.
+		// Blocked enqueuers bail out with ErrClosed, idle drainers exit.
 		for _, q := range d.queues {
 			q.wakeAll()
 		}
@@ -411,20 +230,15 @@ func (d *Dispatcher) ensureDrainers() {
 	d.asyncMu.Unlock()
 }
 
-// drainLoop is shard si's drainer — the ring's single consumer: it pops
-// runs of queued workers (up to Options.MaxDrain per pop, everything queued
-// when 0) and ingests each run under one shard-mutex acquisition. It exits
-// once the dispatcher is closed and the ring fully drained.
+// drainLoop is shard si's drainer — the queue's single consumer: it pops
+// everything queued (at most QueueCap workers) and ingests it as one run
+// under one shard-mutex acquisition, until pop reports closed and empty.
 func (d *Dispatcher) drainLoop(si int) {
 	defer d.drainWG.Done()
 	q := d.queues[si]
-	maxDrain := d.opts.MaxDrain
-	if maxDrain == 0 || maxDrain > len(q.buf) {
-		maxDrain = len(q.buf)
-	}
-	run := make([]model.Worker, 0, maxDrain)
+	run := make([]model.Worker, 0, q.cap)
 	for {
-		run = q.pop(d, maxDrain, run[:0])
+		run = q.pop(d, run)
 		if len(run) == 0 {
 			return
 		}

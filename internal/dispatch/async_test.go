@@ -71,12 +71,12 @@ func TestAsyncSingleShardMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAsyncBackpressure: a tiny queue with a capped drain still ingests the
-// whole stream — backpressure blocks enqueues instead of dropping them —
-// and Flush is the completion point.
+// TestAsyncBackpressure: a tiny queue still ingests the whole stream —
+// backpressure blocks enqueues instead of dropping them — and Flush is the
+// completion point.
 func TestAsyncBackpressure(t *testing.T) {
 	in := testInstance(t, 0.02)
-	d, err := New(in, 4, lafFactory, Options{QueueCap: 2, MaxDrain: 1})
+	d, err := New(in, 4, lafFactory, Options{QueueCap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +120,91 @@ func TestAsyncBackpressure(t *testing.T) {
 	}
 }
 
+// stallFull locks shard 0's mutex — stalling its drainer inside the run it
+// just popped — and fills the queue to capacity behind it. It returns how
+// many workers (a prefix of ws) the dispatcher accepted; the caller unlocks
+// d.shards[0].mu to let the drainer go on.
+func stallFull(t *testing.T, d *Dispatcher, ws []model.Worker) int {
+	t.Helper()
+	d.shards[0].mu.Lock()
+	if err := d.CheckInAsync(ws[0]); err != nil {
+		t.Fatal(err)
+	}
+	q := d.queues[0]
+	for q.depth() != 0 { // the drainer took ws[0] and now waits for the shard mutex
+		runtime.Gosched()
+	}
+	for _, w := range ws[1 : 1+q.cap] {
+		if err := d.CheckInAsync(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return 1 + q.cap
+}
+
+// askedCtx reports, by closing asked, the first time anyone asks for its Done
+// channel. An enqueue does so only when it is about to wait on a full queue,
+// with the queue mutex held — so a test that sees asked closed and then gets
+// the queue mutex knows the enqueue sits in notFull.Wait (Cond.Wait joins the
+// notify list before it unlocks). Polling d.pending alone would leave the
+// enqueue anywhere between its pending count and the wait.
+type askedCtx struct {
+	context.Context
+	once  sync.Once
+	asked chan struct{}
+}
+
+func (c *askedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.asked) })
+	return c.Context.Done()
+}
+
+// blockOne starts one more enqueue against shard 0's full queue and returns
+// once it is blocked on backpressure; the channel delivers its result. An
+// enqueue that returns instead of blocking fails the test.
+func blockOne(t *testing.T, d *Dispatcher, ctx context.Context, w model.Worker) <-chan error {
+	t.Helper()
+	ac := &askedCtx{Context: ctx, asked: make(chan struct{})}
+	blocked := make(chan error, 1)
+	go func() { blocked <- d.CheckInAsyncCtx(ac, w) }()
+	select {
+	case <-ac.asked:
+	case err := <-blocked:
+		t.Fatalf("enqueue into a full queue returned %v instead of blocking", err)
+	}
+	q := d.queues[0]
+	q.mu.Lock()
+	q.mu.Unlock()
+	return blocked
+}
+
+// TestQueueCapIsExact: a queue built with QueueCap n holds exactly n — with
+// the drainer stalled, n further enqueues return and the next one blocks.
+func TestQueueCapIsExact(t *testing.T) {
+	in := lifecycleInstance(10, 50, 60, 13)
+	d, err := New(in, 1, lafFactory, Options{QueueCap: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accepted := stallFull(t, d, in.Workers); accepted != 1+3 {
+		t.Fatalf("accepted %d workers, want the stalled one plus QueueCap = 3", accepted)
+	}
+	if depth := d.queues[0].depth(); depth != 3 {
+		t.Fatalf("queue depth %d, want 3", depth)
+	}
+	blocked := blockOne(t, d, context.Background(), in.Workers[4])
+	d.shards[0].mu.Unlock()
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Arrived(); got != 5 {
+		t.Fatalf("arrived %d, want 5", got)
+	}
+}
+
 // TestAsyncCloseSemantics: Close refuses later enqueues, releases blocked
 // ones with ErrClosed, ingests the backlog, and is idempotent. Flush on an
 // untouched async path returns immediately.
@@ -135,29 +220,10 @@ func TestAsyncCloseSemantics(t *testing.T) {
 		t.Fatalf("bad index err = %v", err)
 	}
 
-	// Stall the drainer on the shard mutex so the queue stays full.
-	s := d.shards[0]
-	s.mu.Lock()
-	if err := d.CheckInAsync(in.Workers[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the drainer to pop the first worker (freeing its slot)...
-	q := d.queues[0]
-	for q.depth() != 0 {
-		runtime.Gosched()
-	}
-	// ...refill the ring (QueueCap 1 rounds up to the 2-slot minimum), and
-	// block a further enqueue on backpressure.
-	for i := 1; i <= len(q.buf); i++ {
-		if err := d.CheckInAsync(in.Workers[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queued := 1 + len(q.buf) // in flight: stalled w0 + the full ring
-	blocked := make(chan error, 1)
-	go func() { blocked <- d.CheckInAsync(in.Workers[len(q.buf)+1]) }()
-	for d.pending.Load() != int64(queued+1) {
-		runtime.Gosched()
+	queued := stallFull(t, d, in.Workers)
+	blocked := blockOne(t, d, context.Background(), in.Workers[queued])
+	if got := d.pending.Load(); got != int64(queued+1) {
+		t.Fatalf("pending %d, want %d: the blocked enqueue is in flight", got, queued+1)
 	}
 
 	closed := make(chan struct{})
@@ -170,7 +236,7 @@ func TestAsyncCloseSemantics(t *testing.T) {
 	if err := <-blocked; !errors.Is(err, ErrClosed) {
 		t.Fatalf("blocked enqueue err = %v, want ErrClosed", err)
 	}
-	s.mu.Unlock() // let the drainer ingest the backlog and exit
+	d.shards[0].mu.Unlock() // let the drainer ingest the backlog and exit
 	<-closed
 
 	if err := d.CheckInAsync(in.Workers[4]); !errors.Is(err, ErrClosed) {
@@ -193,115 +259,71 @@ func TestAsyncCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestAsyncProducerParkWake: a producer that exhausts its spin budget parks
-// on the ring's notFull condvar and is woken by the consumer's post-drain
-// broadcast — the parked slow path of the lock-free enqueue, driven
-// deterministically by stalling the drainer until the producer's waiter
-// registration is visible.
+// TestAsyncProducerParkWake: an enqueue blocked on a full queue returns nil
+// once the drainer frees room, and its worker arrives.
 func TestAsyncProducerParkWake(t *testing.T) {
 	in := lifecycleInstance(10, 50, 60, 23)
 	d, err := New(in, 1, lafFactory, Options{QueueCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.shards[0]
-	s.mu.Lock()
-	if err := d.CheckInAsync(in.Workers[0]); err != nil {
-		t.Fatal(err)
-	}
-	q := d.queues[0]
-	for q.depth() != 0 {
-		runtime.Gosched()
-	}
-	for i := 1; i <= len(q.buf); i++ {
-		if err := d.CheckInAsync(in.Workers[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blocked := make(chan error, 1)
-	go func() { blocked <- d.CheckInAsync(in.Workers[len(q.buf)+1]) }()
-	for q.waiters.Load() == 0 { // wait until the producer is parked
-		runtime.Gosched()
-	}
-	s.mu.Unlock() // drain resumes: wakeProducers releases the parked enqueue
+	queued := stallFull(t, d, in.Workers)
+	blocked := blockOne(t, d, context.Background(), in.Workers[queued])
+	d.shards[0].mu.Unlock() // the drainer resumes and takes the backlog
 	if err := <-blocked; err != nil {
-		t.Fatalf("parked enqueue err = %v, want nil", err)
+		t.Fatalf("blocked enqueue err = %v, want nil", err)
 	}
 	d.Flush()
-	if got, want := d.Arrived(), len(q.buf)+2; got != want {
-		t.Fatalf("arrived %d, want %d", got, want)
+	if got := d.Arrived(); got != queued+1 {
+		t.Fatalf("arrived %d, want %d", got, queued+1)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAsyncProducerParkCancel: a producer parked on backpressure with a
-// cancellable context is woken by the context's AfterFunc and returns
-// ctx.Err() without enqueuing.
+// TestAsyncProducerParkCancel: an enqueue blocked on a full queue with a
+// cancellable context returns ctx.Err() when the context fires, without
+// enqueuing.
 func TestAsyncProducerParkCancel(t *testing.T) {
 	in := lifecycleInstance(10, 50, 60, 29)
 	d, err := New(in, 1, lafFactory, Options{QueueCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.shards[0]
-	s.mu.Lock()
-	if err := d.CheckInAsync(in.Workers[0]); err != nil {
-		t.Fatal(err)
-	}
-	q := d.queues[0]
-	for q.depth() != 0 {
-		runtime.Gosched()
-	}
-	for i := 1; i <= len(q.buf); i++ {
-		if err := d.CheckInAsync(in.Workers[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	queued := stallFull(t, d, in.Workers)
 	ctx, cancel := context.WithCancel(context.Background())
-	blocked := make(chan error, 1)
-	go func() { blocked <- d.CheckInAsyncCtx(ctx, in.Workers[len(q.buf)+1]) }()
-	for q.waiters.Load() == 0 { // wait until the producer is parked
-		runtime.Gosched()
-	}
+	blocked := blockOne(t, d, ctx, in.Workers[queued])
 	cancel()
 	if err := <-blocked; !errors.Is(err, context.Canceled) {
-		t.Fatalf("parked enqueue err = %v, want context.Canceled", err)
+		t.Fatalf("blocked enqueue err = %v, want context.Canceled", err)
 	}
-	s.mu.Unlock()
+	d.shards[0].mu.Unlock()
 	d.Flush()
-	if got, want := d.Arrived(), len(q.buf)+1; got != want {
-		t.Fatalf("arrived %d, want %d", got, want)
+	if got := d.Arrived(); got != queued {
+		t.Fatalf("arrived %d, want %d", got, queued)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAsyncDrainerParkWake: an idle drainer parks on notEmpty once its spin
-// budget runs dry, and the next enqueue's wakeConsumer signal brings it
-// back — covering the consumer side of the parked slow path.
+// TestAsyncDrainerParkWake: a drainer that found its queue empty is brought
+// back by the next enqueue.
 func TestAsyncDrainerParkWake(t *testing.T) {
 	in := testInstance(t, 0.02)
 	d, err := New(in, 1, lafFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CheckInAsync(in.Workers[0]); err != nil {
-		t.Fatal(err)
-	}
-	d.Flush()
-	q := d.queues[0]
-	for !q.sleeping.Load() { // wait until the drainer is parked
-		runtime.Gosched()
-	}
-	if err := d.CheckInAsync(in.Workers[1]); err != nil {
-		t.Fatal(err)
-	}
-	d.Flush()
-	if got := d.Arrived(); got != 2 {
-		t.Fatalf("arrived %d, want 2", got)
+	for i, w := range in.Workers[:3] {
+		if err := d.CheckInAsync(w); err != nil {
+			t.Fatal(err)
+		}
+		d.Flush() // the queue is empty again: the drainer goes back to waiting
+		if got := d.Arrived(); got != i+1 {
+			t.Fatalf("arrived %d, want %d", got, i+1)
+		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -335,7 +357,7 @@ func TestAsyncCloseOnIdleDispatcher(t *testing.T) {
 // every open task completes the platform.
 func TestAsyncLifecycleStress(t *testing.T) {
 	in := lifecycleInstance(60, 3000, 150, 77)
-	d, err := New(in, 8, aamFactory, Options{QueueCap: 64, MaxDrain: 16})
+	d, err := New(in, 8, aamFactory, Options{QueueCap: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

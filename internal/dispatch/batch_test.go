@@ -239,13 +239,10 @@ func TestCheckInBatchValidation(t *testing.T) {
 	}
 }
 
-// TestNewRejectsBadOptions: negative tuning values fail construction.
+// TestNewRejectsBadOptions: a negative queue capacity fails construction.
 func TestNewRejectsBadOptions(t *testing.T) {
 	in := testInstance(t, 0.01)
 	if _, err := New(in, 2, lafFactory, Options{QueueCap: -1}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("QueueCap<0: err = %v", err)
-	}
-	if _, err := New(in, 2, lafFactory, Options{MaxDrain: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("MaxDrain<0: err = %v", err)
 	}
 }

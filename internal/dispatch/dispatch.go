@@ -50,8 +50,8 @@ var (
 	// ErrClosed is returned by CheckInAsync once Close has been called.
 	ErrClosed = errors.New("dispatch: dispatcher closed")
 	// ErrBadOptions is returned by New for out-of-range tuning values
-	// (negative queue capacity or drain cap, rebalance knobs outside their
-	// documented ranges).
+	// (negative queue capacity, rebalance knobs outside their documented
+	// ranges).
 	ErrBadOptions = errors.New("dispatch: option value out of range")
 )
 
@@ -62,18 +62,13 @@ const DefaultQueueCap = 1024
 // Options tunes the batched/asynchronous ingestion path and the shard
 // layout; the zero value is ready to use.
 type Options struct {
-	// QueueCap bounds each shard's CheckInAsync ring buffer. Enqueues block
-	// (backpressure) while the owning shard's ring is full. 0 means
-	// DefaultQueueCap. The capacity is rounded up to the next power of two,
-	// minimum 2 (slot mapping is a mask and the slot-sequence protocol
-	// needs two laps in flight), so the effective bound may be slightly
-	// larger than requested.
+	// QueueCap bounds each shard's CheckInAsync queue: it holds exactly
+	// QueueCap workers, and enqueues block (backpressure) while the owning
+	// shard's queue is full. 0 means DefaultQueueCap. The drainer ingests
+	// everything queued under one shard-mutex acquisition, so QueueCap also
+	// bounds how long a drain run can make a concurrent PostTask/RetireTask
+	// wait for the shard mutex.
 	QueueCap int
-	// MaxDrain caps how many queued workers a shard's drainer ingests under
-	// one mutex acquisition. 0 drains everything queued (bounded by
-	// QueueCap); smaller values bound how long a drain run can make a
-	// concurrent PostTask/RetireTask wait for the shard mutex.
-	MaxDrain int
 	// Balanced switches the tile→shard layout from fixed spatial striping
 	// to the load-aware greedy pack (model.PartitionOptions.Balanced),
 	// using the instance's worker locations — sampled down to
@@ -178,7 +173,6 @@ type Dispatcher struct {
 
 	// Async ingestion state (see async.go). queues is allocated in New;
 	// drainer goroutines start lazily on the first CheckInAsync.
-	opts   Options
 	queues []*shardQueue
 	//ltc:lock async
 	asyncMu sync.Mutex // serializes drainer start and the close transition
@@ -202,8 +196,8 @@ func New(in *model.Instance, nShards int, factory core.OnlineFactory, opts ...Op
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	if o.QueueCap < 0 || o.MaxDrain < 0 {
-		return nil, fmt.Errorf("%w: got QueueCap %d, MaxDrain %d", ErrBadOptions, o.QueueCap, o.MaxDrain)
+	if o.QueueCap < 0 {
+		return nil, fmt.Errorf("%w: got QueueCap %d", ErrBadOptions, o.QueueCap)
 	}
 	if o.QueueCap == 0 {
 		o.QueueCap = DefaultQueueCap
@@ -229,7 +223,7 @@ func New(in *model.Instance, nShards int, factory core.OnlineFactory, opts ...Op
 	if err != nil {
 		return nil, err
 	}
-	d := &Dispatcher{part: part, shards: make([]*shard, part.NumShards()), opts: o, bus: events.NewBus()}
+	d := &Dispatcher{part: part, shards: make([]*shard, part.NumShards()), bus: events.NewBus()}
 	d.flushCond = sync.NewCond(&d.flushMu)
 	d.queues = make([]*shardQueue, part.NumShards())
 	for i := range d.queues {
@@ -503,6 +497,7 @@ type ShardStats struct {
 func (d *Dispatcher) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(d.shards))
 	for i, s := range d.shards {
+		ldLock("shard", i)
 		s.mu.Lock()
 		completed, total := s.eng.Progress()
 		out[i] = ShardStats{
@@ -515,6 +510,7 @@ func (d *Dispatcher) ShardStats() []ShardStats {
 			MigratedOut: s.migratedOut,
 			Latency:     s.eng.Arrangement().Latency(),
 		}
+		ldUnlock("shard", i)
 		s.mu.Unlock()
 		out[i].QueueDepth = d.queues[i].depth()
 	}
@@ -542,9 +538,11 @@ func (d *Dispatcher) ShardStats() []ShardStats {
 // and a sample's maximum never sits below its mean.
 func (d *Dispatcher) Imbalance() float64 {
 	maxRouted, total := 0, 0
-	for _, s := range d.shards {
+	for i, s := range d.shards {
+		ldLock("shard", i)
 		s.mu.Lock()
 		r := s.routed - s.routedBase
+		ldUnlock("shard", i)
 		s.mu.Unlock()
 		total += r
 		if r > maxRouted {
@@ -576,8 +574,10 @@ type TaskStatus struct {
 // Shards are locked one at a time and only while reading their own tasks
 // (per-shard consistent view; the grouping pass runs unlocked).
 func (d *Dispatcher) TaskStatuses() []TaskStatus {
+	ldLock("regMu", 0)
 	d.regMu.RLock()
 	records := d.records[:len(d.records):len(d.records)]
+	ldUnlock("regMu", 0)
 	d.regMu.RUnlock()
 	out := make([]TaskStatus, len(records))
 	byShard := make([][]int32, len(d.shards))
@@ -589,6 +589,7 @@ func (d *Dispatcher) TaskStatuses() []TaskStatus {
 	// partitioning), so each per-shard pass does real work.
 	for si, gids := range byShard {
 		s := d.shards[si]
+		ldLock("shard", si)
 		s.mu.Lock()
 		for _, gid := range gids {
 			local := records[gid].local
@@ -597,6 +598,7 @@ func (d *Dispatcher) TaskStatuses() []TaskStatus {
 			out[gid].Completed = s.eng.TaskCompleted(local)
 			out[gid].Retired = s.eng.TaskRetired(local)
 		}
+		ldUnlock("shard", si)
 		s.mu.Unlock()
 	}
 	return out
@@ -609,15 +611,19 @@ func (d *Dispatcher) Credits(dst []float64) []float64 {
 	// Holding the registry read lock pins the dense ID space for the whole
 	// merge (posts briefly wait; lock order regMu → shard mu matches
 	// PostTask).
+	ldLock("regMu", 0)
 	d.regMu.RLock()
-	defer d.regMu.RUnlock()
 	base := len(dst)
 	dst = append(dst, make([]float64, int(d.total.Load()))...)
 	for si, s := range d.shards {
+		ldLock("shard", si)
 		s.mu.Lock()
 		d.ownedCredits(si, dst[base:])
+		ldUnlock("shard", si)
 		s.mu.Unlock()
 	}
+	ldUnlock("regMu", 0)
+	d.regMu.RUnlock()
 	return dst
 }
 
@@ -647,16 +653,20 @@ func (d *Dispatcher) ownedCredits(si int, dst []float64) {
 // shard's ledger value, exactly what Credits reports.
 func (d *Dispatcher) Arrangement() *model.Arrangement {
 	// Pin the dense ID space during the merge (see Credits).
+	ldLock("regMu", 0)
 	d.regMu.RLock()
-	defer d.regMu.RUnlock()
 	merged := model.NewArrangement(int(d.total.Load()))
 	for si, s := range d.shards {
+		ldLock("shard", si)
 		s.mu.Lock()
 		for _, p := range s.eng.Arrangement().Pairs {
 			merged.Add(p.Worker, s.sub.Global[p.Task], 0) // credit: ownedCredits below
 		}
 		d.ownedCredits(si, merged.Accumulated)
+		ldUnlock("shard", si)
 		s.mu.Unlock()
 	}
+	ldUnlock("regMu", 0)
+	d.regMu.RUnlock()
 	return merged
 }

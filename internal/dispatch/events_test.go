@@ -225,33 +225,14 @@ func TestCheckInAsyncCtxCancelWhileBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stall the drainer on the shard mutex so the queue stays full.
-	s := d.shards[0]
-	s.mu.Lock()
-	if err := d.CheckInAsync(in.Workers[0]); err != nil {
-		t.Fatal(err)
-	}
-	q := d.queues[0]
-	for q.depth() != 0 { // wait for the drainer to pop the worker, freeing the slot
-		runtime.Gosched()
-	}
-	for i := 1; i <= len(q.buf); i++ { // refill the ring (2-slot minimum)
-		if err := d.CheckInAsync(in.Workers[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	accepted := 1 + len(q.buf)
+	accepted := stallFull(t, d, in.Workers)
 	ctx, cancel := context.WithCancel(context.Background())
-	blocked := make(chan error, 1)
-	go func() { blocked <- d.CheckInAsyncCtx(ctx, in.Workers[len(q.buf)+1]) }()
-	for d.pending.Load() != int64(accepted+1) {
-		runtime.Gosched()
-	}
+	blocked := blockOne(t, d, ctx, in.Workers[accepted])
 	cancel()
 	if err := <-blocked; !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked enqueue err = %v, want context.Canceled", err)
 	}
-	s.mu.Unlock()
+	d.shards[0].mu.Unlock()
 	d.Flush()
 	// Exactly the accepted workers arrived; the cancelled one is gone.
 	if got := d.Arrived(); got != accepted {
@@ -261,7 +242,7 @@ func TestCheckInAsyncCtxCancelWhileBlocked(t *testing.T) {
 	// with a free slot succeeds without blocking.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	if err := d.CheckInAsyncCtx(ctx2, in.Workers[len(q.buf)+2]); err != nil {
+	if err := d.CheckInAsyncCtx(ctx2, in.Workers[accepted+1]); err != nil {
 		t.Fatal(err)
 	}
 	d.Flush()
@@ -273,36 +254,23 @@ func TestCheckInAsyncCtxCancelWhileBlocked(t *testing.T) {
 	}
 }
 
-// TestCheckInAsyncCtxClosedWhileBlocked: a Close racing a cancellable
-// blocked enqueue wins with ErrClosed (the closed check precedes the ctx
-// check), mirroring CheckInAsync's contract.
+// TestCheckInAsyncCtxClosedWhileBlocked: a blocked enqueue that wakes to
+// find the dispatcher closed and its context cancelled fails with ErrClosed
+// (the closed check precedes the ctx check), mirroring CheckInAsync's
+// contract.
 func TestCheckInAsyncCtxClosedWhileBlocked(t *testing.T) {
 	in := lifecycleInstance(10, 50, 60, 19)
 	d, err := New(in, 1, lafFactory, Options{QueueCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.shards[0]
-	s.mu.Lock()
-	if err := d.CheckInAsync(in.Workers[0]); err != nil {
-		t.Fatal(err)
-	}
-	q := d.queues[0]
-	for q.depth() != 0 {
-		runtime.Gosched()
-	}
-	for i := 1; i <= len(q.buf); i++ { // refill the ring (2-slot minimum)
-		if err := d.CheckInAsync(in.Workers[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	accepted := stallFull(t, d, in.Workers)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	blocked := make(chan error, 1)
-	go func() { blocked <- d.CheckInAsyncCtx(ctx, in.Workers[len(q.buf)+1]) }()
-	for d.pending.Load() != int64(2+len(q.buf)) {
-		runtime.Gosched()
-	}
+	blocked := blockOne(t, d, ctx, in.Workers[accepted])
+	// Hold the enqueue in its wait until both ways out are armed.
+	q := d.queues[0]
+	q.mu.Lock()
 	closed := make(chan struct{})
 	go func() {
 		if err := d.Close(); err != nil {
@@ -310,9 +278,14 @@ func TestCheckInAsyncCtxClosedWhileBlocked(t *testing.T) {
 		}
 		close(closed)
 	}()
+	for !d.closed.Load() {
+		runtime.Gosched()
+	}
+	cancel()
+	q.mu.Unlock()
 	if err := <-blocked; !errors.Is(err, ErrClosed) {
 		t.Fatalf("blocked enqueue err = %v, want ErrClosed", err)
 	}
-	s.mu.Unlock()
+	d.shards[0].mu.Unlock()
 	<-closed
 }

@@ -68,6 +68,12 @@ func TestLockdebugViolationsPanic(t *testing.T) {
 			ldLock("shard", 0)
 			ldLock("regMu", 0)
 		}},
+		{"snapshot reader takes the registry under a shard", "acquiring regMu(0) (level 10) while holding shard(0) (level 20)", func() {
+			// A Credits or Arrangement edited to pin the ID space inside its
+			// shard loop instead of around it.
+			ldLock("shard", 0)
+			ldLock("regMu", 0)
+		}},
 		{"already held", "already held", func() {
 			ldLock("shard", 2)
 			ldLock("shard", 2)
@@ -106,7 +112,8 @@ func TestLockdebugViolationsPanic(t *testing.T) {
 
 // TestLockdebugStress drives every lock path concurrently — synchronous and
 // batch check-ins, async ingestion with Flush, the task lifecycle, explicit
-// tile migrations, subscribers — with the runtime checker armed. Any lock
+// tile migrations, the five snapshot readers, subscribers — with the runtime
+// checker armed. Any lock
 // acquired out of order panics the test. Run under -race in the nightly job.
 func TestLockdebugStress(t *testing.T) {
 	in := testInstance(t, 0.05)
@@ -183,6 +190,17 @@ func TestLockdebugStress(t *testing.T) {
 				t.Error(err)
 				return
 			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // snapshot readers beside the writers above
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			d.ShardStats()
+			d.Imbalance()
+			d.TaskStatuses()
+			d.Credits(nil)
+			d.Arrangement()
 		}
 	}()
 	wg.Wait()

@@ -254,7 +254,7 @@ func (d *Dispatcher) Migrations() int { return int(d.migrations.Load()) }
 // engines' evict/adopt pairs run on frozen state. The Partition.Locate entry
 // swaps (atomically, tile by tile) while both shards are still held, so by
 // the time any check-in can observe the new routing, the target owns every
-// migrated task. Workers already sitting in the source shard's async ring
+// migrated task. Workers already sitting in the source shard's async queue
 // keep draining at the source — a benign misroute, identical to a check-in
 // that raced the swap (assignment quality only; no worker or task is lost).
 // Migrating a tile onto its current owner is a no-op.

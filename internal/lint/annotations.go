@@ -29,7 +29,7 @@ var lockLevels = map[string]int{
 	"regMu": 10, // Dispatcher registry RWMutex
 	"shard": 20, // per-shard engine mutex (indexed: multiple instances)
 	"async": 30, // async-ingest lifecycle mutex
-	"queue": 50, // Vyukov ring park/wake mutex
+	"queue": 50, // async queue mutex (shardQueue.mu)
 	"leaf":  90, // terminal locks: event bus, flush dedup; nothing may be held
 }
 

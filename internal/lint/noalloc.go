@@ -9,7 +9,7 @@ import (
 )
 
 // NoAlloc rejects heap-allocating constructs inside functions annotated
-// //ltc:noalloc (the per-check-in hot path, ring fast paths, arena carve).
+// //ltc:noalloc (the per-check-in hot path, queue push/pop, arena carve).
 // Flagged constructs: function literals and method values (closure
 // allocation), make/new, map and slice literals, map writes, escaping
 // &composite literals, fmt/errors calls, go statements, string<->[]byte

@@ -24,7 +24,6 @@ type config struct {
 	loadPrefix      int
 	seed            uint64
 	queueCap        int
-	maxDrain        int
 	eventBuffer     int
 	index           *CandidateIndex
 	batchMultiplier float64
@@ -110,18 +109,12 @@ func WithLoadPrefix(n int) Option {
 // Platform). The deterministic algorithms ignore it; zero is a valid seed.
 func WithSeed(seed uint64) Option { return optionFunc(func(c *config) { c.seed = seed }) }
 
-// WithQueueCap bounds each shard's CheckInAsync queue: enqueues block
-// (backpressure) while the owning shard's queue is full. 0 (the default)
+// WithQueueCap bounds each shard's CheckInAsync queue to exactly n workers:
+// enqueues block (backpressure) while the owning shard's queue is full, and
+// a drain run ingests at most n workers per shard-mutex hold. 0 (the default)
 // uses the dispatch layer's DefaultQueueCap (1024); negative values are
 // rejected. Ignored outside NewPlatform and ReplayChurn.
 func WithQueueCap(n int) Option { return optionFunc(func(c *config) { c.queueCap = n }) }
-
-// WithMaxDrain caps how many queued workers a shard's async drainer
-// ingests under one mutex acquisition. 0 (the default) drains everything
-// queued; smaller values bound how long a drain run can make a concurrent
-// PostTask or RetireTask wait. Negative values are rejected. Ignored
-// outside NewPlatform and ReplayChurn.
-func WithMaxDrain(n int) Option { return optionFunc(func(c *config) { c.maxDrain = n }) }
 
 // WithEventBuffer sets the per-subscriber buffer capacity handed out by
 // Platform.Subscribe (default DefaultEventBuffer). A subscriber that lets

@@ -44,9 +44,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewPlatform(in, AAM, WithQueueCap(-1)); err == nil {
 		t.Fatal("negative queue cap accepted")
 	}
-	if _, err := NewPlatform(in, AAM, WithMaxDrain(-1)); err == nil {
-		t.Fatal("negative max drain accepted")
-	}
 	// Session/Solve ignore platform-only options rather than erroring.
 	if _, err := NewSession(in, AAM, WithShards(-1), WithQueueCap(-1)); err != nil {
 		t.Fatal(err)

@@ -134,7 +134,6 @@ func NewPlatform(in *Instance, algo Algorithm, opts ...Option) (*Platform, error
 	}
 	d, err := dispatch.New(in, c.shards, factory, dispatch.Options{
 		QueueCap:   c.queueCap,
-		MaxDrain:   c.maxDrain,
 		Balanced:   c.balanced,
 		LoadSample: loadSample,
 		Rebalance:  c.rebalance,
@@ -169,13 +168,12 @@ func (p *Platform) CheckIn(w Worker) (Receipt, error) {
 // CheckInBatch ingests a batch of workers with the exact semantics of
 // calling CheckIn for each in order, at a fraction of the per-call
 // overhead: consecutive workers landing on the same shard are processed
-// under a single shard-lock acquisition and a single candidate-index
-// snapshot. out[i] is ws[i]'s Receipt. When the platform completes
-// mid-batch, out is truncated to the ingested prefix and ErrPlatformDone
-// is returned; the remaining workers are not observed and may be
-// re-presented after a PostTask revives the platform. A worker with a
-// non-positive index fails the whole batch upfront. Safe for concurrent
-// use; see CONCURRENCY.md for the batched ordering contract.
+// under a single shard-lock acquisition. out[i] is ws[i]'s Receipt. When
+// the platform completes mid-batch, out is truncated to the ingested prefix
+// and ErrPlatformDone is returned; the remaining workers are not observed
+// and may be re-presented after a PostTask revives the platform. A worker
+// with a non-positive index fails the whole batch upfront. Safe for
+// concurrent use; see CONCURRENCY.md for the batched ordering contract.
 func (p *Platform) CheckInBatch(ws []Worker) ([]Receipt, error) {
 	out, err := p.d.CheckInBatch(ws)
 	if err != nil {

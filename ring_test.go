@@ -9,18 +9,17 @@ import (
 	"testing"
 )
 
-// This file fuzzes the per-shard MPSC ring behind CheckInAsync through its
-// hard regimes: tiny capacities (constant wraparound, the minimum-capacity
-// clamp, producers parking on a full ring), bounded drain runs, and Flush
-// barriers landing mid-stream. The deterministic leg must reproduce the
+// This file fuzzes the per-shard queue behind CheckInAsync through its hard
+// regimes: tiny capacities (down to a single slot, producers blocking on a
+// full queue at every step) and Flush barriers landing mid-stream. The deterministic leg must reproduce the
 // per-call replay bit for bit; the concurrent leg checks conservation —
 // every enqueued worker arrives exactly once — and arrangement validity
 // when arrival order is up to the scheduler.
 
 // checkRingEquivalence replays one instance per-call and async (sequential
 // enqueue with periodic Flush barriers) over one shard and requires the
-// same final state regardless of queue capacity or drain bound.
-func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint64, qcap, drain, flushEvery int) {
+// same final state regardless of queue capacity.
+func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint64, qcap, flushEvery int) {
 	t.Helper()
 	ref, err := NewPlatform(in, algo, WithShards(1), WithSeed(seed))
 	if err != nil {
@@ -35,7 +34,7 @@ func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint6
 		}
 	}
 
-	async, err := NewPlatform(in, algo, WithShards(1), WithSeed(seed), WithQueueCap(qcap), WithMaxDrain(drain))
+	async, err := NewPlatform(in, algo, WithShards(1), WithSeed(seed), WithQueueCap(qcap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint6
 			t.Fatal(err)
 		}
 		if (i+1)%flushEvery == 0 {
-			async.Flush() // barrier mid-stream: the ring drains to empty
+			async.Flush() // barrier mid-stream: the queue drains to empty
 		}
 	}
 	async.Flush()
@@ -59,16 +58,16 @@ func checkRingEquivalence(t *testing.T, in *Instance, algo Algorithm, seed uint6
 	// against an asynchronous drainer, so the async leg can legitimately
 	// enqueue a straggler after the completing worker (it is routed but
 	// never assigned). Conservation is the concurrent leg's property.
-	requireSamePlatformState(t, fmt.Sprintf("cap=%d drain=%d async vs per-call", qcap, drain), ref, async)
+	requireSamePlatformState(t, fmt.Sprintf("cap=%d async vs per-call", qcap), ref, async)
 }
 
-// checkRingConcurrent hammers a sharded platform's rings from several
+// checkRingConcurrent hammers a sharded platform's queues from several
 // feeder goroutines over a tiny capacity and checks conservation: after the
 // final Flush every successfully enqueued worker arrived exactly once, and
 // the merged arrangement is valid for the instance.
-func checkRingConcurrent(t *testing.T, in *Instance, algo Algorithm, seed uint64, qcap, drain, feeders int) {
+func checkRingConcurrent(t *testing.T, in *Instance, algo Algorithm, seed uint64, qcap, feeders int) {
 	t.Helper()
-	plat, err := NewPlatform(in, algo, WithShards(4), WithSeed(seed), WithQueueCap(qcap), WithMaxDrain(drain))
+	plat, err := NewPlatform(in, algo, WithShards(4), WithSeed(seed), WithQueueCap(qcap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func checkRingConcurrent(t *testing.T, in *Instance, algo Algorithm, seed uint64
 		t.Fatal(err)
 	}
 	if got := plat.WorkersSeen(); got != int(enqueued.Load()) {
-		t.Fatalf("cap=%d feeders=%d: %d workers arrived, %d enqueued — the ring lost or duplicated entries",
+		t.Fatalf("cap=%d feeders=%d: %d workers arrived, %d enqueued — the queue lost or duplicated entries",
 			qcap, feeders, got, enqueued.Load())
 	}
 	if err := plat.Arrangement().Validate(in, false); err != nil {
@@ -112,7 +111,7 @@ func checkRingConcurrent(t *testing.T, in *Instance, algo Algorithm, seed uint64
 	}
 }
 
-// TestRingIngestionFuzz sweeps random instances and ring shapes through
+// TestRingIngestionFuzz sweeps random instances and queue shapes through
 // both checkers — the deterministic seed-corpus companion of
 // FuzzRingIngestionEquivalence, always on in `go test`.
 func TestRingIngestionFuzz(t *testing.T) {
@@ -127,24 +126,23 @@ func TestRingIngestionFuzz(t *testing.T) {
 		algo := algos[trial%len(algos)]
 		seed := rng.Uint64()
 		qcap := 1 + rng.IntN(7)
-		drain := rng.IntN(5)
 		flushEvery := 1 + rng.IntN(64)
-		t.Logf("trial %d: %s, %d tasks, %d workers, cap=%d drain=%d flushEvery=%d",
-			trial, algo, len(in.Tasks), len(in.Workers), qcap, drain, flushEvery)
-		checkRingEquivalence(t, in, algo, seed, qcap, drain, flushEvery)
-		checkRingConcurrent(t, in, algo, seed, qcap, drain, 1+rng.IntN(4))
+		t.Logf("trial %d: %s, %d tasks, %d workers, cap=%d flushEvery=%d",
+			trial, algo, len(in.Tasks), len(in.Workers), qcap, flushEvery)
+		checkRingEquivalence(t, in, algo, seed, qcap, flushEvery)
+		checkRingConcurrent(t, in, algo, seed, qcap, 1+rng.IntN(4))
 	}
 }
 
-// FuzzRingIngestionEquivalence exposes the ring properties to go fuzz:
-// arbitrary generator seeds, queue capacities (including ones below the
-// minimum-capacity clamp), drain bounds, and flush cadences must never
-// break async-vs-per-call equivalence or enqueue/arrival conservation.
+// FuzzRingIngestionEquivalence exposes the queue properties to go fuzz:
+// arbitrary generator seeds, queue capacities (down to one slot), flush
+// cadences and feeder counts must never break async-vs-per-call equivalence
+// or enqueue/arrival conservation.
 func FuzzRingIngestionEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint64(42), uint8(1), uint8(0), uint8(7), uint8(2))
-	f.Add(uint64(99), uint64(3), uint8(2), uint8(1), uint8(1), uint8(4))
-	f.Add(uint64(1234), uint64(77), uint8(255), uint8(16), uint8(255), uint8(1))
-	f.Fuzz(func(t *testing.T, genSeed, algoSeed uint64, rawCap, rawDrain, rawFlush, rawFeeders uint8) {
+	f.Add(uint64(1), uint64(42), uint8(1), uint8(7), uint8(2))
+	f.Add(uint64(99), uint64(3), uint8(2), uint8(1), uint8(4))
+	f.Add(uint64(1234), uint64(77), uint8(255), uint8(255), uint8(1))
+	f.Fuzz(func(t *testing.T, genSeed, algoSeed uint64, rawCap, rawFlush, rawFeeders uint8) {
 		rng := rand.New(rand.NewPCG(genSeed, genSeed^0x9e3779b9))
 		cfg := randomBatchWorkload(rng)
 		in, err := cfg.Generate()
@@ -153,10 +151,9 @@ func FuzzRingIngestionEquivalence(f *testing.F) {
 		}
 		algo := []Algorithm{LAF, AAM, RandomAssign}[int(genSeed%3)]
 		qcap := int(rawCap)%7 + 1
-		drain := int(rawDrain) % 5
 		flushEvery := int(rawFlush)%64 + 1
 		feeders := int(rawFeeders)%4 + 1
-		checkRingEquivalence(t, in, algo, algoSeed, qcap, drain, flushEvery)
-		checkRingConcurrent(t, in, algo, algoSeed, qcap, drain, feeders)
+		checkRingEquivalence(t, in, algo, algoSeed, qcap, flushEvery)
+		checkRingConcurrent(t, in, algo, algoSeed, qcap, feeders)
 	})
 }
