@@ -89,9 +89,7 @@ func (a *AAM) Arrive(w model.Worker) []Outcome {
 	case StrategyLRFOnly:
 		useLGF = false
 	default:
-		total, maxRemain := a.state.totalNeed()
-		avg := total / float64(a.in.K)
-		useLGF = avg >= maxRemain
+		useLGF = a.state.lgfDominates(a.in.K)
 	}
 	if useLGF {
 		a.lgfArrivals++

@@ -117,8 +117,12 @@ func RunOffline(in *model.Instance, ci *model.CandidateIndex, algo Offline) (*Re
 }
 
 // RunOnline streams the instance's workers through a fresh Online solver
-// until it reports Done or the stream ends, and measures the cost.
+// until it reports Done or the stream ends, and measures the cost. The
+// engine works on its own copy of ci — made before the clock starts, like
+// the build of ci itself — so callers can run one index through several
+// algorithms.
 func RunOnline(in *model.Instance, ci *model.CandidateIndex, factory OnlineFactory) (*Result, error) {
+	ci = ci.Clone()
 	start := time.Now()
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)

@@ -10,11 +10,18 @@ import (
 // sub-instance) and adds what the solver's ledger does not hold: an O(1)
 // completed-task counter and — for the online task lifecycle — each task's
 // post index and the last worker index assigned to it, plus the candidate
-// index half of posting, retiring and migrating a task. Credit, pairs and
-// the closed set are the ledger's; the engine reads them there. It is the
-// single-threaded building block of both the streaming Session API and the
-// sharded dispatch layer — callers that share an Engine across goroutines
-// must serialize access themselves.
+// index half of posting, retiring, migrating and completing a task. Credit,
+// pairs and the closed set are the ledger's; the engine reads them there.
+//
+// The engine owns the index it is handed and is its only writer. Completion
+// is the fourth index write: Arrive removes a task the moment it reaches δ,
+// so a task is live in the index exactly while it is open in the ledger and
+// an arrival's query never sorts, predicts or scores a settled task. A
+// caller that keeps an index for other runs hands over a Clone.
+//
+// It is the single-threaded building block of both the streaming Session
+// API and the sharded dispatch layer — callers that share an Engine across
+// goroutines must serialize access themselves.
 type Engine struct {
 	in        *model.Instance
 	ci        *model.CandidateIndex
@@ -42,8 +49,9 @@ type Engine struct {
 }
 
 // NewEngine builds an engine around a fresh solver from factory. The
-// candidate index must have been built for the same instance. The
-// instance's Workers slice may be empty: workers arrive via Arrive.
+// candidate index must have been built for the same instance and hold
+// exactly its open tasks; the engine takes it over. The instance's Workers
+// slice may be empty: workers arrive via Arrive.
 func NewEngine(in *model.Instance, ci *model.CandidateIndex, factory OnlineFactory) *Engine {
 	algo := factory(in, ci)
 	return &Engine{
@@ -68,8 +76,9 @@ func (e *Engine) EndBatch() {}
 
 // Arrive offers the next worker to the solver and returns one Outcome per
 // assignment, as the solver recorded them in its ledger (pair, Acc* credit,
-// completion); the engine only folds them into its counters. The returned
-// slice is the solver's reusable buffer, valid only until the next call.
+// completion); the engine folds them into its counters and drops each
+// completed task from the candidate index. The returned slice is the
+// solver's reusable buffer, valid only until the next call.
 // Index discipline is the caller's job: Session enforces consecutive
 // indices starting at 1, while the dispatch layer feeds each shard a sparse
 // subsequence of global indices (the solvers never read Worker.Index, and
@@ -81,6 +90,9 @@ func (e *Engine) Arrive(w model.Worker) []Outcome {
 	for _, oc := range out {
 		if oc.Completed {
 			e.completed++
+			// The solver picked the task from this index a moment ago, so it
+			// is live and the one error Remove has cannot occur.
+			_ = e.ci.Remove(oc.Task)
 		}
 		if idx := int32(w.Index); idx > e.lastUsed[oc.Task] {
 			e.lastUsed[oc.Task] = idx
@@ -156,9 +168,9 @@ func (e *Engine) EvictTask(t model.TaskID) (TaskSnapshot, error) {
 // AdoptTask extends the engine with a task evicted from another engine,
 // seeding credit, latency bookkeeping and status from the snapshot. The
 // caller must already have appended t to the instance's Tasks slice and
-// t.ID must extend the dense ID space. A retired task is inserted into and
-// immediately removed from the candidate index so the index's dense ID
-// space stays in lockstep with the engine's.
+// t.ID must extend the dense ID space. A retired or completed task is
+// inserted into and immediately removed from the candidate index so the
+// index's dense ID space stays in lockstep with the engine's.
 func (e *Engine) AdoptTask(t model.Task, snap TaskSnapshot) error {
 	if n := len(e.lastUsed); int(t.ID) != n {
 		return fmt.Errorf("core: task ID %d does not extend the dense ID space (%d tasks)", t.ID, n)
@@ -171,10 +183,12 @@ func (e *Engine) AdoptTask(t model.Task, snap TaskSnapshot) error {
 	if err := e.ci.Insert(t); err != nil {
 		return err
 	}
-	if snap.Retired {
+	if snap.Retired || snap.Completed {
 		if err := e.ci.Remove(t.ID); err != nil {
 			return err
 		}
+	}
+	if snap.Retired {
 		e.retired++
 	}
 	if snap.Completed {

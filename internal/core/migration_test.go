@@ -179,6 +179,60 @@ func TestEngineAdoptRetiredTask(t *testing.T) {
 	}
 }
 
+// TestEngineAdoptCompletedTask: a task that completed at the source is not
+// open anywhere, so the target inserts and at once removes it — live in the
+// index means open in the ledger on both sides of a migration — while its
+// completion still counts at the target, not as a retirement. Retiring or
+// evicting it later finds nothing left to remove.
+func TestEngineAdoptCompletedTask(t *testing.T) {
+	base := lifecycleInstance(4, 600, 11)
+	f := func(in *model.Instance, ci *model.CandidateIndex) Online { return NewAAM(in, ci) }
+	src := newMigrationShard(base, base.Tasks[:2], f)
+	dst := newMigrationShard(base, base.Tasks[2:4], f)
+
+	const victim = model.TaskID(1)
+	for _, w := range base.Workers {
+		if src.eng.TaskCompleted(victim) {
+			break
+		}
+		src.eng.Arrive(w)
+	}
+	if !src.eng.TaskCompleted(victim) {
+		t.Fatal("stream exhausted before the victim completed")
+	}
+	if src.ci.Live(victim) {
+		t.Fatal("completed task still live in the source index")
+	}
+	snap, err := src.eng.EvictTask(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snap.Completed || snap.Retired {
+		t.Fatalf("snapshot %+v, want completed and not retired", snap)
+	}
+
+	local := dst.appendTask(base.Tasks[victim].Loc)
+	if err := dst.eng.AdoptTask(local, snap); err != nil {
+		t.Fatal(err)
+	}
+	if dst.ci.Live(local.ID) {
+		t.Fatal("completed adoptee live in the target index")
+	}
+	if dst.ci.NumTasks() != len(dst.in.Tasks) || dst.ci.NumLive() != 2 {
+		t.Fatalf("target index tracks %d tasks, %d live; want %d and 2",
+			dst.ci.NumTasks(), dst.ci.NumLive(), len(dst.in.Tasks))
+	}
+	if c, total := dst.eng.Progress(); c != 1 || total != 3 || dst.eng.Retired() != 0 {
+		t.Fatalf("target progress %d/%d retired %d, want 1/3 and 0", c, total, dst.eng.Retired())
+	}
+	if wasOpen, err := dst.eng.RetireTask(local.ID); err != nil || wasOpen {
+		t.Fatalf("retire of a completed adoptee: wasOpen=%t err=%v", wasOpen, err)
+	}
+	if _, err := dst.eng.EvictTask(local.ID); err != nil {
+		t.Fatalf("evict of a completed adoptee: %v", err)
+	}
+}
+
 // TestEngineMigrationErrors covers the evict/adopt error paths.
 func TestEngineMigrationErrors(t *testing.T) {
 	base := lifecycleInstance(3, 10, 17)

@@ -7,7 +7,9 @@ import "ltc/internal/model"
 // buffers. It supplies Done and the ledger (through which the engine posts,
 // retires and migrates tasks), so an algorithm is its selection rule:
 // begin loads the arriving worker's candidates, the rule picks among the
-// ones not yet done, grant records each pick.
+// ones not yet done, grant records each pick. Under an Engine the index holds
+// open tasks only and the done filter passes everything; it is what keeps a
+// bare solver, over an index nobody writes, from assigning a settled task.
 type solver struct {
 	in    *model.Instance
 	ci    *model.CandidateIndex

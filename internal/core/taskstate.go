@@ -27,13 +27,32 @@ import (
 // addition order and results — identical to the dense scan. Tasks inside
 // the model.CompletionEps band count as completed but still carry their
 // (tiny) residual need, exactly as before.
+//
+// That scan is AAM's slow branch and the test oracle, not its every-arrival
+// cost: needSum is a running Σ_t need(t), moved by the ledger's three
+// writers (add, adopt, close) with one floating-point add or subtract each,
+// and lgfDominates decides from it alone while it is large enough that the
+// scan could not say otherwise. Each write rounds needSum by at most 2⁻⁵²
+// of the largest value it has held, which is below |T|·δ, so after u writes
+// |needSum − Σ| ≤ (u + |T|)·2⁻⁵²·|T|·δ — the |T| term covers the scan's own
+// summation error. lgfDominates runs the scan, and sets needSum to its
+// result, whenever needSum is below its threshold or needWrites reaches
+// needResync, so u never exceeds needResync.
 type taskState struct {
-	delta     float64
-	arr       model.Arrangement
-	closed    []uint64 // bitset: task retired via close
-	zeroNeed  []uint64 // bitset: need(t) == 0 exactly (closed or S[t] ≥ δ)
-	remaining int
+	delta      float64
+	needSum    float64
+	arr        model.Arrangement
+	closed     []uint64 // bitset: task retired via close
+	zeroNeed   []uint64 // bitset: need(t) == 0 exactly (closed or S[t] ≥ δ)
+	remaining  int
+	needWrites int // writes to needSum since it last equalled the scan's sum
 }
+
+// needResync caps the writes needSum absorbs between two scans: 2²⁰ writes
+// move it by at most 2⁻³² of its peak — under 10⁻⁴·δ with 10⁵ tasks, against
+// lgfDominates' margin of k·δ — and one scan per million grants costs
+// nothing.
+const needResync = 1 << 20
 
 func bitGet(b []uint64, t model.TaskID) bool { return b[t>>6]&(1<<(uint(t)&63)) != 0 }
 func bitSet(b []uint64, t model.TaskID)      { b[t>>6] |= 1 << (uint(t) & 63) }
@@ -47,6 +66,7 @@ func newTaskState(numTasks int, delta float64) *taskState {
 		closed:    make([]uint64, words),
 		zeroNeed:  make([]uint64, words),
 		remaining: numTasks,
+		needSum:   float64(numTasks) * delta,
 	}
 }
 
@@ -79,6 +99,8 @@ func (ts *taskState) adopt(t model.TaskID, credit float64, closed bool) {
 	if !closed && !model.Completed(credit, ts.delta) {
 		ts.remaining++
 	}
+	ts.needSum += ts.need(t)
+	ts.needWrites++
 }
 
 // close retires task t: it no longer counts toward remaining and done
@@ -90,6 +112,8 @@ func (ts *taskState) close(t model.TaskID) bool {
 		return false
 	}
 	open := !model.Completed(ts.arr.Accumulated[t], ts.delta)
+	ts.needSum -= ts.need(t)
+	ts.needWrites++
 	bitSet(ts.closed, t)
 	bitSet(ts.zeroNeed, t)
 	if open {
@@ -108,8 +132,10 @@ func (ts *taskState) done(t model.TaskID) bool {
 // index — pair, credit and latency in the arrangement — and reports whether
 // this credit completed the task.
 func (ts *taskState) add(worker int, t model.TaskID, credit float64) bool {
-	was := ts.done(t)
+	was, before := ts.done(t), ts.need(t)
 	ts.arr.Add(worker, t, credit)
+	ts.needSum -= before - ts.need(t)
+	ts.needWrites++
 	if ts.arr.Accumulated[t] >= ts.delta {
 		bitSet(ts.zeroNeed, t)
 	} else if !bitGet(ts.closed, t) {
@@ -136,6 +162,21 @@ func (ts *taskState) need(t model.TaskID) float64 {
 		return 0
 	}
 	return n
+}
+
+// lgfDominates is AAM's switching rule: it reports whether the average
+// demand Σ_t need(t)/k is at least the largest single need, as totalNeed
+// would compute them. No need exceeds δ, so needSum ≥ 2·k·δ settles it with
+// a factor of two to spare against needSum's drift (see the type comment)
+// and nothing is scanned; otherwise the scan decides, and by then it walks
+// the short tail of tasks still open.
+func (ts *taskState) lgfDominates(k int) bool {
+	if ts.needSum >= 2*float64(k)*ts.delta && ts.needWrites < needResync {
+		return true
+	}
+	sum, maxNeed := ts.totalNeed()
+	ts.needSum, ts.needWrites = sum, 0
+	return sum/float64(k) >= maxNeed
 }
 
 // totalNeed returns Σ_t max(0, δ − S[t]) and the largest single-task need —

@@ -130,6 +130,7 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 			continue
 		}
 		s.offered++
+		ldAssertHeld("shard", si) // Arrive drops completed tasks from the shard's index
 		outcomes := s.eng.Arrive(w)
 		var grants []TaskGrant
 		if out != nil && len(outcomes) > 0 {

@@ -572,16 +572,16 @@ type TaskStatus struct {
 
 // TaskStatuses snapshots every task ever posted, in global TaskID order.
 // Shards are locked one at a time and only while reading their own tasks
-// (per-shard consistent view; the grouping pass runs unlocked).
+// (per-shard consistent view). The registry stays read-locked throughout,
+// as in Credits and RetireTask: a tile migration slipping in between the
+// grouping pass and a shard's pass would re-home a task, and its new local
+// ID would be looked up in the shard it just left.
 func (d *Dispatcher) TaskStatuses() []TaskStatus {
 	ldLock("regMu", 0)
 	d.regMu.RLock()
-	records := d.records[:len(d.records):len(d.records)]
-	ldUnlock("regMu", 0)
-	d.regMu.RUnlock()
-	out := make([]TaskStatus, len(records))
+	out := make([]TaskStatus, len(d.records))
 	byShard := make([][]int32, len(d.shards))
-	for gid, rec := range records {
+	for gid, rec := range d.records {
 		out[gid].ID = model.TaskID(gid)
 		byShard[rec.shard] = append(byShard[rec.shard], int32(gid))
 	}
@@ -592,7 +592,7 @@ func (d *Dispatcher) TaskStatuses() []TaskStatus {
 		ldLock("shard", si)
 		s.mu.Lock()
 		for _, gid := range gids {
-			local := records[gid].local
+			local := d.records[gid].local
 			out[gid].PostIndex = s.eng.TaskPostIndex(local)
 			out[gid].LastUsed = s.eng.TaskLastUsed(local)
 			out[gid].Completed = s.eng.TaskCompleted(local)
@@ -601,6 +601,8 @@ func (d *Dispatcher) TaskStatuses() []TaskStatus {
 		ldUnlock("shard", si)
 		s.mu.Unlock()
 	}
+	ldUnlock("regMu", 0)
+	d.regMu.RUnlock()
 	return out
 }
 

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,6 +200,77 @@ func TestMigrateTileRoundTripSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertCreditsMatchArrangement(t, d)
+}
+
+// TestSnapshotReadersBesideMigration is the regression for TaskStatuses
+// resolving a task's shard and its local ID in two separate registry reads:
+// a tile migration between them re-homed the task, and its new local ID was
+// looked up in the shard it had just left — an index panic, or another
+// task's status. Tiles ping-pong between shards (local IDs only grow, so a
+// stale pairing lands out of range within a few rounds) beside posts and
+// the two registry-keyed readers; every status must be its own task's.
+func TestSnapshotReadersBesideMigration(t *testing.T) {
+	in := hotspotInstance(t, 0.05)
+	d := rebalanced(t, in, 4, nil)
+	const clock = 7 // every posted task's PostIndex; initial tasks have 0
+	w := in.Workers[0]
+	w.Index = clock
+	if _, err := d.CheckIn(w); err != nil {
+		t.Fatal(err)
+	}
+	initial := len(in.Tasks)
+
+	stop := make(chan struct{})
+	var writers, reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for gid, st := range d.TaskStatuses() {
+				want := 0
+				if gid >= initial {
+					want = clock
+				}
+				if int(st.ID) != gid || st.PostIndex != want {
+					t.Errorf("status %d = %+v, want ID %d PostIndex %d", gid, st, gid, want)
+					return
+				}
+			}
+			_, total := d.Progress()
+			if got := len(d.Credits(nil)); got < total {
+				t.Errorf("Credits covers %d tasks, Progress reported %d", got, total)
+				return
+			}
+		}
+	}()
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		tiles := d.part.OwnerTiles()
+		for i := 0; i < 600; i++ {
+			if err := d.MigrateTile(tiles[i%len(tiles)], (i/len(tiles))%d.NumShards()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := d.PostTask(model.Task{Loc: in.Tasks[i%initial].Loc}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	reader.Wait()
 }
 
 // TestImbalanceWindowRebasesOnMigration is the load-accounting regression:

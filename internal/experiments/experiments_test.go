@@ -3,9 +3,12 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"ltc/internal/workload"
 )
 
 // tinyOptions keeps experiment tests fast: minimal scale, one rep, and the
@@ -186,6 +189,32 @@ func TestRunPointUnknownAlgorithm(t *testing.T) {
 	o.Algorithms = []string{"Quantum"}
 	if _, err := e.Run(o); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
+	}
+}
+
+// TestRunPointOrderIndependent: runPoint runs every algorithm over one
+// candidate index, and the online ones complete tasks out of a copy of it —
+// what an algorithm reports cannot depend on which ran before it.
+func TestRunPointOrderIndependent(t *testing.T) {
+	in, err := workload.Default().Scale(0.01).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	algos := []string{AlgoBaseOff, AlgoRandom, AlgoLAF, AlgoAAM}
+	forward, err := runPoint(in, algos, 7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Reverse(algos)
+	backward, err := runPoint(in, algos, 7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range algos {
+		f, b := forward[name], backward[name]
+		if f.Latency != b.Latency || f.Completed != b.Completed || !f.Completed {
+			t.Fatalf("%s: latency %v completed %t run last, %v / %t run first", name, f.Latency, f.Completed, b.Latency, b.Completed)
+		}
 	}
 }
 

@@ -23,14 +23,19 @@ type Candidate struct {
 //
 // The index supports online task lifecycle: Insert adds a task to its grid
 // cell and Remove drops it, both in place (no rebuild, no copy). It is a
-// single-owner structure, like the core.Engine it serves: a query writes
-// nothing to the index, so any number of goroutines may query one shared
-// index concurrently, but Insert and Remove need the caller's exclusion
-// against every other call — the dispatch layer's shard mutex provides it.
+// single-owner structure: the core.Engine an index is handed to owns it and
+// is its only writer — it inserts posted and migrated-in tasks and removes
+// retired, migrated-out and completed ones, so under an engine a task is
+// live exactly while it is open (below δ, not retired) and a query pays for
+// open tasks only. An index no engine was handed is never written: offline
+// solvers, bare solvers and any number of concurrent queries may share it,
+// and Clone gives a run that will mutate its own copy. Insert and Remove
+// need the caller's exclusion against every other call — the dispatch
+// layer's shard mutex provides it.
 type CandidateIndex struct {
 	in     *Instance
 	radius float64 // +Inf when the model gives no bound
-	// tasks is the dense task table (retired tasks keep their slot), live
+	// tasks is the dense task table (removed tasks keep their slot), live
 	// its liveness mask.
 	tasks []Task
 	live  []bool
@@ -109,6 +114,39 @@ func NewCandidateIndex(in *Instance) *CandidateIndex {
 	return ci
 }
 
+// Clone returns an independent copy of the index in its current state: task
+// table, liveness mask and grid cells are copied, the instance (read-only) is
+// shared. An engine owns the index it is handed, so a caller that wants to
+// run several engines from one prebuilt index hands each a clone.
+func (ci *CandidateIndex) Clone() *CandidateIndex {
+	cp := *ci
+	cp.tasks = append([]Task(nil), ci.tasks...)
+	cp.live = append([]bool(nil), ci.live...)
+	if ci.grid != nil {
+		cp.grid = ci.grid.clone()
+	}
+	return &cp
+}
+
+// clone copies the grid. The cells' arrays are carved from three shared
+// blocks, each cell's capacity clipped to its length so that an append
+// reallocates that cell alone.
+func (g *cellGrid) clone() *cellGrid {
+	n := 0
+	for i := range g.cells {
+		n += len(g.cells[i].ids)
+	}
+	ids, xs, ys := make([]int32, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+	cp := &cellGrid{TileGrid: g.TileGrid, cells: make([]cell, len(g.cells))}
+	for i := range g.cells {
+		c, lo := &g.cells[i], len(ids)
+		ids, xs, ys = append(ids, c.ids...), append(xs, c.xs...), append(ys, c.ys...)
+		hi := len(ids)
+		cp.cells[i] = cell{ids: ids[lo:hi:hi], xs: xs[lo:hi:hi], ys: ys[lo:hi:hi]}
+	}
+	return cp
+}
+
 // newCellGrid buckets the tasks into square cells of the given side over
 // their bounding rect.
 func newCellGrid(tasks []Task, side float64) *cellGrid {
@@ -133,9 +171,12 @@ func (ci *CandidateIndex) Radius() float64 { return ci.radius }
 func (ci *CandidateIndex) NumTasks() int { return len(ci.tasks) }
 
 // NumLive returns how many tasks are currently live (inserted, not removed).
+// Under an engine that is the number of open tasks: a task is removed when
+// it completes, is retired or migrates away.
 func (ci *CandidateIndex) NumLive() int { return ci.nLive }
 
-// Live reports whether the task id is known and not removed.
+// Live reports whether the task id is known and not removed — under an
+// engine, whether the task is still open.
 func (ci *CandidateIndex) Live(id TaskID) bool {
 	return id >= 0 && int(id) < len(ci.live) && ci.live[id]
 }

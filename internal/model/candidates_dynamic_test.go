@@ -120,6 +120,63 @@ func TestCandidateIndexLifecycleProperty(t *testing.T) {
 	}
 }
 
+// TestCandidateIndexCloneIsIndependent: a clone answers as its original did
+// at the moment of copying, and from then on neither side sees the other's
+// writes — inserts land in every occupied cell of one side (the clone's
+// cells share backing blocks, so a leaked append would overwrite a
+// neighbouring cell) while the other side removes.
+func TestCandidateIndexCloneIsIndependent(t *testing.T) {
+	const width = 120.0
+	rng := rand.New(rand.NewPCG(24, 99))
+	gridIn := &Instance{Epsilon: 0.1, K: 4, Model: SigmoidDistance{DMax: 30}, MinAcc: 0.5}
+	flatIn := &Instance{Epsilon: 0.1, K: 4, Model: HistoricalOnly{}, MinAcc: 0.8}
+	for i := 0; i < 40; i++ {
+		loc := geo.Point{X: rng.Float64() * width, Y: rng.Float64() * width}
+		gridIn.Tasks = append(gridIn.Tasks, Task{ID: TaskID(i), Loc: loc})
+		flatIn.Tasks = append(flatIn.Tasks, Task{ID: TaskID(i), Loc: loc})
+	}
+	probes := make([]Worker, 12)
+	for i := range probes {
+		probes[i] = Worker{Index: i + 1, Loc: geo.Point{X: rng.Float64() * width, Y: rng.Float64() * width}, Acc: 0.9}
+	}
+	for _, in := range []*Instance{gridIn, flatIn} {
+		for _, writeClone := range []bool{false, true} {
+			a := NewCandidateIndex(in)
+			if err := a.Remove(3); err != nil {
+				t.Fatal(err)
+			}
+			b := a.Clone()
+			if b.NumLive() != a.NumLive() || b.NumTasks() != a.NumTasks() || b.Radius() != a.Radius() {
+				t.Fatalf("clone has %d/%d tasks live, radius %v; original %d/%d, %v",
+					b.NumLive(), b.NumTasks(), b.Radius(), a.NumLive(), a.NumTasks(), a.Radius())
+			}
+			grows, shrinks := a, b
+			if writeClone {
+				grows, shrinks = b, a
+			}
+			grown := append([]Task(nil), in.Tasks...)
+			grownLive, shrunkLive := make([]bool, len(grown)), make([]bool, len(grown))
+			for i := range grown {
+				grownLive[i], shrunkLive[i] = i != 3, i != 3 && i%2 == 0
+				if i%2 == 1 && i != 3 {
+					if err := shrinks.Remove(TaskID(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, src := range in.Tasks {
+				nt := Task{ID: TaskID(len(grown)), Loc: src.Loc}
+				if err := grows.Insert(nt); err != nil {
+					t.Fatal(err)
+				}
+				grown, grownLive = append(grown, nt), append(grownLive, true)
+			}
+			checkAgainstBrute(t, grows, in, grown, grownLive, probes)
+			checkAgainstBrute(t, shrinks, in, in.Tasks, shrunkLive, probes)
+		}
+	}
+}
+
 // TestCandidateIndexLifecycleConcurrent: the index under its single-owner
 // contract, with one sync.RWMutex standing in for the shard mutex — readers
 // query and run the bulk helpers under the read lock (concurrent queries

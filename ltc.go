@@ -83,11 +83,14 @@ type (
 	Result = core.Result
 )
 
-// NewCandidateIndex builds the spatial eligibility index for an instance.
-// Solve and Session build one on demand; pre-building lets callers share it
-// across runs. A query writes nothing to the index, so concurrent queries on
-// a shared index are safe; Insert and Remove mutate it in place and need the
-// caller's exclusion against every other call on it.
+// NewCandidateIndex builds the spatial eligibility index for an instance,
+// with every task live. Solve and Session build one on demand; pre-building
+// lets callers share it across runs through WithIndex, which treats it as a
+// template: offline algorithms only query it, and every online run works on
+// its own copy, because an online engine removes each task from its index
+// the moment the task completes. A query writes nothing to the index, so
+// concurrent queries on a shared index are safe; Insert and Remove mutate it
+// in place and need the caller's exclusion against every other call on it.
 var NewCandidateIndex = model.NewCandidateIndex
 
 // Delta returns δ = 2·ln(1/ε), the per-task quality credit threshold.

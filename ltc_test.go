@@ -2,6 +2,7 @@ package ltc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -63,19 +64,64 @@ func TestSolveAll(t *testing.T) {
 	}
 }
 
-func TestSolveSharedIndex(t *testing.T) {
+// TestSharedIndexSurvivesRuns: an index passed through WithIndex is a
+// template. Online runs complete tasks out of their own copy, so every run —
+// in any order, and two sessions fed side by side — gives what it gives on a
+// private index, and the shared index keeps every task live.
+func TestSharedIndexSurvivesRuns(t *testing.T) {
 	in := tinyInstance(t)
 	ci := NewCandidateIndex(in)
-	a, err := Solve(in, LAF, WithIndex(ci))
-	if err != nil {
-		t.Fatal(err)
+	algos := []Algorithm{RandomAssign, LAF, AAM, BaseOff}
+	private := map[Algorithm]*Result{}
+	for _, algo := range algos {
+		res, err := Solve(in, algo, WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		private[algo] = res
 	}
-	b, err := Solve(in, LAF)
-	if err != nil {
-		t.Fatal(err)
+	reversed := slices.Clone(algos)
+	slices.Reverse(reversed)
+	for _, order := range [][]Algorithm{algos, reversed} {
+		for _, algo := range order {
+			res, err := Solve(in, algo, WithIndex(ci), WithSeed(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := private[algo]; res.Latency != want.Latency || !slices.Equal(res.Arrangement.Pairs, want.Arrangement.Pairs) {
+				t.Fatalf("%s after %v on the shared index: latency %d, on a private one %d", algo, order, res.Latency, want.Latency)
+			}
+			if ci.NumLive() != len(in.Tasks) {
+				t.Fatalf("%s left %d of %d tasks live in the shared index", algo, ci.NumLive(), len(in.Tasks))
+			}
+		}
 	}
-	if a.Latency != b.Latency {
-		t.Fatal("shared index changed the result")
+
+	var shared, alone [2]*Session
+	for i, algo := range []Algorithm{AAM, LAF} {
+		var err error
+		if shared[i], err = NewSession(in, algo, WithIndex(ci)); err != nil {
+			t.Fatal(err)
+		}
+		if alone[i], err = NewSession(in, algo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range in.Workers {
+		for i := range shared {
+			got, gotErr := shared[i].Arrive(w)
+			want, wantErr := alone[i].Arrive(w)
+			if !slices.Equal(got.Tasks(), want.Tasks()) || got.Done != want.Done || !errors.Is(gotErr, wantErr) {
+				t.Fatalf("session %d worker %d: %v (%v) beside another session, %v (%v) alone",
+					i, w.Index, got.Tasks(), gotErr, want.Tasks(), wantErr)
+			}
+		}
+	}
+	if !shared[0].Done() || !shared[1].Done() {
+		t.Fatal("stream exhausted before both sessions completed")
+	}
+	if ci.NumLive() != len(in.Tasks) {
+		t.Fatalf("sessions left %d of %d tasks live in the shared index", ci.NumLive(), len(in.Tasks))
 	}
 }
 

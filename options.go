@@ -124,8 +124,12 @@ func WithEventBuffer(n int) Option { return optionFunc(func(c *config) { c.event
 
 // WithIndex reuses a prebuilt candidate index (it must have been built for
 // the same instance). Solve and NewSession build one on demand; sharing an
-// index amortizes its construction across runs. Ignored by NewPlatform,
-// whose per-shard sub-instances always build their own.
+// index amortizes its construction across runs. The supplied index is a
+// template and is never modified: an online run completes tasks out of its
+// own copy (CandidateIndex.Clone — a copy of the tables, cheaper than the
+// build), so runs over one index cannot see each other in any order or
+// interleaving. Ignored by NewPlatform, whose per-shard sub-instances always
+// build their own.
 func WithIndex(ci *CandidateIndex) Option { return optionFunc(func(c *config) { c.index = ci }) }
 
 // WithBatchMultiplier scales MCF-LTC's batch size m (default 1.0). Only

@@ -51,8 +51,12 @@ func NewSession(in *Instance, algo Algorithm, opts ...Option) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
+	ci := c.indexFor(in)
+	if c.index != nil {
+		ci = ci.Clone() // the engine writes its index; WithIndex's stays a template
+	}
 	return &Session{
-		eng:       core.NewEngine(in, c.indexFor(in), factory),
+		eng:       core.NewEngine(in, ci, factory),
 		nextIndex: 1,
 	}, nil
 }
