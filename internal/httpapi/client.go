@@ -11,7 +11,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -35,15 +34,20 @@ func (c *Client) client() *http.Client {
 
 // doJSON runs one request with an optional JSON body and decodes the JSON
 // response into out (when non-nil). Non-2xx responses decode the error
-// body into a *httpError-backed error.
+// body into a *httpError-backed error. The response is read whole on every
+// path, which is what lets the connection — and the request's buffer — be
+// used again.
 func (c *Client) doJSON(method, path string, body, out any) error {
 	var rd io.Reader
+	var reqBuf *wireBuf
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
+		reqBuf = getBuf()
+		var err error
+		if reqBuf.b, err = encodeJSON(reqBuf.b, body); err != nil {
+			putBuf(reqBuf)
 			return err
 		}
-		rd = bytes.NewReader(data)
+		rd = bytes.NewReader(reqBuf.b)
 	}
 	req, err := http.NewRequest(method, c.Base+path, rd)
 	if err != nil {
@@ -56,27 +60,35 @@ func (c *Client) doJSON(method, path string, body, out any) error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = resp.Body.Close() }()
+	respBuf := getBuf()
+	defer putBuf(respBuf)
+	err = respBuf.readAll(resp.Body)
+	// The transport may read the request's body for as long as the exchange
+	// lasts: its buffer goes back once the response is read to its end and
+	// closed, and on no other path.
+	if cerr := resp.Body.Close(); err == nil && cerr == nil && reqBuf != nil {
+		putBuf(reqBuf)
+	}
 	if resp.StatusCode == http.StatusMisdirectedRequest {
 		// A cluster node refusing traffic it does not own: surface the typed
 		// redirect so routing clients can heal their table and retry.
 		var rb redirectBody
-		if json.NewDecoder(resp.Body).Decode(&rb) == nil {
+		if decodeJSON(respBuf.b, &rb) == nil {
 			return &RedirectError{Owner: rb.Owner, Index: rb.Index, Msg: rb.Error}
 		}
 		return fmt.Errorf("%s %s: HTTP 421 with unreadable redirect body", method, path)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var he httpError
-		if json.NewDecoder(resp.Body).Decode(&he) == nil && he.Error != "" {
+		if decodeJSON(respBuf.b, &he) == nil && he.Error != "" {
 			return fmt.Errorf("%s %s: %s (HTTP %d)", method, path, he.Error, resp.StatusCode)
 		}
 		return fmt.Errorf("%s %s: HTTP %d", method, path, resp.StatusCode)
 	}
-	if out == nil {
-		return nil
+	if err != nil || out == nil {
+		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decodeJSON(respBuf.b, out)
 }
 
 // CheckIn posts one worker and returns its receipt.
@@ -120,8 +132,9 @@ func (c *Client) Stats() (Stats, error) {
 type EventStream struct {
 	resp    *http.Response
 	sc      *bufio.Scanner
-	data    []string // data lines of the frame being accumulated
-	pending []Event  // decoded but not yet returned (multi-event frames)
+	data    []byte  // data lines of the frame being accumulated, joined with "\n"
+	lines   int     // how many
+	pending []Event // decoded but not yet returned (multi-event frames)
 	closed  atomic.Bool
 }
 
@@ -177,14 +190,19 @@ func (s *EventStream) Next() (Event, error) {
 		return e, nil
 	}
 	for s.sc.Scan() {
-		line := s.sc.Text()
+		line := s.sc.Bytes()
 		switch {
-		case line == "":
-			if len(s.data) == 0 {
+		case len(line) == 0:
+			if s.lines == 0 {
 				continue // separator between frames we didn't accumulate
 			}
-			payload := strings.Join(s.data, "\n")
-			s.data = s.data[:0]
+			payload := s.data
+			s.data, s.lines = s.data[:0], 0
+			// The frame the gateway writes: one event and nothing after it.
+			var e Event
+			if n, ok := e.scanJSON(payload); ok && len(bytes.TrimSpace(payload[n:])) == 0 {
+				return e, nil
+			}
 			evs, err := decodeFrame(payload)
 			if err != nil {
 				return Event{}, err
@@ -194,15 +212,15 @@ func (s *EventStream) Next() (Event, error) {
 			}
 			s.pending = append(s.pending, evs[1:]...)
 			return evs[0], nil
-		case strings.HasPrefix(line, ":"):
+		case line[0] == ':':
 			// Comment line (keep-alives), ignored per spec.
-		case strings.HasPrefix(line, "data:"):
-			v := strings.TrimPrefix(line, "data:")
+		case bytes.HasPrefix(line, []byte("data:")):
+			v := bytes.TrimPrefix(line, []byte("data:"))
 			// At most one leading space after the colon is framing, not
 			// payload; any further whitespace belongs to the data.
-			s.data = append(s.data, strings.TrimPrefix(v, " "))
-		case line == "data":
-			s.data = append(s.data, "")
+			s.addData(bytes.TrimPrefix(v, []byte(" ")))
+		case string(line) == "data":
+			s.addData(nil)
 		}
 	}
 	if err := s.sc.Err(); err != nil && !s.closed.Load() && !isClosedErr(err) {
@@ -211,12 +229,22 @@ func (s *EventStream) Next() (Event, error) {
 	return Event{}, io.EOF
 }
 
-// decodeFrame decodes the joined data payload of one SSE frame. A frame
-// normally holds exactly one JSON event, but pathological framing (several
-// complete events between two blank lines) decodes to all of them so none
-// is dropped.
-func decodeFrame(payload string) ([]Event, error) {
-	dec := json.NewDecoder(strings.NewReader(payload))
+// addData keeps one data line of the frame being accumulated (the scanner's
+// line is gone with the next Scan).
+func (s *EventStream) addData(line []byte) {
+	if s.lines > 0 {
+		s.data = append(s.data, '\n')
+	}
+	s.data = append(s.data, line...)
+	s.lines++
+}
+
+// decodeFrame decodes the joined data payload of one SSE frame that is not
+// one event in the gateway's own spelling. A frame normally holds exactly
+// one JSON event, but pathological framing (several complete events between
+// two blank lines) decodes to all of them so none is dropped.
+func decodeFrame(payload []byte) ([]Event, error) {
+	dec := json.NewDecoder(bytes.NewReader(payload))
 	var evs []Event
 	for {
 		var e Event

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 
@@ -264,21 +265,21 @@ var errLogTruncated = errors.New("event log truncated (recorder overrun)")
 // feed — unlike the plain gateway's subscribe-from-now stream — so a
 // reconnecting cluster client can rebuild the global gapless sequence
 // without losing its audit.
-func (s *ClusterServer) events(since uint64) (func(context.Context) (Event, error), func()) {
-	pos := int(since) // log[i] is the event with per-node Seq i+1
-	next := func(ctx context.Context) (Event, error) {
+func (s *ClusterServer) events(since uint64) (func(context.Context) ([]byte, error), func()) {
+	pos := int(min(since, math.MaxInt)) // the log's i-th event has per-node Seq i+1
+	next := func(ctx context.Context) ([]byte, error) {
 		for {
-			e, wait, corrupt := s.log.at(pos)
+			frames, n, wait, corrupt := s.log.tail(pos)
 			if corrupt {
-				return Event{}, errLogTruncated
+				return nil, errLogTruncated
 			}
 			if wait == nil {
-				pos++
-				return e, nil
+				pos += n
+				return frames, nil
 			}
 			select {
 			case <-ctx.Done():
-				return Event{}, ctx.Err()
+				return nil, ctx.Err()
 			case <-wait:
 			}
 		}
@@ -327,10 +328,17 @@ func (n idleNode) stats() any {
 }
 
 // eventLog is the node's append-only recorded event history backing
-// resumable /events streams. Appends broadcast by closing notify.
+// resumable /events streams: every event's finished SSE frame, back to back,
+// so that a stream — the first subscriber's, the tenth's, a ?since= replay —
+// is a copy of bytes framed once. Written bytes never change (an append that
+// outgrows the array moves on to a new one), so readers hold their slice of
+// them without the lock. Appends broadcast by closing notify.
 type eventLog struct {
-	mu      sync.Mutex
-	events  []Event
+	mu     sync.Mutex
+	frames []byte
+	// ends[i] is where the i-th event's frame ends in frames. The log keeps
+	// no sequence numbers: a node's i-th event has per-node Seq i+1.
+	ends    []int
 	notify  chan struct{}
 	corrupt bool
 }
@@ -339,7 +347,8 @@ func newEventLog() *eventLog { return &eventLog{notify: make(chan struct{})} }
 
 func (l *eventLog) append(e Event) {
 	l.mu.Lock()
-	l.events = append(l.events, e)
+	l.frames = appendFrame(l.frames, e)
+	l.ends = append(l.ends, len(l.frames))
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
@@ -353,17 +362,22 @@ func (l *eventLog) markCorrupt() {
 	l.mu.Unlock()
 }
 
-// at returns the event at pos, or — when the log hasn't grown that far — a
-// channel that closes on the next append. corrupt is only reported once the
-// readable prefix is exhausted, so clients always see every intact event.
-func (l *eventLog) at(pos int) (e Event, wait chan struct{}, corrupt bool) {
+// tail returns the frames of the n events recorded after the first pos, or —
+// when the log hasn't grown that far — a channel that closes on the next
+// append. corrupt is only reported once the readable prefix is exhausted, so
+// clients always see every intact event.
+func (l *eventLog) tail(pos int) (frames []byte, n int, wait chan struct{}, corrupt bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if pos < len(l.events) {
-		return l.events[pos], nil, false
+	if pos < len(l.ends) {
+		start := 0
+		if pos > 0 {
+			start = l.ends[pos-1]
+		}
+		return l.frames[start:], len(l.ends) - pos, nil, false
 	}
 	if l.corrupt {
-		return Event{}, nil, true
+		return nil, 0, nil, true
 	}
-	return Event{}, l.notify, false
+	return nil, 0, l.notify, false
 }

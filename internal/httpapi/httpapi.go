@@ -14,11 +14,59 @@
 // A check-in bounced because the platform is complete is not an HTTP
 // error: it returns 200 with the bounced receipt ("done":true,
 // "bounced":true), matching ltc.ErrPlatformDone's in-process contract.
+// Failures are a JSON {"error":…} under 400 (a body that does not decode, a
+// request the platform refuses), 404 (an unknown task), 413 (a body over
+// 1 MiB — maxBody, some 12 000 workers; a constant, since no deployment
+// needs another value) and, on cluster nodes, 421 naming the owner. A JSON
+// response is one Write under a Content-Length.
+//
+// # The wire codec
+//
+// The five shapes that cross the wire once per check-in — Worker and
+// BatchRequest in, Receipt and BatchResponse out, Event on the SSE stream —
+// have hand-written encoders and a scanner (codec.go); everything else
+// (/stats, /tasks, /cluster/info, error and redirect bodies) goes through
+// encoding/json. Two rules make the pair indistinguishable from
+// encoding/json alone:
+//
+//   - Byte identity. An encoder writes exactly json.Marshal's bytes — field
+//     order, omitempty, null for a nil list, the float format with its 1e-6
+//     and 1e21 switch to exponents, json.Encoder's trailing newline on
+//     responses — or declines (a NaN, an infinity, a string that needs an
+//     escape), and json.Marshal encodes or refuses the value itself.
+//   - Scanner or encoding/json. The scanner reads the spelling the encoders
+//     write, in any key order and with any whitespace. Whatever it does not
+//     recognise — an escape, "Index" for "index", null, an unknown or
+//     repeated field, a 19-digit integer, a truncated body — it refuses
+//     without a verdict, and the same bytes go to the json.Decoder call the
+//     handlers have always made. Acceptance, rejection, the first-value-only
+//     rule and every error text for unusual input are therefore
+//     encoding/json's by construction, and FuzzWireCodec's comparison of the
+//     two is a proof obligation, not a hope.
+//
+// That fallback is the handling of outside input and the reference the fuzz
+// compares against, so it is not a second implementation to choose: no flag,
+// option, environment variable or build tag picks a codec.
+//
+// # Buffers
+//
+// Bodies are read whole into, and written from, pooled buffers (wireBuf).
+// A buffer has one holder at a time and goes back to the pool only when
+// nothing can still read it: a handler's request buffer after the decode
+// (decoded values hold no reference into it), its response buffer after
+// Write returns; the client's response buffer after the decode, and its
+// request buffer — which http.Transport may still be writing after Do
+// returns — only once the response body is read to its end and closed,
+// which is also what keeps the connection reusable on every status. On any
+// other path (Do failed, the body broke off) the request buffer is left to
+// the garbage collector. A buffer that grew past 64 KiB (maxPooled) is
+// never pooled, so one large body cannot sit there for good; the handler's
+// reads are capped by maxBody, the client reads its own server's responses
+// (about 1.6× the request, bounded by K grants a worker) and needs no cap.
 package httpapi
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -66,9 +114,22 @@ type Receipt struct {
 
 // FromReceipt converts an in-process receipt.
 func FromReceipt(r ltc.Receipt, bounced bool) Receipt {
+	block := make([]Grant, 0, len(r.Assignments))
+	return fromReceipt(r, bounced, &block)
+}
+
+// fromReceipt converts r, appending its grants to block and cutting
+// Assignments from there, clipped so that a caller's append to one receipt's
+// cannot reach the next one's. A receipt without grants has none, not an
+// empty list.
+func fromReceipt(r ltc.Receipt, bounced bool, block *[]Grant) Receipt {
 	out := Receipt{Worker: r.Worker, Shard: r.Shard, Done: r.Done, Bounced: bounced}
-	for _, g := range r.Assignments {
-		out.Assignments = append(out.Assignments, Grant{Task: int(g.Task), Credit: g.Credit, Completed: g.Completed})
+	if len(r.Assignments) > 0 {
+		start := len(*block)
+		for _, g := range r.Assignments {
+			*block = append(*block, Grant{Task: int(g.Task), Credit: g.Credit, Completed: g.Completed})
+		}
+		out.Assignments = (*block)[start:len(*block):len(*block)]
 	}
 	return out
 }
@@ -172,9 +233,10 @@ type node interface {
 	ingress
 	// events opens the node's event stream resuming after sequence number
 	// since (nodes without history start at the subscription point). next
-	// blocks for the following event; errLogTruncated ends the stream with a
-	// closing comment, any other error (ctx's, io.EOF) ends it silently.
-	events(since uint64) (next func(context.Context) (Event, error), stop func())
+	// blocks for the following events and returns their SSE frames, valid
+	// until the next call; errLogTruncated ends the stream with a closing
+	// comment, any other error (ctx's, io.EOF) ends it silently.
+	events(since uint64) (next func(context.Context) (frames []byte, _ error), stop func())
 }
 
 // ingress is the request/response half of a node. Task IDs are the node's
@@ -220,12 +282,22 @@ func newMux(n node) *http.ServeMux {
 	return mux
 }
 
-// call is the JSON request handler: decode the body, make the one node
-// call, map a failure to its status, encode the result.
+// maxBody is the largest request body a handler reads (a 64-worker batch is
+// 5.4 KB; this is some 12 000 workers). A longer one is a 413.
+const maxBody = 1 << 20
+
+// call is the JSON request handler: read the body whole, decode it, make the
+// one node call, map a failure to its status, encode the result.
 func call[Req, Resp any](what string, failStatus int, do func(Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var body Req
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		buf := getBuf()
+		err := buf.readAll(http.MaxBytesReader(w, r.Body, maxBody))
+		if err == nil {
+			err = decodeJSON(buf.b, &body)
+		}
+		putBuf(buf)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
 			return
 		}
@@ -238,12 +310,23 @@ func call[Req, Resp any](what string, failStatus int, do func(Req) (Resp, error)
 	}
 }
 
-// writeJSON writes v with the given status; encoding errors at this point
-// can only mean a dead connection, so they are dropped.
+// writeJSON writes v and a newline — json.Encoder's bytes — with the given
+// status, in one Write under a Content-Length. A v that does not encode
+// leaves the body empty; a failed Write can only mean a dead connection, so
+// it is dropped.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBuf()
+	defer putBuf(buf) // after Write returns
+	var err error
+	if buf.b, err = encodeJSON(buf.b, v); err == nil {
+		buf.b = append(buf.b, '\n')
+	} else {
+		buf.b = buf.b[:0]
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf.b)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.b)
 }
 
 // httpError is the JSON error body for non-2xx responses.
@@ -261,23 +344,27 @@ type statusError struct {
 func (e *statusError) Error() string { return e.err.Error() }
 
 // writeError is the one error→status mapping: a misrouted request is a 421
-// redirect naming the owner, a statusError carries its own code, anything
-// else gets the calling handler's default.
+// redirect naming the owner, a statusError carries its own code, a body
+// over maxBody is a 413, anything else gets the calling handler's default.
 func writeError(w http.ResponseWriter, status int, err error) {
 	var re *RedirectError
 	var se *statusError
+	var tooLarge *http.MaxBytesError
 	if errors.As(err, &re) {
 		writeRedirect(w, re.Owner, re.Index, re.Msg)
 		return
 	}
 	if errors.As(err, &se) {
 		status = se.status
+	} else if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, status, httpError{Error: err.Error()})
 }
 
 // serveEvents streams the node's event feed as Server-Sent Events: one
-// frame per event, named by the event kind, with the JSON Event as data.
+// frame per event, named by the event kind, with the JSON Event as data,
+// framed by the node (once per event, however many streams carry it).
 // The feed is opened before the response headers are written, so a client
 // that sees the 200 has a live subscription. A client that stops reading is
 // dropped by the write path, never the platform. The stream stays open
@@ -304,18 +391,14 @@ func serveEvents(w http.ResponseWriter, r *http.Request, n node) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	for {
-		e, err := next(r.Context())
+		frames, err := next(r.Context())
 		if err == errLogTruncated {
 			_, _ = fmt.Fprintf(w, ": %s\n\n", err)
 		}
 		if err != nil {
 			return
 		}
-		data, err := json.Marshal(e)
-		if err != nil {
-			return
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind, data); err != nil {
+		if _, err := w.Write(frames); err != nil {
 			return
 		}
 		flusher.Flush()
@@ -358,8 +441,16 @@ func (n platformNode) checkInBatch(req BatchRequest) (BatchResponse, error) {
 	if k := len(recs); k > 0 && recs[k-1].Done {
 		resp.Done = true
 	}
-	for _, rec := range recs {
-		resp.Receipts = append(resp.Receipts, FromReceipt(rec, false))
+	if len(recs) > 0 { // none is "receipts":null on the wire, not []
+		grants := 0
+		for i := range recs {
+			grants += len(recs[i].Assignments)
+		}
+		block := make([]Grant, 0, grants) // every receipt's grants, one allocation
+		resp.Receipts = make([]Receipt, len(recs))
+		for i, rec := range recs {
+			resp.Receipts[i] = fromReceipt(rec, false, &block)
+		}
 	}
 	return resp, nil
 }
@@ -400,17 +491,19 @@ func (n platformNode) stats() any {
 	return st
 }
 
-func (n platformNode) events(uint64) (func(context.Context) (Event, error), func()) {
+func (n platformNode) events(uint64) (func(context.Context) ([]byte, error), func()) {
 	sub := n.p.Subscribe()
-	next := func(ctx context.Context) (Event, error) {
+	var frame []byte // reused: next's result is valid until the next call
+	next := func(ctx context.Context) ([]byte, error) {
 		select {
 		case <-ctx.Done():
-			return Event{}, ctx.Err()
+			return nil, ctx.Err()
 		case e, ok := <-sub.Events():
 			if !ok {
-				return Event{}, io.EOF
+				return nil, io.EOF
 			}
-			return FromEvent(e), nil
+			frame = appendFrame(frame[:0], FromEvent(e))
+			return frame, nil
 		}
 	}
 	return next, sub.Close

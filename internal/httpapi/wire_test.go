@@ -77,7 +77,15 @@ func TestWireTable(t *testing.T) {
 	}
 	for _, n := range wireNodes(t) {
 		worker := `{"index":%d,"x":%g,"y":%g,"acc":0.9}`
+		// Padding after a body's one JSON value: a handler that stops reading
+		// at the value's end never notices it, one that reads the body whole
+		// must refuse it past maxBody.
+		pad := func(body string, size int) string { return body + strings.Repeat(" ", size-len(body)) }
 		cases := []wireCase{
+			{name: "oversized worker", method: "POST", path: "/checkin", body: pad(at(worker, n.home, 1), maxBody+1), status: 413, contains: "bad worker: http: request body too large"},
+			{name: "oversized batch", method: "POST", path: "/checkin/batch", body: pad(`{"workers":[`+at(worker, n.home, 1)+`]}`, maxBody+1), status: 413, contains: "bad batch: http: request body too large"},
+			{name: "oversized task", method: "POST", path: "/tasks", body: pad(`{"x":1,"y":1}`, maxBody+1), status: 413, contains: "bad task: http: request body too large"},
+			{name: "worker one byte under the cap", method: "POST", path: "/checkin", body: pad(at(worker, n.home, 0), maxBody-1), status: 400, contains: "arrival index"},
 			{name: "malformed worker", method: "POST", path: "/checkin", body: `{"index":`, status: 400, contains: "bad worker"},
 			{name: "malformed batch", method: "POST", path: "/checkin/batch", body: `[1,2`, status: 400, contains: "bad batch"},
 			{name: "malformed task", method: "POST", path: "/tasks", body: `{"x":"east"}`, status: 400, contains: "bad task"},
