@@ -189,7 +189,7 @@ func main() {
 	if plat != nil {
 		defer plat.Close()
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := newServer(*addr, handler)
 
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting, let in-flight
 	// requests (including open SSE streams, bounded by the timeout) finish.
@@ -217,6 +217,26 @@ func main() {
 			plat.Latency(), plat.WorkersSeen(), plat.Done(), plat.Migrations())
 	} else {
 		log.Printf("final: latency=%d workers=%d done=%v", plat.Latency(), plat.WorkersSeen(), plat.Done())
+	}
+}
+
+// Connection-level timeouts: how long a client may take to send its request
+// headers, and how long an idle keep-alive connection is kept.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the gateway's http.Server with the two timeouts that bound
+// a connection doing nothing. It sets no ReadTimeout or WriteTimeout: those
+// cover a whole request and response, and GET /events is a response that
+// stays open for as long as its subscriber does.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -37,15 +37,14 @@ type Engine struct {
 	// when the per-arrival loop touches them.
 	postIndex []int32
 	lastUsed  []int32
-	// evictedMask marks tasks handed to another engine via EvictTask. An
-	// evicted task keeps its dense slot (IDs never shrink) but stops counting
-	// toward Progress and Retired: the adopting engine owns those counts now.
-	// The three counters carry the evicted tasks' contributions to completed,
-	// retired and the dense total, so the accessors can subtract them in O(1).
-	evictedMask      []uint64
-	evictedCount     int
-	evictedCompleted int
-	evictedRetired   int
+	// maxRel is the largest (worker index − post index) over the assignments
+	// this engine made: the post-relative counterpart of the ledger's latency.
+	maxRel int32
+	// evicted counts the tasks handed to another engine via EvictTask. Each
+	// keeps its dense slot (IDs never shrink) as a closed ghost but leaves
+	// Progress's total: the adopting engine counts it now. Only open tasks
+	// are evicted, so completed and retired need no such correction.
+	evicted int
 }
 
 // NewEngine builds an engine around a fresh solver from factory. The
@@ -55,13 +54,12 @@ type Engine struct {
 func NewEngine(in *model.Instance, ci *model.CandidateIndex, factory OnlineFactory) *Engine {
 	algo := factory(in, ci)
 	return &Engine{
-		in:          in,
-		ci:          ci,
-		algo:        algo,
-		state:       algo.ledger(),
-		postIndex:   make([]int32, len(in.Tasks)),
-		lastUsed:    make([]int32, len(in.Tasks)),
-		evictedMask: make([]uint64, (len(in.Tasks)+63)/64),
+		in:        in,
+		ci:        ci,
+		algo:      algo,
+		state:     algo.ledger(),
+		postIndex: make([]int32, len(in.Tasks)),
+		lastUsed:  make([]int32, len(in.Tasks)),
 	}
 }
 
@@ -94,8 +92,12 @@ func (e *Engine) Arrive(w model.Worker) []Outcome {
 			// is live and the one error Remove has cannot occur.
 			_ = e.ci.Remove(oc.Task)
 		}
-		if idx := int32(w.Index); idx > e.lastUsed[oc.Task] {
+		idx := int32(w.Index)
+		if idx > e.lastUsed[oc.Task] {
 			e.lastUsed[oc.Task] = idx
+		}
+		if rel := idx - e.postIndex[oc.Task]; rel > e.maxRel {
+			e.maxRel = rel
 		}
 	}
 	return out
@@ -112,65 +114,53 @@ func (e *Engine) PostTask(t model.Task, postIndex int) error {
 	return e.AdoptTask(t, TaskSnapshot{PostIndex: postIndex})
 }
 
-// TaskSnapshot is one task's engine state in transit between shards: the
-// accumulated Acc* credit, the latency bookkeeping, and the two status bits.
-// EvictTask produces it on the migration source; AdoptTask replays it on the
-// target so the task's subsequent behaviour — completion threshold, latency
-// reporting, assignability — is indistinguishable from never having moved.
+// TaskSnapshot is one open task's engine state in transit between shards:
+// the accumulated Acc* credit and the latency bookkeeping. EvictTask produces
+// it on the migration source; AdoptTask replays it on the target so the
+// task's subsequent behaviour — completion threshold, latency reporting,
+// assignability — is indistinguishable from never having moved.
 type TaskSnapshot struct {
 	Credit    float64
 	PostIndex int
 	LastUsed  int
-	Completed bool
-	Retired   bool
 }
 
-// EvictTask hands task t's state out of this engine for adoption elsewhere.
-// The task leaves the candidate index and the ledger (its local ID stays
-// allocated — dense spaces never shrink — as a closed ghost that is never
-// assigned again), and it stops counting toward Progress and Retired: the
-// adopting engine owns those counts from now on. Evicting an unknown or
-// already-evicted task is an error.
-func (e *Engine) EvictTask(t model.TaskID) (TaskSnapshot, error) {
+// EvictTask hands open task t's state out of this engine for adoption
+// elsewhere. The task leaves the candidate index and the ledger (its local ID
+// stays allocated — dense spaces never shrink — as a closed ghost that is
+// never assigned again) and stops counting toward Progress: the adopting
+// engine owns it from now on. A settled task — completed, retired, or the
+// ghost of an earlier eviction — is refused with ok = false and stays where
+// it settled: nothing will ever be assigned to it again, so there is nothing
+// to move. Evicting an unknown task is an error.
+func (e *Engine) EvictTask(t model.TaskID) (snap TaskSnapshot, ok bool, err error) {
 	if t < 0 || int(t) >= len(e.lastUsed) {
-		return TaskSnapshot{}, fmt.Errorf("core: evict of unknown task %d", t)
+		return TaskSnapshot{}, false, fmt.Errorf("core: evict of unknown task %d", t)
 	}
-	if bitGet(e.evictedMask, t) {
-		return TaskSnapshot{}, fmt.Errorf("core: task %d already evicted", t)
+	if e.state.done(t) {
+		return TaskSnapshot{}, false, nil
 	}
-	snap := TaskSnapshot{
+	// An open task is live in the index (see the type comment).
+	if err := e.ci.Remove(t); err != nil {
+		return TaskSnapshot{}, false, err
+	}
+	snap = TaskSnapshot{
 		Credit:    e.state.arr.Accumulated[t],
 		PostIndex: int(e.postIndex[t]),
 		LastUsed:  int(e.lastUsed[t]),
-		Completed: e.TaskCompleted(t),
-		Retired:   e.TaskRetired(t),
-	}
-	if e.ci.Live(t) {
-		if err := e.ci.Remove(t); err != nil {
-			return TaskSnapshot{}, err
-		}
 	}
 	// Closing the task in the ledger releases the source's interest in it:
-	// if it was still open, the solver stops waiting on it for Done — the
-	// target's ledger now carries that obligation via adopt.
+	// the solver stops waiting on it for Done — the target's ledger now
+	// carries that obligation via adopt.
 	e.state.close(t)
-	bitSet(e.evictedMask, t)
-	e.evictedCount++
-	if snap.Completed {
-		e.evictedCompleted++
-	}
-	if snap.Retired {
-		e.evictedRetired++
-	}
-	return snap, nil
+	e.evicted++
+	return snap, true, nil
 }
 
-// AdoptTask extends the engine with a task evicted from another engine,
-// seeding credit, latency bookkeeping and status from the snapshot. The
-// caller must already have appended t to the instance's Tasks slice and
-// t.ID must extend the dense ID space. A retired or completed task is
-// inserted into and immediately removed from the candidate index so the
-// index's dense ID space stays in lockstep with the engine's.
+// AdoptTask extends the engine with an open task — one evicted from another
+// engine, or (from PostTask) one with no history — seeding credit and latency
+// bookkeeping from the snapshot. The caller must already have appended t to
+// the instance's Tasks slice and t.ID must extend the dense ID space.
 func (e *Engine) AdoptTask(t model.Task, snap TaskSnapshot) error {
 	if n := len(e.lastUsed); int(t.ID) != n {
 		return fmt.Errorf("core: task ID %d does not extend the dense ID space (%d tasks)", t.ID, n)
@@ -183,28 +173,11 @@ func (e *Engine) AdoptTask(t model.Task, snap TaskSnapshot) error {
 	if err := e.ci.Insert(t); err != nil {
 		return err
 	}
-	if snap.Retired || snap.Completed {
-		if err := e.ci.Remove(t.ID); err != nil {
-			return err
-		}
-	}
-	if snap.Retired {
-		e.retired++
-	}
-	if snap.Completed {
-		e.completed++
-	}
 	e.postIndex = append(e.postIndex, int32(snap.PostIndex))
 	e.lastUsed = append(e.lastUsed, int32(snap.LastUsed))
-	if int(t.ID)>>6 == len(e.evictedMask) { // crossed into a fresh word
-		e.evictedMask = append(e.evictedMask, 0)
-	}
-	e.state.adopt(t.ID, snap.Credit, snap.Retired)
+	e.state.adopt(t.ID, snap.Credit)
 	return nil
 }
-
-// TaskEvicted reports whether task t has been handed to another engine.
-func (e *Engine) TaskEvicted(t model.TaskID) bool { return bitGet(e.evictedMask, t) }
 
 // RetireTask removes task t from play: it leaves the candidate index, the
 // solver stops assigning it, and it no longer blocks Done. It reports
@@ -238,15 +211,20 @@ func (e *Engine) Arrangement() *model.Arrangement { return &e.state.arr }
 
 // Progress returns the number of tasks that reached δ and the total number
 // of tasks ever tracked (retired tasks included in both totals when they
-// completed before retirement). Tasks evicted to another engine count in
-// neither: the adopting engine reports them.
+// completed before retirement). Tasks evicted to another engine leave the
+// total: the adopting engine reports them.
 func (e *Engine) Progress() (completed, total int) {
-	return e.completed - e.evictedCompleted, len(e.lastUsed) - e.evictedCount
+	return e.completed, len(e.lastUsed) - e.evicted
 }
 
-// Retired returns how many tasks have been retired (whether or not they
-// completed first), excluding tasks since evicted to another engine.
-func (e *Engine) Retired() int { return e.retired - e.evictedRetired }
+// Retired returns how many tasks have been retired here (whether or not
+// they completed first).
+func (e *Engine) Retired() int { return e.retired }
+
+// RelativeLatency returns the largest (worker index − task post index) over
+// the assignments this engine made — Arrangement().Latency() measured from
+// each task's post instead of from the start of the stream.
+func (e *Engine) RelativeLatency() int { return int(e.maxRel) }
 
 // TaskPostIndex returns the arrival clock recorded when task t was posted
 // (0 for initial tasks).

@@ -85,6 +85,16 @@ func TestEnginePostTaskMidStream(t *testing.T) {
 			if rel := last - eng.TaskPostIndex(nt.ID); rel <= 0 || rel >= last {
 				t.Fatalf("relative latency %d out of range (last %d, post %d)", rel, last, postAt)
 			}
+			// The engine's own figure is the max of that difference over
+			// every task with an assignment.
+			want := 0
+			for id := range in.Tasks {
+				id := model.TaskID(id)
+				want = max(want, eng.TaskLastUsed(id)-eng.TaskPostIndex(id))
+			}
+			if got := eng.RelativeLatency(); got != want || got > eng.Arrangement().Latency() {
+				t.Fatalf("RelativeLatency %d, want %d (latency %d)", got, want, eng.Arrangement().Latency())
+			}
 		})
 	}
 }
@@ -185,7 +195,7 @@ func TestTaskStateLifecycle(t *testing.T) {
 	if ts.remaining != 2 {
 		t.Fatalf("remaining %d", ts.remaining)
 	}
-	ts.adopt(2, 0, false) // a post: no credit, open
+	ts.adopt(2, 0) // a post: no credit, open
 	if ts.remaining != 3 || len(ts.arr.Accumulated) != 3 {
 		t.Fatalf("after post: remaining %d, len %d", ts.remaining, len(ts.arr.Accumulated))
 	}
@@ -196,7 +206,7 @@ func TestTaskStateLifecycle(t *testing.T) {
 				t.Fatal("non-dense post did not panic")
 			}
 		}()
-		ts.adopt(7, 0, false)
+		ts.adopt(7, 0)
 	}()
 	ts.add(1, 0, 2.5) // completes task 0
 	if ts.remaining != 2 || !ts.done(0) {

@@ -40,7 +40,7 @@ func (s *migrationShard) appendTask(loc geo.Point) model.Task {
 	return t
 }
 
-// TestEngineEvictAdoptRoundTrip moves a partially credited task from one
+// TestEngineEvictAdoptRoundTrip moves a partially credited open task from one
 // engine to another for each online solver: the adopted task keeps its
 // credit, latency bookkeeping and completion race; the source stops counting
 // it; the merged Progress across both engines is conserved.
@@ -67,21 +67,21 @@ func TestEngineEvictAdoptRoundTrip(t *testing.T) {
 			credit := src.eng.Arrangement().Accumulated[victim]
 			last := src.eng.TaskLastUsed(victim)
 
-			snap, err := src.eng.EvictTask(victim)
-			if err != nil {
-				t.Fatal(err)
+			if src.eng.TaskCompleted(victim) {
+				t.Fatal("warm-up completed the victim: nothing open to move")
 			}
-			if snap.Credit != credit || snap.LastUsed != last || snap.Retired {
+			snap, ok, err := src.eng.EvictTask(victim)
+			if err != nil || !ok {
+				t.Fatalf("evict of an open task: ok=%t err=%v", ok, err)
+			}
+			if snap.Credit != credit || snap.LastUsed != last {
 				t.Fatalf("snapshot %+v, want credit %v last %v", snap, credit, last)
 			}
 			if src.ci.Live(victim) {
 				t.Fatal("evicted task still live in the source index")
 			}
-			if !src.eng.TaskEvicted(victim) {
-				t.Fatal("TaskEvicted false after evict")
-			}
-			if _, err := src.eng.EvictTask(victim); err == nil {
-				t.Fatal("double evict accepted")
+			if _, ok, err := src.eng.EvictTask(victim); ok || err != nil {
+				t.Fatalf("evict of the ghost: ok=%t err=%v, want a refusal", ok, err)
 			}
 			if c, total := src.eng.Progress(); total != 1 || c != progressCompleted(src.eng) {
 				t.Fatalf("source progress %d/%d after evict", c, total)
@@ -97,8 +97,8 @@ func TestEngineEvictAdoptRoundTrip(t *testing.T) {
 			if dst.eng.TaskLastUsed(local.ID) != snap.LastUsed {
 				t.Fatalf("adopted lastUsed %d, want %d", dst.eng.TaskLastUsed(local.ID), snap.LastUsed)
 			}
-			if dst.eng.TaskCompleted(local.ID) != snap.Completed {
-				t.Fatal("adopted completion status diverged")
+			if dst.eng.TaskCompleted(local.ID) || dst.eng.TaskRetired(local.ID) {
+				t.Fatal("adopted task is not open at the target")
 			}
 			if !dst.ci.Live(local.ID) {
 				t.Fatal("adopted live task not live in the target index")
@@ -136,100 +136,48 @@ func progressCompleted(e *Engine) int {
 	return 0
 }
 
-// TestEngineAdoptRetiredTask: a retired task migrates with its Retired flag,
-// is insert-then-removed from the target index (keeping the dense ID space
-// in lockstep), and a later PostTask on the target still works.
-func TestEngineAdoptRetiredTask(t *testing.T) {
-	base := lifecycleInstance(4, 400, 13)
-	f := func(in *model.Instance, ci *model.CandidateIndex) Online { return NewLAF(in, ci) }
-	src := newMigrationShard(base, base.Tasks[:2], f)
-	dst := newMigrationShard(base, base.Tasks[2:4], f)
-
-	if _, err := src.eng.RetireTask(0); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := src.eng.EvictTask(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Retired {
-		t.Fatal("snapshot lost the Retired flag")
-	}
-	if src.eng.Retired() != 0 {
-		t.Fatalf("source still counts the evicted retirement: %d", src.eng.Retired())
-	}
-	local := dst.appendTask(base.Tasks[0].Loc)
-	if err := dst.eng.AdoptTask(local, snap); err != nil {
-		t.Fatal(err)
-	}
-	if dst.ci.Live(local.ID) {
-		t.Fatal("adopted retired task live in the target index")
-	}
-	if !dst.eng.TaskRetired(local.ID) || dst.eng.Retired() != 1 {
-		t.Fatalf("target retirement bookkeeping: retired=%t count=%d",
-			dst.eng.TaskRetired(local.ID), dst.eng.Retired())
-	}
-	// The dense ID space stayed in lockstep: a normal post still extends it.
-	nt := dst.appendTask(geo.Point{X: 30, Y: 30})
-	if err := dst.eng.PostTask(nt, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.ci.Live(nt.ID) {
-		t.Fatal("post after retired adoption did not reach the index")
-	}
-}
-
-// TestEngineAdoptCompletedTask: a task that completed at the source is not
-// open anywhere, so the target inserts and at once removes it — live in the
-// index means open in the ledger on both sides of a migration — while its
-// completion still counts at the target, not as a retirement. Retiring or
-// evicting it later finds nothing left to remove.
-func TestEngineAdoptCompletedTask(t *testing.T) {
+// TestEngineEvictSettledTaskRefused: a completed task, a retired task and the
+// ghost of an evicted one are all settled — nothing will be assigned to them
+// again — so EvictTask refuses them and leaves every account where it was.
+// Retiring the completed one afterwards is still the harmless no-op.
+func TestEngineEvictSettledTaskRefused(t *testing.T) {
 	base := lifecycleInstance(4, 600, 11)
 	f := func(in *model.Instance, ci *model.CandidateIndex) Online { return NewAAM(in, ci) }
-	src := newMigrationShard(base, base.Tasks[:2], f)
-	dst := newMigrationShard(base, base.Tasks[2:4], f)
+	src := newMigrationShard(base, base.Tasks, f)
 
-	const victim = model.TaskID(1)
+	const completed, retired, ghost = model.TaskID(1), model.TaskID(0), model.TaskID(2)
+	if _, err := src.eng.RetireTask(retired); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := src.eng.EvictTask(ghost); !ok || err != nil {
+		t.Fatalf("evict of an open task: ok=%t err=%v", ok, err)
+	}
 	for _, w := range base.Workers {
-		if src.eng.TaskCompleted(victim) {
+		if src.eng.TaskCompleted(completed) {
 			break
 		}
 		src.eng.Arrive(w)
 	}
-	if !src.eng.TaskCompleted(victim) {
+	if !src.eng.TaskCompleted(completed) {
 		t.Fatal("stream exhausted before the victim completed")
 	}
-	if src.ci.Live(victim) {
-		t.Fatal("completed task still live in the source index")
-	}
-	snap, err := src.eng.EvictTask(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Completed || snap.Retired {
-		t.Fatalf("snapshot %+v, want completed and not retired", snap)
-	}
 
-	local := dst.appendTask(base.Tasks[victim].Loc)
-	if err := dst.eng.AdoptTask(local, snap); err != nil {
-		t.Fatal(err)
+	c, total := src.eng.Progress()
+	r, live := src.eng.Retired(), src.ci.NumLive()
+	if total != 3 || r != 1 {
+		t.Fatalf("progress total %d retired %d before the refusals, want 3 and 1", total, r)
 	}
-	if dst.ci.Live(local.ID) {
-		t.Fatal("completed adoptee live in the target index")
+	for _, id := range []model.TaskID{completed, retired, ghost} {
+		if snap, ok, err := src.eng.EvictTask(id); ok || err != nil || snap != (TaskSnapshot{}) {
+			t.Fatalf("evict of settled task %d: snap=%+v ok=%t err=%v, want a refusal", id, snap, ok, err)
+		}
 	}
-	if dst.ci.NumTasks() != len(dst.in.Tasks) || dst.ci.NumLive() != 2 {
-		t.Fatalf("target index tracks %d tasks, %d live; want %d and 2",
-			dst.ci.NumTasks(), dst.ci.NumLive(), len(dst.in.Tasks))
+	if c2, total2 := src.eng.Progress(); c2 != c || total2 != total || src.eng.Retired() != r || src.ci.NumLive() != live {
+		t.Fatalf("refused evictions moved the accounts: progress %d/%d retired %d live %d, want %d/%d, %d and %d",
+			c2, total2, src.eng.Retired(), src.ci.NumLive(), c, total, r, live)
 	}
-	if c, total := dst.eng.Progress(); c != 1 || total != 3 || dst.eng.Retired() != 0 {
-		t.Fatalf("target progress %d/%d retired %d, want 1/3 and 0", c, total, dst.eng.Retired())
-	}
-	if wasOpen, err := dst.eng.RetireTask(local.ID); err != nil || wasOpen {
-		t.Fatalf("retire of a completed adoptee: wasOpen=%t err=%v", wasOpen, err)
-	}
-	if _, err := dst.eng.EvictTask(local.ID); err != nil {
-		t.Fatalf("evict of a completed adoptee: %v", err)
+	if wasOpen, err := src.eng.RetireTask(completed); err != nil || wasOpen {
+		t.Fatalf("retire of a completed task: wasOpen=%t err=%v", wasOpen, err)
 	}
 }
 
@@ -239,16 +187,16 @@ func TestEngineMigrationErrors(t *testing.T) {
 	f := func(in *model.Instance, ci *model.CandidateIndex) Online { return NewLAF(in, ci) }
 	src := newMigrationShard(base, base.Tasks, f)
 
-	if _, err := src.eng.EvictTask(-1); err == nil {
+	if _, _, err := src.eng.EvictTask(-1); err == nil {
 		t.Fatal("negative evict accepted")
 	}
-	if _, err := src.eng.EvictTask(99); err == nil {
+	if _, _, err := src.eng.EvictTask(99); err == nil {
 		t.Fatal("out-of-range evict accepted")
 	}
 
-	snap, err := src.eng.EvictTask(0)
-	if err != nil {
-		t.Fatal(err)
+	snap, ok, err := src.eng.EvictTask(0)
+	if err != nil || !ok {
+		t.Fatalf("evict of an open task: ok=%t err=%v", ok, err)
 	}
 	dst := newMigrationShard(base, base.Tasks[:1], f)
 	// Non-dense adopted ID.
@@ -271,14 +219,14 @@ func TestEngineMigrationErrors(t *testing.T) {
 
 // TestTaskStateAdopt exercises the adopt bookkeeping directly: credit at or
 // above δ lands settled (zeroNeed set), credit inside the epsilon band reads
-// done but keeps its residual need, closed adoption never counts toward
-// remaining, and non-dense adoption panics.
+// done but keeps its residual need, and non-dense adoption panics.
 func TestTaskStateAdopt(t *testing.T) {
 	ts := newTaskState(0, 2.0)
-	ts.adopt(0, 0.5, false)       // open, incomplete
-	ts.adopt(1, 2.5, false)       // completed
-	ts.adopt(2, 1.0, true)        // retired while incomplete
-	ts.adopt(3, 2.0-1e-12, false) // inside the epsilon band: done, residual need
+	ts.adopt(0, 0.5) // open, incomplete
+	ts.adopt(1, 2.5) // completed
+	ts.adopt(2, 1.0)
+	ts.close(2)            // retired while incomplete
+	ts.adopt(3, 2.0-1e-12) // inside the epsilon band: done, residual need
 	if ts.remaining != 1 {
 		t.Fatalf("remaining %d, want 1", ts.remaining)
 	}
@@ -313,6 +261,6 @@ func TestTaskStateAdopt(t *testing.T) {
 				t.Fatal("non-dense adopt did not panic")
 			}
 		}()
-		ts.adopt(9, 0, false)
+		ts.adopt(9, 0)
 	}()
 }

@@ -196,13 +196,13 @@ func driveOpenIndex(t *testing.T, data []byte) {
 			if _, err := s.eng.RetireTask(target); err != nil {
 				t.Fatal(err)
 			}
-		case 2: // migrate to the other shard, whatever state the task is in
-			if s.eng.TaskEvicted(target) {
-				continue
-			}
-			snap, err := s.eng.EvictTask(target)
+		case 2: // migrate to the other shard, unless the task is settled
+			snap, open, err := s.eng.EvictTask(target)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !open {
+				continue
 			}
 			if err := other.eng.AdoptTask(other.appendTask(s.in.Tasks[target].Loc), snap); err != nil {
 				t.Fatal(err)

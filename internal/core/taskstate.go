@@ -70,16 +70,15 @@ func newTaskState(numTasks int, delta float64) *taskState {
 	}
 }
 
-// adopt extends the state with one task: a task posted mid-stream (zero
-// credit, open) or one migrated in from another ledger, whose accumulated
-// credit and closed flag seed the slot. Task IDs are dense: adopting id n
-// is only valid when the state currently tracks n tasks. The resulting
-// per-task state is bit-identical to what a zero-credit adopt followed by
-// the source's add/close history would have produced: zeroNeed is set
-// exactly when the task is closed or its credit meets δ with no epsilon
-// slack, and remaining counts the task only while it is open and below the
-// δ band. The source's pairs stay in the source's arrangement.
-func (ts *taskState) adopt(t model.TaskID, credit float64, closed bool) {
+// adopt extends the state with one task, not closed: a task posted mid-stream
+// (zero credit) or one migrated in from another ledger, whose accumulated
+// credit seeds the slot. Task IDs are dense: adopting id n is only valid when
+// the state currently tracks n tasks. The resulting per-task state is
+// bit-identical to what a zero-credit adopt followed by the source's add
+// history would have produced: zeroNeed is set exactly when the credit meets
+// δ with no epsilon slack, and remaining counts the task only while it is
+// below the δ band. The source's pairs stay in the source's arrangement.
+func (ts *taskState) adopt(t model.TaskID, credit float64) {
 	if int(t) != len(ts.arr.Accumulated) {
 		panic("core: task IDs must extend the dense ID space")
 	}
@@ -90,13 +89,10 @@ func (ts *taskState) adopt(t model.TaskID, credit float64, closed bool) {
 		ts.zeroNeed = append(ts.zeroNeed, 0)
 	}
 	// Bits beyond the dense space are never set, so t's start clear.
-	if closed {
-		bitSet(ts.closed, t)
-	}
-	if closed || credit >= ts.delta {
+	if credit >= ts.delta {
 		bitSet(ts.zeroNeed, t)
 	}
-	if !closed && !model.Completed(credit, ts.delta) {
+	if !model.Completed(credit, ts.delta) {
 		ts.remaining++
 	}
 	ts.needSum += ts.need(t)

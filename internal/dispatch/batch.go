@@ -89,17 +89,17 @@ func (d *Dispatcher) CheckInBatchInto(ws []model.Worker, dst []Receipt) ([]Recei
 // out, when non-nil, must have len(run) slots; out[i] receives run[i]'s
 // Receipt, whose Assignments slice is carved from the shard arena and
 // caller-owned. The async drainers pass a nil out and skip the grant
-// carving entirely. Global state other threads read mid-run — the arrival
+// carving entirely. The shared words other threads read mid-run — the arrival
 // clock anchoring PostTask indices and the live-task countdown behind Done
-// — is updated per worker, so a long run never publishes stale values; pure
-// outputs (latency watermarks, the arrival total) fold in once per run, and
-// lifecycle events collected during the run are published after the shard
-// mutex is released.
+// — are updated per worker, so a long run never publishes stale values, and
+// they are the only shared words a run writes: latency and the arrival count
+// stay in the shard's own ledger and routed count, where the accessors fold
+// them from. Lifecycle events collected during the run are published after
+// the shard mutex is released.
 //
 //ltc:noalloc
 func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []Receipt) (consumed int) {
 	s := d.shards[si]
-	runMaxUsed, runMaxRel := 0, 0
 	// The run's TaskCompleted events are published after the unlock. With
 	// receipts they are read back from the grants (runCompleted says whether
 	// there is anything to read); the receipt-less drainers collect them in
@@ -145,15 +145,9 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 					completions = append(completions, events.Event{Kind: events.TaskCompleted, Task: gid, Worker: w.Index}) //ltclint:ignore noalloc the fresh slice is load-bearing — publication happens after the unlock, when the next run may already hold the shard mutex, so a reused shard-owned buffer would race; a task completes once ever, so the appends are negligible
 				}
 			}
-			if rel := w.Index - s.eng.TaskPostIndex(oc.Task); rel > runMaxRel {
-				runMaxRel = rel
-			}
 			if grants != nil {
 				grants[k] = TaskGrant{Task: gid, Credit: oc.Credit, Completed: oc.Completed}
 			}
-		}
-		if len(outcomes) > 0 && w.Index > runMaxUsed {
-			runMaxUsed = w.Index
 		}
 		if completedDelta > 0 {
 			runCompleted += completedDelta
@@ -166,13 +160,9 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 			out[i] = Receipt{Worker: w.Index, Shard: si, Assignments: grants, Done: d.Done()}
 		}
 	}
-	if runMaxUsed > 0 {
-		atomicMax(&d.maxUsed, int64(runMaxUsed))
-		atomicMax(&d.maxRel, int64(runMaxRel))
-	}
 	ldUnlock("shard", si)
 	s.mu.Unlock()
-	d.addArrived(int64(consumed))
+	d.noteArrived(consumed)
 	if out != nil && runCompleted > 0 {
 		for _, rec := range out[:consumed] {
 			for _, g := range rec.Assignments {

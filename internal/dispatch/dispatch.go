@@ -88,10 +88,11 @@ type Options struct {
 	LoadSample []geo.Point
 	// Rebalance, when non-nil, enables adaptive live re-sharding on top of
 	// the balanced layout: the dispatcher learns per-tile arrival rates
-	// online and migrates tiles (routing plus full solver state) between
-	// shards mid-stream when the forecast load no longer matches the
-	// layout. Requires Balanced; silently inert on single-shard platforms
-	// (nothing to migrate between). See RebalanceOptions for the knobs.
+	// online and migrates tiles (routing plus the open tasks' solver state)
+	// between shards mid-stream when the forecast load no longer matches
+	// the layout. Requires Balanced; silently inert on single-shard
+	// platforms (nothing to migrate between). See RebalanceOptions for the
+	// knobs.
 	Rebalance *RebalanceOptions
 }
 
@@ -147,10 +148,10 @@ type Dispatcher struct {
 	remaining atomic.Int64 // live tasks not yet at δ, across all shards
 	resolved  atomic.Int64 // tasks that reached δ or were retired open
 	total     atomic.Int64 // tasks ever posted (initial + PostTask)
-	arrived   atomic.Int64 // total check-ins received
 	maxSeen   atomic.Int64 // arrival clock: largest worker index seen (incl. bounced)
-	maxUsed   atomic.Int64 // global latency: max global index with an assignment
-	maxRel    atomic.Int64 // max (global index − task post index) over assignments
+	// bounced counts the check-ins CheckIn turned away at the front door of a
+	// complete platform — the only arrivals no shard's routed count holds.
+	bounced atomic.Int64
 
 	// regMu guards records, the global TaskID → (shard, local) registry.
 	// Lock order: regMu before a shard mutex, never the reverse; CheckIn
@@ -166,10 +167,8 @@ type Dispatcher struct {
 	bus *events.Bus
 
 	// rb is the online rebalancer (see rebalance.go); nil unless
-	// Options.Rebalance enabled it. migrations counts completed tile
-	// migrations (rebalancer-driven and explicit MigrateTile calls).
-	rb         *rebalancer
-	migrations atomic.Int64
+	// Options.Rebalance enabled it.
+	rb *rebalancer
 
 	// Async ingestion state (see async.go). queues is allocated in New;
 	// drainer goroutines start lazily on the first CheckInAsync.
@@ -287,14 +286,15 @@ func (d *Dispatcher) CheckIn(w model.Worker) (Receipt, error) {
 	if w.Index < 1 {
 		return Receipt{Shard: -1}, fmt.Errorf("%w: got %d", ErrBadWorkerIndex, w.Index) //ltclint:ignore noalloc rejected check-in is off the hot path; the wrapped error is worth one allocation
 	}
-	// Tick the arrival clock before anything can bounce the call: post
-	// indices (and therefore relative latency) anchor to the largest worker
-	// index seen, in the same unit as Latency, and must keep advancing even
-	// while the platform is momentarily complete — a later PostTask can
-	// revive it.
-	atomicMax(&d.maxSeen, int64(w.Index))
 	if d.Done() {
-		d.addArrived(1)
+		// A bounced call reaches no shard, so its clock tick and its arrival
+		// are counted here: post indices (and therefore relative latency)
+		// anchor to the largest worker index seen, in the same unit as
+		// Latency, and must keep advancing even while the platform is
+		// momentarily complete — a later PostTask can revive it.
+		atomicMax(&d.maxSeen, int64(w.Index))
+		d.bounced.Add(1)
+		d.noteArrived(1)
 		return Receipt{Worker: w.Index, Shard: -1, Done: true}, ErrDone
 	}
 	// A run of length one through the shared ingestion body: per-call, batch
@@ -432,9 +432,29 @@ func (d *Dispatcher) RetireTask(id model.TaskID) error {
 // dispatcher).
 func (d *Dispatcher) Done() bool { return d.remaining.Load() == 0 }
 
+// eachShard calls f on every shard in index order, each under its own mutex
+// and no other: the one way the dispatcher reads an account its shards keep.
+// A fold through it is per-shard consistent, not a global atomic cut — what
+// ShardStats documents — and exact once ingestion is quiescent (after Flush,
+// or when no check-in is in flight).
+func (d *Dispatcher) eachShard(f func(si int, s *shard)) {
+	for si, s := range d.shards {
+		ldLock("shard", si)
+		s.mu.Lock()
+		f(si, s)
+		ldUnlock("shard", si)
+		s.mu.Unlock()
+	}
+}
+
 // Latency returns the global LTC objective so far: the largest global
-// arrival index among workers that received at least one assignment.
-func (d *Dispatcher) Latency() int { return int(d.maxUsed.Load()) }
+// arrival index among workers that received at least one assignment — the
+// max over the shards' ledgers (see eachShard for the consistency of the
+// read).
+func (d *Dispatcher) Latency() (latency int) {
+	d.eachShard(func(_ int, s *shard) { latency = max(latency, s.eng.Arrangement().Latency()) })
+	return latency
+}
 
 // RelativeLatency returns the lifecycle-aware counterpart: the largest
 // (worker index − task post index) over all assignments, where a post
@@ -444,11 +464,21 @@ func (d *Dispatcher) Latency() int { return int(d.maxUsed.Load()) }
 // equals Latency; with late posts it measures each task's wait from the
 // moment it entered the system. Exact for sequential feeds, a close bound
 // under concurrency (the watermark and the worker indices race benignly).
-func (d *Dispatcher) RelativeLatency() int { return int(d.maxRel.Load()) }
+// Folded from the shards' engines like Latency.
+func (d *Dispatcher) RelativeLatency() (rel int) {
+	d.eachShard(func(_ int, s *shard) { rel = max(rel, s.eng.RelativeLatency()) })
+	return rel
+}
 
 // Arrived reports how many check-ins have been received (including ones
-// bounced because the platform was momentarily complete).
-func (d *Dispatcher) Arrived() int { return int(d.arrived.Load()) }
+// bounced because the platform was momentarily complete): every shard's
+// routed count plus the front-door bounces. Each term only grows, so the
+// fold is monotone across calls even beside live traffic.
+func (d *Dispatcher) Arrived() int {
+	arrived := int(d.bounced.Load())
+	d.eachShard(func(_ int, s *shard) { arrived += s.routed })
+	return arrived
+}
 
 // Progress returns the number of resolved tasks and the task total (all
 // tasks ever posted). Resolved means reached δ or retired before reaching
@@ -464,7 +494,9 @@ func (d *Dispatcher) Progress() (resolved, total int) {
 // ShardStats is one shard's progress/credit/load snapshot.
 type ShardStats struct {
 	// Tasks is the shard's task count (including posted and retired tasks);
-	// Completed of them have reached δ and Retired were expired.
+	// Completed of them have reached δ and Retired were expired. A tile
+	// migration moves the tile's open tasks to the target's list; a task
+	// that already settled stays on the list of the shard where it did.
 	Tasks     int
 	Completed int
 	Retired   int
@@ -496,9 +528,7 @@ type ShardStats struct {
 // Workers count is monotone non-decreasing across snapshots.
 func (d *Dispatcher) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(d.shards))
-	for i, s := range d.shards {
-		ldLock("shard", i)
-		s.mu.Lock()
+	d.eachShard(func(i int, s *shard) {
 		completed, total := s.eng.Progress()
 		out[i] = ShardStats{
 			Tasks:       total,
@@ -510,8 +540,8 @@ func (d *Dispatcher) ShardStats() []ShardStats {
 			MigratedOut: s.migratedOut,
 			Latency:     s.eng.Arrangement().Latency(),
 		}
-		ldUnlock("shard", i)
-		s.mu.Unlock()
+	})
+	for i := range out {
 		out[i].QueueDepth = d.queues[i].depth()
 	}
 	return out
@@ -538,17 +568,11 @@ func (d *Dispatcher) ShardStats() []ShardStats {
 // and a sample's maximum never sits below its mean.
 func (d *Dispatcher) Imbalance() float64 {
 	maxRouted, total := 0, 0
-	for i, s := range d.shards {
-		ldLock("shard", i)
-		s.mu.Lock()
+	d.eachShard(func(_ int, s *shard) {
 		r := s.routed - s.routedBase
-		ldUnlock("shard", i)
-		s.mu.Unlock()
 		total += r
-		if r > maxRouted {
-			maxRouted = r
-		}
-	}
+		maxRouted = max(maxRouted, r)
+	})
 	if total == 0 {
 		return 1
 	}

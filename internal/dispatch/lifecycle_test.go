@@ -347,16 +347,7 @@ func TestDispatcherChurnStress(t *testing.T) {
 
 	// Drain: retire everything still open; the dispatcher must then be Done
 	// and remain consistent.
-	for id, st := range statuses {
-		if !st.Completed && !st.Retired {
-			if err := d.RetireTask(model.TaskID(id)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if !d.Done() {
-		t.Fatal("not done after retiring all open tasks")
-	}
+	retireOpen(t, d)
 	resolved, total := d.Progress()
 	if resolved != total || total != wantTotal {
 		t.Fatalf("final progress %d/%d, want %d/%d", resolved, total, wantTotal, wantTotal)

@@ -90,6 +90,9 @@ type rebalancer struct {
 	owners []int
 	// load is the pass-private per-shard forecast scratch.
 	load []float64
+	// arrivals is the pass clock: check-ins noted since construction, whose
+	// Interval crossings trigger the passes.
+	arrivals atomic.Int64
 
 	// passing serializes rebalance passes: the arrival that crosses an
 	// Interval boundary claims it and runs the pass inline; concurrent
@@ -129,11 +132,10 @@ func (rb *rebalancer) halt() {
 	}
 }
 
-// noteArrived runs a rebalance pass when the arrival total crosses an
-// Interval boundary. before/after bracket one Add on the dispatcher's
-// arrival counter; bulk ingests (batch runs) cross at most one pass per
-// call, which is the point — the forecast granularity follows the arrival
-// clock, not the call pattern.
+// noteArrived advances the pass clock by n arrivals and runs a rebalance
+// pass when that crosses an Interval boundary. Bulk ingests (batch runs)
+// cross at most one pass per call, which is the point — the forecast
+// granularity follows the arrival clock, not the call pattern.
 //
 // The pass runs inline on the crossing arrival's goroutine, which at every
 // call site has already released its shard mutex: a background loop would
@@ -142,9 +144,9 @@ func (rb *rebalancer) halt() {
 // layout most needs to move. Concurrent crossings don't pile up: whoever
 // loses the passing claim skips, and the skipped interval's counters fold
 // into the next pass.
-func (rb *rebalancer) noteArrived(before, after int64) {
-	iv := int64(rb.opt.Interval)
-	if before/iv == after/iv || rb.stopped.Load() {
+func (rb *rebalancer) noteArrived(n int64) {
+	after, iv := rb.arrivals.Add(n), int64(rb.opt.Interval)
+	if (after-n)/iv == after/iv || rb.stopped.Load() {
 		return
 	}
 	if !rb.passing.CompareAndSwap(false, true) {
@@ -225,12 +227,13 @@ func (d *Dispatcher) locate(loc geo.Point) int {
 	return si
 }
 
-// addArrived advances the arrival total and, when rebalancing is on, kicks
-// the rebalancer on Interval crossings.
-func (d *Dispatcher) addArrived(n int64) {
-	after := d.arrived.Add(n)
+// noteArrived reports n ingested (or bounced) check-ins to the rebalancer,
+// which may run a pass on the caller's goroutine — so the caller holds no
+// lock. With rebalancing off nothing is counted: the arrival total lives in
+// the shards (see Arrived).
+func (d *Dispatcher) noteArrived(n int) {
 	if rb := d.rb; rb != nil {
-		rb.noteArrived(after-n, after)
+		rb.noteArrived(int64(n))
 	}
 }
 
@@ -238,12 +241,17 @@ func (d *Dispatcher) addArrived(n int64) {
 func (d *Dispatcher) Rebalancing() bool { return d.rb != nil }
 
 // Migrations reports how many tile migrations have been performed so far
-// (by the rebalancer or by explicit MigrateTile calls).
-func (d *Dispatcher) Migrations() int { return int(d.migrations.Load()) }
+// (by the rebalancer or by explicit MigrateTile calls): each one counted
+// once, at the shard it moved tasks into (see eachShard).
+func (d *Dispatcher) Migrations() (n int) {
+	d.eachShard(func(_ int, s *shard) { n += s.migratedIn })
+	return n
+}
 
-// MigrateTile hands one task tile — its routing entry and its tasks' full
-// solver state — from its current shard to shard `to`, without stopping
-// ingestion. The rebalancer calls this automatically; it is exported so
+// MigrateTile hands one task tile — its routing entry and its open tasks'
+// full solver state — from its current shard to shard `to`, without stopping
+// ingestion. Tasks that already completed or were retired have no future to
+// hand over and stay listed (ShardStats, the registry) where they settled. The rebalancer calls this automatically; it is exported so
 // harnesses and tests can force deterministic migrations.
 //
 // Protocol (see CONCURRENCY.md, "Live tile migration"): the registry lock is
@@ -254,7 +262,7 @@ func (d *Dispatcher) Migrations() int { return int(d.migrations.Load()) }
 // engines' evict/adopt pairs run on frozen state. The Partition.Locate entry
 // swaps (atomically, tile by tile) while both shards are still held, so by
 // the time any check-in can observe the new routing, the target owns every
-// migrated task. Workers already sitting in the source shard's async queue
+// open task of the tile. Workers already sitting in the source shard's async queue
 // keep draining at the source — a benign misroute, identical to a check-in
 // that raced the swap (assignment quality only; no worker or task is lost).
 // Migrating a tile onto its current owner is a no-op.
@@ -272,7 +280,6 @@ func (d *Dispatcher) MigrateTile(tile, to int) error {
 	if err != nil || !migrated {
 		return err
 	}
-	d.migrations.Add(1)
 	d.publish(events.Event{
 		Kind: events.TileMigrated, Task: -1,
 		Tile: tile, FromShard: from, ToShard: to,
@@ -308,21 +315,24 @@ func (d *Dispatcher) migrateTileLocked(tile, to int) (from int, migrated bool, e
 	ldLock("shard", max(from, to))
 	second.mu.Lock() //ltc:ascending
 
+	// Only the tile's open tasks move. A completed or retired one will never
+	// be assigned again, so it stays registered with the shard where it
+	// settled (EvictTask refuses it, and the ghosts of earlier migrations).
 	var migrateErr error
 	for local := 0; local < len(sf.sub.Global); local++ {
 		lid := model.TaskID(local)
-		if sf.eng.TaskEvicted(lid) {
-			continue
-		}
 		src := sf.sub.SourceTask(lid)
 		if d.part.OwnerTile(src.Loc) != tile {
 			continue
 		}
 		ldAssertHeld("shard", from)
-		snap, err := sf.eng.EvictTask(lid)
+		snap, open, err := sf.eng.EvictTask(lid)
 		if err != nil {
 			migrateErr = err
 			break
+		}
+		if !open {
+			continue
 		}
 		newLocal := st.sub.AppendTask(src)
 		ldAssertHeld("shard", to)
@@ -355,12 +365,6 @@ func (d *Dispatcher) migrateTileLocked(tile, to int) (from int, migrated bool, e
 	// already handed its hot tiles away "busiest" forever. All shards
 	// rebase (one at a time — windows stay comparable in length because
 	// they all restart at this same migration).
-	for si, s := range d.shards {
-		ldLock("shard", si)
-		s.mu.Lock()
-		s.routedBase = s.routed
-		ldUnlock("shard", si)
-		s.mu.Unlock()
-	}
+	d.eachShard(func(_ int, s *shard) { s.routedBase = s.routed })
 	return from, true, nil
 }

@@ -275,40 +275,6 @@ func isClosedErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, net.ErrClosed)
 }
 
-// StreamEvents opens the event stream and invokes fn for every event until
-// the stream ends, ctx is cancelled, or fn returns a non-nil error —
-// ErrStopStreaming ends the stream cleanly (nil is returned), any other
-// error is passed through.
-func (c *Client) StreamEvents(ctx context.Context, fn func(Event) error) error {
-	st, err := c.OpenEvents(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil // cancelled while connecting: the normal shutdown path
-		}
-		return err
-	}
-	defer func() { _ = st.Close() }()
-	for {
-		e, err := st.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(e); err != nil {
-			if err == ErrStopStreaming {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// ErrStopStreaming, returned by a StreamEvents callback, ends the stream
-// without error.
-var ErrStopStreaming = errors.New("httpapi: stop streaming")
-
 // WaitReady polls GET /stats until the gateway answers, backing off between
 // attempts with backoffDelay. It is the readiness probe a supervisor runs
 // against freshly-spawned gateways; the capped-exponential-with-jitter

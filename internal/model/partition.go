@@ -52,8 +52,9 @@ func (s *SubInstance) AppendTask(global Task) Task {
 func (s *SubInstance) SourceTask(local TaskID) Task { return s.source[local] }
 
 // TruncateLast rolls back the most recent AppendTask — the dispatch layer's
-// recovery when its engine rejects a post (solver without lifecycle
-// support). Same serialization requirements as AppendTask.
+// recovery when its engine rejects a post or an adoption (the dense-ID
+// check: the sub-instance ran ahead of the engine). Same serialization
+// requirements as AppendTask.
 func (s *SubInstance) TruncateLast() {
 	n := len(s.In.Tasks) - 1
 	s.In.Tasks = s.In.Tasks[:n]

@@ -67,7 +67,7 @@ func WithBalancedShards() Option { return optionFunc(func(c *config) { c.balance
 // WithRebalance enables adaptive live re-sharding on top of the balanced
 // layout (it implies WithBalancedShards): the platform learns per-tile
 // arrival rates online (an EWMA folded every RebalanceOptions.Interval
-// arrivals) and migrates tiles — their routing entry and their tasks' full
+// arrivals) and migrates tiles — their routing entry and their open tasks'
 // solver state — from the forecast-heaviest shard to the lightest, without
 // stopping ingestion. Pass no argument for the defaults, or one
 // RebalanceOptions to tune the forecast interval, migration threshold,

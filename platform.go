@@ -287,13 +287,17 @@ func (p *Platform) RetireTask(id TaskID) error {
 func (p *Platform) Done() bool { return p.d.Done() }
 
 // Latency returns the LTC objective so far in global arrival indices: the
-// largest Index among checked-in workers that received an assignment.
+// largest Index among checked-in workers that received an assignment. It is
+// the max of the per-shard latencies ShardStats reports, read the same way:
+// shards locked one at a time, per-shard consistent, exact once no check-in
+// is in flight.
 func (p *Platform) Latency() int { return p.d.Latency() }
 
 // RelativeLatency returns the lifecycle-aware objective: the largest
 // (worker index − task post index) over all assignments. Equal to Latency
 // when every task was present from the start; with late posts it measures
-// each task's wait from the moment it entered the system.
+// each task's wait from the moment it entered the system. Folded from the
+// shards like Latency: locked one at a time, per-shard consistent.
 func (p *Platform) RelativeLatency() int { return p.d.RelativeLatency() }
 
 // WorkersSeen reports how many check-ins have been observed: every call
@@ -301,7 +305,9 @@ func (p *Platform) RelativeLatency() int { return p.d.RelativeLatency() }
 // bounced with ErrPlatformDone while the platform was momentarily
 // complete. Calls rejected for an invalid index are not observed. This is
 // the same contract as Session.WorkersSeen, pinned by
-// TestWorkersSeenContract.
+// TestWorkersSeenContract. The count is the sum of ShardStats' Workers plus
+// the bounced calls, with the shards locked one at a time: per-shard
+// consistent, monotone across calls, exact once no check-in is in flight.
 func (p *Platform) WorkersSeen() int { return p.d.Arrived() }
 
 // Shards reports the effective shard count.
@@ -317,7 +323,9 @@ func (p *Platform) Balanced() bool { return p.d.Balanced() }
 // collapsed to one shard, where there is nothing to migrate).
 func (p *Platform) Rebalancing() bool { return p.d.Rebalancing() }
 
-// Migrations reports how many tile migrations have committed so far.
+// Migrations reports how many tile migrations have committed so far: the sum
+// of ShardStats' MigratedIn, with the shards locked one at a time like
+// ShardStats itself (per-shard consistent).
 func (p *Platform) Migrations() int { return p.d.Migrations() }
 
 // Imbalance reports the platform's current load imbalance: the busiest
