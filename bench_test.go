@@ -2,6 +2,7 @@ package ltc
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"ltc/internal/core"
 	"ltc/internal/experiments"
 	"ltc/internal/flow"
+	"ltc/internal/geo"
 	"ltc/internal/model"
 )
 
@@ -221,15 +223,66 @@ func BenchmarkAblationEligibility(b *testing.B) {
 }
 
 // BenchmarkCandidateIndex measures the per-worker eligibility query, the
-// inner loop of every online algorithm.
+// inner loop of every online algorithm, on Table IV's default instance with
+// every task live: uniform traffic finds a few hits in a window of small
+// cells, a hotspot's worker hundreds in one cell.
 func BenchmarkCandidateIndex(b *testing.B) {
-	in, ci := benchInstance(b)
-	buf := make([]Candidate, 0, 32)
+	for _, kind := range []string{ScenarioUniform, ScenarioHotspot} {
+		b.Run(kind, func(b *testing.B) {
+			cfg := DefaultWorkload()
+			cfg.Seed = 42
+			scn, err := NewScenario(kind, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, err := scn.Generate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ci := NewCandidateIndex(in)
+			var buf []Candidate
+			hits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = ci.Candidates(in.Workers[i%len(in.Workers)], buf[:0])
+				hits += len(buf)
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "candidates/op")
+		})
+	}
+}
+
+// BenchmarkAAMArriveHotCell measures one AAM arrival on a hot cell: 500 open
+// tasks in one grid cell, hundreds of them in every worker's disc, K = 6. It
+// reports how many hits an arrival's disc holds and how many of them the
+// accuracy model is asked about. ε is tiny so that δ is large and the cell
+// stays hot for the whole run; the solver is rebuilt if it ever finishes.
+func BenchmarkAAMArriveHotCell(b *testing.B) {
+	rng := rand.New(rand.NewPCG(500, 6))
+	in := &Instance{Epsilon: 1e-300, K: 6, Model: SigmoidDistance{DMax: 30}, MinAcc: 0.5}
+	for i := 0; i < 500; i++ {
+		in.Tasks = append(in.Tasks, Task{ID: TaskID(i), Loc: geo.Point{X: rng.Float64() * 25, Y: rng.Float64() * 25}})
+	}
+	for i := 1; i <= 4096; i++ {
+		in.Workers = append(in.Workers, Worker{Index: i, Loc: geo.Point{X: rng.Float64() * 25, Y: rng.Float64() * 25}, Acc: 0.7 + rng.Float64()*0.3})
+	}
+	ci := NewCandidateIndex(in)
+	aam := core.NewAAM(in, ci)
+	hits, evaluated := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = ci.Candidates(in.Workers[i%len(in.Workers)], buf[:0])
+		if aam.Done() {
+			h, e := aam.QueryCounts()
+			hits, evaluated = hits+h, evaluated+e
+			aam = core.NewAAM(in, ci)
+		}
+		aam.Arrive(in.Workers[i%len(in.Workers)])
 	}
+	h, e := aam.QueryCounts()
+	b.ReportMetric(float64(hits+h)/float64(b.N), "hits/op")
+	b.ReportMetric(float64(evaluated+e)/float64(b.N), "evaluated/op")
 }
 
 // BenchmarkPlatformCheckIn measures the sharded dispatch layer's check-in

@@ -30,6 +30,7 @@ const (
 // Competitive ratio 7.738 under the paper's assumptions (Theorem 6).
 type AAM struct {
 	solver
+	scan
 	strategy AAMStrategy
 	topk     *pqueue.TopK[scoredCandidate]
 
@@ -53,7 +54,8 @@ func NewAAM(in *model.Instance, ci *model.CandidateIndex) *AAM {
 // used by the LGF/LRF ablation benchmarks.
 func NewAAMWithStrategy(in *model.Instance, ci *model.CandidateIndex, s AAMStrategy) *AAM {
 	return &AAM{
-		solver:   newSolver(in, ci),
+		solver:   newSolver(in),
+		scan:     newScan(in, ci),
 		strategy: s,
 		// Ties keep the first-seen task, matching Example 4's walk-through.
 		topk: pqueue.NewTopK(in.K, func(a, b scoredCandidate) bool {
@@ -79,7 +81,7 @@ func (a *AAM) StrategyCounts() (lgf, lrf int) { return a.lgfArrivals, a.lrfArriv
 
 // Arrive implements Online (Algorithm 3 lines 4-15).
 func (a *AAM) Arrive(w model.Worker) []Outcome {
-	if !a.begin(w) {
+	if !a.begin() {
 		return nil
 	}
 	useLGF := true
@@ -98,12 +100,21 @@ func (a *AAM) Arrive(w model.Worker) []Outcome {
 	}
 
 	a.topk.Reset()
-	for _, c := range a.cands {
-		if a.state.done(c.Task) {
+	for a.walk(w); a.q.Next(); {
+		if a.state.done(a.q.Task) {
+			continue
+		}
+		c, ok := a.q.Candidate()
+		if !ok {
+			a.lost()
 			continue
 		}
 		score := a.state.need(c.Task) // LRF: δ − S[t]
 		if useLGF {
+			if bar, full := a.topk.Bar(); full && c.AccStar <= bar.score {
+				a.lost()
+				continue
+			}
 			if c.AccStar < score {
 				score = c.AccStar // LGF: min{Acc*, δ − S[t]}
 			}

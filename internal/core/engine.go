@@ -16,8 +16,10 @@ import (
 // The engine owns the index it is handed and is its only writer. Completion
 // is the fourth index write: Arrive removes a task the moment it reaches δ,
 // so a task is live in the index exactly while it is open in the ledger and
-// an arrival's query never sorts, predicts or scores a settled task. A
-// caller that keeps an index for other runs hands over a Clone.
+// an arrival's walk never merges, predicts or scores a settled task — of the
+// open ones LAF and AAM visit only those that can still enter the worker's
+// top K (see scan). A caller that keeps an index for other runs hands over a
+// Clone.
 //
 // It is the single-threaded building block of both the streaming Session
 // API and the sharded dispatch layer — callers that share an Engine across

@@ -12,12 +12,14 @@ import (
 // assigned uniformly at random.
 type Random struct {
 	solver
-	rng *rand.Rand
+	ci    *model.CandidateIndex
+	cands []model.Candidate
+	rng   *rand.Rand
 }
 
 // NewRandom returns a fresh Random solver seeded deterministically.
 func NewRandom(in *model.Instance, ci *model.CandidateIndex, seed uint64) *Random {
-	return &Random{solver: newSolver(in, ci), rng: stats.NewRand(seed)}
+	return &Random{solver: newSolver(in), ci: ci, rng: stats.NewRand(seed)}
 }
 
 // Name implements Online.
@@ -25,9 +27,11 @@ func (r *Random) Name() string { return "Random" }
 
 // Arrive implements Online.
 func (r *Random) Arrive(w model.Worker) []Outcome {
-	if !r.begin(w) {
+	if !r.begin() {
 		return nil
 	}
+	// Every eligible task can be drawn, so the query evaluates them all.
+	r.cands = r.ci.Candidates(w, r.cands[:0])
 	// Compact to uncompleted candidates in place.
 	open := r.cands[:0]
 	for _, c := range r.cands {

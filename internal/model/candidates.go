@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ltc/internal/geo"
 )
@@ -20,6 +21,14 @@ type Candidate struct {
 // loop of every LTC algorithm. When the instance's accuracy model bounds
 // eligibility by distance (RadiusBounder), candidates come from a uniform
 // grid over task locations; otherwise every task is checked.
+//
+// There are two ways to ask, both answered in ascending TaskID. Candidates
+// returns every task the worker is eligible for, which takes asking the
+// accuracy model about every hit — every live task in the worker's
+// eligibility disc. A Query walks the hits and can be told to Narrow: an
+// online solver that keeps the best K of a worker's candidates narrows the
+// walk as hits lose (see core's scan), and on a hot cell that leaves most of
+// the disc unvisited and unasked about.
 //
 // The index supports online task lifecycle: Insert adds a task to its grid
 // cell and Remove drops it, both in place (no rebuild, no copy). It is a
@@ -40,7 +49,9 @@ type CandidateIndex struct {
 	tasks []Task
 	live  []bool
 	nLive int
-	grid  *cellGrid // nil when the radius is unbounded
+	// grid and spatial are set together: nil when the radius is unbounded.
+	grid    *cellGrid
+	spatial RadiusBounder
 }
 
 // cellGrid buckets task ids into square cells over the initial bounding
@@ -53,10 +64,13 @@ type cellGrid struct {
 }
 
 // cell is one grid bucket in struct-of-arrays layout: ids[i] is the task at
-// (xs[i], ys[i]), in no particular order. Keeping the coordinates beside the
-// ids lets the radius filter of within sweep two contiguous float64 arrays
-// instead of gathering Task structs through the dense task table — the hot
-// loop of every candidate query touches only these slices.
+// (xs[i], ys[i]), in strictly ascending id — task ids only grow, so add
+// appends, and remove closes the gap. A query therefore reads its window as
+// a few sorted runs and merges them instead of sorting its hits. Keeping the
+// coordinates beside the ids lets the radius filter sweep two contiguous
+// float64 arrays, and the spatial model read a hit's location, without
+// gathering Task structs through the dense task table — the hot loop of
+// every candidate query touches only these slices.
 type cell struct {
 	ids []int32
 	xs  []float64
@@ -69,17 +83,13 @@ func (c *cell) add(id int32, p geo.Point) {
 	c.ys = append(c.ys, p.Y)
 }
 
-// remove swap-deletes task id: the last entry takes its place. Cell order is
-// free because queries sort their hits by id.
+// remove deletes task id, found by binary search, keeping the order. A live
+// task is listed in its cell (Remove checks liveness first).
 func (c *cell) remove(id int32) {
-	last := len(c.ids) - 1
-	for i, x := range c.ids {
-		if x == id {
-			c.ids[i], c.xs[i], c.ys[i] = c.ids[last], c.xs[last], c.ys[last]
-			c.ids, c.xs, c.ys = c.ids[:last], c.xs[:last], c.ys[:last]
-			return
-		}
-	}
+	i, _ := slices.BinarySearch(c.ids, id)
+	c.ids = slices.Delete(c.ids, i, i+1)
+	c.xs = slices.Delete(c.xs, i, i+1)
+	c.ys = slices.Delete(c.ys, i, i+1)
 }
 
 // Lifecycle errors returned by Insert and Remove.
@@ -101,7 +111,8 @@ func NewCandidateIndex(in *Instance) *CandidateIndex {
 	for i := range ci.live {
 		ci.live[i] = true
 	}
-	if rb, ok := in.Model.(RadiusBounder); ok {
+	rb, ok := in.Model.(RadiusBounder)
+	if ok {
 		ci.radius = rb.EligibilityRadius(in.MinAcc)
 	}
 	if !math.IsInf(ci.radius, 1) {
@@ -109,7 +120,7 @@ func NewCandidateIndex(in *Instance) *CandidateIndex {
 		if side <= 0 {
 			side = 1
 		}
-		ci.grid = newCellGrid(ci.tasks, side)
+		ci.grid, ci.spatial = newCellGrid(ci.tasks, side), rb
 	}
 	return ci
 }
@@ -219,58 +230,220 @@ func (ci *CandidateIndex) Remove(id TaskID) error {
 // A query reads the index and writes only dst, so concurrent queries on one
 // shared index are safe as long as no Insert or Remove runs beside them.
 func (ci *CandidateIndex) Candidates(w Worker, dst []Candidate) []Candidate {
-	if ci.grid == nil {
-		// Unbounded radius: every live task is checked.
-		for id, t := range ci.tasks {
-			if !ci.live[id] {
-				continue
-			}
-			if acc, ok := ci.in.Eligible(w, t); ok {
-				dst = append(dst, Candidate{Task: t.ID, Acc: acc, AccStar: AccStar(acc)})
-			}
-		}
-		return dst
-	}
-	// The grid hits land in dst's own tail as bare task ids — no scratch
-	// buffer to own or pool — grouped by cell; sorting by id makes the
-	// output deterministic. The tail is then rewritten in place: each
-	// eligible hit is filled in at or before its own slot, the rest are
-	// compacted away.
-	n := len(dst)
-	dst = ci.grid.within(w.Loc, ci.radius, dst)
-	hits := dst[n:]
-	sortByTask(hits)
-	for _, c := range hits {
-		t := ci.tasks[c.Task]
-		if acc, ok := ci.in.Eligible(w, t); ok {
-			dst[n] = Candidate{Task: t.ID, Acc: acc, AccStar: AccStar(acc)}
-			n++
-		}
-	}
-	return dst[:n]
-}
-
-// within appends a bare Candidate{Task: id} for every indexed task at
-// Euclidean distance ≤ radius from q. The filter reads each cell's xs/ys
-// arrays directly — one contiguous sweep per cell, no gather through the
-// task table.
-func (g *cellGrid) within(q geo.Point, radius float64, dst []Candidate) []Candidate {
-	r2 := radius * radius
-	minCX, maxCX, minCY, maxCY := g.Window(q, radius)
-	for cy := minCY; cy <= maxCY; cy++ {
-		rowBase := cy * g.Cols
-		for cx := minCX; cx <= maxCX; cx++ {
-			c := &g.cells[rowBase+cx]
-			for i, id := range c.ids {
-				dx, dy := c.xs[i]-q.X, c.ys[i]-q.Y
-				if dx*dx+dy*dy <= r2 {
-					dst = append(dst, Candidate{Task: TaskID(id)})
-				}
-			}
+	var q Query
+	for ci.Query(&q, w); q.Next(); {
+		if c, ok := q.Candidate(); ok {
+			dst = append(dst, c)
 		}
 	}
 	return dst
 }
+
+// Query is one worker's walk over its hits — the live tasks within the
+// eligibility radius, every live task when there is no radius — in ascending
+// TaskID, each with the accuracy model's prediction. The walk reads the index
+// and writes only the Query, so it follows Candidates' concurrency rule, and
+// a Query is reusable: CandidateIndex.Query restarts it, keeping nothing of
+// the last walk but Counts.
+//
+// On the grid every cell of the query window is a run already in ascending
+// id and a task sits in one cell only, so the next hit is the smallest head
+// among the runs: a cursor merge, no buffer, no sort. The radius filter reads
+// each cell's xs/ys arrays directly, and the spatial model is asked about a
+// hit where the merge found it, at the cell's own coordinates.
+//
+// The model is asked about readAhead hits at a time, before the caller sees
+// the first of them: a prediction is a long chain of dependent floating-point
+// steps, what the caller does with it branches on the result, and asked one
+// at a time each prediction would wait for the last one's branches. A Narrow
+// therefore comes too late for the (at most readAhead − 1) predictions
+// already made beyond it; Next passes those hits over all the same.
+type Query struct {
+	// Task, D2 and Acc describe the current hit after a true Next: the task,
+	// its squared distance from the worker (0 when there is no radius) and
+	// the predicted accuracy.
+	Task TaskID
+	D2   float64
+	Acc  float64
+
+	ci *CandidateIndex
+	w  Worker
+	// disc2 is the squared eligibility radius, within2 the squared distance
+	// the walk still visits: disc2 until Narrow lowers it.
+	disc2, within2 float64
+	// The grid walk's cursors with a hit left, in no particular order: the
+	// first n of buf, or of spill in a walk that started with more than buf
+	// holds.
+	buf   [windowRuns]run
+	spill []run
+	n     int
+	pos   int // no grid: the next id to look at
+	// ahead[next:filled] are the hits read ahead and not yet returned.
+	ahead        [readAhead]hit
+	next, filled int
+	// hits and predicted count over all the Query's walks.
+	hits, predicted int
+}
+
+// readAhead is how many predictions a Query makes in one go. Two, four and
+// eight measure alike; what matters is not to ask one at a time.
+const readAhead = 4
+
+// windowRuns is the most cells a disc has hits in, in exact arithmetic: the
+// cell side is the radius, so it overlaps at most 3 × 3. It sizes the walk's
+// cursor array, which a Query on the stack carries with it; a walk that
+// rounding hands more runs than that spills to the heap and stays correct.
+const windowRuns = 9
+
+// run is a walk's cursor over one cell: entry i, task id, is the cell's next
+// hit still visited, at squared distance d2.
+type run struct {
+	c  *cell
+	i  int
+	d2 float64
+	id int32
+}
+
+// hit is a hit read ahead.
+type hit struct {
+	d2, acc float64
+	task    TaskID
+}
+
+// Query starts q as w's walk over the index as it is now.
+func (ci *CandidateIndex) Query(q *Query, w Worker) {
+	q.ci, q.w = ci, w
+	q.pos, q.n, q.spill = 0, 0, q.spill[:0]
+	q.next, q.filled = 0, 0
+	q.disc2 = ci.radius * ci.radius
+	q.within2 = q.disc2
+	g := ci.grid
+	if g == nil {
+		return
+	}
+	runs := q.buf[:0]
+	x, y, disc2 := w.Loc.X, w.Loc.Y, q.disc2
+	minCX, maxCX, minCY, maxCY := g.Window(w.Loc, ci.radius)
+	for cy := minCY; cy <= maxCY; cy++ {
+		rowBase := cy * g.Cols
+		for cx := minCX; cx <= maxCX; cx++ {
+			// seek's loop, in place: most windows are a few entries a cell,
+			// and nine calls would cost more than the entries.
+			c := &g.cells[rowBase+cx]
+			xs, ys := c.xs, c.ys[:len(c.xs)]
+			for i := range xs {
+				dx, dy := xs[i]-x, ys[i]-y
+				if d2 := dx*dx + dy*dy; d2 <= disc2 {
+					q.hits++
+					runs = append(runs, run{c: c, i: i, d2: d2, id: c.ids[i]})
+					break
+				}
+			}
+		}
+	}
+	if q.n = len(runs); q.n > windowRuns {
+		q.spill = append(q.spill, runs...)
+	}
+}
+
+// seek moves r to its cell's first entry at or after i that the walk still
+// visits and reports whether there is one. Every entry it passes or lands on
+// that lies in the disc counts as a hit.
+func (q *Query) seek(r *run, i int) bool {
+	xs, ys := r.c.xs, r.c.ys[:len(r.c.xs)]
+	x, y, disc2, hits := q.w.Loc.X, q.w.Loc.Y, q.disc2, q.hits
+	for ; i < len(xs); i++ {
+		dx, dy := xs[i]-x, ys[i]-y
+		if d2 := dx*dx + dy*dy; d2 <= disc2 {
+			hits++
+			if d2 <= q.within2 {
+				r.i, r.d2, r.id = i, d2, r.c.ids[i]
+				q.hits = hits
+				return true
+			}
+		}
+	}
+	q.hits = hits
+	return false
+}
+
+// Next advances to the next hit still visited and reports whether there is
+// one.
+func (q *Query) Next() bool {
+	for {
+		if q.next == q.filled && !q.fill() {
+			return false
+		}
+		h := &q.ahead[q.next]
+		q.next++
+		// A hit read before the last Narrow may lie beyond it.
+		if h.d2 <= q.within2 {
+			q.Task, q.D2, q.Acc = h.task, h.d2, h.acc
+			return true
+		}
+	}
+}
+
+// fill reads the next readAhead hits still visited, fewer at the end of the
+// walk, with their predictions, and reports whether there was one.
+func (q *Query) fill() bool {
+	q.next, q.filled = 0, 0
+	ci := q.ci
+	if ci.grid == nil {
+		for ; q.pos < len(ci.live) && q.filled < readAhead; q.pos++ {
+			if ci.live[q.pos] {
+				q.ahead[q.filled] = hit{task: TaskID(q.pos), acc: ci.in.Model.Predict(q.w, ci.tasks[q.pos])}
+				q.filled++
+			}
+		}
+		q.hits += q.filled
+	}
+	for q.n > 0 && q.filled < readAhead {
+		runs := q.spill
+		if len(runs) == 0 {
+			runs = q.buf[:]
+		}
+		runs = runs[:q.n]
+		best := &runs[0]
+		for j := 1; j < len(runs); j++ {
+			if r := &runs[j]; r.id < best.id {
+				best = r
+			}
+		}
+		// A head placed before the last Narrow may lie beyond it.
+		if best.d2 <= q.within2 {
+			loc := geo.Point{X: best.c.xs[best.i], Y: best.c.ys[best.i]}
+			q.ahead[q.filled] = hit{task: TaskID(best.id), d2: best.d2, acc: ci.spatial.PredictAt(q.w, loc)}
+			q.filled++
+		}
+		if !q.seek(best, best.i+1) {
+			q.n--
+			*best = runs[q.n]
+		}
+	}
+	q.predicted += q.filled
+	return q.filled > 0
+}
+
+// Narrow tells the walk that hits at a squared distance above d2 are of no
+// more interest: Next passes them over. The walk never widens again.
+func (q *Query) Narrow(d2 float64) {
+	if d2 < q.within2 {
+		q.within2 = d2
+	}
+}
+
+// Candidate returns the current hit as a candidate and reports whether the
+// worker is eligible for the task.
+func (q *Query) Candidate() (Candidate, bool) {
+	return Candidate{Task: q.Task, Acc: q.Acc, AccStar: AccStar(q.Acc)}, q.Acc >= q.ci.in.MinAcc
+}
+
+// Counts reports, over all the query's walks so far, how many hits they
+// passed — whether Next returned them or Narrow hid them; a walk's hits are
+// all counted once Next has returned false — and how many of them the
+// accuracy model was asked about.
+func (q *Query) Counts() (hits, predicted int) { return q.hits, q.predicted }
 
 // EligibleWorkerLists returns, for every task (dense ID space, removed tasks
 // get empty lists), the ascending arrival indices of all workers eligible
@@ -318,35 +491,4 @@ func (ci *CandidateIndex) CheckFeasible() error {
 		}
 	}
 	return nil
-}
-
-// sortByTask sorts a small slice of candidates by ascending TaskID in place.
-// Insertion sort for short slices (grid query results are typically tens of
-// hits), falling back to a simple quicksort.
-func sortByTask(s []Candidate) {
-	if len(s) < 24 {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j].Task < s[j-1].Task; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-		return
-	}
-	pivot := s[len(s)/2].Task
-	lo, hi := 0, len(s)-1
-	for lo <= hi {
-		for s[lo].Task < pivot {
-			lo++
-		}
-		for s[hi].Task > pivot {
-			hi--
-		}
-		if lo <= hi {
-			s[lo], s[hi] = s[hi], s[lo]
-			lo++
-			hi--
-		}
-	}
-	sortByTask(s[:hi+1])
-	sortByTask(s[lo:])
 }

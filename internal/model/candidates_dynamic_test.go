@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -25,7 +26,10 @@ func bruteCandidates(in *Instance, tasks []Task, live []bool, w Worker) []Candid
 }
 
 // checkAgainstBrute compares the index's answer for every probe worker with
-// the brute-force scan, element by element (order and float bits included).
+// the brute-force scan, element by element (order and float bits included),
+// checks a narrowed walk against the same scan, and checks that every grid
+// cell lists its tasks in strictly ascending id — the order the walk's merge
+// relies on.
 func checkAgainstBrute(t *testing.T, ci *CandidateIndex, in *Instance, tasks []Task, live []bool, probes []Worker) {
 	t.Helper()
 	var buf []Candidate
@@ -40,14 +44,87 @@ func checkAgainstBrute(t *testing.T, ci *CandidateIndex, in *Instance, tasks []T
 				t.Fatalf("worker %d candidate %d: got %+v, want %+v", w.Index, i, buf[i], want[i])
 			}
 		}
+		checkNarrowedWalk(t, ci, tasks, live, w)
+	}
+	if ci.grid == nil {
+		return
+	}
+	for n, c := range ci.grid.cells {
+		if len(c.xs) != len(c.ids) || len(c.ys) != len(c.ids) {
+			t.Fatalf("cell %d: %d ids, %d xs, %d ys", n, len(c.ids), len(c.xs), len(c.ys))
+		}
+		for i, id := range c.ids {
+			if i > 0 && c.ids[i-1] >= id {
+				t.Fatalf("cell %d not in strictly ascending id: %v", n, c.ids)
+			}
+			if loc := tasks[id].Loc; !live[id] || c.xs[i] != loc.X || c.ys[i] != loc.Y {
+				t.Fatalf("cell %d entry %d: task %d (live %v) at (%v, %v), want %v", n, i, id, live[id], c.xs[i], c.ys[i], loc)
+			}
+		}
+	}
+}
+
+// checkNarrowedWalk walks w's hits, narrows the walk at the first hit to the
+// median hit distance, and checks the walk against the brute-force scan: the
+// hits come in ascending id with their exact squared distance, every hit in
+// the disc is counted, and after the Narrow the walk returns exactly the hits
+// within it.
+func checkNarrowedWalk(t *testing.T, ci *CandidateIndex, tasks []Task, live []bool, w Worker) {
+	t.Helper()
+	type hit struct {
+		task TaskID
+		d2   float64
+	}
+	var disc []hit // brute force: the live tasks in w's disc
+	for id, tk := range tasks {
+		if !live[id] {
+			continue
+		}
+		if ci.grid == nil {
+			disc = append(disc, hit{task: tk.ID})
+		} else if dx, dy := tk.Loc.X-w.Loc.X, tk.Loc.Y-w.Loc.Y; dx*dx+dy*dy <= ci.radius*ci.radius {
+			disc = append(disc, hit{tk.ID, dx*dx + dy*dy})
+		}
+	}
+	within := math.Inf(1)
+	if len(disc) > 0 {
+		d2s := make([]float64, len(disc))
+		for i, h := range disc {
+			d2s[i] = h.d2
+		}
+		slices.Sort(d2s)
+		within = d2s[len(d2s)/2]
+	}
+	var q Query
+	hits0, _ := q.Counts()
+	var got []hit
+	for ci.Query(&q, w); q.Next(); {
+		got = append(got, hit{q.Task, q.D2})
+		q.Narrow(within)
+		if c, _ := q.Candidate(); c.Task != q.Task || c.Acc != q.Acc || c.AccStar != AccStar(q.Acc) {
+			t.Fatalf("worker %d: Candidate %+v at hit %d, Acc %v", w.Index, c, q.Task, q.Acc)
+		}
+	}
+	var want []hit
+	for i, h := range disc {
+		if i == 0 || h.d2 <= within {
+			want = append(want, h)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("worker %d: walk narrowed to %v returned %v, want %v", w.Index, within, got, want)
+	}
+	if hits, predicted := q.Counts(); hits-hits0 != len(disc) || predicted < len(got) || predicted > len(disc) {
+		t.Fatalf("worker %d: walk counted %d hits, %d predictions; disc holds %d, %d returned", w.Index, hits-hits0, predicted, len(disc), len(got))
 	}
 }
 
 // runLifecycleScript drives one deterministic interleaving of insert/remove
 // against the index and the shadow task list, probing after every step.
 // width is the spatial extent; some posted tasks deliberately land outside
-// it (the clamped-border-cell path).
-func runLifecycleScript(t *testing.T, in *Instance, seed uint64, steps int, width float64) {
+// it (the clamped-border-cell path). The probes are twelve random workers
+// and the given ones.
+func runLifecycleScript(t *testing.T, in *Instance, seed uint64, steps int, width float64, probes ...Worker) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	ci := NewCandidateIndex(in)
@@ -56,13 +133,12 @@ func runLifecycleScript(t *testing.T, in *Instance, seed uint64, steps int, widt
 	for i := range live {
 		live[i] = true
 	}
-	probes := make([]Worker, 12)
-	for i := range probes {
-		probes[i] = Worker{
-			Index: i + 1,
+	for i := 0; i < 12; i++ {
+		probes = append(probes, Worker{
+			Index: len(probes) + 1,
 			Loc:   geo.Point{X: rng.Float64()*width*1.4 - 0.2*width, Y: rng.Float64()*width*1.4 - 0.2*width},
 			Acc:   0.7 + rng.Float64()*0.3,
-		}
+		})
 	}
 
 	for step := 0; step < steps; step++ {
@@ -96,6 +172,7 @@ func runLifecycleScript(t *testing.T, in *Instance, seed uint64, steps int, widt
 			t.Fatalf("step %d: NumTasks %d, want %d", step, ci.NumTasks(), len(tasks))
 		}
 		checkAgainstBrute(t, ci, in, tasks, live, probes)
+		checkAgainstBrute(t, ci.Clone(), in, tasks, live, probes[:2])
 	}
 }
 
@@ -118,6 +195,30 @@ func TestCandidateIndexLifecycleProperty(t *testing.T) {
 		runLifecycleScript(t, gridIn, seed*31+1, 60, width)
 		runLifecycleScript(t, flatIn, seed*31+2, 60, width)
 	}
+
+	// A hot cell: 520 tasks in the cell [30, 60)², a few dozen in each of its
+	// neighbours, ids interleaved across the cells. Probes on the hot cell's
+	// corners merge nine runs, the one in the rect's corner four, and the one
+	// in the hot cell's centre reaches into all nine with most hits in one.
+	rng := rand.New(rand.NewPCG(5, 99))
+	hot := &Instance{Epsilon: 0.1, K: 4, Model: SigmoidDistance{DMax: 30}, MinAcc: 0.5}
+	hot.Tasks = []Task{{ID: 0}, {ID: 1, Loc: geo.Point{X: width, Y: width}}} // pin the grid's rect
+	for len(hot.Tasks) < 800 {
+		loc := geo.Point{X: 30 + rng.Float64()*30, Y: 30 + rng.Float64()*30}
+		if len(hot.Tasks)%3 == 0 {
+			loc = geo.Point{X: rng.Float64() * 90, Y: rng.Float64() * 90}
+		}
+		hot.Tasks = append(hot.Tasks, Task{ID: TaskID(len(hot.Tasks)), Loc: loc})
+	}
+	var corners []Worker
+	for _, loc := range []geo.Point{{X: 30, Y: 30}, {X: 60, Y: 30}, {X: 30, Y: 60}, {X: 60, Y: 60}, {X: 45, Y: 45}, {X: 1, Y: 1}} {
+		corners = append(corners, Worker{Index: len(corners) + 1, Loc: loc, Acc: 0.95})
+	}
+	ci := NewCandidateIndex(hot)
+	if n := len(ci.grid.cells[ci.grid.Index(geo.Point{X: 45, Y: 45})].ids); n < 500 {
+		t.Fatalf("hot cell holds %d tasks, want ≥ 500", n)
+	}
+	runLifecycleScript(t, hot, 77, 40, width, corners...)
 }
 
 // TestCandidateIndexCloneIsIndependent: a clone answers as its original did

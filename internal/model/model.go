@@ -73,13 +73,21 @@ type AccuracyModel interface {
 	Predict(w Worker, t Task) float64
 }
 
-// RadiusBounder is implemented by accuracy models for which eligibility
-// (Acc ≥ minAcc) implies a maximum worker-task distance. The candidate
-// index uses it to prune with a spatial query instead of a full scan.
+// RadiusBounder is implemented by spatial accuracy models: ones that see a
+// task through its location only, and predict no better the farther away it
+// is. Eligibility (Acc ≥ minAcc) then implies a maximum worker-task
+// distance, which the candidate index uses to prune with a spatial query
+// instead of a full scan, and an arrival may stop evaluating tasks farther
+// than one that already lost (core.LAF, core.AAM).
 type RadiusBounder interface {
 	// EligibilityRadius returns a distance r such that any pair farther
 	// apart than r has Predict < minAcc, or +Inf when no bound exists.
 	EligibilityRadius(minAcc float64) float64
+	// PredictAt returns Acc(w, t) for a task at loc: Predict(w, t) and
+	// PredictAt(w, t.Loc) are the same bits. For a fixed worker it is
+	// non-increasing in ‖w.Loc − loc‖ — the promise that already makes
+	// EligibilityRadius sound.
+	PredictAt(w Worker, loc geo.Point) float64
 }
 
 // SigmoidDistance is the paper's accuracy function (Eq. 1):
@@ -95,8 +103,11 @@ type SigmoidDistance struct {
 }
 
 // Predict implements AccuracyModel.
-func (m SigmoidDistance) Predict(w Worker, t Task) float64 {
-	d := w.Loc.Dist(t.Loc)
+func (m SigmoidDistance) Predict(w Worker, t Task) float64 { return m.PredictAt(w, t.Loc) }
+
+// PredictAt implements RadiusBounder.
+func (m SigmoidDistance) PredictAt(w Worker, loc geo.Point) float64 {
+	d := w.Loc.Dist(loc)
 	return w.Acc / (1 + math.Exp(d-m.DMax))
 }
 

@@ -385,19 +385,3 @@ func TestMaxPossibleCredit(t *testing.T) {
 		}
 	}
 }
-
-func TestSortByTask(t *testing.T) {
-	// Exercise both the insertion-sort and quicksort paths.
-	for _, n := range []int{0, 1, 5, 23, 24, 200} {
-		s := make([]Candidate, n)
-		for i := range s {
-			s[i].Task = TaskID((i*7919 + 13) % 97)
-		}
-		sortByTask(s)
-		for i := 1; i < len(s); i++ {
-			if s[i].Task < s[i-1].Task {
-				t.Fatalf("n=%d: not sorted at %d: %v", n, i, s)
-			}
-		}
-	}
-}

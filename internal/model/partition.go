@@ -333,8 +333,8 @@ type shardModel struct {
 
 func newShardModel(src *Instance, sub *SubInstance) AccuracyModel {
 	m := &shardModel{src: src, sub: sub}
-	if _, ok := src.Model.(RadiusBounder); ok {
-		return &boundedShardModel{shardModel: m}
+	if rb, ok := src.Model.(RadiusBounder); ok {
+		return &boundedShardModel{shardModel: m, RadiusBounder: rb}
 	}
 	return m
 }
@@ -344,15 +344,13 @@ func (m *shardModel) Predict(w Worker, t Task) float64 {
 	return m.src.Model.Predict(w, m.sub.source[t.ID])
 }
 
-// boundedShardModel additionally forwards the eligibility radius, so the
-// per-shard CandidateIndex keeps its spatial pruning.
+// boundedShardModel additionally is the source model's RadiusBounder, so the
+// per-shard CandidateIndex keeps its spatial pruning. A location needs no
+// translation — a shard's task sits where its source task does — so
+// EligibilityRadius and PredictAt are the source's own.
 type boundedShardModel struct {
 	*shardModel
-}
-
-// EligibilityRadius implements RadiusBounder.
-func (m *boundedShardModel) EligibilityRadius(minAcc float64) float64 {
-	return m.src.Model.(RadiusBounder).EligibilityRadius(minAcc)
+	RadiusBounder
 }
 
 // NumShards reports the number of (non-empty) shards.

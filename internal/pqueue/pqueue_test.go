@@ -181,6 +181,34 @@ func TestTopKOfferReportsRetention(t *testing.T) {
 	}
 }
 
+// TestTopKBar: there is no bar while there is room; once full the bar is the
+// weakest retained element, an offer is kept exactly when it beats the bar,
+// and the bar never falls.
+func TestTopKBar(t *testing.T) {
+	tk := NewTopK(3, func(a, b int) bool { return a < b })
+	for _, v := range []int{4, 9} {
+		tk.Offer(v)
+		if _, full := tk.Bar(); full {
+			t.Fatalf("bar reported with %d of 3 retained", tk.Len())
+		}
+	}
+	tk.Offer(6)
+	last := 4
+	for _, v := range []int{4, 3, 5, 5, 20, 6, 7, 1} {
+		bar, full := tk.Bar()
+		if !full || bar < last {
+			t.Fatalf("bar %d (full %t) after bar %d", bar, full, last)
+		}
+		if kept := tk.Offer(v); kept != (v > bar) {
+			t.Fatalf("offer %d against bar %d: kept %t", v, bar, kept)
+		}
+		last = bar
+	}
+	if bar, _ := tk.Bar(); bar != 7 {
+		t.Fatalf("final bar %d, want 7", bar)
+	}
+}
+
 func TestTopKFewerThanK(t *testing.T) {
 	tk := NewTopK(10, func(a, b int) bool { return a < b })
 	tk.Offer(4)
