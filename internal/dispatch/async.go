@@ -34,10 +34,8 @@ func newShardQueue(capacity int) *shardQueue {
 
 // depth reports how many workers are queued but not yet taken by the drainer.
 func (q *shardQueue) depth() int {
-	ldLock("queue", 0)
 	q.mu.Lock()
 	n := len(q.buf)
-	ldUnlock("queue", 0)
 	q.mu.Unlock()
 	return n
 }
@@ -46,11 +44,9 @@ func (q *shardQueue) depth() int {
 // context-cancellation callback (both sides re-check their exit condition
 // under the mutex, so taking it here means no wake-up can be lost).
 func (q *shardQueue) wakeAll() {
-	ldLock("queue", 0)
 	q.mu.Lock()
 	q.notFull.Broadcast()
 	q.notEmpty.Broadcast()
-	ldUnlock("queue", 0)
 	q.mu.Unlock()
 }
 
@@ -62,7 +58,6 @@ func (q *shardQueue) wakeAll() {
 //ltc:noalloc
 func (q *shardQueue) push(ctx context.Context, d *Dispatcher, w model.Worker) error {
 	var stopWake func() bool
-	ldLock("queue", 0)
 	q.mu.Lock()
 	for len(q.buf) == q.cap && !d.closed.Load() && ctx.Err() == nil {
 		if stopWake == nil && ctx.Done() != nil {
@@ -82,7 +77,6 @@ func (q *shardQueue) push(ctx context.Context, d *Dispatcher, w model.Worker) er
 			q.notEmpty.Signal()
 		}
 	}
-	ldUnlock("queue", 0)
 	q.mu.Unlock()
 	if stopWake != nil {
 		stopWake()
@@ -97,14 +91,12 @@ func (q *shardQueue) push(ctx context.Context, d *Dispatcher, w model.Worker) er
 //
 //ltc:noalloc
 func (q *shardQueue) pop(d *Dispatcher, run []model.Worker) []model.Worker {
-	ldLock("queue", 0)
 	q.mu.Lock()
 	for len(q.buf) == 0 && !d.closed.Load() {
 		q.notEmpty.Wait()
 	}
 	run, q.buf = q.buf, run[:0]
 	q.notFull.Broadcast()
-	ldUnlock("queue", 0)
 	q.mu.Unlock()
 	return run
 }
@@ -169,12 +161,10 @@ func (d *Dispatcher) CheckInAsyncCtx(ctx context.Context, w model.Worker) error 
 // the async path was never used; with concurrent enqueuers it waits for an
 // instant with no worker in flight.
 func (d *Dispatcher) Flush() {
-	ldLock("leaf", 0)
 	d.flushMu.Lock()
 	for d.pending.Load() != 0 {
 		d.flushCond.Wait()
 	}
-	ldUnlock("leaf", 0)
 	d.flushMu.Unlock()
 }
 
@@ -187,7 +177,6 @@ func (d *Dispatcher) Flush() {
 // Safe to call multiple times and from multiple goroutines; every call
 // waits for the complete shutdown.
 func (d *Dispatcher) Close() error {
-	ldLock("async", 0)
 	d.asyncMu.Lock()
 	if !d.closed.Load() {
 		d.closed.Store(true)
@@ -196,7 +185,6 @@ func (d *Dispatcher) Close() error {
 			q.wakeAll()
 		}
 	}
-	ldUnlock("async", 0)
 	d.asyncMu.Unlock()
 	d.drainWG.Wait()
 	// Freeze the layout after the drainers are gone: halt waits out any
@@ -217,7 +205,6 @@ func (d *Dispatcher) ensureDrainers() {
 	if d.started.Load() {
 		return
 	}
-	ldLock("async", 0)
 	d.asyncMu.Lock()
 	if !d.started.Load() && !d.closed.Load() {
 		d.drainWG.Add(len(d.shards))
@@ -226,7 +213,6 @@ func (d *Dispatcher) ensureDrainers() {
 		}
 		d.started.Store(true)
 	}
-	ldUnlock("async", 0)
 	d.asyncMu.Unlock()
 }
 
@@ -251,10 +237,8 @@ func (d *Dispatcher) drainLoop(si int) {
 // close), waking Flush when nothing is left in flight.
 func (d *Dispatcher) retirePending(n int) {
 	if d.pending.Add(int64(-n)) == 0 {
-		ldLock("leaf", 0)
 		d.flushMu.Lock()
 		d.flushCond.Broadcast()
-		ldUnlock("leaf", 0)
 		d.flushMu.Unlock()
 	}
 }

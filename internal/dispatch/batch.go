@@ -111,7 +111,6 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 	// gate cannot cause.
 	var completions []events.Event
 	runCompleted, platformDone := 0, false
-	ldLock("shard", si)
 	s.mu.Lock()
 	for i := range run {
 		if truncate && d.Done() {
@@ -130,7 +129,7 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 			continue
 		}
 		s.offered++
-		ldAssertHeld("shard", si) // Arrive drops completed tasks from the shard's index
+		assertLocked(&s.mu) // Arrive drops completed tasks from the shard's index
 		outcomes := s.eng.Arrive(w)
 		var grants []TaskGrant
 		if out != nil && len(outcomes) > 0 {
@@ -160,23 +159,22 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 			out[i] = Receipt{Worker: w.Index, Shard: si, Assignments: grants, Done: d.Done()}
 		}
 	}
-	ldUnlock("shard", si)
 	s.mu.Unlock()
 	d.noteArrived(consumed)
 	if out != nil && runCompleted > 0 {
 		for _, rec := range out[:consumed] {
 			for _, g := range rec.Assignments {
 				if g.Completed {
-					d.publish(events.Event{Kind: events.TaskCompleted, Task: g.Task, Worker: rec.Worker})
+					d.bus.Publish(events.Event{Kind: events.TaskCompleted, Task: g.Task, Worker: rec.Worker})
 				}
 			}
 		}
 	}
 	for _, e := range completions {
-		d.publish(e)
+		d.bus.Publish(e)
 	}
 	if platformDone {
-		d.publish(events.Event{Kind: events.PlatformDone, Task: -1})
+		d.bus.Publish(events.Event{Kind: events.PlatformDone, Task: -1})
 	}
 	return consumed
 }

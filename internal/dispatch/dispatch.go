@@ -311,15 +311,6 @@ func (d *Dispatcher) CheckIn(w model.Worker) (Receipt, error) {
 // the ordering and drop contract.
 func (d *Dispatcher) Subscribe(buf int) *events.Subscription { return d.bus.Subscribe(buf) }
 
-// publish forwards to the event bus. The bus lock is a leaf of the dispatch
-// lock order, so under the lockdebug build tag the forward first asserts the
-// publishing goroutine holds no dispatch lock — the runtime twin of the
-// lockorder analyzer's leaf rule.
-func (d *Dispatcher) publish(e events.Event) {
-	ldAssertNoneHeld("bus.Publish")
-	d.bus.Publish(e)
-}
-
 // atomicMax raises v to at least x.
 func atomicMax(v *atomic.Int64, x int64) {
 	for {
@@ -339,17 +330,15 @@ func atomicMax(v *atomic.Int64, x int64) {
 // relative latency accounting. Safe to call concurrently with CheckIn;
 // posts serialize among themselves and with RetireTask.
 func (d *Dispatcher) PostTask(t model.Task) (model.TaskID, error) {
-	ldLock("regMu", 0)
 	d.regMu.Lock()
 	gid := model.TaskID(len(d.records))
 	si := d.part.Locate(t.Loc)
 	s := d.shards[si]
 	post := int(d.maxSeen.Load())
 
-	ldLock("shard", si)
 	s.mu.Lock()
 	local := s.sub.AppendTask(model.Task{ID: gid, Loc: t.Loc})
-	ldAssertHeld("shard", si)
+	assertLocked(&s.mu)
 	err := s.eng.PostTask(local, post)
 	if err == nil {
 		// Count the task before releasing the shard: once unlocked, a
@@ -363,22 +352,19 @@ func (d *Dispatcher) PostTask(t model.Task) (model.TaskID, error) {
 		// back so the sub-instance stays in step with the engine.
 		s.sub.TruncateLast()
 	}
-	ldUnlock("shard", si)
 	s.mu.Unlock()
 	if err != nil {
-		ldUnlock("regMu", 0)
 		d.regMu.Unlock()
 		return 0, err
 	}
 
 	d.records = append(d.records, taskRecord{shard: int32(si), local: local.ID})
-	ldUnlock("regMu", 0)
 	d.regMu.Unlock()
 	// Published after regMu is released (the bus lock never nests inside
 	// dispatch locks). A worker racing this post can therefore complete the
 	// task and publish its TaskCompleted before TaskPosted lands on the bus
 	// — see the ordering contract in CONCURRENCY.md.
-	d.publish(events.Event{Kind: events.TaskPosted, Task: gid, PostIndex: post})
+	d.bus.Publish(events.Event{Kind: events.TaskPosted, Task: gid, PostIndex: post})
 	return gid, nil
 }
 
@@ -388,10 +374,8 @@ func (d *Dispatcher) PostTask(t model.Task) (model.TaskID, error) {
 // already retired) is a harmless no-op. Safe to call concurrently with
 // CheckIn.
 func (d *Dispatcher) RetireTask(id model.TaskID) error {
-	ldLock("regMu", 0)
 	d.regMu.RLock()
 	if id < 0 || int(id) >= len(d.records) {
-		ldUnlock("regMu", 0)
 		d.regMu.RUnlock()
 		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
 	}
@@ -401,14 +385,11 @@ func (d *Dispatcher) RetireTask(id model.TaskID) error {
 	// source shard's evicted ghost — published, but never applied.
 	rec := d.records[id]
 	s := d.shards[rec.shard]
-	ldLock("shard", int(rec.shard))
 	s.mu.Lock()
 	already := s.eng.TaskRetired(rec.local)
-	ldAssertHeld("shard", int(rec.shard))
+	assertLocked(&s.mu)
 	wasOpen, err := s.eng.RetireTask(rec.local)
-	ldUnlock("shard", int(rec.shard))
 	s.mu.Unlock()
-	ldUnlock("regMu", 0)
 	d.regMu.RUnlock()
 	if err != nil {
 		return err
@@ -419,10 +400,10 @@ func (d *Dispatcher) RetireTask(id model.TaskID) error {
 		platformDone = d.remaining.Add(-1) == 0
 	}
 	if !already {
-		d.publish(events.Event{Kind: events.TaskRetired, Task: id})
+		d.bus.Publish(events.Event{Kind: events.TaskRetired, Task: id})
 	}
 	if platformDone {
-		d.publish(events.Event{Kind: events.PlatformDone, Task: -1})
+		d.bus.Publish(events.Event{Kind: events.PlatformDone, Task: -1})
 	}
 	return nil
 }
@@ -436,13 +417,12 @@ func (d *Dispatcher) Done() bool { return d.remaining.Load() == 0 }
 // and no other: the one way the dispatcher reads an account its shards keep.
 // A fold through it is per-shard consistent, not a global atomic cut — what
 // ShardStats documents — and exact once ingestion is quiescent (after Flush,
-// or when no check-in is in flight).
+// or when no check-in is in flight). f runs under the shard mutex, so it may
+// neither take regMu nor publish; lockorder checks a literal f as such.
 func (d *Dispatcher) eachShard(f func(si int, s *shard)) {
 	for si, s := range d.shards {
-		ldLock("shard", si)
 		s.mu.Lock()
 		f(si, s)
-		ldUnlock("shard", si)
 		s.mu.Unlock()
 	}
 }
@@ -601,7 +581,6 @@ type TaskStatus struct {
 // grouping pass and a shard's pass would re-home a task, and its new local
 // ID would be looked up in the shard it just left.
 func (d *Dispatcher) TaskStatuses() []TaskStatus {
-	ldLock("regMu", 0)
 	d.regMu.RLock()
 	out := make([]TaskStatus, len(d.records))
 	byShard := make([][]int32, len(d.shards))
@@ -613,7 +592,6 @@ func (d *Dispatcher) TaskStatuses() []TaskStatus {
 	// partitioning), so each per-shard pass does real work.
 	for si, gids := range byShard {
 		s := d.shards[si]
-		ldLock("shard", si)
 		s.mu.Lock()
 		for _, gid := range gids {
 			local := d.records[gid].local
@@ -622,10 +600,8 @@ func (d *Dispatcher) TaskStatuses() []TaskStatus {
 			out[gid].Completed = s.eng.TaskCompleted(local)
 			out[gid].Retired = s.eng.TaskRetired(local)
 		}
-		ldUnlock("shard", si)
 		s.mu.Unlock()
 	}
-	ldUnlock("regMu", 0)
 	d.regMu.RUnlock()
 	return out
 }
@@ -637,18 +613,14 @@ func (d *Dispatcher) Credits(dst []float64) []float64 {
 	// Holding the registry read lock pins the dense ID space for the whole
 	// merge (posts briefly wait; lock order regMu → shard mu matches
 	// PostTask).
-	ldLock("regMu", 0)
 	d.regMu.RLock()
 	base := len(dst)
 	dst = append(dst, make([]float64, int(d.total.Load()))...)
 	for si, s := range d.shards {
-		ldLock("shard", si)
 		s.mu.Lock()
 		d.ownedCredits(si, dst[base:])
-		ldUnlock("shard", si)
 		s.mu.Unlock()
 	}
-	ldUnlock("regMu", 0)
 	d.regMu.RUnlock()
 	return dst
 }
@@ -679,20 +651,16 @@ func (d *Dispatcher) ownedCredits(si int, dst []float64) {
 // shard's ledger value, exactly what Credits reports.
 func (d *Dispatcher) Arrangement() *model.Arrangement {
 	// Pin the dense ID space during the merge (see Credits).
-	ldLock("regMu", 0)
 	d.regMu.RLock()
 	merged := model.NewArrangement(int(d.total.Load()))
 	for si, s := range d.shards {
-		ldLock("shard", si)
 		s.mu.Lock()
 		for _, p := range s.eng.Arrangement().Pairs {
 			merged.Add(p.Worker, s.sub.Global[p.Task], 0) // credit: ownedCredits below
 		}
 		d.ownedCredits(si, merged.Accumulated)
-		ldUnlock("shard", si)
 		s.mu.Unlock()
 	}
-	ldUnlock("regMu", 0)
 	d.regMu.RUnlock()
 	return merged
 }

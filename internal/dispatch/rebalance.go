@@ -272,15 +272,13 @@ func (d *Dispatcher) MigrateTile(tile, to int) error {
 	// shard mutex (CONCURRENCY.md "Event subscriptions"; enforced by the
 	// lockorder analyzer, which caught the previous defer-based version
 	// holding regMu through the publish).
-	ldLock("regMu", 0)
 	d.regMu.Lock()
 	from, migrated, err := d.migrateTileLocked(tile, to)
-	ldUnlock("regMu", 0)
 	d.regMu.Unlock()
 	if err != nil || !migrated {
 		return err
 	}
-	d.publish(events.Event{
+	d.bus.Publish(events.Event{
 		Kind: events.TileMigrated, Task: -1,
 		Tile: tile, FromShard: from, ToShard: to,
 	})
@@ -310,9 +308,7 @@ func (d *Dispatcher) migrateTileLocked(tile, to int) (from int, migrated bool, e
 	if to < from {
 		first, second = st, sf
 	}
-	ldLock("shard", min(from, to))
 	first.mu.Lock()
-	ldLock("shard", max(from, to))
 	second.mu.Lock() //ltc:ascending
 
 	// Only the tile's open tasks move. A completed or retired one will never
@@ -325,7 +321,7 @@ func (d *Dispatcher) migrateTileLocked(tile, to int) (from int, migrated bool, e
 		if d.part.OwnerTile(src.Loc) != tile {
 			continue
 		}
-		ldAssertHeld("shard", from)
+		assertLocked(&sf.mu)
 		snap, open, err := sf.eng.EvictTask(lid)
 		if err != nil {
 			migrateErr = err
@@ -335,7 +331,7 @@ func (d *Dispatcher) migrateTileLocked(tile, to int) (from int, migrated bool, e
 			continue
 		}
 		newLocal := st.sub.AppendTask(src)
-		ldAssertHeld("shard", to)
+		assertLocked(&st.mu)
 		if err := st.eng.AdoptTask(newLocal, snap); err != nil {
 			// Unreachable unless an engine invariant is broken; roll the
 			// append back so the target sub-instance stays in step.
@@ -352,9 +348,7 @@ func (d *Dispatcher) migrateTileLocked(tile, to int) (from int, migrated bool, e
 		sf.migratedOut++
 		st.migratedIn++
 	}
-	ldUnlock("shard", max(from, to))
 	second.mu.Unlock()
-	ldUnlock("shard", min(from, to))
 	first.mu.Unlock()
 	if migrateErr != nil {
 		return from, false, migrateErr

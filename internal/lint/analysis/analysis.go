@@ -59,10 +59,10 @@ type Diagnostic struct {
 	Message  string
 }
 
-// FactStore is a run-wide map of serializable per-object summaries, keyed by
-// a stable object path (see lint.ObjectKey). It stands in for go/analysis
-// facts: values must round-trip through JSON so the vettool driver can
-// persist them between per-package invocations.
+// FactStore is a run-wide map of per-object summaries, keyed by a stable
+// object path (e.g. "lockorder:" + types.Func.FullName). It stands in for
+// go/analysis facts; one driver process analyzes every package, so values
+// stay in memory and are never serialized.
 type FactStore struct {
 	m map[string]any
 }
@@ -78,6 +78,3 @@ func (s *FactStore) Get(key string) (any, bool) {
 	v, ok := s.m[key]
 	return v, ok
 }
-
-// All returns the underlying map for serialization by drivers.
-func (s *FactStore) All() map[string]any { return s.m }

@@ -57,7 +57,6 @@ type posKey struct {
 type Annotations struct {
 	LockClass map[types.Object]LockAnn
 	NoAlloc   map[types.Object]bool
-	Acquires  map[types.Object][]string
 	Arena     map[types.Object]bool
 	Hot       map[types.Object]bool
 
@@ -106,7 +105,6 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 	a := &Annotations{
 		LockClass: map[types.Object]LockAnn{},
 		NoAlloc:   map[types.Object]bool{},
-		Acquires:  map[types.Object][]string{},
 		Arena:     map[types.Object]bool{},
 		Hot:       map[types.Object]bool{},
 		ascending: map[posKey]bool{},
@@ -135,7 +133,9 @@ func (a *Annotations) parseFile(fset *token.FileSet, f *ast.File, info *types.In
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
-			a.parseFuncDirectives(fset, n, info)
+			if obj := info.Defs[n.Name]; obj != nil && hasDirective(n.Doc, "ltc:noalloc") {
+				a.NoAlloc[obj] = true
+			}
 		case *ast.StructType:
 			for _, field := range n.Fields.List {
 				a.parseFieldDirectives(fset, field, info)
@@ -211,37 +211,6 @@ func standalone(lines []string, pos token.Position) bool {
 		prefix = prefix[:pos.Column-1]
 	}
 	return strings.TrimSpace(prefix) == ""
-}
-
-func (a *Annotations) parseFuncDirectives(fset *token.FileSet, decl *ast.FuncDecl, info *types.Info) {
-	obj := info.Defs[decl.Name]
-	if obj == nil || decl.Doc == nil {
-		return
-	}
-	for _, c := range decl.Doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		switch {
-		case text == "ltc:noalloc":
-			a.NoAlloc[obj] = true
-		case strings.HasPrefix(text, "ltc:acquires"):
-			classes := strings.Fields(strings.TrimPrefix(text, "ltc:acquires"))
-			ok := len(classes) > 0
-			for _, cl := range classes {
-				if _, known := lockLevels[cl]; !known {
-					ok = false
-				}
-			}
-			if !ok {
-				a.malformed = append(a.malformed, analysis.Diagnostic{
-					Pos:      c.Pos(),
-					Category: "ltclint",
-					Message:  "malformed //ltc:acquires: need one or more known lock classes",
-				})
-				continue
-			}
-			a.Acquires[obj] = append(a.Acquires[obj], classes...)
-		}
-	}
 }
 
 func (a *Annotations) parseFieldDirectives(fset *token.FileSet, field *ast.Field, info *types.Info) {

@@ -54,7 +54,7 @@ func Run(dir string, patterns ...string) ([]Finding, error) {
 	facts := analysis.NewFactStore()
 	var findings []Finding
 	for _, pkg := range pkgs {
-		fs, err := AnalyzePackage(Analyzers, pkg, facts, !pkg.DepOnly)
+		fs, err := AnalyzePackage(Analyzers, pkg, facts)
 		if err != nil {
 			return nil, err
 		}
@@ -70,10 +70,10 @@ func Run(dir string, patterns ...string) ([]Finding, error) {
 }
 
 // AnalyzePackage applies analyzers to one type-checked package, filters
-// waived diagnostics, and (when strict) reports malformed directives and
-// unused waivers as findings of their own. facts carries cross-package
-// summaries between calls and may be shared across packages of one run.
-func AnalyzePackage(analyzers []*analysis.Analyzer, pkg *load.Package, facts *analysis.FactStore, strict bool) ([]Finding, error) {
+// waived diagnostics, and reports malformed directives and unused waivers as
+// findings of their own. facts carries cross-package summaries between calls
+// and may be shared across packages of one run.
+func AnalyzePackage(analyzers []*analysis.Analyzer, pkg *load.Package, facts *analysis.FactStore) ([]Finding, error) {
 	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
@@ -106,26 +106,24 @@ func AnalyzePackage(analyzers []*analysis.Analyzer, pkg *load.Package, facts *an
 			Message:  d.Message,
 		})
 	}
-	if strict {
-		// Malformed directives are never waivable.
-		for _, d := range anns.malformed {
-			findings = append(findings, Finding{
-				Pos:      pkg.Fset.Position(d.Pos),
-				Analyzer: d.Category,
-				Message:  d.Message,
-			})
-		}
-		// A waiver that suppressed nothing is stale; make it visible so
-		// waivers cannot rot silently.
-		for _, ws := range anns.waivers {
-			for _, w := range ws {
-				if !w.used {
-					findings = append(findings, Finding{
-						Pos:      pkg.Fset.Position(w.Pos),
-						Analyzer: "ltclint",
-						Message:  fmt.Sprintf("unused //ltclint:ignore waiver for %s", w.Analyzer),
-					})
-				}
+	// Malformed directives are never waivable.
+	for _, d := range anns.malformed {
+		findings = append(findings, Finding{
+			Pos:      pkg.Fset.Position(d.Pos),
+			Analyzer: d.Category,
+			Message:  d.Message,
+		})
+	}
+	// A waiver that suppressed nothing is stale; make it visible so waivers
+	// cannot rot silently.
+	for _, ws := range anns.waivers {
+		for _, w := range ws {
+			if !w.used {
+				findings = append(findings, Finding{
+					Pos:      pkg.Fset.Position(w.Pos),
+					Analyzer: "ltclint",
+					Message:  fmt.Sprintf("unused //ltclint:ignore waiver for %s", w.Analyzer),
+				})
 			}
 		}
 	}

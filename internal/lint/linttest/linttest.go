@@ -97,7 +97,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 		t.Fatalf("loading fixture package: %v", err)
 	}
 
-	findings, err := lint.AnalyzePackage([]*analysis.Analyzer{a}, pkg, analysis.NewFactStore(), true)
+	findings, err := lint.AnalyzePackage([]*analysis.Analyzer{a}, pkg, analysis.NewFactStore())
 	if err != nil {
 		t.Fatalf("analyzing fixture package: %v", err)
 	}

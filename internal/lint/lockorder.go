@@ -28,7 +28,10 @@ import (
 //
 // The walk is intra-procedural and flow-structured: branches are analyzed
 // separately and merged by union, deferred unlocks hold to function end, and
-// `go` statements start with an empty held set.
+// `go` statements start with an empty held set. A function literal is walked
+// with the locks held where it is written — plus, when it is an argument to a
+// package-local function that may acquire classes C (the dispatcher's
+// eachShard), one lock of each class in C: the callee may call it under them.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the regMu → shard → async → queue lock order with the event bus as a leaf",
@@ -101,9 +104,6 @@ func (lo *lockOrderRun) buildSummaries(decls []*ast.FuncDecl) {
 		}
 		d, c := map[string]bool{}, map[*types.Func]bool{}
 		lo.collectAcquires(fd.Body, d, c)
-		for _, class := range lo.anns.Acquires[fn] {
-			d[class] = true
-		}
 		direct[fn], calls[fn] = d, c
 	}
 
@@ -186,23 +186,9 @@ func (lo *lockOrderRun) mayAcquire(fn *types.Func) []string {
 }
 
 func (lo *lockOrderRun) importedClasses(fn *types.Func) []string {
-	v, ok := lo.pass.Facts.Get(lockFactPrefix + fn.FullName())
-	if !ok {
-		return nil
-	}
-	switch v := v.(type) {
-	case []string:
-		return v
-	case []any: // facts that round-tripped through JSON
-		var classes []string
-		for _, c := range v {
-			if s, ok := c.(string); ok {
-				classes = append(classes, s)
-			}
-		}
-		return classes
-	}
-	return nil
+	v, _ := lo.pass.Facts.Get(lockFactPrefix + fn.FullName())
+	classes, _ := v.([]string)
+	return classes
 }
 
 // --- phase 2: flow-structured held-set walk ---
@@ -415,15 +401,43 @@ func (lo *lockOrderRun) exprs(h *heldSet, nodes ...ast.Node) {
 				lo.walkBody(n.Body, litH)
 				return false
 			case *ast.CallExpr:
+				// lo.call classifies n itself; its Fun and Args
+				// are visited by the descent, unless the callee
+				// runs literal arguments under its own locks.
 				lo.call(n, h)
-				// Arguments were visited by lo.call via Inspect
-				// order? No: returning true descends normally,
-				// which re-visits Fun and Args; lo.call only
-				// classifies n itself, so descending is correct.
+				if cbH := lo.callbackHeld(n, *h); cbH != nil {
+					lo.exprs(h, n.Fun)
+					for _, arg := range n.Args {
+						if lit, ok := arg.(*ast.FuncLit); ok {
+							lo.walkBody(lit.Body, cbH.clone())
+						} else {
+							lo.exprs(h, arg)
+						}
+					}
+					return false
+				}
 			}
 			return true
 		})
 	}
+}
+
+// callbackHeld returns the held set a function literal passed to call is
+// walked with: h plus one lock of every class the callee may acquire, when
+// the callee is a package-local function that acquires any (nil otherwise).
+// It over-approximates — the callee may call the literal outside its locks,
+// or not at all — and matches the dispatcher's eachShard, which calls it
+// under each shard mutex in turn.
+func (lo *lockOrderRun) callbackHeld(call *ast.CallExpr, h heldSet) heldSet {
+	fn := lo.staticCallee(call)
+	if fn == nil || fn.Pkg() != lo.pass.Pkg || len(lo.summaries[fn]) == 0 {
+		return nil
+	}
+	held := h.clone()
+	for _, class := range lo.mayAcquire(fn) {
+		held = append(held, heldLock{class: class, instance: fn.Name() + "'s lock", level: lockLevels[class]})
+	}
+	return held
 }
 
 // call applies the effect of a single call expression on the held set.

@@ -50,7 +50,8 @@ func (d *disp) deferredUnlock(i int) {
 	s.mu.Unlock()
 }
 
-// inversion acquires the registry lock under a shard lock.
+// inversion acquires the registry lock under a shard lock — a snapshot
+// reader pinning the ID space inside its shard loop instead of around it.
 func (d *disp) inversion(i int) {
 	s := d.shards[i]
 	s.mu.Lock()
@@ -130,6 +131,40 @@ func (d *disp) goroutineStartsClean(i int) {
 		d.b.publish()
 	}()
 	s.mu.Unlock()
+}
+
+// each calls f on every shard under that shard's mutex, like the
+// dispatcher's eachShard: a literal passed to it runs with a shard lock held.
+func (d *disp) each(f func(s *shard)) {
+	for _, s := range d.shards {
+		s.mu.Lock()
+		f(s)
+		s.mu.Unlock()
+	}
+}
+
+// publishInCallback publishes from inside an each callback.
+func (d *disp) publishInCallback() {
+	d.each(func(s *shard) {
+		s.routed++
+		d.b.publish() // want "may acquire a leaf lock"
+	})
+}
+
+// registryInCallback takes the registry inside an each callback.
+func (d *disp) registryInCallback() (n int) {
+	d.each(func(s *shard) {
+		d.regMu.RLock() // want "violates the lock order"
+		n += len(s.pending)
+		d.regMu.RUnlock()
+	})
+	return n
+}
+
+// readInCallback only reads shard state inside the callback: silent.
+func (d *disp) readInCallback() (n int) {
+	d.each(func(s *shard) { n += s.routed })
+	return n
 }
 
 // waived demonstrates a reasoned waiver suppressing the diagnostic.
