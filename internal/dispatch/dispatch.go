@@ -67,7 +67,10 @@ type Options struct {
 	// shard's queue is full. 0 means DefaultQueueCap. The drainer ingests
 	// everything queued under one shard-mutex acquisition, so QueueCap also
 	// bounds how long a drain run can make a concurrent PostTask/RetireTask
-	// wait for the shard mutex.
+	// wait for the shard mutex. On a saturated async feed the queues sit
+	// full, so an event trails its worker's enqueue by about the queued
+	// workers over the ingest rate: milliseconds on the benchmark's
+	// lib-async-uniform.
 	QueueCap int
 	// Balanced switches the tile→shard layout from fixed spatial striping
 	// to the load-aware greedy pack (model.PartitionOptions.Balanced),

@@ -169,9 +169,14 @@ func (c *Client) OpenEventsSince(ctx context.Context, since uint64) (*EventStrea
 		_ = resp.Body.Close()
 		return nil, fmt.Errorf("GET /events: HTTP %d", resp.StatusCode)
 	}
+	return newEventStream(resp), nil
+}
+
+// newEventStream reads resp's body as an SSE stream.
+func newEventStream(resp *http.Response) *EventStream {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	return &EventStream{resp: resp, sc: sc}, nil
+	return &EventStream{resp: resp, sc: sc}
 }
 
 // Next blocks for the next event. It returns io.EOF when the stream ends —

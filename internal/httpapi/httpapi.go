@@ -9,7 +9,8 @@
 //	POST   /tasks          {"x":…,"y":…}     → {"id":…}
 //	DELETE /tasks/{id}                       → 204 (404 for unknown IDs)
 //	GET    /stats                            → Stats
-//	GET    /events         Server-Sent Events: one frame per platform event
+//	GET    /events         Server-Sent Events: one frame per platform event,
+//	                       every ready frame in one write (≤ 64 KiB on the gateway)
 //
 // A check-in bounced because the platform is complete is not an HTTP
 // error: it returns 200 with the bounced receipt ("done":true,
@@ -233,9 +234,10 @@ type node interface {
 	ingress
 	// events opens the node's event stream resuming after sequence number
 	// since (nodes without history start at the subscription point). next
-	// blocks for the following events and returns their SSE frames, valid
-	// until the next call; errLogTruncated ends the stream with a closing
-	// comment, any other error (ctx's, io.EOF) ends it silently.
+	// blocks for the following events and returns the SSE frames of every
+	// one that is ready, in Seq order, valid until the next call;
+	// errLogTruncated ends the stream with a closing comment, any other
+	// error (ctx's, io.EOF) ends it silently.
 	events(since uint64) (next func(context.Context) (frames []byte, _ error), stop func())
 }
 
@@ -365,6 +367,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // serveEvents streams the node's event feed as Server-Sent Events: one
 // frame per event, named by the event kind, with the JSON Event as data,
 // framed by the node (once per event, however many streams carry it).
+// Either node kind hands it every frame that is ready — a cluster node its
+// log's unread tail, the plain gateway its subscription's buffered events
+// up to maxBurst — and each such burst goes out in one Write and one Flush.
 // The feed is opened before the response headers are written, so a client
 // that sees the 200 has a live subscription. A client that stops reading is
 // dropped by the write path, never the platform. The stream stays open
@@ -491,20 +496,41 @@ func (n platformNode) stats() any {
 	return st
 }
 
+// maxBurst bounds one burst of the plain gateway's event stream (some 700
+// frames): a subscriber far behind still gets writes of bounded size, and
+// the reused buffer stays near it. A constant, like maxBody.
+const maxBurst = 64 << 10
+
+// events blocks for the subscription's next event, then drains every event
+// already buffered behind it, without blocking, into the same burst — until
+// the channel is empty or the burst reaches maxBurst. A subscription closed
+// mid-drain returns what it collected; the next call reports io.EOF.
 func (n platformNode) events(uint64) (func(context.Context) ([]byte, error), func()) {
 	sub := n.p.Subscribe()
-	var frame []byte // reused: next's result is valid until the next call
+	ch := sub.Events()
+	var frames []byte // reused: next's result is valid until the next call
 	next := func(ctx context.Context) ([]byte, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case e, ok := <-sub.Events():
+		case e, ok := <-ch:
 			if !ok {
 				return nil, io.EOF
 			}
-			frame = appendFrame(frame[:0], FromEvent(e))
-			return frame, nil
+			frames = appendFrame(frames[:0], FromEvent(e))
 		}
+		for len(frames) < maxBurst {
+			select {
+			case e, ok := <-ch:
+				if !ok {
+					return frames, nil
+				}
+				frames = appendFrame(frames, FromEvent(e))
+			default:
+				return frames, nil
+			}
+		}
+		return frames, nil
 	}
 	return next, sub.Close
 }
