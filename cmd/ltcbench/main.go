@@ -5,9 +5,12 @@
 // section per figure panel, one row per algorithm) and can also be dumped
 // as long-format CSV for plotting. Beside the paper's evaluation it keeps
 // one exploratory sweep (`-exp scenarios`: throughput against the latency it
-// costs, per scenario × shards × layout) and one audited smoke driver for a
-// running ltcd (`-exp loadgen`). Performance claims and regression gates
-// live in bench/ (`go run ./bench`, `go run ./bench -compare`), not here.
+// costs, per scenario × shards × layout — the command line's one sharded
+// replay, fed per-call from GOMAXPROCS feeders, so GOMAXPROCS=1 reads the
+// deterministic sequential-feed latency) and one audited smoke driver for a
+// running ltcd (`-exp loadgen`). Performance claims, regression gates and
+// per-path allocation and CPU costs live in bench/ (`go run ./bench`,
+// `go run ./bench -compare`), not here.
 //
 // Examples:
 //
@@ -17,9 +20,10 @@
 //	ltcbench -exp all -parallel 1            # paper-faithful runtime/memory metrics
 //	ltcbench -exp table4
 //	ltcbench -exp fig4-newyork -algos LAF,AAM,Random
-//	ltcbench -exp scenarios -shards 1,8 -batch 64 -async    # skewed-workload suite, striped vs balanced
+//	ltcbench -exp scenarios -shards 1,8                     # skewed-workload suite, striped vs balanced
 //	ltcbench -exp scenarios -scenarios uniform -shards 1,4,16  # plain Table IV dispatch sweep
 //	ltcbench -exp scenarios -shards 8,16 -rebalance         # + adaptive live re-sharding cells
+//	GOMAXPROCS=1 ltcbench -exp scenarios -shards 1,8        # deterministic sequential-feed latency
 //	ltcbench -exp loadgen -url http://127.0.0.1:8080 -scale 0.01
 //	ltcbench -exp loadgen -cluster http://127.0.0.1:8080,http://127.0.0.1:8081 -loadgen-batch 64
 package main
@@ -44,16 +48,13 @@ func main() {
 		scale     = flag.Float64("scale", 0.05, "dataset scale factor (1.0 = full paper sizes)")
 		reps      = flag.Int("reps", 3, "repetitions per sweep point (paper used 30)")
 		seed      = flag.Uint64("seed", 42, "base seed")
-		algos     = flag.String("algos", "", "comma-separated algorithm subset (default: all five; scenarios and loadgen use the first)")
+		algos     = flag.String("algos", "", "comma-separated algorithm subset (default: all five); -exp scenarios uses only the first (default AAM), -exp loadgen only the first (default: the gateway's)")
 		csvPath   = flag.String("csv", "", "also write long-format CSV to this path ('-' for stdout)")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 		parallel  = flag.Int("parallel", 0, "sweep worker-pool size (0 = all cores; use 1 for paper-faithful runtime/memory metrics)")
 		shards    = flag.String("shards", "1,2,4,8", "shard counts for -exp scenarios (comma-separated)")
-		batch     = flag.String("batch", "", "also measure CheckInBatch at these batch sizes for -exp scenarios (comma-separated)")
-		feeders   = flag.String("feeders", "", "feeder goroutine counts for -exp scenarios (comma-separated; default: GOMAXPROCS)")
-		async     = flag.Bool("async", false, "also measure CheckInAsync ingestion for -exp scenarios")
-		rebalance = flag.Bool("rebalance", false, "also measure multi-shard -exp scenarios cells with adaptive live re-sharding (WithRebalance) on top of the balanced layout")
+		rebalance = flag.Bool("rebalance", false, "with -exp scenarios: add presampled and rebalanced (WithRebalance) cells at every multi-shard count of the drift scenarios (rushhour, flashcrowd)")
 		scenarios = flag.String("scenarios", "", "scenario subset for -exp scenarios (comma-separated; default: all kinds)")
 		url       = flag.String("url", "", "ltcd base URL for -exp loadgen (e.g. http://127.0.0.1:8080)")
 		lgCluster = flag.String("cluster", "", "comma-separated node URLs for -exp loadgen against an ltcd cluster (node-ID order; overrides -url)")
@@ -80,8 +81,8 @@ func main() {
 			_, err := fmt.Print(experiments.FormatTableV())
 			return err
 		}},
-		{"scenarios", "exploratory throughput-vs-latency sweep: scenario × shards × mode × layout (-scenarios, -shards, -batch, -feeders, -async, -rebalance)", func() error {
-			return runScenarios(*scenarios, *shards, *batch, *feeders, *async, *rebalance, *scale, *seed, firstAlgo)
+		{"scenarios", "exploratory throughput-vs-latency sweep: scenario × shards × layout (-scenarios, -shards, -rebalance)", func() error {
+			return runScenarios(os.Stdout, *scenarios, *shards, *rebalance, *scale, *seed, firstAlgo)
 		}},
 		{"loadgen", "drive a running ltcd gateway or cluster end to end and audit it (-url | -cluster, -loadgen-batch)", func() error {
 			if *lgCluster == "" {

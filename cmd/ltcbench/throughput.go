@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,15 +11,11 @@ import (
 	"ltc"
 )
 
-// throughputResult is one measured (scenario, mode, shard count, batch
-// size, shard layout, feeders) cell of the -exp scenarios sweep.
+// throughputResult is one measured (scenario, shard count, shard layout)
+// cell of the -exp scenarios sweep.
 type throughputResult struct {
 	Scenario string
-	// Mode is "percall" (one CheckIn per worker), "batch" (CheckInBatch
-	// chunks of BatchSize) or "async" (CheckInAsync + Flush).
-	Mode      string
-	Shards    int
-	BatchSize int
+	Shards   int
 	// Balanced marks cells measured under the load-aware tile→shard
 	// layout (WithBalancedShards) instead of fixed striping.
 	Balanced bool
@@ -36,14 +31,9 @@ type throughputResult struct {
 	// Migrations is the last stream's committed tile-migration count (0
 	// unless Rebalanced).
 	Migrations int
-	// Feeders is the number of concurrent feeder goroutines.
-	Feeders int
 	// WorkersPerSec is ingested check-ins per wall-clock second — the
 	// headline throughput number.
 	WorkersPerSec float64
-	NsPerOp       float64
-	AllocsPerOp   float64
-	BytesPerOp    float64
 	// Latency is the global LTC objective of the last stream — the quality
 	// side of the throughput trade.
 	Latency int
@@ -53,21 +43,21 @@ type throughputResult struct {
 	Runs      int
 }
 
-// parseFeeders parses the -feeders list, defaulting to a single entry of
-// GOMAXPROCS when the flag is empty.
-func parseFeeders(list string) ([]int, error) {
-	counts, err := parseCountList("-feeders", list)
-	if err != nil {
-		return nil, err
+// layout names the cell's tile→shard layout as the sweep prints it.
+func (r throughputResult) layout() string {
+	switch {
+	case r.Rebalanced:
+		return "rebalanced"
+	case r.Presampled:
+		return "presampled"
+	case r.Balanced:
+		return "balanced"
 	}
-	if len(counts) == 0 {
-		counts = []int{runtime.GOMAXPROCS(0)}
-	}
-	return counts, nil
+	return "striped"
 }
 
-// parseCountList parses a comma-separated list of positive counts (shard
-// counts, batch sizes); an empty list is fine and yields nil.
+// parseCountList parses a comma-separated list of positive counts; an
+// empty list is fine and yields nil.
 func parseCountList(flagName, list string) ([]int, error) {
 	if list == "" {
 		return nil, nil
@@ -91,41 +81,22 @@ func benchAlgo(name string) ltc.Algorithm {
 	return ltc.Algorithm(name)
 }
 
-// passMetrics accumulates the measured cost of feedStream calls and
-// nothing else: the wall clock and the allocation counters bracket exactly
-// the feed, so platform construction, drainer startup and the pass
-// bookkeeping around each run are never charged to the hot path —
-// bracketing the whole pass loop would inflate allocs/op by the per-run
-// construction cost. TestPassMetricsBracketsFeedOnly pins this.
+// passMetrics accumulates the wall-clock cost of feedStream calls and
+// nothing else: the clock brackets exactly the feed, so platform
+// construction and the pass bookkeeping around each run are never charged
+// to the hot path. TestPassMetricsBracketsFeedOnly pins this.
 type passMetrics struct {
 	checkins int
 	elapsed  time.Duration
-	mallocs  uint64
-	bytes    uint64
 }
 
-// measure runs one feed with the clock and MemStats bracketing exactly that
-// call, folds the cost in, and returns the feed's result.
-func (m *passMetrics) measure(feed func() (int, error)) (int, error) {
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
+// measure runs one feed with the clock bracketing exactly that call and
+// folds its cost and its ingested check-ins in.
+func (m *passMetrics) measure(feed func() int) {
 	start := time.Now()
-	fed, err := feed()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
+	fed := feed()
+	m.elapsed += time.Since(start)
 	m.checkins += fed
-	m.elapsed += elapsed
-	m.mallocs += ms1.Mallocs - ms0.Mallocs
-	m.bytes += ms1.TotalAlloc - ms0.TotalAlloc
-	return fed, err
-}
-
-// add folds another pass's metrics in.
-func (m *passMetrics) add(o passMetrics) {
-	m.checkins += o.checkins
-	m.elapsed += o.elapsed
-	m.mallocs += o.mallocs
-	m.bytes += o.bytes
 }
 
 // rate returns ingested check-ins per second of measured feed time.
@@ -136,41 +107,20 @@ func (m *passMetrics) rate() float64 {
 	return float64(m.checkins) / m.elapsed.Seconds()
 }
 
-// allocsPerOp and bytesPerOp report per-check-in allocation cost with
-// testing.B's convention — total divided by operations, truncated — so a
-// path whose only allocations are amortized (arena blocks, slice regrowth)
-// reports a flat 0, exactly like b.AllocsPerOp.
-func (m *passMetrics) allocsPerOp() float64 {
-	if m.checkins == 0 {
-		return 0
-	}
-	return float64(m.mallocs / uint64(m.checkins))
-}
-
-func (m *passMetrics) bytesPerOp() float64 {
-	if m.checkins == 0 {
-		return 0
-	}
-	return float64(m.bytes / uint64(m.checkins))
-}
-
-// measureThroughput runs one (scenario, mode, shards, batch, layout,
-// feeders) cell as best-of-N passes: each pass feeds fresh platforms the
-// full stream until passDur elapses, and the cell reports the fastest pass.
-// Scheduling interference on a shared box only ever slows a pass down, so
-// taking the best pass filters one-sided noise out of an exploratory sweep
-// (claims and gates use bench/, which reports medians and their spread).
-// Only the feedStream calls themselves are measured (see
-// passMetrics); allocation metrics aggregate across all passes —
-// allocations are deterministic per check-in, so they need no noise
-// filtering.
-func measureThroughput(in *ltc.Instance, algo ltc.Algorithm, seed uint64, cell throughputResult) (throughputResult, error) {
+// measureThroughput runs one (scenario, shards, layout) cell fed per-call
+// from `feeders` goroutines, as best-of-N passes: each pass feeds fresh
+// platforms the full stream until passDur elapses, and the cell reports
+// the fastest pass. Scheduling interference on a shared box only ever
+// slows a pass down, so taking the best pass filters one-sided noise out
+// of an exploratory sweep (claims and gates use bench/, which reports
+// medians and their spread). Only the feedStream calls themselves are
+// timed (see passMetrics).
+func measureThroughput(in *ltc.Instance, algo ltc.Algorithm, seed uint64, cell throughputResult, feeders int) (throughputResult, error) {
 	const (
 		passes  = 3
 		passDur = 500 * time.Millisecond
 	)
 	res := cell
-	mode, batch, feeders := cell.Mode, cell.BatchSize, cell.Feeders
 	opts := []ltc.Option{ltc.WithShards(cell.Shards), ltc.WithSeed(seed)}
 	if cell.Balanced {
 		opts = append(opts, ltc.WithBalancedShards())
@@ -187,15 +137,10 @@ func measureThroughput(in *ltc.Instance, algo ltc.Algorithm, seed uint64, cell t
 		// service defaults assume an unbounded stream and would never fire
 		// inside one bench pass. Alpha 1 (no memory) reacts fastest, which
 		// matters when a whole run is only ~16 forecast windows long.
-		interval := len(in.Workers) / 16
-		if interval < 64 {
-			interval = 64
-		}
 		opts = append(opts, ltc.WithRebalance(ltc.RebalanceOptions{
-			Interval: interval, Threshold: 1.2, MaxMoves: 4, Alpha: 1,
+			Interval: max(len(in.Workers)/16, 64), Threshold: 1.2, MaxMoves: 4, Alpha: 1,
 		}))
 	}
-	var agg passMetrics
 	for pass := 0; pass < passes; pass++ {
 		var pm passMetrics
 		start := time.Now()
@@ -204,90 +149,45 @@ func measureThroughput(in *ltc.Instance, algo ltc.Algorithm, seed uint64, cell t
 			if err != nil {
 				return res, err
 			}
-			if _, err := pm.measure(func() (int, error) {
-				return feedStream(plat, in.Workers, feeders, mode, batch)
-			}); err != nil {
-				return res, err
-			}
+			pm.measure(func() int { return feedStream(plat, in.Workers, feeders) })
 			res.Runs++
 			res.Latency = plat.Latency()
 			res.Imbalance = plat.Imbalance()
 			res.Migrations = plat.Migrations()
-			// Release the platform between runs (a no-op after the async
-			// path already closed); outside the measured bracket.
+			// Release the platform between runs, outside the measured
+			// bracket.
 			if err := plat.Close(); err != nil {
 				return res, err
 			}
 		}
-		agg.add(pm)
-		if rate := pm.rate(); rate > res.WorkersPerSec {
-			res.WorkersPerSec = rate
-			res.NsPerOp = float64(pm.elapsed.Nanoseconds()) / float64(pm.checkins)
-		}
+		res.WorkersPerSec = max(res.WorkersPerSec, pm.rate())
 	}
-	res.AllocsPerOp = agg.allocsPerOp()
-	res.BytesPerOp = agg.bytesPerOp()
 	return res, nil
 }
 
-// feedStream pushes the whole worker stream into the platform from
-// `feeders` goroutines using the selected ingestion mode, returning how
-// many check-ins were ingested.
-func feedStream(plat *ltc.Platform, workers []ltc.Worker, feeders int, mode string, batch int) (int, error) {
+// feedStream pushes the whole worker stream into the platform through
+// per-call CheckIn from `feeders` goroutines, returning how many
+// check-ins were ingested. At one feeder the feed is the sequential
+// stream, so the platform's latency is deterministic.
+func feedStream(plat *ltc.Platform, workers []ltc.Worker, feeders int) int {
 	var cursor, fed atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < feeders; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch mode {
-			case "percall":
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(workers) || plat.Done() {
-						return
-					}
-					if _, err := plat.CheckIn(workers[i]); err != nil {
-						return // platform completed under contention
-					}
-					fed.Add(1)
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(workers) || plat.Done() {
+					return
 				}
-			case "batch":
-				for {
-					i := int(cursor.Add(int64(batch))) - batch
-					if i >= len(workers) || plat.Done() {
-						return
-					}
-					j := i + batch
-					if j > len(workers) {
-						j = len(workers)
-					}
-					res, err := plat.CheckInBatch(workers[i:j])
-					fed.Add(int64(len(res)))
-					if err != nil {
-						return // truncated: platform completed
-					}
+				if _, err := plat.CheckIn(workers[i]); err != nil {
+					return // platform completed under contention
 				}
-			case "async":
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(workers) || plat.Done() {
-						return
-					}
-					if err := plat.CheckInAsync(workers[i]); err != nil {
-						return
-					}
-					fed.Add(1)
-				}
+				fed.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if mode == "async" {
-		plat.Flush()
-		if err := plat.Close(); err != nil {
-			return int(fed.Load()), err
-		}
-	}
-	return int(fed.Load()), nil
+	return int(fed.Load())
 }

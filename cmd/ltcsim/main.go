@@ -1,31 +1,32 @@
 // Command ltcsim runs a single LTC instance through every algorithm and
 // reports the paper's three metrics side by side, then audits answer
 // quality with the weighted-majority voting simulator — a one-stop sanity
-// check that the latency/quality trade-off behaves as published.
+// check that the latency/quality trade-off behaves as published. With
+// -churn it also replays a dynamic-task scenario through ReplayChurn, on a
+// sharded Platform when -shards, -balanced or -rebalance ask for one.
+//
+// The sharded replay of a static instance is `ltcbench -exp scenarios`
+// (throughput beside global latency per scenario × shards × layout; run it
+// under GOMAXPROCS=1 for the deterministic sequential-feed latency).
 //
 // Examples:
 //
 //	ltcsim
 //	ltcsim -tasks 100 -workers 2000 -k 4 -epsilon 0.14
 //	ltcsim -city newyork -scale 0.01
-//	ltcsim -shards 8     # also run the online algorithms sharded
-//	ltcsim -shards 8 -batch 64   # ...fed through CheckInBatch
-//	ltcsim -shards 8 -async      # ...fed through CheckInAsync + Flush
-//	ltcsim -shards 8 -events     # ...printing the completion stream live
-//	ltcsim -scenario hotspot -shards 8             # skewed traffic on fixed striping
-//	ltcsim -scenario hotspot -shards 8 -balanced   # ...with the load-aware layout
-//	ltcsim -scenario hotspot -shards 8 -rebalance  # ...re-sharding live mid-stream
-//	ltcsim -scenario flashcrowd -churn 0.4 -ttl 500  # skewed dynamic-task replay
+//	ltcsim -churn 0.4 -ttl 500 -shards 4                                 # dynamic tasks, 4 striped shards
+//	ltcsim -scenario flashcrowd -churn 0.4 -ttl 500 -shards 8 -balanced  # skewed, load-aware layout
+//	ltcsim -scenario rushhour -churn 0.4 -shards 8 -rebalance            # ...re-sharding live mid-stream
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
-	"strings"
 	"text/tabwriter"
 
 	"ltc"
@@ -45,19 +46,16 @@ func main() {
 		scale     = flag.Float64("scale", 0.01, "city trace scale factor")
 		trials    = flag.Int("trials", 200, "voting simulation trials")
 		scenario  = flag.String("scenario", "", "use a named synthetic workload: uniform, hotspot, flashcrowd, rushhour or sparse-frontier")
-		shards    = flag.Int("shards", 0, "also run the online algorithms through a sharded Platform with this many shards")
-		balanced  = flag.Bool("balanced", false, "with -shards: use the load-aware balanced tile→shard layout instead of fixed striping")
-		rebalance = flag.Bool("rebalance", false, "with -shards: adaptively re-shard at runtime, migrating hot tiles between shards mid-stream (implies -balanced)")
-		batch     = flag.Int("batch", 0, "feed the sharded Platform through CheckInBatch with this batch size (0 = per-call)")
-		async     = flag.Bool("async", false, "feed the sharded Platform through CheckInAsync + Flush instead of per-call CheckIn")
-		events    = flag.Bool("events", false, "with -shards: subscribe to the platform event stream and print completions live instead of polling")
 		churn     = flag.Float64("churn", 0, "also run a dynamic-task scenario posting this fraction of tasks online (0 disables)")
+		shards    = flag.Int("shards", 0, "with -churn: replay on a Platform with this many shards (0 = one)")
+		balanced  = flag.Bool("balanced", false, "with -churn: use the load-aware balanced tile→shard layout instead of fixed striping")
+		rebalance = flag.Bool("rebalance", false, "with -churn: adaptively re-shard at runtime, migrating hot tiles between shards mid-stream (implies -balanced)")
 		ttl       = flag.Int("ttl", 0, "task TTL in worker arrivals for -churn (0 = no expiry)")
 	)
 	flag.Parse()
 
-	if *scenario != "" && *city != "" {
-		log.Fatal("-scenario and -city are mutually exclusive")
+	if err := checkFlags(*city, *scenario, *churn, *shards, *balanced, *rebalance); err != nil {
+		log.Fatal(err)
 	}
 	in, err := buildInstance(*city, *scenario, *scale, *tasks, *workers, *k, *epsilon, *seed)
 	if err != nil {
@@ -96,19 +94,27 @@ func main() {
 	}
 	fmt.Printf("\nall empirical error rates must sit below ε = %.2f (Hoeffding completion rule)\n", in.Epsilon)
 
-	if *shards > 0 {
-		if err := runSharded(in, *shards, *seed, *batch, *async, *events, *balanced, *rebalance); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *churn > 0 {
-		if *city != "" {
-			log.Fatal("-churn only supports synthetic workloads")
-		}
-		if err := runChurn(*tasks, *workers, *k, *epsilon, *seed, *churn, *ttl, *shards, *scenario, *balanced, *rebalance); err != nil {
+		if err := runChurn(os.Stdout, *tasks, *workers, *k, *epsilon, *seed, *churn, *ttl, *shards, *scenario, *balanced, *rebalance); err != nil {
 			log.Fatal(err)
 		}
 	}
+}
+
+// checkFlags rejects flag combinations before any work starts, so a bad
+// invocation fails at once instead of after the whole algorithm table.
+func checkFlags(city, scenario string, churn float64, shards int, balanced, rebalance bool) error {
+	switch {
+	case scenario != "" && city != "":
+		return errors.New("-scenario and -city are mutually exclusive")
+	case churn > 0 && city != "":
+		return errors.New("-churn only supports synthetic workloads")
+	case churn <= 0 && (shards != 0 || balanced || rebalance):
+		return errors.New("-shards, -balanced and -rebalance only apply to the -churn replay; " +
+			"for a sharded replay of a static instance run `ltcbench -exp scenarios` " +
+			"(under GOMAXPROCS=1 for the deterministic sequential-feed latency)")
+	}
+	return nil
 }
 
 // runChurn replays a dynamic task lifecycle scenario: a fraction of the
@@ -117,7 +123,7 @@ func main() {
 // follow its skewed placement (Scenario.GenerateChurn). Reported are the
 // paper's absolute latency and the lifecycle-aware relative latency
 // (worker index − task post index).
-func runChurn(tasks, workers, k int, epsilon float64, seed uint64, churnFrac float64, ttl, shards int, scenario string, balanced, rebalance bool) error {
+func runChurn(out io.Writer, tasks, workers, k int, epsilon float64, seed uint64, churnFrac float64, ttl, shards int, scenario string, balanced, rebalance bool) error {
 	cc := ltc.DefaultChurn(syntheticConfig(tasks, workers, k, epsilon, seed))
 	cc.InitialFraction = 1 - churnFrac
 	if cc.InitialFraction <= 0 {
@@ -150,9 +156,9 @@ func runChurn(tasks, workers, k int, epsilon float64, seed uint64, churnFrac flo
 	if rebalance {
 		opts = append(opts, ltc.WithRebalance())
 	}
-	fmt.Printf("\ndynamic tasks (%d initial, %d posted online, TTL %d, %d shards):\n",
+	fmt.Fprintf(out, "\ndynamic tasks (%d initial, %d posted online, TTL %d, %d shards):\n",
 		cw.InitialTasks, cw.TotalTasks-cw.InitialTasks, ttl, shards)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "algorithm\tabs latency\trel latency\tcompleted\texpired")
 	for _, algo := range ltc.Algorithms() {
 		if !algo.IsOnline() {
@@ -166,182 +172,6 @@ func runChurn(tasks, workers, k int, epsilon float64, seed uint64, churnFrac flo
 			algo, rep.AbsoluteLatency, rep.RelativeLatency, rep.Completed, cw.TotalTasks, rep.Expired)
 	}
 	return w.Flush()
-}
-
-// runSharded replays the worker stream through the sharded Platform for
-// each online algorithm and reports the global latency next to the
-// unsharded Session's, the load imbalance, and the per-shard worker
-// routing — the latency cost of spatial sharding made visible (see
-// CONCURRENCY.md). The stream is fed per-call by default, through
-// CheckInBatch chunks with -batch, or through CheckInAsync + Flush with
-// -async (batched and async ingestion change throughput, never the
-// sequential-feed assignments). With -balanced the platform uses the
-// load-aware tile→shard layout — compare the imbalance column against a
-// striped run on a skewed -scenario. With -events each platform's
-// completion stream prints live from a Subscribe subscription instead of
-// being derived by polling.
-func runSharded(in *ltc.Instance, shards int, seed uint64, batch int, async, events, balanced, rebalance bool) error {
-	mode := "per-call"
-	if async {
-		mode = "async"
-	} else if batch > 0 {
-		mode = fmt.Sprintf("batch=%d", batch)
-	}
-	layout := "striped"
-	if balanced {
-		layout = "balanced"
-	}
-	if rebalance {
-		layout = "balanced+rebalance"
-	}
-	fmt.Printf("\nsharded dispatch (%d shards requested, %s ingestion, %s layout):\n", shards, mode, layout)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "algorithm\tshards\tglobal latency\tunsharded\timbalance\tper-shard workers")
-	incomplete := false
-	for _, algo := range ltc.Algorithms() {
-		if !algo.IsOnline() {
-			continue
-		}
-		base, err := ltc.Solve(in, algo, ltc.WithSeed(seed))
-		if err != nil && !errors.Is(err, ltc.ErrIncomplete) {
-			return fmt.Errorf("%s: %w", algo, err)
-		}
-		opts := []ltc.Option{ltc.WithShards(shards), ltc.WithSeed(seed),
-			ltc.WithEventBuffer(2*len(in.Tasks) + 64)}
-		if balanced {
-			opts = append(opts, ltc.WithBalancedShards())
-		}
-		if rebalance {
-			opts = append(opts, ltc.WithRebalance())
-		}
-		plat, err := ltc.NewPlatform(in, algo, opts...)
-		if err != nil {
-			return fmt.Errorf("%s: %w", algo, err)
-		}
-		var watcher *eventWatcher
-		if events {
-			watcher = watchEvents(algo, plat.Subscribe())
-		}
-		if err := feedPlatform(plat, in.Workers, batch, async); err != nil {
-			return fmt.Errorf("%s: %w", algo, err)
-		}
-		if watcher != nil {
-			watcher.stop()
-		}
-		mark := ""
-		if !plat.Done() {
-			mark = "*"
-			incomplete = true
-		}
-		baseMark := ""
-		if !base.Completed {
-			baseMark = "*"
-			incomplete = true
-		}
-		var counts []string
-		for _, s := range plat.ShardStats() {
-			counts = append(counts, fmt.Sprintf("%d", s.Workers))
-		}
-		extra := ""
-		if plat.Rebalancing() {
-			extra = fmt.Sprintf(" (%d migrations)", plat.Migrations())
-		}
-		if err := plat.Close(); err != nil {
-			return fmt.Errorf("%s: %w", algo, err)
-		}
-		fmt.Fprintf(w, "%s\t%d\t%d%s\t%d%s\t%.2f\t%s%s\n",
-			algo, plat.Shards(), plat.Latency(), mark, base.Latency, baseMark,
-			plat.Imbalance(), strings.Join(counts, " "), extra)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if incomplete {
-		fmt.Println("(* run exhausted the worker stream before completing every task)")
-	}
-	return nil
-}
-
-// eventWatcher prints a platform's completion stream live from a
-// Subscribe subscription — the -events mode. stop closes the subscription
-// and waits for the printer to drain, so every event published before the
-// feed finished is printed before the summary table row.
-type eventWatcher struct {
-	sub  *ltc.Subscription
-	done chan struct{}
-}
-
-func watchEvents(algo ltc.Algorithm, sub *ltc.Subscription) *eventWatcher {
-	ew := &eventWatcher{sub: sub, done: make(chan struct{})}
-	go func() {
-		defer close(ew.done)
-		for e := range sub.Events() {
-			switch e.Kind {
-			case ltc.EventTaskCompleted:
-				fmt.Printf("  [%s] task %d completed by worker %d\n", algo, e.Task, e.Worker)
-			case ltc.EventPlatformDone:
-				fmt.Printf("  [%s] platform done\n", algo)
-			case ltc.EventTaskPosted:
-				fmt.Printf("  [%s] task %d posted at clock %d\n", algo, e.Task, e.PostIndex)
-			case ltc.EventTaskRetired:
-				fmt.Printf("  [%s] task %d retired\n", algo, e.Task)
-			case ltc.EventTileMigrated:
-				fmt.Printf("  [%s] tile %d migrated shard %d → %d\n", algo, e.Tile, e.FromShard, e.ToShard)
-			}
-		}
-		if n := sub.Dropped(); n > 0 {
-			fmt.Printf("  [%s] %d events dropped (buffer too small)\n", algo, n)
-		}
-	}()
-	return ew
-}
-
-func (ew *eventWatcher) stop() {
-	ew.sub.Close()
-	<-ew.done
-}
-
-// feedPlatform replays the stream sequentially through the selected
-// ingestion path: per-call CheckIn, CheckInBatch chunks, or CheckInAsync
-// with a final Flush/Close.
-func feedPlatform(plat *ltc.Platform, workers []ltc.Worker, batch int, async bool) error {
-	switch {
-	case async:
-		for _, w := range workers {
-			if plat.Done() {
-				break
-			}
-			if err := plat.CheckInAsync(w); err != nil {
-				return err
-			}
-		}
-		plat.Flush()
-		return plat.Close()
-	case batch > 0:
-		for i := 0; i < len(workers); i += batch {
-			j := i + batch
-			if j > len(workers) {
-				j = len(workers)
-			}
-			if _, err := plat.CheckInBatch(workers[i:j]); err != nil {
-				if errors.Is(err, ltc.ErrPlatformDone) {
-					return nil
-				}
-				return err
-			}
-		}
-		return nil
-	default:
-		for _, w := range workers {
-			if plat.Done() {
-				break
-			}
-			if _, err := plat.CheckIn(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // syntheticConfig builds the Table IV-shaped workload for arbitrary
