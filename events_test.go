@@ -1,8 +1,6 @@
 package ltc
 
 import (
-	"context"
-	"errors"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -191,41 +189,5 @@ func checkEventStreamFold(t *testing.T, rebalance bool) {
 	resolved, total := plat.Progress()
 	if resolved != resolvedWant || total != len(statuses) {
 		t.Fatalf("Progress %d/%d, fold says %d/%d", resolved, total, resolvedWant, len(statuses))
-	}
-}
-
-// TestCheckInAsyncCtxPublicSurface covers the public context-aware enqueue:
-// a live context behaves exactly like CheckInAsync, a cancelled one fails
-// without observing the worker, and ErrPlatformClosed still wins after
-// Close. (The blocked-on-backpressure cancellation paths are pinned at the
-// dispatch layer, where the queue can be deterministically wedged.)
-func TestCheckInAsyncCtxPublicSurface(t *testing.T) {
-	in := tinyInstance(t)
-	plat, err := NewPlatform(in, AAM, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	for _, w := range in.Workers {
-		if plat.Done() {
-			break
-		}
-		if err := plat.CheckInAsyncCtx(ctx, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plat.Flush()
-	if !plat.Done() {
-		t.Fatal("ctx-fed stream incomplete")
-	}
-	cancel()
-	if err := plat.CheckInAsyncCtx(ctx, Worker{Index: len(in.Workers) + 1, Acc: 0.9}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled enqueue err = %v", err)
-	}
-	if err := plat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := plat.CheckInAsyncCtx(context.Background(), Worker{Index: 1, Acc: 0.9}); !errors.Is(err, ErrPlatformClosed) {
-		t.Fatalf("post-close enqueue err = %v", err)
 	}
 }

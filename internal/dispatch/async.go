@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -40,9 +39,9 @@ func (q *shardQueue) depth() int {
 	return n
 }
 
-// wakeAll wakes both sides of the queue — the close broadcast and the
-// context-cancellation callback (both sides re-check their exit condition
-// under the mutex, so taking it here means no wake-up can be lost).
+// wakeAll wakes both sides of the queue for Close (both sides re-check
+// their exit condition under the mutex, so taking it here means no wake-up
+// can be lost).
 func (q *shardQueue) wakeAll() {
 	q.mu.Lock()
 	q.notFull.Broadcast()
@@ -51,36 +50,25 @@ func (q *shardQueue) wakeAll() {
 }
 
 // push enqueues one worker, blocking while the queue is full. It fails with
-// ErrClosed once the dispatcher closes and with ctx.Err() once ctx is done;
-// closed is checked first, so close wins over both a freed slot and a
-// cancellation.
+// ErrClosed once the dispatcher closes; closed is checked first, so close
+// wins over a freed slot.
 //
 //ltc:noalloc
-func (q *shardQueue) push(ctx context.Context, d *Dispatcher, w model.Worker) error {
-	var stopWake func() bool
+func (q *shardQueue) push(d *Dispatcher, w model.Worker) error {
 	q.mu.Lock()
-	for len(q.buf) == q.cap && !d.closed.Load() && ctx.Err() == nil {
-		if stopWake == nil && ctx.Done() != nil {
-			// About to wait on a cancellable context: have ctx wake the wait
-			// when it fires. The callback takes the queue mutex, so it cannot
-			// run between this check and the Wait — no lost wake-up.
-			stopWake = context.AfterFunc(ctx, q.wakeAll) //ltclint:ignore noalloc full-queue slow path only — the caller is about to block, so one method-value allocation is noise
-		}
+	for len(q.buf) == q.cap && !d.closed.Load() {
 		q.notFull.Wait()
 	}
 	var err error
 	if d.closed.Load() {
 		err = ErrClosed
-	} else if err = ctx.Err(); err == nil {
+	} else {
 		q.buf = append(q.buf, w)
 		if len(q.buf) == 1 {
 			q.notEmpty.Signal()
 		}
 	}
 	q.mu.Unlock()
-	if stopWake != nil {
-		stopWake()
-	}
 	return err
 }
 
@@ -116,27 +104,9 @@ func (q *shardQueue) pop(d *Dispatcher, run []model.Worker) []model.Worker {
 // also when the block is interrupted by a concurrent Close. Workers
 // enqueued after the platform completed are ingested as bounced arrivals,
 // mirroring CheckIn's ErrDone accounting. Safe for concurrent use.
-//
-// CheckInAsync cannot be cancelled while blocked; use CheckInAsyncCtx when
-// the enqueue must respect a deadline or cancellation.
 func (d *Dispatcher) CheckInAsync(w model.Worker) error {
-	return d.CheckInAsyncCtx(context.Background(), w)
-}
-
-// CheckInAsyncCtx is CheckInAsync with cancellable backpressure: while the
-// shard's queue is full the call blocks until a slot frees, the dispatcher
-// closes (ErrClosed), or ctx is done — in which case the worker is NOT
-// enqueued and ctx.Err() is returned. A context that is already done fails
-// the call before anything is queued. Cancellation never loses an accepted
-// worker: a nil error means the worker is queued and a later Flush will
-// observe it; a non-nil error means the platform never saw it. Safe for
-// concurrent use.
-func (d *Dispatcher) CheckInAsyncCtx(ctx context.Context, w model.Worker) error {
 	if w.Index < 1 {
 		return fmt.Errorf("%w: got %d", ErrBadWorkerIndex, w.Index)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
 	}
 	if d.closed.Load() {
 		return ErrClosed
@@ -147,7 +117,7 @@ func (d *Dispatcher) CheckInAsyncCtx(ctx context.Context, w model.Worker) error 
 	// draining at the old owner — a benign misroute, see MigrateTile.
 	q := d.queues[d.locate(w.Loc)]
 	d.pending.Add(1)
-	err := q.push(ctx, d, w)
+	err := q.push(d, w)
 	if err != nil {
 		d.retirePending(1)
 	}

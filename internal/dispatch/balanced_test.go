@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"reflect"
 	"testing"
 
 	"ltc/internal/geo"
@@ -23,42 +22,6 @@ func hotspotInstance(t testing.TB, scale float64) *model.Instance {
 		t.Fatal(err)
 	}
 	return in
-}
-
-// TestBalancedMatchesStripedSemantics: the balanced layout changes which
-// shard serves which tile, nothing else — a sequential feed completes with
-// a valid arrangement, global latency semantics and progress accounting
-// identical in kind to the striped run, and with one shard the two layouts
-// produce the same assignments.
-func TestBalancedMatchesStripedSemantics(t *testing.T) {
-	in := hotspotInstance(t, 0.02)
-	striped, err := New(in, 1, aamFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	balanced, err := New(in, 1, aamFactory, Options{Balanced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if balanced.Balanced() {
-		t.Fatal("one shard must keep the striped layout")
-	}
-	for _, w := range in.Workers {
-		if striped.Done() {
-			break
-		}
-		rs, errS := striped.CheckIn(w)
-		rb, errB := balanced.CheckIn(w)
-		if (errS == nil) != (errB == nil) {
-			t.Fatalf("worker %d: error mismatch %v vs %v", w.Index, errS, errB)
-		}
-		if !reflect.DeepEqual(rs, rb) {
-			t.Fatalf("worker %d: receipts diverge: %+v vs %+v", w.Index, rs, rb)
-		}
-	}
-	if striped.Latency() != balanced.Latency() {
-		t.Fatalf("latency %d vs %d", striped.Latency(), balanced.Latency())
-	}
 }
 
 // TestBalancedSpreadsHotspotLoad: on a hotspot instance the balanced

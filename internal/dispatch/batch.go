@@ -13,8 +13,9 @@ import (
 // workers routing to the same shard form one run, ingested under a single
 // shard-mutex acquisition. Workers keep their input order, so a sequential
 // caller gets bit-identical assignments, latency and task statuses to
-// feeding the same stream through CheckIn one by one — the golden-trace
-// suite pins this equivalence against Session.
+// feeding the same stream through CheckIn one by one — the conformance
+// suite (conformance_test.go at the module root) pins this equivalence
+// against per-call CheckIn and the golden Session traces.
 //
 // out[i] is ws[i]'s Receipt, exactly as per-call CheckIn would have
 // returned it. When the platform completes mid-batch, ingestion stops: out

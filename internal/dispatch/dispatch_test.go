@@ -66,54 +66,6 @@ func TestCheckInRejectsBadIndex(t *testing.T) {
 	}
 }
 
-// TestSingleShardMatchesRunOnline: with one shard and a sequential feed the
-// dispatcher is the plain online solver — identical arrangement, latency
-// and completion.
-func TestSingleShardMatchesRunOnline(t *testing.T) {
-	in := testInstance(t, 0.02)
-	for name, factory := range map[string]core.OnlineFactory{"LAF": lafFactory, "AAM": aamFactory} {
-		want, err := core.RunOnline(in, model.NewCandidateIndex(in), factory)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		d, err := New(in, 1, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.NumShards() != 1 {
-			t.Fatalf("%s: shards = %d", name, d.NumShards())
-		}
-		for _, w := range in.Workers {
-			if d.Done() {
-				break
-			}
-			if _, err := d.CheckIn(w); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		if !d.Done() {
-			t.Fatalf("%s: dispatcher incomplete", name)
-		}
-		if d.Latency() != want.Latency {
-			t.Fatalf("%s: latency %d, want %d", name, d.Latency(), want.Latency)
-		}
-		got := d.Arrangement()
-		if len(got.Pairs) != len(want.Arrangement.Pairs) {
-			t.Fatalf("%s: %d pairs, want %d", name, len(got.Pairs), len(want.Arrangement.Pairs))
-		}
-		for i := range got.Pairs {
-			if got.Pairs[i] != want.Arrangement.Pairs[i] {
-				t.Fatalf("%s: pair %d = %+v, want %+v", name, i, got.Pairs[i], want.Arrangement.Pairs[i])
-			}
-		}
-		for tid := range got.Accumulated {
-			if got.Accumulated[tid] != want.Arrangement.Accumulated[tid] {
-				t.Fatalf("%s: credit of task %d drifted", name, tid)
-			}
-		}
-	}
-}
-
 // TestShardedCompletesAndValidates: a sharded run fed the full stream must
 // complete every task with a valid merged arrangement (capacity,
 // eligibility, no duplicates) and coherent shard statistics.

@@ -1,9 +1,6 @@
 package dispatch
 
 import (
-	"context"
-	"errors"
-	"runtime"
 	"testing"
 
 	"ltc/internal/events"
@@ -82,38 +79,6 @@ func TestEventsPerCallStream(t *testing.T) {
 	}
 }
 
-// TestEventsBatchedStreamMatchesPerCall: the batched inner loop publishes
-// the same completion set as per-call ingestion (order within the stream
-// is the per-shard completion order either way on a sequential feed).
-func TestEventsBatchedStreamMatchesPerCall(t *testing.T) {
-	in := testInstance(t, 0.01)
-	run := func(batch int) []events.Event {
-		d, err := New(in, 2, lafFactory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub := d.Subscribe(4 * len(in.Tasks))
-		if batch == 0 {
-			feedSequential(t, d, in.Workers)
-		} else {
-			feedBatched(t, d, in.Workers, batch)
-		}
-		return drainEvents(sub)
-	}
-	want := run(0)
-	for _, batch := range []int{1, 33, len(in.Workers)} {
-		got := run(batch)
-		if len(got) != len(want) {
-			t.Fatalf("batch=%d: %d events, want %d", batch, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch=%d: event %d = %+v, want %+v", batch, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestEventsLifecycle: PostTask and RetireTask publish TaskPosted (with the
 // arrival-clock anchor) and TaskRetired; retiring the last open task
 // publishes PlatformDone; double retires stay silent; a revival produces a
@@ -189,103 +154,4 @@ func TestEventsLifecycle(t *testing.T) {
 	if dones != 2 {
 		t.Fatalf("%d PlatformDone, want 2 (initial resolve + revival resolve)", dones)
 	}
-}
-
-// TestCheckInAsyncCtxPreCancelled: an already-done context fails before
-// anything is queued; the worker is never observed.
-func TestCheckInAsyncCtxPreCancelled(t *testing.T) {
-	in := testInstance(t, 0.01)
-	d, err := New(in, 1, lafFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := d.CheckInAsyncCtx(ctx, in.Workers[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if err := d.CheckInAsyncCtx(ctx, model.Worker{Index: 0}); !errors.Is(err, ErrBadWorkerIndex) {
-		t.Fatalf("bad index err = %v", err)
-	}
-	d.Flush()
-	if got := d.Arrived(); got != 0 {
-		t.Fatalf("cancelled enqueue counted %d arrivals", got)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCheckInAsyncCtxCancelWhileBlocked: cancelling a context releases an
-// enqueue blocked on a full queue with ctx.Err(); the worker is not
-// enqueued, Flush does not wait for it, and the queue keeps working.
-func TestCheckInAsyncCtxCancelWhileBlocked(t *testing.T) {
-	in := lifecycleInstance(10, 50, 60, 17)
-	d, err := New(in, 1, lafFactory, Options{QueueCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := stallFull(t, d, in.Workers)
-	ctx, cancel := context.WithCancel(context.Background())
-	blocked := blockOne(t, d, ctx, in.Workers[accepted])
-	cancel()
-	if err := <-blocked; !errors.Is(err, context.Canceled) {
-		t.Fatalf("blocked enqueue err = %v, want context.Canceled", err)
-	}
-	d.shards[0].mu.Unlock()
-	d.Flush()
-	// Exactly the accepted workers arrived; the cancelled one is gone.
-	if got := d.Arrived(); got != accepted {
-		t.Fatalf("arrived %d, want %d", got, accepted)
-	}
-	// The async path survives a cancellation: a fresh cancellable enqueue
-	// with a free slot succeeds without blocking.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	if err := d.CheckInAsyncCtx(ctx2, in.Workers[accepted+1]); err != nil {
-		t.Fatal(err)
-	}
-	d.Flush()
-	if got := d.Arrived(); got != accepted+1 {
-		t.Fatalf("arrived %d, want %d", got, accepted+1)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCheckInAsyncCtxClosedWhileBlocked: a blocked enqueue that wakes to
-// find the dispatcher closed and its context cancelled fails with ErrClosed
-// (the closed check precedes the ctx check), mirroring CheckInAsync's
-// contract.
-func TestCheckInAsyncCtxClosedWhileBlocked(t *testing.T) {
-	in := lifecycleInstance(10, 50, 60, 19)
-	d, err := New(in, 1, lafFactory, Options{QueueCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := stallFull(t, d, in.Workers)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	blocked := blockOne(t, d, ctx, in.Workers[accepted])
-	// Hold the enqueue in its wait until both ways out are armed.
-	q := d.queues[0]
-	q.mu.Lock()
-	closed := make(chan struct{})
-	go func() {
-		if err := d.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-		close(closed)
-	}()
-	for !d.closed.Load() {
-		runtime.Gosched()
-	}
-	cancel()
-	q.mu.Unlock()
-	if err := <-blocked; !errors.Is(err, ErrClosed) {
-		t.Fatalf("blocked enqueue err = %v, want ErrClosed", err)
-	}
-	d.shards[0].mu.Unlock()
-	<-closed
 }

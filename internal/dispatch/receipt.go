@@ -41,17 +41,3 @@ type Receipt struct {
 	Assignments []TaskGrant
 	Done        bool
 }
-
-// Tasks returns just the granted task IDs, in assignment order — the v1
-// shape of CheckIn's result. It allocates; hot callers should range over
-// Assignments instead.
-func (r Receipt) Tasks() []model.TaskID {
-	if len(r.Assignments) == 0 {
-		return nil
-	}
-	out := make([]model.TaskID, len(r.Assignments))
-	for i, g := range r.Assignments {
-		out[i] = g.Task
-	}
-	return out
-}

@@ -1,15 +1,10 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,13 +15,9 @@ import (
 	"ltc/internal/geo"
 )
 
-// goldenSeed mirrors the golden-trace suite's seed (drives RandomAssign).
-const goldenSeed = 7
-
 // clusterFixture is a booted in-process cluster: one ClusterServer per
 // topology node behind httptest, and a routing client over them.
 type clusterFixture struct {
-	in    *ltc.Instance
 	topo  *cluster.Topology
 	split *cluster.Split
 	plats []*ltc.Platform // nil for nodes owning no tasks
@@ -44,7 +35,7 @@ func newCluster(t *testing.T, in *ltc.Instance, nodes, shards int, algo ltc.Algo
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &clusterFixture{in: in, topo: topo, split: split}
+	f := &clusterFixture{topo: topo, split: split}
 	for n := 0; n < nodes; n++ {
 		var plat *ltc.Platform
 		if sub := split.Subs[n]; sub != nil {
@@ -83,149 +74,12 @@ func tableIV(t *testing.T, scale float64, seed uint64) *ltc.Instance {
 	return in
 }
 
-// TestClusterGoldenSingleNode is the acceptance gate for routing
-// transparency: a single-node topology replayed through the full cluster
-// stack — routing client → HTTP → cluster server → platform, with global
-// task-ID translation in every receipt — must reproduce the recorded golden
-// traces byte for byte, per-call and batched.
-func TestClusterGoldenSingleNode(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  func() ltc.WorkloadConfig
-	}{
-		{"tableiv-default-x001", func() ltc.WorkloadConfig {
-			return ltc.DefaultWorkload().Scale(0.01)
-		}},
-		{"tableiv-k4-eps014-x001", func() ltc.WorkloadConfig {
-			c := ltc.DefaultWorkload().Scale(0.01)
-			c.K = 4
-			c.Epsilon = 0.14
-			c.Seed = 2
-			return c
-		}},
-		{"tableiv-uniform-x001", func() ltc.WorkloadConfig {
-			c := ltc.DefaultWorkload().Scale(0.01)
-			c.Accuracy = ltc.AccuracyDist{Kind: ltc.DistUniform, Mean: 0.86, Spread: 0.10}
-			c.Seed = 3
-			return c
-		}},
-	}
-	for _, gc := range cases {
-		in, err := gc.cfg().Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, algo := range []ltc.Algorithm{ltc.LAF, ltc.AAM, ltc.RandomAssign} {
-			t.Run(fmt.Sprintf("%s-%s", gc.name, algo), func(t *testing.T) {
-				path := filepath.Join("..", "..", "testdata", "golden", fmt.Sprintf("%s-%s.trace", gc.name, algo))
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden fixture: %v", err)
-				}
-				f := newCluster(t, in, 1, 1, algo, goldenSeed)
-				if err := f.syncNow(t); err != nil {
-					t.Fatal(err)
-				}
-				got := f.wireTrace(t, gc.name, algo, 0)
-				if !bytes.Equal(want, []byte(got)) {
-					t.Errorf("per-call cluster trace diverged from %s\n%s", path, firstDiff(want, []byte(got)))
-				}
-				// The batched path must agree too (fresh cluster — the first
-				// run consumed the platform).
-				fb := newCluster(t, in, 1, 1, algo, goldenSeed)
-				got = fb.wireTrace(t, gc.name, algo, 7)
-				if !bytes.Equal(want, []byte(got)) {
-					t.Errorf("batched cluster trace diverged from %s\n%s", path, firstDiff(want, []byte(got)))
-				}
-			})
-		}
-	}
-}
-
 func (f *clusterFixture) syncNow(t *testing.T) error {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_, err := f.cc.Sync(ctx)
 	return err
-}
-
-// wireTrace renders the canonical golden trace text by feeding the worker
-// stream through the cluster client (per-call, or batched when batch > 1).
-// Completion, latency and credits come from the in-process platform handle
-// — on a single-node topology local and global task IDs coincide, so the
-// wire receipts' translated IDs must match the recorded local ones exactly.
-func (f *clusterFixture) wireTrace(t *testing.T, name string, algo ltc.Algorithm, batch int) string {
-	t.Helper()
-	plat := f.plats[0]
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "# ltc golden trace\n")
-	fmt.Fprintf(&b, "workload=%s algo=%s seed=%d\n", name, algo, goldenSeed)
-	fmt.Fprintf(&b, "tasks=%d workers=%d k=%d epsilon=%s delta=%s\n",
-		len(f.in.Tasks), len(f.in.Workers), f.in.K,
-		strconv.FormatFloat(f.in.Epsilon, 'g', -1, 64),
-		strconv.FormatFloat(f.in.Delta(), 'x', -1, 64))
-	writeArrival := func(rec Receipt) {
-		fmt.Fprintf(&b, "arrival %d:", rec.Worker)
-		if len(rec.Assignments) == 0 {
-			b.WriteString(" -")
-		}
-		for i, g := range rec.Assignments {
-			if i > 0 {
-				b.WriteByte(',')
-			} else {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%d", g.Task)
-		}
-		b.WriteByte('\n')
-	}
-	if batch > 1 {
-		for i := 0; i < len(f.in.Workers) && !plat.Done(); i += batch {
-			j := min(i+batch, len(f.in.Workers))
-			chunk := make([]Worker, j-i)
-			for k, w := range f.in.Workers[i:j] {
-				chunk[k] = FromWorker(w)
-			}
-			recs, _, err := f.cc.CheckInBatch(chunk)
-			if err != nil {
-				t.Fatalf("batch at worker %d: %v", i, err)
-			}
-			for _, rec := range recs {
-				writeArrival(rec)
-			}
-		}
-	} else {
-		for _, w := range f.in.Workers {
-			if plat.Done() {
-				break
-			}
-			rec, err := f.cc.CheckIn(FromWorker(w))
-			if err != nil {
-				t.Fatalf("worker %d: %v", w.Index, err)
-			}
-			if rec.Worker != w.Index {
-				t.Fatalf("receipt echoes worker %d, fed %d", rec.Worker, w.Index)
-			}
-			writeArrival(rec)
-		}
-	}
-	fmt.Fprintf(&b, "done=%t latency=%d\n", plat.Done(), plat.Latency())
-	for tid, c := range plat.Credits(nil) {
-		fmt.Fprintf(&b, "credit %d: %s\n", tid, strconv.FormatFloat(c, 'x', -1, 64))
-	}
-	return b.String()
-}
-
-func firstDiff(want, got []byte) string {
-	wl := bytes.Split(want, []byte("\n"))
-	gl := bytes.Split(got, []byte("\n"))
-	for i := 0; i < min(len(wl), len(gl)); i++ {
-		if !bytes.Equal(wl[i], gl[i]) {
-			return fmt.Sprintf("first difference at line %d:\n  want: %s\n  got:  %s", i+1, wl[i], gl[i])
-		}
-	}
-	return fmt.Sprintf("line counts differ: want %d, got %d", len(wl), len(gl))
 }
 
 // TestClusterEndToEndThreeNode drives a 3-node cluster through the full

@@ -19,7 +19,7 @@
 //   - Solve for one-shot runs, Session for single-threaded streaming use,
 //     and Platform for concurrent check-in streams over spatial shards —
 //     per call (CheckIn), batched (CheckInBatch) or asynchronous behind
-//     bounded per-shard queues (CheckInAsync/CheckInAsyncCtx/Flush); every
+//     bounded per-shard queues (CheckInAsync/Flush); every
 //     check-in returns a structured Receipt, and Platform.Subscribe streams
 //     lifecycle events (task posted/retired/completed, platform done); see
 //     CONCURRENCY.md;

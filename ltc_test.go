@@ -111,9 +111,9 @@ func TestSharedIndexSurvivesRuns(t *testing.T) {
 		for i := range shared {
 			got, gotErr := shared[i].Arrive(w)
 			want, wantErr := alone[i].Arrive(w)
-			if !slices.Equal(got.Tasks(), want.Tasks()) || got.Done != want.Done || !errors.Is(gotErr, wantErr) {
+			if !slices.Equal(got.Assignments, want.Assignments) || got.Done != want.Done || !errors.Is(gotErr, wantErr) {
 				t.Fatalf("session %d worker %d: %v (%v) beside another session, %v (%v) alone",
-					i, w.Index, got.Tasks(), gotErr, want.Tasks(), wantErr)
+					i, w.Index, got.Assignments, gotErr, want.Assignments, wantErr)
 			}
 		}
 	}

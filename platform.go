@@ -1,7 +1,6 @@
 package ltc
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -30,11 +29,11 @@ import (
 // latency accounting of late-posted tasks.
 //
 // Arrivals can also be ingested in bulk: CheckInBatch processes a batch
-// with sequential semantics under amortized locking, and CheckInAsync (or
-// the cancellable CheckInAsyncCtx) routes workers into per-shard bounded
-// queues drained by background goroutines, with Flush/Close as
-// deterministic completion points — the high-throughput path (see
-// CONCURRENCY.md, "Batched and asynchronous ingestion").
+// with sequential semantics under amortized locking, and CheckInAsync
+// routes workers into per-shard bounded queues drained by background
+// goroutines, with Flush/Close as deterministic completion points — the
+// high-throughput path (see CONCURRENCY.md, "Batched and asynchronous
+// ingestion").
 //
 // With Shards = 1 a Platform fed workers sequentially in arrival order
 // produces exactly the Session's arrangement. With more shards each worker
@@ -203,27 +202,10 @@ func (p *Platform) CheckInBatchInto(ws []Worker, dst []Receipt) ([]Receipt, erro
 // per-call CheckIn. Assignments stay observable through Arrangement,
 // Credits, TaskStatuses and the Subscribe event stream; Flush gives the
 // deterministic completion point. The call blocks while the shard's queue
-// is full (backpressure) and returns ErrPlatformClosed after Close; use
-// CheckInAsyncCtx when the block must be cancellable. Safe for concurrent
-// use.
+// is full (backpressure) and returns ErrPlatformClosed after Close. Safe
+// for concurrent use.
 func (p *Platform) CheckInAsync(w Worker) error {
 	if err := p.d.CheckInAsync(w); err != nil {
-		return fmt.Errorf("ltc: %w", err)
-	}
-	return nil
-}
-
-// CheckInAsyncCtx is CheckInAsync with cancellable backpressure: while the
-// worker's shard queue is full the call blocks until a slot frees, the
-// platform closes (ErrPlatformClosed), or ctx is done — in which case the
-// worker was NOT enqueued and ctx.Err() is returned. A nil error means the
-// worker is queued and a later Flush will observe it; any error means the
-// platform never saw it. Safe for concurrent use.
-func (p *Platform) CheckInAsyncCtx(ctx context.Context, w Worker) error {
-	if err := p.d.CheckInAsyncCtx(ctx, w); err != nil {
-		if err == ctx.Err() {
-			return err
-		}
 		return fmt.Errorf("ltc: %w", err)
 	}
 	return nil

@@ -11,81 +11,6 @@ import (
 	"ltc/internal/model"
 )
 
-// TestPlatformSingleShardMatchesSession is the equivalence contract of the
-// dispatch layer: a 1-shard Platform fed the worker stream sequentially
-// must produce byte-identical arrangements to Session for the
-// deterministic online algorithms.
-func TestPlatformSingleShardMatchesSession(t *testing.T) {
-	in := tinyInstance(t)
-	for _, algo := range []Algorithm{LAF, AAM} {
-		sess, err := NewSession(in, algo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plat, err := NewPlatform(in, algo, WithShards(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plat.Shards() != 1 {
-			t.Fatalf("%s: shards = %d", algo, plat.Shards())
-		}
-		for _, w := range in.Workers {
-			if sess.Done() {
-				break
-			}
-			st, err := sess.Arrive(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pt, err := plat.CheckIn(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Receipts must agree bit for bit: same grants, credits and
-			// completion flags (Session's shard is always 0; the 1-shard
-			// platform routes everything to shard 0 too).
-			if st.Worker != w.Index || pt.Worker != w.Index {
-				t.Fatalf("%s worker %d: receipt workers %d vs %d", algo, w.Index, st.Worker, pt.Worker)
-			}
-			if st.Shard != 0 || pt.Shard != 0 {
-				t.Fatalf("%s worker %d: shards %d vs %d", algo, w.Index, st.Shard, pt.Shard)
-			}
-			if st.Done != pt.Done {
-				t.Fatalf("%s worker %d: done %v vs %v", algo, w.Index, st.Done, pt.Done)
-			}
-			if len(st.Assignments) != len(pt.Assignments) {
-				t.Fatalf("%s worker %d: session assigned %v, platform %v", algo, w.Index, st.Assignments, pt.Assignments)
-			}
-			for i := range st.Assignments {
-				if st.Assignments[i] != pt.Assignments[i] {
-					t.Fatalf("%s worker %d: grant %d differs (%+v vs %+v)",
-						algo, w.Index, i, st.Assignments[i], pt.Assignments[i])
-				}
-			}
-		}
-		if !plat.Done() || !sess.Done() {
-			t.Fatalf("%s: done mismatch (session %v, platform %v)", algo, sess.Done(), plat.Done())
-		}
-		if sess.Latency() != plat.Latency() {
-			t.Fatalf("%s: latency %d vs %d", algo, sess.Latency(), plat.Latency())
-		}
-		sa, pa := sess.Arrangement(), plat.Arrangement()
-		if len(sa.Pairs) != len(pa.Pairs) {
-			t.Fatalf("%s: pair counts differ", algo)
-		}
-		for i := range sa.Pairs {
-			if sa.Pairs[i] != pa.Pairs[i] {
-				t.Fatalf("%s: pair %d = %+v vs %+v", algo, i, sa.Pairs[i], pa.Pairs[i])
-			}
-		}
-		for tid := range sa.Accumulated {
-			if sa.Accumulated[tid] != pa.Accumulated[tid] {
-				t.Fatalf("%s: task %d credit %v vs %v", algo, tid, sa.Accumulated[tid], pa.Accumulated[tid])
-			}
-		}
-	}
-}
-
 // TestPlatformShardedRun: a multi-shard platform completes the workload
 // with a valid arrangement and reports per-shard statistics whose global
 // latencies reconcile with the platform's.
