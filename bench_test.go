@@ -253,6 +253,45 @@ func BenchmarkCandidateIndex(b *testing.B) {
 	}
 }
 
+// BenchmarkNewPlatform measures building a platform on Table IV's default
+// instance with 8 shards, striped over uniform traffic and balanced over a
+// hotspot: partition, per-shard candidate grids, engines and the dispatcher.
+// Construction allocates per shard, not per task, so allocs/op stays near
+// constant as |T| grows.
+func BenchmarkNewPlatform(b *testing.B) {
+	for _, c := range []struct {
+		name, kind string
+		opts       []Option
+	}{
+		{"striped-uniform", ScenarioUniform, []Option{WithShards(8)}},
+		{"balanced-hotspot", ScenarioHotspot, []Option{WithShards(8), WithBalancedShards()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := DefaultWorkload()
+			cfg.Seed = 42
+			scn, err := NewScenario(c.kind, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, err := scn.Generate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := NewPlatform(in, AAM, c.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAAMArriveHotCell measures one AAM arrival on a hot cell: 500 open
 // tasks in one grid cell, hundreds of them in every worker's disc, K = 6. It
 // reports how many hits an arrival's disc holds and how many of them the

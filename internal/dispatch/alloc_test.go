@@ -5,6 +5,7 @@ import (
 
 	"ltc/internal/core"
 	"ltc/internal/model"
+	"ltc/internal/workload"
 )
 
 // allocFeed hands out an endless worker stream with monotone global indices,
@@ -116,4 +117,75 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestNewAllocsIndependentOfTasks: building a dispatcher allocates per
+// shard, not per task — the candidate grids and the partition are counted
+// first and then carved from one block each — so Table IV at 5 % and at 50 %
+// cost New the same number of allocations, striped and balanced alike. The
+// CheckInAsync queue buffers are not among them: a dispatcher fed only
+// through CheckIn holds none, and the first CheckInAsync allocates all of
+// them at full capacity.
+func TestNewAllocsIndependentOfTasks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless under it")
+	}
+	var ins []*model.Instance
+	for _, scale := range []float64{0.05, 0.5} {
+		cfg := workload.Default().Scale(scale)
+		cfg.Seed = 42
+		in, err := cfg.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	for _, balanced := range []bool{false, true} {
+		opt := Options{Balanced: balanced}
+		var allocs []float64
+		for _, in := range ins {
+			allocs = append(allocs, testing.AllocsPerRun(5, func() {
+				d, err := New(in, 8, aamFactory, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("balanced=%v: New allocates %v at %d tasks but %v at %d", balanced,
+				allocs[0], len(ins[0].Tasks), allocs[1], len(ins[1].Tasks))
+		}
+
+		d, err := New(ins[0], 8, aamFactory, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ins[0].Workers[:64] {
+			if _, err := d.CheckIn(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, q := range d.queues {
+			if q.buf != nil {
+				t.Errorf("balanced=%v: shard %d holds a queue buffer before any CheckInAsync", balanced, i)
+			}
+		}
+		if err := d.CheckInAsync(ins[0].Workers[64]); err != nil {
+			t.Fatal(err)
+		}
+		d.Flush()
+		for i, q := range d.queues {
+			q.mu.Lock()
+			if cap(q.buf) != DefaultQueueCap {
+				t.Errorf("balanced=%v: shard %d queue capacity %d after CheckInAsync, want %d", balanced, i, cap(q.buf), DefaultQueueCap)
+			}
+			q.mu.Unlock()
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -24,8 +24,10 @@ type shardQueue struct {
 	cap      int
 }
 
+// newShardQueue returns a queue without its buffer: ensureDrainers
+// allocates it, so only a dispatcher that is fed asynchronously pays for it.
 func newShardQueue(capacity int) *shardQueue {
-	q := &shardQueue{buf: make([]model.Worker, 0, capacity), cap: capacity}
+	q := &shardQueue{cap: capacity}
 	q.notFull.L = &q.mu
 	q.notEmpty.L = &q.mu
 	return q
@@ -167,10 +169,10 @@ func (d *Dispatcher) Close() error {
 	return nil
 }
 
-// ensureDrainers starts the per-shard drainer goroutines exactly once.
-// The start races with Close under asyncMu: once the dispatcher is closed
-// no drainer is ever spawned (the refused enqueue never queues anything,
-// so nothing is lost).
+// ensureDrainers allocates the queue buffers and starts the per-shard
+// drainer goroutines exactly once. The start races with Close under
+// asyncMu: once the dispatcher is closed no drainer is ever spawned (the
+// refused enqueue never queues anything, so nothing is lost).
 func (d *Dispatcher) ensureDrainers() {
 	if d.started.Load() {
 		return
@@ -178,7 +180,10 @@ func (d *Dispatcher) ensureDrainers() {
 	d.asyncMu.Lock()
 	if !d.started.Load() && !d.closed.Load() {
 		d.drainWG.Add(len(d.shards))
-		for si := range d.shards {
+		for si, q := range d.queues {
+			q.mu.Lock() // ShardStats reads the queue's depth concurrently
+			q.buf = make([]model.Worker, 0, q.cap)
+			q.mu.Unlock()
 			go d.drainLoop(si)
 		}
 		d.started.Store(true)

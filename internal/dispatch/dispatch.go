@@ -64,13 +64,14 @@ const DefaultQueueCap = 1024
 type Options struct {
 	// QueueCap bounds each shard's CheckInAsync queue: it holds exactly
 	// QueueCap workers, and enqueues block (backpressure) while the owning
-	// shard's queue is full. 0 means DefaultQueueCap. The drainer ingests
-	// everything queued under one shard-mutex acquisition, so QueueCap also
-	// bounds how long a drain run can make a concurrent PostTask/RetireTask
-	// wait for the shard mutex. On a saturated async feed the queues sit
-	// full, so an event trails its worker's enqueue by about the queued
-	// workers over the ingest rate: milliseconds on the benchmark's
-	// lib-async-uniform.
+	// shard's queue is full. 0 means DefaultQueueCap. The buffers are
+	// allocated on the first CheckInAsync, so a dispatcher fed only
+	// synchronously holds none. The drainer ingests everything queued
+	// under one shard-mutex acquisition, so QueueCap also bounds how long
+	// a drain run can make a concurrent PostTask/RetireTask wait for the
+	// shard mutex. On a saturated async feed the queues sit full, so an
+	// event trails its worker's enqueue by about the queued workers over
+	// the ingest rate: milliseconds on the benchmark's lib-async-uniform.
 	QueueCap int
 	// Balanced switches the tile→shard layout from fixed spatial striping
 	// to the load-aware greedy pack (model.PartitionOptions.Balanced),
@@ -173,8 +174,8 @@ type Dispatcher struct {
 	// Options.Rebalance enabled it.
 	rb *rebalancer
 
-	// Async ingestion state (see async.go). queues is allocated in New;
-	// drainer goroutines start lazily on the first CheckInAsync.
+	// Async ingestion state (see async.go). queues is allocated in New, its
+	// buffers and drainer goroutines lazily on the first CheckInAsync.
 	queues []*shardQueue
 	//ltc:lock async
 	asyncMu sync.Mutex // serializes drainer start and the close transition
@@ -198,6 +199,9 @@ func New(in *model.Instance, nShards int, factory core.OnlineFactory, opts ...Op
 	if len(opts) > 0 {
 		o = opts[0]
 	}
+	if err := in.ValidateStreaming(); err != nil {
+		return nil, err
+	}
 	if o.QueueCap < 0 {
 		return nil, fmt.Errorf("%w: got QueueCap %d", ErrBadOptions, o.QueueCap)
 	}
@@ -213,9 +217,6 @@ func New(in *model.Instance, nShards int, factory core.OnlineFactory, opts ...Op
 			return nil, err
 		}
 		o.Rebalance = &r
-	}
-	if err := in.ValidateStreaming(); err != nil {
-		return nil, err
 	}
 	popt := model.PartitionOptions{Balanced: o.Balanced, LoadSample: o.LoadSample}
 	if o.Balanced && popt.LoadSample == nil {

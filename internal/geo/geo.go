@@ -67,12 +67,36 @@ func BoundingRect(pts []Point) (r Rect, ok bool) {
 	}
 	r = Rect{Min: pts[0], Max: pts[0]}
 	for _, p := range pts[1:] {
-		r.Min.X = math.Min(r.Min.X, p.X)
-		r.Min.Y = math.Min(r.Min.Y, p.Y)
-		r.Max.X = math.Max(r.Max.X, p.X)
-		r.Max.Y = math.Max(r.Max.Y, p.Y)
+		r.Min.X = fmin(r.Min.X, p.X)
+		r.Min.Y = fmin(r.Min.Y, p.Y)
+		r.Max.X = fmax(r.Max.X, p.X)
+		r.Max.Y = fmax(r.Max.Y, p.Y)
 	}
 	return r, true
+}
+
+// fmin is math.Min bit for bit, inlined: ordered operands that differ cost
+// a comparison or two. Equal operands, where math.Min picks between signed
+// zeros, and NaN take math.Min itself, so its -0, NaN and -Inf rules hold.
+func fmin(x, y float64) float64 {
+	if x < y {
+		return x
+	}
+	if y < x {
+		return y
+	}
+	return math.Min(x, y)
+}
+
+// fmax is math.Max bit for bit, the same way.
+func fmax(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if y > x {
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // Contains reports whether p lies inside r (boundaries inclusive).

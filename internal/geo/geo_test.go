@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -58,6 +59,30 @@ func TestBoundingRect(t *testing.T) {
 	r, ok := BoundingRect([]Point{{1, 5}, {-2, 3}, {4, -1}})
 	if !ok || r.Min != (Point{-2, -1}) || r.Max != (Point{4, 5}) {
 		t.Fatalf("BoundingRect = %+v, ok=%v", r, ok)
+	}
+}
+
+// TestBoundingRectMatchesMathMinMax: BoundingRect's min and max agree with
+// math.Min and math.Max bit for bit over every ordered pair of signed zeros,
+// ±1, ±Inf, NaN and a subnormal. The sign of zero matters: a rect's Min
+// becomes a tile grid's origin, which a cluster topology file records.
+func TestBoundingRectMatchesMathMinMax(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, x := range vals {
+		for _, y := range vals {
+			wantMin, wantMax := math.Min(x, y), math.Max(x, y)
+			if got := fmin(x, y); !same(got, wantMin) {
+				t.Errorf("fmin(%v, %v) = %v, math.Min gives %v", x, y, got, wantMin)
+			}
+			if got := fmax(x, y); !same(got, wantMax) {
+				t.Errorf("fmax(%v, %v) = %v, math.Max gives %v", x, y, got, wantMax)
+			}
+			r, _ := BoundingRect([]Point{{x, y}, {y, x}})
+			if !same(r.Min.X, wantMin) || !same(r.Min.Y, wantMin) || !same(r.Max.X, wantMax) || !same(r.Max.Y, wantMax) {
+				t.Errorf("BoundingRect of (%v, %v) and (%v, %v) = %+v", x, y, y, x, r)
+			}
+		}
 	}
 }
 

@@ -139,27 +139,45 @@ func (ci *CandidateIndex) Clone() *CandidateIndex {
 	return &cp
 }
 
-// clone copies the grid. The cells' arrays are carved from three shared
-// blocks, each cell's capacity clipped to its length so that an append
-// reallocates that cell alone.
+// clone copies the grid into freshly carved cells.
 func (g *cellGrid) clone() *cellGrid {
-	n := 0
+	size := make([]int, len(g.cells))
 	for i := range g.cells {
-		n += len(g.cells[i].ids)
+		size[i] = len(g.cells[i].ids)
 	}
-	ids, xs, ys := make([]int32, 0, n), make([]float64, 0, n), make([]float64, 0, n)
-	cp := &cellGrid{TileGrid: g.TileGrid, cells: make([]cell, len(g.cells))}
-	for i := range g.cells {
-		c, lo := &g.cells[i], len(ids)
-		ids, xs, ys = append(ids, c.ids...), append(xs, c.xs...), append(ys, c.ys...)
-		hi := len(ids)
-		cp.cells[i] = cell{ids: ids[lo:hi:hi], xs: xs[lo:hi:hi], ys: ys[lo:hi:hi]}
+	cp := &cellGrid{TileGrid: g.TileGrid}
+	cp.carve(size)
+	for i := range cp.cells {
+		c, src := &cp.cells[i], &g.cells[i]
+		c.ids, c.xs, c.ys = append(c.ids, src.ids...), append(c.xs, src.xs...), append(c.ys, src.ys...)
 	}
 	return cp
 }
 
+// carve gives the grid one empty cell per entry of size, cutting cell i's
+// arrays from three shared blocks with capacity size[i]: filling a cell to
+// its size never reallocates, and an append beyond it reallocates that cell
+// alone. A cell of size 0 keeps nil arrays.
+func (g *cellGrid) carve(size []int) {
+	total := 0
+	for _, k := range size {
+		total += k
+	}
+	ids, xs, ys := make([]int32, total), make([]float64, total), make([]float64, total)
+	g.cells = make([]cell, len(size))
+	lo := 0
+	for i, k := range size {
+		if k > 0 {
+			hi := lo + k
+			g.cells[i] = cell{ids: ids[lo:lo:hi], xs: xs[lo:lo:hi], ys: ys[lo:lo:hi]}
+			lo = hi
+		}
+	}
+}
+
 // newCellGrid buckets the tasks into square cells of the given side over
-// their bounding rect.
+// their bounding rect: it counts the tasks per cell, carves the cells, then
+// fills them in task order, so every cell lists ascending ids.
 func newCellGrid(tasks []Task, side float64) *cellGrid {
 	pts := make([]geo.Point, len(tasks))
 	for i, t := range tasks {
@@ -167,9 +185,14 @@ func newCellGrid(tasks []Task, side float64) *cellGrid {
 	}
 	rect, _ := geo.BoundingRect(pts)
 	g := &cellGrid{TileGrid: geo.SquareTileGrid(rect, side)}
-	g.cells = make([]cell, g.NumTiles())
+	at, count := make([]int32, len(pts)), make([]int, g.NumTiles())
 	for i, p := range pts {
-		g.cells[g.Index(p)].add(int32(i), p)
+		at[i] = int32(g.Index(p))
+		count[at[i]]++
+	}
+	g.carve(count)
+	for i, p := range pts {
+		g.cells[at[i]].add(int32(i), p)
 	}
 	return g
 }

@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -170,42 +169,48 @@ func PartitionInstanceOpts(in *Instance, n int, opt PartitionOptions) (*Partitio
 	}
 	p.freeOwner = p.grid.Owners(pts)
 
-	// Bucket tasks by tile in global order, so each tile — and, after the
-	// per-shard sort below, each shard — lists ascending global TaskIDs.
-	tileTasks := make([][]TaskID, p.grid.NumTiles())
-	for _, t := range in.Tasks {
-		c := p.grid.Index(t.Loc)
-		tileTasks[c] = append(tileTasks[c], t.ID)
+	// Count tasks per tile, keeping each task's tile for the fill below.
+	tileOf, tileCount := make([]int32, len(in.Tasks)), make([]int, p.grid.NumTiles())
+	for i, pt := range pts {
+		tileOf[i] = int32(p.grid.Index(pt))
+		tileCount[tileOf[i]]++
 	}
 
 	// shardOf assigns every owner (task) tile its shard.
 	var shardOf []int32
 	var shards int
 	if balanced {
-		shardOf, shards = p.packBalanced(in, n, tileTasks, opt.LoadSample)
+		shardOf, shards = p.packBalanced(n, tileOf, tileCount, opt.LoadSample)
 	} else {
 		// Striped: one shard per task tile, in ascending tile order.
-		shardOf = make([]int32, len(tileTasks))
-		for c, ids := range tileTasks {
-			if len(ids) > 0 {
+		shardOf = make([]int32, len(tileCount))
+		for c, k := range tileCount {
+			if k > 0 {
 				shardOf[c] = int32(shards)
 				shards++
 			}
 		}
 	}
 
-	shardIDs := make([][]TaskID, shards)
-	for c, ids := range tileTasks {
-		if len(ids) > 0 {
-			shardIDs[shardOf[c]] = append(shardIDs[shardOf[c]], ids...)
-		}
+	// Carve every shard's ID list from one block, then fill the lists in
+	// global order, so each lists ascending global TaskIDs.
+	shardSize := make([]int, shards)
+	for _, c := range tileOf {
+		shardSize[shardOf[c]]++
+	}
+	block, shardIDs := make([]TaskID, len(in.Tasks)), make([][]TaskID, shards)
+	for s, k := range shardSize {
+		shardIDs[s], block = block[:0:k], block[k:]
+	}
+	for i, t := range in.Tasks {
+		s := shardOf[tileOf[i]]
+		shardIDs[s] = append(shardIDs[s], t.ID)
 	}
 	p.Shards = make([]*SubInstance, shards)
 	for s, ids := range shardIDs {
-		slices.Sort(ids) // tiles were visited in index order; make the cross-tile order ascending too
 		p.Shards[s] = NewSubInstance(in, ids)
 	}
-	p.tileShard = make([]atomic.Int32, len(tileTasks))
+	p.tileShard = make([]atomic.Int32, len(tileCount))
 	for c, o := range p.freeOwner {
 		p.tileShard[c].Store(shardOf[o])
 	}
@@ -219,15 +224,16 @@ func PartitionInstanceOpts(in *Instance, n int, opt PartitionOptions) (*Partitio
 // each owner tile's load from the sample (traffic on a task-free tile counts
 // toward the task tile that serves it), packs the task tiles onto bins by
 // greedy largest-load-first balance, and numbers the bins by their smallest
-// global TaskID. It returns the per-tile shard (meaningful for task tiles
-// only) and the shard count.
-func (p *Partition) packBalanced(in *Instance, n int, tileTasks [][]TaskID, sample []geo.Point) ([]int32, int) {
+// global TaskID. tileOf is each task's tile, tileCount each tile's task
+// count. It returns the per-tile shard (meaningful for task tiles only) and
+// the shard count.
+func (p *Partition) packBalanced(n int, tileOf []int32, tileCount []int, sample []geo.Point) ([]int32, int) {
 	// Sampled load profile: count sample points per owner tile. With no
 	// sample, task counts stand in for traffic.
-	load := make([]float64, len(tileTasks))
+	load := make([]float64, len(tileCount))
 	if len(sample) == 0 {
-		for c, ids := range tileTasks {
-			load[c] = float64(len(ids))
+		for c, k := range tileCount {
+			load[c] = float64(k)
 		}
 	} else {
 		for _, pt := range sample {
@@ -235,9 +241,9 @@ func (p *Partition) packBalanced(in *Instance, n int, tileTasks [][]TaskID, samp
 		}
 		// A task tile no sample point hit still carries its tasks: weight
 		// it in so the pack never stacks all quiet tiles on one shard.
-		for c, ids := range tileTasks {
-			if len(ids) > 0 && load[c] == 0 {
-				load[c] = float64(len(ids)) / float64(len(in.Tasks))
+		for c, k := range tileCount {
+			if k > 0 && load[c] == 0 {
+				load[c] = float64(k) / float64(len(tileOf))
 			}
 		}
 	}
@@ -245,9 +251,9 @@ func (p *Partition) packBalanced(in *Instance, n int, tileTasks [][]TaskID, samp
 	// Greedy balance (LPT): task tiles largest-load-first, each onto the
 	// currently lightest bin. Ties break on tile index / bin index, so
 	// the pack is deterministic.
-	taskTiles := make([]int, 0, len(tileTasks))
-	for c, ids := range tileTasks {
-		if len(ids) > 0 {
+	taskTiles := make([]int, 0, len(tileCount))
+	for c, k := range tileCount {
+		if k > 0 {
 			taskTiles = append(taskTiles, c)
 		}
 	}
@@ -261,7 +267,7 @@ func (p *Partition) packBalanced(in *Instance, n int, tileTasks [][]TaskID, samp
 		n = len(taskTiles) // a shard is never empty
 	}
 	binLoad := make([]float64, n)
-	binOf := make([]int32, len(tileTasks)) // task tile → bin
+	binOf := make([]int32, len(tileCount)) // task tile → bin
 	for _, c := range taskTiles {
 		best := 0
 		for b := 1; b < n; b++ {
@@ -282,8 +288,8 @@ func (p *Partition) packBalanced(in *Instance, n int, tileTasks [][]TaskID, samp
 		rank[b] = -1
 	}
 	next := int32(0)
-	for _, t := range in.Tasks {
-		if b := binOf[p.grid.Index(t.Loc)]; rank[b] < 0 {
+	for _, c := range tileOf {
+		if b := binOf[c]; rank[b] < 0 {
 			rank[b] = next
 			next++
 		}

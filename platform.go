@@ -117,9 +117,7 @@ func NewPlatform(in *Instance, algo Algorithm, opts ...Option) (*Platform, error
 	if c.eventBuffer < 1 {
 		c.eventBuffer = DefaultEventBuffer
 	}
-	if err := validateStreaming(in); err != nil {
-		return nil, err
-	}
+	// The instance is validated once, by dispatch.New.
 	factory, err := onlineFactory(algo, c.seed)
 	if err != nil {
 		return nil, err

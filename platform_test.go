@@ -167,7 +167,8 @@ func TestPlatformValidation(t *testing.T) {
 // TestNonFiniteTaskLocationRejected: one NaN or ±Inf initial task coordinate
 // would turn the task bounding rect — and every layout and topology built on
 // it — into NaNs, so both validators and both streaming constructors refuse
-// it with ErrBadLocation.
+// it with ErrBadLocation, the constructors with the validator's text behind
+// one "ltc: " prefix.
 func TestNonFiniteTaskLocationRejected(t *testing.T) {
 	good := tinyInstance(t)
 	for _, tc := range []struct {
@@ -192,6 +193,12 @@ func TestNonFiniteTaskLocationRejected(t *testing.T) {
 		} {
 			if !errors.Is(err, model.ErrBadLocation) {
 				t.Errorf("%s through %s: %v, want ErrBadLocation", tc.name, entry, err)
+			}
+		}
+		want := "ltc: " + in.ValidateStreaming().Error()
+		for entry, err := range map[string]error{"NewPlatform": platErr, "NewSession": sessErr} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s through %s: %v, want %q", tc.name, entry, err, want)
 			}
 		}
 	}

@@ -30,22 +30,13 @@ var (
 	ErrSessionDone = errors.New("ltc: session already completed all tasks")
 )
 
-// validateStreaming wraps model.Instance.ValidateStreaming with the
-// package's error prefix.
-func validateStreaming(in *Instance) error {
-	if err := in.ValidateStreaming(); err != nil {
-		return fmt.Errorf("ltc: %w", err)
-	}
-	return nil
-}
-
 // NewSession starts a streaming session for an online algorithm. The
 // instance's Workers slice may be empty — workers are supplied via Arrive —
 // but Tasks, Epsilon, K, Model and MinAcc must be set.
 func NewSession(in *Instance, algo Algorithm, opts ...Option) (*Session, error) {
 	c := newConfig(opts)
-	if err := validateStreaming(in); err != nil {
-		return nil, err
+	if err := in.ValidateStreaming(); err != nil {
+		return nil, fmt.Errorf("ltc: %w", err)
 	}
 	factory, err := onlineFactory(algo, c.seed)
 	if err != nil {
