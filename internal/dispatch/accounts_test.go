@@ -218,6 +218,109 @@ func TestPostIndexCountsFrontDoorBounces(t *testing.T) {
 	}
 }
 
+// shardWorkers groups the instance's workers by the shard they route to.
+func shardWorkers(d *Dispatcher, ws []model.Worker) [][]model.Worker {
+	by := make([][]model.Worker, d.NumShards())
+	for _, w := range ws {
+		si := d.locate(w.Loc)
+		by[si] = append(by[si], w)
+	}
+	return by
+}
+
+// TestPostIndexFoldsShardClocks: the arrival clock a post anchors to is the
+// largest index any shard consumed or the front door bounced — a fold over
+// per-shard clocks — so a lower index fed later, to the same shard or
+// another, never pulls it back, and a bounce counts whichever shard it
+// would have reached.
+func TestPostIndexFoldsShardClocks(t *testing.T) {
+	in := lifecycleInstance(12, 400, 60, 9)
+	d, err := New(in, 4, lafFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := shardWorkers(d, in.Workers)
+	a, b, c := by[0][0], by[1][0], by[2][0]
+	feed := func(w model.Worker, idx int) {
+		t.Helper()
+		w.Index = idx
+		if _, err := d.CheckIn(w); err != nil && !errors.Is(err, ErrDone) {
+			t.Fatal(err)
+		}
+	}
+	post := func(want int) {
+		t.Helper()
+		gid, err := d.PostTask(model.Task{Loc: c.Loc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.TaskStatuses()[gid].PostIndex; got != want {
+			t.Fatalf("post index %d, want %d", got, want)
+		}
+	}
+	feed(a, 50)
+	feed(b, 80)
+	feed(b, 20) // out of order on the shard holding the maximum
+	post(80)
+	feed(a, 30) // below the maximum, on another shard
+	feed(c, 90)
+	post(90)
+	retireOpen(t, d)
+	feed(a, 70) // a bounce below the shard clocks
+	post(90)
+	retireOpen(t, d)
+	feed(b, 120) // a bounce above them
+	post(120)
+	feed(a, 100) // a shard clock below the bounce clock
+	post(120)
+	feed(c, 130)
+	post(130)
+	if got := d.bounced.Load(); got != 2 {
+		t.Fatalf("%d front-door bounces, want 2", got)
+	}
+}
+
+// TestPostIndexBoundsUnderConcurrency: with a feeder per shard and posts
+// interleaved (run with -race), every post index lies between the largest
+// index whose CheckIn returned before the post began and the largest index
+// fed by the time it ended — the watermark contract of the folded clock.
+func TestPostIndexBoundsUnderConcurrency(t *testing.T) {
+	in := lifecycleInstance(40, 4000, 60, 31)
+	d, err := New(in, 4, lafFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fed, returned atomic.Int64
+	var wg sync.WaitGroup
+	defer wg.Wait() // also when a check below fails the test
+	for _, ws := range shardWorkers(d, in.Workers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, w := range ws {
+				atomicMax(&fed, int64(w.Index))
+				if _, err := d.CheckIn(w); err != nil && !errors.Is(err, ErrDone) {
+					t.Error(err)
+					return
+				}
+				atomicMax(&returned, int64(w.Index))
+			}
+		}()
+	}
+	rng := rand.New(rand.NewPCG(31, 7))
+	for range 200 {
+		lo := int(returned.Load())
+		gid, err := d.PostTask(in.Tasks[rng.IntN(len(in.Tasks))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi := int(fed.Load())
+		if got := d.TaskStatuses()[gid].PostIndex; got < lo || got > hi {
+			t.Fatalf("post index %d outside [%d, %d]", got, lo, hi)
+		}
+	}
+}
+
 // TestMigrateTileMovesOpenTasksOnly: a migration re-homes the tile's open
 // tasks and nothing else. A settled task keeps its registry entry, so the
 // shard where it settled goes on listing it; retiring it there is still the

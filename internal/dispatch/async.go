@@ -20,8 +20,10 @@ type shardQueue struct {
 	mu       sync.Mutex
 	notFull  sync.Cond
 	notEmpty sync.Cond
+	drained  sync.Cond
 	buf      []model.Worker //ltc:arena
 	cap      int
+	inflight int // pushing or queued or being ingested; drained signals 0
 }
 
 // newShardQueue returns a queue without its buffer: ensureDrainers
@@ -30,6 +32,7 @@ func newShardQueue(capacity int) *shardQueue {
 	q := &shardQueue{cap: capacity}
 	q.notFull.L = &q.mu
 	q.notEmpty.L = &q.mu
+	q.drained.L = &q.mu
 	return q
 }
 
@@ -41,29 +44,28 @@ func (q *shardQueue) depth() int {
 	return n
 }
 
-// wakeAll wakes both sides of the queue for Close (both sides re-check
-// their exit condition under the mutex, so taking it here means no wake-up
-// can be lost).
-func (q *shardQueue) wakeAll() {
-	q.mu.Lock()
-	q.notFull.Broadcast()
-	q.notEmpty.Broadcast()
-	q.mu.Unlock()
+// retire takes n workers out of flight, waking Flush at 0. Caller holds mu.
+func (q *shardQueue) retire(n int) {
+	if q.inflight -= n; q.inflight == 0 {
+		q.drained.Broadcast()
+	}
 }
 
 // push enqueues one worker, blocking while the queue is full. It fails with
 // ErrClosed once the dispatcher closes; closed is checked first, so close
-// wins over a freed slot.
+// wins over a freed slot. The worker is in flight from entry, before any wait.
 //
 //ltc:noalloc
 func (q *shardQueue) push(d *Dispatcher, w model.Worker) error {
 	q.mu.Lock()
+	q.inflight++
 	for len(q.buf) == q.cap && !d.closed.Load() {
 		q.notFull.Wait()
 	}
 	var err error
 	if d.closed.Load() {
 		err = ErrClosed
+		q.retire(1)
 	} else {
 		q.buf = append(q.buf, w)
 		if len(q.buf) == 1 {
@@ -74,14 +76,15 @@ func (q *shardQueue) push(d *Dispatcher, w model.Worker) error {
 	return err
 }
 
-// pop blocks while the queue is empty and the dispatcher open, then hands
-// the drainer the entire backlog by swapping buffers: run, the drainer's
-// previous and fully ingested run, becomes the queue's empty buffer. An
-// empty result — the drainer's exit signal — means closed and empty.
+// pop retires run, the drainer's previous and fully ingested run, blocks
+// while the queue is empty and the dispatcher open, then hands the drainer
+// the entire backlog by swapping buffers: run becomes the queue's empty
+// buffer. An empty result — the drainer's exit signal — means closed and empty.
 //
 //ltc:noalloc
 func (q *shardQueue) pop(d *Dispatcher, run []model.Worker) []model.Worker {
 	q.mu.Lock()
+	q.retire(len(run))
 	for len(q.buf) == 0 && !d.closed.Load() {
 		q.notEmpty.Wait()
 	}
@@ -117,27 +120,23 @@ func (d *Dispatcher) CheckInAsync(w model.Worker) error {
 	// Routing (and the rebalancer's arrival forecast) happens at enqueue
 	// time; a tile migration between enqueue and drain leaves the worker
 	// draining at the old owner — a benign misroute, see MigrateTile.
-	q := d.queues[d.locate(w.Loc)]
-	d.pending.Add(1)
-	err := q.push(d, w)
-	if err != nil {
-		d.retirePending(1)
-	}
-	return err
+	return d.queues[d.locate(w.Loc)].push(d, w)
 }
 
 // Flush blocks until every worker enqueued by CheckInAsync before the call
 // has been fully ingested: its assignments are in the arrangement and all
 // counters (latency, progress, arrivals) reflect it, matching what the same
 // stream fed synchronously would have produced. It returns immediately when
-// the async path was never used; with concurrent enqueuers it waits for an
-// instant with no worker in flight.
+// the async path was never used; with concurrent enqueuers it waits, queue
+// by queue, for an instant with no worker in flight there.
 func (d *Dispatcher) Flush() {
-	d.flushMu.Lock()
-	for d.pending.Load() != 0 {
-		d.flushCond.Wait()
+	for _, q := range d.queues {
+		q.mu.Lock()
+		for q.inflight != 0 {
+			q.drained.Wait()
+		}
+		q.mu.Unlock()
 	}
-	d.flushMu.Unlock()
 }
 
 // Close shuts the asynchronous ingestion path down: new CheckInAsync calls
@@ -152,9 +151,13 @@ func (d *Dispatcher) Close() error {
 	d.asyncMu.Lock()
 	if !d.closed.Load() {
 		d.closed.Store(true)
-		// Blocked enqueuers bail out with ErrClosed, idle drainers exit.
+		// Blocked enqueuers bail out with ErrClosed, idle drainers exit; both
+		// re-check under the queue mutex, so taking it loses no wake-up.
 		for _, q := range d.queues {
-			q.wakeAll()
+			q.mu.Lock()
+			q.notFull.Broadcast()
+			q.notEmpty.Broadcast()
+			q.mu.Unlock()
 		}
 	}
 	d.asyncMu.Unlock()
@@ -203,17 +206,6 @@ func (d *Dispatcher) drainLoop(si int) {
 		if len(run) == 0 {
 			return
 		}
-		d.ingestRun(si, run, false, nil)
-		d.retirePending(len(run))
-	}
-}
-
-// retirePending marks n enqueued workers fully ingested (or refused by a
-// close), waking Flush when nothing is left in flight.
-func (d *Dispatcher) retirePending(n int) {
-	if d.pending.Add(int64(-n)) == 0 {
-		d.flushMu.Lock()
-		d.flushCond.Broadcast()
-		d.flushMu.Unlock()
+		d.ingestRun(si, run, false, nil) // pop retires the run
 	}
 }

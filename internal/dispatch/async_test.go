@@ -89,8 +89,8 @@ func stallFull(t *testing.T, d *Dispatcher, ws []model.Worker) int {
 // enqueue that returns instead of blocking fails the test. "Blocked" is read
 // off the goroutine dump: a goroutine parked in push's notFull.Wait has
 // joined the condition's notify list, so no later Broadcast can miss it.
-// Polling d.pending alone would leave the enqueue anywhere between its
-// pending count and the wait.
+// Polling the queue's in-flight count alone would leave the enqueue
+// anywhere between that count and the wait.
 func blockOne(t *testing.T, d *Dispatcher, w model.Worker) <-chan error {
 	t.Helper()
 	blocked := make(chan error, 1)
@@ -155,8 +155,12 @@ func TestAsyncCloseSemantics(t *testing.T) {
 
 	queued := stallFull(t, d, in.Workers)
 	blocked := blockOne(t, d, in.Workers[queued])
-	if got := d.pending.Load(); got != int64(queued+1) {
-		t.Fatalf("pending %d, want %d: the blocked enqueue is in flight", got, queued+1)
+	q := d.queues[0]
+	q.mu.Lock()
+	inflight := q.inflight
+	q.mu.Unlock()
+	if inflight != queued+1 {
+		t.Fatalf("in flight %d, want %d: the blocked enqueue is in flight", inflight, queued+1)
 	}
 
 	closed := make(chan struct{})

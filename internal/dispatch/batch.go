@@ -90,13 +90,11 @@ func (d *Dispatcher) CheckInBatchInto(ws []model.Worker, dst []Receipt) ([]Recei
 // out, when non-nil, must have len(run) slots; out[i] receives run[i]'s
 // Receipt, whose Assignments slice is carved from the shard arena and
 // caller-owned. The async drainers pass a nil out and skip the grant
-// carving entirely. The shared words other threads read mid-run — the arrival
-// clock anchoring PostTask indices and the live-task countdown behind Done
-// — are updated per worker, so a long run never publishes stale values, and
-// they are the only shared words a run writes: latency and the arrival count
-// stay in the shard's own ledger and routed count, where the accessors fold
-// them from. Lifecycle events collected during the run are published after
-// the shard mutex is released.
+// carving entirely. The shard's arrival clock and the live-task countdown
+// behind Done are updated per worker, so a long run never publishes stale
+// values; it and the resolved count, written on a completion only, are the
+// dispatcher-wide words a run writes. Lifecycle events collected during the
+// run are published after the shard mutex is released.
 //
 //ltc:noalloc
 func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []Receipt) (consumed int) {
@@ -120,7 +118,7 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 		w := run[i]
 		consumed++
 		s.routed++
-		atomicMax(&d.maxSeen, int64(w.Index))
+		s.clock.Store(max(s.clock.Load(), int64(w.Index)))
 		if s.eng.Done() {
 			// The shard has no open tasks: the worker is consumed as a
 			// bounced arrival (CheckIn's empty receipt).

@@ -45,8 +45,8 @@ func TestCheckInBatchTruncatesAtDone(t *testing.T) {
 	if got := d.Arrived(); got != len(out) {
 		t.Fatalf("arrived %d, want %d (unconsumed workers must not count)", got, len(out))
 	}
-	clock := d.maxSeen.Load()
-	if int(clock) != len(out) {
+	clock := d.arrivalClock()
+	if clock != len(out) {
 		t.Fatalf("arrival clock %d, want %d", clock, len(out))
 	}
 
@@ -55,7 +55,7 @@ func TestCheckInBatchTruncatesAtDone(t *testing.T) {
 	if out2, err := d.CheckInBatch(rest); !errors.Is(err, ErrDone) || len(out2) != 0 {
 		t.Fatalf("done-platform batch = %d results, err %v", len(out2), err)
 	}
-	if d.maxSeen.Load() != clock {
+	if d.arrivalClock() != clock {
 		t.Fatal("done-platform batch ticked the arrival clock")
 	}
 

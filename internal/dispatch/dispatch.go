@@ -115,9 +115,12 @@ const maxLoadSample = 4096
 // in global terms, and index-sensitive accuracy models stay correct.
 type shard struct {
 	//ltc:lock shard[i]
-	mu  sync.Mutex
-	eng *core.Engine
-	sub *model.SubInstance
+	mu sync.Mutex
+	// clock is the largest worker index the shard consumed. Written under mu
+	// only; PostTask folds it into the arrival clock without the mutex.
+	clock atomic.Int64
+	eng   *core.Engine
+	sub   *model.SubInstance
 	// arena carves the TaskGrant slices handed out in Receipts, so the
 	// per-check-in grant cost is one amortized block allocation instead of
 	// one make per call. Guarded by mu like the rest of the shard.
@@ -152,10 +155,11 @@ type Dispatcher struct {
 	remaining atomic.Int64 // live tasks not yet at δ, across all shards
 	resolved  atomic.Int64 // tasks that reached δ or were retired open
 	total     atomic.Int64 // tasks ever posted (initial + PostTask)
-	maxSeen   atomic.Int64 // arrival clock: largest worker index seen (incl. bounced)
 	// bounced counts the check-ins CheckIn turned away at the front door of a
-	// complete platform — the only arrivals no shard's routed count holds.
-	bounced atomic.Int64
+	// complete platform — the only arrivals no shard's routed count holds —
+	// and bounceClock the largest index among them, which no shard clock holds.
+	bounced     atomic.Int64
+	bounceClock atomic.Int64
 
 	// regMu guards records, the global TaskID → (shard, local) registry.
 	// Lock order: regMu before a shard mutex, never the reverse; CheckIn
@@ -182,12 +186,6 @@ type Dispatcher struct {
 	started atomic.Bool
 	closed  atomic.Bool
 	drainWG sync.WaitGroup
-	pending atomic.Int64 // workers enqueued but not yet fully ingested
-	// flushMu only ever guards the flushCond wait/signal handshake — nothing
-	// nests under it, so it is a leaf like the event bus lock.
-	//ltc:lock leaf
-	flushMu   sync.Mutex
-	flushCond *sync.Cond
 }
 
 // New partitions the instance into up to nShards spatial shards and binds a
@@ -227,7 +225,6 @@ func New(in *model.Instance, nShards int, factory core.OnlineFactory, opts ...Op
 		return nil, err
 	}
 	d := &Dispatcher{part: part, shards: make([]*shard, part.NumShards()), bus: events.NewBus()}
-	d.flushCond = sync.NewCond(&d.flushMu)
 	d.queues = make([]*shardQueue, part.NumShards())
 	for i := range d.queues {
 		d.queues[i] = newShardQueue(o.QueueCap)
@@ -296,7 +293,7 @@ func (d *Dispatcher) CheckIn(w model.Worker) (Receipt, error) {
 		// anchor to the largest worker index seen, in the same unit as
 		// Latency, and must keep advancing even while the platform is
 		// momentarily complete — a later PostTask can revive it.
-		atomicMax(&d.maxSeen, int64(w.Index))
+		atomicMax(&d.bounceClock, int64(w.Index))
 		d.bounced.Add(1)
 		d.noteArrived(1)
 		return Receipt{Worker: w.Index, Shard: -1, Done: true}, ErrDone
@@ -325,6 +322,16 @@ func atomicMax(v *atomic.Int64, x int64) {
 	}
 }
 
+// arrivalClock is the largest worker index seen so far, bounces included:
+// a fold of monotone clocks, exact for a sequential feed.
+func (d *Dispatcher) arrivalClock() int {
+	clock := d.bounceClock.Load()
+	for _, s := range d.shards {
+		clock = max(clock, s.clock.Load())
+	}
+	return int(clock)
+}
+
 // PostTask adds a task to the live platform and returns its global TaskID
 // (dense, in post order after the initial set). The task is owned by the
 // shard its location routes to — the same shard every worker at that
@@ -338,7 +345,7 @@ func (d *Dispatcher) PostTask(t model.Task) (model.TaskID, error) {
 	gid := model.TaskID(len(d.records))
 	si := d.part.Locate(t.Loc)
 	s := d.shards[si]
-	post := int(d.maxSeen.Load())
+	post := d.arrivalClock()
 
 	s.mu.Lock()
 	local := s.sub.AppendTask(model.Task{ID: gid, Loc: t.Loc})

@@ -1,6 +1,7 @@
 package ltc
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -53,6 +54,19 @@ var (
 	// ErrPlatformClosed is returned by CheckInAsync after Close.
 	ErrPlatformClosed = dispatch.ErrClosed
 )
+
+// errCheckInDone is ErrPlatformDone as the check-in front doors return it,
+// wrapped once here so that a bounce off a complete platform allocates
+// nothing.
+var errCheckInDone = fmt.Errorf("ltc: %w", ErrPlatformDone)
+
+// checkInErr wraps a dispatcher check-in error for the ltc surface.
+func checkInErr(err error) error {
+	if errors.Is(err, ErrPlatformDone) {
+		return errCheckInDone
+	}
+	return fmt.Errorf("ltc: %w", err)
+}
 
 // DefaultEventBuffer is the per-subscriber event buffer capacity used by
 // Subscribe when WithEventBuffer was not given.
@@ -157,7 +171,7 @@ func NewPlatform(in *Instance, algo Algorithm, opts ...Option) (*Platform, error
 func (p *Platform) CheckIn(w Worker) (Receipt, error) {
 	r, err := p.d.CheckIn(w)
 	if err != nil {
-		return r, fmt.Errorf("ltc: %w", err)
+		return r, checkInErr(err)
 	}
 	return r, nil
 }
@@ -174,7 +188,7 @@ func (p *Platform) CheckIn(w Worker) (Receipt, error) {
 func (p *Platform) CheckInBatch(ws []Worker) ([]Receipt, error) {
 	out, err := p.d.CheckInBatch(ws)
 	if err != nil {
-		return out, fmt.Errorf("ltc: %w", err)
+		return out, checkInErr(err)
 	}
 	return out, nil
 }
@@ -188,7 +202,7 @@ func (p *Platform) CheckInBatch(ws []Worker) ([]Receipt, error) {
 func (p *Platform) CheckInBatchInto(ws []Worker, dst []Receipt) ([]Receipt, error) {
 	out, err := p.d.CheckInBatchInto(ws, dst)
 	if err != nil {
-		return out, fmt.Errorf("ltc: %w", err)
+		return out, checkInErr(err)
 	}
 	return out, nil
 }

@@ -290,6 +290,42 @@ func TestPlatformCheckInErrors(t *testing.T) {
 	}
 }
 
+// TestPlatformBounceAllocatesNothing: a check-in bounced off a complete
+// platform returns a pre-wrapped ErrPlatformDone — same text, same
+// errors.Is — without allocating, on every check-in front door.
+func TestPlatformBounceAllocatesNothing(t *testing.T) {
+	in := tinyInstance(t)
+	plat, err := NewPlatform(in, LAF, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range in.Workers {
+		if plat.Done() {
+			break
+		}
+		if _, err := plat.CheckIn(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := Worker{Index: 99999, Acc: 0.9}
+	ws := []Worker{w}
+	dst := make([]Receipt, 0, 1)
+	bounces := map[string]func() error{
+		"CheckIn":          func() error { _, err := plat.CheckIn(w); return err },
+		"CheckInBatch":     func() error { _, err := plat.CheckInBatch(ws); return err },
+		"CheckInBatchInto": func() error { _, err := plat.CheckInBatchInto(ws, dst[:0]); return err },
+	}
+	for name, bounce := range bounces {
+		err := bounce()
+		if !errors.Is(err, ErrPlatformDone) || err.Error() != "ltc: "+ErrPlatformDone.Error() {
+			t.Fatalf("%s: err = %v, want ErrPlatformDone wrapped as ltc: …", name, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = bounces["CheckIn"]() }); n != 0 {
+		t.Fatalf("bounced CheckIn allocates %v times, want 0", n)
+	}
+}
+
 // TestArrangementRepeatedIndexMatchesCredits: a repeated arrival index (a
 // client retry) must not distort the merged arrangement. Arrangement used to
 // re-derive each pair's credit through a last-write-wins index→worker map,
