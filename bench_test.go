@@ -152,27 +152,6 @@ func BenchmarkAblationMCFBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSSPAAugment compares bottleneck augmentation against
-// unit-flow augmentation inside MCF-LTC's SSPA (identical arrangements,
-// different augmentation counts).
-func BenchmarkAblationSSPAAugment(b *testing.B) {
-	for _, u := range []struct {
-		name string
-		unit bool
-	}{{"Bottleneck", false}, {"UnitFlow", true}} {
-		b.Run(u.name, func(b *testing.B) {
-			in, ci := benchInstance(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RunOffline(in, ci, &core.MCFLTC{UnitAugment: u.unit}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSSPAEngine compares the Dijkstra-with-potentials engine
 // against the SPFA reference engine.
 func BenchmarkAblationSSPAEngine(b *testing.B) {

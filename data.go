@@ -54,8 +54,8 @@ const (
 	ScenarioSparseFrontier = workload.ScenarioSparseFrontier
 )
 
-// NewScenario returns a scenario of the given kind over base with default
-// knobs; see the workload package for the tunables.
+// NewScenario returns a scenario of the given kind over base. Each kind's
+// shape is fixed; the workload package documents it.
 func NewScenario(kind string, base WorkloadConfig) (Scenario, error) {
 	return workload.NewScenario(kind, base)
 }
@@ -133,7 +133,7 @@ func VerifyQuality(in *Instance, arr *Arrangement, trials int, seed uint64) Qual
 func InferTruthEM(in *Instance, arr *Arrangement, seed uint64) (labels, truth []Label, answered []bool, err error) {
 	sim := voting.NewSimulator(in, seed)
 	answers := sim.Collect(arr)
-	em, err := voting.EMInference(len(in.Tasks), answers, voting.EMOptions{})
+	em, err := voting.EMInference(len(in.Tasks), answers)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -39,18 +39,11 @@ type CityConfig struct {
 	// are scattered before the convex-hull/feasibility filter picks tasks.
 	NumUsers int
 	NumPOIs  int
-	// NumClusters district centres; ClusterStd is the Gaussian spread of
-	// POIs and homes around their centre, in grid units.
+	// NumClusters district centres.
 	NumClusters int
-	ClusterStd  float64
 	// Grid extents in 10 m units.
 	GridWidth  float64
 	GridHeight float64
-	// PrefMin/PrefMax bound each user's activity radius (grid units).
-	PrefMin float64
-	PrefMax float64
-	// ZipfS is the user-activity skew exponent (weight ∝ 1/rank^s).
-	ZipfS float64
 	// LTC parameters (Table V: K = 6, ε swept, dmax = 30).
 	K       int
 	Epsilon float64
@@ -59,19 +52,32 @@ type CityConfig struct {
 	// AccMean/AccStd parameterise the Normal historical accuracy.
 	AccMean float64
 	AccStd  float64
-	// FeasibilityHeadroom and MaxFeasibilityHeadroom bound each task POI's
-	// nearby eligible-worker credit to [min, max] × δ (defaults 2 and 6
-	// when zero). The lower bound keeps tasks completable with headroom;
-	// the upper bound excludes hotspot-core POIs — the platform
-	// crowdsources facts about places it lacks data on, and those are the
-	// less-visited POIs. The band also reproduces the paper's evaluation
-	// regime, where completing all tasks consumes most of the worker
-	// stream and scarce tasks contend for the same workers (that
-	// contention is exactly where the algorithms differ).
-	FeasibilityHeadroom    float64
-	MaxFeasibilityHeadroom float64
-	Seed                   uint64
+	Seed    uint64
 }
+
+// The trace's shape, shared by both Table V presets.
+const (
+	// clusterStd is the Gaussian spread of POIs around their district
+	// centre, in grid units.
+	clusterStd = 60
+	// prefMin and prefMax bound each user's activity radius: the
+	// [100 m, 500 m] POI-familiarity range of Yang et al. [17], in grid
+	// units.
+	prefMin, prefMax = 10, 50
+	// zipfS is the user- and district-activity skew exponent
+	// (weight ∝ 1/rank^s).
+	zipfS = 1.0
+	// minHeadroom and maxHeadroom bound each task POI's nearby
+	// eligible-worker credit to [min, max] × δ. The lower bound keeps
+	// tasks completable with headroom; the upper bound excludes
+	// hotspot-core POIs — the platform crowdsources facts about places it
+	// lacks data on, and those are the less-visited POIs. The band also
+	// reproduces the paper's evaluation regime, where completing all tasks
+	// consumes most of the worker stream and scarce tasks contend for the
+	// same workers (that contention is exactly where the algorithms
+	// differ).
+	minHeadroom, maxHeadroom = 2, 6
+)
 
 // NewYork returns the Table V New York preset: 3,717 tasks from 227,428
 // check-ins, on a ~20 km × 20 km grid.
@@ -83,22 +89,15 @@ func NewYork() CityConfig {
 		NumUsers:    25000,
 		NumPOIs:     20000,
 		NumClusters: 40,
-		ClusterStd:  60,
 		GridWidth:   2000,
 		GridHeight:  2000,
-		PrefMin:     10,
-		PrefMax:     50,
-		ZipfS:       1.0,
 		K:           6,
 		Epsilon:     0.10,
 		DMax:        30,
 		MinAcc:      0.5, // eligibility radius = dmax exactly; see README "Design notes"
 		AccMean:     0.86,
 		AccStd:      0.05,
-
-		FeasibilityHeadroom:    2,
-		MaxFeasibilityHeadroom: 6,
-		Seed:                   20180416, // ICDE'18 conference start date
+		Seed:        20180416, // ICDE'18 conference start date
 	}
 }
 
@@ -163,10 +162,8 @@ func (c CityConfig) Validate() error {
 		return fmt.Errorf("%w: counts must be positive", ErrBadConfig)
 	case c.NumPOIs < c.NumTasks:
 		return fmt.Errorf("%w: POI pool (%d) smaller than task count (%d)", ErrBadConfig, c.NumPOIs, c.NumTasks)
-	case c.GridWidth <= 0, c.GridHeight <= 0, c.ClusterStd <= 0:
+	case c.GridWidth <= 0, c.GridHeight <= 0:
 		return fmt.Errorf("%w: geometry must be positive", ErrBadConfig)
-	case c.PrefMin <= 0, c.PrefMax < c.PrefMin:
-		return fmt.Errorf("%w: preference radius range invalid", ErrBadConfig)
 	case c.K <= 0:
 		return fmt.Errorf("%w: capacity", ErrBadConfig)
 	case c.Epsilon <= 0 || c.Epsilon >= 1:
@@ -225,7 +222,7 @@ func Generate(c CityConfig) (*Trace, error) {
 
 	// District centres, kept away from the border so their POI clouds stay
 	// mostly on-grid.
-	margin := math.Min(c.ClusterStd, math.Min(c.GridWidth, c.GridHeight)/4)
+	margin := math.Min(clusterStd, math.Min(c.GridWidth, c.GridHeight)/4)
 	centers := make([]geo.Point, c.NumClusters)
 	for i := range centers {
 		centers[i] = geo.Point{
@@ -234,17 +231,17 @@ func Generate(c CityConfig) (*Trace, error) {
 		}
 	}
 	// Cluster popularity is itself skewed: downtown districts dominate.
-	clusterCum := zipfCumulative(c.NumClusters, c.ZipfS)
+	clusterCum := zipfCumulative(c.NumClusters, zipfS)
 
 	pois := make([]geo.Point, c.NumPOIs)
 	for i := range pois {
 		ctr := centers[sampleCumulative(clusterCum, poiRng)]
 		pois[i] = c.clampToGrid(geo.Point{
-			X: ctr.X + poiRng.NormFloat64()*c.ClusterStd,
-			Y: ctr.Y + poiRng.NormFloat64()*c.ClusterStd,
+			X: ctr.X + poiRng.NormFloat64()*clusterStd,
+			Y: ctr.Y + poiRng.NormFloat64()*clusterStd,
 		})
 	}
-	poiGrid := geo.NewGridIndex(pois, math.Max(c.PrefMax, 1))
+	poiGrid := geo.NewGridIndex(pois, prefMax)
 
 	// Users anchor at a POI (their home neighbourhood) and only ever visit
 	// POIs within their preference radius of it — check-ins happen AT
@@ -255,7 +252,7 @@ func Generate(c CityConfig) (*Trace, error) {
 	for i := range users {
 		homePOI := int32(userRng.IntN(c.NumPOIs))
 		home := pois[homePOI]
-		pref := c.PrefMin + userRng.Float64()*(c.PrefMax-c.PrefMin)
+		pref := prefMin + userRng.Float64()*(prefMax-prefMin)
 		visits := poiGrid.Within(home, pref, nil)
 		if len(visits) == 0 {
 			visits = []int32{homePOI}
@@ -269,7 +266,7 @@ func Generate(c CityConfig) (*Trace, error) {
 		}
 		visitSets[i] = visits
 	}
-	userCum := zipfCumulative(c.NumUsers, c.ZipfS)
+	userCum := zipfCumulative(c.NumUsers, zipfS)
 
 	checkins := make([]Checkin, c.NumCheckins)
 	workers := make([]model.Worker, c.NumCheckins)
@@ -297,17 +294,9 @@ func Generate(c CityConfig) (*Trace, error) {
 	accModel := model.SigmoidDistance{DMax: c.DMax}
 	radius := accModel.EligibilityRadius(c.MinAcc)
 	widx := geo.NewGridIndex(workerPts, math.Max(radius, 1))
-	minHead := c.FeasibilityHeadroom
-	if minHead <= 0 {
-		minHead = 2
-	}
-	maxHead := c.MaxFeasibilityHeadroom
-	if maxHead <= 0 {
-		maxHead = 6
-	}
 	delta := model.Delta(c.Epsilon)
-	minCredit := minHead * delta
-	maxCredit := maxHead * delta
+	minCredit := minHeadroom * delta
+	maxCredit := maxHeadroom * delta
 	type scoredPOI struct {
 		idx    int
 		credit float64

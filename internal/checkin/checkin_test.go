@@ -27,9 +27,6 @@ func TestPresetsMatchTableV(t *testing.T) {
 		if c.K != 6 || c.AccMean != 0.86 || c.AccStd != 0.05 {
 			t.Fatalf("%s: K/accuracy deviate from Table V: %+v", c.Name, c)
 		}
-		if c.PrefMin != 10 || c.PrefMax != 50 {
-			t.Fatalf("%s: preference radius must span [10, 50] grid units", c.Name)
-		}
 		if err := c.Validate(); err != nil {
 			t.Fatalf("%s preset invalid: %v", c.Name, err)
 		}
@@ -209,9 +206,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *CityConfig) { c.NumTasks = 0 },
 		func(c *CityConfig) { c.NumPOIs = c.NumTasks - 1 },
 		func(c *CityConfig) { c.GridWidth = 0 },
-		func(c *CityConfig) { c.ClusterStd = 0 },
-		func(c *CityConfig) { c.PrefMin = 0 },
-		func(c *CityConfig) { c.PrefMax = c.PrefMin - 1 },
 		func(c *CityConfig) { c.K = 0 },
 		func(c *CityConfig) { c.Epsilon = 1 },
 		func(c *CityConfig) { c.AccMean = 0.2 },

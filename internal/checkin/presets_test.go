@@ -41,11 +41,6 @@ func TestTableVPresets(t *testing.T) {
 			if c.AccMean != 0.86 || c.AccStd != 0.05 {
 				t.Errorf("accuracy %v±%v, want 0.86±0.05", c.AccMean, c.AccStd)
 			}
-			// The POI-familiarity activity radius of Yang et al. [17]:
-			// [100 m, 500 m] = [10, 50] grid units.
-			if c.PrefMin != 10 || c.PrefMax != 50 {
-				t.Errorf("preference radius [%v, %v], want [10, 50]", c.PrefMin, c.PrefMax)
-			}
 			if c.MinAcc != 0.5 {
 				t.Errorf("MinAcc %v, want 0.5", c.MinAcc)
 			}

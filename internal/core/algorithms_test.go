@@ -349,25 +349,6 @@ func TestMCFEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestMCFUnitAugmentSameResult: unit augmentation changes only the work per
-// augmentation, not the optimum.
-func TestMCFUnitAugmentSameResult(t *testing.T) {
-	rng := stats.NewRand(8008)
-	in := randomInstance(rng, 4, 60, 2, 0.2)
-	ci := model.NewCandidateIndex(in)
-	a, err := RunOffline(in, ci, &MCFLTC{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOffline(in, ci, &MCFLTC{UnitAugment: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Latency != b.Latency {
-		t.Fatalf("bottleneck %d vs unit %d", a.Latency, b.Latency)
-	}
-}
-
 // TestMCFBatchMultiplier: the ablation knob must keep arrangements valid;
 // smaller batches emulate a more online-like MCF.
 func TestMCFBatchMultiplier(t *testing.T) {

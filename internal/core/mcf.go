@@ -23,8 +23,6 @@ type MCFLTC struct {
 	BatchMultiplier float64
 	// Engine selects the SSPA shortest-path engine (default Dijkstra).
 	Engine flow.Engine
-	// UnitAugment forces unit augmentations in SSPA (ablation).
-	UnitAugment bool
 }
 
 // Name implements Offline.
@@ -144,7 +142,7 @@ func (m *MCFLTC) solveBatch(
 		g.AddEdge(taskNode[tid], sink, demand, 0)
 	}
 
-	if _, err := g.MinCostFlow(0, sink, flow.Options{Engine: m.Engine, UnitAugment: m.UnitAugment}); err != nil {
+	if _, err := g.MinCostFlow(0, sink, m.Engine); err != nil {
 		return err
 	}
 

@@ -14,8 +14,7 @@
 //   - SPFA (Bellman–Ford queue variant) per augmentation: slower but
 //     independent, used to cross-validate the default engine in tests.
 //
-// Augmentations send the bottleneck capacity of the shortest path by
-// default; unit augmentation is available for the ablation benchmarks.
+// Each augmentation sends the bottleneck capacity of the shortest path.
 package flow
 
 import (
@@ -99,21 +98,10 @@ const (
 	EngineSPFA
 )
 
-// Options tunes MinCostFlow.
-type Options struct {
-	Engine Engine
-	// UnitAugment forces one unit of flow per augmentation instead of the
-	// path bottleneck. Exposed for the SSPA ablation benchmark.
-	UnitAugment bool
-	// MaxFlow caps the total flow sent; 0 means "as much as possible".
-	MaxFlow int32
-}
-
 // Result reports the outcome of a min-cost-flow computation.
 type Result struct {
-	Flow          int32
-	Cost          float64
-	Augmentations int
+	Flow int32
+	Cost float64
 }
 
 // ErrNegativeCycle is returned when the residual network contains a
@@ -122,36 +110,28 @@ type Result struct {
 var ErrNegativeCycle = errors.New("flow: negative-cost cycle detected")
 
 // MinCostMaxFlow routes the maximum feasible flow from s to t at minimum
-// total cost using SSPA with the default options.
+// total cost using SSPA on the default engine.
 func (g *Network) MinCostMaxFlow(s, t int) (Result, error) {
-	return g.MinCostFlow(s, t, Options{})
+	return g.MinCostFlow(s, t, EngineDijkstra)
 }
 
-// MinCostFlow routes flow from s to t per opts. Successive shortest paths
-// guarantee that, at every intermediate step, the routed flow has minimum
-// cost among all flows of that value, so capping MaxFlow yields the
-// cheapest flow of that size.
-func (g *Network) MinCostFlow(s, t int, opts Options) (Result, error) {
+// MinCostFlow routes the maximum feasible flow from s to t at minimum total
+// cost using SSPA on the given engine.
+func (g *Network) MinCostFlow(s, t int, engine Engine) (Result, error) {
 	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes {
 		panic("flow: source/sink out of range")
 	}
 	if s == t {
 		return Result{}, nil
 	}
-	limit := opts.MaxFlow
-	if limit <= 0 {
-		limit = math.MaxInt32
+	if engine == EngineSPFA {
+		return g.sspaSPFA(s, t)
 	}
-	switch opts.Engine {
-	case EngineSPFA:
-		return g.sspaSPFA(s, t, limit, opts.UnitAugment)
-	default:
-		return g.sspaDijkstra(s, t, limit, opts.UnitAugment)
-	}
+	return g.sspaDijkstra(s, t)
 }
 
 // sspaDijkstra is SSPA with Johnson potentials.
-func (g *Network) sspaDijkstra(s, t int, limit int32, unit bool) (Result, error) {
+func (g *Network) sspaDijkstra(s, t int) (Result, error) {
 	pot := make([]float64, g.numNodes)
 	if g.hasNegativeCost() {
 		var err error
@@ -165,7 +145,7 @@ func (g *Network) sspaDijkstra(s, t int, limit int32, unit bool) (Result, error)
 	heap := pqueue.NewIndexedMinHeap(g.numNodes)
 
 	var res Result
-	for res.Flow < limit {
+	for {
 		// Dijkstra on reduced costs.
 		for i := range dist {
 			dist[i] = math.Inf(1)
@@ -209,22 +189,21 @@ func (g *Network) sspaDijkstra(s, t int, limit int32, unit bool) (Result, error)
 				pot[v] += dist[v]
 			}
 		}
-		res.Flow, res.Cost = g.augment(s, t, prevEdge, limit, unit, res.Flow, res.Cost)
-		res.Augmentations++
+		g.augment(s, t, prevEdge, &res)
 	}
 	return res, nil
 }
 
 // sspaSPFA is SSPA recomputing exact shortest paths each round with a
 // queue-based Bellman-Ford. Handles negative residual costs natively.
-func (g *Network) sspaSPFA(s, t int, limit int32, unit bool) (Result, error) {
+func (g *Network) sspaSPFA(s, t int) (Result, error) {
 	dist := make([]float64, g.numNodes)
 	prevEdge := make([]int32, g.numNodes)
 	inQueue := make([]bool, g.numNodes)
 	relaxes := make([]int32, g.numNodes)
 
 	var res Result
-	for res.Flow < limit {
+	for {
 		for i := range dist {
 			dist[i] = math.Inf(1)
 			prevEdge[i] = -1
@@ -261,16 +240,15 @@ func (g *Network) sspaSPFA(s, t int, limit int32, unit bool) (Result, error) {
 		if math.IsInf(dist[t], 1) {
 			break
 		}
-		res.Flow, res.Cost = g.augment(s, t, prevEdge, limit, unit, res.Flow, res.Cost)
-		res.Augmentations++
+		g.augment(s, t, prevEdge, &res)
 	}
 	return res, nil
 }
 
-// augment pushes flow along the path encoded in prevEdge and returns the
-// updated totals.
-func (g *Network) augment(s, t int, prevEdge []int32, limit int32, unit bool, flow int32, cost float64) (int32, float64) {
-	bottleneck := limit - flow
+// augment pushes the path's bottleneck along the path encoded in prevEdge
+// and adds it to res.
+func (g *Network) augment(s, t int, prevEdge []int32, res *Result) {
+	bottleneck := int32(math.MaxInt32)
 	for v := t; v != s; {
 		e := prevEdge[v]
 		if g.capa[e] < bottleneck {
@@ -278,17 +256,14 @@ func (g *Network) augment(s, t int, prevEdge []int32, limit int32, unit bool, fl
 		}
 		v = int(g.to[e^1])
 	}
-	if unit && bottleneck > 1 {
-		bottleneck = 1
-	}
 	for v := t; v != s; {
 		e := prevEdge[v]
 		g.capa[e] -= bottleneck
 		g.capa[e^1] += bottleneck
-		cost += g.cost[e] * float64(bottleneck)
+		res.Cost += g.cost[e] * float64(bottleneck)
 		v = int(g.to[e^1])
 	}
-	return flow + bottleneck, cost
+	res.Flow += bottleneck
 }
 
 func (g *Network) hasNegativeCost() bool {

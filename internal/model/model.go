@@ -204,15 +204,37 @@ var (
 	ErrBadTaskRef   = errors.New("model: assignment references unknown task")
 )
 
-// Validate checks the structural invariants of the instance: non-empty task
-// and worker sets, ε ∈ (0,1), K ≥ 1, consecutive task IDs, workers sorted by
-// arrival index 1..n with accuracies in [SpamThreshold, 1].
+// Validate checks the structural invariants of the instance: everything
+// ValidateStreaming checks, plus a non-empty worker set sorted by arrival
+// index 1..n with accuracies in [SpamThreshold, 1].
 func (in *Instance) Validate() error {
-	if len(in.Tasks) == 0 {
-		return ErrNoTasks
+	if err := in.ValidateStreaming(); err != nil {
+		return err
 	}
 	if len(in.Workers) == 0 {
 		return ErrNoWorkers
+	}
+	for i, w := range in.Workers {
+		if w.Index != i+1 {
+			return fmt.Errorf("%w: position %d has index %d", ErrWorkerOrder, i, w.Index)
+		}
+		if w.Acc < 0 || w.Acc > 1 {
+			return fmt.Errorf("%w: worker %d has p=%v", ErrAccuracyOOB, w.Index, w.Acc)
+		}
+		if w.Acc < SpamThreshold {
+			return fmt.Errorf("%w: worker %d has p=%v < %v", ErrSpamWorker, w.Index, w.Acc, SpamThreshold)
+		}
+	}
+	return nil
+}
+
+// ValidateStreaming checks the instance fields the streaming APIs (Session,
+// the sharded dispatch layer) need: a non-empty task set with consecutive
+// IDs from 0 and finite locations, ε ∈ (0,1), K ≥ 1, a model and MinAcc ∈
+// [0,1). Workers may be empty — they are supplied at check-in time.
+func (in *Instance) ValidateStreaming() error {
+	if len(in.Tasks) == 0 {
+		return ErrNoTasks
 	}
 	if in.Epsilon <= 0 || in.Epsilon >= 1 {
 		return ErrBadEpsilon
@@ -230,39 +252,6 @@ func (in *Instance) Validate() error {
 		if int(t.ID) != i {
 			return fmt.Errorf("%w: position %d has ID %d", ErrTaskIDs, i, t.ID)
 		}
-	}
-	if err := in.validateTaskLocations(); err != nil {
-		return err
-	}
-	for i, w := range in.Workers {
-		if w.Index != i+1 {
-			return fmt.Errorf("%w: position %d has index %d", ErrWorkerOrder, i, w.Index)
-		}
-		if w.Acc < 0 || w.Acc > 1 {
-			return fmt.Errorf("%w: worker %d has p=%v", ErrAccuracyOOB, w.Index, w.Acc)
-		}
-		if w.Acc < SpamThreshold {
-			return fmt.Errorf("%w: worker %d has p=%v < %v", ErrSpamWorker, w.Index, w.Acc, SpamThreshold)
-		}
-	}
-	return nil
-}
-
-// ValidateStreaming checks the instance fields the streaming APIs (Session,
-// the sharded dispatch layer) need: Tasks, Model, K and Epsilon must be
-// set. Workers may be empty — they are supplied at check-in time.
-func (in *Instance) ValidateStreaming() error {
-	if len(in.Tasks) == 0 {
-		return ErrNoTasks
-	}
-	if in.Model == nil {
-		return ErrNoModel
-	}
-	if in.K <= 0 {
-		return ErrBadCapacity
-	}
-	if in.Epsilon <= 0 || in.Epsilon >= 1 {
-		return ErrBadEpsilon
 	}
 	return in.validateTaskLocations()
 }

@@ -45,14 +45,13 @@ type EMResult struct {
 	Iterations int
 }
 
-// EMOptions tunes EMInference. The zero value uses the defaults.
-type EMOptions struct {
-	// MaxIterations bounds the EM loop (default 50).
-	MaxIterations int
-	// Smoothing is the Laplace pseudo-count applied to worker accuracy
-	// estimates (default 1), keeping them off the 0/1 boundary.
-	Smoothing float64
-}
+const (
+	// emMaxIterations bounds the EM loop.
+	emMaxIterations = 50
+	// emSmoothing is the Laplace pseudo-count applied to worker accuracy
+	// estimates, keeping them off the 0/1 boundary.
+	emSmoothing = 1.0
+)
 
 // ErrNoData is returned by EMInference when there are no answers at all.
 var ErrNoData = errors.New("voting: no answers to infer from")
@@ -67,15 +66,9 @@ var ErrNoData = errors.New("voting: no answers to infer from")
 // Unlike Aggregate, EMInference uses no predicted accuracies — it recovers
 // reliabilities from the answers alone, which is what a platform without
 // historical data would run.
-func EMInference(numTasks int, answers []Answer, opts EMOptions) (*EMResult, error) {
+func EMInference(numTasks int, answers []Answer) (*EMResult, error) {
 	if len(answers) == 0 {
 		return nil, ErrNoData
-	}
-	if opts.MaxIterations <= 0 {
-		opts.MaxIterations = 50
-	}
-	if opts.Smoothing <= 0 {
-		opts.Smoothing = 1
 	}
 
 	byWorker := map[int][]Answer{}
@@ -87,12 +80,12 @@ func EMInference(numTasks int, answers []Answer, opts EMOptions) (*EMResult, err
 	acc := make(map[int]float64, len(byWorker))
 	res := &EMResult{}
 
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < emMaxIterations; iter++ {
 		res.Iterations = iter + 1
 
 		// M-step: worker accuracy = smoothed agreement with labels.
 		for w, as := range byWorker {
-			agree, total := opts.Smoothing, 2*opts.Smoothing
+			agree, total := emSmoothing, 2*emSmoothing
 			for _, a := range as {
 				if labels[a.Task] == 0 {
 					continue

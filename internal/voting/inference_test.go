@@ -33,7 +33,7 @@ func TestMajorityVoteTieGoesYes(t *testing.T) {
 }
 
 func TestEMInferenceNoData(t *testing.T) {
-	if _, err := EMInference(3, nil, EMOptions{}); !errors.Is(err, ErrNoData) {
+	if _, err := EMInference(3, nil); !errors.Is(err, ErrNoData) {
 		t.Fatalf("err = %v, want ErrNoData", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestEMBeatsMajorityWithHeterogeneousWorkers(t *testing.T) {
 	answers := heterogeneousAnswers(numTasks, truth, accs, 6)
 
 	maj := MajorityVote(numTasks, answers)
-	em, err := EMInference(numTasks, answers, EMOptions{})
+	em, err := EMInference(numTasks, answers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestEMRecoversWorkerAccuracy(t *testing.T) {
 	truth := makeTruth(numTasks, 9)
 	accs := []float64{0.95, 0.95, 0.90, 0.50, 0.50}
 	answers := heterogeneousAnswers(numTasks, truth, accs, 10)
-	em, err := EMInference(numTasks, answers, EMOptions{})
+	em, err := EMInference(numTasks, answers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +125,18 @@ func TestEMConverges(t *testing.T) {
 	const numTasks = 50
 	truth := makeTruth(numTasks, 11)
 	answers := heterogeneousAnswers(numTasks, truth, []float64{0.9, 0.8, 0.7}, 12)
-	em, err := EMInference(numTasks, answers, EMOptions{MaxIterations: 50})
+	em, err := EMInference(numTasks, answers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if em.Iterations >= 50 {
+	if em.Iterations >= emMaxIterations {
 		t.Fatalf("EM did not converge (%d iterations)", em.Iterations)
 	}
 }
 
 func TestEMUnansweredTasksStayZero(t *testing.T) {
 	answers := []Answer{{Worker: 1, Task: 0, Value: Yes}}
-	em, err := EMInference(3, answers, EMOptions{})
+	em, err := EMInference(3, answers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestEMvsWeightedAggregateOnModelAnswers(t *testing.T) {
 	sim := NewSimulator(in, 33)
 	answers := sim.Collect(arr)
 	weighted := Aggregate(in, answers)
-	em, err := EMInference(len(in.Tasks), answers, EMOptions{})
+	em, err := EMInference(len(in.Tasks), answers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,10 @@ import (
 // of the tasks is present before the first arrival; the rest are posted
 // online at the arrival times of a Poisson process (the task-arrival
 // counterpart of the paper's worker check-in stream, cf. the continuous
-// posting regime of hyperlocal frameworks). Optionally every task expires
-// TTL arrivals after its post — the driver retires it if it is still
-// incomplete by then.
+// posting regime of hyperlocal frameworks), spread over the first 40% of
+// the worker stream so the tail can finish them. Optionally every task
+// expires TTL arrivals after its post — the driver retires it if it is
+// still incomplete by then.
 type ChurnConfig struct {
 	// Base is the underlying Table IV workload (tasks, workers, K, ε, ...).
 	Base Config
@@ -25,10 +26,6 @@ type ChurnConfig struct {
 	// The remainder is posted online. Must lie in (0, 1]; the acceptance
 	// regime of the churn experiment uses ≤ 0.8 (≥ 20% late posts).
 	InitialFraction float64
-	// PostRate is the Poisson intensity λ of task posts per worker arrival.
-	// 0 picks a rate that spreads all late posts over the first 40% of the
-	// worker stream, leaving the tail to finish them.
-	PostRate float64
 	// TTL is the number of arrivals after its post at which a task expires
 	// (is retired if still incomplete). 0 disables expiry.
 	TTL int
@@ -82,6 +79,10 @@ func (cw *ChurnWorkload) PostedLate() int {
 	return n
 }
 
+// postSpan is the fraction of the worker stream over which the late posts
+// arrive.
+const postSpan = 0.4
+
 // ErrBadChurn is returned for out-of-range churn parameters.
 var ErrBadChurn = errors.New("workload: churn parameters out of range")
 
@@ -123,8 +124,8 @@ func (c ChurnConfig) validate() error {
 	if c.InitialFraction <= 0 || c.InitialFraction > 1 {
 		return fmt.Errorf("%w: InitialFraction %v", ErrBadChurn, c.InitialFraction)
 	}
-	if c.PostRate < 0 || c.TTL < 0 {
-		return fmt.Errorf("%w: PostRate %v, TTL %d", ErrBadChurn, c.PostRate, c.TTL)
+	if c.TTL < 0 {
+		return fmt.Errorf("%w: TTL %d", ErrBadChurn, c.TTL)
 	}
 	return nil
 }
@@ -146,14 +147,8 @@ func (c ChurnConfig) split(base *model.Instance) (*ChurnWorkload, error) {
 		MinAcc:  base.MinAcc,
 	}
 
-	rate := c.PostRate
-	if rate == 0 && len(posted) > 0 {
-		span := float64(len(base.Workers)) * 0.4
-		if span < 1 {
-			span = 1
-		}
-		rate = float64(len(posted)) / span
-	}
+	// The Poisson intensity λ of task posts per worker arrival.
+	rate := float64(len(posted)) / max(1, float64(len(base.Workers))*postSpan)
 
 	cw := &ChurnWorkload{
 		Instance:     in,

@@ -139,7 +139,6 @@ func TestChurnValidation(t *testing.T) {
 	for _, mutate := range []func(*ChurnConfig){
 		func(c *ChurnConfig) { c.InitialFraction = 0 },
 		func(c *ChurnConfig) { c.InitialFraction = 1.5 },
-		func(c *ChurnConfig) { c.PostRate = -1 },
 		func(c *ChurnConfig) { c.TTL = -2 },
 	} {
 		cc := DefaultChurn(smallConfig())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"ltc/internal/geo"
 	"ltc/internal/model"
@@ -25,26 +26,65 @@ const (
 	ScenarioUniform = "uniform"
 	// ScenarioHotspot draws task and worker locations from a Zipf
 	// distribution over a grid of tiles: a handful of tiles receive most
-	// of the load (the "popular POI" regime). Knobs: HotspotTiles, Skew.
+	// of the load (the "popular POI" regime). Shape: hotspotTiles,
+	// workerSkew, taskSkew.
 	ScenarioHotspot = "hotspot"
 	// ScenarioFlashCrowd overlays a uniform stream with a time-windowed
-	// burst: workers arriving inside [BurstStart, BurstEnd) of the stream
+	// burst: workers arriving inside [burstStart, burstEnd) of the stream
 	// mostly sample a small disc around one random center (a venue
-	// letting out). Knobs: BurstStart, BurstEnd, BurstFraction,
-	// BurstSigma.
+	// letting out). Shape: burstStart, burstEnd, burstFraction,
+	// burstSigma.
 	ScenarioFlashCrowd = "flashcrowd"
 	// ScenarioRushHour drifts the worker mass across the grid: worker i
 	// samples a Gaussian around a centroid moving linearly from one grid
 	// corner region to the opposite as the stream progresses; tasks line
-	// the commute corridor. Knobs: CommuterFraction, DriftSigma.
+	// the commute corridor. Shape: commuterFraction, driftSigma.
 	ScenarioRushHour = "rushhour"
 	// ScenarioSparseFrontier places a fraction of the tasks in a frontier
 	// strip holding almost no worker mass — the tail-latency regime where
-	// rare frontier workers gate completion. Knobs: FrontierFraction,
-	// FrontierWorkers, FrontierWidth. Small scales may not complete the
+	// rare frontier workers gate completion. Shape: frontierTasks,
+	// frontierWorkers, frontierWidth. Small scales may not complete the
 	// frontier tasks before the stream ends; that is the point of the
 	// scenario, not a bug.
 	ScenarioSparseFrontier = "sparse-frontier"
+)
+
+// The scenario shapes. Fractions of the grid are of its smaller extent
+// unless stated otherwise; fractions of the stream are of the worker count.
+const (
+	// hotspotTiles is the side of the hotspot tile grid: hotspotTiles²
+	// tiles share the load by Zipf rank.
+	hotspotTiles = 12
+	// workerSkew is the hotspot Zipf exponent for worker placement.
+	workerSkew = 1.0
+	// taskSkew is the hotspot Zipf exponent for task placement. Demand
+	// piles onto popular venues harder than worker supply does, so a hot
+	// tile's task backlog outlives the early stream — the regime where a
+	// single hot shard spends the whole run scanning a deep live task set
+	// while balanced shards each scan a sliver.
+	taskSkew = 1.9
+
+	// burstStart and burstEnd bound the flash-crowd window as fractions of
+	// the worker stream.
+	burstStart, burstEnd = 0.3, 0.6
+	// burstFraction is the probability an in-window worker belongs to the
+	// crowd rather than the uniform background.
+	burstFraction = 0.9
+	// burstSigma is the crowd's Gaussian spread as a fraction of the grid.
+	burstSigma = 0.05
+
+	// commuterFraction is the probability a rush-hour worker samples the
+	// drifting cloud rather than the uniform background.
+	commuterFraction = 0.85
+	// driftSigma is the drifting cloud's Gaussian spread as a fraction of
+	// the grid.
+	driftSigma = 0.10
+
+	// frontierTasks and frontierWorkers are the fractions of tasks and of
+	// workers placed in the frontier strip.
+	frontierTasks, frontierWorkers = 0.3, 0.08
+	// frontierWidth is the strip's width as a fraction of the grid width.
+	frontierWidth = 0.25
 )
 
 // ScenarioKinds lists the named scenarios in presentation order.
@@ -58,13 +98,11 @@ func ScenarioKinds() []string {
 	}
 }
 
-// ErrBadScenario is returned for unknown scenario kinds or out-of-range
-// scenario knobs.
+// ErrBadScenario is returned for unknown scenario kinds.
 var ErrBadScenario = errors.New("workload: bad scenario")
 
 // Scenario is a named, seed-deterministic skewed-workload generator over a
-// Table IV base Config. The zero value of every knob means "the kind's
-// default", so Scenario{Base: cfg, Kind: ScenarioHotspot} is ready to use;
+// Table IV base Config. Each kind's shape is fixed (the constants above);
 // NewScenario validates the kind. Scenarios compose with the dynamic task
 // lifecycle via GenerateChurn (ChurnConfig.GenerateOn under the hood).
 //
@@ -75,126 +113,23 @@ var ErrBadScenario = errors.New("workload: bad scenario")
 type Scenario struct {
 	Base Config
 	Kind string
-
-	// HotspotTiles is the side of the hotspot tile grid (HotspotTiles²
-	// tiles share the load by Zipf rank). 0 means 12.
-	HotspotTiles int
-	// Skew is the hotspot Zipf exponent for worker placement; larger
-	// concentrates harder. 0 means 1.0.
-	Skew float64
-	// TaskSkew is the hotspot Zipf exponent for task placement. 0 means
-	// 1.9: demand piles onto popular venues harder than worker supply
-	// does, so a hot tile's task backlog outlives the early stream — the
-	// regime where a single hot shard spends the whole run scanning a
-	// deep live task set while balanced shards each scan a sliver.
-	TaskSkew float64
-
-	// BurstStart/BurstEnd bound the flash-crowd window as fractions of
-	// the worker stream. Zero values mean [0.3, 0.6).
-	BurstStart float64
-	BurstEnd   float64
-	// BurstFraction is the probability an in-window worker belongs to the
-	// crowd rather than the uniform background. 0 means 0.9.
-	BurstFraction float64
-	// BurstSigma is the crowd's Gaussian spread as a fraction of the
-	// smaller grid extent. 0 means 0.05.
-	BurstSigma float64
-
-	// CommuterFraction is the probability a rush-hour worker samples the
-	// drifting cloud rather than the uniform background. 0 means 0.85.
-	CommuterFraction float64
-	// DriftSigma is the drifting cloud's Gaussian spread as a fraction of
-	// the smaller grid extent. 0 means 0.10.
-	DriftSigma float64
-
-	// FrontierFraction is the fraction of tasks placed in the frontier
-	// strip. 0 means 0.3.
-	FrontierFraction float64
-	// FrontierWorkers is the fraction of workers placed there. 0 means 0.08.
-	FrontierWorkers float64
-	// FrontierWidth is the strip's width as a fraction of the grid width.
-	// 0 means 0.25.
-	FrontierWidth float64
 }
 
-// NewScenario returns a Scenario of the given kind over base, with every
-// knob at the kind's default. Unknown kinds fail with ErrBadScenario.
+// NewScenario returns a Scenario of the given kind over base. Unknown kinds
+// fail with ErrBadScenario.
 func NewScenario(kind string, base Config) (Scenario, error) {
-	for _, k := range ScenarioKinds() {
-		if k == kind {
-			return Scenario{Base: base, Kind: kind}, nil
-		}
+	if !slices.Contains(ScenarioKinds(), kind) {
+		return Scenario{}, fmt.Errorf("%w: unknown kind %q (want one of %v)", ErrBadScenario, kind, ScenarioKinds())
 	}
-	return Scenario{}, fmt.Errorf("%w: unknown kind %q (want one of %v)", ErrBadScenario, kind, ScenarioKinds())
+	return Scenario{Base: base, Kind: kind}, nil
 }
 
-// withDefaults resolves zero-valued knobs to the kind defaults.
-func (s Scenario) withDefaults() Scenario {
-	if s.HotspotTiles == 0 {
-		s.HotspotTiles = 12
-	}
-	if s.Skew == 0 {
-		s.Skew = 1.0
-	}
-	if s.TaskSkew == 0 {
-		s.TaskSkew = 1.9
-	}
-	if s.BurstStart == 0 && s.BurstEnd == 0 {
-		s.BurstStart, s.BurstEnd = 0.3, 0.6
-	}
-	if s.BurstFraction == 0 {
-		s.BurstFraction = 0.9
-	}
-	if s.BurstSigma == 0 {
-		s.BurstSigma = 0.05
-	}
-	if s.CommuterFraction == 0 {
-		s.CommuterFraction = 0.85
-	}
-	if s.DriftSigma == 0 {
-		s.DriftSigma = 0.10
-	}
-	if s.FrontierFraction == 0 {
-		s.FrontierFraction = 0.3
-	}
-	if s.FrontierWorkers == 0 {
-		s.FrontierWorkers = 0.08
-	}
-	if s.FrontierWidth == 0 {
-		s.FrontierWidth = 0.25
-	}
-	return s
-}
-
-// Validate checks the kind, the base config and the (default-resolved)
-// scenario knobs.
+// Validate checks the kind and the base config.
 func (s Scenario) Validate() error {
-	known := false
-	for _, k := range ScenarioKinds() {
-		known = known || k == s.Kind
-	}
-	if !known {
+	if !slices.Contains(ScenarioKinds(), s.Kind) {
 		return fmt.Errorf("%w: unknown kind %q", ErrBadScenario, s.Kind)
 	}
-	if err := s.Base.Validate(); err != nil {
-		return err
-	}
-	r := s.withDefaults()
-	switch {
-	case r.HotspotTiles < 1,
-		r.Skew < 0,
-		r.TaskSkew < 0,
-		r.BurstStart < 0 || r.BurstEnd > 1 || r.BurstStart >= r.BurstEnd,
-		r.BurstFraction < 0 || r.BurstFraction > 1,
-		r.BurstSigma <= 0,
-		r.CommuterFraction < 0 || r.CommuterFraction > 1,
-		r.DriftSigma <= 0,
-		r.FrontierFraction <= 0 || r.FrontierFraction >= 1,
-		r.FrontierWorkers <= 0 || r.FrontierWorkers >= 1,
-		r.FrontierWidth <= 0 || r.FrontierWidth >= 1:
-		return fmt.Errorf("%w: knob out of range for kind %q", ErrBadScenario, s.Kind)
-	}
-	return nil
+	return s.Base.Validate()
 }
 
 // Generate builds the scenario's instance: Base's counts, capacity, ε and
@@ -210,7 +145,6 @@ func (s Scenario) Generate() (*model.Instance, error) {
 	if s.Kind == ScenarioUniform {
 		return s.Base.Generate()
 	}
-	s = s.withDefaults()
 	c := s.Base
 
 	// Stream 3 is the scenario placement stream; streams 0..2 belong to
@@ -232,19 +166,19 @@ func (s Scenario) Generate() (*model.Instance, error) {
 	var workerLoc func(i int) geo.Point
 	switch s.Kind {
 	case ScenarioHotspot:
-		tiles := s.HotspotTiles * s.HotspotTiles
-		taskZipf := stats.NewZipf(tiles, s.TaskSkew)
-		workerZipf := stats.NewZipf(tiles, s.Skew)
+		tiles := hotspotTiles * hotspotTiles
+		taskZipf := stats.NewZipf(tiles, taskSkew)
+		workerZipf := stats.NewZipf(tiles, workerSkew)
 		// A seeded permutation maps Zipf rank → tile, scattering the hot
 		// tiles over the grid instead of stacking them in one corner; task
 		// and worker draws share it, so the same tiles are hot for both —
-		// just more steeply for demand (TaskSkew) than supply (Skew).
+		// just more steeply for demand (taskSkew) than supply (workerSkew).
 		perm := locRng.Perm(tiles)
-		tw := c.GridWidth / float64(s.HotspotTiles)
-		th := c.GridHeight / float64(s.HotspotTiles)
+		tw := c.GridWidth / hotspotTiles
+		th := c.GridHeight / hotspotTiles
 		sample := func(z *stats.Zipf) geo.Point {
 			t := perm[z.Sample(locRng)]
-			tx, ty := t%s.HotspotTiles, t/s.HotspotTiles
+			tx, ty := t%hotspotTiles, t/hotspotTiles
 			return geo.Point{
 				X: (float64(tx) + locRng.Float64()) * tw,
 				Y: (float64(ty) + locRng.Float64()) * th,
@@ -254,21 +188,19 @@ func (s Scenario) Generate() (*model.Instance, error) {
 		workerLoc = func(int) geo.Point { return sample(workerZipf) }
 
 	case ScenarioFlashCrowd:
-		// The burst center stays clear of the grid edge so the crowd
-		// doesn't clamp into a border line; for very wide bursts (sigma ≥
-		// a quarter of the short extent) the margin caps at half the
-		// extent so the center always stays inside the grid.
-		margin := math.Min(s.BurstSigma*2, 0.5) * math.Min(c.GridWidth, c.GridHeight)
+		// The burst center stays two sigmas clear of the grid edge so the
+		// crowd doesn't clamp into a border line.
+		margin := 2 * burstSigma * math.Min(c.GridWidth, c.GridHeight)
 		center := geo.Point{
 			X: margin + locRng.Float64()*(c.GridWidth-2*margin),
 			Y: margin + locRng.Float64()*(c.GridHeight-2*margin),
 		}
-		sigma := s.BurstSigma * math.Min(c.GridWidth, c.GridHeight)
+		sigma := burstSigma * math.Min(c.GridWidth, c.GridHeight)
 		taskLoc = func(int) geo.Point { return s.uniformPoint(locRng) }
 		workerLoc = func(i int) geo.Point {
 			frac := float64(i) / float64(max(1, c.NumWorkers-1))
-			inWindow := frac >= s.BurstStart && frac < s.BurstEnd
-			if inWindow && locRng.Float64() < s.BurstFraction {
+			inWindow := frac >= burstStart && frac < burstEnd
+			if inWindow && locRng.Float64() < burstFraction {
 				return s.gaussPoint(locRng, center, sigma)
 			}
 			return s.uniformPoint(locRng)
@@ -286,7 +218,7 @@ func (s Scenario) Generate() (*model.Instance, error) {
 			X: c.GridWidth * (0.65 + locRng.Float64()*0.35),
 			Y: c.GridHeight * (0.65 + locRng.Float64()*0.35),
 		}
-		sigma := s.DriftSigma * math.Min(c.GridWidth, c.GridHeight)
+		sigma := driftSigma * math.Min(c.GridWidth, c.GridHeight)
 		along := func(t float64) geo.Point {
 			return geo.Point{X: from.X + (to.X-from.X)*t, Y: from.Y + (to.Y-from.Y)*t}
 		}
@@ -295,7 +227,7 @@ func (s Scenario) Generate() (*model.Instance, error) {
 			return s.gaussPoint(locRng, along(locRng.Float64()), sigma)
 		}
 		workerLoc = func(i int) geo.Point {
-			if locRng.Float64() >= s.CommuterFraction {
+			if locRng.Float64() >= commuterFraction {
 				return s.uniformPoint(locRng)
 			}
 			t := float64(i) / float64(max(1, c.NumWorkers-1))
@@ -303,9 +235,9 @@ func (s Scenario) Generate() (*model.Instance, error) {
 		}
 
 	case ScenarioSparseFrontier:
-		// The frontier strip is the rightmost FrontierWidth of the grid;
+		// The frontier strip is the rightmost frontierWidth of the grid;
 		// the core is everything left of it.
-		frontierX := c.GridWidth * (1 - s.FrontierWidth)
+		frontierX := c.GridWidth * (1 - frontierWidth)
 		corePoint := func() geo.Point {
 			return geo.Point{X: locRng.Float64() * frontierX, Y: locRng.Float64() * c.GridHeight}
 		}
@@ -313,13 +245,13 @@ func (s Scenario) Generate() (*model.Instance, error) {
 			return geo.Point{X: frontierX + locRng.Float64()*(c.GridWidth-frontierX), Y: locRng.Float64() * c.GridHeight}
 		}
 		taskLoc = func(int) geo.Point {
-			if locRng.Float64() < s.FrontierFraction {
+			if locRng.Float64() < frontierTasks {
 				return frontierPoint()
 			}
 			return corePoint()
 		}
 		workerLoc = func(int) geo.Point {
-			if locRng.Float64() < s.FrontierWorkers {
+			if locRng.Float64() < frontierWorkers {
 				return frontierPoint()
 			}
 			return corePoint()

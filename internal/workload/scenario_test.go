@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sort"
@@ -34,33 +35,22 @@ func TestNewScenarioKnownKinds(t *testing.T) {
 	}
 }
 
+// TestScenarioValidateRejectsBadKnobs: the only settings a scenario has
+// are its kind and its base config; a bad one fails Validate and Generate.
 func TestScenarioValidateRejectsBadKnobs(t *testing.T) {
-	base := scenarioBase()
-	cases := []Scenario{
-		{Base: base, Kind: "nope"},
-		{Base: base, Kind: ScenarioHotspot, HotspotTiles: -1},
-		{Base: base, Kind: ScenarioHotspot, Skew: -0.5},
-		{Base: base, Kind: ScenarioFlashCrowd, BurstStart: 0.8, BurstEnd: 0.2},
-		{Base: base, Kind: ScenarioFlashCrowd, BurstFraction: 1.5},
-		{Base: base, Kind: ScenarioFlashCrowd, BurstSigma: -1},
-		{Base: base, Kind: ScenarioRushHour, CommuterFraction: -0.2},
-		{Base: base, Kind: ScenarioRushHour, DriftSigma: -1},
-		{Base: base, Kind: ScenarioSparseFrontier, FrontierFraction: 1.2},
-		{Base: base, Kind: ScenarioSparseFrontier, FrontierWorkers: -0.1},
-		{Base: base, Kind: ScenarioSparseFrontier, FrontierWidth: 2},
-	}
-	for i, s := range cases {
+	unknown := Scenario{Base: scenarioBase(), Kind: "nope"}
+	badBase := Scenario{Base: scenarioBase(), Kind: ScenarioHotspot}
+	badBase.Base.NumTasks = 0
+	for _, s := range []Scenario{unknown, badBase} {
 		if err := s.Validate(); err == nil {
-			t.Errorf("case %d (%s): bad knobs validated", i, s.Kind)
+			t.Errorf("%q over %+v validated", s.Kind, s.Base)
 		}
 		if _, err := s.Generate(); err == nil {
-			t.Errorf("case %d (%s): bad knobs generated", i, s.Kind)
+			t.Errorf("%q over %+v generated", s.Kind, s.Base)
 		}
 	}
-	bad := Scenario{Base: base, Kind: ScenarioHotspot}
-	bad.Base.NumTasks = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("invalid base config validated")
+	if err := unknown.Validate(); !errors.Is(err, ErrBadScenario) {
+		t.Errorf("unknown kind: %v, want ErrBadScenario", err)
 	}
 }
 
@@ -214,41 +204,6 @@ func spread(ws []model.Worker) float64 {
 		ss += dx*dx + dy*dy
 	}
 	return math.Sqrt(ss / float64(len(ws)))
-}
-
-// A very wide burst (sigma ≥ a quarter of the short grid extent) must
-// still center inside the grid instead of clamping the crowd onto a
-// border line.
-func TestFlashCrowdWideBurstStaysInGrid(t *testing.T) {
-	s, err := NewScenario(ScenarioFlashCrowd, scenarioBase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BurstSigma = 0.6
-	in, err := s.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := s.Base
-	n := len(in.Workers)
-	window := in.Workers[int(0.3*float64(n)):int(0.6*float64(n))]
-	var xs, ys []float64
-	for _, w := range window {
-		if w.Loc.X < 0 || w.Loc.X > base.GridWidth || w.Loc.Y < 0 || w.Loc.Y > base.GridHeight {
-			t.Fatalf("worker at %v outside the grid", w.Loc)
-		}
-		xs = append(xs, w.Loc.X)
-		ys = append(ys, w.Loc.Y)
-	}
-	// With such a wide spread, individual draws clamp onto the borders —
-	// but the crowd's center must sit strictly inside the grid, not on a
-	// border line (the failure mode of an out-of-grid burst center).
-	sort.Float64s(xs)
-	sort.Float64s(ys)
-	mx, my := xs[len(xs)/2], ys[len(ys)/2]
-	if mx <= 0 || mx >= base.GridWidth || my <= 0 || my >= base.GridHeight {
-		t.Fatalf("burst center (%v, %v) collapsed onto the grid border", mx, my)
-	}
 }
 
 func TestRushHourCentroidDrifts(t *testing.T) {

@@ -124,7 +124,7 @@ func scaleCount(n int, factor float64) int {
 // Validation errors.
 var (
 	ErrBadCounts = errors.New("workload: task and worker counts must be positive")
-	ErrBadGrid   = errors.New("workload: grid extents must be positive")
+	ErrBadGrid   = errors.New("workload: grid extents and DMax must be positive")
 	ErrBadDist   = errors.New("workload: accuracy mean must lie in [SpamThreshold, 1]")
 )
 
@@ -135,6 +135,14 @@ func (c Config) Validate() error {
 	}
 	if c.GridWidth <= 0 || c.GridHeight <= 0 {
 		return ErrBadGrid
+	}
+	if c.DMax <= 0 {
+		// dmax is a distance in grid units; at 0 or below no worker is
+		// eligible for any task.
+		return fmt.Errorf("%w: DMax=%v", ErrBadGrid, c.DMax)
+	}
+	if c.MinAcc < 0 || c.MinAcc >= 1 {
+		return fmt.Errorf("%w: MinAcc=%v", model.ErrBadMinAcc, c.MinAcc)
 	}
 	if c.Accuracy.Mean < model.SpamThreshold || c.Accuracy.Mean > 1 {
 		return fmt.Errorf("%w: mean=%v", ErrBadDist, c.Accuracy.Mean)

@@ -209,6 +209,11 @@ func TestValidateErrors(t *testing.T) {
 		{"zero tasks", func(c *Config) { c.NumTasks = 0 }, ErrBadCounts},
 		{"zero workers", func(c *Config) { c.NumWorkers = 0 }, ErrBadCounts},
 		{"zero grid", func(c *Config) { c.GridWidth = 0 }, ErrBadGrid},
+		{"zero dmax", func(c *Config) { c.DMax = 0 }, ErrBadGrid},
+		{"negative dmax", func(c *Config) { c.DMax = -5 }, ErrBadGrid},
+		{"minacc above 1", func(c *Config) { c.MinAcc = 1.5 }, model.ErrBadMinAcc},
+		{"minacc one", func(c *Config) { c.MinAcc = 1 }, model.ErrBadMinAcc},
+		{"negative minacc", func(c *Config) { c.MinAcc = -1 }, model.ErrBadMinAcc},
 		{"low mean", func(c *Config) { c.Accuracy.Mean = 0.5 }, ErrBadDist},
 		{"bad k", func(c *Config) { c.K = 0 }, model.ErrBadCapacity},
 		{"bad eps", func(c *Config) { c.Epsilon = 0 }, model.ErrBadEpsilon},

@@ -166,7 +166,7 @@ func Solve(in *Instance, algo Algorithm, opts ...Option) (*Result, error) {
 	case BaseOff:
 		return core.RunOffline(in, ci, core.BaseOff{})
 	case Exact:
-		return core.RunOffline(in, ci, &core.Exact{MaxNodes: c.exactMaxNodes})
+		return core.RunOffline(in, ci, &core.Exact{})
 	case LAF, AAM, RandomAssign:
 		factory, err := onlineFactory(algo, c.seed)
 		if err != nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"slices"
 	"testing"
+
+	"ltc/internal/model"
 )
 
 func tinyInstance(t *testing.T) *Instance {
@@ -320,5 +322,53 @@ func TestMCFBatchMultiplierOption(t *testing.T) {
 	}
 	if err := res.Arrangement.Validate(in, true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamingConstructorsValidateTasks: NewPlatform and NewSession reject
+// the task-ID and MinAcc defects Solve rejects, with the same typed errors,
+// instead of accepting them or panicking on a sparse task ID.
+func TestStreamingConstructorsValidateTasks(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Instance)
+		want   error
+	}{
+		{"sparse task IDs", func(in *Instance) { in.Tasks[1].ID = 7 }, model.ErrTaskIDs},
+		{"MinAcc above 1", func(in *Instance) { in.MinAcc = 1.5 }, model.ErrBadMinAcc},
+		{"negative MinAcc", func(in *Instance) { in.MinAcc = -1 }, model.ErrBadMinAcc},
+	}
+	constructors := []struct {
+		name string
+		make func(*Instance) error
+	}{
+		{"NewPlatform", func(in *Instance) error {
+			p, err := NewPlatform(in, AAM, WithShards(1))
+			if err == nil {
+				return p.Close()
+			}
+			return err
+		}},
+		{"NewSession", func(in *Instance) error {
+			_, err := NewSession(in, AAM)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		for _, c := range constructors {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				in := tinyInstance(t)
+				in.Tasks = in.Tasks[:2]
+				tc.mutate(in)
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if err := c.make(in); !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+			})
+		}
 	}
 }

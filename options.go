@@ -27,7 +27,6 @@ type config struct {
 	eventBuffer     int
 	index           *CandidateIndex
 	batchMultiplier float64
-	exactMaxNodes   int64
 }
 
 // optionFunc adapts a plain function to the Option interface.
@@ -136,10 +135,4 @@ func WithIndex(ci *CandidateIndex) Option { return optionFunc(func(c *config) { 
 // the MCF-LTC algorithm reads it.
 func WithBatchMultiplier(m float64) Option {
 	return optionFunc(func(c *config) { c.batchMultiplier = m })
-}
-
-// WithExactMaxNodes bounds the Exact solver's branch-and-bound search
-// (default 5e6 nodes). Only the Exact algorithm reads it.
-func WithExactMaxNodes(n int64) Option {
-	return optionFunc(func(c *config) { c.exactMaxNodes = n })
 }

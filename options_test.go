@@ -53,8 +53,9 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMultiplierAndExactOptions keeps the solver-tuning options
-// reachable through the v2 surface.
+// TestSolveBatchMultiplierAndExactOptions keeps the solver tuning reachable
+// through the v2 surface: WithBatchMultiplier reaches MCF-LTC, and Exact
+// runs at its fixed node budget.
 func TestSolveBatchMultiplierAndExactOptions(t *testing.T) {
 	in := tinyInstance(t)
 	res, err := Solve(in, MCFLTC, WithBatchMultiplier(0.5))
@@ -64,9 +65,27 @@ func TestSolveBatchMultiplierAndExactOptions(t *testing.T) {
 	if err := res.Arrangement.Validate(in, true); err != nil {
 		t.Fatal(err)
 	}
-	// A hopeless node budget must surface the Exact solver's failure.
-	if _, err := Solve(in, Exact, WithExactMaxNodes(1)); err == nil {
-		t.Fatal("1-node Exact budget succeeded")
+
+	cfg := DefaultWorkload()
+	cfg.NumTasks, cfg.NumWorkers = 3, 60
+	cfg.GridWidth, cfg.GridHeight = 40, 40
+	toy, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := Solve(toy, Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exact.Arrangement.Validate(toy, true); err != nil {
+		t.Fatal(err)
+	}
+	aam, err := Solve(toy, AAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Latency > aam.Latency {
+		t.Fatalf("Exact latency %d above AAM's %d", exact.Latency, aam.Latency)
 	}
 }
 
