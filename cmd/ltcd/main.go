@@ -73,7 +73,7 @@ func main() {
 		epsilon   = flag.Float64("epsilon", 0.10, "tolerable error rate ε")
 		k         = flag.Int("k", 6, "worker capacity K")
 		city      = flag.String("city", "", "serve a city trace's tasks instead: newyork or tokyo")
-		eventBuf  = flag.Int("event-buffer", 0, "per-subscriber event buffer (0 = default)")
+		eventBuf  = flag.Int("event-buffer", 0, "per-subscriber event buffer of the gateway's /events streams (0 = default); cluster nodes record their event log synchronously and do not use it")
 		clusterIn = flag.String("cluster", "", "cluster role: init=N writes an N-node topology file and exits; node=I serves cluster node I (both need -topology)")
 		topoPath  = flag.String("topology", "", "cluster topology file (written by -cluster init, read by -cluster node)")
 	)

@@ -312,6 +312,11 @@ func (d *Dispatcher) CheckIn(w model.Worker) (Receipt, error) {
 // the ordering and drop contract.
 func (d *Dispatcher) Subscribe(buf int) *events.Subscription { return d.bus.Subscribe(buf) }
 
+// Record attaches a recorder to the platform's event bus (see
+// events.Bus.Record): it is called with every event published after Record
+// returns, on the publishing goroutine, under the bus lock only.
+func (d *Dispatcher) Record(record func(events.Event)) (stop func()) { return d.bus.Record(record) }
+
 // atomicMax raises v to at least x.
 func atomicMax(v *atomic.Int64, x int64) {
 	for {

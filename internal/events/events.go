@@ -3,11 +3,14 @@
 // platform-done) into a Bus, and any number of subscribers consume them
 // through bounded buffered channels. The bus never blocks a publisher — a
 // subscriber that falls behind loses events (counted per subscription)
-// instead of stalling the check-in hot path. See CONCURRENCY.md ("Event
-// subscriptions") for the ordering and drop contract.
+// instead of stalling the check-in hot path. A recorder is the lossless
+// alternative: a short function the publisher itself calls with every
+// event. See CONCURRENCY.md ("Event subscriptions") for the ordering, drop
+// and recorder contracts.
 package events
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,18 +85,21 @@ type Event struct {
 	ToShard   int
 }
 
-// Bus fans published events out to subscribers. The zero value is not
-// ready; use NewBus. All methods are safe for concurrent use.
+// Bus fans published events out to subscribers and recorders. The zero
+// value is not ready; use NewBus. All methods are safe for concurrent use.
 type Bus struct {
-	// active mirrors len(subs) so Publish can bail without locking while
-	// nobody listens — the common case on the check-in hot path.
+	// active counts subscriptions and recorders, so Publish can bail
+	// without locking while nobody listens — the common case on the
+	// check-in hot path.
 	active atomic.Int64
 	// The bus lock is a leaf of the dispatch lock order: Publish must never
-	// be called with a dispatch mutex held (see CONCURRENCY.md).
+	// be called with a dispatch mutex held (see CONCURRENCY.md). The one
+	// lock that nests inside it is a recorder's own.
 	//ltc:lock leaf
 	mu   sync.Mutex
 	seq  uint64
 	subs map[*Subscription]struct{}
+	recs []*func(Event) // attached recorders, by identity
 }
 
 // NewBus returns an empty bus.
@@ -101,13 +107,14 @@ func NewBus() *Bus {
 	return &Bus{subs: make(map[*Subscription]struct{})}
 }
 
-// Active reports whether the bus currently has any subscribers. Publishing
-// to an inactive bus is a single atomic load.
+// Active reports whether the bus currently has any subscriber or recorder.
+// Publishing to an inactive bus is a single atomic load.
 func (b *Bus) Active() bool { return b.active.Load() > 0 }
 
-// Publish assigns the event its sequence number and offers it to every
-// subscriber. It never blocks: a subscriber whose buffer is full loses the
-// event, and its Dropped counter advances instead.
+// Publish assigns the event its sequence number, hands it to every
+// recorder and offers it to every subscriber. It never blocks on a
+// subscriber: one whose buffer is full loses the event, and its Dropped
+// counter advances instead.
 func (b *Bus) Publish(e Event) {
 	if !b.Active() {
 		return
@@ -115,6 +122,9 @@ func (b *Bus) Publish(e Event) {
 	b.mu.Lock()
 	b.seq++
 	e.Seq = b.seq
+	for _, r := range b.recs {
+		(*r)(e)
+	}
 	for s := range b.subs {
 		select {
 		case s.ch <- e:
@@ -135,10 +145,40 @@ func (b *Bus) Subscribe(buf int) *Subscription {
 	s := &Subscription{bus: b, ch: make(chan Event, buf)}
 	b.mu.Lock()
 	b.subs[s] = struct{}{}
-	b.active.Store(int64(len(b.subs)))
+	b.active.Add(1)
 	b.mu.Unlock()
 	return s
 }
+
+// Record attaches record as a recorder: Publish calls it under the bus
+// lock, right after stamping Seq, so a recorder sees every event published
+// after Record returns exactly once, in Seq order, and can never drop one.
+// It runs on the publisher's goroutine and holds up every other publisher
+// while it runs, so it must be short, must not block and must not call the
+// bus; a lock it takes nests inside the bus lock. stop detaches the
+// recorder — once it returns, record is not called again — and is safe to
+// call more than once.
+func (b *Bus) Record(record func(Event)) (stop func()) {
+	r := &record
+	b.mu.Lock()
+	b.recs = append(b.recs, r)
+	b.active.Add(1)
+	b.mu.Unlock()
+	return func() {
+		b.mu.Lock()
+		if i := slices.Index(b.recs, r); i >= 0 {
+			b.recs = slices.Delete(b.recs, i, i+1)
+			b.active.Add(-1)
+		}
+		b.mu.Unlock()
+	}
+}
+
+// RecordPlatform attaches a recorder (see Bus.Record) to the event bus of
+// platform, a *ltc.Platform. Package ltc sets it when it is initialised, so
+// front ends inside the module can record a platform's events without ltc
+// exporting a name for it.
+var RecordPlatform func(platform any, record func(Event)) (stop func())
 
 // Subscription is one subscriber's bounded event feed.
 type Subscription struct {
@@ -163,7 +203,7 @@ func (s *Subscription) Close() {
 	if !s.closed {
 		s.closed = true
 		delete(s.bus.subs, s)
-		s.bus.active.Store(int64(len(s.bus.subs)))
+		s.bus.active.Add(-1)
 		close(s.ch)
 	}
 	s.bus.mu.Unlock()

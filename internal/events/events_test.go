@@ -1,6 +1,7 @@
 package events
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -238,5 +239,77 @@ func TestSeqGapsEqualDropped(t *testing.T) {
 	check("mid", midReceived, midGaps, subs[1].Dropped())
 	if subs[2].Dropped() != 0 {
 		t.Fatalf("large subscriber dropped %d", subs[2].Dropped())
+	}
+}
+
+// TestRecorderIsLossless is the recorder contract under concurrent
+// publishers: the recorder gets every event exactly once, gapless and in Seq
+// order, while a one-slot subscription beside it drops nearly all of them.
+// The recorder appends without a lock of its own, which is safe only because
+// Publish calls it under the bus lock, and the race detector checks that.
+func TestRecorderIsLossless(t *testing.T) {
+	b := NewBus()
+	const publishers, each = 4, 500
+	var got []Event
+	stop := b.Record(func(e Event) { got = append(got, e) })
+	tiny := b.Subscribe(1) // never read: keeps one event, drops the rest
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				b.Publish(Event{Kind: TaskCompleted, Task: model.TaskID(p*each + i)})
+			}
+		}(p)
+	}
+	wg.Wait()
+	stop()
+	tiny.Close()
+	if len(got) != publishers*each {
+		t.Fatalf("recorder saw %d events, want %d", len(got), publishers*each)
+	}
+	seen := make(map[model.TaskID]bool)
+	for i, e := range got {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("recorder's event %d has seq %d, want %d", i, e.Seq, i+1)
+		}
+		if seen[e.Task] {
+			t.Fatalf("task %d recorded twice", e.Task)
+		}
+		seen[e.Task] = true
+	}
+	if d := tiny.Dropped(); d != publishers*each-1 {
+		t.Fatalf("one-slot subscription dropped %d, want %d", d, publishers*each-1)
+	}
+}
+
+// TestRecorderStopAndActive: stop detaches only its own recorder and is
+// idempotent, and the bus stays active while any recorder is attached —
+// also after the last subscription closes.
+func TestRecorderStopAndActive(t *testing.T) {
+	b := NewBus()
+	var first, second []uint64
+	stopFirst := b.Record(func(e Event) { first = append(first, e.Seq) })
+	stopSecond := b.Record(func(e Event) { second = append(second, e.Seq) })
+	s := b.Subscribe(4)
+	s.Close()
+	if !b.Active() {
+		t.Fatal("bus inactive with two recorders attached after the last subscription closed")
+	}
+	b.Publish(Event{Kind: TaskPosted, Task: 1})
+	stopFirst()
+	stopFirst()
+	if !b.Active() {
+		t.Fatal("bus inactive with a recorder still attached")
+	}
+	b.Publish(Event{Kind: TaskPosted, Task: 2})
+	stopSecond()
+	if b.Active() {
+		t.Fatal("bus active after every recorder stopped")
+	}
+	b.Publish(Event{Kind: TaskPosted, Task: 3})
+	if fmt.Sprint(first) != "[1]" || fmt.Sprint(second) != "[1 2]" {
+		t.Fatalf("recorded seqs %v and %v, want [1] and [1 2]", first, second)
 	}
 }

@@ -11,7 +11,9 @@
 //     only ever sees its dense local IDs;
 //   - a replayable event log — GET /events?since=N resumes a node stream
 //     after the N-th event, so a reconnecting cluster subscriber can
-//     preserve the exactly-once audit across connection loss;
+//     preserve the exactly-once audit across connection loss. The
+//     platform's event bus writes it as it publishes (a recorder, not a
+//     subscription), so no burst of events can leave a hole in it;
 //   - GET /cluster/info — the node's identity, its owned initial tasks and
 //     the topology fingerprint, letting clients verify the cluster matches
 //     the workload flags they generated from before any traffic flows.
@@ -29,6 +31,7 @@ import (
 
 	"ltc"
 	"ltc/internal/cluster"
+	"ltc/internal/events"
 	"ltc/internal/geo"
 )
 
@@ -84,7 +87,7 @@ type NodeStats struct {
 // check, global↔local task-ID translation, the replayable event log and
 // /cluster/info — and is served by the same handler set. Construct with
 // NewClusterServer, serve Handler(), and Close when done (it detaches the
-// event recorder from the platform).
+// event log's recorder from the platform's bus).
 type ClusterServer struct {
 	topo    *cluster.Topology
 	node    int
@@ -93,7 +96,7 @@ type ClusterServer struct {
 	localOf map[int]ltc.TaskID // cluster-global → local, initial tasks
 	ownerOf []int32            // cluster-global initial task → owning node
 	log     *eventLog
-	sub     *ltc.Subscription // the event recorder's feed; nil when the node owns no tiles
+	unrec   func() // detaches the log's recorder; nil when the node owns no tiles
 	mux     *http.ServeMux
 }
 
@@ -129,27 +132,10 @@ func NewClusterServer(p *ltc.Platform, algo ltc.Algorithm, requestedShards int,
 			s.localOf[int(g)] = ltc.TaskID(local)
 		}
 		// Record the node's whole event history from boot: the log is what
-		// makes GET /events?since=N resumable. The platform's buses never
-		// block publishers; if this subscriber is ever overrun the log has a
-		// hole, so it is marked corrupt and streams terminate rather than
-		// silently skipping — the cluster merger's gap detection stays honest.
-		s.sub = p.Subscribe()
-		go func() {
-			for e := range s.sub.Events() {
-				if s.sub.Dropped() > 0 {
-					s.log.markCorrupt()
-					return
-				}
-				we := FromEvent(e)
-				// tile_migrated frames carry Task -1, which passes through
-				// untouched. Seq stays the node-local dense sequence — the
-				// cluster merger folds per-node sequences, never rewrites them.
-				if we.Task >= 0 {
-					we.Task = s.globalID(we.Task)
-				}
-				s.log.append(we)
-			}
-		}()
+		// makes GET /events?since=N resumable. The bus calls the recorder
+		// with every event, in Seq order, as it publishes it, so the log
+		// cannot have a hole.
+		s.unrec = events.RecordPlatform(p, s.record)
 	}
 	s.mux = newMux(s)
 	s.mux.HandleFunc("GET /cluster/info", s.handleInfo)
@@ -159,12 +145,26 @@ func NewClusterServer(p *ltc.Platform, algo ltc.Algorithm, requestedShards int,
 // Handler returns the node's HTTP surface.
 func (s *ClusterServer) Handler() http.Handler { return s.mux }
 
-// Close detaches the event recorder from the platform. Open /events streams
-// drain the recorded log and then block until their clients disconnect.
+// Close detaches the event log's recorder from the platform's bus. Open
+// /events streams drain the recorded log and then block until their clients
+// disconnect. Safe to call more than once.
 func (s *ClusterServer) Close() {
-	if s.sub != nil {
-		s.sub.Close() // idempotent
+	if s.unrec != nil {
+		s.unrec()
 	}
+}
+
+// record appends a platform event to the log, on the publishing goroutine
+// under the bus lock (see events.Bus.Record). tile_migrated events carry
+// Task -1, which passes through untouched. Seq stays the node-local dense
+// sequence — the cluster merger folds per-node sequences, never rewrites
+// them.
+func (s *ClusterServer) record(e ltc.Event) {
+	we := FromEvent(e)
+	if we.Task >= 0 {
+		we.Task = s.globalID(we.Task)
+	}
+	s.log.append(we)
 }
 
 // globalID translates a node-local task ID to its cluster-global ID:
@@ -255,11 +255,6 @@ func (s *ClusterServer) stats() any {
 	return NodeStats{Stats: s.inner.stats().(Stats), Node: s.node, ClusterNodes: s.topo.Nodes}
 }
 
-// errLogTruncated ends an event stream whose recorder was overrun: the log
-// has a hole at the tail, so the stream stops rather than serve a gapped
-// sequence.
-var errLogTruncated = errors.New("event log truncated (recorder overrun)")
-
 // events replays the node's recorded log from since (the per-node sequence
 // number after which to resume; 0 is the beginning), then follows the live
 // feed — unlike the plain gateway's subscribe-from-now stream — so a
@@ -269,10 +264,7 @@ func (s *ClusterServer) events(since uint64) (func(context.Context) ([]byte, err
 	pos := int(min(since, math.MaxInt)) // the log's i-th event has per-node Seq i+1
 	next := func(ctx context.Context) ([]byte, error) {
 		for {
-			frames, n, wait, corrupt := s.log.tail(pos)
-			if corrupt {
-				return nil, errLogTruncated
-			}
+			frames, n, wait := s.log.tail(pos)
 			if wait == nil {
 				pos += n
 				return frames, nil
@@ -330,17 +322,18 @@ func (n idleNode) stats() any {
 // eventLog is the node's append-only recorded event history backing
 // resumable /events streams: every event's finished SSE frame, back to back,
 // so that a stream — the first subscriber's, the tenth's, a ?since= replay —
-// is a copy of bytes framed once. Written bytes never change (an append that
-// outgrows the array moves on to a new one), so readers hold their slice of
-// them without the lock. Appends broadcast by closing notify.
+// is a copy of bytes framed once, by the publisher. Written bytes never
+// change (an append that outgrows the array moves on to a new one), so
+// readers hold their slice of them without the lock. Appends broadcast by
+// closing notify. mu nests inside the bus lock (append runs as the bus's
+// recorder); nothing nests inside mu, and no holder of it waits on the bus.
 type eventLog struct {
 	mu     sync.Mutex
 	frames []byte
 	// ends[i] is where the i-th event's frame ends in frames. The log keeps
 	// no sequence numbers: a node's i-th event has per-node Seq i+1.
-	ends    []int
-	notify  chan struct{}
-	corrupt bool
+	ends   []int
+	notify chan struct{}
 }
 
 func newEventLog() *eventLog { return &eventLog{notify: make(chan struct{})} }
@@ -354,19 +347,10 @@ func (l *eventLog) append(e Event) {
 	l.mu.Unlock()
 }
 
-func (l *eventLog) markCorrupt() {
-	l.mu.Lock()
-	l.corrupt = true
-	close(l.notify)
-	l.notify = make(chan struct{})
-	l.mu.Unlock()
-}
-
 // tail returns the frames of the n events recorded after the first pos, or —
 // when the log hasn't grown that far — a channel that closes on the next
-// append. corrupt is only reported once the readable prefix is exhausted, so
-// clients always see every intact event.
-func (l *eventLog) tail(pos int) (frames []byte, n int, wait chan struct{}, corrupt bool) {
+// append.
+func (l *eventLog) tail(pos int) (frames []byte, n int, wait chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if pos < len(l.ends) {
@@ -374,10 +358,7 @@ func (l *eventLog) tail(pos int) (frames []byte, n int, wait chan struct{}, corr
 		if pos > 0 {
 			start = l.ends[pos-1]
 		}
-		return l.frames[start:], len(l.ends) - pos, nil, false
+		return l.frames[start:], len(l.ends) - pos, nil
 	}
-	if l.corrupt {
-		return nil, 0, nil, true
-	}
-	return nil, 0, l.notify, false
+	return nil, 0, l.notify
 }

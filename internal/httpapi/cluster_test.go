@@ -25,7 +25,7 @@ type clusterFixture struct {
 	cc    *ClusterClient
 }
 
-func newCluster(t *testing.T, in *ltc.Instance, nodes, shards int, algo ltc.Algorithm, seed uint64) *clusterFixture {
+func newCluster(t *testing.T, in *ltc.Instance, nodes, shards int, algo ltc.Algorithm, seed uint64, opts ...ltc.Option) *clusterFixture {
 	t.Helper()
 	topo, err := cluster.Build(in, nodes)
 	if err != nil {
@@ -39,7 +39,7 @@ func newCluster(t *testing.T, in *ltc.Instance, nodes, shards int, algo ltc.Algo
 	for n := 0; n < nodes; n++ {
 		var plat *ltc.Platform
 		if sub := split.Subs[n]; sub != nil {
-			plat, err = ltc.NewPlatform(sub.In, algo, ltc.WithShards(shards), ltc.WithSeed(seed))
+			plat, err = ltc.NewPlatform(sub.In, algo, append([]ltc.Option{ltc.WithShards(shards), ltc.WithSeed(seed)}, opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -525,23 +525,66 @@ func TestClusterEventLogResume(t *testing.T) {
 	}
 }
 
-// TestClusterEventLogCorrupt: an overrun recorder truncates the log; open
-// streams drain the intact prefix and then terminate instead of serving a
-// gapped sequence (the merger would reject it as ErrSeqGap anyway).
-func TestClusterEventLogCorrupt(t *testing.T) {
-	log := newEventLog()
-	log.append(Event{Seq: 1, Kind: "task_completed", Task: 0})
-	log.markCorrupt()
-	if e, wait, corrupt := log.at(0); wait != nil || corrupt || e.Seq != 1 {
-		t.Fatalf("intact prefix must stay readable: (%+v, %v, %v)", e, wait, corrupt)
+// TestClusterEventLogLossless: the node's log is written by the publisher,
+// so no burst can leave a hole in it. The platform's subscriptions hold one
+// event each, and batches complete many tasks per call; /events?since=0
+// still replays Seq 1..n without a gap, one task_completed per task, and
+// ends in platform_done.
+func TestClusterEventLogLossless(t *testing.T) {
+	in := tableIV(t, 0.01, 42)
+	f := newCluster(t, in, 1, 1, ltc.AAM, 42, ltc.WithEventBuffer(1))
+	const batch = 256
+	mostPerCall := 0
+	for i := 0; i < len(in.Workers) && !f.plats[0].Done(); i += batch {
+		ws := make([]Worker, 0, batch)
+		for _, w := range in.Workers[i:min(i+batch, len(in.Workers))] {
+			ws = append(ws, FromWorker(w))
+		}
+		recs, _, err := f.cc.CheckInBatch(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		completed := 0
+		for _, rec := range recs {
+			for _, g := range rec.Assignments {
+				if g.Completed {
+					completed++
+				}
+			}
+		}
+		mostPerCall = max(mostPerCall, completed)
 	}
-	if _, wait, corrupt := log.at(1); wait != nil || !corrupt {
-		t.Fatal("exhausted corrupt log must report corruption, not block")
+	if !f.plats[0].Done() || mostPerCall < 8 {
+		t.Fatalf("done %v, at most %d completions per call; want a finished run with bursts of ≥ 8", f.plats[0].Done(), mostPerCall)
 	}
-	// Appends after the mark still surface before the corruption signal.
-	log.append(Event{Seq: 3, Kind: "platform_done", Task: -1})
-	if e, _, _ := log.at(1); e.Seq != 3 {
-		t.Fatalf("post-corruption append unreadable: %+v", e)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := f.cc.Node(0).OpenEventsSince(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	completed := make(map[int]bool)
+	for seq := uint64(1); ; seq++ {
+		e, err := st.Next()
+		if err != nil {
+			t.Fatalf("replay ended at seq %d before platform_done: %v", seq, err)
+		}
+		if e.Seq != seq {
+			t.Fatalf("replay read seq %d, want %d", e.Seq, seq)
+		}
+		if e.Kind == "task_completed" {
+			if completed[e.Task] {
+				t.Fatalf("task %d completed twice", e.Task)
+			}
+			completed[e.Task] = true
+		}
+		if e.Kind == "platform_done" {
+			break
+		}
+	}
+	if len(completed) != len(in.Tasks) {
+		t.Fatalf("replay completed %d tasks, want %d", len(completed), len(in.Tasks))
 	}
 }
 

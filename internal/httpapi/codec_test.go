@@ -26,21 +26,6 @@ import (
 	"ltc/internal/cluster"
 )
 
-// at decodes the log's pos-th stored frame back into its event, for the
-// tests that read the log one event at a time.
-func (l *eventLog) at(pos int) (e Event, wait chan struct{}, corrupt bool) {
-	frames, _, wait, corrupt := l.tail(pos)
-	if wait != nil || corrupt {
-		return Event{}, wait, corrupt
-	}
-	frame, _, _ := bytes.Cut(frames, []byte("\n\n"))
-	_, data, _ := bytes.Cut(frame, []byte("\ndata: "))
-	if err := json.Unmarshal(data, &e); err != nil {
-		panic(fmt.Sprintf("stored frame %q: %v", frame, err))
-	}
-	return e, nil, false
-}
-
 // sameDecode holds the package's read path to encoding/json's on one input
 // and one shape: the same value (nil against empty and -0 against 0
 // included), an error on the same inputs, with the same text. It returns the

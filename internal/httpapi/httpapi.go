@@ -235,9 +235,8 @@ type node interface {
 	// events opens the node's event stream resuming after sequence number
 	// since (nodes without history start at the subscription point). next
 	// blocks for the following events and returns the SSE frames of every
-	// one that is ready, in Seq order, valid until the next call;
-	// errLogTruncated ends the stream with a closing comment, any other
-	// error (ctx's, io.EOF) ends it silently.
+	// one that is ready, in Seq order, valid until the next call; an error
+	// (ctx's, io.EOF) ends the stream.
 	events(since uint64) (next func(context.Context) (frames []byte, _ error), stop func())
 }
 
@@ -365,16 +364,20 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // serveEvents streams the node's event feed as Server-Sent Events: one
-// frame per event, named by the event kind, with the JSON Event as data,
-// framed by the node (once per event, however many streams carry it).
+// frame per event, named by the event kind, with the JSON Event as data.
 // Either node kind hands it every frame that is ready — a cluster node its
-// log's unread tail, the plain gateway its subscription's buffered events
-// up to maxBurst — and each such burst goes out in one Write and one Flush.
+// log's unread tail, framed once by the publisher however many streams
+// carry it; the plain gateway its subscription's buffered events up to
+// maxBurst — and each such burst goes out in one Write and one Flush.
 // The feed is opened before the response headers are written, so a client
 // that sees the 200 has a live subscription. A client that stops reading is
 // dropped by the write path, never the platform. The stream stays open
 // after platform_done — a PostTask can revive the run — until the client
-// disconnects.
+// disconnects. The response is sent with Transfer-Encoding: identity, the
+// setup net/http documents for Server-Sent Events: the bytes go out raw,
+// without chunk framing (whose length line would cost an allocation per
+// burst of 256 bytes or more), and the connection closes when the stream
+// ends.
 func serveEvents(w http.ResponseWriter, r *http.Request, n node) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -393,13 +396,11 @@ func serveEvents(w http.ResponseWriter, r *http.Request, n node) {
 	defer stop()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("Transfer-Encoding", "identity")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	for {
 		frames, err := next(r.Context())
-		if err == errLogTruncated {
-			_, _ = fmt.Fprintf(w, ": %s\n\n", err)
-		}
 		if err != nil {
 			return
 		}

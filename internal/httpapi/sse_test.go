@@ -372,3 +372,90 @@ func TestEventStreamReadsBurst(t *testing.T) {
 		t.Errorf("reading 50 events allocates %v objects and 200 allocate %v; want no per-event allocation (decodeFrame's)", small, large)
 	}
 }
+
+// feedNode is a node whose stream hands out the bursts sent on in, one per
+// next call, and reports on sent each time serveEvents comes back for the
+// next one — after it wrote and flushed the last. A closed in ends the
+// stream.
+type feedNode struct {
+	ingress
+	in   chan []byte
+	sent chan struct{}
+}
+
+func (n feedNode) events(uint64) (func(context.Context) ([]byte, error), func()) {
+	first := true
+	next := func(ctx context.Context) ([]byte, error) {
+		if !first {
+			select {
+			case n.sent <- struct{}{}:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		first = false
+		select {
+		case b, ok := <-n.in:
+			if !ok {
+				return nil, io.EOF
+			}
+			return b, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return next, func() {}
+}
+
+// TestServeEventsBurstAllocs: the stream goes out unchunked, so a burst of
+// 256 bytes or more costs no allocation to write and flush — a chunked
+// writer boxes every chunk length from 256 up to print its size line. The
+// bytes on the wire are the frames and nothing else, and the connection
+// closes when the stream ends.
+func TestServeEventsBurstAllocs(t *testing.T) {
+	var burst []byte
+	for i := 1; len(burst) < 1024; i++ {
+		burst = appendFrame(burst, Event{Seq: uint64(i), Kind: "task_completed", Task: i, Worker: 1000 + i})
+	}
+	n := feedNode{in: make(chan []byte), sent: make(chan struct{})}
+	srv := httptest.NewServer(newMux(n))
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if _, err := io.WriteString(conn, "GET /events HTTP/1.1\r\nHost: ltc\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The header block arrives with the headers' Flush, before any frame.
+	var head []byte
+	for !bytes.HasSuffix(head, []byte("\r\n\r\n")) {
+		var c [1]byte
+		if _, err := conn.Read(c[:]); err != nil {
+			t.Fatalf("reading the headers %q: %v", head, err)
+		}
+		head = append(head, c[0])
+	}
+	if !bytes.HasPrefix(head, []byte("HTTP/1.1 200")) || bytes.Contains(head, []byte("Transfer-Encoding")) {
+		t.Fatalf("headers %q, want a 200 without a Transfer-Encoding", head)
+	}
+	got := make([]byte, len(burst))
+	allocs := testing.AllocsPerRun(50, func() {
+		n.in <- burst
+		<-n.sent
+		if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, burst) {
+			t.Fatalf("read %q, %v; want the %d-byte burst as sent", got, err, len(burst))
+		}
+	})
+	close(n.in)
+	if rest, err := io.ReadAll(conn); err != nil || len(rest) != 0 {
+		t.Fatalf("after the stream ended the connection carried %q, %v; want it closed", rest, err)
+	}
+	if raceEnabled {
+		return // race instrumentation allocates; the framing was still checked
+	}
+	if allocs != 0 {
+		t.Errorf("a %d-byte burst costs %v allocations to write and flush, want 0", len(burst), allocs)
+	}
+}

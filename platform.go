@@ -248,6 +248,12 @@ func (p *Platform) Close() error { return p.d.Close() }
 // the full ordering and drop contract.
 func (p *Platform) Subscribe() *Subscription { return p.d.Subscribe(p.eventBuf) }
 
+// The lossless recorder has no exported name: events.RecordPlatform is how
+// the module's own front ends attach one (the cluster node's event log).
+func init() {
+	events.RecordPlatform = func(p any, record func(Event)) func() { return p.(*Platform).d.Record(record) }
+}
+
 // PostTask adds a task to the live platform and returns its global TaskID
 // (dense: initial tasks keep 0..n-1, posted tasks follow in post order).
 // The task is owned by the shard its location routes to — the same shard
