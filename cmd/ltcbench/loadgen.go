@@ -16,7 +16,7 @@ import (
 // audits the run. The target is len(urls) cluster nodes behind the routing
 // client; a plain gateway (clustered false) is the one-node case of the
 // same driver — a one-tile topology whose route is ≡ 0 — and differs only
-// in skipping the topology handshake and in how its event stream opens.
+// in skipping the topology handshake.
 //
 //   - It regenerates the target's workload from the same -scale/-seed
 //     flags, derives the tile→node topology client-side and, on a cluster,
@@ -102,14 +102,13 @@ func runLoadgen(out io.Writer, urls []string, clustered bool, scale float64, see
 	fmt.Fprintf(out, "loadgen: %d tasks / %d workers across %d nodes (%d task-owning; %s, batch=%d)\n",
 		len(in.Tasks), len(in.Workers), len(urls), taskNodes, algo, batch)
 
-	// Subscribe before feeding and audit the stream beside the feed.
-	next, closeEvents, err := openEvents(ctx, cc, clustered)
-	if err != nil {
-		return err
-	}
-	defer closeEvents()
+	// Audit the merged stream beside the feed. Every node replays its event
+	// log from the first event, so opening it after Sync loses nothing, and
+	// the merge turns a per-node sequence gap into an error.
+	events := cc.OpenClusterEvents(ctx)
+	defer events.Close()
 	audited := make(chan eventAudit, 1)
-	go func() { audited <- auditEvents(next, len(in.Tasks), taskNodes) }()
+	go func() { audited <- auditEvents(events, len(in.Tasks), taskNodes) }()
 
 	// Feed the stream through the routing client. Completed nodes keep
 	// bouncing per-call traffic exactly like a completed gateway, so the
@@ -177,26 +176,6 @@ func runLoadgen(out io.Writer, urls []string, clustered bool, scale float64, see
 	return nil
 }
 
-// openEvents subscribes to the target's event stream. A plain gateway's
-// stream starts at the subscription point, so OpenEvents is used: when it
-// returns, the gateway-side subscription is live. Cluster nodes replay
-// their event log from boot, so the merged stream loses nothing by opening
-// after Sync, and it turns per-node sequence gaps into errors.
-func openEvents(ctx context.Context, cc *httpapi.ClusterClient, clustered bool) (next func() (httpapi.Event, error), closeFn func(), err error) {
-	if !clustered {
-		s, err := cc.Node(0).OpenEvents(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s.Next, func() { _ = s.Close() }, nil
-	}
-	s := cc.OpenClusterEvents(ctx)
-	return func() (httpapi.Event, error) {
-		e, err := s.Next()
-		return e.Event, err
-	}, s.Close, nil
-}
-
 // eventAudit is what one subscriber saw of a run.
 type eventAudit struct {
 	completions                             map[int]int // task ID → task_completed count
@@ -208,10 +187,10 @@ type eventAudit struct {
 // wantDone platform_done events — one per task-owning node; another shard
 // can publish a completion after the platform_done transition, so both are
 // awaited — or until the stream ends.
-func auditEvents(next func() (httpapi.Event, error), tasks, wantDone int) eventAudit {
+func auditEvents(events *httpapi.ClusterStream, tasks, wantDone int) eventAudit {
 	au := eventAudit{completions: make(map[int]int)}
 	for au.platformDone < wantDone || len(au.completions) < tasks {
-		e, err := next()
+		e, err := events.Next()
 		if err != nil {
 			if err != io.EOF {
 				au.err = err

@@ -9,7 +9,9 @@
 //	DELETE /tasks/{id}     retire a task
 //	GET    /stats          progress / latency snapshot
 //	GET    /events         Server-Sent Events stream (task_posted,
-//	                       task_retired, task_completed, platform_done)
+//	                       task_retired, task_completed, platform_done,
+//	                       tile_migrated) replayed from the first event, or
+//	                       after the N-th with ?since=N, then followed live
 //
 // Examples:
 //
@@ -73,7 +75,6 @@ func main() {
 		epsilon   = flag.Float64("epsilon", 0.10, "tolerable error rate ε")
 		k         = flag.Int("k", 6, "worker capacity K")
 		city      = flag.String("city", "", "serve a city trace's tasks instead: newyork or tokyo")
-		eventBuf  = flag.Int("event-buffer", 0, "per-subscriber event buffer of the gateway's /events streams (0 = default); cluster nodes record their event log synchronously and do not use it")
 		clusterIn = flag.String("cluster", "", "cluster role: init=N writes an N-node topology file and exits; node=I serves cluster node I (both need -topology)")
 		topoPath  = flag.String("topology", "", "cluster topology file (written by -cluster init, read by -cluster node)")
 	)
@@ -120,7 +121,7 @@ func main() {
 	if requested == 0 {
 		requested = runtime.GOMAXPROCS(0)
 	}
-	popts := []ltc.Option{ltc.WithShards(requested), ltc.WithSeed(*seed), ltc.WithEventBuffer(*eventBuf)}
+	popts := []ltc.Option{ltc.WithShards(requested), ltc.WithSeed(*seed)}
 	if *balanced {
 		popts = append(popts, ltc.WithBalancedShards())
 	}

@@ -138,20 +138,18 @@ type EventStream struct {
 	closed  atomic.Bool
 }
 
-// OpenEvents subscribes to the gateway's event stream. When it returns
-// without error the server-side subscription is live: every platform event
-// published afterwards will be delivered (the gateway subscribes before it
-// writes the response headers). Cancel ctx or call Close to end the
-// stream.
+// OpenEvents subscribes to the node's event stream from its first event:
+// the node replays its recorded log, then follows the live one. Cancel ctx
+// or call Close to end the stream.
 func (c *Client) OpenEvents(ctx context.Context) (*EventStream, error) {
 	return c.OpenEventsSince(ctx, 0)
 }
 
 // OpenEventsSince subscribes to the event stream resuming after per-node
-// sequence number since. Cluster nodes record their whole event history, so
+// sequence number since. Every node records its whole event history, so
 // since > 0 replays everything the caller has not yet folded — the resume
-// half of the exactly-once cluster audit. Plain gateways ignore the
-// parameter (their streams start at the subscription point).
+// half of the exactly-once cluster audit. A since ahead of the node's log
+// (the node restarted) is an HTTP 400.
 func (c *Client) OpenEventsSince(ctx context.Context, since uint64) (*EventStream, error) {
 	path := "/events"
 	if since > 0 {

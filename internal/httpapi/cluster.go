@@ -9,11 +9,11 @@
 //   - task-ID translation — the wire speaks cluster-global IDs everywhere
 //     (receipts, events, /tasks, DELETE /tasks/{id}); the node's platform
 //     only ever sees its dense local IDs;
-//   - a replayable event log — GET /events?since=N resumes a node stream
-//     after the N-th event, so a reconnecting cluster subscriber can
-//     preserve the exactly-once audit across connection loss. The
-//     platform's event bus writes it as it publishes (a recorder, not a
-//     subscription), so no burst of events can leave a hole in it;
+//   - a global event log — the node records its platform's events, as the
+//     plain gateway does, with their task IDs made cluster-global, and
+//     GET /events?since=N resumes a node stream after the N-th event, so a
+//     reconnecting cluster subscriber can preserve the exactly-once audit
+//     across connection loss;
 //   - GET /cluster/info — the node's identity, its owned initial tasks and
 //     the topology fingerprint, letting clients verify the cluster matches
 //     the workload flags they generated from before any traffic flows.
@@ -22,12 +22,9 @@
 package httpapi
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"sync"
 
 	"ltc"
 	"ltc/internal/cluster"
@@ -84,7 +81,7 @@ type NodeStats struct {
 
 // ClusterServer serves one cluster node: a decorator around the plain
 // gateway's node that adds only what is cluster-specific — the ownership
-// check, global↔local task-ID translation, the replayable event log and
+// check, global↔local task-ID translation (in the event log too) and
 // /cluster/info — and is served by the same handler set. Construct with
 // NewClusterServer, serve Handler(), and Close when done (it detaches the
 // event log's recorder from the platform's bus).
@@ -137,7 +134,7 @@ func NewClusterServer(p *ltc.Platform, algo ltc.Algorithm, requestedShards int,
 		// cannot have a hole.
 		s.unrec = events.RecordPlatform(p, s.record)
 	}
-	s.mux = newMux(s)
+	s.mux = newMux(s, s.log)
 	s.mux.HandleFunc("GET /cluster/info", s.handleInfo)
 	return s, nil
 }
@@ -255,30 +252,6 @@ func (s *ClusterServer) stats() any {
 	return NodeStats{Stats: s.inner.stats().(Stats), Node: s.node, ClusterNodes: s.topo.Nodes}
 }
 
-// events replays the node's recorded log from since (the per-node sequence
-// number after which to resume; 0 is the beginning), then follows the live
-// feed — unlike the plain gateway's subscribe-from-now stream — so a
-// reconnecting cluster client can rebuild the global gapless sequence
-// without losing its audit.
-func (s *ClusterServer) events(since uint64) (func(context.Context) ([]byte, error), func()) {
-	pos := int(min(since, math.MaxInt)) // the log's i-th event has per-node Seq i+1
-	next := func(ctx context.Context) ([]byte, error) {
-		for {
-			frames, n, wait := s.log.tail(pos)
-			if wait == nil {
-				pos += n
-				return frames, nil
-			}
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-wait:
-			}
-		}
-	}
-	return next, func() {}
-}
-
 func (s *ClusterServer) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	info := ClusterInfo{
 		Node: s.node, Nodes: s.topo.Nodes, TotalTasks: s.topo.TotalTasks,
@@ -317,48 +290,4 @@ func (idleNode) retireTask(id int) error { return fmt.Errorf("unknown task %d", 
 
 func (n idleNode) stats() any {
 	return Stats{Algo: n.algo, RequestedShards: n.requested, Done: true, Imbalance: 1}
-}
-
-// eventLog is the node's append-only recorded event history backing
-// resumable /events streams: every event's finished SSE frame, back to back,
-// so that a stream — the first subscriber's, the tenth's, a ?since= replay —
-// is a copy of bytes framed once, by the publisher. Written bytes never
-// change (an append that outgrows the array moves on to a new one), so
-// readers hold their slice of them without the lock. Appends broadcast by
-// closing notify. mu nests inside the bus lock (append runs as the bus's
-// recorder); nothing nests inside mu, and no holder of it waits on the bus.
-type eventLog struct {
-	mu     sync.Mutex
-	frames []byte
-	// ends[i] is where the i-th event's frame ends in frames. The log keeps
-	// no sequence numbers: a node's i-th event has per-node Seq i+1.
-	ends   []int
-	notify chan struct{}
-}
-
-func newEventLog() *eventLog { return &eventLog{notify: make(chan struct{})} }
-
-func (l *eventLog) append(e Event) {
-	l.mu.Lock()
-	l.frames = appendFrame(l.frames, e)
-	l.ends = append(l.ends, len(l.frames))
-	close(l.notify)
-	l.notify = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// tail returns the frames of the n events recorded after the first pos, or —
-// when the log hasn't grown that far — a channel that closes on the next
-// append.
-func (l *eventLog) tail(pos int) (frames []byte, n int, wait chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if pos < len(l.ends) {
-		start := 0
-		if pos > 0 {
-			start = l.ends[pos-1]
-		}
-		return l.frames[start:], len(l.ends) - pos, nil
-	}
-	return nil, 0, l.notify
 }

@@ -355,9 +355,9 @@ type ClusterStream struct {
 }
 
 // OpenClusterEvents starts the merged stream. Unlike OpenEvents it does not
-// wait for the node subscriptions to be live — cluster nodes replay their
-// recorded log from the beginning, so no event can be missed by
-// subscribing late. Close the stream (or cancel ctx) to stop.
+// wait for the node subscriptions to be live — nodes replay their recorded
+// log from the beginning, so no event can be missed by subscribing late.
+// Close the stream (or cancel ctx) to stop.
 func (c *ClusterClient) OpenClusterEvents(ctx context.Context) *ClusterStream {
 	ctx, cancel := context.WithCancel(ctx)
 	s := &ClusterStream{

@@ -462,129 +462,169 @@ func TestClusterZeroTileNode(t *testing.T) {
 	}
 }
 
-// TestClusterEventLogResume pins the ?since= contract: the node's recorded
-// log replays from any per-node sequence number, so a reconnecting
-// subscriber resumes exactly where it folded off.
-func TestClusterEventLogResume(t *testing.T) {
-	in := tableIV(t, 0.01, 42)
-	f := newCluster(t, in, 1, 1, ltc.AAM, 42)
-	for _, w := range in.Workers {
-		if f.plats[0].Done() {
-			break
-		}
-		if _, err := f.cc.CheckIn(FromWorker(w)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	// Count the full log first.
-	full, err := f.cc.Node(0).OpenEventsSince(ctx, 0)
+// eventNode is one node kind serving a whole instance's platform, as the
+// event-log tests drive it: the plain gateway, or the only node of a
+// one-node cluster, which owns every location.
+type eventNode struct {
+	name   string
+	plat   *ltc.Platform
+	client *Client
+}
+
+// eventNodes boots both node kinds over in, one platform each.
+func eventNodes(t *testing.T, in *ltc.Instance, opts ...ltc.Option) []eventNode {
+	t.Helper()
+	plat, err := ltc.NewPlatform(in, ltc.AAM, append([]ltc.Option{ltc.WithShards(1), ltc.WithSeed(42)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = full.Close() }()
-	total := uint64(0)
-	for {
-		e, err := full.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Seq != total+1 {
-			t.Fatalf("log replay not dense: seq %d after %d", e.Seq, total)
-		}
-		total = e.Seq
-		if e.Kind == "platform_done" {
-			break
-		}
-	}
-	if total < 3 {
-		t.Fatalf("log too short to test resume: %d events", total)
-	}
-	// Resume mid-log: the first replayed event is exactly since+1.
-	resume, err := f.cc.Node(0).OpenEventsSince(ctx, total/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resume.Close() }()
-	e, err := resume.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Seq != total/2+1 {
-		t.Fatalf("resume at %d delivered seq %d, want %d", total/2, e.Seq, total/2+1)
-	}
-	// Malformed since is a 400, not a stream.
-	resp, err := http.Get(f.urls[0] + "/events?since=nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad since: HTTP %d, want 400", resp.StatusCode)
+	t.Cleanup(func() { _ = plat.Close() })
+	srv := httptest.NewServer(NewHandler(plat, ltc.AAM, 1))
+	t.Cleanup(srv.Close)
+	f := newCluster(t, in, 1, 1, ltc.AAM, 42, opts...)
+	return []eventNode{
+		{name: "gateway", plat: plat, client: &Client{Base: srv.URL, HTTP: srv.Client()}},
+		{name: "cluster-node", plat: f.plats[0], client: f.cc.Node(0)},
 	}
 }
 
-// TestClusterEventLogLossless: the node's log is written by the publisher,
-// so no burst can leave a hole in it. The platform's subscriptions hold one
-// event each, and batches complete many tasks per call; /events?since=0
-// still replays Seq 1..n without a gap, one task_completed per task, and
-// ends in platform_done.
-func TestClusterEventLogLossless(t *testing.T) {
+// TestClusterEventLogResume pins the ?since= contract on both node kinds:
+// the node's recorded log replays from any per-node sequence number, so a
+// reconnecting subscriber resumes exactly where it folded off.
+func TestClusterEventLogResume(t *testing.T) {
 	in := tableIV(t, 0.01, 42)
-	f := newCluster(t, in, 1, 1, ltc.AAM, 42, ltc.WithEventBuffer(1))
-	const batch = 256
-	mostPerCall := 0
-	for i := 0; i < len(in.Workers) && !f.plats[0].Done(); i += batch {
-		ws := make([]Worker, 0, batch)
-		for _, w := range in.Workers[i:min(i+batch, len(in.Workers))] {
-			ws = append(ws, FromWorker(w))
-		}
-		recs, _, err := f.cc.CheckInBatch(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		completed := 0
-		for _, rec := range recs {
-			for _, g := range rec.Assignments {
-				if g.Completed {
-					completed++
+	for _, n := range eventNodes(t, in) {
+		t.Run(n.name, func(t *testing.T) {
+			for _, w := range in.Workers {
+				if n.plat.Done() {
+					break
+				}
+				if _, err := n.client.CheckIn(FromWorker(w)); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		mostPerCall = max(mostPerCall, completed)
-	}
-	if !f.plats[0].Done() || mostPerCall < 8 {
-		t.Fatalf("done %v, at most %d completions per call; want a finished run with bursts of ≥ 8", f.plats[0].Done(), mostPerCall)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	st, err := f.cc.Node(0).OpenEventsSince(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = st.Close() }()
-	completed := make(map[int]bool)
-	for seq := uint64(1); ; seq++ {
-		e, err := st.Next()
-		if err != nil {
-			t.Fatalf("replay ended at seq %d before platform_done: %v", seq, err)
-		}
-		if e.Seq != seq {
-			t.Fatalf("replay read seq %d, want %d", e.Seq, seq)
-		}
-		if e.Kind == "task_completed" {
-			if completed[e.Task] {
-				t.Fatalf("task %d completed twice", e.Task)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// Count the full log first.
+			full, err := n.client.OpenEventsSince(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			completed[e.Task] = true
-		}
-		if e.Kind == "platform_done" {
-			break
-		}
+			defer func() { _ = full.Close() }()
+			total := uint64(0)
+			for {
+				e, err := full.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.Seq != total+1 {
+					t.Fatalf("log replay not dense: seq %d after %d", e.Seq, total)
+				}
+				total = e.Seq
+				if e.Kind == "platform_done" {
+					break
+				}
+			}
+			if total < 3 {
+				t.Fatalf("log too short to test resume: %d events", total)
+			}
+			// Resume mid-log: the first replayed event is exactly since+1.
+			resume, err := n.client.OpenEventsSince(ctx, total/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = resume.Close() }()
+			e, err := resume.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Seq != total/2+1 {
+				t.Fatalf("resume at %d delivered seq %d, want %d", total/2, e.Seq, total/2+1)
+			}
+			// Resuming at the log's end follows the live stream: a post's
+			// task_posted is the next event.
+			live, err := n.client.OpenEventsSince(ctx, total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = live.Close() }()
+			if _, err := n.client.PostTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y); err != nil {
+				t.Fatal(err)
+			}
+			if e, err := live.Next(); err != nil || e.Seq != total+1 || e.Kind != "task_posted" {
+				t.Fatalf("live event %+v, %v; want task_posted at seq %d", e, err, total+1)
+			}
+			// A since ahead of the log is a 400, not a stream that waits.
+			if _, err := n.client.OpenEventsSince(ctx, total+2); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+				t.Fatalf("since ahead of the log: %v, want HTTP 400", err)
+			}
+		})
 	}
-	if len(completed) != len(in.Tasks) {
-		t.Fatalf("replay completed %d tasks, want %d", len(completed), len(in.Tasks))
+}
+
+// TestClusterEventLogLossless: on both node kinds the log is written by the
+// publisher, so no burst can leave a hole in it. The platform's
+// subscriptions hold one event each, and batches complete many tasks per
+// call; /events?since=0 still replays Seq 1..n without a gap, one
+// task_completed per task, and ends in platform_done.
+func TestClusterEventLogLossless(t *testing.T) {
+	in := tableIV(t, 0.01, 42)
+	for _, n := range eventNodes(t, in, ltc.WithEventBuffer(1)) {
+		t.Run(n.name, func(t *testing.T) {
+			const batch = 256
+			mostPerCall := 0
+			for i := 0; i < len(in.Workers) && !n.plat.Done(); i += batch {
+				ws := make([]Worker, 0, batch)
+				for _, w := range in.Workers[i:min(i+batch, len(in.Workers))] {
+					ws = append(ws, FromWorker(w))
+				}
+				recs, _, err := n.client.CheckInBatch(ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				completed := 0
+				for _, rec := range recs {
+					for _, g := range rec.Assignments {
+						if g.Completed {
+							completed++
+						}
+					}
+				}
+				mostPerCall = max(mostPerCall, completed)
+			}
+			if !n.plat.Done() || mostPerCall < 8 {
+				t.Fatalf("done %v, at most %d completions per call; want a finished run with bursts of ≥ 8", n.plat.Done(), mostPerCall)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			st, err := n.client.OpenEventsSince(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = st.Close() }()
+			completed := make(map[int]bool)
+			for seq := uint64(1); ; seq++ {
+				e, err := st.Next()
+				if err != nil {
+					t.Fatalf("replay ended at seq %d before platform_done: %v", seq, err)
+				}
+				if e.Seq != seq {
+					t.Fatalf("replay read seq %d, want %d", e.Seq, seq)
+				}
+				if e.Kind == "task_completed" {
+					if completed[e.Task] {
+						t.Fatalf("task %d completed twice", e.Task)
+					}
+					completed[e.Task] = true
+				}
+				if e.Kind == "platform_done" {
+					break
+				}
+			}
+			if len(completed) != len(in.Tasks) {
+				t.Fatalf("replay completed %d tasks, want %d", len(completed), len(in.Tasks))
+			}
+		})
 	}
 }
 

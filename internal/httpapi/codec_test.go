@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -316,9 +315,6 @@ func (echoNode) checkInBatch(req BatchRequest) (BatchResponse, error) {
 func (echoNode) postTask(TaskRequest) (TaskResponse, error) { return TaskResponse{ID: 7}, nil }
 func (echoNode) retireTask(int) error                       { return nil }
 func (echoNode) stats() any                                 { return Stats{} }
-func (echoNode) events(uint64) (func(context.Context) ([]byte, error), func()) {
-	return func(ctx context.Context) ([]byte, error) { <-ctx.Done(); return nil, ctx.Err() }, func() {}
-}
 
 // TestUnencodableValues: what json.Marshal refuses, the codec refuses with
 // json.Marshal's error — a request is not sent, a response keeps its status
@@ -352,7 +348,7 @@ func TestUnencodableValues(t *testing.T) {
 // handed back while the transport or a handler still reads it shows up as a
 // race, or as somebody else's workers.
 func TestClientBufferLifetime(t *testing.T) {
-	srv := httptest.NewServer(newMux(echoNode{}))
+	srv := httptest.NewServer(newMux(echoNode{}, newEventLog()))
 	defer srv.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -398,7 +394,7 @@ func TestClientBufferLifetime(t *testing.T) {
 // all.
 func TestClientKeepsConnection(t *testing.T) {
 	var conns atomic.Int32
-	srv := httptest.NewUnstartedServer(newMux(echoNode{}))
+	srv := httptest.NewUnstartedServer(newMux(echoNode{}, newEventLog()))
 	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
 		if s == http.StateNew {
 			conns.Add(1)

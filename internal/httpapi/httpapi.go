@@ -10,7 +10,8 @@
 //	DELETE /tasks/{id}                       → 204 (404 for unknown IDs)
 //	GET    /stats                            → Stats
 //	GET    /events         Server-Sent Events: one frame per platform event,
-//	                       every ready frame in one write (≤ 64 KiB on the gateway)
+//	                       every ready frame in one write; ?since=N resumes
+//	                       after the N-th event
 //
 // A check-in bounced because the platform is complete is not an HTTP
 // error: it returns 200 with the bounced receipt ("done":true,
@@ -67,14 +68,14 @@
 package httpapi
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"ltc"
+	"ltc/internal/events"
 	"ltc/internal/geo"
 )
 
@@ -226,23 +227,12 @@ func FromEvent(e ltc.Event) Event {
 		Tile: e.Tile, FromShard: e.FromShard, ToShard: e.ToShard}
 }
 
-// node is what the one handler set serves: a check-in platform behind the
-// wire DTOs. The plain gateway is the Platform adapter (platformNode); a
-// cluster node decorates one with ownership, ID translation and a replayable
-// event log (ClusterServer). Handlers never ask which they were given.
-type node interface {
-	ingress
-	// events opens the node's event stream resuming after sequence number
-	// since (nodes without history start at the subscription point). next
-	// blocks for the following events and returns the SSE frames of every
-	// one that is ready, in Seq order, valid until the next call; an error
-	// (ctx's, io.EOF) ends the stream.
-	events(since uint64) (next func(context.Context) (frames []byte, _ error), stop func())
-}
-
-// ingress is the request/response half of a node. Task IDs are the node's
-// own: a platform's dense local IDs below a ClusterServer, cluster-global
-// IDs above it.
+// ingress is the request/response half of a node, what the one handler set
+// serves besides its event log. The plain gateway is the Platform adapter
+// (platformNode); a cluster node decorates one with ownership and ID
+// translation (ClusterServer). Handlers never ask which they were given.
+// Task IDs are the node's own: a platform's dense local IDs below a
+// ClusterServer, cluster-global IDs above it.
 type ingress interface {
 	checkIn(Worker) (Receipt, error)
 	checkInBatch(BatchRequest) (BatchResponse, error)
@@ -253,15 +243,19 @@ type ingress interface {
 
 // NewHandler wraps the platform in the gateway's HTTP surface. algo and
 // requestedShards (the resolved shard count passed to NewPlatform — never
-// 0) are echoed in /stats so clients can mirror the run in-process.
+// 0) are echoed in /stats so clients can mirror the run in-process. The
+// handler records the platform's events from here on for GET /events, as
+// long as the platform lives.
 func NewHandler(p *ltc.Platform, algo ltc.Algorithm, requestedShards int) http.Handler {
-	return newMux(platformNode{p: p, algo: string(algo), requested: requestedShards})
+	log := newEventLog()
+	events.RecordPlatform(p, func(e ltc.Event) { log.append(FromEvent(e)) })
+	return newMux(platformNode{p: p, algo: string(algo), requested: requestedShards}, log)
 }
 
 // newMux registers the gateway routes — the one handler set of the package —
-// over n. The second argument of call is the status of a node failure that
-// does not name its own (see writeError).
-func newMux(n node) *http.ServeMux {
+// over n, with GET /events served from log. The second argument of call is
+// the status of a node failure that does not name its own (see writeError).
+func newMux(n ingress, log *eventLog) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /checkin", call("worker", http.StatusBadRequest, n.checkIn))
 	mux.HandleFunc("POST /checkin/batch", call("batch", http.StatusBadRequest, n.checkInBatch))
@@ -279,7 +273,7 @@ func newMux(n node) *http.ServeMux {
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, n.stats())
 	})
-	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) { serveEvents(w, r, n) })
+	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) { serveEvents(w, r, log) })
 	return mux
 }
 
@@ -363,22 +357,22 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, httpError{Error: err.Error()})
 }
 
-// serveEvents streams the node's event feed as Server-Sent Events: one
-// frame per event, named by the event kind, with the JSON Event as data.
-// Either node kind hands it every frame that is ready — a cluster node its
-// log's unread tail, framed once by the publisher however many streams
-// carry it; the plain gateway its subscription's buffered events up to
-// maxBurst — and each such burst goes out in one Write and one Flush.
-// The feed is opened before the response headers are written, so a client
-// that sees the 200 has a live subscription. A client that stops reading is
-// dropped by the write path, never the platform. The stream stays open
-// after platform_done — a PostTask can revive the run — until the client
-// disconnects. The response is sent with Transfer-Encoding: identity, the
-// setup net/http documents for Server-Sent Events: the bytes go out raw,
-// without chunk framing (whose length line would cost an allocation per
-// burst of 256 bytes or more), and the connection closes when the stream
-// ends.
-func serveEvents(w http.ResponseWriter, r *http.Request, n node) {
+// serveEvents streams log as Server-Sent Events: one frame per event, named
+// by the event kind, with the JSON Event as data, resuming after the
+// since-th event (?since=N; 0, the default, is the beginning) and then
+// following the live log. Every frame that is ready — the log's unread tail,
+// framed once by the publisher however many streams carry it — goes out in
+// one Write and one Flush. A since past the log's end is a 400: the client
+// holds sequence numbers of some other log (a node that restarted), and
+// waiting for this one to catch up would silently skip its first events. A
+// client that stops reading is dropped by the write path, never the
+// platform. The stream stays open after platform_done — a PostTask can
+// revive the run — until the client disconnects. The response is sent with
+// Transfer-Encoding: identity, the setup net/http documents for Server-Sent
+// Events: the bytes go out raw, without chunk framing (whose length line
+// would cost an allocation per burst of 256 bytes or more), and the
+// connection closes when the stream ends.
+func serveEvents(w http.ResponseWriter, r *http.Request, log *eventLog) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
@@ -392,28 +386,86 @@ func serveEvents(w http.ResponseWriter, r *http.Request, n node) {
 			return
 		}
 	}
-	next, stop := n.events(since)
-	defer stop()
+	if n := log.len(); since > uint64(n) {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("since %d is ahead of the log's %d events", since, n))
+		return
+	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Transfer-Encoding", "identity")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	for {
-		frames, err := next(r.Context())
-		if err != nil {
-			return
+	for pos := int(since); ; { // the log's i-th event has per-node Seq i+1
+		frames, n, wait := log.tail(pos)
+		if wait != nil {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-wait:
+			}
+			continue
 		}
 		if _, err := w.Write(frames); err != nil {
 			return
 		}
 		flusher.Flush()
+		pos += n
 	}
 }
 
-// platformNode adapts a live ltc.Platform to the node interface — the plain
-// gateway. Its event stream has no history: it starts at the subscription
-// point and ignores since.
+// eventLog is a node's append-only recorded event history backing
+// resumable /events streams: every event's finished SSE frame, back to back,
+// so that a stream — the first subscriber's, the tenth's, a ?since= replay —
+// is a copy of bytes framed once, by the publisher. Written bytes never
+// change (an append that outgrows the array moves on to a new one), so
+// readers hold their slice of them without the lock. Appends broadcast by
+// closing notify. mu nests inside the bus lock (append runs as the bus's
+// recorder); nothing nests inside mu, and no holder of it waits on the bus.
+type eventLog struct {
+	mu     sync.Mutex
+	frames []byte
+	// ends[i] is where the i-th event's frame ends in frames. The log keeps
+	// no sequence numbers: a node's i-th event has per-node Seq i+1.
+	ends   []int
+	notify chan struct{}
+}
+
+func newEventLog() *eventLog { return &eventLog{notify: make(chan struct{})} }
+
+func (l *eventLog) append(e Event) {
+	l.mu.Lock()
+	l.frames = appendFrame(l.frames, e)
+	l.ends = append(l.ends, len(l.frames))
+	close(l.notify)
+	l.notify = make(chan struct{})
+	l.mu.Unlock()
+}
+
+// len is the number of events recorded so far.
+func (l *eventLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.ends)
+}
+
+// tail returns the frames of the n events recorded after the first pos, or —
+// when the log hasn't grown that far — a channel that closes on the next
+// append.
+func (l *eventLog) tail(pos int) (frames []byte, n int, wait chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if pos < len(l.ends) {
+		start := 0
+		if pos > 0 {
+			start = l.ends[pos-1]
+		}
+		return l.frames[start:], len(l.ends) - pos, nil
+	}
+	return nil, 0, l.notify
+}
+
+// platformNode adapts a live ltc.Platform to the ingress interface — the
+// plain gateway.
 type platformNode struct {
 	p         *ltc.Platform
 	algo      string
@@ -495,43 +547,4 @@ func (n platformNode) stats() any {
 		st.Tasks += sh.Tasks
 	}
 	return st
-}
-
-// maxBurst bounds one burst of the plain gateway's event stream (some 700
-// frames): a subscriber far behind still gets writes of bounded size, and
-// the reused buffer stays near it. A constant, like maxBody.
-const maxBurst = 64 << 10
-
-// events blocks for the subscription's next event, then drains every event
-// already buffered behind it, without blocking, into the same burst — until
-// the channel is empty or the burst reaches maxBurst. A subscription closed
-// mid-drain returns what it collected; the next call reports io.EOF.
-func (n platformNode) events(uint64) (func(context.Context) ([]byte, error), func()) {
-	sub := n.p.Subscribe()
-	ch := sub.Events()
-	var frames []byte // reused: next's result is valid until the next call
-	next := func(ctx context.Context) ([]byte, error) {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case e, ok := <-ch:
-			if !ok {
-				return nil, io.EOF
-			}
-			frames = appendFrame(frames[:0], FromEvent(e))
-		}
-		for len(frames) < maxBurst {
-			select {
-			case e, ok := <-ch:
-				if !ok {
-					return frames, nil
-				}
-				frames = appendFrame(frames, FromEvent(e))
-			default:
-				return frames, nil
-			}
-		}
-		return frames, nil
-	}
-	return next, sub.Close
 }

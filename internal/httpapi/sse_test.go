@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ltc"
 )
 
 // sseServer serves one canned /events response with raw, caller-controlled
@@ -157,153 +155,58 @@ func TestIsClosedErr(t *testing.T) {
 	}
 }
 
-// livePlatform is a small Table IV platform whose subscriptions buffer
-// every event the burst tests publish.
-func livePlatform(t *testing.T) (*ltc.Instance, *ltc.Platform) {
-	t.Helper()
-	cfg := ltc.DefaultWorkload().Scale(0.01)
-	cfg.Seed = 42
-	in, err := cfg.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ltc.NewPlatform(in, ltc.AAM, ltc.WithShards(1), ltc.WithEventBuffer(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in, p
-}
-
-// publish posts n tasks on p — n task_posted events into every live
-// subscription — and returns what a subscriber must read for them: the
-// concatenation of each event's frame, in Seq order, taken from a
-// subscription of its own.
-func publish(t *testing.T, in *ltc.Instance, p *ltc.Platform, n int) []byte {
-	t.Helper()
-	ref := p.Subscribe()
-	defer ref.Close()
-	for i := range n {
-		if _, err := p.PostTask(ltc.Task{Loc: in.Tasks[i%len(in.Tasks)].Loc}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var want []byte
-	var seq uint64
-	for range n {
-		e := <-ref.Events()
-		if seq != 0 && e.Seq != seq+1 {
-			t.Fatalf("reference subscription read seq %d after %d", e.Seq, seq)
-		}
-		seq = e.Seq
-		want = appendFrame(want, FromEvent(e))
-	}
-	return want
-}
-
-// TestPlatformEventsBurst: one next call returns every event already in
-// the subscription — the per-event frames back to back, in Seq order.
-func TestPlatformEventsBurst(t *testing.T) {
-	in, p := livePlatform(t)
-	next, stop := platformNode{p: p}.events(0)
-	defer stop()
-	want := publish(t, in, p, 11)
-	got, err := next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("burst\n%s\nwant the 11 frames\n%s", got, want)
-	}
-}
-
-// TestPlatformEventsBurstBound: past maxBurst a burst splits across next
-// calls, and the calls together carry every frame once, in order.
-func TestPlatformEventsBurstBound(t *testing.T) {
-	in, p := livePlatform(t)
-	next, stop := platformNode{p: p}.events(0)
-	defer stop()
-	want := publish(t, in, p, 2000)
-	if len(want) < 2*maxBurst {
-		t.Fatalf("2000 frames are %d bytes, want more than two bursts", len(want))
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var got []byte
-	calls := 0
-	for len(got) < len(want) {
-		burst, err := next(ctx)
-		if err != nil {
-			t.Fatalf("next after %d of %d bytes: %v", len(got), len(want), err)
-		}
-		last := bytes.LastIndex(burst[:len(burst)-2], []byte("\n\n")) + 2
-		if last >= maxBurst {
-			t.Fatalf("burst of %d bytes kept draining past %d", len(burst), maxBurst)
-		}
-		got = append(got, burst...)
-		calls++
-	}
-	if calls < 3 || !bytes.Equal(got, want) {
-		t.Fatalf("%d calls returned %d bytes, want ≥ 3 calls and the %d bytes of 2000 frames in order", calls, len(got), len(want))
-	}
-}
-
-// TestPlatformEventsClosedMidDrain: a subscription closed with events still
-// buffered hands them all out in one burst, and the stream then ends.
-func TestPlatformEventsClosedMidDrain(t *testing.T) {
-	in, p := livePlatform(t)
-	next, stop := platformNode{p: p}.events(0)
-	want := publish(t, in, p, 5)
-	stop()
-	got, err := next(context.Background())
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("next after close = %q, %v; want the 5 buffered frames", got, err)
-	}
-	if _, err := next(context.Background()); err != io.EOF {
-		t.Fatalf("next after the drain = %v, want io.EOF", err)
-	}
-}
-
-// burstNode is a node whose stream hands out canned bursts, then io.EOF.
-type burstNode struct {
-	ingress
-	bursts [][]byte
-}
-
-func (n burstNode) events(uint64) (func(context.Context) ([]byte, error), func()) {
-	i := 0
-	next := func(context.Context) ([]byte, error) {
-		if i == len(n.bursts) {
-			return nil, io.EOF
-		}
-		i++
-		return n.bursts[i-1], nil
-	}
-	return next, func() {}
-}
-
 // recordingWriter is an http.ResponseWriter and http.Flusher that logs
-// every Write and Flush, in order.
+// every Write and Flush, in order, and reports each Flush on flushed until
+// done closes.
 type recordingWriter struct {
-	header http.Header
-	calls  []string
+	header  http.Header
+	calls   []string
+	flushed chan struct{}
+	done    <-chan struct{}
 }
 
 func (w *recordingWriter) Header() http.Header { return w.header }
 func (w *recordingWriter) WriteHeader(int)     {}
-func (w *recordingWriter) Flush()              { w.calls = append(w.calls, "flush") }
+func (w *recordingWriter) Flush() {
+	w.calls = append(w.calls, "flush")
+	select {
+	case w.flushed <- struct{}{}:
+	case <-w.done:
+	}
+}
 func (w *recordingWriter) Write(b []byte) (int, error) {
 	w.calls = append(w.calls, "write "+string(b))
 	return len(b), nil
 }
 
-// TestServeEventsWritesBursts: serveEvents sends each burst next returns
-// with exactly one Write and one Flush, after the headers' Flush.
+// TestServeEventsWritesBursts: serveEvents sends each tail of the log that
+// is ready — the events recorded before the stream opened, then the one
+// recorded later — with exactly one Write and one Flush, after the headers'
+// Flush.
 func TestServeEventsWritesBursts(t *testing.T) {
-	b1 := appendFrame(appendFrame(nil, Event{Seq: 1, Kind: "task_completed", Task: 3, Worker: 40}),
-		Event{Seq: 2, Kind: "task_completed", Task: 7, Worker: 40})
-	b2 := appendFrame(nil, Event{Seq: 3, Kind: "platform_done", Task: -1})
-	w := &recordingWriter{header: http.Header{}}
-	serveEvents(w, httptest.NewRequest(http.MethodGet, "/events", nil), burstNode{bursts: [][]byte{b1, b2}})
+	evs := []Event{
+		{Seq: 1, Kind: "task_completed", Task: 3, Worker: 40},
+		{Seq: 2, Kind: "task_completed", Task: 7, Worker: 40},
+		{Seq: 3, Kind: "platform_done", Task: -1},
+	}
+	l := newEventLog()
+	l.append(evs[0])
+	l.append(evs[1])
+	ctx, cancel := context.WithCancel(context.Background())
+	w := &recordingWriter{header: http.Header{}, flushed: make(chan struct{}), done: ctx.Done()}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		serveEvents(w, httptest.NewRequest(http.MethodGet, "/events", nil).WithContext(ctx), l)
+	}()
+	<-w.flushed // the headers
+	<-w.flushed // the two events recorded before the stream opened
+	l.append(evs[2])
+	<-w.flushed
+	cancel()
+	<-served
+	b1 := appendFrame(appendFrame(nil, evs[0]), evs[1])
+	b2 := appendFrame(nil, evs[2])
 	want := []string{"flush", "write " + string(b1), "flush", "write " + string(b2), "flush"}
 	if fmt.Sprint(w.calls) != fmt.Sprint(want) {
 		t.Fatalf("calls %q, want %q", w.calls, want)
@@ -373,58 +276,68 @@ func TestEventStreamReadsBurst(t *testing.T) {
 	}
 }
 
-// feedNode is a node whose stream hands out the bursts sent on in, one per
-// next call, and reports on sent each time serveEvents comes back for the
-// next one — after it wrote and flushed the last. A closed in ends the
-// stream.
-type feedNode struct {
-	ingress
-	in   chan []byte
-	sent chan struct{}
+// heldFlusher is the ResponseWriter serveEvents streams to in the burst
+// test: each Flush sends the bytes on, then holds serveEvents until the test
+// sends on resume (or the stream ends), so that the test can record a whole
+// burst while it waits.
+type heldFlusher struct {
+	http.ResponseWriter
+	resume chan struct{}
+	done   <-chan struct{}
 }
 
-func (n feedNode) events(uint64) (func(context.Context) ([]byte, error), func()) {
-	first := true
-	next := func(ctx context.Context) ([]byte, error) {
-		if !first {
-			select {
-			case n.sent <- struct{}{}:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		first = false
-		select {
-		case b, ok := <-n.in:
-			if !ok {
-				return nil, io.EOF
-			}
-			return b, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+func (w heldFlusher) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	select {
+	case <-w.resume:
+	case <-w.done:
 	}
-	return next, func() {}
 }
 
 // TestServeEventsBurstAllocs: the stream goes out unchunked, so a burst of
 // 256 bytes or more costs no allocation to write and flush — a chunked
 // writer boxes every chunk length from 256 up to print its size line. The
-// bytes on the wire are the frames and nothing else, and the connection
-// closes when the stream ends.
+// bytes on the wire are the log's frames and nothing else, and the
+// connection closes when the stream ends.
 func TestServeEventsBurstAllocs(t *testing.T) {
-	var burst []byte
-	for i := 1; len(burst) < 1024; i++ {
-		burst = appendFrame(burst, Event{Seq: uint64(i), Kind: "task_completed", Task: i, Worker: 1000 + i})
+	var burst []Event
+	var frames []byte
+	for i := 1; len(frames) < 1024; i++ {
+		burst = append(burst, Event{Seq: uint64(i), Kind: "task_completed", Task: i, Worker: 1000 + i})
+		frames = appendFrame(frames, burst[i-1])
 	}
-	n := feedNode{in: make(chan []byte), sent: make(chan struct{})}
-	srv := httptest.NewServer(newMux(n))
+	// Logs sized for every burst the test records, so that an append costs
+	// the same allocations — its wake-up channel — on both.
+	const runs = 50
+	sized := func() *eventLog {
+		l := newEventLog()
+		l.frames = make([]byte, 0, (runs+1)*len(frames))
+		l.ends = make([]int, 0, (runs+1)*len(burst))
+		return l
+	}
+	record := func(l *eventLog) {
+		for _, e := range burst {
+			l.append(e)
+		}
+	}
+	alone := sized()
+	recording := testing.AllocsPerRun(runs, func() { record(alone) })
+	l := sized()
+	resume := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveEvents(heldFlusher{w, resume, ctx.Done()}, r.WithContext(ctx), l)
+	}))
 	defer srv.Close()
+	defer cancel() // ends the stream, which srv.Close waits for
 	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := io.WriteString(conn, "GET /events HTTP/1.1\r\nHost: ltc\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -440,22 +353,22 @@ func TestServeEventsBurstAllocs(t *testing.T) {
 	if !bytes.HasPrefix(head, []byte("HTTP/1.1 200")) || bytes.Contains(head, []byte("Transfer-Encoding")) {
 		t.Fatalf("headers %q, want a 200 without a Transfer-Encoding", head)
 	}
-	got := make([]byte, len(burst))
-	allocs := testing.AllocsPerRun(50, func() {
-		n.in <- burst
-		<-n.sent
-		if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, burst) {
-			t.Fatalf("read %q, %v; want the %d-byte burst as sent", got, err, len(burst))
+	got := make([]byte, len(frames))
+	allocs := testing.AllocsPerRun(runs, func() {
+		record(l)
+		resume <- struct{}{}
+		if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, frames) {
+			t.Fatalf("read %q, %v; want the %d-byte burst as recorded", got, err, len(frames))
 		}
 	})
-	close(n.in)
+	cancel() // lets serveEvents out of the last burst's Flush, and ends the stream
 	if rest, err := io.ReadAll(conn); err != nil || len(rest) != 0 {
 		t.Fatalf("after the stream ended the connection carried %q, %v; want it closed", rest, err)
 	}
 	if raceEnabled {
 		return // race instrumentation allocates; the framing was still checked
 	}
-	if allocs != 0 {
-		t.Errorf("a %d-byte burst costs %v allocations to write and flush, want 0", len(burst), allocs)
+	if allocs != recording {
+		t.Errorf("a %d-byte burst costs %v allocations to record, write and flush, want the %v of recording it alone", len(frames), allocs, recording)
 	}
 }

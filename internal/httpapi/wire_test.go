@@ -93,6 +93,7 @@ func TestWireTable(t *testing.T) {
 			{name: "non-numeric task id", method: "DELETE", path: "/tasks/seven", status: 400, contains: "bad task id"},
 			{name: "unknown retire", method: "DELETE", path: fmt.Sprintf("/tasks/%d", n.unknown), status: 404, contains: "unknown task"},
 			{name: "bad since", method: "GET", path: "/events?since=yesterday", status: 400, contains: "bad since"},
+			{name: "since ahead", method: "GET", path: "/events?since=1000000", status: 400, contains: "ahead of the log"},
 			{name: "check-in", method: "POST", path: "/checkin", body: at(worker, n.home, 1), status: 200, contains: `"worker":1`},
 			{name: "check-in elsewhere", method: "POST", path: "/checkin", body: at(worker, n.abroad, 2), status: 200, clusterOnly: 421, contains: `"worker":2`},
 			{name: "batch elsewhere", method: "POST", path: "/checkin/batch",
