@@ -1,12 +1,11 @@
-// Command ltclint runs the ltclint analyzer suite (internal/lint): custom
-// static checks that enforce the dispatch layer's concurrency contracts —
-// lock ordering, hot-path allocation freedom, and hot-struct field
-// alignment — over the non-test sources of the packages matched:
+// Command ltclint runs internal/lint's lockorder analyzer, which enforces
+// the dispatch layer's lock order, over the non-test sources of the
+// packages matched:
 //
 //	go run ./cmd/ltclint ./...
 //
-// It exits 2 on any unwaived diagnostic, malformed directive or stale
-// waiver, and 1 when the packages fail to load.
+// It exits 2 on any diagnostic, a malformed //ltc:lock directive included,
+// and 1 when the packages fail to load.
 package main
 
 import (

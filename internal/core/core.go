@@ -59,9 +59,8 @@ type Online interface {
 //
 // Outcomes fill the solver's reusable per-arrival buffer; the
 // alignment-optimal field order (Credit first) keeps each entry at 16
-// bytes instead of the declaration-ordered 24 — enforced by fieldalign.
-//
-//ltc:hot
+// bytes instead of the declaration-ordered 24 — TestOutcomeSizeof keeps
+// it that way.
 type Outcome struct {
 	Credit    float64
 	Task      model.TaskID

@@ -83,8 +83,6 @@ func (e *Engine) EndBatch() {}
 // indices starting at 1, while the dispatch layer feeds each shard a sparse
 // subsequence of global indices (the solvers never read Worker.Index, and
 // the arrangement only takes a max over it).
-//
-//ltc:noalloc
 func (e *Engine) Arrive(w model.Worker) []Outcome {
 	out := e.algo.Arrive(w)
 	for _, oc := range out {

@@ -21,7 +21,7 @@ type solver struct {
 	// next call), keeping the per-arrival hot path allocation-free.
 	// Capacity K from construction; a worker receives at most K grants, so
 	// it never regrows.
-	out []Outcome //ltc:arena
+	out []Outcome
 }
 
 func newSolver(in *model.Instance) solver {

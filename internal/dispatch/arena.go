@@ -19,15 +19,13 @@ type grantArena struct {
 }
 
 // carve returns a zeroed slice of n grants with cap n.
-//
-//ltc:noalloc
 func (a *grantArena) carve(n int) []TaskGrant {
 	if n > len(a.free) {
 		size := grantBlockSize
 		if n > size {
 			size = n
 		}
-		a.free = make([]TaskGrant, size) //ltclint:ignore noalloc amortized block refill — one make per ~thousand carves is the arena working as designed
+		a.free = make([]TaskGrant, size)
 	}
 	out := a.free[:n:n]
 	a.free = a.free[n:]

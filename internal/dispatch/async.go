@@ -21,7 +21,7 @@ type shardQueue struct {
 	notFull  sync.Cond
 	notEmpty sync.Cond
 	drained  sync.Cond
-	buf      []model.Worker //ltc:arena
+	buf      []model.Worker
 	cap      int
 	inflight int // pushing or queued or being ingested; drained signals 0
 }
@@ -54,8 +54,6 @@ func (q *shardQueue) retire(n int) {
 // push enqueues one worker, blocking while the queue is full. It fails with
 // ErrClosed once the dispatcher closes; closed is checked first, so close
 // wins over a freed slot. The worker is in flight from entry, before any wait.
-//
-//ltc:noalloc
 func (q *shardQueue) push(d *Dispatcher, w model.Worker) error {
 	q.mu.Lock()
 	q.inflight++
@@ -80,8 +78,6 @@ func (q *shardQueue) push(d *Dispatcher, w model.Worker) error {
 // while the queue is empty and the dispatcher open, then hands the drainer
 // the entire backlog by swapping buffers: run becomes the queue's empty
 // buffer. An empty result — the drainer's exit signal — means closed and empty.
-//
-//ltc:noalloc
 func (q *shardQueue) pop(d *Dispatcher, run []model.Worker) []model.Worker {
 	q.mu.Lock()
 	q.retire(len(run))

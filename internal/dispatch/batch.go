@@ -95,19 +95,20 @@ func (d *Dispatcher) CheckInBatchInto(ws []model.Worker, dst []Receipt) ([]Recei
 // values; it and the resolved count, written on a completion only, are the
 // dispatcher-wide words a run writes. Lifecycle events collected during the
 // run are published after the shard mutex is released.
-//
-//ltc:noalloc
 func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []Receipt) (consumed int) {
 	s := d.shards[si]
 	// The run's TaskCompleted events are published after the unlock. With
 	// receipts they are read back from the grants (runCompleted says whether
 	// there is anything to read); the receipt-less drainers collect them in
-	// completions instead. Collected whether or not anyone subscribes (a
-	// task completes once ever, so the appends are negligible): gating
-	// collection on a start-of-run Active() snapshot would let a subscriber
-	// attaching mid-run observe the run's PlatformDone without its
-	// completions — a silent exactly-once violation Publish's own per-event
-	// gate cannot cause.
+	// completions instead, a fresh slice per run and never a buffer the
+	// shard keeps: it is read after the unlock, when the next run may
+	// already hold the shard mutex and would overwrite a reused one.
+	// Collected whether or not anyone subscribes (a task completes once
+	// ever, so the appends are negligible): gating collection on a
+	// start-of-run Active() snapshot would let a subscriber attaching
+	// mid-run observe the run's PlatformDone without its completions — a
+	// silent exactly-once violation Publish's own per-event gate cannot
+	// cause.
 	var completions []events.Event
 	runCompleted, platformDone := 0, false
 	s.mu.Lock()
@@ -140,7 +141,7 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 			if oc.Completed {
 				completedDelta++
 				if out == nil {
-					completions = append(completions, events.Event{Kind: events.TaskCompleted, Task: gid, Worker: w.Index}) //ltclint:ignore noalloc the fresh slice is load-bearing — publication happens after the unlock, when the next run may already hold the shard mutex, so a reused shard-owned buffer would race; a task completes once ever, so the appends are negligible
+					completions = append(completions, events.Event{Kind: events.TaskCompleted, Task: gid, Worker: w.Index})
 				}
 			}
 			if grants != nil {

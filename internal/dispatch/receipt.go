@@ -11,9 +11,7 @@ import "ltc/internal/model"
 //
 // Grants are carved in blocks of 1024 on the check-in hot path, so the
 // field order is alignment-optimal (Credit first), 16 bytes instead of the
-// declaration-ordered 24 — the fieldalign analyzer keeps it that way.
-//
-//ltc:hot
+// declaration-ordered 24 — TestTaskGrantSizeof keeps it that way.
 type TaskGrant struct {
 	Credit    float64
 	Task      model.TaskID

@@ -16,8 +16,8 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //ltclint:ignore waivers. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid Go
+	// identifier.
 	Name string
 
 	// Doc is a one-paragraph description of what the analyzer enforces.
@@ -34,10 +34,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Sizes     types.Sizes
 
-	// Report delivers a diagnostic. The driver owns waiver filtering, so
-	// analyzers report unconditionally.
+	// Report delivers a diagnostic.
 	Report func(Diagnostic)
 
 	// Facts is the run-wide cross-package summary store. Packages are
@@ -51,12 +49,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Diagnostic is one finding. Category is stamped by the driver with the
-// analyzer name.
+// Diagnostic is one finding; the driver attributes it to the analyzer.
 type Diagnostic struct {
-	Pos      token.Pos
-	Category string
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
 // FactStore is a run-wide map of per-object summaries, keyed by a stable

@@ -9,10 +9,7 @@
 //	s.tasks[i] = v // want "direct element store"
 //
 // The quoted string is a regular expression matched against the finding's
-// message; several markers may share one line (`// want "a" "b"`). Waived
-// diagnostics never reach the comparison, so a fixture line carrying an
-// //ltclint:ignore directive and no want marker asserts that the waiver
-// machinery actually suppressed the diagnostic.
+// message; several markers may share one line (`// want "a" "b"`).
 package linttest
 
 import (
@@ -34,7 +31,7 @@ import (
 
 // fixtureImports are the standard-library packages fixtures may import.
 // Export data is resolved once per test binary.
-var fixtureImports = []string{"sync", "sync/atomic", "fmt", "errors", "context", "strings"}
+var fixtureImports = []string{"sync"}
 
 var (
 	exportsOnce sync.Once
@@ -62,7 +59,7 @@ type want struct {
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // Run analyzes the fixture package in dir with the single analyzer a and
-// compares unwaived findings against the // want markers in the fixture
+// compares its findings against the // want markers in the fixture
 // sources. Both directions are checked: every finding needs a marker and
 // every marker needs a finding.
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {

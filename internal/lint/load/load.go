@@ -19,7 +19,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 )
 
@@ -31,7 +30,6 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	Sizes   types.Sizes
 	// DepOnly marks an in-module dependency pulled in only so its facts
 	// (e.g. which lock classes a function may acquire) are available to the
 	// packages actually matched by the patterns. Diagnostics from DepOnly
@@ -100,11 +98,9 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 		}
 		return os.Open(f)
 	})
-	sizes := types.SizesFor("gc", runtime.GOARCH)
-
 	var pkgs []*Package
 	for _, p := range targets {
-		pkg, err := check(fset, imp, sizes, p.ImportPath, p.Dir, p.GoFiles)
+		pkg, err := check(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +131,7 @@ func Files(fset *token.FileSet, pkgPath string, filenames []string, exports map[
 	for _, f := range filenames {
 		base = append(base, filepath.Base(f))
 	}
-	return check(fset, imp, types.SizesFor("gc", runtime.GOARCH), pkgPath, dir, base)
+	return check(fset, imp, pkgPath, dir, base)
 }
 
 // StdExports resolves export-data files for the named standard-library
@@ -165,7 +161,7 @@ func StdExports(pkgs ...string) (map[string]string, error) {
 	return exports, nil
 }
 
-func check(fset *token.FileSet, imp types.Importer, sizes types.Sizes, pkgPath, dir string, goFiles []string) (*Package, error) {
+func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, gf := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, gf), nil, parser.ParseComments)
@@ -182,7 +178,7 @@ func check(fset *token.FileSet, imp types.Importer, sizes types.Sizes, pkgPath, 
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: imp, Sizes: sizes}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", pkgPath, err)
@@ -194,6 +190,5 @@ func check(fset *token.FileSet, imp types.Importer, sizes types.Sizes, pkgPath, 
 		Files:   files,
 		Types:   tpkg,
 		Info:    info,
-		Sizes:   sizes,
 	}, nil
 }

@@ -67,7 +67,7 @@ type lockOrderRun struct {
 func runLockOrder(pass *analysis.Pass) error {
 	lo := &lockOrderRun{
 		pass:      pass,
-		anns:      annotationsFor(pass),
+		anns:      parseAnnotations(pass),
 		summaries: map[*types.Func]map[string]bool{},
 	}
 
