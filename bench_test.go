@@ -358,8 +358,8 @@ func BenchmarkPlatformCheckIn(b *testing.B) {
 
 // BenchmarkPlatformCheckInBatch measures the synchronous batched ingestion
 // path: feeders claim contiguous chunks of the stream and submit each via
-// CheckInBatch, so consecutive same-shard workers share one lock
-// acquisition. Compare against BenchmarkPlatformCheckIn's per-call numbers.
+// CheckInBatch, so each shard's workers in a 64-worker window share one
+// lock acquisition. Compare against BenchmarkPlatformCheckIn's per-call numbers.
 func BenchmarkPlatformCheckInBatch(b *testing.B) {
 	cfg := DefaultWorkload().Scale(0.05)
 	cfg.Seed = 42

@@ -49,6 +49,12 @@ type stream struct {
 	// queueCap (when > 0) bounds every shard queue; flushEvery (when > 0)
 	// makes the async row Flush after every flushEvery enqueues.
 	queueCap, flushEvery int
+	// layout, when non-nil, admits fewer shards than requested: a random
+	// draw can leave a striped tile without a task, and the partitioner
+	// collapses it. The first platform built records its shard count here
+	// and every later row must build the same one. Nil keeps the fixed
+	// streams at exactly the requested count.
+	layout *int
 }
 
 // step posts a task at post (when non-nil), else retires task retire, once
@@ -244,8 +250,9 @@ func randomWorkload(rng *rand.Rand) ltc.WorkloadConfig {
 }
 
 // FuzzConformance drives every row through random instances, algorithms,
-// layouts of one, two or four shards, queue capacities down to one slot
-// and Flush barriers mid-stream.
+// layouts of one, two or four shards (or fewer, where a striped tile draws
+// no task), queue capacities down to one slot and Flush barriers
+// mid-stream.
 func FuzzConformance(f *testing.F) {
 	f.Add(uint64(1), uint64(42), uint8(0), uint8(1), uint8(7))
 	f.Add(uint64(99), uint64(3), uint8(0), uint8(2), uint8(1))
@@ -267,6 +274,7 @@ func FuzzConformance(f *testing.F) {
 			balanced:   layout&4 != 0,
 			queueCap:   int(rawCap)%7 + 1,
 			flushEvery: int(rawFlush)%64 + 1,
+			layout:     new(int),
 		}, nil)
 	})
 }
@@ -439,7 +447,14 @@ func newPlatform(t *testing.T, s stream, in *ltc.Instance) *ltc.Platform {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = p.Close() })
-	if p.Shards() != s.shards || p.Balanced() != (s.balanced && s.shards > 1) {
+	want := s.shards
+	if s.layout != nil {
+		if *s.layout == 0 && p.Shards() <= s.shards {
+			*s.layout = p.Shards()
+		}
+		want = *s.layout
+	}
+	if p.Shards() != want || p.Balanced() != (s.balanced && s.shards > 1) {
 		t.Fatalf("layout: %d shards, balanced %v", p.Shards(), p.Balanced())
 	}
 	return p

@@ -26,7 +26,8 @@ func allocFeed(in *model.Instance) func() model.Worker {
 }
 
 // TestSteadyStateAllocs pins the three ingestion paths — per-call CheckIn,
-// CheckInBatchInto with a recycled receipt slice, and CheckInAsync+Flush —
+// CheckInBatchInto with a recycled receipt slice (one scratch window and
+// two), and CheckInAsync+Flush —
 // under both LAF and AAM to zero steady-state heap allocations per operation on a warmed platform.
 // The instance's ε is tiny, so δ ≈ 21 keeps every task open for the whole
 // measurement: the hot assignment path (solver arrive, the ledger's pair
@@ -82,23 +83,27 @@ func TestSteadyStateAllocs(t *testing.T) {
 	t.Run("batch", func(t *testing.T) {
 		perSolver(t, func(t *testing.T, d *Dispatcher) {
 			next := allocFeed(in)
-			var batch [8]model.Worker
-			var buf []Receipt
-			feed := func() {
-				for i := range batch {
-					batch[i] = next()
+			// 8 workers fit one scratch window; batchWindow+36 take two, over
+			// fewer batches so that every task stays open.
+			for _, c := range []struct{ n, warm, runs int }{{8, 32, 200}, {batchWindow + 36, 4, 20}} {
+				batch := make([]model.Worker, c.n)
+				var buf []Receipt
+				feed := func() {
+					for i := range batch {
+						batch[i] = next()
+					}
+					var err error
+					buf, err = d.CheckInBatchInto(batch, buf[:0])
+					if err != nil {
+						t.Fatal(err)
+					}
 				}
-				var err error
-				buf, err = d.CheckInBatchInto(batch[:], buf[:0])
-				if err != nil {
-					t.Fatal(err)
+				for i := 0; i < c.warm; i++ {
+					feed()
 				}
-			}
-			for i := 0; i < 32; i++ {
-				feed()
-			}
-			if avg := testing.AllocsPerRun(200, feed); avg != 0 {
-				t.Fatalf("CheckInBatchInto allocates %.2f/batch in steady state, want 0", avg)
+				if avg := testing.AllocsPerRun(c.runs, feed); avg != 0 {
+					t.Fatalf("CheckInBatchInto of %d workers allocates %.2f/batch in steady state, want 0", c.n, avg)
+				}
 			}
 		})
 	})
@@ -275,7 +280,7 @@ func completingInstance(n int) *model.Instance {
 }
 
 // TestIngestRunAllocs pins the branches of ingestRun the steady state never
-// takes. A run refused by the done truncation and a run bounced off a
+// takes. A batch run refused by its completed shard and a run bounced off a
 // completed shard allocate nothing. A completing check-in allocates exactly
 // what dropping its task from the candidate index allocates, recorded
 // alone; without receipts the run adds one allocation, the fresh slice its
@@ -314,7 +319,7 @@ func TestIngestRunAllocs(t *testing.T) {
 			defer d.Close()
 			completeOne := func() {
 				before := d.resolved.Load()
-				if d.ingestRun(0, next(), false, c.out) != 1 || d.resolved.Load() != before+1 {
+				if n, _ := d.ingestRun(0, next(), runPublish, c.out); n != 1 || d.resolved.Load() != before+1 {
 					t.Fatalf("worker %d did not complete exactly one task", ws[0].Index)
 				}
 			}
@@ -334,12 +339,12 @@ func TestIngestRunAllocs(t *testing.T) {
 	}
 	defer d.Close()
 	for !d.Done() {
-		d.ingestRun(0, next(), false, out)
+		d.ingestRun(0, next(), runPublish, out)
 	}
 	t.Run("truncation", func(t *testing.T) {
 		if avg := testing.AllocsPerRun(runs, func() {
-			if d.ingestRun(0, next(), true, out) != 0 {
-				t.Fatal("a run on a done platform was not truncated")
+			if n, _ := d.ingestRun(0, next(), runToShardDone, out); n != 0 {
+				t.Fatal("a run on a done shard was not truncated")
 			}
 		}); avg != 0 {
 			t.Fatalf("a truncated run allocates %v times, want 0", avg)
@@ -348,7 +353,7 @@ func TestIngestRunAllocs(t *testing.T) {
 	for _, dst := range [][]Receipt{out, nil} {
 		t.Run(fmt.Sprintf("bounce/receipts=%v", dst != nil), func(t *testing.T) {
 			if avg := testing.AllocsPerRun(runs, func() {
-				if d.ingestRun(0, next(), false, dst) != 1 {
+				if n, _ := d.ingestRun(0, next(), runPublish, dst); n != 1 {
 					t.Fatal("a bounced worker was not consumed")
 				}
 			}); avg != 0 {

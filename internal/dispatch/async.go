@@ -202,6 +202,6 @@ func (d *Dispatcher) drainLoop(si int) {
 		if len(run) == 0 {
 			return
 		}
-		d.ingestRun(si, run, false, nil) // pop retires the run
+		d.ingestRun(si, run, runPublish, nil) // pop retires the run
 	}
 }

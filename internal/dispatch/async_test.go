@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"errors"
 	"math/rand/v2"
 	"runtime"
@@ -86,26 +85,29 @@ func stallFull(t *testing.T, d *Dispatcher, ws []model.Worker) int {
 
 // blockOne starts one more enqueue against shard 0's full queue and returns
 // once it is blocked on backpressure; the channel delivers its result. An
-// enqueue that returns instead of blocking fails the test. "Blocked" is read
-// off the goroutine dump: a goroutine parked in push's notFull.Wait has
-// joined the condition's notify list, so no later Broadcast can miss it.
-// Polling the queue's in-flight count alone would leave the enqueue
-// anywhere between that count and the wait.
+// enqueue that queues its worker instead of blocking fails the test.
+// "Blocked" is read off the queue under q.mu: push counts itself in flight
+// and either enters notFull.Wait or appends under one hold of q.mu, so once
+// the in-flight count shows the enqueue and the depth has not moved, it has
+// joined the condition's notify list and no later Broadcast can miss it.
 func blockOne(t *testing.T, d *Dispatcher, w model.Worker) <-chan error {
 	t.Helper()
+	q := d.queues[0]
+	look := func() (inflight, depth int) {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return q.inflight, len(q.buf)
+	}
+	inflight0, depth0 := look()
 	blocked := make(chan error, 1)
 	go func() { blocked <- d.CheckInAsync(w) }()
-	buf := make([]byte, 1<<20)
 	for {
-		select {
-		case err := <-blocked:
-			t.Fatalf("enqueue into a full queue returned %v instead of blocking", err)
-		default:
+		inflight, depth := look()
+		if depth != depth0 {
+			t.Fatalf("enqueue into a full queue was queued at depth %d instead of blocking", depth)
 		}
-		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
-			if bytes.Contains(g, []byte("[sync.Cond.Wait")) && bytes.Contains(g, []byte("(*shardQueue).push")) {
-				return blocked
-			}
+		if inflight != inflight0 {
+			return blocked
 		}
 		runtime.Gosched()
 	}

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"ltc/internal/events"
@@ -9,10 +10,12 @@ import (
 )
 
 // CheckInBatch ingests a batch of workers with the sequential semantics of
-// a CheckIn loop at a fraction of the per-call overhead: consecutive
-// workers routing to the same shard form one run, ingested under a single
-// shard-mutex acquisition. Workers keep their input order, so a sequential
-// caller gets bit-identical assignments, latency and task statuses to
+// a CheckIn loop at a fraction of the per-call overhead: the batch is
+// grouped by shard, at most 64 workers at a time, and each shard ingests
+// its group under one shard-mutex acquisition. Every shard's solver sees
+// only its own workers, so a grouping that keeps each shard's input order
+// feeds every solver the sequence a CheckIn loop would: a sequential caller
+// gets bit-identical assignments, latency, task statuses and events to
 // feeding the same stream through CheckIn one by one — the conformance
 // suite (conformance_test.go at the module root) pins this equivalence
 // against per-call CheckIn and the golden Session traces.
@@ -45,47 +48,170 @@ func (d *Dispatcher) CheckInBatchInto(ws []model.Worker, dst []Receipt) ([]Recei
 		}
 	}
 	dst = slices.Grow(dst, len(ws))
-	// Each worker is located exactly once: the shard that ends a run is
-	// carried over as the next run's head, which keeps the rebalancer's
-	// per-tile arrival counts exact and saves a lookup at every boundary.
-	si := -1
-	for i := 0; i < len(ws); {
+	for i := 0; i < len(ws); i += batchWindow {
 		if d.Done() {
 			return dst, ErrDone
 		}
-		if si < 0 {
-			si = d.locate(ws[i].Loc)
-		}
-		j, nextSi := i+1, -1
-		for j < len(ws) {
-			if sj := d.locate(ws[j].Loc); sj != si {
-				nextSi = sj
-				break
-			}
-			j++
-		}
+		n := min(batchWindow, len(ws)-i)
 		base := len(dst)
-		dst = dst[:base+j-i]
-		consumed := d.ingestRun(si, ws[i:j], true, dst[base:])
-		dst = dst[:base+consumed]
-		if consumed < j-i {
+		if dst = d.checkInWindow(ws[i:i+n], dst); len(dst)-base < n {
 			return dst, ErrDone
 		}
-		i, si = j, nextSi
 	}
 	return dst, nil
 }
 
+// The batch's scratch window, on the stack: a batch is ingested
+// batchWindow workers at a time, grouped into batchBuckets buckets by
+// shard. A bucket holds one shard on platforms of up to batchBuckets
+// shards; beyond that it holds several, and each maximal same-shard stretch
+// of it is a run of its own.
+const (
+	batchWindow  = 64
+	batchBuckets = 16
+)
+
+// checkInWindow ingests one window of at most batchWindow workers and
+// appends the receipts of the ones it consumed, which form a prefix of ws.
+//
+// Each worker is located exactly once, which keeps the rebalancer's per-tile
+// arrival counts exact, and a stable counting sort groups the window by
+// shard. The first pass offers each group to its shard with runToShardDone,
+// so a shard stops at its own completion. If the platform is then done, p*
+// — the largest position any shard consumed — is where a CheckIn loop would
+// have stopped: the leftovers before p* are the workers it would have
+// bounced off completed shards, and the second pass consumes them as
+// bounced arrivals (a second hold, only on a shard that is already done);
+// the workers after p* are never observed. If the platform is not done
+// every leftover is such a bounce. The receipts are scattered back to input
+// order and every Done flag is false but the last, which carries Done. The
+// window's events are published after its last hold, TaskCompleted in
+// position order, then PlatformDone.
+func (d *Dispatcher) checkInWindow(ws []model.Worker, dst []Receipt) []Receipt {
+	var (
+		shardOf [batchWindow]int32        // each position's shard
+		next    [batchBuckets + 1]int     // bucket starts, then bucket cursors
+		at      [batchWindow]int          // grouped slot → input position
+		grouped [batchWindow]model.Worker // the window, grouped by shard
+		recs    [batchWindow]Receipt      // grouped receipts
+	)
+	n := len(ws)
+	for i, w := range ws {
+		si := d.locate(w.Loc)
+		shardOf[i] = int32(si)
+		next[si%batchBuckets+1]++
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	for i := range ws {
+		g := &next[shardOf[i]%batchBuckets]
+		at[*g], grouped[*g] = i, ws[i]
+		*g++
+	}
+	// runEnd is the end of the same-shard run starting at grouped slot g.
+	runEnd := func(g int) int {
+		h := g + 1
+		for h < n && shardOf[at[h]] == shardOf[at[g]] {
+			h++
+		}
+		return h
+	}
+
+	var taken [batchWindow]int // slots the first pass consumed, by run head
+	last, platformDone := -1, false
+	for g := 0; g < n; {
+		h := runEnd(g)
+		c, done := d.ingestRun(int(shardOf[at[g]]), grouped[g:h], runToShardDone, recs[g:h])
+		taken[g], platformDone = c, platformDone || done
+		if c > 0 {
+			last = max(last, at[g+c-1])
+		}
+		g = h
+	}
+	limit := n // the positions this window consumes
+	if d.Done() {
+		limit = last + 1
+	}
+	for g := 0; g < n; {
+		h := runEnd(g)
+		lo := g + taken[g]
+		hi := lo
+		for hi < h && at[hi] < limit {
+			hi++
+		}
+		if hi > lo {
+			_, done := d.ingestRun(int(shardOf[at[g]]), grouped[lo:hi], runBounce, recs[lo:hi])
+			platformDone = platformDone || done
+		}
+		g = h
+	}
+
+	base := len(dst)
+	dst = dst[:base+limit]
+	for g, p := range at[:n] {
+		if p < limit {
+			recs[g].Done = false
+			dst[base+p] = recs[g]
+		}
+	}
+	if limit > 0 {
+		dst[base+limit-1].Done = d.Done()
+	}
+	if d.publishReceipts(dst[base:], platformDone) {
+		// Hand the processor to the subscriber these publishes woke. With one
+		// hold per shard the feeders seldom park on a shard mutex, and on two
+		// processors the subscriber waited for such a park: without the
+		// yield its runnable wait doubled and so did lib-batch-hotspot's
+		// event lag. Recorders run inside Publish and need no yield; an
+		// unconditional one raised wire-batch's lag by about 40 %.
+		runtime.Gosched()
+	}
+	return dst
+}
+
+// publishReceipts publishes the TaskCompleted events the receipts' grants
+// record, in receipt order, then PlatformDone when platformDone is set. It
+// reports whether the bus had a channel subscriber.
+func (d *Dispatcher) publishReceipts(recs []Receipt, platformDone bool) (subscribed bool) {
+	for _, rec := range recs {
+		for _, g := range rec.Assignments {
+			if g.Completed {
+				subscribed = d.bus.Publish(events.Event{Kind: events.TaskCompleted, Task: g.Task, Worker: rec.Worker}) || subscribed
+			}
+		}
+	}
+	if platformDone {
+		subscribed = d.bus.Publish(events.Event{Kind: events.PlatformDone, Task: -1}) || subscribed
+	}
+	return subscribed
+}
+
+// runMode selects where ingestRun ends a run and who publishes its events.
+type runMode uint8
+
+const (
+	// runPublish consumes every worker — one that arrives at a shard with no
+	// open task as a bounced arrival, exactly like check-ins racing a
+	// momentarily complete platform — and publishes the run's events after
+	// the unlock: CheckIn and the async drainers.
+	runPublish runMode = iota
+	// runToShardDone stops before the first worker that would arrive at the
+	// shard with no open task, leaving it and the rest of the run
+	// unobserved, and publishes nothing: a batch window's first pass.
+	runToShardDone
+	// runBounce consumes every worker like runPublish but publishes
+	// nothing: a batch window's second pass.
+	runBounce
+)
+
 // ingestRun offers a same-shard run of workers to shard si under one mutex
 // acquisition — the one ingestion body behind every front door: CheckIn (a
 // run of length one), CheckInBatch and the async drainers. It is the only
-// caller of the solver's Arrive.
-//
-// truncate selects the completion semantics: when true the run stops before
-// the first worker that would arrive on a completed platform (the
-// CheckInBatch contract — unconsumed workers are not observed at all);
-// when false such workers are consumed as bounced arrivals, exactly like
-// check-ins racing a momentarily-complete platform (the async contract).
+// caller of the solver's Arrive. mode says where the run stops and whether
+// it publishes (see runMode); platformDone reports whether the run took the
+// platform's open-task count to zero, so that a batch, which publishes its
+// events itself once its last run is done, can publish PlatformDone.
 //
 // out, when non-nil, must have len(run) slots; out[i] receives run[i]'s
 // Receipt, whose Assignments slice is carved from the shard arena and
@@ -95,25 +221,25 @@ func (d *Dispatcher) CheckInBatchInto(ws []model.Worker, dst []Receipt) ([]Recei
 // values; it and the resolved count, written on a completion only, are the
 // dispatcher-wide words a run writes. Lifecycle events collected during the
 // run are published after the shard mutex is released.
-func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []Receipt) (consumed int) {
+func (d *Dispatcher) ingestRun(si int, run []model.Worker, mode runMode, out []Receipt) (consumed int, platformDone bool) {
 	s := d.shards[si]
-	// The run's TaskCompleted events are published after the unlock. With
-	// receipts they are read back from the grants (runCompleted says whether
-	// there is anything to read); the receipt-less drainers collect them in
-	// completions instead, a fresh slice per run and never a buffer the
-	// shard keeps: it is read after the unlock, when the next run may
-	// already hold the shard mutex and would overwrite a reused one.
-	// Collected whether or not anyone subscribes (a task completes once
-	// ever, so the appends are negligible): gating collection on a
-	// start-of-run Active() snapshot would let a subscriber attaching
-	// mid-run observe the run's PlatformDone without its completions — a
-	// silent exactly-once violation Publish's own per-event gate cannot
-	// cause.
+	// The run's TaskCompleted events are published after the unlock, here or,
+	// for a batch's runs, by the batch. With receipts they are read back
+	// from the grants (runCompleted says whether there is anything to read);
+	// the receipt-less drainers collect them in completions instead, a fresh
+	// slice per run and never a buffer the shard keeps: it is read after the
+	// unlock, when the next run may already hold the shard mutex and would
+	// overwrite a reused one. Collected whether or not anyone subscribes (a
+	// task completes once ever, so the appends are negligible): gating
+	// collection on a start-of-run Active() snapshot would let a subscriber
+	// attaching mid-run observe the run's PlatformDone without its
+	// completions — a silent exactly-once violation Publish's own per-event
+	// gate cannot cause.
 	var completions []events.Event
-	runCompleted, platformDone := 0, false
+	runCompleted := 0
 	s.mu.Lock()
 	for i := range run {
-		if truncate && d.Done() {
+		if mode == runToShardDone && s.eng.Done() {
 			break
 		}
 		w := run[i]
@@ -161,20 +287,19 @@ func (d *Dispatcher) ingestRun(si int, run []model.Worker, truncate bool, out []
 	}
 	s.mu.Unlock()
 	d.noteArrived(consumed)
-	if out != nil && runCompleted > 0 {
-		for _, rec := range out[:consumed] {
-			for _, g := range rec.Assignments {
-				if g.Completed {
-					d.bus.Publish(events.Event{Kind: events.TaskCompleted, Task: g.Task, Worker: rec.Worker})
-				}
-			}
+	switch {
+	case mode != runPublish:
+	case out != nil:
+		if runCompleted > 0 {
+			d.publishReceipts(out[:consumed], platformDone)
+		}
+	default:
+		for _, e := range completions {
+			d.bus.Publish(e)
+		}
+		if platformDone {
+			d.bus.Publish(events.Event{Kind: events.PlatformDone, Task: -1})
 		}
 	}
-	for _, e := range completions {
-		d.bus.Publish(e)
-	}
-	if platformDone {
-		d.bus.Publish(events.Event{Kind: events.PlatformDone, Task: -1})
-	}
-	return consumed
+	return consumed, platformDone
 }

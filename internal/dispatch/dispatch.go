@@ -300,7 +300,7 @@ func (d *Dispatcher) CheckIn(w model.Worker) (Receipt, error) {
 	// A run of length one through the shared ingestion body: per-call, batch
 	// and drainer check-ins cannot drift apart. The arrays stay on the stack.
 	run, out := [1]model.Worker{w}, [1]Receipt{}
-	d.ingestRun(d.locate(w.Loc), run[:], false, out[:])
+	d.ingestRun(d.locate(w.Loc), run[:], runPublish, out[:])
 	return out[0], nil
 }
 

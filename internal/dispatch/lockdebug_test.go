@@ -84,6 +84,25 @@ func TestLockdebugStress(t *testing.T) {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
+			// 100 workers span two scratch windows.
+			batch := make([]model.Worker, 100)
+			for i := 0; i < 4; i++ {
+				for k := range batch {
+					batch[k] = in.Workers[(seed*13+i*len(batch)+k)%len(in.Workers)]
+					batch[k].Index = claim()
+				}
+				out, err := d.CheckInBatch(batch)
+				if err != nil && err != ErrDone || err == nil && len(out) != len(batch) || len(out) > len(batch) {
+					t.Errorf("batch of %d: %d receipts, err %v", len(batch), len(out), err)
+					return
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				w := in.Workers[(seed*17+i)%len(in.Workers)]
 				w.Index = claim()

@@ -114,10 +114,12 @@ func (b *Bus) Active() bool { return b.active.Load() > 0 }
 // Publish assigns the event its sequence number, hands it to every
 // recorder and offers it to every subscriber. It never blocks on a
 // subscriber: one whose buffer is full loses the event, and its Dropped
-// counter advances instead.
-func (b *Bus) Publish(e Event) {
+// counter advances instead. It reports whether the bus had a subscription
+// (recorders do not count), so a publisher can yield to a receiver the
+// event may have woken.
+func (b *Bus) Publish(e Event) (subscribed bool) {
 	if !b.Active() {
-		return
+		return false
 	}
 	b.mu.Lock()
 	b.seq++
@@ -132,7 +134,9 @@ func (b *Bus) Publish(e Event) {
 			s.dropped.Add(1)
 		}
 	}
+	subscribed = len(b.subs) > 0
 	b.mu.Unlock()
+	return subscribed
 }
 
 // Subscribe registers a new subscriber with a buffer of the given capacity

@@ -28,7 +28,9 @@ func TestPublishWithoutSubscribersIsNoop(t *testing.T) {
 	if b.Active() {
 		t.Fatal("fresh bus active")
 	}
-	b.Publish(Event{Kind: TaskCompleted, Task: 1})
+	if b.Publish(Event{Kind: TaskCompleted, Task: 1}) {
+		t.Fatal("Publish on an idle bus reports a subscriber")
+	}
 	s := b.Subscribe(4)
 	defer s.Close()
 	select {
@@ -41,7 +43,9 @@ func TestPublishWithoutSubscribersIsNoop(t *testing.T) {
 func TestSequencingAndFanout(t *testing.T) {
 	b := NewBus()
 	a, c := b.Subscribe(8), b.Subscribe(8)
-	b.Publish(Event{Kind: TaskCompleted, Task: 3, Worker: 12})
+	if !b.Publish(Event{Kind: TaskCompleted, Task: 3, Worker: 12}) {
+		t.Fatal("Publish with two subscribers reports none")
+	}
 	b.Publish(Event{Kind: PlatformDone, Task: -1})
 	a.Close()
 	c.Close()
@@ -297,7 +301,9 @@ func TestRecorderStopAndActive(t *testing.T) {
 	if !b.Active() {
 		t.Fatal("bus inactive with two recorders attached after the last subscription closed")
 	}
-	b.Publish(Event{Kind: TaskPosted, Task: 1})
+	if b.Publish(Event{Kind: TaskPosted, Task: 1}) {
+		t.Fatal("Publish with recorders only reports a subscriber")
+	}
 	stopFirst()
 	stopFirst()
 	if !b.Active() {

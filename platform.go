@@ -178,9 +178,11 @@ func (p *Platform) CheckIn(w Worker) (Receipt, error) {
 
 // CheckInBatch ingests a batch of workers with the exact semantics of
 // calling CheckIn for each in order, at a fraction of the per-call
-// overhead: consecutive workers landing on the same shard are processed
-// under a single shard-lock acquisition. out[i] is ws[i]'s Receipt. When
-// the platform completes mid-batch, out is truncated to the ingested prefix
+// overhead: the batch is grouped by shard, 64 workers at a time, and each
+// shard ingests its group in input order under a single shard-lock
+// acquisition. out[i] is ws[i]'s Receipt, and the batch's events are
+// published in the order a CheckIn loop would publish them. When the
+// platform completes mid-batch, out is truncated to the ingested prefix
 // and ErrPlatformDone is returned; the remaining workers are not observed
 // and may be re-presented after a PostTask revives the platform. A worker
 // with a non-positive index fails the whole batch upfront. Safe for

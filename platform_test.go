@@ -290,10 +290,11 @@ func TestPlatformCheckInErrors(t *testing.T) {
 	}
 }
 
-// TestPlatformBounceAllocatesNothing: a check-in bounced off a complete
-// platform returns a pre-wrapped ErrPlatformDone — same text, same
-// errors.Is — without allocating, on every check-in front door.
-func TestPlatformBounceAllocatesNothing(t *testing.T) {
+// TestPlatformBounceAllocs: a check-in bounced off a complete platform
+// returns a pre-wrapped ErrPlatformDone — same text, same errors.Is — on
+// every check-in front door, and CheckIn and CheckInBatchInto (with room in
+// dst) do so without allocating.
+func TestPlatformBounceAllocs(t *testing.T) {
 	in := tinyInstance(t)
 	plat, err := NewPlatform(in, LAF, WithShards(2))
 	if err != nil {
@@ -321,8 +322,10 @@ func TestPlatformBounceAllocatesNothing(t *testing.T) {
 			t.Fatalf("%s: err = %v, want ErrPlatformDone wrapped as ltc: …", name, err)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = bounces["CheckIn"]() }); n != 0 {
-		t.Fatalf("bounced CheckIn allocates %v times, want 0", n)
+	for _, name := range []string{"CheckIn", "CheckInBatchInto"} {
+		if n := testing.AllocsPerRun(100, func() { _ = bounces[name]() }); n != 0 {
+			t.Fatalf("bounced %s allocates %v times, want 0", name, n)
+		}
 	}
 }
 
