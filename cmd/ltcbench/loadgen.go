@@ -235,9 +235,6 @@ func replayReference(out io.Writer, in *ltc.Instance, topo *cluster.Topology, su
 		if ns.Balanced {
 			opts = append(opts, ltc.WithBalancedShards())
 		}
-		if ns.Rebalanced {
-			opts = append(opts, ltc.WithRebalance())
-		}
 		ref, err := ltc.NewPlatform(sub, algo, opts...)
 		if err != nil {
 			return err

@@ -22,7 +22,6 @@
 //	ltcbench -exp fig4-newyork -algos LAF,AAM,Random
 //	ltcbench -exp scenarios -shards 1,8                     # skewed-workload suite, striped vs balanced
 //	ltcbench -exp scenarios -scenarios uniform -shards 1,4,16  # plain Table IV dispatch sweep
-//	ltcbench -exp scenarios -shards 8,16 -rebalance         # + adaptive live re-sharding cells
 //	GOMAXPROCS=1 ltcbench -exp scenarios -shards 1,8        # deterministic sequential-feed latency
 //	ltcbench -exp loadgen -url http://127.0.0.1:8080 -scale 0.01
 //	ltcbench -exp loadgen -cluster http://127.0.0.1:8080,http://127.0.0.1:8081 -loadgen-batch 64
@@ -54,7 +53,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 		parallel  = flag.Int("parallel", 0, "sweep worker-pool size (0 = all cores; use 1 for paper-faithful runtime/memory metrics)")
 		shards    = flag.String("shards", "1,2,4,8", "shard counts for -exp scenarios (comma-separated)")
-		rebalance = flag.Bool("rebalance", false, "with -exp scenarios: add presampled and rebalanced (WithRebalance) cells at every multi-shard count of the drift scenarios (rushhour, flashcrowd)")
 		scenarios = flag.String("scenarios", "", "scenario subset for -exp scenarios (comma-separated; default: all kinds)")
 		url       = flag.String("url", "", "ltcd base URL for -exp loadgen (e.g. http://127.0.0.1:8080)")
 		lgCluster = flag.String("cluster", "", "comma-separated node URLs for -exp loadgen against an ltcd cluster (node-ID order; overrides -url)")
@@ -81,8 +79,8 @@ func main() {
 			_, err := fmt.Print(experiments.FormatTableV())
 			return err
 		}},
-		{"scenarios", "exploratory throughput-vs-latency sweep: scenario × shards × layout (-scenarios, -shards, -rebalance)", func() error {
-			return runScenarios(os.Stdout, *scenarios, *shards, *rebalance, *scale, *seed, firstAlgo)
+		{"scenarios", "exploratory throughput-vs-latency sweep: scenario × shards × layout (-scenarios, -shards)", func() error {
+			return runScenarios(os.Stdout, *scenarios, *shards, *scale, *seed, firstAlgo)
 		}},
 		{"loadgen", "drive a running ltcd gateway or cluster end to end and audit it (-url | -cluster, -loadgen-batch)", func() error {
 			if *lgCluster == "" {

@@ -12,15 +12,14 @@ import (
 // runScenarios is the exploratory trade-off sweep: check-in throughput
 // beside the LTC latency it costs, for every requested scenario × shard
 // count × layout. Each multi-shard count runs under both fixed striping
-// and the balanced tile→shard layout (WithBalancedShards) — and, when
-// rebalance is set, drift scenarios gain a comparison pair packed from the
-// causal stream prefix (WithLoadPrefix): once static, once with adaptive
-// live re-sharding on top (WithRebalance). `-scenarios uniform` is the
+// and the balanced tile→shard layout (WithBalancedShards), and drift
+// scenarios add a balanced layout packed from the causal stream prefix
+// alone (WithLoadPrefix, "presampled"). `-scenarios uniform` is the
 // plain Table IV instance. Every cell is fed per-call from GOMAXPROCS
 // feeders, so GOMAXPROCS=1 gives the deterministic sequential-feed
 // latency. Numbers are best-of-three on whatever box runs them; claims,
 // regression gates and per-path allocation and CPU costs are bench/'s.
-func runScenarios(out io.Writer, scenarioList, shardList string, rebalance bool, scale float64, seed uint64, algoName string) error {
+func runScenarios(out io.Writer, scenarioList, shardList string, scale float64, seed uint64, algoName string) error {
 	kinds := splitList(scenarioList)
 	if len(kinds) == 0 {
 		kinds = ltc.ScenarioKinds()
@@ -39,7 +38,7 @@ func runScenarios(out io.Writer, scenarioList, shardList string, rebalance bool,
 	cfg.Seed = seed
 
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "scenario\tshards\tlayout\tworkers/s\timbalance\tmigrations\tglobal latency\truns")
+	fmt.Fprintln(w, "scenario\tshards\tlayout\tworkers/s\timbalance\tglobal latency\truns")
 	for k, kind := range kinds {
 		scn, err := ltc.NewScenario(kind, cfg)
 		if err != nil {
@@ -56,20 +55,13 @@ func runScenarios(out io.Writer, scenarioList, shardList string, rebalance bool,
 		for _, n := range shardCounts {
 			cells := []throughputResult{{Scenario: kind, Shards: n}}
 			if n > 1 {
-				// Balanced only differs beyond one shard, and live
-				// re-sharding needs at least two shards to move between.
+				// Balanced only differs beyond one shard.
 				cells = append(cells, throughputResult{Scenario: kind, Shards: n, Balanced: true})
-				if rebalance && driftScenario(kind) {
-					// The rebalance comparison pair packs its layout from
-					// the causal stream prefix (WithLoadPrefix) on both
-					// sides: the full-stream oracle layout above already
-					// knows where the drift lands, so there is nothing
-					// left for migrations to fix there. The presampled
-					// static twin is the deployment-honest baseline
-					// rebalancing is read against.
-					cells = append(cells,
-						throughputResult{Scenario: kind, Shards: n, Balanced: true, Presampled: true},
-						throughputResult{Scenario: kind, Shards: n, Balanced: true, Presampled: true, Rebalanced: true})
+				if driftScenario(kind) {
+					// The full-stream oracle layout above already knows
+					// where the drift lands; the presampled layout is
+					// packed from what a deployment knows at launch.
+					cells = append(cells, throughputResult{Scenario: kind, Shards: n, Balanced: true, Presampled: true})
 				}
 			}
 			for _, cell := range cells {
@@ -77,9 +69,9 @@ func runScenarios(out io.Writer, scenarioList, shardList string, rebalance bool,
 				if err != nil {
 					return err
 				}
-				fmt.Fprintf(w, "%s\t%d\t%s\t%.0f\t%.2f\t%d\t%d\t%d\n",
+				fmt.Fprintf(w, "%s\t%d\t%s\t%.0f\t%.2f\t%d\t%d\n",
 					res.Scenario, res.Shards, res.layout(), res.WorkersPerSec,
-					res.Imbalance, res.Migrations, res.Latency, res.Runs)
+					res.Imbalance, res.Latency, res.Runs)
 			}
 		}
 	}
@@ -87,8 +79,7 @@ func runScenarios(out io.Writer, scenarioList, shardList string, rebalance bool,
 }
 
 // driftScenario reports whether the scenario's load moves mid-stream —
-// the regime where any partition-time layout can go stale and live
-// re-sharding has something to chase.
+// the regime where any partition-time layout can go stale.
 func driftScenario(kind string) bool {
 	return kind == "rushhour" || kind == "flashcrowd"
 }

@@ -23,14 +23,8 @@ type throughputResult struct {
 	// the causal prefix of the worker stream (WithLoadPrefix) instead of
 	// the default full-stream oracle sample — the profile a live
 	// deployment actually has at partition time. Drift scenarios measured
-	// against this layout expose the staleness that rebalancing corrects.
+	// against this layout expose how stale a partition-time layout goes.
 	Presampled bool
-	// Rebalanced marks cells measured with adaptive live re-sharding on
-	// top of the balanced layout (WithRebalance).
-	Rebalanced bool
-	// Migrations is the last stream's committed tile-migration count (0
-	// unless Rebalanced).
-	Migrations int
 	// WorkersPerSec is ingested check-ins per wall-clock second — the
 	// headline throughput number.
 	WorkersPerSec float64
@@ -46,8 +40,6 @@ type throughputResult struct {
 // layout names the cell's tile→shard layout as the sweep prints it.
 func (r throughputResult) layout() string {
 	switch {
-	case r.Rebalanced:
-		return "rebalanced"
 	case r.Presampled:
 		return "presampled"
 	case r.Balanced:
@@ -128,18 +120,8 @@ func measureThroughput(in *ltc.Instance, algo ltc.Algorithm, seed uint64, cell t
 	if cell.Presampled {
 		// Pack the layout from the first eighth of the stream — the causal
 		// profile a deployment has at launch. Under drift scenarios this
-		// layout goes stale mid-stream, which is the hole rebalancing fills.
+		// layout goes stale mid-stream.
 		opts = append(opts, ltc.WithLoadPrefix(len(in.Workers)/8))
-	}
-	if cell.Rebalanced {
-		// Scale the forecast window to the stream so the rebalancer folds
-		// and moves several times per run even at smoke scales — the
-		// service defaults assume an unbounded stream and would never fire
-		// inside one bench pass. Alpha 1 (no memory) reacts fastest, which
-		// matters when a whole run is only ~16 forecast windows long.
-		opts = append(opts, ltc.WithRebalance(ltc.RebalanceOptions{
-			Interval: max(len(in.Workers)/16, 64), Threshold: 1.2, MaxMoves: 4, Alpha: 1,
-		}))
 	}
 	for pass := 0; pass < passes; pass++ {
 		var pm passMetrics
@@ -153,7 +135,6 @@ func measureThroughput(in *ltc.Instance, algo ltc.Algorithm, seed uint64, cell t
 			res.Runs++
 			res.Latency = plat.Latency()
 			res.Imbalance = plat.Imbalance()
-			res.Migrations = plat.Migrations()
 			// Release the platform between runs, outside the measured
 			// bracket.
 			if err := plat.Close(); err != nil {

@@ -100,18 +100,17 @@ func TestSweepObjectiveMatchesSolve(t *testing.T) {
 }
 
 // TestRunScenariosRows pins the sweep's row enumeration: one striped row at
-// one shard; striped and balanced at every multi-shard count; and with
-// -rebalance on a drift scenario, the presampled and rebalanced pair too.
-// A non-drift scenario never gets the pair.
+// one shard; striped and balanced at every multi-shard count; and on a
+// drift scenario, presampled too. A non-drift scenario never gets it.
 func TestRunScenariosRows(t *testing.T) {
 	cases := []struct {
 		scenario, shards string
 		want             []string // "shards layout" per row, in order
 	}{
 		{"rushhour", "1,2", []string{
-			"1 striped", "2 striped", "2 balanced", "2 presampled", "2 rebalanced",
+			"1 striped", "2 striped", "2 balanced", "2 presampled",
 		}},
-		{"flashcrowd", "4", []string{"4 striped", "4 balanced", "4 presampled", "4 rebalanced"}},
+		{"flashcrowd", "4", []string{"4 striped", "4 balanced", "4 presampled"}},
 		{"uniform", "1,2", []string{"1 striped", "2 striped", "2 balanced"}},
 	}
 	// Each runScenarios call measures its cells one after another; the
@@ -123,7 +122,7 @@ func TestRunScenariosRows(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = runScenarios(&outs[i], c.scenario, c.shards, true, 0.02, 42, "")
+			errs[i] = runScenarios(&outs[i], c.scenario, c.shards, 0.02, 42, "")
 		}()
 	}
 	wg.Wait()
@@ -134,12 +133,12 @@ func TestRunScenariosRows(t *testing.T) {
 		var got []string
 		for _, line := range strings.Split(outs[i].String(), "\n") {
 			f := strings.Fields(line)
-			if len(f) == 8 && f[0] == c.scenario {
+			if len(f) == 7 && f[0] == c.scenario {
 				got = append(got, f[1]+" "+f[2])
 			}
 		}
 		if fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Errorf("%s -shards %s -rebalance rows = %q, want %q\n%s", c.scenario, c.shards, got, c.want, outs[i].String())
+			t.Errorf("%s -shards %s rows = %q, want %q\n%s", c.scenario, c.shards, got, c.want, outs[i].String())
 		}
 	}
 }

@@ -9,15 +9,14 @@
 //	DELETE /tasks/{id}     retire a task
 //	GET    /stats          progress / latency snapshot
 //	GET    /events         Server-Sent Events stream (task_posted,
-//	                       task_retired, task_completed, platform_done,
-//	                       tile_migrated) replayed from the first event, or
-//	                       after the N-th with ?since=N, then followed live
+//	                       task_retired, task_completed, platform_done)
+//	                       replayed from the first event, or after the
+//	                       N-th with ?since=N, then followed live
 //
 // Examples:
 //
 //	ltcd                                  # AAM over Table IV @1%, :8080
 //	ltcd -scale 0.05 -shards 8 -algo LAF -addr 127.0.0.1:9000
-//	ltcd -shards 8 -rebalance             # adaptive live re-sharding
 //	ltcd -city newyork -scale 0.005
 //
 // Cluster mode splits one workload across N processes by a static
@@ -31,7 +30,7 @@
 //
 // Drive it end to end with the bundled load generator, which audits the
 // run against an in-process replay built with the layout /stats reports
-// (so -balanced and -rebalance gateways audit too):
+// (so -balanced gateways audit too):
 //
 //	go run ./cmd/ltcbench -exp loadgen -url http://127.0.0.1:8080 -scale 0.01
 //	go run ./cmd/ltcbench -exp loadgen -cluster http://127.0.0.1:8080,http://127.0.0.1:8081,http://127.0.0.1:8082 -scale 0.01
@@ -69,7 +68,6 @@ func main() {
 		algoName  = flag.String("algo", "AAM", "online algorithm: LAF, AAM or Random")
 		shards    = flag.Int("shards", 0, "spatial shard count (0 = GOMAXPROCS)")
 		balanced  = flag.Bool("balanced", false, "use the load-aware balanced tile→shard layout instead of fixed striping")
-		rebalance = flag.Bool("rebalance", false, "adaptively re-shard at runtime: forecast per-tile load online and migrate hot tiles between shards (implies -balanced)")
 		scale     = flag.Float64("scale", 0.01, "workload scale factor")
 		seed      = flag.Uint64("seed", 42, "generation seed (also drives Random)")
 		epsilon   = flag.Float64("epsilon", 0.10, "tolerable error rate ε")
@@ -125,9 +123,6 @@ func main() {
 	if *balanced {
 		popts = append(popts, ltc.WithBalancedShards())
 	}
-	if *rebalance {
-		popts = append(popts, ltc.WithRebalance())
-	}
 	var (
 		plat    *ltc.Platform
 		handler http.Handler
@@ -181,9 +176,6 @@ func main() {
 		if plat.Balanced() {
 			layout = "balanced"
 		}
-		if plat.Rebalancing() {
-			layout = "balanced+rebalance"
-		}
 		log.Printf("serving %s over %d tasks (%d shards, %s layout, ε=%.2f, K=%d) on %s",
 			*algoName, len(in.Tasks), plat.Shards(), layout, in.Epsilon, in.K, *addr)
 	}
@@ -213,12 +205,7 @@ func main() {
 		log.Printf("final: node owned no tasks")
 		return
 	}
-	if plat.Rebalancing() {
-		log.Printf("final: latency=%d workers=%d done=%v migrations=%d",
-			plat.Latency(), plat.WorkersSeen(), plat.Done(), plat.Migrations())
-	} else {
-		log.Printf("final: latency=%d workers=%d done=%v", plat.Latency(), plat.WorkersSeen(), plat.Done())
-	}
+	log.Printf("final: latency=%d workers=%d done=%v", plat.Latency(), plat.WorkersSeen(), plat.Done())
 }
 
 // Connection-level timeouts: how long a client may take to send its request

@@ -1,4 +1,4 @@
-// Command ltclint runs internal/lint's lockorder analyzer, which enforces
+// Command ltclint runs internal/lint's lockorder check, which enforces
 // the dispatch layer's lock order, over the non-test sources of the
 // packages matched:
 //

@@ -3,7 +3,7 @@
 // quality with the weighted-majority voting simulator — a one-stop sanity
 // check that the latency/quality trade-off behaves as published. With
 // -churn it also replays a dynamic-task scenario through ReplayChurn, on a
-// sharded Platform when -shards, -balanced or -rebalance ask for one.
+// sharded Platform when -shards or -balanced ask for one.
 //
 // The sharded replay of a static instance is `ltcbench -exp scenarios`
 // (throughput beside global latency per scenario × shards × layout; run it
@@ -16,7 +16,6 @@
 //	ltcsim -city newyork -scale 0.01
 //	ltcsim -churn 0.4 -ttl 500 -shards 4                                 # dynamic tasks, 4 striped shards
 //	ltcsim -scenario flashcrowd -churn 0.4 -ttl 500 -shards 8 -balanced  # skewed, load-aware layout
-//	ltcsim -scenario rushhour -churn 0.4 -shards 8 -rebalance            # ...re-sharding live mid-stream
 package main
 
 import (
@@ -37,24 +36,23 @@ func main() {
 	log.SetPrefix("ltcsim: ")
 
 	var (
-		tasks     = flag.Int("tasks", 150, "number of tasks (synthetic)")
-		workers   = flag.Int("workers", 2000, "number of workers (synthetic)")
-		k         = flag.Int("k", 6, "worker capacity K")
-		epsilon   = flag.Float64("epsilon", 0.10, "tolerable error rate ε")
-		seed      = flag.Uint64("seed", 1, "generation seed")
-		city      = flag.String("city", "", "use a check-in trace instead: newyork or tokyo")
-		scale     = flag.Float64("scale", 0.01, "city trace scale factor")
-		trials    = flag.Int("trials", 200, "voting simulation trials")
-		scenario  = flag.String("scenario", "", "use a named synthetic workload: uniform, hotspot, flashcrowd, rushhour or sparse-frontier")
-		churn     = flag.Float64("churn", 0, "also run a dynamic-task scenario posting this fraction of tasks online (0 disables)")
-		shards    = flag.Int("shards", 0, "with -churn: replay on a Platform with this many shards (0 = one)")
-		balanced  = flag.Bool("balanced", false, "with -churn: use the load-aware balanced tile→shard layout instead of fixed striping")
-		rebalance = flag.Bool("rebalance", false, "with -churn: adaptively re-shard at runtime, migrating hot tiles between shards mid-stream (implies -balanced)")
-		ttl       = flag.Int("ttl", 0, "task TTL in worker arrivals for -churn (0 = no expiry)")
+		tasks    = flag.Int("tasks", 150, "number of tasks (synthetic)")
+		workers  = flag.Int("workers", 2000, "number of workers (synthetic)")
+		k        = flag.Int("k", 6, "worker capacity K")
+		epsilon  = flag.Float64("epsilon", 0.10, "tolerable error rate ε")
+		seed     = flag.Uint64("seed", 1, "generation seed")
+		city     = flag.String("city", "", "use a check-in trace instead: newyork or tokyo")
+		scale    = flag.Float64("scale", 0.01, "city trace scale factor")
+		trials   = flag.Int("trials", 200, "voting simulation trials")
+		scenario = flag.String("scenario", "", "use a named synthetic workload: uniform, hotspot, flashcrowd, rushhour or sparse-frontier")
+		churn    = flag.Float64("churn", 0, "also run a dynamic-task scenario posting this fraction of tasks online (0 disables)")
+		shards   = flag.Int("shards", 0, "with -churn: replay on a Platform with this many shards (0 = one)")
+		balanced = flag.Bool("balanced", false, "with -churn: use the load-aware balanced tile→shard layout instead of fixed striping")
+		ttl      = flag.Int("ttl", 0, "task TTL in worker arrivals for -churn (0 = no expiry)")
 	)
 	flag.Parse()
 
-	if err := checkFlags(*city, *scenario, *churn, *shards, *balanced, *rebalance); err != nil {
+	if err := checkFlags(*city, *scenario, *churn, *shards, *balanced); err != nil {
 		log.Fatal(err)
 	}
 	in, err := buildInstance(*city, *scenario, *scale, *tasks, *workers, *k, *epsilon, *seed)
@@ -95,7 +93,7 @@ func main() {
 	fmt.Printf("\nall empirical error rates must sit below ε = %.2f (Hoeffding completion rule)\n", in.Epsilon)
 
 	if *churn > 0 {
-		if err := runChurn(os.Stdout, *tasks, *workers, *k, *epsilon, *seed, *churn, *ttl, *shards, *scenario, *balanced, *rebalance); err != nil {
+		if err := runChurn(os.Stdout, *tasks, *workers, *k, *epsilon, *seed, *churn, *ttl, *shards, *scenario, *balanced); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -103,14 +101,14 @@ func main() {
 
 // checkFlags rejects flag combinations before any work starts, so a bad
 // invocation fails at once instead of after the whole algorithm table.
-func checkFlags(city, scenario string, churn float64, shards int, balanced, rebalance bool) error {
+func checkFlags(city, scenario string, churn float64, shards int, balanced bool) error {
 	switch {
 	case scenario != "" && city != "":
 		return errors.New("-scenario and -city are mutually exclusive")
 	case churn > 0 && city != "":
 		return errors.New("-churn only supports synthetic workloads")
-	case churn <= 0 && (shards != 0 || balanced || rebalance):
-		return errors.New("-shards, -balanced and -rebalance only apply to the -churn replay; " +
+	case churn <= 0 && (shards != 0 || balanced):
+		return errors.New("-shards and -balanced only apply to the -churn replay; " +
 			"for a sharded replay of a static instance run `ltcbench -exp scenarios` " +
 			"(under GOMAXPROCS=1 for the deterministic sequential-feed latency)")
 	}
@@ -123,7 +121,7 @@ func checkFlags(city, scenario string, churn float64, shards int, balanced, reba
 // follow its skewed placement (Scenario.GenerateChurn). Reported are the
 // paper's absolute latency and the lifecycle-aware relative latency
 // (worker index − task post index).
-func runChurn(out io.Writer, tasks, workers, k int, epsilon float64, seed uint64, churnFrac float64, ttl, shards int, scenario string, balanced, rebalance bool) error {
+func runChurn(out io.Writer, tasks, workers, k int, epsilon float64, seed uint64, churnFrac float64, ttl, shards int, scenario string, balanced bool) error {
 	cc := ltc.DefaultChurn(syntheticConfig(tasks, workers, k, epsilon, seed))
 	cc.InitialFraction = 1 - churnFrac
 	if cc.InitialFraction <= 0 {
@@ -152,9 +150,6 @@ func runChurn(out io.Writer, tasks, workers, k int, epsilon float64, seed uint64
 	opts := []ltc.Option{ltc.WithShards(shards), ltc.WithSeed(seed)}
 	if balanced {
 		opts = append(opts, ltc.WithBalancedShards())
-	}
-	if rebalance {
-		opts = append(opts, ltc.WithRebalance())
 	}
 	fmt.Fprintf(out, "\ndynamic tasks (%d initial, %d posted online, TTL %d, %d shards):\n",
 		cw.InitialTasks, cw.TotalTasks-cw.InitialTasks, ttl, shards)

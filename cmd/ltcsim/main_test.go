@@ -52,25 +52,23 @@ func TestBuildInstance(t *testing.T) {
 // -city exclude each other.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
-		name      string
-		city      string
-		scenario  string
-		churn     float64
-		shards    int
-		balanced  bool
-		rebalance bool
-		want      string // substring of the error; "" = accepted
+		name     string
+		city     string
+		scenario string
+		churn    float64
+		shards   int
+		balanced bool
+		want     string // substring of the error; "" = accepted
 	}{
 		{name: "default"},
-		{name: "churn on shards", churn: 0.4, shards: 2, balanced: true, rebalance: true},
+		{name: "churn on shards", churn: 0.4, shards: 2, balanced: true},
 		{name: "scenario and city", city: "newyork", scenario: "hotspot", want: "mutually exclusive"},
 		{name: "churn on a city", city: "newyork", churn: 0.4, want: "synthetic"},
 		{name: "shards without churn", shards: 4, want: "ltcbench -exp scenarios"},
 		{name: "balanced without churn", balanced: true, want: "-churn"},
-		{name: "rebalance without churn", rebalance: true, want: "-churn"},
 	}
 	for _, c := range cases {
-		err := checkFlags(c.city, c.scenario, c.churn, c.shards, c.balanced, c.rebalance)
+		err := checkFlags(c.city, c.scenario, c.churn, c.shards, c.balanced)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)
@@ -85,7 +83,7 @@ func TestCheckFlags(t *testing.T) {
 // the shard count in the header.
 func TestRunChurnBalancedShards(t *testing.T) {
 	var out bytes.Buffer
-	if err := runChurn(&out, 60, 1500, 6, 0.10, 1, 0.4, 500, 2, "", true, false); err != nil {
+	if err := runChurn(&out, 60, 1500, 6, 0.10, 1, 0.4, 500, 2, "", true); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()

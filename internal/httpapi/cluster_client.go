@@ -289,7 +289,6 @@ type ClusterStats struct {
 	Total       int
 	WorkersSeen int
 	Latency     int
-	Migrations  int
 }
 
 // Stats polls every node's /stats and folds them.
@@ -306,7 +305,6 @@ func (c *ClusterClient) Stats() (ClusterStats, error) {
 		cs.Resolved += st.Resolved
 		cs.Total += st.Total
 		cs.WorkersSeen += st.WorkersSeen
-		cs.Migrations += st.Migrations
 		if st.Latency > cs.Latency {
 			cs.Latency = st.Latency
 		}

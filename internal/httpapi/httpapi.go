@@ -171,11 +171,6 @@ type ShardStat struct {
 	// when the async path is unused).
 	QueueDepth int `json:"queue_depth"`
 	Latency    int `json:"latency"`
-	// MigratedIn/MigratedOut count the tasks this shard adopted from and
-	// handed to other shards through live tile migration (0 unless the
-	// gateway runs with -rebalance).
-	MigratedIn  int `json:"migrated_in,omitempty"`
-	MigratedOut int `json:"migrated_out,omitempty"`
 }
 
 // Stats is GET /stats's result: the platform's full progress snapshot.
@@ -199,10 +194,7 @@ type Stats struct {
 	Total           int     `json:"total"`
 	Done            bool    `json:"done"`
 	Imbalance       float64 `json:"imbalance"`
-	// Rebalanced reports whether adaptive live re-sharding is active, and
-	// Migrations how many tile migrations have committed so far.
-	Rebalanced bool        `json:"rebalanced,omitempty"`
-	Migrations int         `json:"migrations,omitempty"`
+	// ShardStats has one entry per shard, in shard order.
 	ShardStats []ShardStat `json:"shard_stats"`
 }
 
@@ -535,14 +527,12 @@ func (n platformNode) stats() any {
 		Total:           total,
 		Done:            p.Done(),
 		Imbalance:       p.Imbalance(),
-		Rebalanced:      p.Rebalancing(),
-		Migrations:      p.Migrations(),
 	}
 	for _, sh := range p.ShardStats() {
 		st.ShardStats = append(st.ShardStats, ShardStat{
 			Tasks: sh.Tasks, Completed: sh.Completed, Retired: sh.Retired,
 			Workers: sh.Workers, Offered: sh.Offered, QueueDepth: sh.QueueDepth,
-			Latency: sh.Latency, MigratedIn: sh.MigratedIn, MigratedOut: sh.MigratedOut,
+			Latency: sh.Latency,
 		})
 		st.Tasks += sh.Tasks
 	}

@@ -1,17 +1,9 @@
-// Package lint implements ltclint's one analyzer, lockorder, which enforces
-// the dispatch layer's lock order (CONCURRENCY.md). It reads intent from
-// //ltc:lock and //ltc:ascending annotations in the source; there are no
-// waivers. (Atomic access discipline needs no analyzer: every atomically
-// accessed field is a sync/atomic type.)
 package lint
 
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
-
-	"ltc/internal/lint/analysis"
 )
 
 // Lock classes in acquisition order. A lock may only be acquired while all
@@ -27,10 +19,10 @@ var lockLevels = map[string]int{
 	"leaf":  90, // terminal locks: event bus, flush dedup; nothing may be held
 }
 
-// LockAnn is a parsed //ltc:lock annotation on a mutex field.
-type LockAnn struct {
-	Class   string
-	Indexed bool // declared as e.g. `shard[i]`: many instances, ascending order
+// lockAnn is a parsed //ltc:lock annotation on a mutex field.
+type lockAnn struct {
+	class   string
+	indexed bool // declared as e.g. `shard[i]`: many instances, ascending order
 }
 
 type posKey struct {
@@ -38,55 +30,38 @@ type posKey struct {
 	line int
 }
 
-// Annotations holds the //ltc:lock and //ltc:ascending directives found in
-// one package, resolved to type-checker objects.
-type Annotations struct {
-	LockClass map[types.Object]LockAnn
-
-	ascending map[posKey]bool
-}
-
-// HasLockAnnotations reports whether the package declares any lock classes;
-// the unannotated-mutex rule only applies to such packages.
-func (a *Annotations) HasLockAnnotations() bool { return len(a.LockClass) > 0 }
-
-// Ascending reports whether the line holding pos carries an //ltc:ascending
+// ascendingAt reports whether the line holding pos carries an //ltc:ascending
 // marker, which permits a same-class indexed-lock acquisition.
-func (a *Annotations) Ascending(fset *token.FileSet, pos token.Pos) bool {
-	p := fset.Position(pos)
-	return a.ascending[posKey{p.Filename, p.Line}]
+func (lo *lockOrderRun) ascendingAt(pos token.Pos) bool {
+	p := lo.pkg.fset.Position(pos)
+	return lo.ascending[posKey{p.Filename, p.Line}]
 }
 
-// parseAnnotations collects the package's directives, reporting each
-// malformed //ltc:lock as a diagnostic of its own.
-func parseAnnotations(pass *analysis.Pass) *Annotations {
-	a := &Annotations{
-		LockClass: map[types.Object]LockAnn{},
-		ascending: map[posKey]bool{},
-	}
-	for _, f := range pass.Files {
+// parseAnnotations collects the package's //ltc:lock and //ltc:ascending
+// directives, reporting each malformed //ltc:lock as a finding of its own.
+func (lo *lockOrderRun) parseAnnotations() {
+	for _, f := range lo.pkg.files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				// The marker must trail the acquisition statement itself.
 				if strings.TrimPrefix(c.Text, "//") == "ltc:ascending" {
-					pos := pass.Fset.Position(c.Pos())
-					a.ascending[posKey{pos.Filename, pos.Line}] = true
+					pos := lo.pkg.fset.Position(c.Pos())
+					lo.ascending[posKey{pos.Filename, pos.Line}] = true
 				}
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if st, ok := n.(*ast.StructType); ok {
 				for _, field := range st.Fields.List {
-					a.parseLockDirectives(pass, field)
+					lo.parseLockDirectives(field)
 				}
 			}
 			return true
 		})
 	}
-	return a
 }
 
-func (a *Annotations) parseLockDirectives(pass *analysis.Pass, field *ast.Field) {
+func (lo *lockOrderRun) parseLockDirectives(field *ast.Field) {
 	for _, doc := range []*ast.CommentGroup{field.Doc, field.Comment} {
 		if doc == nil {
 			continue
@@ -98,7 +73,7 @@ func (a *Annotations) parseLockDirectives(pass *analysis.Pass, field *ast.Field)
 			}
 			args := strings.Fields(text)
 			if len(args) != 1 {
-				pass.Reportf(c.Pos(), "malformed //ltc:lock: need exactly one lock class")
+				lo.reportf(c.Pos(), "malformed //ltc:lock: need exactly one lock class")
 				continue
 			}
 			class := args[0]
@@ -107,12 +82,12 @@ func (a *Annotations) parseLockDirectives(pass *analysis.Pass, field *ast.Field)
 				class, indexed = strings.TrimSuffix(class, "[i]"), true
 			}
 			if _, known := lockLevels[class]; !known {
-				pass.Reportf(c.Pos(), "//ltc:lock names unknown lock class %q", class)
+				lo.reportf(c.Pos(), "//ltc:lock names unknown lock class %q", class)
 				continue
 			}
 			for _, name := range field.Names {
-				if obj := pass.TypesInfo.Defs[name]; obj != nil {
-					a.LockClass[obj] = LockAnn{Class: class, Indexed: indexed}
+				if obj := lo.pkg.info.Defs[name]; obj != nil {
+					lo.lockClass[obj] = lockAnn{class: class, indexed: indexed}
 				}
 			}
 		}

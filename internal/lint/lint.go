@@ -1,87 +1,47 @@
+// Package lint is ltclint: one check, lockorder, which enforces the dispatch
+// layer's lock order (CONCURRENCY.md). It reads intent from //ltc:lock and
+// //ltc:ascending annotations in the source; there are no waivers. (Atomic
+// access discipline needs no check: every atomically accessed field is a
+// sync/atomic type.)
 package lint
 
 import (
 	"fmt"
 	"go/token"
 	"sort"
-
-	"ltc/internal/lint/analysis"
-	"ltc/internal/lint/load"
 )
 
-// Analyzers is the ltclint suite.
-var Analyzers = []*analysis.Analyzer{LockOrder}
-
-// Finding is one diagnostic, positioned and attributed.
+// Finding is one lockorder diagnostic.
 type Finding struct {
-	Pos      token.Position
-	Analyzer string
-	Message  string
+	Pos     token.Position
+	Message string
 }
 
 func (f Finding) String() string {
-	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
+	return fmt.Sprintf("%s: lockorder: %s", f.Pos, f.Message)
 }
 
-// Run loads the packages matched by patterns (rooted at dir) and applies the
-// whole suite, returning every finding. Packages are analyzed in dependency
-// order so cross-package facts (e.g. which lock classes a callee may
-// acquire) are available to importers.
+// Run loads the packages matched by patterns (rooted at dir), applies
+// lockorder to each and returns every finding. Packages are analyzed in
+// dependency order, so the lock classes an imported function may acquire are
+// known before its importers are analyzed.
 func Run(dir string, patterns ...string) ([]Finding, error) {
-	pkgs, err := load.Packages(dir, patterns...)
+	pkgs, err := loadPackages(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	facts := analysis.NewFactStore()
+	facts := lockFacts{}
 	var findings []Finding
-	for _, pkg := range pkgs {
-		fs, err := AnalyzePackage(Analyzers, pkg, facts)
-		if err != nil {
-			return nil, err
-		}
+	for _, p := range pkgs {
+		fs := lockOrder(p, facts)
 		// In-module dependencies outside the requested patterns are analyzed
 		// only for their facts; their diagnostics belong to their own run.
-		if pkg.DepOnly {
-			continue
-		}
-		findings = append(findings, fs...)
-	}
-	sortFindings(findings)
-	return findings, nil
-}
-
-// AnalyzePackage applies analyzers to one type-checked package and returns
-// their findings in position order. facts carries cross-package summaries
-// between calls and may be shared across packages of one run.
-func AnalyzePackage(analyzers []*analysis.Analyzer, pkg *load.Package, facts *analysis.FactStore) ([]Finding, error) {
-	var findings []Finding
-	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Facts:     facts,
-			Report: func(d analysis.Diagnostic) {
-				findings = append(findings, Finding{
-					Pos:      pkg.Fset.Position(d.Pos),
-					Analyzer: a.Name,
-					Message:  d.Message,
-				})
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: analyzing %s: %v", a.Name, pkg.PkgPath, err)
+		if !p.depOnly {
+			findings = append(findings, fs...)
 		}
 	}
-	sortFindings(findings)
-	return findings, nil
-}
-
-func sortFindings(fs []Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -93,4 +53,5 @@ func sortFindings(fs []Finding) {
 		}
 		return a.Message < b.Message
 	})
+	return findings, nil
 }

@@ -3,17 +3,16 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
-
-	"ltc/internal/lint/analysis"
 )
 
-// LockOrder enforces the lock hierarchy documented in CONCURRENCY.md. Mutex
-// fields are annotated //ltc:lock <class> (classes: regMu < shard < async <
-// queue < leaf). The analyzer tracks the set of annotated locks held at each
-// statement and reports:
+// lockOrder enforces the lock hierarchy documented in CONCURRENCY.md on one
+// package. Mutex fields are annotated //ltc:lock <class> (classes: regMu <
+// shard < async < queue < leaf). It tracks the set of annotated locks held at
+// each statement and reports:
 //
 //   - acquiring a lock whose class level is not strictly above every held
 //     lock's level (same-class acquisitions of an indexed class are allowed
@@ -22,7 +21,7 @@ import (
 //     while ANY annotated lock is held (publication must happen after the
 //     emitting call's locks are released);
 //   - calling a function that may transitively acquire a conflicting class
-//     (per-function summaries flow across packages as facts);
+//     (per-function summaries reach importers through facts);
 //   - in packages that annotate at least one lock, declaring a mutex field
 //     with no //ltc:lock annotation.
 //
@@ -32,13 +31,43 @@ import (
 // with the locks held where it is written — plus, when it is an argument to a
 // package-local function that may acquire classes C (the dispatcher's
 // eachShard), one lock of each class in C: the callee may call it under them.
-var LockOrder = &analysis.Analyzer{
-	Name: "lockorder",
-	Doc:  "enforce the regMu → shard → async → queue lock order with the event bus as a leaf",
-	Run:  runLockOrder,
+//
+// The classes each of the package's functions may acquire are recorded in
+// facts before the walk, which then reads local and imported callees alike
+// from there; the packages analyzed after this one read them too.
+func lockOrder(p *pkg, facts lockFacts) []Finding {
+	lo := &lockOrderRun{
+		pkg:       p,
+		facts:     facts,
+		lockClass: map[types.Object]lockAnn{},
+		ascending: map[posKey]bool{},
+	}
+	lo.parseAnnotations()
+
+	var decls []*ast.FuncDecl
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls = append(decls, fd)
+			}
+		}
+	}
+
+	lo.buildSummaries(decls)
+	lo.exportFacts(decls)
+
+	for _, fd := range decls {
+		lo.walkBody(fd.Body, heldSet{})
+	}
+
+	lo.checkUnannotatedMutexes()
+	return lo.findings
 }
 
-const lockFactPrefix = "lockorder:"
+// lockFacts maps a function's types.Func.FullName to the sorted lock classes
+// it may transitively acquire. One run analyzes every package in dependency
+// order, so the map is filled for a package before its importers read it.
+type lockFacts map[string][]string
 
 type heldLock struct {
 	class    string
@@ -59,36 +88,16 @@ func (h heldSet) describe() string {
 }
 
 type lockOrderRun struct {
-	pass      *analysis.Pass
-	anns      *Annotations
+	pkg       *pkg
+	facts     lockFacts
+	lockClass map[types.Object]lockAnn        // //ltc:lock-annotated mutex fields
+	ascending map[posKey]bool                 // lines marked //ltc:ascending
 	summaries map[*types.Func]map[string]bool // transitive may-acquire, package-local
+	findings  []Finding
 }
 
-func runLockOrder(pass *analysis.Pass) error {
-	lo := &lockOrderRun{
-		pass:      pass,
-		anns:      parseAnnotations(pass),
-		summaries: map[*types.Func]map[string]bool{},
-	}
-
-	var decls []*ast.FuncDecl
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				decls = append(decls, fd)
-			}
-		}
-	}
-
-	lo.buildSummaries(decls)
-
-	for _, fd := range decls {
-		lo.walkBody(fd.Body, heldSet{})
-	}
-
-	lo.exportFacts(decls)
-	lo.checkUnannotatedMutexes()
-	return nil
+func (lo *lockOrderRun) reportf(pos token.Pos, format string, args ...any) {
+	lo.findings = append(lo.findings, Finding{Pos: lo.pkg.fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
 // --- phase 1: per-function transitive may-acquire summaries ---
@@ -98,7 +107,7 @@ func (lo *lockOrderRun) buildSummaries(decls []*ast.FuncDecl) {
 	calls := map[*types.Func]map[*types.Func]bool{}
 
 	for _, fd := range decls {
-		fn, _ := lo.pass.TypesInfo.Defs[fd.Name].(*types.Func)
+		fn, _ := lo.pkg.info.Defs[fd.Name].(*types.Func)
 		if fn == nil {
 			continue
 		}
@@ -140,14 +149,14 @@ func (lo *lockOrderRun) collectAcquires(body ast.Node, classes map[string]bool, 
 			return false
 		case *ast.CallExpr:
 			if ann, _, ok := lo.lockTarget(n, "Lock", "RLock"); ok {
-				classes[ann.Class] = true
+				classes[ann.class] = true
 				return true
 			}
 			if fn := lo.staticCallee(n); fn != nil {
-				if fn.Pkg() == lo.pass.Pkg {
+				if fn.Pkg() == lo.pkg.types {
 					calls[fn] = true
 				} else {
-					for _, class := range lo.importedClasses(fn) {
+					for _, class := range lo.facts[fn.FullName()] {
 						classes[class] = true
 					}
 				}
@@ -159,7 +168,7 @@ func (lo *lockOrderRun) collectAcquires(body ast.Node, classes map[string]bool, 
 
 func (lo *lockOrderRun) exportFacts(decls []*ast.FuncDecl) {
 	for _, fd := range decls {
-		fn, _ := lo.pass.TypesInfo.Defs[fd.Name].(*types.Func)
+		fn, _ := lo.pkg.info.Defs[fd.Name].(*types.Func)
 		if fn == nil {
 			continue
 		}
@@ -168,27 +177,8 @@ func (lo *lockOrderRun) exportFacts(decls []*ast.FuncDecl) {
 			classes = append(classes, class)
 		}
 		sort.Strings(classes)
-		lo.pass.Facts.Set(lockFactPrefix+fn.FullName(), classes)
+		lo.facts[fn.FullName()] = classes
 	}
-}
-
-// mayAcquire returns the lock classes fn may transitively acquire.
-func (lo *lockOrderRun) mayAcquire(fn *types.Func) []string {
-	if fn.Pkg() == lo.pass.Pkg {
-		var classes []string
-		for class := range lo.summaries[fn] {
-			classes = append(classes, class)
-		}
-		sort.Strings(classes)
-		return classes
-	}
-	return lo.importedClasses(fn)
-}
-
-func (lo *lockOrderRun) importedClasses(fn *types.Func) []string {
-	v, _ := lo.pass.Facts.Get(lockFactPrefix + fn.FullName())
-	classes, _ := v.([]string)
-	return classes
 }
 
 // --- phase 2: flow-structured held-set walk ---
@@ -262,10 +252,9 @@ func (lo *lockOrderRun) stmt(s ast.Stmt, h *heldSet) {
 			lo.walkBody(lit.Body, empty)
 		}
 	case *ast.DeferStmt:
-		if ann, instance, ok := lo.lockTarget(s.Call, "Unlock", "RUnlock"); ok {
+		if _, _, ok := lo.lockTarget(s.Call, "Unlock", "RUnlock"); ok {
 			// Deferred unlock: the lock stays held to function end;
 			// nothing to update.
-			_, _ = ann, instance
 			break
 		}
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
@@ -430,11 +419,11 @@ func (lo *lockOrderRun) exprs(h *heldSet, nodes ...ast.Node) {
 // under each shard mutex in turn.
 func (lo *lockOrderRun) callbackHeld(call *ast.CallExpr, h heldSet) heldSet {
 	fn := lo.staticCallee(call)
-	if fn == nil || fn.Pkg() != lo.pass.Pkg || len(lo.summaries[fn]) == 0 {
+	if fn == nil || fn.Pkg() != lo.pkg.types || len(lo.summaries[fn]) == 0 {
 		return nil
 	}
 	held := h.clone()
-	for _, class := range lo.mayAcquire(fn) {
+	for _, class := range lo.facts[fn.FullName()] {
 		held = append(held, heldLock{class: class, instance: fn.Name() + "'s lock", level: lockLevels[class]})
 	}
 	return held
@@ -444,7 +433,7 @@ func (lo *lockOrderRun) callbackHeld(call *ast.CallExpr, h heldSet) heldSet {
 func (lo *lockOrderRun) call(call *ast.CallExpr, h *heldSet) {
 	if ann, instance, ok := lo.lockTarget(call, "Lock", "RLock"); ok {
 		lo.checkAcquire(call, ann, instance, h)
-		*h = append(*h, heldLock{class: ann.Class, instance: instance, level: lockLevels[ann.Class]})
+		*h = append(*h, heldLock{class: ann.class, instance: instance, level: lockLevels[ann.class]})
 		return
 	}
 	if _, instance, ok := lo.lockTarget(call, "Unlock", "RUnlock"); ok {
@@ -460,16 +449,16 @@ func (lo *lockOrderRun) call(call *ast.CallExpr, h *heldSet) {
 	if fn == nil {
 		return
 	}
-	for _, class := range lo.mayAcquire(fn) {
+	for _, class := range lo.facts[fn.FullName()] {
 		lo.checkTransient(call, fn, class, *h)
 	}
 }
 
 // checkAcquire validates a direct Lock/RLock against the held set.
-func (lo *lockOrderRun) checkAcquire(call *ast.CallExpr, ann LockAnn, instance string, h *heldSet) {
-	level := lockLevels[ann.Class]
-	if ann.Class == "leaf" && len(*h) > 0 {
-		lo.pass.Reportf(call.Pos(),
+func (lo *lockOrderRun) checkAcquire(call *ast.CallExpr, ann lockAnn, instance string, h *heldSet) {
+	level := lockLevels[ann.class]
+	if ann.class == "leaf" && len(*h) > 0 {
+		lo.reportf(call.Pos(),
 			"leaf lock %s acquired while holding %s; leaf locks (event bus, flush dedup) require an empty held set",
 			instance, h.describe())
 		return
@@ -477,14 +466,14 @@ func (lo *lockOrderRun) checkAcquire(call *ast.CallExpr, ann LockAnn, instance s
 	for _, held := range *h {
 		switch {
 		case held.instance == instance:
-			lo.pass.Reportf(call.Pos(), "lock %s is already held", instance)
+			lo.reportf(call.Pos(), "lock %s is already held", instance)
 		case level < held.level:
-			lo.pass.Reportf(call.Pos(),
+			lo.reportf(call.Pos(),
 				"acquiring %s (class %s, level %d) while holding %s (class %s, level %d) violates the lock order",
-				instance, ann.Class, level, held.instance, held.class, held.level)
+				instance, ann.class, level, held.instance, held.class, held.level)
 		case level == held.level:
-			if !(ann.Indexed && lo.anns.Ascending(lo.pass.Fset, call.Pos())) {
-				lo.pass.Reportf(call.Pos(),
+			if !(ann.indexed && lo.ascendingAt(call.Pos())) {
+				lo.reportf(call.Pos(),
 					"acquiring %s while holding same-class lock %s; indexed classes need an //ltc:ascending marker on the acquisition",
 					instance, held.instance)
 			}
@@ -496,7 +485,7 @@ func (lo *lockOrderRun) checkAcquire(call *ast.CallExpr, ann LockAnn, instance s
 func (lo *lockOrderRun) checkTransient(call *ast.CallExpr, fn *types.Func, class string, h heldSet) {
 	level := lockLevels[class]
 	if class == "leaf" && len(h) > 0 {
-		lo.pass.Reportf(call.Pos(),
+		lo.reportf(call.Pos(),
 			"call to %s may acquire a leaf lock (event bus) while holding %s; release all locks before publishing",
 			fn.Name(), h.describe())
 		return
@@ -504,11 +493,11 @@ func (lo *lockOrderRun) checkTransient(call *ast.CallExpr, fn *types.Func, class
 	for _, held := range h {
 		switch {
 		case level < held.level:
-			lo.pass.Reportf(call.Pos(),
+			lo.reportf(call.Pos(),
 				"call to %s may acquire a %s-class lock (level %d) while holding %s (class %s, level %d), violating the lock order",
 				fn.Name(), class, level, held.instance, held.class, held.level)
 		case level == held.level:
-			lo.pass.Reportf(call.Pos(),
+			lo.reportf(call.Pos(),
 				"call to %s may acquire a %s-class lock while one (%s) is already held",
 				fn.Name(), class, held.instance)
 		}
@@ -519,10 +508,10 @@ func (lo *lockOrderRun) checkTransient(call *ast.CallExpr, fn *types.Func, class
 
 // lockTarget reports whether call is `<expr>.<method>()` where method is one
 // of names and expr resolves to an //ltc:lock-annotated mutex field.
-func (lo *lockOrderRun) lockTarget(call *ast.CallExpr, names ...string) (LockAnn, string, bool) {
+func (lo *lockOrderRun) lockTarget(call *ast.CallExpr, names ...string) (lockAnn, string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return LockAnn{}, "", false
+		return lockAnn{}, "", false
 	}
 	match := false
 	for _, n := range names {
@@ -531,19 +520,19 @@ func (lo *lockOrderRun) lockTarget(call *ast.CallExpr, names ...string) (LockAnn
 		}
 	}
 	if !match {
-		return LockAnn{}, "", false
+		return lockAnn{}, "", false
 	}
 	field, ok := sel.X.(*ast.SelectorExpr)
 	if !ok {
-		return LockAnn{}, "", false
+		return lockAnn{}, "", false
 	}
-	obj := lo.pass.TypesInfo.Uses[field.Sel]
+	obj := lo.pkg.info.Uses[field.Sel]
 	if obj == nil {
-		return LockAnn{}, "", false
+		return lockAnn{}, "", false
 	}
-	ann, ok := lo.anns.LockClass[obj]
+	ann, ok := lo.lockClass[obj]
 	if !ok {
-		return LockAnn{}, "", false
+		return lockAnn{}, "", false
 	}
 	return ann, types.ExprString(field), true
 }
@@ -558,7 +547,7 @@ func (lo *lockOrderRun) staticCallee(call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		// Interface method calls have no static body; skip them so
 		// summaries stay precise (dynamic dispatch is out of scope).
-		if sel, ok := lo.pass.TypesInfo.Selections[fun]; ok && sel.Kind() == types.MethodVal {
+		if sel, ok := lo.pkg.info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
 			if types.IsInterface(sel.Recv()) {
 				return nil
 			}
@@ -567,20 +556,20 @@ func (lo *lockOrderRun) staticCallee(call *ast.CallExpr) *types.Func {
 	default:
 		return nil
 	}
-	fn, _ := lo.pass.TypesInfo.Uses[id].(*types.Func)
+	fn, _ := lo.pkg.info.Uses[id].(*types.Func)
 	return fn
 }
 
-// --- phase 4: annotation coverage ---
+// --- phase 3: annotation coverage ---
 
 // checkUnannotatedMutexes reports mutex-typed struct fields that lack an
 // //ltc:lock annotation, but only in packages that annotate at least one
 // lock (packages outside the discipline are untouched).
 func (lo *lockOrderRun) checkUnannotatedMutexes() {
-	if !lo.anns.HasLockAnnotations() {
+	if len(lo.lockClass) == 0 {
 		return
 	}
-	for _, f := range lo.pass.Files {
+	for _, f := range lo.pkg.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
 			if !ok {
@@ -588,12 +577,12 @@ func (lo *lockOrderRun) checkUnannotatedMutexes() {
 			}
 			for _, field := range st.Fields.List {
 				for _, name := range field.Names {
-					obj := lo.pass.TypesInfo.Defs[name]
+					obj := lo.pkg.info.Defs[name]
 					if obj == nil || !isMutexType(obj.Type()) {
 						continue
 					}
-					if _, ok := lo.anns.LockClass[obj]; !ok {
-						lo.pass.Reportf(name.Pos(),
+					if _, ok := lo.lockClass[obj]; !ok {
+						lo.reportf(name.Pos(),
 							"mutex field %s has no //ltc:lock annotation in a lock-annotated package", name.Name)
 					}
 				}

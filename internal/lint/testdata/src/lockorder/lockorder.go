@@ -178,3 +178,10 @@ func (d *disp) waived(i int) {
 type naked struct {
 	mu sync.Mutex // want "no //ltc:lock annotation"
 }
+
+type badDirectives struct {
+	//ltc:lock shard leaf // want "malformed //ltc:lock: need exactly one lock class"
+	twoClasses sync.Mutex // want "no //ltc:lock annotation"
+	//ltc:lock bogus
+	unknownClass sync.Mutex // want "no //ltc:lock annotation"
+}

@@ -162,7 +162,7 @@ func Solve(in *Instance, algo Algorithm, opts ...Option) (*Result, error) {
 	ci := c.indexFor(in)
 	switch algo {
 	case MCFLTC:
-		return core.RunOffline(in, ci, &core.MCFLTC{BatchMultiplier: c.batchMultiplier})
+		return core.RunOffline(in, ci, &core.MCFLTC{})
 	case BaseOff:
 		return core.RunOffline(in, ci, core.BaseOff{})
 	case Exact:

@@ -314,17 +314,6 @@ func TestCityPresetsReexported(t *testing.T) {
 	}
 }
 
-func TestMCFBatchMultiplierOption(t *testing.T) {
-	in := tinyInstance(t)
-	res, err := Solve(in, MCFLTC, WithBatchMultiplier(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Arrangement.Validate(in, true); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStreamingConstructorsValidateTasks: NewPlatform and NewSession reject
 // the task-ID and MinAcc defects Solve rejects, with the same typed errors,
 // instead of accepting them or panicking on a sparse task ID.

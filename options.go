@@ -5,8 +5,8 @@ import "ltc/internal/dispatch"
 // The options system: every constructor and runner — Solve, SolveAll,
 // NewSession, NewPlatform, ReplayChurn — accepts the same composable
 // functional options, and each consumes the subset that applies to it
-// (WithShards tunes a Platform, WithBatchMultiplier the MCF-LTC solver;
-// irrelevant options are ignored, never an error).
+// (WithShards tunes a Platform, WithIndex the solvers; irrelevant options
+// are ignored, never an error).
 
 // Option configures Solve, NewSession, NewPlatform or ReplayChurn. Options
 // are applied in order, so a later option overrides an earlier one for the
@@ -18,15 +18,14 @@ type Option interface {
 // config is the merged view of every tunable the options can set. The zero
 // value is every setting's default.
 type config struct {
-	shards          int
-	balanced        bool
-	rebalance       *dispatch.RebalanceOptions
-	loadPrefix      int
-	seed            uint64
-	queueCap        int
-	eventBuffer     int
-	index           *CandidateIndex
-	batchMultiplier float64
+	shards      int
+	balanced    bool
+	rebalance   *dispatch.RebalanceOptions
+	loadPrefix  int
+	seed        uint64
+	queueCap    int
+	eventBuffer int
+	index       *CandidateIndex
 }
 
 // optionFunc adapts a plain function to the Option interface.
@@ -130,9 +129,3 @@ func WithEventBuffer(n int) Option { return optionFunc(func(c *config) { c.event
 // interleaving. Ignored by NewPlatform, whose per-shard sub-instances always
 // build their own.
 func WithIndex(ci *CandidateIndex) Option { return optionFunc(func(c *config) { c.index = ci }) }
-
-// WithBatchMultiplier scales MCF-LTC's batch size m (default 1.0). Only
-// the MCF-LTC algorithm reads it.
-func WithBatchMultiplier(m float64) Option {
-	return optionFunc(func(c *config) { c.batchMultiplier = m })
-}

@@ -53,19 +53,9 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMultiplierAndExactOptions keeps the solver tuning reachable
-// through the v2 surface: WithBatchMultiplier reaches MCF-LTC, and Exact
-// runs at its fixed node budget.
+// TestSolveBatchMultiplierAndExactOptions checks that Exact runs at its fixed
+// node budget through the v2 surface and stays at or below AAM's latency.
 func TestSolveBatchMultiplierAndExactOptions(t *testing.T) {
-	in := tinyInstance(t)
-	res, err := Solve(in, MCFLTC, WithBatchMultiplier(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Arrangement.Validate(in, true); err != nil {
-		t.Fatal(err)
-	}
-
 	cfg := DefaultWorkload()
 	cfg.NumTasks, cfg.NumWorkers = 3, 60
 	cfg.GridWidth, cfg.GridHeight = 40, 40
