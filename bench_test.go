@@ -9,57 +9,10 @@ import (
 	"testing"
 
 	"ltc/internal/core"
-	"ltc/internal/experiments"
 	"ltc/internal/flow"
 	"ltc/internal/geo"
 	"ltc/internal/model"
 )
-
-// Experiment benchmarks — one per paper figure column (each column covers
-// three panels: latency, runtime, memory). Every iteration runs the whole
-// sweep at a small scale; `cmd/ltcbench` runs the same sweeps at larger
-// scales with repetitions and prints the paper-style tables.
-
-func benchExperiment(b *testing.B, id string, scale float64, algos ...string) {
-	b.Helper()
-	e, err := experiments.Lookup(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := experiments.Options{Scale: scale, Reps: 1, Seed: 42, Algorithms: algos}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig3Tasks regenerates Fig. 3a/3e/3i (varying |T|).
-func BenchmarkFig3Tasks(b *testing.B) { benchExperiment(b, "fig3-tasks", 0.01) }
-
-// BenchmarkFig3Capacity regenerates Fig. 3b/3f/3j (varying K).
-func BenchmarkFig3Capacity(b *testing.B) { benchExperiment(b, "fig3-capacity", 0.01) }
-
-// BenchmarkFig3AccNormal regenerates Fig. 3c/3g/3k (Normal accuracy µ).
-func BenchmarkFig3AccNormal(b *testing.B) { benchExperiment(b, "fig3-accnormal", 0.01) }
-
-// BenchmarkFig3AccUniform regenerates Fig. 3d/3h/3l (Uniform accuracy mean).
-func BenchmarkFig3AccUniform(b *testing.B) { benchExperiment(b, "fig3-accuniform", 0.01) }
-
-// BenchmarkFig4Epsilon regenerates Fig. 4a/4e/4i (varying ε).
-func BenchmarkFig4Epsilon(b *testing.B) { benchExperiment(b, "fig4-epsilon", 0.01) }
-
-// BenchmarkFig4Scalability regenerates Fig. 4b/4f/4j (|T| up to 100k at
-// full scale; benchmarked at 0.5% so each iteration stays in seconds).
-func BenchmarkFig4Scalability(b *testing.B) { benchExperiment(b, "fig4-scalability", 0.005) }
-
-// BenchmarkFig4NewYork regenerates Fig. 4c/4g/4k (New York trace).
-func BenchmarkFig4NewYork(b *testing.B) { benchExperiment(b, "fig4-newyork", 0.01) }
-
-// BenchmarkFig4Tokyo regenerates Fig. 4d/4h/4l (Tokyo trace).
-func BenchmarkFig4Tokyo(b *testing.B) { benchExperiment(b, "fig4-tokyo", 0.005) }
 
 // Per-algorithm benchmarks on a fixed Table IV instance (default setting at
 // 5% scale): the per-run cost behind Fig. 3e/3i's algorithm ordering.

@@ -35,6 +35,7 @@ import (
 	"os"
 	"strings"
 
+	"ltc"
 	"ltc/internal/experiments"
 )
 
@@ -59,6 +60,9 @@ func main() {
 		lgBatch   = flag.Int("loadgen-batch", 0, "feed -exp loadgen through /checkin/batch chunks of this size (0/1 = per-call)")
 	)
 	flag.Parse()
+	if err := checkFlags(*scale, *reps); err != nil {
+		log.Fatal(err)
+	}
 
 	algoList := splitList(*algos)
 	firstAlgo := ""
@@ -112,12 +116,9 @@ func main() {
 		}
 	}
 
-	opts := experiments.Options{
-		Scale:      *scale,
-		Reps:       *reps,
-		Seed:       *seed,
-		Parallel:   *parallel,
-		Algorithms: algoList,
+	opts := experiments.Options{Scale: *scale, Reps: *reps, Seed: *seed, Parallel: *parallel}
+	for _, name := range algoList {
+		opts.Algorithms = append(opts.Algorithms, ltc.Algorithm(name))
 	}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {
@@ -171,6 +172,18 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkFlags refuses the sizes no experiment can run: a sweep needs at
+// least one repetition, and every workload a positive scale.
+func checkFlags(scale float64, reps int) error {
+	switch {
+	case reps < 1:
+		return fmt.Errorf("-reps %d: need at least one repetition", reps)
+	case !(scale > 0):
+		return fmt.Errorf("-scale %g: need a positive scale factor", scale)
+	}
+	return nil
 }
 
 // splitList splits a comma-separated flag value, trimming each entry; an

@@ -91,9 +91,6 @@ func DefaultChurn(base WorkloadConfig) ChurnConfig { return workload.DefaultChur
 // .Scale(f) for laptop-sized variants.
 func DefaultWorkload() WorkloadConfig { return workload.Default() }
 
-// ScalabilityWorkload returns the Table IV scalability setting (|W| = 400k).
-func ScalabilityWorkload(numTasks int) WorkloadConfig { return workload.Scalability(numTasks) }
-
 // NewYork returns the Table V New York check-in preset
 // (3,717 tasks / 227,428 workers).
 func NewYork() CityConfig { return checkin.NewYork() }

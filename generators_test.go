@@ -77,12 +77,12 @@ func TestGeneratorsPinned(t *testing.T) {
 		for _, city := range checkin.Cities() {
 			c := city.Scale(0.01)
 			c.Seed = seed
-			in, err := checkin.GenerateInstance(c)
+			tr, err := checkin.Generate(c)
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
 			h := fnv.New64a()
-			hashInstance(h, in)
+			hashInstance(h, tr.Instance)
 			got[fmt.Sprintf("%s/%d", c.Name, seed)] = fmt.Sprintf("%016x", h.Sum64())
 		}
 	}

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
 
 	"ltc/internal/geo"
@@ -231,11 +230,11 @@ func Generate(c CityConfig) (*Trace, error) {
 		}
 	}
 	// Cluster popularity is itself skewed: downtown districts dominate.
-	clusterCum := zipfCumulative(c.NumClusters, zipfS)
+	clusterZipf := stats.NewZipf(c.NumClusters, zipfS)
 
 	pois := make([]geo.Point, c.NumPOIs)
 	for i := range pois {
-		ctr := centers[sampleCumulative(clusterCum, poiRng)]
+		ctr := centers[clusterZipf.Sample(poiRng)]
 		pois[i] = c.clampToGrid(geo.Point{
 			X: ctr.X + poiRng.NormFloat64()*clusterStd,
 			Y: ctr.Y + poiRng.NormFloat64()*clusterStd,
@@ -266,13 +265,13 @@ func Generate(c CityConfig) (*Trace, error) {
 		}
 		visitSets[i] = visits
 	}
-	userCum := zipfCumulative(c.NumUsers, zipfS)
+	userZipf := stats.NewZipf(c.NumUsers, zipfS)
 
 	checkins := make([]Checkin, c.NumCheckins)
 	workers := make([]model.Worker, c.NumCheckins)
 	workerPts := make([]geo.Point, c.NumCheckins)
 	for i := range checkins {
-		uid := sampleCumulative(userCum, checkinRng)
+		uid := userZipf.Sample(checkinRng)
 		u := &users[uid]
 		poi := visitSets[uid][checkinRng.IntN(len(visitSets[uid]))]
 		// Small GPS-style jitter, uniform over a disc.
@@ -372,49 +371,9 @@ func Generate(c CityConfig) (*Trace, error) {
 	}, nil
 }
 
-// GenerateInstance is a convenience wrapper returning only the instance.
-func GenerateInstance(c CityConfig) (*model.Instance, error) {
-	tr, err := Generate(c)
-	if err != nil {
-		return nil, err
-	}
-	return tr.Instance, nil
-}
-
 func (c CityConfig) clampToGrid(p geo.Point) geo.Point {
 	return geo.Point{
 		X: math.Min(c.GridWidth, math.Max(0, p.X)),
 		Y: math.Min(c.GridHeight, math.Max(0, p.Y)),
 	}
-}
-
-// zipfCumulative returns the cumulative weights of a Zipf(s) distribution
-// over n ranks, normalised to end at 1.
-func zipfCumulative(n int, s float64) []float64 {
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	cum[n-1] = 1 // guard against rounding
-	return cum
-}
-
-// sampleCumulative draws an index from cumulative weights by binary search.
-func sampleCumulative(cum []float64, rng *rand.Rand) int {
-	x := rng.Float64()
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -228,29 +228,3 @@ func TestNotEnoughPOIs(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNotEnoughPOIs", err)
 	}
 }
-
-func TestGenerateInstanceWrapper(t *testing.T) {
-	in, err := GenerateInstance(smallCity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZipfCumulative(t *testing.T) {
-	cum := zipfCumulative(4, 1)
-	if cum[3] != 1 {
-		t.Fatalf("cumulative must end at 1: %v", cum)
-	}
-	for i := 1; i < len(cum); i++ {
-		if cum[i] <= cum[i-1] {
-			t.Fatalf("cumulative not increasing: %v", cum)
-		}
-		// Zipf: increments shrink with rank.
-		if i >= 2 && (cum[i]-cum[i-1]) > (cum[i-1]-cum[i-2])+1e-12 {
-			t.Fatalf("weights not decreasing: %v", cum)
-		}
-	}
-}

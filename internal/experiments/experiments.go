@@ -7,36 +7,27 @@
 // linearly, grid extents by √scale, preserving spatial density) so the
 // paper-shaped curves reproduce on a laptop. Absolute numbers differ from
 // the paper's 40-core C++ testbed; the reproduced signal is the relative
-// ordering and trend shape — see EXPERIMENTS.md.
+// ordering and trend shape — see README, "Reproducing the paper's
+// experiments".
+//
+// Every run goes through ltc.Solve, the front door every other caller of
+// the solvers uses.
 package experiments
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
-	"ltc/internal/core"
+	"ltc"
 	"ltc/internal/model"
 	"ltc/internal/stats"
 )
-
-// Algorithm names in the paper's legend order.
-const (
-	AlgoBaseOff = "Base-off"
-	AlgoMCF     = "MCF-LTC"
-	AlgoRandom  = "Random"
-	AlgoLAF     = "LAF"
-	AlgoAAM     = "AAM"
-)
-
-// AllAlgorithms returns the evaluation's five algorithms in legend order.
-func AllAlgorithms() []string {
-	return []string{AlgoBaseOff, AlgoMCF, AlgoRandom, AlgoLAF, AlgoAAM}
-}
 
 // Metrics aggregates one algorithm's repeated runs at one sweep point.
 type Metrics struct {
@@ -57,8 +48,8 @@ type Table struct {
 	// order (latency, runtime, memory).
 	Panels     [3]string
 	Xs         []string
-	Algorithms []string
-	Cells      map[string]map[string]Metrics
+	Algorithms []ltc.Algorithm
+	Cells      map[string]map[ltc.Algorithm]Metrics
 	Scale      float64
 }
 
@@ -70,10 +61,11 @@ type Options struct {
 	// Reps repeats each sweep point with distinct seeds and averages
 	// (default 3; the paper used 30).
 	Reps int
-	// Seed is the base seed (default 42).
+	// Seed is the base seed; zero is a valid seed.
 	Seed uint64
-	// Algorithms restricts the algorithm set (default: all five).
-	Algorithms []string
+	// Algorithms restricts the algorithm set (default: all five of
+	// ltc.Algorithms(), in the paper's legend order).
+	Algorithms []ltc.Algorithm
 	// Parallel is the sweep worker-pool size: how many (sweep point ×
 	// repetition) jobs run concurrently. Non-positive uses one worker per
 	// core. Results (latency values, tables, CSV) are deterministic and
@@ -93,11 +85,8 @@ func (o Options) withDefaults() Options {
 	if o.Reps <= 0 {
 		o.Reps = 3
 	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
 	if len(o.Algorithms) == 0 {
-		o.Algorithms = AllAlgorithms()
+		o.Algorithms = ltc.Algorithms()
 	}
 	if o.Progress != nil {
 		// Serialize the callback so sweep jobs running on the worker pool
@@ -128,15 +117,20 @@ type Experiment struct {
 	run    func(o Options) (*Table, error)
 }
 
-// Run executes the experiment.
-func (e *Experiment) Run(o Options) (*Table, error) { return e.run(o.withDefaults()) }
+// Run executes the experiment. A name outside ltc.Algorithms() in
+// o.Algorithms is refused with ltc.ErrUnknownAlgorithm before anything runs.
+func (e *Experiment) Run(o Options) (*Table, error) {
+	o = o.withDefaults()
+	for _, algo := range o.Algorithms {
+		if !slices.Contains(ltc.Algorithms(), algo) {
+			return nil, fmt.Errorf("%w: %q", ltc.ErrUnknownAlgorithm, algo)
+		}
+	}
+	return e.run(o)
+}
 
 // ErrUnknownExperiment is returned by Lookup for unknown ids.
 var ErrUnknownExperiment = errors.New("experiments: unknown experiment id")
-
-// ErrUnknownAlgorithm is returned when Options.Algorithms contains an
-// unrecognised name.
-var ErrUnknownAlgorithm = errors.New("experiments: unknown algorithm")
 
 // Registry returns all experiments in figure order.
 func Registry() []*Experiment {
@@ -165,44 +159,24 @@ func IDs() []string {
 	return ids
 }
 
-// runPoint executes every requested algorithm on one generated instance and
-// returns per-algorithm single-run metrics. stabilize forces a GC before
-// each run so the allocation-delta metric is clean; parallel sweeps skip it
-// (a global GC per run would serialize the pool, and the delta is
+// runPoint solves one generated instance with every requested algorithm,
+// through ltc.Solve over one shared candidate index, and returns
+// per-algorithm single-run metrics. stabilize forces a GC before each run
+// so the allocation-delta metric is clean; parallel sweeps skip it (a
+// global GC per run would serialize the pool, and the delta is
 // cross-goroutine noise there anyway).
-func runPoint(in *model.Instance, algos []string, seed uint64, stabilize bool) (map[string]Metrics, error) {
-	ci := model.NewCandidateIndex(in)
-	out := make(map[string]Metrics, len(algos))
-	for _, name := range algos {
+func runPoint(in *model.Instance, algos []ltc.Algorithm, seed uint64, stabilize bool) (map[ltc.Algorithm]Metrics, error) {
+	ci := ltc.NewCandidateIndex(in)
+	out := make(map[ltc.Algorithm]Metrics, len(algos))
+	for _, algo := range algos {
 		if stabilize {
 			runtime.GC() // stabilise the allocation-delta metric
 		}
-		var res *core.Result
-		var err error
-		switch name {
-		case AlgoBaseOff:
-			res, err = core.RunOffline(in, ci, core.BaseOff{})
-		case AlgoMCF:
-			res, err = core.RunOffline(in, ci, &core.MCFLTC{})
-		case AlgoRandom:
-			res, err = core.RunOnline(in, ci, func(in *model.Instance, ci *model.CandidateIndex) core.Online {
-				return core.NewRandom(in, ci, seed)
-			})
-		case AlgoLAF:
-			res, err = core.RunOnline(in, ci, func(in *model.Instance, ci *model.CandidateIndex) core.Online {
-				return core.NewLAF(in, ci)
-			})
-		case AlgoAAM:
-			res, err = core.RunOnline(in, ci, func(in *model.Instance, ci *model.CandidateIndex) core.Online {
-				return core.NewAAM(in, ci)
-			})
-		default:
-			return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, name)
+		res, err := ltc.Solve(in, algo, ltc.WithIndex(ci), ltc.WithSeed(seed))
+		if err != nil && !errors.Is(err, ltc.ErrIncomplete) {
+			return nil, fmt.Errorf("%s: %w", algo, err)
 		}
-		if err != nil && !errors.Is(err, core.ErrIncomplete) {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		out[name] = Metrics{
+		out[algo] = Metrics{
 			Latency:   float64(res.Latency),
 			Seconds:   res.Elapsed.Seconds(),
 			MemMB:     float64(res.AllocBytes) / (1 << 20),
@@ -214,7 +188,7 @@ func runPoint(in *model.Instance, algos []string, seed uint64, stabilize bool) (
 }
 
 // accumulate folds a single-run metric set into the table cell averages.
-func accumulate(dst map[string]Metrics, src map[string]Metrics) {
+func accumulate(dst, src map[ltc.Algorithm]Metrics) {
 	for name, m := range src {
 		prev, ok := dst[name]
 		if !ok {
@@ -327,12 +301,7 @@ func (t *Table) CSV(w io.Writer) error {
 	metricCols := [3]string{"latency", "seconds", "mem_mb"}
 	for row := 0; row < 3; row++ {
 		for _, x := range t.Xs {
-			algos := make([]string, 0, len(t.Cells[x]))
-			for a := range t.Cells[x] {
-				algos = append(algos, a)
-			}
-			sort.Strings(algos)
-			for _, a := range algos {
+			for _, a := range slices.Sorted(maps.Keys(t.Cells[x])) {
 				m := t.Cells[x][a]
 				fmt.Fprintf(w, "%s,%s,%s,%s,%s,%g,%t\n",
 					t.ID, t.Panels[row], metricCols[row], a,

@@ -3,18 +3,21 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"ltc"
 	"ltc/internal/workload"
 )
 
 // tinyOptions keeps experiment tests fast: minimal scale, one rep, and the
 // cheap online algorithms only (unless a test needs more).
 func tinyOptions() Options {
-	return Options{Scale: 0.01, Reps: 1, Seed: 7, Algorithms: []string{AlgoLAF, AlgoAAM, AlgoRandom}}
+	return Options{Scale: 0.01, Reps: 1, Seed: 7, Algorithms: []ltc.Algorithm{ltc.LAF, ltc.AAM, ltc.RandomAssign}}
 }
 
 func TestRegistryCoversAllFigurePanels(t *testing.T) {
@@ -55,12 +58,14 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults: an unset scale, repetition count or algorithm set
+// takes its default, and the seed is used as given — zero is a seed.
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Scale != 0.05 || o.Reps != 3 || o.Seed != 42 {
+	if o.Scale != 0.05 || o.Reps != 3 || o.Seed != 0 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if len(o.Algorithms) != 5 {
+	if !slices.Equal(o.Algorithms, ltc.Algorithms()) {
 		t.Fatalf("default algorithms = %v", o.Algorithms)
 	}
 }
@@ -180,15 +185,19 @@ func TestCitySweepRuns(t *testing.T) {
 	}
 }
 
+// TestRunPointUnknownAlgorithm: the figures run the five evaluated
+// algorithms only. ltc.Solve also runs Exact, which the sweeps refuse.
 func TestRunPointUnknownAlgorithm(t *testing.T) {
 	e, err := Lookup("fig3-tasks")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := tinyOptions()
-	o.Algorithms = []string{"Quantum"}
-	if _, err := e.Run(o); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
+	for _, algo := range []ltc.Algorithm{"Quantum", ltc.Exact} {
+		o := tinyOptions()
+		o.Algorithms = append(o.Algorithms, algo)
+		if _, err := e.Run(o); !errors.Is(err, ltc.ErrUnknownAlgorithm) {
+			t.Fatalf("%s: err = %v, want ltc.ErrUnknownAlgorithm", algo, err)
+		}
 	}
 }
 
@@ -200,7 +209,7 @@ func TestRunPointOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algos := []string{AlgoBaseOff, AlgoRandom, AlgoLAF, AlgoAAM}
+	algos := []ltc.Algorithm{ltc.BaseOff, ltc.RandomAssign, ltc.LAF, ltc.AAM}
 	forward, err := runPoint(in, algos, 7, false)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +307,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := tinyOptions()
-	o.Algorithms = []string{AlgoLAF}
+	o.Algorithms = []ltc.Algorithm{ltc.LAF}
 	a, err := e.Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +317,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range a.Xs {
-		if a.Cells[x][AlgoLAF].Latency != b.Cells[x][AlgoLAF].Latency {
+		if a.Cells[x][ltc.LAF].Latency != b.Cells[x][ltc.LAF].Latency {
 			t.Fatalf("latency at %s differs across identical runs", x)
 		}
 	}
@@ -321,7 +330,7 @@ func TestOfflineAlgorithmsAtSmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Scale: 0.005, Reps: 1, Seed: 3, Algorithms: []string{AlgoBaseOff, AlgoMCF}}
+	o := Options{Scale: 0.005, Reps: 1, Seed: 3, Algorithms: []ltc.Algorithm{ltc.BaseOff, ltc.MCFLTC}}
 	table, err := e.Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -375,15 +384,107 @@ func TestMetricsValueRows(t *testing.T) {
 }
 
 func TestAccumulateAverages(t *testing.T) {
-	dst := map[string]Metrics{}
-	accumulate(dst, map[string]Metrics{"A": {Latency: 10, Seconds: 1, MemMB: 4, Completed: true, Reps: 1}})
-	accumulate(dst, map[string]Metrics{"A": {Latency: 20, Seconds: 3, MemMB: 8, Completed: true, Reps: 1}})
+	dst := map[ltc.Algorithm]Metrics{}
+	accumulate(dst, map[ltc.Algorithm]Metrics{"A": {Latency: 10, Seconds: 1, MemMB: 4, Completed: true, Reps: 1}})
+	accumulate(dst, map[ltc.Algorithm]Metrics{"A": {Latency: 20, Seconds: 3, MemMB: 8, Completed: true, Reps: 1}})
 	m := dst["A"]
 	if m.Latency != 15 || m.Seconds != 2 || m.MemMB != 6 || m.Reps != 2 || !m.Completed {
 		t.Fatalf("accumulated = %+v", m)
 	}
-	accumulate(dst, map[string]Metrics{"A": {Latency: 15, Completed: false, Reps: 1}})
+	accumulate(dst, map[ltc.Algorithm]Metrics{"A": {Latency: 15, Completed: false, Reps: 1}})
 	if dst["A"].Completed {
 		t.Fatal("one incomplete rep must mark the cell incomplete")
 	}
 }
+
+// TestFiguresPinned pins the latency cells of every figure at scale 0.005,
+// one repetition, seed 42, as TestGeneratorsPinned pins the generators: the
+// other tests here check trends and compare runs with each other, this one
+// fails if any algorithm's latency at any sweep point of any figure moves.
+// A deliberate change to a generator, a solver or the sweeps must re-record
+// the hashes and say why. It runs every figure (about 3 s), and skips under
+// -race: the pool it runs on is raced by TestParallelSweepMatchesSerial.
+func TestFiguresPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("every figure under the race detector takes minutes; the values are pinned without it")
+	}
+	want := map[string]string{
+		"fig3-tasks":       "30702d279551c91a",
+		"fig3-capacity":    "0371cc00bc6c9e44",
+		"fig3-accnormal":   "23d0d1773649c8eb",
+		"fig3-accuniform":  "787f09b4656f885b",
+		"fig4-epsilon":     "4f2c7654351eb5d0",
+		"fig4-scalability": "0de6fcd6afcd3d70",
+		"fig4-newyork":     "a1588dc4e00d7711",
+		"fig4-tokyo":       "13dfcde01d98342e",
+	}
+	got := map[string]string{}
+	for _, e := range Registry() {
+		table, err := e.Run(Options{Scale: 0.005, Reps: 1, Seed: 42})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		h := fnv.New64a()
+		for _, x := range table.Xs {
+			for _, algo := range table.Algorithms {
+				m := table.Cells[x][algo]
+				fmt.Fprintf(h, "%s %s %g %t\n", x, algo, m.Latency, m.Completed)
+			}
+		}
+		got[e.ID] = fmt.Sprintf("%016x", h.Sum64())
+	}
+	for id, g := range got {
+		if w, ok := want[id]; !ok || g != w {
+			t.Errorf("%s: hash %s, want %s", id, g, w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d figures run, %d pinned", len(got), len(want))
+	}
+}
+
+// Experiment benchmarks — one per paper figure column (each column covers
+// three panels: latency, runtime, memory). Every iteration runs the whole
+// sweep at a small scale; `cmd/ltcbench` runs the same sweeps at larger
+// scales with repetitions and prints the paper-style tables.
+
+func benchExperiment(b *testing.B, id string, scale float64) {
+	b.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Scale: scale, Reps: 1, Seed: 42}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFig3Tasks regenerates Fig. 3a/3e/3i (varying |T|).
+func BenchmarkFig3Tasks(b *testing.B) { benchExperiment(b, "fig3-tasks", 0.01) }
+
+// BenchmarkFig3Capacity regenerates Fig. 3b/3f/3j (varying K).
+func BenchmarkFig3Capacity(b *testing.B) { benchExperiment(b, "fig3-capacity", 0.01) }
+
+// BenchmarkFig3AccNormal regenerates Fig. 3c/3g/3k (Normal accuracy µ).
+func BenchmarkFig3AccNormal(b *testing.B) { benchExperiment(b, "fig3-accnormal", 0.01) }
+
+// BenchmarkFig3AccUniform regenerates Fig. 3d/3h/3l (Uniform accuracy mean).
+func BenchmarkFig3AccUniform(b *testing.B) { benchExperiment(b, "fig3-accuniform", 0.01) }
+
+// BenchmarkFig4Epsilon regenerates Fig. 4a/4e/4i (varying ε).
+func BenchmarkFig4Epsilon(b *testing.B) { benchExperiment(b, "fig4-epsilon", 0.01) }
+
+// BenchmarkFig4Scalability regenerates Fig. 4b/4f/4j (|T| up to 100k at
+// full scale; benchmarked at 0.5% so each iteration stays in seconds).
+func BenchmarkFig4Scalability(b *testing.B) { benchExperiment(b, "fig4-scalability", 0.005) }
+
+// BenchmarkFig4NewYork regenerates Fig. 4c/4g/4k (New York trace).
+func BenchmarkFig4NewYork(b *testing.B) { benchExperiment(b, "fig4-newyork", 0.01) }
+
+// BenchmarkFig4Tokyo regenerates Fig. 4d/4h/4l (Tokyo trace).
+func BenchmarkFig4Tokyo(b *testing.B) { benchExperiment(b, "fig4-tokyo", 0.005) }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"ltc"
 	"ltc/internal/checkin"
 	"ltc/internal/model"
 	"ltc/internal/workload"
@@ -19,10 +20,7 @@ func figTasks() *Experiment {
 		Panels: [3]string{"Fig.3a", "Fig.3e", "Fig.3i"},
 	}
 	e.run = func(o Options) (*Table, error) {
-		return sweepSynthetic(e, o, workload.TaskSweep(), func(c *workload.Config, x int) string {
-			c.NumTasks = x
-			return ""
-		})
+		return sweepSynthetic(e, o, workload.TaskSweep(), func(c *workload.Config, x int) { c.NumTasks = x }, numTasks)
 	}
 	return e
 }
@@ -36,10 +34,9 @@ func figCapacity() *Experiment {
 		Panels: [3]string{"Fig.3b", "Fig.3f", "Fig.3j"},
 	}
 	e.run = func(o Options) (*Table, error) {
-		return sweepSynthetic(e, o, workload.CapacitySweep(), func(c *workload.Config, x int) string {
-			c.K = x // capacity is not a size: never scaled
-			return strconv.Itoa(x)
-		})
+		// Capacity is not a size: scaling leaves K as set.
+		return sweepSynthetic(e, o, workload.CapacitySweep(), func(c *workload.Config, x int) { c.K = x },
+			func(c workload.Config) string { return strconv.Itoa(c.K) })
 	}
 	return e
 }
@@ -53,9 +50,9 @@ func figAccNormal() *Experiment {
 		Panels: [3]string{"Fig.3c", "Fig.3g", "Fig.3k"},
 	}
 	e.run = func(o Options) (*Table, error) {
-		return sweepSyntheticFloat(e, o, workload.AccuracyMeanSweep(), func(c *workload.Config, x float64) {
+		return sweepSynthetic(e, o, workload.AccuracyMeanSweep(), func(c *workload.Config, x float64) {
 			c.Accuracy = workload.AccuracyDist{Kind: workload.DistNormal, Mean: x, Spread: 0.05}
-		})
+		}, accuracyMean)
 	}
 	return e
 }
@@ -69,9 +66,9 @@ func figAccUniform() *Experiment {
 		Panels: [3]string{"Fig.3d", "Fig.3h", "Fig.3l"},
 	}
 	e.run = func(o Options) (*Table, error) {
-		return sweepSyntheticFloat(e, o, workload.AccuracyMeanSweep(), func(c *workload.Config, x float64) {
+		return sweepSynthetic(e, o, workload.AccuracyMeanSweep(), func(c *workload.Config, x float64) {
 			c.Accuracy = workload.AccuracyDist{Kind: workload.DistUniform, Mean: x, Spread: workload.UniformSpread}
-		})
+		}, accuracyMean)
 	}
 	return e
 }
@@ -108,17 +105,8 @@ func figScalability() *Experiment {
 		Panels: [3]string{"Fig.4b", "Fig.4f", "Fig.4j"},
 	}
 	e.run = func(o Options) (*Table, error) {
-		xs := workload.ScalabilityTaskSweep()
-		labels := make([]string, len(xs))
-		for i, x := range xs {
-			labels[i] = strconv.Itoa(workload.Scalability(x).Scale(o.Scale).NumTasks)
-		}
-		return sweepPool(e, o, labels, func(xIdx, rep int) (*model.Instance, uint64, error) {
-			cfg := workload.Scalability(xs[xIdx]).Scale(o.Scale)
-			cfg.Seed = pointSeed(o.Seed, e.ID, rep)
-			in, err := cfg.Generate()
-			return in, cfg.Seed, err
-		})
+		return sweepSynthetic(e, o, workload.ScalabilityTaskSweep(),
+			func(c *workload.Config, x int) { *c = workload.Scalability(x) }, numTasks)
 	}
 	return e
 }
@@ -154,48 +142,36 @@ func newTable(e *Experiment, o Options) *Table {
 		XLabel:     e.XLabel,
 		Panels:     e.Panels,
 		Algorithms: o.Algorithms,
-		Cells:      map[string]map[string]Metrics{},
+		Cells:      map[string]map[ltc.Algorithm]Metrics{},
 		Scale:      o.Scale,
 	}
 }
 
-// sweepSynthetic runs an integer-valued sweep over the synthetic workload.
-// mutate applies the sweep value to the config (before scaling) and may
-// return a fixed label; an empty label means "use the scaled task count".
-func sweepSynthetic(e *Experiment, o Options, xs []int, mutate func(*workload.Config, int) string) (*Table, error) {
-	labels := make([]string, len(xs))
-	for i, x := range xs {
+// sweepSynthetic runs a sweep over the synthetic workload: set puts the
+// sweep value on a copy of Table IV's default config (the scalability sweep
+// replaces the config whole), which is then scaled, and label names each
+// sweep point from its scaled config.
+func sweepSynthetic[X any](e *Experiment, o Options, xs []X, set func(*workload.Config, X), label func(workload.Config) string) (*Table, error) {
+	config := func(i int) workload.Config {
 		cfg := workload.Default()
-		labels[i] = mutate(&cfg, x)
-		if labels[i] == "" {
-			labels[i] = strconv.Itoa(cfg.Scale(o.Scale).NumTasks)
-		}
+		set(&cfg, xs[i])
+		return cfg.Scale(o.Scale)
+	}
+	labels := make([]string, len(xs))
+	for i := range xs {
+		labels[i] = label(config(i))
 	}
 	return sweepPool(e, o, labels, func(xIdx, rep int) (*model.Instance, uint64, error) {
-		cfg := workload.Default()
-		mutate(&cfg, xs[xIdx])
-		cfg = cfg.Scale(o.Scale)
+		cfg := config(xIdx)
 		cfg.Seed = pointSeed(o.Seed, e.ID, rep)
 		in, err := cfg.Generate()
 		return in, cfg.Seed, err
 	})
 }
 
-// sweepSyntheticFloat is sweepSynthetic for float sweeps (ε, accuracy µ).
-func sweepSyntheticFloat(e *Experiment, o Options, xs []float64, mutate func(*workload.Config, float64)) (*Table, error) {
-	labels := make([]string, len(xs))
-	for i, x := range xs {
-		labels[i] = strconv.FormatFloat(x, 'g', -1, 64)
-	}
-	return sweepPool(e, o, labels, func(xIdx, rep int) (*model.Instance, uint64, error) {
-		cfg := workload.Default()
-		mutate(&cfg, xs[xIdx])
-		cfg = cfg.Scale(o.Scale)
-		cfg.Seed = pointSeed(o.Seed, e.ID, rep)
-		in, err := cfg.Generate()
-		return in, cfg.Seed, err
-	})
-}
+// numTasks and accuracyMean label a synthetic sweep point.
+func numTasks(c workload.Config) string     { return strconv.Itoa(c.NumTasks) }
+func accuracyMean(c workload.Config) string { return strconv.FormatFloat(c.Accuracy.Mean, 'g', -1, 64) }
 
 // sweepCity runs the ε sweep on a check-in city trace. The trace is
 // generated once per repetition at the strictest ε of the sweep (so every
@@ -223,7 +199,7 @@ func sweepCity(e *Experiment, o Options, city checkin.CityConfig) (*Table, error
 func sweepPool(e *Experiment, o Options, labels []string, gen func(xIdx, rep int) (*model.Instance, uint64, error)) (*Table, error) {
 	table := newTable(e, o)
 	reps := o.Reps
-	results := make([]map[string]Metrics, len(labels)*reps)
+	results := make([]map[ltc.Algorithm]Metrics, len(labels)*reps)
 	pending := make([]atomic.Int32, len(labels))
 	for i := range pending {
 		pending[i].Store(int32(reps))
@@ -249,7 +225,7 @@ func sweepPool(e *Experiment, o Options, labels []string, gen func(xIdx, rep int
 		return nil, err
 	}
 	for xIdx, label := range labels {
-		cell := map[string]Metrics{}
+		cell := map[ltc.Algorithm]Metrics{}
 		for rep := 0; rep < reps; rep++ {
 			accumulate(cell, results[xIdx*reps+rep])
 		}
@@ -271,14 +247,14 @@ func sweepEpsilonShared(e *Experiment, o Options, gen func(rep int) (*model.Inst
 	for i, x := range eps {
 		labels[i] = strconv.FormatFloat(x, 'g', -1, 64)
 	}
-	results := make([][]map[string]Metrics, o.Reps)
+	results := make([][]map[ltc.Algorithm]Metrics, o.Reps)
 	par := o.parallelism()
 	err := forEach(o.Reps, par, func(rep int) error {
 		base, seed, err := gen(rep)
 		if err != nil {
 			return fmt.Errorf("%s rep %d: %w", e.ID, rep, err)
 		}
-		out := make([]map[string]Metrics, len(eps))
+		out := make([]map[ltc.Algorithm]Metrics, len(eps))
 		for i, x := range eps {
 			in := *base // shallow copy: tasks/workers shared, ε overridden
 			in.Epsilon = x
@@ -299,7 +275,7 @@ func sweepEpsilonShared(e *Experiment, o Options, gen func(rep int) (*model.Inst
 		for i, label := range labels {
 			if _, ok := table.Cells[label]; !ok {
 				table.Xs = append(table.Xs, label)
-				table.Cells[label] = map[string]Metrics{}
+				table.Cells[label] = map[ltc.Algorithm]Metrics{}
 			}
 			accumulate(table.Cells[label], results[rep][i])
 		}

@@ -51,9 +51,6 @@ func NewNetwork(n int) *Network {
 // NumNodes reports the node count.
 func (g *Network) NumNodes() int { return g.numNodes }
 
-// NumEdges reports the number of forward edges added.
-func (g *Network) NumEdges() int { return len(g.to) / 2 }
-
 // AddEdge adds a directed edge from → to with the given capacity and cost,
 // returning its edge id. Capacity must be non-negative.
 func (g *Network) AddEdge(from, to int, capacity int32, cost float64) int {

@@ -152,10 +152,10 @@ func (s *ClusterServer) Close() {
 }
 
 // record appends a platform event to the log, on the publishing goroutine
-// under the bus lock (see events.Bus.Record). tile_migrated events carry
-// Task -1, which passes through untouched. Seq stays the node-local dense
-// sequence — the cluster merger folds per-node sequences, never rewrites
-// them.
+// under the bus lock (see events.Bus.Record). An event that names no task
+// carries Task -1, which passes through untouched. Seq stays the node-local
+// dense sequence — the cluster merger folds per-node sequences, never
+// rewrites them.
 func (s *ClusterServer) record(e ltc.Event) {
 	we := FromEvent(e)
 	if we.Task >= 0 {

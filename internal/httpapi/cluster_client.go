@@ -8,7 +8,7 @@
 // patches its table and retries. With a correct table — the steady state —
 // every operation is a single hop.
 //
-// Cluster-level Done/Progress/Stats fold per-node GET /stats snapshots.
+// Cluster-level Stats folds per-node GET /stats snapshots.
 // Like ltc.Platform.Imbalance, the fold is per-node-consistent, not an
 // atomic cut: each node's snapshot is internally consistent, but the nodes
 // are sampled at slightly different instants, so transient sums (resolved,
@@ -187,7 +187,7 @@ func (c *ClusterClient) CheckInBatch(ws []Worker) ([]Receipt, bool, error) {
 
 // Complete reports whether every task-owning node has reported completion
 // through a receipt this client observed — the client-side view that lets a
-// feeder stop without polling. Poll Done for the authoritative answer.
+// feeder stop without polling. Poll Stats for the authoritative answer.
 func (c *ClusterClient) Complete() bool {
 	for n, has := range c.hasTasks {
 		if has && !c.done[n].Load() {
@@ -310,18 +310,6 @@ func (c *ClusterClient) Stats() (ClusterStats, error) {
 		}
 	}
 	return cs, nil
-}
-
-// Progress folds per-node progress counters.
-func (c *ClusterClient) Progress() (resolved, total int, err error) {
-	st, err := c.Stats()
-	return st.Resolved, st.Total, err
-}
-
-// Done polls the cluster for completion: every node done.
-func (c *ClusterClient) Done() (bool, error) {
-	st, err := c.Stats()
-	return st.Done, err
 }
 
 // ClusterEvent is one event of the merged cluster stream: the node it came

@@ -318,20 +318,18 @@ func TestClusterStreamGapIsFatal(t *testing.T) {
 	}
 }
 
-// TestClusterFoldedPolling covers the derived polling views over a live
-// cluster: Progress and Done fold the same per-node snapshots Stats does.
+// TestClusterFoldedPolling covers the folded polling view over a live
+// cluster: Stats sums the per-node snapshots and is Done only once every
+// node is.
 func TestClusterFoldedPolling(t *testing.T) {
 	in := tableIV(t, 0.01, 42)
 	f := newCluster(t, in, 2, 1, ltc.AAM, 42)
 	if f.cc.Nodes() != 2 {
 		t.Fatalf("Nodes() = %d", f.cc.Nodes())
 	}
-	if done, err := f.cc.Done(); err != nil || done {
-		t.Fatalf("fresh cluster done=%v err=%v", done, err)
-	}
-	resolved, total, err := f.cc.Progress()
-	if err != nil || resolved != 0 || total != len(in.Tasks) {
-		t.Fatalf("fresh progress: %d/%d err=%v", resolved, total, err)
+	st, err := f.cc.Stats()
+	if err != nil || st.Done || st.Resolved != 0 || st.Total != len(in.Tasks) {
+		t.Fatalf("fresh cluster: done=%v %d/%d err=%v", st.Done, st.Resolved, st.Total, err)
 	}
 	for _, w := range in.Workers {
 		if f.cc.Complete() {
@@ -341,11 +339,8 @@ func TestClusterFoldedPolling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if done, err := f.cc.Done(); err != nil || !done {
-		t.Fatalf("finished cluster done=%v err=%v", done, err)
-	}
-	if resolved, total, err = f.cc.Progress(); err != nil || resolved != total {
-		t.Fatalf("finished progress: %d/%d err=%v", resolved, total, err)
+	if st, err = f.cc.Stats(); err != nil || !st.Done || st.Resolved != st.Total {
+		t.Fatalf("finished cluster: done=%v %d/%d err=%v", st.Done, st.Resolved, st.Total, err)
 	}
 }
 

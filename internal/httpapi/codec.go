@@ -160,8 +160,7 @@ func (e Event) appendJSON(dst []byte) ([]byte, bool) {
 	for _, f := range [...]struct {
 		key string
 		v   int
-	}{{`,"worker":`, e.Worker}, {`,"post_index":`, e.PostIndex}, {`,"tile":`, e.Tile},
-		{`,"from_shard":`, e.FromShard}, {`,"to_shard":`, e.ToShard}} {
+	}{{`,"worker":`, e.Worker}, {`,"post_index":`, e.PostIndex}} {
 		if f.v != 0 {
 			dst = strconv.AppendInt(append(dst, f.key...), int64(f.v), 10)
 		}
@@ -542,12 +541,6 @@ func (e *Event) scanJSON(b []byte) (int, bool) {
 			return s.int(&v.Worker)
 		case "post_index":
 			return s.int(&v.PostIndex)
-		case "tile":
-			return s.int(&v.Tile)
-		case "from_shard":
-			return s.int(&v.FromShard)
-		case "to_shard":
-			return s.int(&v.ToShard)
 		}
 		return false
 	}) {

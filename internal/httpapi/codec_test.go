@@ -119,7 +119,7 @@ func checkWire(t *testing.T, data []byte) (fast map[string]bool) {
 	for _, v := range []any{
 		ws[0], BatchRequest{Workers: ws}, BatchRequest{Workers: ws[:0]}, BatchRequest{},
 		recs[0], BatchResponse{Receipts: recs, Done: true}, BatchResponse{Receipts: recs[:0]}, BatchResponse{},
-		Event{Seq: g.u64(), Kind: kind, Task: g.int(), Worker: g.int(), PostIndex: g.int() % 2, Tile: g.int(), FromShard: g.int(), ToShard: g.int()},
+		Event{Seq: g.u64(), Kind: kind, Task: g.int(), Worker: g.int(), PostIndex: g.int() % 2},
 		Event{Seq: 1, Kind: "task_completed", Task: -1},
 	} {
 		sameEncode(t, v)

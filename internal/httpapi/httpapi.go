@@ -200,23 +200,18 @@ type Stats struct {
 
 // Event is the wire form of ltc.Event; Kind is the event kind's string
 // name (task_posted, task_retired, task_completed, platform_done,
-// tile_migrated), also used as the SSE event name. Tile, FromShard and
-// ToShard are only meaningful on tile_migrated frames (whose Task is -1).
+// tile_migrated), also used as the SSE event name.
 type Event struct {
 	Seq       uint64 `json:"seq"`
 	Kind      string `json:"kind"`
 	Task      int    `json:"task"`
 	Worker    int    `json:"worker,omitempty"`
 	PostIndex int    `json:"post_index,omitempty"`
-	Tile      int    `json:"tile,omitempty"`
-	FromShard int    `json:"from_shard,omitempty"`
-	ToShard   int    `json:"to_shard,omitempty"`
 }
 
 // FromEvent converts an in-process platform event.
 func FromEvent(e ltc.Event) Event {
-	return Event{Seq: e.Seq, Kind: e.Kind.String(), Task: int(e.Task), Worker: e.Worker, PostIndex: e.PostIndex,
-		Tile: e.Tile, FromShard: e.FromShard, ToShard: e.ToShard}
+	return Event{Seq: e.Seq, Kind: e.Kind.String(), Task: int(e.Task), Worker: e.Worker, PostIndex: e.PostIndex}
 }
 
 // ingress is the request/response half of a node, what the one handler set

@@ -239,7 +239,7 @@ func TestEventStreamReadsBurst(t *testing.T) {
 		{Kind: "task_posted", Task: 30, PostIndex: 12},
 		{Kind: "task_completed", Task: 4, Worker: 391},
 		{Kind: "task_retired", Task: 30},
-		{Kind: "tile_migrated", Task: -1, Tile: 17, FromShard: 2, ToShard: 1},
+		{Kind: "tile_migrated", Task: -1},
 		{Kind: "platform_done", Task: -1},
 	}
 	events := func(n int) []Event {

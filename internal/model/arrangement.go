@@ -58,18 +58,6 @@ func (a *Arrangement) WorkersUsed() int {
 	return len(seen)
 }
 
-// TaskLatency returns L_t, the arrival index of the last worker assigned to
-// task t (Definition 5), or 0 when the task has no assignments.
-func (a *Arrangement) TaskLatency(t TaskID) int {
-	max := 0
-	for _, p := range a.Pairs {
-		if p.Task == t && p.Worker > max {
-			max = p.Worker
-		}
-	}
-	return max
-}
-
 // Validate checks an arrangement against an instance: every referenced
 // worker and task exists, no worker exceeds capacity K, every assignment is
 // eligible (Acc ≥ MinAcc), no (worker, task) pair repeats, and — when

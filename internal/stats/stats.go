@@ -1,7 +1,8 @@
 // Package stats provides the small statistical toolkit the reproduction
 // needs: deterministic seeded random sources, the accuracy distributions of
-// Table IV (truncated normal, mean-centred uniform), and summary statistics
-// used when aggregating repeated experiment runs.
+// Table IV (truncated normal, mean-centred uniform), the Zipf sampler behind
+// the skewed workloads and the check-in traces, and the mean and percentile
+// of a sample.
 package stats
 
 import (
@@ -115,54 +116,8 @@ func (z *Zipf) P(rank int) float64 {
 	return z.cdf[rank] - z.cdf[rank-1]
 }
 
-// ErrEmpty is returned by summary constructors on empty input.
+// ErrEmpty is returned by Percentile on empty input.
 var ErrEmpty = errors.New("stats: empty sample")
-
-// Summary holds the aggregate statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1)
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes summary statistics over xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s, nil
-}
 
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewRandDeterministic(t *testing.T) {
@@ -95,38 +94,6 @@ func TestUniformMeanDegenerateWindow(t *testing.T) {
 	}
 }
 
-func TestSummarizeKnown(t *testing.T) {
-	s, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if math.Abs(s.Std-2.138) > 0.01 {
-		t.Fatalf("Std = %v, want ~2.138", s.Std)
-	}
-	if s.Median != 4.5 {
-		t.Fatalf("Median = %v, want 4.5", s.Median)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatalf("err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s, err := Summarize([]float64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 3 || s.Std != 0 || s.Median != 3 || s.Min != 3 || s.Max != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-}
-
 func TestMeanEmpty(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) must be 0")
@@ -148,28 +115,5 @@ func TestPercentile(t *testing.T) {
 	}
 	if _, err := Percentile(nil, 50); err != ErrEmpty {
 		t.Fatal("empty percentile must error")
-	}
-}
-
-// Property: Summarize invariants Min <= Median <= Max and Min <= Mean <= Max
-// hold for any non-empty input.
-func TestSummarizeInvariantsProperty(t *testing.T) {
-	prop := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		s, err := Summarize(xs)
-		if err != nil {
-			return false
-		}
-		return s.Min <= s.Median && s.Median <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max && s.Std >= 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

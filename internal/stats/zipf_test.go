@@ -17,6 +17,11 @@ func TestZipfProbabilities(t *testing.T) {
 	if math.Abs(sum-1) > 1e-12 {
 		t.Fatalf("probabilities sum to %v, want 1", sum)
 	}
+	// The cumulative weights end at exactly 1 (sum/sum), so no draw of
+	// Float64 can fall past the last rank.
+	if last := z.cdf[len(z.cdf)-1]; last != 1 {
+		t.Fatalf("cumulative weights end at %v, want exactly 1", last)
+	}
 	// Harmonic weights: P(0) = 1/H_5 = 1/(1+1/2+1/3+1/4+1/5).
 	want := 1 / (1 + 0.5 + 1.0/3 + 0.25 + 0.2)
 	if math.Abs(z.P(0)-want) > 1e-12 {

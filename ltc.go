@@ -190,18 +190,3 @@ func onlineFactory(algo Algorithm, seed uint64) (core.OnlineFactory, error) {
 		return nil, fmt.Errorf("%w: %q is not an online algorithm", ErrUnknownAlgorithm, algo)
 	}
 }
-
-// SolveAll runs every evaluated algorithm and returns results keyed by
-// name, for quick comparisons. Incomplete runs are included with their
-// partial results.
-func SolveAll(in *Instance, opts ...Option) (map[Algorithm]*Result, error) {
-	out := make(map[Algorithm]*Result, 5)
-	for _, algo := range Algorithms() {
-		res, err := Solve(in, algo, opts...)
-		if err != nil && !errors.Is(err, ErrIncomplete) {
-			return nil, err
-		}
-		out[algo] = res
-	}
-	return out, nil
-}

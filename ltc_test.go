@@ -20,6 +20,7 @@ func tinyInstance(t *testing.T) *Instance {
 
 func TestSolveEveryAlgorithm(t *testing.T) {
 	in := tinyInstance(t)
+	latency := map[Algorithm]int{}
 	for _, algo := range Algorithms() {
 		res, err := Solve(in, algo)
 		if err != nil {
@@ -34,6 +35,11 @@ func TestSolveEveryAlgorithm(t *testing.T) {
 		if res.Latency <= 0 || res.Latency > len(in.Workers) {
 			t.Fatalf("%s: latency %d", algo, res.Latency)
 		}
+		latency[algo] = res.Latency
+	}
+	// Published headline: the proposed algorithms beat the baselines.
+	if latency[AAM] > latency[RandomAssign] {
+		t.Fatalf("AAM (%d) worse than Random (%d)", latency[AAM], latency[RandomAssign])
 	}
 }
 
@@ -48,21 +54,6 @@ func TestSolveRejectsInvalidInstance(t *testing.T) {
 	in.K = 0
 	if _, err := Solve(in, LAF); err == nil {
 		t.Fatal("invalid instance accepted")
-	}
-}
-
-func TestSolveAll(t *testing.T) {
-	in := tinyInstance(t)
-	results, err := SolveAll(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 5 {
-		t.Fatalf("got %d results", len(results))
-	}
-	// Published headline: the proposed algorithms beat the baselines.
-	if results[AAM].Latency > results[RandomAssign].Latency {
-		t.Fatalf("AAM (%d) worse than Random (%d)", results[AAM].Latency, results[RandomAssign].Latency)
 	}
 }
 

@@ -2,11 +2,11 @@ package ltc
 
 import "ltc/internal/dispatch"
 
-// The options system: every constructor and runner — Solve, SolveAll,
-// NewSession, NewPlatform, ReplayChurn — accepts the same composable
-// functional options, and each consumes the subset that applies to it
-// (WithShards tunes a Platform, WithIndex the solvers; irrelevant options
-// are ignored, never an error).
+// The options system: every constructor and runner — Solve, NewSession,
+// NewPlatform, ReplayChurn — accepts the same composable functional
+// options, and each consumes the subset that applies to it (WithShards
+// tunes a Platform, WithIndex the solvers; irrelevant options are ignored,
+// never an error).
 
 // Option configures Solve, NewSession, NewPlatform or ReplayChurn. Options
 // are applied in order, so a later option overrides an earlier one for the
