@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ltc/internal/core"
-	"ltc/internal/flow"
 	"ltc/internal/geo"
 	"ltc/internal/model"
 )
@@ -101,26 +100,6 @@ func BenchmarkAblationMCFBatch(b *testing.B) {
 				latency = res.Latency
 			}
 			b.ReportMetric(float64(latency), "latency")
-		})
-	}
-}
-
-// BenchmarkAblationSSPAEngine compares the Dijkstra-with-potentials engine
-// against the SPFA reference engine.
-func BenchmarkAblationSSPAEngine(b *testing.B) {
-	for _, e := range []struct {
-		name   string
-		engine flow.Engine
-	}{{"Dijkstra", flow.EngineDijkstra}, {"SPFA", flow.EngineSPFA}} {
-		b.Run(e.name, func(b *testing.B) {
-			in, ci := benchInstance(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RunOffline(in, ci, &core.MCFLTC{Engine: e.engine}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

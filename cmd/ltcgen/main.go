@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"ltc/internal/checkin"
-	"ltc/internal/geo"
 	"ltc/internal/model"
 	"ltc/internal/workload"
 )
@@ -162,30 +161,4 @@ func main() {
 	if *out != "-" {
 		fmt.Fprintf(os.Stderr, "wrote %d tasks, %d workers to %s\n", len(doc.Tasks), len(doc.Workers), *out)
 	}
-}
-
-// LoadInstance reads an instance previously written by ltcgen. Exported via
-// the package for tests; the CLI itself only writes.
-func LoadInstance(path string) (*model.Instance, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc jsonInstance
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, err
-	}
-	in := &model.Instance{
-		Epsilon: doc.Epsilon,
-		K:       doc.K,
-		Model:   model.SigmoidDistance{DMax: doc.DMax},
-		MinAcc:  doc.MinAcc,
-	}
-	for _, t := range doc.Tasks {
-		in.Tasks = append(in.Tasks, model.Task{ID: model.TaskID(t.ID), Loc: geo.Point{X: t.X, Y: t.Y}})
-	}
-	for _, w := range doc.Workers {
-		in.Workers = append(in.Workers, model.Worker{Index: w.Index, Loc: geo.Point{X: w.X, Y: w.Y}, Acc: w.Acc})
-	}
-	return in, in.Validate()
 }

@@ -6,12 +6,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ltc/internal/geo"
 	"ltc/internal/model"
 	"ltc/internal/workload"
 )
 
 // TestInstanceRoundTrip writes an instance the way the CLI does and reads
-// it back with LoadInstance, checking full fidelity of the parameters the
+// it back with loadInstance, checking full fidelity of the parameters the
 // algorithms consume.
 func TestInstanceRoundTrip(t *testing.T) {
 	cfg := workload.Default().Scale(0.002)
@@ -45,7 +46,7 @@ func TestInstanceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, err := LoadInstance(path)
+	back, err := loadInstance(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestTraceUserZeroSurvives(t *testing.T) {
 }
 
 func TestLoadInstanceMissingFile(t *testing.T) {
-	if _, err := LoadInstance(filepath.Join(t.TempDir(), "nope.json")); err == nil {
+	if _, err := loadInstance(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Fatal("missing file must error")
 	}
 }
@@ -105,7 +106,7 @@ func TestLoadInstanceBadJSON(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadInstance(path); err == nil {
+	if _, err := loadInstance(path); err == nil {
 		t.Fatal("bad JSON must error")
 	}
 }
@@ -126,11 +127,11 @@ func TestLoadInstanceValidates(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadInstance(path); err == nil {
+	if _, err := loadInstance(path); err == nil {
 		t.Fatal("invalid instance must be rejected")
 	}
 	var wantErr = model.ErrWorkerOrder
-	if _, err := LoadInstance(path); err == nil || !contains(err.Error(), "arrival order") {
+	if _, err := loadInstance(path); err == nil || !contains(err.Error(), "arrival order") {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
 }
@@ -142,4 +143,31 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// loadInstance reads an instance previously written by ltcgen and validates
+// it: the reader the round-trip tests check ltcgen's output with (the CLI
+// itself only writes).
+func loadInstance(path string) (*model.Instance, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var doc jsonInstance
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, err
+	}
+	in := &model.Instance{
+		Epsilon: doc.Epsilon,
+		K:       doc.K,
+		Model:   model.SigmoidDistance{DMax: doc.DMax},
+		MinAcc:  doc.MinAcc,
+	}
+	for _, t := range doc.Tasks {
+		in.Tasks = append(in.Tasks, model.Task{ID: model.TaskID(t.ID), Loc: geo.Point{X: t.X, Y: t.Y}})
+	}
+	for _, w := range doc.Workers {
+		in.Workers = append(in.Workers, model.Worker{Index: w.Index, Loc: geo.Point{X: w.X, Y: w.Y}, Acc: w.Acc})
+	}
+	return in, in.Validate()
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -532,7 +534,6 @@ func batchRow(b int) frontEnd {
 type wireClient interface {
 	CheckIn(httpapi.Worker) (httpapi.Receipt, error)
 	CheckInBatch([]httpapi.Worker) ([]httpapi.Receipt, bool, error)
-	PostTask(x, y float64) (int, error)
 	RetireTask(id int) error
 }
 
@@ -544,10 +545,10 @@ func serve(t *testing.T, h http.Handler) *httpapi.Client {
 }
 
 // wire feeds c over HTTP, per call when batch is 1, else in chunks of
-// batch; p is the platform behind the server. A cluster front end (topo
-// non-nil) speaks cluster-global task IDs, which wire maps to and from
-// p's own.
-func wire(t *testing.T, p *ltc.Platform, c wireClient, batch int, topo *cluster.Topology) feeder {
+// batch; p is the platform behind the server, and posts go to POST /tasks
+// at postBase. A cluster front end (topo non-nil) speaks cluster-global task
+// IDs, which wire maps to and from p's own.
+func wire(t *testing.T, p *ltc.Platform, c wireClient, postBase string, batch int, topo *cluster.Topology) feeder {
 	return feeder{
 		feed: func(ws []ltc.Worker) []ltc.Receipt {
 			var out []ltc.Receipt
@@ -577,11 +578,7 @@ func wire(t *testing.T, p *ltc.Platform, c wireClient, batch int, topo *cluster.
 			}
 			return out
 		},
-		post: func(loc geo.Point) {
-			if _, err := c.PostTask(loc.X, loc.Y); err != nil {
-				t.Fatal(err)
-			}
-		},
+		post: func(loc geo.Point) { postTask(t, postBase, loc) },
 		retire: func(id ltc.TaskID) {
 			if err := c.RetireTask(globalID(topo, id)); err != nil {
 				t.Fatal(err)
@@ -594,7 +591,8 @@ func wire(t *testing.T, p *ltc.Platform, c wireClient, batch int, topo *cluster.
 func gatewayRow(name string, batch int) frontEnd {
 	return frontEnd{name: name, start: func(t *testing.T, s stream) (*ltc.Platform, feeder) {
 		p := newPlatform(t, s, s.in)
-		return p, wire(t, p, serve(t, httpapi.NewHandler(p, s.algo, s.shards)), batch, nil)
+		c := serve(t, httpapi.NewHandler(p, s.algo, s.shards))
+		return p, wire(t, p, c, c.Base, batch, nil)
 	}}
 }
 
@@ -640,8 +638,26 @@ func clusterRow(name string, batch int) frontEnd {
 		if _, err := cc.Sync(ctx); err != nil {
 			t.Fatal(err)
 		}
-		return p, wire(t, p, cc, batch, topo)
+		// Node 0 owns every tile, so every post goes to it.
+		return p, wire(t, p, cc, urls[0], batch, topo)
 	}}
+}
+
+// postTask posts a task at loc through POST /tasks on the server at base.
+func postTask(t *testing.T, base string, loc geo.Point) {
+	body, err := json.Marshal(httpapi.TaskRequest{X: loc.X, Y: loc.Y})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/tasks", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST /tasks: HTTP %d: %s", resp.StatusCode, msg)
+	}
 }
 
 // globalID maps node 0's task ID to its cluster-global ID under topo (nil:

@@ -54,7 +54,7 @@ func TestFingerprintPinned(t *testing.T) {
 // absurdly far away — has NodeFor == Locate.
 func requireSameRouting(t *testing.T, rng *rand.Rand, in *model.Instance, n int) {
 	t.Helper()
-	part, err := model.PartitionInstance(in, n)
+	part, err := model.PartitionInstanceOpts(in, n, model.PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

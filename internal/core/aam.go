@@ -34,8 +34,8 @@ type AAM struct {
 	strategy AAMStrategy
 	topk     *pqueue.TopK[scoredCandidate]
 
-	// lgfArrivals / lrfArrivals count strategy choices, exposed for the
-	// ablation experiments.
+	// lgfArrivals / lrfArrivals count strategy choices; the switching
+	// rule's tests read them.
 	lgfArrivals int
 	lrfArrivals int
 }
@@ -75,9 +75,6 @@ func (a *AAM) Name() string {
 		return "AAM"
 	}
 }
-
-// StrategyCounts reports how many arrivals used LGF and LRF scoring.
-func (a *AAM) StrategyCounts() (lgf, lrf int) { return a.lgfArrivals, a.lrfArrivals }
 
 // Arrive implements Online (Algorithm 3 lines 4-15).
 func (a *AAM) Arrive(w model.Worker) []Outcome {

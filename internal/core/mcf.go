@@ -16,13 +16,11 @@ import (
 // highest-Acc* uncompleted tasks. Approximation ratio 7.5 under the paper's
 // assumptions (Theorem 3).
 //
-// The zero value runs the published configuration; the fields expose the
-// ablation knobs described in README "Design notes".
+// The zero value runs the published configuration; BatchMultiplier is the
+// ablation knob described in README "Design notes".
 type MCFLTC struct {
 	// BatchMultiplier scales the batch size m (default 1.0 when zero).
 	BatchMultiplier float64
-	// Engine selects the SSPA shortest-path engine (default Dijkstra).
-	Engine flow.Engine
 }
 
 // Name implements Offline.
@@ -142,7 +140,7 @@ func (m *MCFLTC) solveBatch(
 		g.AddEdge(taskNode[tid], sink, demand, 0)
 	}
 
-	if _, err := g.MinCostFlow(0, sink, m.Engine); err != nil {
+	if _, err := g.MinCostFlow(0, sink); err != nil {
 		return err
 	}
 

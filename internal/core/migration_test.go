@@ -163,7 +163,7 @@ func TestEngineEvictSettledTaskRefused(t *testing.T) {
 	}
 
 	c, total := src.eng.Progress()
-	r, live := src.eng.Retired(), src.ci.NumLive()
+	r, live := src.eng.Retired(), numLive(src.ci)
 	if total != 3 || r != 1 {
 		t.Fatalf("progress total %d retired %d before the refusals, want 3 and 1", total, r)
 	}
@@ -172,9 +172,9 @@ func TestEngineEvictSettledTaskRefused(t *testing.T) {
 			t.Fatalf("evict of settled task %d: snap=%+v ok=%t err=%v, want a refusal", id, snap, ok, err)
 		}
 	}
-	if c2, total2 := src.eng.Progress(); c2 != c || total2 != total || src.eng.Retired() != r || src.ci.NumLive() != live {
+	if c2, total2 := src.eng.Progress(); c2 != c || total2 != total || src.eng.Retired() != r || numLive(src.ci) != live {
 		t.Fatalf("refused evictions moved the accounts: progress %d/%d retired %d live %d, want %d/%d, %d and %d",
-			c2, total2, src.eng.Retired(), src.ci.NumLive(), c, total, r, live)
+			c2, total2, src.eng.Retired(), numLive(src.ci), c, total, r, live)
 	}
 	if wasOpen, err := src.eng.RetireTask(completed); err != nil || wasOpen {
 		t.Fatalf("retire of a completed task: wasOpen=%t err=%v", wasOpen, err)

@@ -111,9 +111,9 @@ func TestAAMRuleMatchesDenseScan(t *testing.T) {
 					scanned++
 				}
 				wantLGF := sum/float64(aam.in.K) >= maxNeed
-				lgf, _ := aam.StrategyCounts()
+				lgf, _ := aam.strategyCounts()
 				eng.Arrive(w)
-				if after, _ := aam.StrategyCounts(); (after == lgf+1) != wantLGF {
+				if after, _ := aam.strategyCounts(); (after == lgf+1) != wantLGF {
 					t.Fatalf("worker %d: took LGF = %t, the dense scan says %t (Σ %v, max %v)",
 						w.Index, after == lgf+1, wantLGF, sum, maxNeed)
 				}
@@ -125,10 +125,10 @@ func TestAAMRuleMatchesDenseScan(t *testing.T) {
 				aam.state.needWrites = needResync // due for a scan: the dense path
 				eng.Arrive(w)
 			})
-			gl, gr := got.StrategyCounts()
-			wl, wr := want.StrategyCounts()
+			gl, gr := got.strategyCounts()
+			wl, wr := want.strategyCounts()
 			if gl != wl || gr != wr {
-				t.Fatalf("StrategyCounts %d/%d, always-scanning solver %d/%d", gl, gr, wl, wr)
+				t.Fatalf("strategy counts %d/%d, always-scanning solver %d/%d", gl, gr, wl, wr)
 			}
 			if !slices.Equal(got.state.arr.Pairs, want.state.arr.Pairs) ||
 				!slices.Equal(got.state.arr.Accumulated, want.state.arr.Accumulated) {
@@ -165,7 +165,7 @@ func driveOpenIndex(t *testing.T, data []byte) {
 		t.Helper()
 		var got, want []model.Candidate
 		for si, s := range shards {
-			if live, open := s.ci.NumLive(), s.eng.state.remaining; live != open {
+			if live, open := numLive(s.ci), s.eng.state.remaining; live != open {
 				t.Fatalf("op %d shard %d: %d tasks live in the index, %d open in the ledger", op, si, live, open)
 			}
 			for _, w := range probes {
@@ -230,4 +230,17 @@ func FuzzEngineOpenIndex(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 6, 7, 0, 1, 2, 3, 12, 13, 10, 26, 42, 7, 15})
 	f.Add([]byte("complete, migrate, retire, post and arrive again"))
 	f.Fuzz(driveOpenIndex)
+}
+
+// numLive counts the index's live tasks. Under an engine that is the number
+// of open tasks: a task is removed when it completes, is retired or migrates
+// away.
+func numLive(ci *model.CandidateIndex) int {
+	n := 0
+	for id := 0; id < ci.NumTasks(); id++ {
+		if ci.Live(model.TaskID(id)) {
+			n++
+		}
+	}
+	return n
 }

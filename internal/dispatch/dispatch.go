@@ -1,6 +1,6 @@
 // Package dispatch is the sharded concurrent check-in layer of the
 // reproduction: it partitions an LTC instance's task space into spatial
-// shards (internal/model.PartitionInstance over the internal/geo grid),
+// shards (internal/model.PartitionInstanceOpts over the internal/geo grid),
 // runs one independent online solver per shard, and routes each arriving
 // worker to the shard owning its location. Check-ins serialize per shard,
 // so calls touching disjoint shards proceed fully in parallel — the

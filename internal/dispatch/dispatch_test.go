@@ -297,7 +297,7 @@ func TestShardedLatencySemantics(t *testing.T) {
 // task's shard.
 func TestRoutingMatchesPartition(t *testing.T) {
 	in := testInstance(t, 0.02)
-	p, err := model.PartitionInstance(in, 6)
+	p, err := model.PartitionInstanceOpts(in, 6, model.PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

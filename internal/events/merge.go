@@ -76,7 +76,3 @@ func (m *StreamMerger) Delivered(node int) uint64 {
 	}
 	return m.next[node]
 }
-
-// Total returns how many events the merger has folded — the last assigned
-// cluster sequence number.
-func (m *StreamMerger) Total() uint64 { return m.seq }

@@ -23,8 +23,8 @@ func TestStreamMergerAssignsDenseClusterSeq(t *testing.T) {
 			t.Fatalf("fold %d: cluster seq %d, want %d (dense)", i, got, i+1)
 		}
 	}
-	if m.Total() != uint64(len(feed)) {
-		t.Fatalf("Total = %d, want %d", m.Total(), len(feed))
+	if m.seq != uint64(len(feed)) {
+		t.Fatalf("folded %d, want %d", m.seq, len(feed))
 	}
 	if m.Delivered(0) != 3 || m.Delivered(1) != 2 || m.Delivered(2) != 2 {
 		t.Fatalf("resume points: %d/%d/%d", m.Delivered(0), m.Delivered(1), m.Delivered(2))
@@ -44,8 +44,8 @@ func TestStreamMergerDetectsGapsAndDuplicates(t *testing.T) {
 	}
 	// A rejected fold must not consume a cluster sequence number or move
 	// the node's resume point.
-	if m.Total() != 1 || m.Delivered(0) != 1 {
-		t.Fatalf("rejected folds mutated state: total %d, delivered %d", m.Total(), m.Delivered(0))
+	if m.seq != 1 || m.Delivered(0) != 1 {
+		t.Fatalf("rejected folds mutated state: folded %d, delivered %d", m.seq, m.Delivered(0))
 	}
 	// The next in-order event folds normally.
 	if seq, err := m.Fold(0, 2); err != nil || seq != 2 {

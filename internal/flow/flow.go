@@ -5,16 +5,10 @@
 // "large-scale data and many-to-many matching with real-valued arc costs"
 // (citing Yiu et al., SIGMOD 2008).
 //
-// Two SSPA engines are provided:
-//
-//   - Dijkstra with Johnson potentials (default): after one initial
-//     Bellman–Ford pass to absorb the negative -Acc* arc costs into node
-//     potentials, every augmentation runs Dijkstra on non-negative reduced
-//     costs. This is the fast path used by MCF-LTC.
-//   - SPFA (Bellman–Ford queue variant) per augmentation: slower but
-//     independent, used to cross-validate the default engine in tests.
-//
-// Each augmentation sends the bottleneck capacity of the shortest path.
+// SSPA here runs Dijkstra with Johnson potentials: one initial Bellman–Ford
+// pass absorbs the negative -Acc* arc costs into node potentials, and every
+// augmentation then runs Dijkstra on non-negative reduced costs. Each
+// augmentation sends the bottleneck capacity of the shortest path.
 package flow
 
 import (
@@ -48,9 +42,6 @@ func NewNetwork(n int) *Network {
 	}
 }
 
-// NumNodes reports the node count.
-func (g *Network) NumNodes() int { return g.numNodes }
-
 // AddEdge adds a directed edge from → to with the given capacity and cost,
 // returning its edge id. Capacity must be non-negative.
 func (g *Network) AddEdge(from, to int, capacity int32, cost float64) int {
@@ -76,25 +67,6 @@ func (g *Network) Flow(e int) int32 {
 	return g.initCap[e] - g.capa[e]
 }
 
-// Residual returns the remaining capacity of forward edge e.
-func (g *Network) Residual(e int) int32 { return g.capa[e] }
-
-// Reset restores all edges to their initial capacities, discarding any flow.
-func (g *Network) Reset() {
-	copy(g.capa, g.initCap)
-}
-
-// Engine selects the shortest-path engine used by SSPA.
-type Engine int
-
-const (
-	// EngineDijkstra uses Johnson potentials + Dijkstra (default, fast).
-	EngineDijkstra Engine = iota
-	// EngineSPFA recomputes shortest paths with a queue-based Bellman-Ford
-	// on every augmentation. Reference implementation for tests.
-	EngineSPFA
-)
-
 // Result reports the outcome of a min-cost-flow computation.
 type Result struct {
 	Flow int32
@@ -106,29 +78,15 @@ type Result struct {
 // hold then). The LTC networks are bipartite DAGs and can never trigger it.
 var ErrNegativeCycle = errors.New("flow: negative-cost cycle detected")
 
-// MinCostMaxFlow routes the maximum feasible flow from s to t at minimum
-// total cost using SSPA on the default engine.
-func (g *Network) MinCostMaxFlow(s, t int) (Result, error) {
-	return g.MinCostFlow(s, t, EngineDijkstra)
-}
-
 // MinCostFlow routes the maximum feasible flow from s to t at minimum total
-// cost using SSPA on the given engine.
-func (g *Network) MinCostFlow(s, t int, engine Engine) (Result, error) {
+// cost using SSPA.
+func (g *Network) MinCostFlow(s, t int) (Result, error) {
 	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes {
 		panic("flow: source/sink out of range")
 	}
 	if s == t {
 		return Result{}, nil
 	}
-	if engine == EngineSPFA {
-		return g.sspaSPFA(s, t)
-	}
-	return g.sspaDijkstra(s, t)
-}
-
-// sspaDijkstra is SSPA with Johnson potentials.
-func (g *Network) sspaDijkstra(s, t int) (Result, error) {
 	pot := make([]float64, g.numNodes)
 	if g.hasNegativeCost() {
 		var err error
@@ -185,57 +143,6 @@ func (g *Network) sspaDijkstra(s, t int) (Result, error) {
 			if !math.IsInf(dist[v], 1) {
 				pot[v] += dist[v]
 			}
-		}
-		g.augment(s, t, prevEdge, &res)
-	}
-	return res, nil
-}
-
-// sspaSPFA is SSPA recomputing exact shortest paths each round with a
-// queue-based Bellman-Ford. Handles negative residual costs natively.
-func (g *Network) sspaSPFA(s, t int) (Result, error) {
-	dist := make([]float64, g.numNodes)
-	prevEdge := make([]int32, g.numNodes)
-	inQueue := make([]bool, g.numNodes)
-	relaxes := make([]int32, g.numNodes)
-
-	var res Result
-	for {
-		for i := range dist {
-			dist[i] = math.Inf(1)
-			prevEdge[i] = -1
-			inQueue[i] = false
-			relaxes[i] = 0
-		}
-		dist[s] = 0
-		queue := make([]int32, 0, g.numNodes)
-		queue = append(queue, int32(s))
-		inQueue[s] = true
-		for len(queue) > 0 {
-			u := int(queue[0])
-			queue = queue[1:]
-			inQueue[u] = false
-			for _, e := range g.adj[u] {
-				if g.capa[e] <= 0 {
-					continue
-				}
-				v := int(g.to[e])
-				if nd := dist[u] + g.cost[e]; nd < dist[v]-1e-15 {
-					dist[v] = nd
-					prevEdge[v] = e
-					if !inQueue[v] {
-						relaxes[v]++
-						if int(relaxes[v]) > g.numNodes {
-							return res, ErrNegativeCycle
-						}
-						queue = append(queue, int32(v))
-						inQueue[v] = true
-					}
-				}
-			}
-		}
-		if math.IsInf(dist[t], 1) {
-			break
 		}
 		g.augment(s, t, prevEdge, &res)
 	}
@@ -310,29 +217,4 @@ func (g *Network) bellmanFord(s int) ([]float64, error) {
 		}
 	}
 	return nil, ErrNegativeCycle
-}
-
-// CheckConservation verifies flow conservation at every node except s and t
-// and that no edge exceeds its capacity. Used by tests and debug builds.
-func (g *Network) CheckConservation(s, t int) error {
-	balance := make([]int64, g.numNodes)
-	for e := 0; e < len(g.to); e += 2 {
-		f := g.Flow(e)
-		if f < 0 || f > g.initCap[e] {
-			return fmt.Errorf("flow: edge %d flow %d outside [0,%d]", e, f, g.initCap[e])
-		}
-		from := int(g.to[e^1])
-		to := int(g.to[e])
-		balance[from] -= int64(f)
-		balance[to] += int64(f)
-	}
-	for v, b := range balance {
-		if v == s || v == t {
-			continue
-		}
-		if b != 0 {
-			return fmt.Errorf("flow: node %d violates conservation by %d", v, b)
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,17 +11,17 @@ import (
 func TestSingleEdge(t *testing.T) {
 	g := NewNetwork(2)
 	e := g.AddEdge(0, 1, 5, 2.0)
-	res, err := g.MinCostMaxFlow(0, 1)
+	res, err := g.MinCostFlow(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Flow != 5 || res.Cost != 10 {
 		t.Fatalf("res = %+v, want flow 5 cost 10", res)
 	}
-	if g.Flow(e) != 5 || g.Residual(e) != 0 {
-		t.Fatalf("edge flow %d residual %d", g.Flow(e), g.Residual(e))
+	if g.Flow(e) != 5 || g.capa[e] != 0 {
+		t.Fatalf("edge flow %d residual %d", g.Flow(e), g.capa[e])
 	}
-	if err := g.CheckConservation(0, 1); err != nil {
+	if err := g.checkConservation(0, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -33,7 +34,7 @@ func TestChoosesCheaperPath(t *testing.T) {
 	g.AddEdge(1, 3, 1, 1.0)
 	g.AddEdge(0, 2, 1, 10.0)
 	g.AddEdge(2, 3, 1, 10.0)
-	res, err := g.MinCostMaxFlow(0, 3)
+	res, err := g.MinCostFlow(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestNegativeCostEdges(t *testing.T) {
 	g.AddEdge(1, 3, 1, -0.9)
 	g.AddEdge(0, 2, 1, 0)
 	g.AddEdge(2, 3, 1, -0.5)
-	res, err := g.MinCostMaxFlow(0, 3)
+	res, err := g.MinCostFlow(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,12 @@ func TestFlowRerouting(t *testing.T) {
 	g.AddEdge(1, 2, 1, -2)
 	g.AddEdge(1, 3, 1, 3)
 	g.AddEdge(2, 3, 1, 1)
-	resD, err := g.MinCostMaxFlow(0, 3)
+	resD, err := g.MinCostFlow(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2 := rebuild(g)
-	resS, err := g2.MinCostFlow(0, 3, EngineSPFA)
+	resS, err := g2.sspaSPFA(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFlowRerouting(t *testing.T) {
 	if resD.Flow != 2 {
 		t.Fatalf("max flow = %d, want 2", resD.Flow)
 	}
-	if err := g.CheckConservation(0, 3); err != nil {
+	if err := g.checkConservation(0, 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +93,7 @@ func TestFlowRerouting(t *testing.T) {
 func TestDisconnectedSink(t *testing.T) {
 	g := NewNetwork(3)
 	g.AddEdge(0, 1, 5, 1)
-	res, err := g.MinCostMaxFlow(0, 2)
+	res, err := g.MinCostFlow(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestDisconnectedSink(t *testing.T) {
 func TestSourceEqualsSink(t *testing.T) {
 	g := NewNetwork(2)
 	g.AddEdge(0, 1, 1, 1)
-	res, err := g.MinCostMaxFlow(0, 0)
+	res, err := g.MinCostFlow(0, 0)
 	if err != nil || res.Flow != 0 {
 		t.Fatalf("res = %+v err=%v", res, err)
 	}
@@ -113,7 +114,7 @@ func TestSourceEqualsSink(t *testing.T) {
 func TestZeroCapacityEdgeIgnored(t *testing.T) {
 	g := NewNetwork(2)
 	g.AddEdge(0, 1, 0, -100)
-	res, err := g.MinCostMaxFlow(0, 1)
+	res, err := g.MinCostFlow(0, 1)
 	if err != nil || res.Flow != 0 {
 		t.Fatalf("res = %+v err=%v", res, err)
 	}
@@ -126,14 +127,13 @@ func TestNegativeCycleDetectedBySPFA(t *testing.T) {
 	g.AddEdge(1, 2, 5, -3)
 	g.AddEdge(2, 1, 5, -3)
 	g.AddEdge(2, 3, 1, 0)
-	_, err := g.MinCostFlow(0, 3, EngineSPFA)
+	_, err := g.sspaSPFA(0, 3)
 	if !errors.Is(err, ErrNegativeCycle) {
 		t.Fatalf("err = %v, want ErrNegativeCycle", err)
 	}
-	g.Reset()
-	_, err = g.MinCostMaxFlow(0, 3)
+	_, err = rebuild(g).MinCostFlow(0, 3)
 	if !errors.Is(err, ErrNegativeCycle) {
-		t.Fatalf("dijkstra engine err = %v, want ErrNegativeCycle (from Bellman-Ford init)", err)
+		t.Fatalf("MinCostFlow err = %v, want ErrNegativeCycle (from Bellman-Ford init)", err)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestAddEdgePanics(t *testing.T) {
 
 // rebuild clones the network topology with fresh capacities.
 func rebuild(g *Network) *Network {
-	h := NewNetwork(g.NumNodes())
+	h := NewNetwork(g.numNodes)
 	for e := 0; e < len(g.to); e += 2 {
 		from := int(g.to[e^1])
 		to := int(g.to[e])
@@ -190,8 +190,9 @@ func buildRandomBipartite(rng *rand.Rand, nw, nt int, k, demand int32) *Network 
 	return g
 }
 
-// TestEnginesAgreeOnRandomBipartite cross-validates the two SSPA engines on
-// many random LTC-shaped instances: equal max flow and equal min cost.
+// TestEnginesAgreeOnRandomBipartite cross-validates MinCostFlow against the
+// SPFA reference on many random LTC-shaped instances: equal max flow and
+// equal min cost.
 func TestEnginesAgreeOnRandomBipartite(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
@@ -202,11 +203,11 @@ func TestEnginesAgreeOnRandomBipartite(t *testing.T) {
 		g1 := buildRandomBipartite(rng, nw, nt, k, demand)
 		g2 := rebuild(g1)
 		sink := nw + nt + 1
-		r1, err := g1.MinCostMaxFlow(0, sink)
+		r1, err := g1.MinCostFlow(0, sink)
 		if err != nil {
 			t.Fatalf("trial %d dijkstra: %v", trial, err)
 		}
-		r2, err := g2.MinCostFlow(0, sink, EngineSPFA)
+		r2, err := g2.sspaSPFA(0, sink)
 		if err != nil {
 			t.Fatalf("trial %d spfa: %v", trial, err)
 		}
@@ -216,10 +217,10 @@ func TestEnginesAgreeOnRandomBipartite(t *testing.T) {
 		if math.Abs(r1.Cost-r2.Cost) > 1e-6 {
 			t.Fatalf("trial %d: cost %v vs %v", trial, r1.Cost, r2.Cost)
 		}
-		if err := g1.CheckConservation(0, sink); err != nil {
+		if err := g1.checkConservation(0, sink); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := g2.CheckConservation(0, sink); err != nil {
+		if err := g2.checkConservation(0, sink); err != nil {
 			t.Fatalf("trial %d spfa: %v", trial, err)
 		}
 	}
@@ -304,7 +305,7 @@ func TestAgainstBruteForce(t *testing.T) {
 			}
 		}
 		wantFlow, wantCost := bruteForceBipartite(costs, k, demand)
-		res, err := g.MinCostMaxFlow(0, sink)
+		res, err := g.MinCostFlow(0, sink)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -317,32 +318,101 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestResetRestoresCapacity(t *testing.T) {
-	g := NewNetwork(2)
-	e := g.AddEdge(0, 1, 3, 1)
-	if _, err := g.MinCostMaxFlow(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g.Flow(e) != 3 {
-		t.Fatalf("flow before reset = %d", g.Flow(e))
-	}
-	g.Reset()
-	if g.Flow(e) != 0 || g.Residual(e) != 3 {
-		t.Fatal("Reset did not restore capacities")
-	}
-	res, err := g.MinCostMaxFlow(0, 1)
-	if err != nil || res.Flow != 3 {
-		t.Fatalf("rerun after Reset: %+v err=%v", res, err)
+// BenchmarkSSPABipartite times MinCostFlow against the SPFA reference on
+// the same LTC-shaped networks: 100 workers of capacity 4, 20 tasks of
+// demand 5, 80 % of the pairs eligible.
+func BenchmarkSSPABipartite(b *testing.B) {
+	for _, e := range []struct {
+		name  string
+		solve func(g *Network, s, t int) (Result, error)
+	}{{"Dijkstra", (*Network).MinCostFlow}, {"SPFA", (*Network).sspaSPFA}} {
+		b.Run(e.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := buildRandomBipartite(rng, 100, 20, 4, 5)
+				if _, err := e.solve(g, 0, 121); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkMinCostMaxFlowBipartite(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g := buildRandomBipartite(rng, 100, 20, 4, 5)
-		if _, err := g.MinCostMaxFlow(0, 121); err != nil {
-			b.Fatal(err)
+// sspaSPFA is the reference that MinCostFlow is checked against: SSPA
+// recomputing exact shortest paths each round with a queue-based
+// Bellman-Ford, which handles negative residual costs natively and shares
+// nothing with MinCostFlow but augment.
+func (g *Network) sspaSPFA(s, t int) (Result, error) {
+	dist := make([]float64, g.numNodes)
+	prevEdge := make([]int32, g.numNodes)
+	inQueue := make([]bool, g.numNodes)
+	relaxes := make([]int32, g.numNodes)
+
+	var res Result
+	for {
+		for i := range dist {
+			dist[i] = math.Inf(1)
+			prevEdge[i] = -1
+			inQueue[i] = false
+			relaxes[i] = 0
+		}
+		dist[s] = 0
+		queue := make([]int32, 0, g.numNodes)
+		queue = append(queue, int32(s))
+		inQueue[s] = true
+		for len(queue) > 0 {
+			u := int(queue[0])
+			queue = queue[1:]
+			inQueue[u] = false
+			for _, e := range g.adj[u] {
+				if g.capa[e] <= 0 {
+					continue
+				}
+				v := int(g.to[e])
+				if nd := dist[u] + g.cost[e]; nd < dist[v]-1e-15 {
+					dist[v] = nd
+					prevEdge[v] = e
+					if !inQueue[v] {
+						relaxes[v]++
+						if int(relaxes[v]) > g.numNodes {
+							return res, ErrNegativeCycle
+						}
+						queue = append(queue, int32(v))
+						inQueue[v] = true
+					}
+				}
+			}
+		}
+		if math.IsInf(dist[t], 1) {
+			break
+		}
+		g.augment(s, t, prevEdge, &res)
+	}
+	return res, nil
+}
+
+// checkConservation verifies flow conservation at every node except s and t
+// and that no edge exceeds its capacity.
+func (g *Network) checkConservation(s, t int) error {
+	balance := make([]int64, g.numNodes)
+	for e := 0; e < len(g.to); e += 2 {
+		f := g.Flow(e)
+		if f < 0 || f > g.initCap[e] {
+			return fmt.Errorf("flow: edge %d flow %d outside [0,%d]", e, f, g.initCap[e])
+		}
+		from := int(g.to[e^1])
+		to := int(g.to[e])
+		balance[from] -= int64(f)
+		balance[to] += int64(f)
+	}
+	for v, b := range balance {
+		if v == s || v == t {
+			continue
+		}
+		if b != 0 {
+			return fmt.Errorf("flow: node %d violates conservation by %d", v, b)
 		}
 	}
+	return nil
 }

@@ -30,12 +30,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y) }
 

@@ -21,16 +21,6 @@ func TestPointDist(t *testing.T) {
 	}
 }
 
-func TestPointArithmetic(t *testing.T) {
-	a, b := Point{1, 2}, Point{3, 5}
-	if got := a.Add(b); got != (Point{4, 7}) {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := a.Scale(2); got != (Point{2, 4}) {
-		t.Fatalf("Scale = %v", got)
-	}
-}
-
 func TestRectContains(t *testing.T) {
 	r := NewRect(Point{2, 3}, Point{0, 1}) // corners given out of order
 	if r.Min != (Point{0, 1}) || r.Max != (Point{2, 3}) {

@@ -108,13 +108,6 @@ func (c *Client) CheckInBatch(ws []Worker) (recs []Receipt, done bool, err error
 	return resp.Receipts, resp.Done, nil
 }
 
-// PostTask posts a new task at (x, y) and returns its global ID.
-func (c *Client) PostTask(x, y float64) (int, error) {
-	var resp TaskResponse
-	err := c.doJSON(http.MethodPost, "/tasks", TaskRequest{X: x, Y: y}, &resp)
-	return resp.ID, err
-}
-
 // RetireTask retires the task with the given ID.
 func (c *Client) RetireTask(id int) error {
 	return c.doJSON(http.MethodDelete, fmt.Sprintf("/tasks/%d", id), nil, nil)

@@ -2,8 +2,8 @@
 // across a multi-node cluster using the static tile→node topology, and
 // merges the per-node event streams into one global gapless sequence.
 //
-// Routing is client-side and self-healing: every check-in, post and retire
-// goes straight to the node the client's table says owns it; a node that
+// Routing is client-side and self-healing: every check-in and retire goes
+// straight to the node the client's table says owns it; a node that
 // disagrees answers HTTP 421 naming the owner (RedirectError), the client
 // patches its table and retries. With a correct table — the steady state —
 // every operation is a single hop.
@@ -195,18 +195,6 @@ func (c *ClusterClient) Complete() bool {
 		}
 	}
 	return true
-}
-
-// PostTask posts a task at (x, y) on its owning node and returns its
-// cluster-global ID (owner-recoverable: see cluster.PostedOwner).
-func (c *ClusterClient) PostTask(x, y float64) (int, error) {
-	slot := &c.table[c.tile(x, y)]
-	for attempt := 0; ; attempt++ {
-		id, err := c.nodes[slot.Load()].PostTask(x, y)
-		if retry, err := c.heal(err, attempt, slot); !retry {
-			return id, err
-		}
-	}
 }
 
 // RetireTask retires a cluster-global task ID on its owning node. Posted

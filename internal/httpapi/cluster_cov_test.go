@@ -94,7 +94,7 @@ func TestClusterServerInconsistentSplit(t *testing.T) {
 	if _, done, err := c.CheckInBatch(nil); err != nil || !done {
 		t.Fatalf("empty batch: done=%v err=%v", done, err)
 	}
-	if _, err := c.PostTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y); err == nil || !strings.Contains(err.Error(), "no platform") {
+	if _, err := c.postTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y); err == nil || !strings.Contains(err.Error(), "no platform") {
 		t.Fatalf("post on platform-less owner: %v", err)
 	}
 	// Retire of a bad ID: negative is a 400 before any ownership logic.
@@ -135,7 +135,7 @@ func TestClusterClientRedirectPathologies(t *testing.T) {
 	if _, _, err := cc.CheckInBatch([]Worker{w}); err == nil || !strings.Contains(err.Error(), "redirect loop") {
 		t.Fatalf("batch loop: %v", err)
 	}
-	if _, err := cc.PostTask(1, 1); err == nil || !strings.Contains(err.Error(), "redirect loop") {
+	if _, err := cc.postTask(1, 1); err == nil || !strings.Contains(err.Error(), "redirect loop") {
 		t.Fatalf("post loop: %v", err)
 	}
 	if err := cc.RetireTask(0); err == nil || !strings.Contains(err.Error(), "redirect loop") {
@@ -167,7 +167,7 @@ func TestClusterClientRedirectPathologies(t *testing.T) {
 	if _, _, err := rc.CheckInBatch([]Worker{w}); err == nil || !strings.Contains(err.Error(), "bad index") {
 		t.Fatalf("bad batch index: %v", err)
 	}
-	if _, err := rc.PostTask(1, 1); err == nil || !strings.Contains(err.Error(), "out-of-range node 7") {
+	if _, err := rc.postTask(1, 1); err == nil || !strings.Contains(err.Error(), "out-of-range node 7") {
 		t.Fatalf("rogue post: %v", err)
 	}
 	if err := rc.RetireTask(0); err == nil || !strings.Contains(err.Error(), "out-of-range node 7") {
@@ -381,7 +381,7 @@ func TestClusterBatchRedirectHeal(t *testing.T) {
 		t.Fatalf("batched self-healed run incomplete: %+v", st)
 	}
 	// A post through the stale table heals too.
-	if _, err := cc.PostTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y); err != nil {
+	if _, err := cc.postTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y); err != nil {
 		t.Fatalf("post through stale table: %v", err)
 	}
 }

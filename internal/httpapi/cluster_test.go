@@ -316,7 +316,7 @@ func TestClusterPostRetire(t *testing.T) {
 	if !found {
 		t.Fatal("no task owned by node 1")
 	}
-	id, err := f.cc.PostTask(loc.X, loc.Y)
+	id, err := f.cc.postTask(loc.X, loc.Y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestClusterZeroTileNode(t *testing.T) {
 	if _, err := f.cc.Node(1).CheckIn(FromWorker(in.Workers[0])); !errors.As(err, &re) || re.Owner != 0 {
 		t.Fatalf("zero-tile check-in: got %v, want redirect to node 0", err)
 	}
-	if _, err := f.cc.Node(1).PostTask(5, 5); !errors.As(err, &re) || re.Owner != 0 {
+	if _, err := f.cc.Node(1).postTask(5, 5); !errors.As(err, &re) || re.Owner != 0 {
 		t.Fatalf("zero-tile post: got %v, want redirect to node 0", err)
 	}
 	// A posted-range ID arithmetically owned by the empty node is a 404 —
@@ -548,7 +548,7 @@ func TestClusterEventLogResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = live.Close() }()
-			if _, err := n.client.PostTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y); err != nil {
+			if _, err := n.client.postTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y); err != nil {
 				t.Fatal(err)
 			}
 			if e, err := live.Next(); err != nil || e.Seq != total+1 || e.Kind != "task_posted" {
@@ -783,5 +783,27 @@ func TestClusterStreamReconnect(t *testing.T) {
 	}
 	if len(completions) != len(in.Tasks) {
 		t.Fatalf("%d/%d completions across reconnect", len(completions), len(in.Tasks))
+	}
+}
+
+// postTask posts a new task at (x, y) through POST /tasks and returns its
+// global ID. No command of this module posts over the wire: the route
+// serves outside clients, and these tests drive it.
+func (c *Client) postTask(x, y float64) (int, error) {
+	var resp TaskResponse
+	err := c.doJSON(http.MethodPost, "/tasks", TaskRequest{X: x, Y: y}, &resp)
+	return resp.ID, err
+}
+
+// postTask posts a task at (x, y) on its owning node, healing the route as
+// RetireTask does, and returns its cluster-global ID (owner-recoverable: see
+// cluster.PostedOwner).
+func (c *ClusterClient) postTask(x, y float64) (int, error) {
+	slot := &c.table[c.tile(x, y)]
+	for attempt := 0; ; attempt++ {
+		id, err := c.nodes[slot.Load()].postTask(x, y)
+		if retry, err := c.heal(err, attempt, slot); !retry {
+			return id, err
+		}
 	}
 }

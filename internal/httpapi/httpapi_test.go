@@ -181,7 +181,7 @@ func TestGatewayBatchAndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gwID, err := client.PostTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y)
+	gwID, err := client.postTask(in.Tasks[0].Loc.X, in.Tasks[0].Loc.Y)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,9 +92,9 @@ func TestLtclintCleanOverRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and analyzes the whole module")
 	}
-	findings, err := lint.Run("../..", "./...")
+	findings, err := lint.RepoFindings()
 	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
+		t.Fatalf("loading the module: %v", err)
 	}
 	for _, f := range findings {
 		t.Errorf("finding: %s", f)

@@ -30,6 +30,13 @@ func Run(dir string, patterns ...string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
+	return analyze(pkgs), nil
+}
+
+// analyze applies lockorder to pkgs, which are in dependency order, and
+// returns the findings of the packages the patterns matched, sorted by
+// position.
+func analyze(pkgs []*pkg) []Finding {
 	facts := lockFacts{}
 	var findings []Finding
 	for _, p := range pkgs {
@@ -53,5 +60,5 @@ func Run(dir string, patterns ...string) ([]Finding, error) {
 		}
 		return a.Message < b.Message
 	})
-	return findings, nil
+	return findings
 }

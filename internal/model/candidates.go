@@ -48,7 +48,6 @@ type CandidateIndex struct {
 	// its liveness mask.
 	tasks []Task
 	live  []bool
-	nLive int
 	// grid and spatial are set together: nil when the radius is unbounded.
 	grid    *cellGrid
 	spatial RadiusBounder
@@ -106,7 +105,6 @@ func NewCandidateIndex(in *Instance) *CandidateIndex {
 		radius: math.Inf(1),
 		tasks:  append([]Task(nil), in.Tasks...),
 		live:   make([]bool, len(in.Tasks)),
-		nLive:  len(in.Tasks),
 	}
 	for i := range ci.live {
 		ci.live[i] = true
@@ -204,11 +202,6 @@ func (ci *CandidateIndex) Radius() float64 { return ci.radius }
 // [0, NumTasks) has been inserted at some point (retired ids included).
 func (ci *CandidateIndex) NumTasks() int { return len(ci.tasks) }
 
-// NumLive returns how many tasks are currently live (inserted, not removed).
-// Under an engine that is the number of open tasks: a task is removed when
-// it completes, is retired or migrates away.
-func (ci *CandidateIndex) NumLive() int { return ci.nLive }
-
 // Live reports whether the task id is known and not removed — under an
 // engine, whether the task is still open.
 func (ci *CandidateIndex) Live(id TaskID) bool {
@@ -225,7 +218,6 @@ func (ci *CandidateIndex) Insert(t Task) error {
 	}
 	ci.tasks = append(ci.tasks, t)
 	ci.live = append(ci.live, true)
-	ci.nLive++
 	if g := ci.grid; g != nil {
 		g.cells[g.Index(t.Loc)].add(int32(t.ID), t.Loc)
 	}
@@ -241,7 +233,6 @@ func (ci *CandidateIndex) Remove(id TaskID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
 	}
 	ci.live[id] = false
-	ci.nLive--
 	if g := ci.grid; g != nil {
 		g.cells[g.Index(ci.tasks[id].Loc)].remove(int32(id))
 	}

@@ -143,7 +143,7 @@ func runLifecycleScript(t *testing.T, in *Instance, seed uint64, steps int, widt
 
 	for step := 0; step < steps; step++ {
 		switch op := rng.IntN(3); {
-		case op == 0 || ci.NumLive() == 0: // insert
+		case op == 0 || numLive(ci) == 0: // insert
 			loc := geo.Point{X: rng.Float64() * width, Y: rng.Float64() * width}
 			if rng.IntN(8) == 0 { // outside the initial bounding rect
 				loc = geo.Point{X: width + rng.Float64()*width, Y: -rng.Float64() * width}
@@ -247,9 +247,9 @@ func TestCandidateIndexCloneIsIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := a.Clone()
-			if b.NumLive() != a.NumLive() || b.NumTasks() != a.NumTasks() || b.Radius() != a.Radius() {
+			if numLive(b) != numLive(a) || b.NumTasks() != a.NumTasks() || b.Radius() != a.Radius() {
 				t.Fatalf("clone has %d/%d tasks live, radius %v; original %d/%d, %v",
-					b.NumLive(), b.NumTasks(), b.Radius(), a.NumLive(), a.NumTasks(), a.Radius())
+					numLive(b), b.NumTasks(), b.Radius(), numLive(a), a.NumTasks(), a.Radius())
 			}
 			grows, shrinks := a, b
 			if writeClone {

@@ -103,8 +103,8 @@ type Partition struct {
 // ErrBadShardCount is returned when a non-positive shard count is requested.
 var ErrBadShardCount = errors.New("model: shard count must be positive")
 
-// PartitionOptions tunes PartitionInstanceOpts. The zero value reproduces
-// PartitionInstance's fixed spatial striping exactly.
+// PartitionOptions tunes PartitionInstanceOpts. The zero value is fixed
+// spatial striping: one near-square task tile per shard.
 type PartitionOptions struct {
 	// Balanced switches the owner tile→shard assignment from fixed striping
 	// (one near-square task tile per shard) to a load-aware greedy pack: the
@@ -127,21 +127,15 @@ type PartitionOptions struct {
 // every scenario in the workload suite.
 const balancedTileFactor = 64
 
-// PartitionInstance partitions in's tasks into at most n spatial shards.
+// PartitionInstanceOpts partitions in's tasks into at most n spatial shards.
 // Fewer shards are returned when some tiles hold no tasks (or n exceeds the
-// task count — a shard is never empty). n = 1 yields a single shard whose
-// sub-instance lists the source tasks in their original order, so any
-// algorithm run on it behaves exactly as on the source.
-func PartitionInstance(in *Instance, n int) (*Partition, error) {
-	return PartitionInstanceOpts(in, n, PartitionOptions{})
-}
-
-// PartitionInstanceOpts is PartitionInstance with explicit options; see
-// PartitionOptions for the balanced tile→shard mode. Whatever the mode,
-// every location keeps routing to exactly one shard (the same shard for
-// workers and posted tasks alike), local task order follows ascending
-// global TaskID, and n = 1 reproduces the source task order — so the
-// dispatch layer's latency and ordering semantics are mode-independent.
+// task count — a shard is never empty). See PartitionOptions for the
+// balanced tile→shard mode. Whatever the mode, every location keeps routing
+// to exactly one shard (the same shard for workers and posted tasks alike),
+// local task order follows ascending global TaskID, and n = 1 yields a single
+// shard whose sub-instance lists the source tasks in their original order, so
+// any algorithm run on it behaves exactly as on the source — the dispatch
+// layer's latency and ordering semantics are mode-independent.
 func PartitionInstanceOpts(in *Instance, n int, opt PartitionOptions) (*Partition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadShardCount, n)

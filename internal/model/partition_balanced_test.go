@@ -120,7 +120,7 @@ func TestBalancedPartitionSplitsHotspot(t *testing.T) {
 		}
 		return float64(m) * float64(p.NumShards()) / float64(len(sample))
 	}
-	striped, err := PartitionInstance(in, n)
+	striped, err := PartitionInstanceOpts(in, n, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

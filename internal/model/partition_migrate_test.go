@@ -80,7 +80,7 @@ func TestPartitionMigrateTileReroutes(t *testing.T) {
 // layouts (whole, not per tile), free tiles, and out-of-range tiles/shards.
 func TestPartitionMigrateTileErrors(t *testing.T) {
 	in := partitionInstance(200, 11)
-	striped, err := PartitionInstance(in, 4)
+	striped, err := PartitionInstanceOpts(in, 4, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func shardListing(p *Partition, id TaskID) int {
 func TestPartitionCoversEveryTaskOnce(t *testing.T) {
 	in := partitionInstance(300, 7)
 	for _, n := range []int{1, 2, 4, 7, 16} {
-		p, err := PartitionInstance(in, n)
+		p, err := PartitionInstanceOpts(in, n, PartitionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestPartitionCoversEveryTaskOnce(t *testing.T) {
 
 func TestPartitionSingleShardIsIdentity(t *testing.T) {
 	in := partitionInstance(50, 3)
-	p, err := PartitionInstance(in, 1)
+	p, err := PartitionInstanceOpts(in, 1, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPartitionSingleShardIsIdentity(t *testing.T) {
 
 func TestPartitionLocateRoutesToOwningShard(t *testing.T) {
 	in := partitionInstance(200, 11)
-	p, err := PartitionInstance(in, 8)
+	p, err := PartitionInstanceOpts(in, 8, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPartitionDegenerate(t *testing.T) {
 	for t := 0; t < 5; t++ {
 		in.Tasks = append(in.Tasks, Task{ID: TaskID(t), Loc: geo.Point{X: 3, Y: 3}})
 	}
-	p, err := PartitionInstance(in, 4)
+	p, err := PartitionInstanceOpts(in, 4, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPartitionDegenerate(t *testing.T) {
 		t.Fatal("degenerate Locate broken")
 	}
 	// More shards than tasks: capped, never empty.
-	p, err = PartitionInstance(partitionInstance(3, 1), 64)
+	p, err = PartitionInstanceOpts(partitionInstance(3, 1), 64, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPartitionRemapsIDSensitiveModels(t *testing.T) {
 		vals[tid] = row
 	}
 	in.Model = MatrixAccuracy{Vals: vals}
-	p, err := PartitionInstance(in, 6)
+	p, err := PartitionInstanceOpts(in, 6, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPartitionRemapsIDSensitiveModels(t *testing.T) {
 	}
 	// A RadiusBounder source must keep its bound through the wrapper.
 	in2 := partitionInstance(40, 29)
-	p2, err := PartitionInstance(in2, 4)
+	p2, err := PartitionInstanceOpts(in2, 4, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPartitionRemapsIDSensitiveModels(t *testing.T) {
 	// A non-bounding source must NOT grow a radius through the wrapper.
 	in3 := partitionInstance(10, 31)
 	in3.Model = ConstantAccuracy{P: 0.9}
-	p3, err := PartitionInstance(in3, 2)
+	p3, err := PartitionInstanceOpts(in3, 2, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +212,10 @@ func TestPartitionRemapsIDSensitiveModels(t *testing.T) {
 
 func TestPartitionRejectsBadInput(t *testing.T) {
 	in := partitionInstance(10, 1)
-	if _, err := PartitionInstance(in, 0); !errors.Is(err, ErrBadShardCount) {
+	if _, err := PartitionInstanceOpts(in, 0, PartitionOptions{}); !errors.Is(err, ErrBadShardCount) {
 		t.Fatalf("err = %v, want ErrBadShardCount", err)
 	}
-	if _, err := PartitionInstance(&Instance{}, 2); !errors.Is(err, ErrNoTasks) {
+	if _, err := PartitionInstanceOpts(&Instance{}, 2, PartitionOptions{}); !errors.Is(err, ErrNoTasks) {
 		t.Fatalf("err = %v, want ErrNoTasks", err)
 	}
 }
@@ -225,7 +225,7 @@ func TestPartitionRejectsBadInput(t *testing.T) {
 // construction.
 func TestPartitionLocateConcurrent(t *testing.T) {
 	in := partitionInstance(400, 17)
-	p, err := PartitionInstance(in, 16)
+	p, err := PartitionInstanceOpts(in, 16, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,15 +148,6 @@ func (t *TopK[T]) Len() int { return t.h.Len() }
 // collector with PopMin yields the retained elements in ascending order.
 func (t *TopK[T]) PopMin() T { return t.h.Pop() }
 
-// Drain empties the collector, appending the retained elements to dst in
-// ascending order, and returns the extended slice.
-func (t *TopK[T]) Drain(dst []T) []T {
-	for t.h.Len() > 0 {
-		dst = append(dst, t.h.Pop())
-	}
-	return dst
-}
-
 // Reset empties the collector while keeping its capacity k.
 func (t *TopK[T]) Reset() { t.h.Reset() }
 
@@ -184,13 +175,6 @@ func NewIndexedMinHeap(n int) *IndexedMinHeap {
 
 // Len reports the number of queued node ids.
 func (h *IndexedMinHeap) Len() int { return len(h.ids) }
-
-// Contains reports whether node id is currently queued.
-func (h *IndexedMinHeap) Contains(id int) bool { return h.pos[id] >= 0 }
-
-// Priority returns the priority most recently set for id. Meaningful only
-// if the id has been pushed since the last Reset.
-func (h *IndexedMinHeap) Priority(id int) float64 { return h.prio[id] }
 
 // PushOrDecrease inserts id with the given priority, or lowers its priority
 // if it is already queued with a higher one. Returns false when id is queued

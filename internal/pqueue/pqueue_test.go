@@ -152,14 +152,14 @@ func TestTopKKeepsLargest(t *testing.T) {
 	for _, v := range []int{5, 1, 9, 3, 7, 2, 8} {
 		tk.Offer(v)
 	}
-	got := tk.Drain(nil)
+	got := drain(tk)
 	want := []int{7, 8, 9} // ascending drain of the 3 largest
 	if len(got) != len(want) {
-		t.Fatalf("Drain = %v, want %v", got, want)
+		t.Fatalf("drained %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Drain = %v, want %v", got, want)
+			t.Fatalf("drained %v, want %v", got, want)
 		}
 	}
 }
@@ -175,9 +175,9 @@ func TestTopKOfferReportsRetention(t *testing.T) {
 	if !tk.Offer(5) {
 		t.Fatal("offer stronger than the weakest retained must be accepted")
 	}
-	got := tk.Drain(nil)
+	got := drain(tk)
 	if got[0] != 2 || got[1] != 5 {
-		t.Fatalf("Drain = %v, want [2 5]", got)
+		t.Fatalf("drained %v, want [2 5]", got)
 	}
 }
 
@@ -213,9 +213,9 @@ func TestTopKFewerThanK(t *testing.T) {
 	tk := NewTopK(10, func(a, b int) bool { return a < b })
 	tk.Offer(4)
 	tk.Offer(2)
-	got := tk.Drain(nil)
+	got := drain(tk)
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Fatalf("Drain = %v, want [2 4]", got)
+		t.Fatalf("drained %v, want [2 4]", got)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestTopKProperty(t *testing.T) {
 		for _, v := range in {
 			tk.Offer(v)
 		}
-		got := tk.Drain(nil)
+		got := drain(tk)
 		want := append([]int16(nil), in...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if len(in) > k {
@@ -266,8 +266,8 @@ func TestIndexedMinHeapBasic(t *testing.T) {
 	if id != 1 || prio != 2.0 {
 		t.Fatalf("PopMin = (%d, %v), want (1, 2.0)", id, prio)
 	}
-	if !h.Contains(3) || h.Contains(1) {
-		t.Fatal("Contains bookkeeping wrong after PopMin")
+	if !h.queued(3) || h.queued(1) {
+		t.Fatal("queue bookkeeping wrong after PopMin")
 	}
 }
 
@@ -291,7 +291,7 @@ func TestIndexedMinHeapReset(t *testing.T) {
 	h := NewIndexedMinHeap(4)
 	h.PushOrDecrease(2, 1)
 	h.Reset()
-	if h.Len() != 0 || h.Contains(2) {
+	if h.Len() != 0 || h.queued(2) {
 		t.Fatal("Reset did not clear the heap")
 	}
 	h.PushOrDecrease(2, 3)
@@ -313,8 +313,8 @@ func TestIndexedMinHeapOrderProperty(t *testing.T) {
 		}
 		for i := 0; i < n/2; i++ {
 			id := rng.Intn(n)
-			if h.Contains(id) {
-				h.PushOrDecrease(id, h.Priority(id)*rng.Float64())
+			if h.queued(id) {
+				h.PushOrDecrease(id, h.prio[id]*rng.Float64())
 			}
 		}
 		prev := -1.0
@@ -346,3 +346,16 @@ func BenchmarkTopKOffer(b *testing.B) {
 		tk.Offer(i % 9973)
 	}
 }
+
+// drain empties t with PopMin and returns the retained elements in ascending
+// order.
+func drain[T any](t *TopK[T]) []T {
+	var out []T
+	for t.Len() > 0 {
+		out = append(out, t.PopMin())
+	}
+	return out
+}
+
+// queued reports whether node id is in h.
+func (h *IndexedMinHeap) queued(id int) bool { return h.pos[id] >= 0 }

@@ -108,48 +108,19 @@ func (z *Zipf) Sample(rng *rand.Rand) int {
 	return lo
 }
 
-// P returns the probability of the given rank.
-func (z *Zipf) P(rank int) float64 {
-	if rank == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[rank] - z.cdf[rank-1]
-}
-
 // ErrEmpty is returned by Percentile on empty input.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// Mean returns the arithmetic mean of xs, or 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns an error on empty input.
+// interpolation between closest ranks; p outside [0, 100] gives the minimum
+// or the maximum. It returns an error on empty input.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if p <= 0 {
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		return sorted[0], nil
-	}
-	if p >= 100 {
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		return sorted[len(sorted)-1], nil
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := math.Max(0, math.Min(p/100, 1)) * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {

@@ -94,12 +94,6 @@ func TestUniformMeanDegenerateWindow(t *testing.T) {
 	}
 }
 
-func TestMeanEmpty(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) must be 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	for _, tc := range []struct{ p, want float64 }{
@@ -115,5 +109,35 @@ func TestPercentile(t *testing.T) {
 	}
 	if _, err := Percentile(nil, 50); err != ErrEmpty {
 		t.Fatal("empty percentile must error")
+	}
+}
+
+// TestPercentileBitsPinned pins Percentile's exact bits on an unsorted
+// sample, at clamped, interpolated and exact ranks: bench/ computes the
+// suite's medians with it.
+func TestPercentileBitsPinned(t *testing.T) {
+	xs := []float64{3.5, -1.25, 7, 0.1, 2.2, 9.75, 4.4, 0.3}
+	for _, tc := range []struct {
+		p    float64
+		bits uint64
+	}{
+		{-1, 0xbff4000000000000},   // -1.25
+		{0, 0xbff4000000000000},    // -1.25
+		{37.5, 0x3ff7cccccccccccd}, // 1.4875
+		{50, 0x4006cccccccccccd},   // 2.85
+		{99.9, 0x40237624dd2f1aa0}, // 9.73075
+		{100, 0x4023800000000000},  // 9.75
+		{150, 0x4023800000000000},  // 9.75
+	} {
+		got, err := Percentile(xs, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != tc.bits {
+			t.Errorf("Percentile(%v) = %v (%#x), want %v (%#x)", tc.p, got, math.Float64bits(got), math.Float64frombits(tc.bits), tc.bits)
+		}
+	}
+	if xs[0] != 3.5 || xs[7] != 0.3 {
+		t.Errorf("Percentile reordered its input: %v", xs)
 	}
 }

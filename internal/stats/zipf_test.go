@@ -9,9 +9,9 @@ func TestZipfProbabilities(t *testing.T) {
 	z := NewZipf(5, 1.0)
 	sum := 0.0
 	for k := 0; k < 5; k++ {
-		sum += z.P(k)
-		if k > 0 && z.P(k) >= z.P(k-1) {
-			t.Fatalf("P(%d)=%v not below P(%d)=%v", k, z.P(k), k-1, z.P(k-1))
+		sum += z.p(k)
+		if k > 0 && z.p(k) >= z.p(k-1) {
+			t.Fatalf("P(%d)=%v not below P(%d)=%v", k, z.p(k), k-1, z.p(k-1))
 		}
 	}
 	if math.Abs(sum-1) > 1e-12 {
@@ -24,8 +24,8 @@ func TestZipfProbabilities(t *testing.T) {
 	}
 	// Harmonic weights: P(0) = 1/H_5 = 1/(1+1/2+1/3+1/4+1/5).
 	want := 1 / (1 + 0.5 + 1.0/3 + 0.25 + 0.2)
-	if math.Abs(z.P(0)-want) > 1e-12 {
-		t.Fatalf("P(0)=%v, want %v", z.P(0), want)
+	if math.Abs(z.p(0)-want) > 1e-12 {
+		t.Fatalf("P(0)=%v, want %v", z.p(0), want)
 	}
 }
 
@@ -39,8 +39,8 @@ func TestZipfSampleMatchesDistribution(t *testing.T) {
 	}
 	for k := 0; k < n; k++ {
 		got := float64(counts[k]) / draws
-		if math.Abs(got-z.P(k)) > 0.01 {
-			t.Fatalf("rank %d: empirical %v vs expected %v", k, got, z.P(k))
+		if math.Abs(got-z.p(k)) > 0.01 {
+			t.Fatalf("rank %d: empirical %v vs expected %v", k, got, z.p(k))
 		}
 	}
 }
@@ -48,8 +48,8 @@ func TestZipfSampleMatchesDistribution(t *testing.T) {
 func TestZipfZeroExponentIsUniform(t *testing.T) {
 	z := NewZipf(4, 0)
 	for k := 0; k < 4; k++ {
-		if math.Abs(z.P(k)-0.25) > 1e-12 {
-			t.Fatalf("P(%d)=%v, want 0.25", k, z.P(k))
+		if math.Abs(z.p(k)-0.25) > 1e-12 {
+			t.Fatalf("P(%d)=%v, want 0.25", k, z.p(k))
 		}
 	}
 }
@@ -78,4 +78,12 @@ func TestZipfPanicsOnBadArgs(t *testing.T) {
 			NewZipf(tc.n, tc.s)
 		}()
 	}
+}
+
+// p returns the probability of the given rank.
+func (z *Zipf) p(rank int) float64 {
+	if rank == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[rank] - z.cdf[rank-1]
 }

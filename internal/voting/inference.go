@@ -140,23 +140,3 @@ func EMInference(numTasks int, answers []Answer) (*EMResult, error) {
 	res.WorkerAccuracy = acc
 	return res, nil
 }
-
-// AccuracyAgainstTruth grades a label vector against a simulator's hidden
-// ground truth, returning the fraction of answered tasks labelled
-// correctly. ok is false when no task was answered.
-func AccuracyAgainstTruth(sim *Simulator, labels []Label) (float64, bool) {
-	right, total := 0, 0
-	for t, l := range labels {
-		if l == 0 {
-			continue
-		}
-		total++
-		if l == sim.truth[t] {
-			right++
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return float64(right) / float64(total), true
-}

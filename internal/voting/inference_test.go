@@ -178,19 +178,3 @@ func TestEMvsWeightedAggregateOnModelAnswers(t *testing.T) {
 		t.Fatalf("weighted vs EM agreement only %.2f", frac)
 	}
 }
-
-func TestAccuracyAgainstTruth(t *testing.T) {
-	in := denseInstance(4, 4, 0.9, 0.2, 1)
-	sim := NewSimulator(in, 3)
-	labels := []Label{sim.Truth(0), -sim.Truth(1), 0, sim.Truth(3)}
-	acc, ok := AccuracyAgainstTruth(sim, labels)
-	if !ok {
-		t.Fatal("expected graded tasks")
-	}
-	if math.Abs(acc-2.0/3.0) > 1e-12 {
-		t.Fatalf("accuracy = %v, want 2/3", acc)
-	}
-	if _, ok := AccuracyAgainstTruth(sim, []Label{0, 0, 0, 0}); ok {
-		t.Fatal("all-zero labels must report !ok")
-	}
-}

@@ -11,8 +11,6 @@
 package voting
 
 import (
-	"errors"
-	"fmt"
 	"math/rand/v2"
 
 	"ltc/internal/model"
@@ -78,11 +76,8 @@ func (s *Simulator) Collect(arr *model.Arrangement) []Answer {
 	return answers
 }
 
-// ErrNoAnswers is returned by Aggregate for a task with no answers.
-var ErrNoAnswers = errors.New("voting: task has no answers")
-
 // Aggregate computes the weighted majority vote per task. Tasks without
-// answers get label 0; Decide returns an error for them instead.
+// answers get label 0.
 func Aggregate(in *model.Instance, answers []Answer) []Label {
 	score := make([]float64, len(in.Tasks))
 	seen := make([]bool, len(in.Tasks))
@@ -105,29 +100,6 @@ func Aggregate(in *model.Instance, answers []Answer) []Label {
 		}
 	}
 	return out
-}
-
-// Decide aggregates answers for a single task, returning ErrNoAnswers when
-// no worker answered it.
-func Decide(in *model.Instance, t model.TaskID, answers []Answer) (Label, error) {
-	var score float64
-	seen := false
-	for _, a := range answers {
-		if a.Task != t {
-			continue
-		}
-		w := in.Workers[a.Worker-1]
-		weight := 2*in.Model.Predict(w, in.Tasks[t]) - 1
-		score += weight * float64(a.Value)
-		seen = true
-	}
-	if !seen {
-		return 0, fmt.Errorf("%w: task %d", ErrNoAnswers, t)
-	}
-	if score >= 0 {
-		return Yes, nil
-	}
-	return No, nil
 }
 
 // ErrorReport summarises an empirical quality evaluation.

@@ -23,9 +23,8 @@
 //     check-in returns a structured Receipt, and Platform.Subscribe streams
 //     lifecycle events (task posted/retired/completed, platform done); see
 //     CONCURRENCY.md;
-//   - composable functional options (WithShards, WithSeed, WithQueueCap,
-//     WithIndex, …) accepted uniformly by Solve, NewSession, NewPlatform
-//     and ReplayChurn;
+//   - composable functional options (WithShards, WithSeed, WithIndex, …)
+//     accepted uniformly by Solve, NewSession, NewPlatform and ReplayChurn;
 //   - workload generators reproducing the paper's synthetic (Table IV) and
 //     Foursquare-style (Table V) datasets, plus named skewed scenarios
 //     (hotspot, flashcrowd, rushhour, sparse-frontier — NewScenario) and a

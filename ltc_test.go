@@ -84,8 +84,8 @@ func TestSharedIndexSurvivesRuns(t *testing.T) {
 			if want := private[algo]; res.Latency != want.Latency || !slices.Equal(res.Arrangement.Pairs, want.Arrangement.Pairs) {
 				t.Fatalf("%s after %v on the shared index: latency %d, on a private one %d", algo, order, res.Latency, want.Latency)
 			}
-			if ci.NumLive() != len(in.Tasks) {
-				t.Fatalf("%s left %d of %d tasks live in the shared index", algo, ci.NumLive(), len(in.Tasks))
+			if numLive(ci) != len(in.Tasks) {
+				t.Fatalf("%s left %d of %d tasks live in the shared index", algo, numLive(ci), len(in.Tasks))
 			}
 		}
 	}
@@ -113,8 +113,8 @@ func TestSharedIndexSurvivesRuns(t *testing.T) {
 	if !shared[0].Done() || !shared[1].Done() {
 		t.Fatal("stream exhausted before both sessions completed")
 	}
-	if ci.NumLive() != len(in.Tasks) {
-		t.Fatalf("sessions left %d of %d tasks live in the shared index", ci.NumLive(), len(in.Tasks))
+	if numLive(ci) != len(in.Tasks) {
+		t.Fatalf("sessions left %d of %d tasks live in the shared index", numLive(ci), len(in.Tasks))
 	}
 }
 
@@ -351,4 +351,17 @@ func TestStreamingConstructorsValidateTasks(t *testing.T) {
 			})
 		}
 	}
+}
+
+// numLive counts the index's live tasks. Under an engine that is the number
+// of open tasks: a task is removed when it completes, is retired or migrates
+// away.
+func numLive(ci *CandidateIndex) int {
+	n := 0
+	for id := 0; id < ci.NumTasks(); id++ {
+		if ci.Live(TaskID(id)) {
+			n++
+		}
+	}
+	return n
 }

@@ -23,7 +23,7 @@ type config struct {
 	rebalance   *dispatch.RebalanceOptions
 	loadPrefix  int
 	seed        uint64
-	queueCap    int
+	queueCap    int // set only by tests (export_test.go); 0 is dispatch.DefaultQueueCap
 	eventBuffer int
 	index       *CandidateIndex
 }
@@ -106,13 +106,6 @@ func WithLoadPrefix(n int) Option {
 // WithSeed sets the seed driving the Random algorithm (per shard on a
 // Platform). The deterministic algorithms ignore it; zero is a valid seed.
 func WithSeed(seed uint64) Option { return optionFunc(func(c *config) { c.seed = seed }) }
-
-// WithQueueCap bounds each shard's CheckInAsync queue to exactly n workers:
-// enqueues block (backpressure) while the owning shard's queue is full, and
-// a drain run ingests at most n workers per shard-mutex hold. 0 (the default)
-// uses the dispatch layer's DefaultQueueCap (1024); negative values are
-// rejected. Ignored outside NewPlatform and ReplayChurn.
-func WithQueueCap(n int) Option { return optionFunc(func(c *config) { c.queueCap = n }) }
 
 // WithEventBuffer sets the per-subscriber buffer capacity handed out by
 // Platform.Subscribe (default DefaultEventBuffer). A subscriber that lets

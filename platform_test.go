@@ -221,7 +221,7 @@ func TestStripedLayoutIsTotal(t *testing.T) {
 			{ID: 2, Loc: geo.Point{X: 100, Y: 300}},
 		},
 	}
-	p, err := model.PartitionInstance(in, 16)
+	p, err := model.PartitionInstanceOpts(in, 16, model.PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
