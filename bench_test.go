@@ -206,29 +206,46 @@ func BenchmarkNewPlatform(b *testing.B) {
 // BenchmarkAAMArriveHotCell measures one AAM arrival on a hot cell: 500 open
 // tasks in one grid cell, hundreds of them in every worker's disc, K = 6. It
 // reports how many hits an arrival's disc holds and how many of them the
-// accuracy model is asked about. ε is tiny so that δ is large and the cell
-// stays hot for the whole run; the solver is rebuilt if it ever finishes.
-func BenchmarkAAMArriveHotCell(b *testing.B) {
+// accuracy model is asked about. ε is tiny so that δ is large and no task
+// completes within one pass over the workers; the solver is rebuilt at the
+// start of every pass, so the counts do not drift with b.N.
+func BenchmarkAAMArriveHotCell(b *testing.B) { benchAAMArrive(b, 25, 0, 25) }
+
+// BenchmarkAAMArriveHotWindow is BenchmarkAAMArriveHotCell with the 500 tasks
+// spread over 3 × 3 cells and the workers in the middle one, so every
+// arrival's walk crosses up to nine cells: the order in which the walk
+// visits them shows in the time and in how many hits the model is asked
+// about.
+func BenchmarkAAMArriveHotWindow(b *testing.B) { benchAAMArrive(b, 90, 30, 30) }
+
+// benchAAMArrive runs AAM arrivals over 500 tasks uniform on [0, taskSpan)²
+// and 4096 workers uniform on [workerLo, workerLo+workerSpan)², with an
+// eligibility radius, and so a grid cell side, of 30.
+func benchAAMArrive(b *testing.B, taskSpan, workerLo, workerSpan float64) {
 	rng := rand.New(rand.NewPCG(500, 6))
 	in := &Instance{Epsilon: 1e-300, K: 6, Model: SigmoidDistance{DMax: 30}, MinAcc: 0.5}
 	for i := 0; i < 500; i++ {
-		in.Tasks = append(in.Tasks, Task{ID: TaskID(i), Loc: geo.Point{X: rng.Float64() * 25, Y: rng.Float64() * 25}})
+		in.Tasks = append(in.Tasks, Task{ID: TaskID(i), Loc: geo.Point{X: rng.Float64() * taskSpan, Y: rng.Float64() * taskSpan}})
 	}
 	for i := 1; i <= 4096; i++ {
-		in.Workers = append(in.Workers, Worker{Index: i, Loc: geo.Point{X: rng.Float64() * 25, Y: rng.Float64() * 25}, Acc: 0.7 + rng.Float64()*0.3})
+		loc := geo.Point{X: workerLo + rng.Float64()*workerSpan, Y: workerLo + rng.Float64()*workerSpan}
+		in.Workers = append(in.Workers, Worker{Index: i, Loc: loc, Acc: 0.7 + rng.Float64()*0.3})
 	}
 	ci := NewCandidateIndex(in)
-	aam := core.NewAAM(in, ci)
+	var aam *core.AAM
 	hits, evaluated := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if aam.Done() {
-			h, e := aam.QueryCounts()
-			hits, evaluated = hits+h, evaluated+e
+		w := i % len(in.Workers)
+		if w == 0 {
+			if aam != nil {
+				h, e := aam.QueryCounts()
+				hits, evaluated = hits+h, evaluated+e
+			}
 			aam = core.NewAAM(in, ci)
 		}
-		aam.Arrive(in.Workers[i%len(in.Workers)])
+		aam.Arrive(in.Workers[w])
 	}
 	h, e := aam.QueryCounts()
 	b.ReportMetric(float64(hits+h)/float64(b.N), "hits/op")

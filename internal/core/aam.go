@@ -1,9 +1,6 @@
 package core
 
-import (
-	"ltc/internal/model"
-	"ltc/internal/pqueue"
-)
+import "ltc/internal/model"
 
 // AAMStrategy selects the scoring rule AAM uses for an arriving worker.
 type AAMStrategy int
@@ -32,17 +29,11 @@ type AAM struct {
 	solver
 	scan
 	strategy AAMStrategy
-	topk     *pqueue.TopK[scoredCandidate]
 
 	// lgfArrivals / lrfArrivals count strategy choices; the switching
 	// rule's tests read them.
 	lgfArrivals int
 	lrfArrivals int
-}
-
-type scoredCandidate struct {
-	model.Candidate
-	score float64
 }
 
 // NewAAM returns a fresh AAM solver with the published hybrid strategy.
@@ -51,17 +42,10 @@ func NewAAM(in *model.Instance, ci *model.CandidateIndex) *AAM {
 }
 
 // NewAAMWithStrategy returns an AAM solver with an explicit strategy,
-// used by the LGF/LRF ablation benchmarks.
+// used by the LGF/LRF ablation benchmarks. Equal scores go to the lower
+// TaskID, matching Example 4's walk-through.
 func NewAAMWithStrategy(in *model.Instance, ci *model.CandidateIndex, s AAMStrategy) *AAM {
-	return &AAM{
-		solver:   newSolver(in),
-		scan:     newScan(in, ci),
-		strategy: s,
-		// Ties keep the first-seen task, matching Example 4's walk-through.
-		topk: pqueue.NewTopK(in.K, func(a, b scoredCandidate) bool {
-			return a.score < b.score
-		}),
-	}
+	return &AAM{solver: newSolver(in), scan: newScan(in, ci), strategy: s}
 }
 
 // Name implements Online.
@@ -96,7 +80,6 @@ func (a *AAM) Arrive(w model.Worker) []Outcome {
 		a.lrfArrivals++
 	}
 
-	a.topk.Reset()
 	for a.walk(w); a.q.Next(); {
 		if a.state.done(a.q.Task) {
 			continue
@@ -108,7 +91,7 @@ func (a *AAM) Arrive(w model.Worker) []Outcome {
 		}
 		score := a.state.need(c.Task) // LRF: δ − S[t]
 		if useLGF {
-			if bar, full := a.topk.Bar(); full && c.AccStar <= bar.score {
+			if a.full() && c.AccStar < a.top[0].score {
 				a.lost()
 				continue
 			}
@@ -116,10 +99,10 @@ func (a *AAM) Arrive(w model.Worker) []Outcome {
 				score = c.AccStar // LGF: min{Acc*, δ − S[t]}
 			}
 		}
-		a.topk.Offer(scoredCandidate{Candidate: c, score: score})
+		a.offer(scored{Candidate: c, score: score})
 	}
-	for a.topk.Len() > 0 {
-		a.grant(w, a.topk.PopMin().Candidate)
+	for _, c := range a.top {
+		a.grant(w, c.Candidate)
 	}
 	return a.out
 }

@@ -1,31 +1,21 @@
 package core
 
-import (
-	"ltc/internal/model"
-	"ltc/internal/pqueue"
-)
+import "ltc/internal/model"
 
 // LAF is the Largest Acc* First online algorithm (Algorithm 2). For every
 // arriving worker it assigns the K eligible, still-uncompleted tasks with
-// the largest Acc*(w, t), maintained in a bounded top-K heap. Competitive
-// ratio 7.967 under the paper's assumptions (Theorem 5).
+// the largest Acc*(w, t), kept in scan's top K (the paper's heap Q).
+// Competitive ratio 7.967 under the paper's assumptions (Theorem 5).
 type LAF struct {
 	solver
 	scan
-	topk *pqueue.TopK[model.Candidate]
 }
 
-// NewLAF returns a fresh LAF solver for the instance.
+// NewLAF returns a fresh LAF solver for the instance. It ranks candidates
+// by Acc*, ties to the lower TaskID, matching the paper's Example 3
+// walk-through.
 func NewLAF(in *model.Instance, ci *model.CandidateIndex) *LAF {
-	return &LAF{
-		solver: newSolver(in),
-		scan:   newScan(in, ci),
-		// Rank candidates by Acc*; ties keep the first-seen task (lower
-		// TaskID), matching the paper's Example 3 walk-through.
-		topk: pqueue.NewTopK(in.K, func(a, b model.Candidate) bool {
-			return a.AccStar < b.AccStar
-		}),
-	}
+	return &LAF{solver: newSolver(in), scan: newScan(in, ci)}
 }
 
 // Name implements Online.
@@ -36,24 +26,19 @@ func (l *LAF) Arrive(w model.Worker) []Outcome {
 	if !l.begin() {
 		return nil
 	}
-	l.topk.Reset()
 	for l.walk(w); l.q.Next(); {
 		if l.state.done(l.q.Task) {
 			continue
 		}
 		c, ok := l.q.Candidate()
-		if !ok {
+		if !ok || l.full() && c.AccStar < l.top[0].score {
 			l.lost()
 			continue
 		}
-		if bar, full := l.topk.Bar(); full && c.AccStar <= bar.AccStar {
-			l.lost()
-			continue
-		}
-		l.topk.Offer(c)
+		l.offer(scored{Candidate: c, score: c.AccStar})
 	}
-	for l.topk.Len() > 0 {
-		l.grant(w, l.topk.PopMin())
+	for _, c := range l.top {
+		l.grant(w, c.Candidate)
 	}
 	return l.out
 }

@@ -13,22 +13,23 @@ import (
 // eager is the test-only oracle for LAF's and AAM's selection: the loop as it
 // was before the walk, which asks the index for every candidate
 // (CandidateIndex.Candidates evaluates them all) and offers every one not
-// done. It shares the ledger, the grant and the top-K heap with the real
-// solvers, so the only thing the comparison can find is a hit the walk
-// passed over that would have been kept — or kept in a different place.
+// done. It shares the ledger, the grant and the tie order (weaker) with the
+// real solvers, and keeps its best K in a pqueue.TopK, so the only thing the
+// comparison can find is a hit the walk passed over that would have been
+// kept — or kept in a different place.
 type eager struct {
 	solver
 	ci       *model.CandidateIndex
 	cands    []model.Candidate
 	laf      bool
 	strategy AAMStrategy
-	topk     *pqueue.TopK[scoredCandidate]
+	topk     *pqueue.TopK[scored]
 }
 
 func newEager(in *model.Instance, ci *model.CandidateIndex, laf bool, s AAMStrategy) *eager {
 	return &eager{
 		solver: newSolver(in), ci: ci, laf: laf, strategy: s,
-		topk: pqueue.NewTopK(in.K, func(a, b scoredCandidate) bool { return a.score < b.score }),
+		topk: pqueue.NewTopK(in.K, weaker),
 	}
 }
 
@@ -52,7 +53,7 @@ func (e *eager) Arrive(w model.Worker) []Outcome {
 		if e.laf || (useLGF && c.AccStar < score) {
 			score = c.AccStar
 		}
-		e.topk.Offer(scoredCandidate{Candidate: c, score: score})
+		e.topk.Offer(scored{Candidate: c, score: score})
 	}
 	for e.topk.Len() > 0 {
 		e.grant(w, e.topk.PopMin().Candidate)
@@ -249,6 +250,43 @@ func TestLazySelectionEquivalence(t *testing.T) {
 			script[i] = byte(rng.IntN(256))
 		}
 		runLazyScript(t, script, seed)
+	}
+}
+
+// TestTieFartherLowerTaskID: a worker's two candidates whose Acc* rounds to
+// the same float64 at distances farther apart than farMargin. The nearer
+// sits in the cell the walk visits first and fills the top K (K = 1); the
+// farther, a hair beyond the margin, has the lower TaskID and so wins the
+// tie. A skip on Acc* ≤ the weakest score would pass it over; every solver
+// must grant it, as the oracle does. The committed fuzz input
+// tie-farther-lower-id is the same case inside runLazyScript.
+func TestTieFartherLowerTaskID(t *testing.T) {
+	in := &model.Instance{Epsilon: 0.1, K: 1, Model: model.SigmoidDistance{DMax: 30}, MinAcc: 0.5}
+	for i, loc := range []geo.Point{{X: 20, Y: 30 - 5e-8}, {X: 20, Y: 50}, {X: 0, Y: 0}} {
+		in.Tasks = append(in.Tasks, model.Task{ID: model.TaskID(i), Loc: loc})
+	}
+	w := model.Worker{Index: 1, Loc: geo.Point{X: 20, Y: 40}, Acc: 0.8}
+	ci := model.NewCandidateIndex(in)
+	var q model.Query
+	ci.Query(&q, w)
+	if !q.Next() || q.Task != 1 {
+		t.Fatalf("walk starts at task %d, want the nearer task 1", q.Task)
+	}
+	near, far := q.D2, 0.0
+	for q.Next() {
+		if q.Task == 0 {
+			far = q.D2
+		}
+	}
+	acc0, acc1 := in.Model.Predict(w, in.Tasks[0]), in.Model.Predict(w, in.Tasks[1])
+	if model.AccStar(acc0) != model.AccStar(acc1) || !(far > near*(1+farMargin)+farMargin) {
+		t.Fatalf("not the tie case: Acc* %v at d² %v, %v at d² %v", model.AccStar(acc0), far, model.AccStar(acc1), near)
+	}
+	for _, p := range newLazyPairs(in) {
+		p.arrive(t, w)
+		if got := p.real.Arrangement().Pairs; len(got) != 1 || got[0].Task != 0 {
+			t.Fatalf("%s granted %+v, want task 0", p.name, got)
+		}
 	}
 }
 

@@ -58,26 +58,45 @@ func (s *solver) grant(w model.Worker, c model.Candidate) {
 // hundreds of hits of which K can win, so the loop visits a hit only while
 // the hit can still enter the top K:
 //
-//	for walk(w); q.Next(); { … q.Candidate() … lost() … Offer }
+//	for walk(w); q.Next(); { … q.Candidate() … lost() … offer }
+//
+// Candidates rank by a total order, so the walk's order decides nothing: a
+// lower score is weaker, and of two equal scores the one on the higher
+// TaskID (see weaker). The top K is top, weakest first.
 //
 // The rule calls lost for a hit e that cannot enter — it is ineligible, or
-// the top K is full and Acc*(e) does not beat its weakest score — and the
-// walk then passes over every hit c farther from the worker than e. Such a c would have been offered and dropped: a spatial model
+// the top K is full and Acc*(e) is strictly below its weakest score — and
+// the walk then passes over every hit c farther from the worker than e.
+// Such a c would have been offered and dropped: a spatial model
 // (model.RadiusBounder) predicts no better farther away, so Acc(c) ≤ Acc(e);
 // Acc* = (2·Acc − 1)² rises with Acc from 0.5 up, so with MinAcc ≥ 0.5 an
-// eligible c has score(c) ≤ Acc*(c) ≤ Acc*(e) ≤ the weakest retained score,
-// which only rises during an arrival, and a full top K keeps an offer only
-// if it is strictly better. "Farther" carries a margin (farMargin) wide
-// enough that the computed values are ordered like the exact ones, and a hit
-// at an equal distance is never passed over, so ties still go to the
-// first-seen task. Without a radius bound, or with MinAcc < 0.5, nothing is
-// passed over and the same loop visits every hit.
+// eligible c has score(c) ≤ Acc*(c) ≤ Acc*(e) < the weakest retained score,
+// which only rises during an arrival. "Farther" carries a margin (farMargin)
+// wide enough that the computed values are ordered like the exact ones. A
+// hit that only ties the weakest score is not lost: a farther hit may round
+// to the same Acc* and win the tie on a lower TaskID. Without a radius
+// bound, or with MinAcc < 0.5, nothing is passed over and the same loop
+// visits every hit.
 type scan struct {
 	ci *model.CandidateIndex
 	// q is the arrival's walk, its Task and D2 the hit the loop is at.
 	q model.Query
 	// narrow says the argument above holds for this instance and index.
 	narrow bool
+	// top is the arrival's best K so far, weakest first; capacity K.
+	top []scored
+}
+
+// scored is a candidate with the score its rule ranks it by.
+type scored struct {
+	model.Candidate
+	score float64
+}
+
+// weaker reports whether a ranks below b: a lower score, or an equal score
+// on a higher TaskID.
+func weaker(a, b scored) bool {
+	return a.score < b.score || a.score == b.score && a.Task > b.Task
 }
 
 // farMargin separates "farther" from "as far": c is farther than e when
@@ -87,11 +106,42 @@ type scan struct {
 const farMargin = 1e-9
 
 func newScan(in *model.Instance, ci *model.CandidateIndex) scan {
-	return scan{ci: ci, narrow: in.MinAcc >= 0.5 && !math.IsInf(ci.Radius(), 1)}
+	return scan{
+		ci:     ci,
+		narrow: in.MinAcc >= 0.5 && !math.IsInf(ci.Radius(), 1),
+		top:    make([]scored, 0, in.K),
+	}
 }
 
-// walk starts the walk over w's hits.
-func (s *scan) walk(w model.Worker) { s.ci.Query(&s.q, w) }
+// walk empties the top K and starts the walk over w's hits.
+func (s *scan) walk(w model.Worker) {
+	s.top = s.top[:0]
+	s.ci.Query(&s.q, w)
+}
+
+// full reports whether the top K is full; top[0] is then the one to beat.
+func (s *scan) full() bool { return len(s.top) == cap(s.top) }
+
+// offer puts c in its place in the top K when there is room or c ranks above
+// the weakest kept, which it then evicts.
+func (s *scan) offer(c scored) {
+	top, i := s.top, len(s.top)
+	if i < cap(top) {
+		top = top[:i+1]
+		for ; i > 0 && weaker(c, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		s.top = top
+	} else {
+		if !weaker(top[0], c) {
+			return
+		}
+		for i = 0; i+1 < len(top) && weaker(top[i+1], c); i++ {
+			top[i] = top[i+1]
+		}
+	}
+	top[i] = c
+}
 
 // lost records that the current hit cannot enter the top K.
 func (s *scan) lost() {

@@ -110,10 +110,9 @@ func (g *Network) MinCostFlow(s, t int) (Result, error) {
 		dist[s] = 0
 		heap.PushOrDecrease(s, 0)
 		for heap.Len() > 0 {
-			u, du := heap.PopMin()
-			if du > dist[u] {
-				continue
-			}
+			// The heap lowers a queued node's key in place, so a node is
+			// popped once, at its final dist: no stale entry to skip.
+			u, _ := heap.PopMin()
 			for _, e := range g.adj[u] {
 				if g.capa[e] <= 0 {
 					continue

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -22,10 +23,10 @@ type Candidate struct {
 // eligibility by distance (RadiusBounder), candidates come from a uniform
 // grid over task locations; otherwise every task is checked.
 //
-// There are two ways to ask, both answered in ascending TaskID. Candidates
-// returns every task the worker is eligible for, which takes asking the
-// accuracy model about every hit — every live task in the worker's
-// eligibility disc. A Query walks the hits and can be told to Narrow: an
+// There are two ways to ask. Candidates returns every task the worker is
+// eligible for, in ascending TaskID, which takes asking the accuracy model
+// about every hit — every live task in the worker's eligibility disc. A
+// Query walks the hits, nearest cell first, and can be told to Narrow: an
 // online solver that keeps the best K of a worker's candidates narrows the
 // walk as hits lose (see core's scan), and on a hot cell that leaves most of
 // the disc unvisited and unasked about.
@@ -64,12 +65,11 @@ type cellGrid struct {
 
 // cell is one grid bucket in struct-of-arrays layout: ids[i] is the task at
 // (xs[i], ys[i]), in strictly ascending id — task ids only grow, so add
-// appends, and remove closes the gap. A query therefore reads its window as
-// a few sorted runs and merges them instead of sorting its hits. Keeping the
-// coordinates beside the ids lets the radius filter sweep two contiguous
-// float64 arrays, and the spatial model read a hit's location, without
-// gathering Task structs through the dense task table — the hot loop of
-// every candidate query touches only these slices.
+// appends, and remove finds the entry by binary search and closes the gap.
+// Keeping the coordinates beside the ids lets the radius filter sweep two
+// contiguous float64 arrays, and the spatial model read a hit's location,
+// without gathering Task structs through the dense task table — the hot loop
+// of every candidate query touches only these slices.
 type cell struct {
 	ids []int32
 	xs  []float64
@@ -240,31 +240,34 @@ func (ci *CandidateIndex) Remove(id TaskID) error {
 }
 
 // Candidates appends to dst every live task worker w is eligible for and
-// returns the extended slice. Candidates are ordered by ascending TaskID.
-// A query reads the index and writes only dst, so concurrent queries on one
+// returns the extended slice, the appended candidates in ascending TaskID
+// whatever order the walk took. A query reads the index and writes only dst, so concurrent queries on one
 // shared index are safe as long as no Insert or Remove runs beside them.
 func (ci *CandidateIndex) Candidates(w Worker, dst []Candidate) []Candidate {
+	n := len(dst)
 	var q Query
 	for ci.Query(&q, w); q.Next(); {
 		if c, ok := q.Candidate(); ok {
 			dst = append(dst, c)
 		}
 	}
+	slices.SortFunc(dst[n:], func(a, b Candidate) int { return cmp.Compare(a.Task, b.Task) })
 	return dst
 }
 
 // Query is one worker's walk over its hits — the live tasks within the
-// eligibility radius, every live task when there is no radius — in ascending
-// TaskID, each with the accuracy model's prediction. The walk reads the index
-// and writes only the Query, so it follows Candidates' concurrency rule, and
-// a Query is reusable: CandidateIndex.Query restarts it, keeping nothing of
-// the last walk but Counts.
+// eligibility radius, every live task when there is no radius — each once,
+// with the accuracy model's prediction. The walk reads the index and writes
+// only the Query, so it follows Candidates' concurrency rule, and a Query is
+// reusable: CandidateIndex.Query restarts it, keeping nothing of the last
+// walk but Counts.
 //
-// On the grid every cell of the query window is a run already in ascending
-// id and a task sits in one cell only, so the next hit is the smallest head
-// among the runs: a cursor merge, no buffer, no sort. The radius filter reads
-// each cell's xs/ys arrays directly, and the spatial model is asked about a
-// hit where the merge found it, at the cell's own coordinates.
+// The order is the grid's, and no caller may rely on it: without a grid the
+// walk runs in ascending TaskID; on the grid it visits the window's cells
+// nearest first — by the squared distance of each cell's first hit — and
+// each cell in its own ascending id, so the near hits come early and the
+// walk reads one cell at a time. The radius filter reads each cell's xs/ys arrays directly, and
+// the spatial model is asked about a hit at the cell's own coordinates.
 //
 // The model is asked about readAhead hits at a time, before the caller sees
 // the first of them: a prediction is a long chain of dependent floating-point
@@ -285,13 +288,13 @@ type Query struct {
 	// disc2 is the squared eligibility radius, within2 the squared distance
 	// the walk still visits: disc2 until Narrow lowers it.
 	disc2, within2 float64
-	// The grid walk's cursors with a hit left, in no particular order: the
+	// The grid walk's cursors, one per cell with a hit, nearest first: the
 	// first n of buf, or of spill in a walk that started with more than buf
-	// holds.
-	buf   [windowRuns]run
-	spill []run
-	n     int
-	pos   int // no grid: the next id to look at
+	// holds. cur is the cell being walked; those before it are done.
+	buf    [windowRuns]run
+	spill  []run
+	n, cur int
+	pos    int // no grid: the next id to look at
 	// ahead[next:filled] are the hits read ahead and not yet returned.
 	ahead        [readAhead]hit
 	next, filled int
@@ -309,13 +312,12 @@ const readAhead = 4
 // rounding hands more runs than that spills to the heap and stays correct.
 const windowRuns = 9
 
-// run is a walk's cursor over one cell: entry i, task id, is the cell's next
-// hit still visited, at squared distance d2.
+// run is a walk's cursor over one cell: entry i is the cell's next hit still
+// visited, at squared distance d2.
 type run struct {
 	c  *cell
 	i  int
 	d2 float64
-	id int32
 }
 
 // hit is a hit read ahead.
@@ -327,7 +329,7 @@ type hit struct {
 // Query starts q as w's walk over the index as it is now.
 func (ci *CandidateIndex) Query(q *Query, w Worker) {
 	q.ci, q.w = ci, w
-	q.pos, q.n, q.spill = 0, 0, q.spill[:0]
+	q.pos, q.n, q.cur, q.spill = 0, 0, 0, q.spill[:0]
 	q.next, q.filled = 0, 0
 	q.disc2 = ci.radius * ci.radius
 	q.within2 = q.disc2
@@ -349,10 +351,17 @@ func (ci *CandidateIndex) Query(q *Query, w Worker) {
 				dx, dy := xs[i]-x, ys[i]-y
 				if d2 := dx*dx + dy*dy; d2 <= disc2 {
 					q.hits++
-					runs = append(runs, run{c: c, i: i, d2: d2, id: c.ids[i]})
+					runs = append(runs, run{c: c, i: i, d2: d2})
 					break
 				}
 			}
+		}
+	}
+	// Nearest first hit first, by insertion sort: a window holds ≤ 9 runs
+	// but for rounding.
+	for j := 1; j < len(runs); j++ {
+		for k := j; k > 0 && runs[k].d2 < runs[k-1].d2; k-- {
+			runs[k], runs[k-1] = runs[k-1], runs[k]
 		}
 	}
 	if q.n = len(runs); q.n > windowRuns {
@@ -371,7 +380,7 @@ func (q *Query) seek(r *run, i int) bool {
 		if d2 := dx*dx + dy*dy; d2 <= disc2 {
 			hits++
 			if d2 <= q.within2 {
-				r.i, r.d2, r.id = i, d2, r.c.ids[i]
+				r.i, r.d2 = i, d2
 				q.hits = hits
 				return true
 			}
@@ -412,27 +421,20 @@ func (q *Query) fill() bool {
 		}
 		q.hits += q.filled
 	}
-	for q.n > 0 && q.filled < readAhead {
-		runs := q.spill
-		if len(runs) == 0 {
-			runs = q.buf[:]
-		}
-		runs = runs[:q.n]
-		best := &runs[0]
-		for j := 1; j < len(runs); j++ {
-			if r := &runs[j]; r.id < best.id {
-				best = r
-			}
-		}
-		// A head placed before the last Narrow may lie beyond it.
-		if best.d2 <= q.within2 {
-			loc := geo.Point{X: best.c.xs[best.i], Y: best.c.ys[best.i]}
-			q.ahead[q.filled] = hit{task: TaskID(best.id), d2: best.d2, acc: ci.spatial.PredictAt(q.w, loc)}
+	runs := q.spill
+	if len(runs) == 0 {
+		runs = q.buf[:]
+	}
+	for q.cur < q.n && q.filled < readAhead {
+		r := &runs[q.cur]
+		// A cell's first hit, placed before the last Narrow, may lie beyond it.
+		if r.d2 <= q.within2 {
+			loc := geo.Point{X: r.c.xs[r.i], Y: r.c.ys[r.i]}
+			q.ahead[q.filled] = hit{task: TaskID(r.c.ids[r.i]), d2: r.d2, acc: ci.spatial.PredictAt(q.w, loc)}
 			q.filled++
 		}
-		if !q.seek(best, best.i+1) {
-			q.n--
-			*best = runs[q.n]
+		if !q.seek(r, r.i+1) {
+			q.cur++
 		}
 	}
 	q.predicted += q.filled

@@ -1,8 +1,10 @@
 package model
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ltc/internal/geo"
@@ -105,8 +107,9 @@ func TestComputedAccuracyOrderedByDistance(t *testing.T) {
 // most a disc needs when the cells are as wide as the radius, and spills to
 // the heap beyond — which only rounding could cause, so this test narrows the
 // index's cells to a third of the radius, where a disc has hits in up to 49
-// of them. The answers stay the brute-force ones, in a Query reused across
-// spilling and ordinary walks.
+// of them. The answers stay the brute-force ones, as a set, in a Query
+// reused across spilling and ordinary walks. Over these many-cell windows the
+// walk leaves ascending TaskID, and Candidates still returns it.
 func TestQuerySpillsBeyondNineRuns(t *testing.T) {
 	const width = 120.0
 	rng := rand.New(rand.NewPCG(9, 49))
@@ -136,13 +139,21 @@ func TestQuerySpillsBeyondNineRuns(t *testing.T) {
 			}
 		}
 		want := bruteCandidates(in, in.Tasks, live, w)
-		if len(got) != len(want) {
-			t.Fatalf("worker at %v: %d candidates, brute force %d", loc, len(got), len(want))
+		if loc.X > 0 && slices.IsSorted(got) {
+			t.Fatalf("worker at %v: a %d-hit walk over many cells came in ascending id", loc, len(got))
 		}
-		for i := range got {
-			if got[i] != want[i].Task {
-				t.Fatalf("worker at %v: candidate %d is task %d, brute force %d", loc, i, got[i], want[i].Task)
+		if set := slices.Sorted(slices.Values(got)); len(set) != len(want) {
+			t.Fatalf("worker at %v: %d candidates, brute force %d", loc, len(got), len(want))
+		} else {
+			for i := range set {
+				if set[i] != want[i].Task {
+					t.Fatalf("worker at %v: candidate %d is task %d, brute force %d", loc, i, set[i], want[i].Task)
+				}
 			}
+		}
+		cands := ci.Candidates(w, nil)
+		if !slices.IsSortedFunc(cands, func(a, b Candidate) int { return cmp.Compare(a.Task, b.Task) }) || !slices.Equal(cands, want) {
+			t.Fatalf("worker at %v: Candidates %v, want %v in ascending TaskID", loc, cands, want)
 		}
 	}
 }

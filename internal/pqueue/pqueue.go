@@ -131,16 +131,6 @@ func (t *TopK[T]) Offer(x T) bool {
 	return false
 }
 
-// Bar returns the weakest retained element once the collector is full: from
-// then on Offer keeps only an element strictly better than it, and the bar
-// never falls. ok is false while there is still room and every offer is kept.
-func (t *TopK[T]) Bar() (x T, ok bool) {
-	if t.h.Len() < t.k {
-		return x, false
-	}
-	return t.h.Peek(), true
-}
-
 // Len reports how many elements are currently retained (≤ k).
 func (t *TopK[T]) Len() int { return t.h.Len() }
 

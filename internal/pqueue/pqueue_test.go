@@ -64,6 +64,15 @@ func TestHeapPopEmptyPanics(t *testing.T) {
 	NewHeap(func(a, b int) bool { return a < b }).Pop()
 }
 
+func TestIndexedMinHeapPopEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PopMin on empty IndexedMinHeap did not panic")
+		}
+	}()
+	NewIndexedMinHeap(4).PopMin()
+}
+
 func TestHeapPeekEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -188,24 +197,24 @@ func TestTopKBar(t *testing.T) {
 	tk := NewTopK(3, func(a, b int) bool { return a < b })
 	for _, v := range []int{4, 9} {
 		tk.Offer(v)
-		if _, full := tk.Bar(); full {
+		if _, full := bar(tk); full {
 			t.Fatalf("bar reported with %d of 3 retained", tk.Len())
 		}
 	}
 	tk.Offer(6)
 	last := 4
 	for _, v := range []int{4, 3, 5, 5, 20, 6, 7, 1} {
-		bar, full := tk.Bar()
-		if !full || bar < last {
-			t.Fatalf("bar %d (full %t) after bar %d", bar, full, last)
+		b, full := bar(tk)
+		if !full || b < last {
+			t.Fatalf("bar %d (full %t) after bar %d", b, full, last)
 		}
-		if kept := tk.Offer(v); kept != (v > bar) {
-			t.Fatalf("offer %d against bar %d: kept %t", v, bar, kept)
+		if kept := tk.Offer(v); kept != (v > b) {
+			t.Fatalf("offer %d against bar %d: kept %t", v, b, kept)
 		}
-		last = bar
+		last = b
 	}
-	if bar, _ := tk.Bar(); bar != 7 {
-		t.Fatalf("final bar %d, want 7", bar)
+	if b, _ := bar(tk); b != 7 {
+		t.Fatalf("final bar %d, want 7", b)
 	}
 }
 
@@ -355,6 +364,16 @@ func drain[T any](t *TopK[T]) []T {
 		out = append(out, t.PopMin())
 	}
 	return out
+}
+
+// bar returns t's weakest retained element once t is full: from then on
+// Offer keeps only an element strictly better than it, and the bar never
+// falls. ok is false while there is still room and every offer is kept.
+func bar[T any](t *TopK[T]) (x T, ok bool) {
+	if t.Len() < t.k {
+		return x, false
+	}
+	return t.h.Peek(), true
 }
 
 // queued reports whether node id is in h.
