@@ -10,7 +10,6 @@ import (
 
 	"ltc/internal/core"
 	"ltc/internal/geo"
-	"ltc/internal/model"
 )
 
 // Per-algorithm benchmarks on a fixed Table IV instance (default setting at
@@ -50,37 +49,6 @@ func BenchmarkAlgorithmLAF(b *testing.B)     { benchAlgorithm(b, LAF) }
 func BenchmarkAlgorithmAAM(b *testing.B)     { benchAlgorithm(b, AAM) }
 
 // Ablation benchmarks for the design choices README "Design notes" calls out.
-
-// BenchmarkAblationAAMStrategies compares the published hybrid switching
-// rule against LGF-only and LRF-only scoring: the hybrid's latency should
-// match the better of the two extremes on each workload.
-func BenchmarkAblationAAMStrategies(b *testing.B) {
-	for _, s := range []struct {
-		name     string
-		strategy core.AAMStrategy
-	}{
-		{"Hybrid", core.StrategyHybrid},
-		{"LGFOnly", core.StrategyLGFOnly},
-		{"LRFOnly", core.StrategyLRFOnly},
-	} {
-		b.Run(s.name, func(b *testing.B) {
-			in, ci := benchInstance(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var latency int
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunOnline(in, ci, func(in *model.Instance, ci *model.CandidateIndex) core.Online {
-					return core.NewAAMWithStrategy(in, ci, s.strategy)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				latency = res.Latency
-			}
-			b.ReportMetric(float64(latency), "latency")
-		})
-	}
-}
 
 // BenchmarkAblationMCFBatch sweeps MCF-LTC's batch-size multiplier: smaller
 // batches track the worker stream more closely (lower latency, more flow

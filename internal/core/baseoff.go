@@ -1,23 +1,16 @@
 package core
 
-import (
-	"ltc/internal/model"
-	"ltc/internal/pqueue"
-)
+import "ltc/internal/model"
 
 // BaseOff is the offline baseline of the evaluation (§V-A): it walks the
 // worker sequence in arrival order and greedily assigns each worker the
 // uncompleted nearby tasks with the fewest remaining eligible workers —
-// scarcity-first, exploiting the offline knowledge of future supply.
+// scarcity-first, exploiting the offline knowledge of future supply. Of two
+// equally scarce tasks it takes the lower TaskID (see bestK).
 type BaseOff struct{}
 
 // Name implements Offline.
 func (BaseOff) Name() string { return "Base-off" }
-
-type scarceCandidate struct {
-	model.Candidate
-	remaining int // eligible workers still to arrive for this task
-}
 
 // Solve implements Offline.
 func (BaseOff) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arrangement, error) {
@@ -29,11 +22,9 @@ func (BaseOff) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arran
 	lists := ci.EligibleWorkerLists()
 	ptr := make([]int, len(in.Tasks))
 
-	// Keep the K scarcest candidates: the retained set's weakest element is
-	// the one with the LARGEST remaining supply.
-	topk := pqueue.NewTopK(in.K, func(a, b scarceCandidate) bool {
-		return a.remaining > b.remaining
-	})
+	// Keep the K scarcest candidates: score by −(remaining supply), so the
+	// weakest kept is the one with the most supply left.
+	q := newBestK(in.K)
 	var cands []model.Candidate
 
 	for _, w := range in.Workers {
@@ -41,7 +32,7 @@ func (BaseOff) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arran
 			break
 		}
 		cands = ci.Candidates(w, cands[:0])
-		topk.Reset()
+		q.reset()
 		for _, c := range cands {
 			// w is by construction the next unarrived entry of c.Task's
 			// eligible list; consume it.
@@ -49,13 +40,9 @@ func (BaseOff) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arran
 			if state.done(c.Task) {
 				continue
 			}
-			topk.Offer(scarceCandidate{
-				Candidate: c,
-				remaining: len(lists[c.Task]) - ptr[c.Task],
-			})
+			q.offer(scored{Candidate: c, score: -float64(len(lists[c.Task]) - ptr[c.Task])})
 		}
-		for topk.Len() > 0 {
-			c := topk.PopMin()
+		for _, c := range q.top {
 			state.add(w.Index, c.Task, c.AccStar)
 		}
 	}

@@ -3,34 +3,33 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ltc/internal/geo"
 	"ltc/internal/model"
-	"ltc/internal/pqueue"
 )
 
 // eager is the test-only oracle for LAF's and AAM's selection: the loop as it
 // was before the walk, which asks the index for every candidate
-// (CandidateIndex.Candidates evaluates them all) and offers every one not
+// (CandidateIndex.Candidates evaluates them all) and scores every one not
 // done. It shares the ledger, the grant and the tie order (weaker) with the
-// real solvers, and keeps its best K in a pqueue.TopK, so the only thing the
-// comparison can find is a hit the walk passed over that would have been
-// kept — or kept in a different place.
+// real solvers but not their bestK: it sorts every scored candidate and
+// grants the strongest K, weakest first, so the only thing the comparison can
+// find is a hit the walk passed over that would have been kept — or a buffer
+// that kept the wrong ones, or put them in the wrong place. lgf and lrf count
+// AAM's arrivals by the scoring rule its switch picked.
 type eager struct {
 	solver
 	ci       *model.CandidateIndex
 	cands    []model.Candidate
+	all      []scored
 	laf      bool
-	strategy AAMStrategy
-	topk     *pqueue.TopK[scored]
+	lgf, lrf int
 }
 
-func newEager(in *model.Instance, ci *model.CandidateIndex, laf bool, s AAMStrategy) *eager {
-	return &eager{
-		solver: newSolver(in), ci: ci, laf: laf, strategy: s,
-		topk: pqueue.NewTopK(in.K, weaker),
-	}
+func newEager(in *model.Instance, ci *model.CandidateIndex, laf bool) *eager {
+	return &eager{solver: newSolver(in), ci: ci, laf: laf}
 }
 
 func (e *eager) Name() string { return "eager" }
@@ -39,12 +38,16 @@ func (e *eager) Arrive(w model.Worker) []Outcome {
 	if !e.begin() {
 		return nil
 	}
-	useLGF := e.strategy == StrategyLGFOnly
-	if e.strategy == StrategyHybrid && !e.laf {
-		useLGF = e.state.lgfDominates(e.in.K)
+	useLGF := e.laf
+	if !e.laf {
+		if useLGF = e.state.lgfDominates(e.in.K); useLGF {
+			e.lgf++
+		} else {
+			e.lrf++
+		}
 	}
 	e.cands = e.ci.Candidates(w, e.cands[:0])
-	e.topk.Reset()
+	e.all = e.all[:0]
 	for _, c := range e.cands {
 		if e.state.done(c.Task) {
 			continue
@@ -53,12 +56,24 @@ func (e *eager) Arrive(w model.Worker) []Outcome {
 		if e.laf || (useLGF && c.AccStar < score) {
 			score = c.AccStar
 		}
-		e.topk.Offer(scored{Candidate: c, score: score})
+		e.all = append(e.all, scored{Candidate: c, score: score})
 	}
-	for e.topk.Len() > 0 {
-		e.grant(w, e.topk.PopMin().Candidate)
+	slices.SortFunc(e.all, byWeaker)
+	for _, c := range e.all[max(0, len(e.all)-e.in.K):] {
+		e.grant(w, c.Candidate)
 	}
 	return e.out
+}
+
+// byWeaker orders scored candidates weakest first.
+func byWeaker(a, b scored) int {
+	switch {
+	case weaker(a, b):
+		return -1
+	case weaker(b, a):
+		return 1
+	}
+	return 0
 }
 
 // lazyPair is one solver and its oracle, each in an engine of its own over
@@ -68,33 +83,35 @@ type lazyPair struct {
 	real, twin *Engine
 	ins        [2]*model.Instance
 	counts     func() (hits, evaluated int)
+	oracle     *eager
 }
 
+// newLazyPairs pairs LAF, then AAM, with their oracles.
 func newLazyPairs(in *model.Instance) []*lazyPair {
 	var pairs []*lazyPair
-	for _, algo := range []struct {
-		name string
-		laf  bool
-		s    AAMStrategy
-	}{{"LAF", true, 0}, {"AAM", false, StrategyHybrid}, {"AAM-LGF", false, StrategyLGFOnly}, {"AAM-LRF", false, StrategyLRFOnly}} {
-		p := &lazyPair{name: algo.name}
+	for _, laf := range []bool{true, false} {
+		p := &lazyPair{name: "AAM"}
+		if laf {
+			p.name = "LAF"
+		}
 		for i := range p.ins {
 			cp := *in
 			cp.Tasks = append([]model.Task(nil), in.Tasks...)
 			p.ins[i] = &cp
 		}
 		p.real = NewEngine(p.ins[0], model.NewCandidateIndex(p.ins[0]), func(in *model.Instance, ci *model.CandidateIndex) Online {
-			if algo.laf {
+			if laf {
 				l := NewLAF(in, ci)
 				p.counts = l.QueryCounts
 				return l
 			}
-			a := NewAAMWithStrategy(in, ci, algo.s)
+			a := NewAAM(in, ci)
 			p.counts = a.QueryCounts
 			return a
 		})
 		p.twin = NewEngine(p.ins[1], model.NewCandidateIndex(p.ins[1]), func(in *model.Instance, ci *model.CandidateIndex) Online {
-			return newEager(in, ci, algo.laf, algo.s)
+			p.oracle = newEager(in, ci, laf)
+			return p.oracle
 		})
 		pairs = append(pairs, p)
 	}
@@ -162,8 +179,8 @@ func (p *lazyPair) finish(t *testing.T) {
 // it, so that many are at exactly or nearly the same distance from a worker
 // on it; workers stand on tasks, on and off the lattice, outside the tasks'
 // bounding rect, and at non-finite coordinates; historical accuracies repeat,
-// and hit 1.
-func runLazyScript(t *testing.T, script []byte, seed uint64) {
+// and hit 1. It returns how many of AAM's arrivals scored by LGF and by LRF.
+func runLazyScript(t *testing.T, script []byte, seed uint64) (lgf, lrf int) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0x1a27))
 	lattice := func() geo.Point {
@@ -238,18 +255,26 @@ func runLazyScript(t *testing.T, script []byte, seed uint64) {
 	for _, p := range pairs {
 		p.finish(t)
 	}
+	aam := pairs[1].oracle
+	return aam.lgf, aam.lrf
 }
 
 // TestLazySelectionEquivalence is FuzzLazySelectionEquivalence's always-on
-// twin: a fixed set of seeds, each with a long pseudo-random script.
+// twin: a fixed set of seeds, each with a long pseudo-random script. AAM's
+// arrivals must take both scoring rules, so that each is held to the oracle.
 func TestLazySelectionEquivalence(t *testing.T) {
+	lgf, lrf := 0, 0
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 7))
 		script := make([]byte, 400)
 		for i := range script {
 			script[i] = byte(rng.IntN(256))
 		}
-		runLazyScript(t, script, seed)
+		g, r := runLazyScript(t, script, seed)
+		lgf, lrf = lgf+g, lrf+r
+	}
+	if lgf == 0 || lrf == 0 {
+		t.Fatalf("AAM scored %d arrivals by LGF and %d by LRF: both rules must run", lgf, lrf)
 	}
 }
 
@@ -290,12 +315,11 @@ func TestTieFartherLowerTaskID(t *testing.T) {
 	}
 }
 
-// FuzzLazySelectionEquivalence: LAF and AAM (hybrid, LGF-only, LRF-only)
-// make the grants their eager oracle makes — same tasks, same credit bits,
-// same order, same completions — under any interleaving of arrivals, posts
-// and retirements, on the geometry of runLazyScript. The seeded corpus runs
-// under plain `go test`; `go test -fuzz FuzzLazySelectionEquivalence
-// ./internal/core` hunts open-endedly.
+// FuzzLazySelectionEquivalence: LAF and AAM make the grants their eager
+// oracle makes — same tasks, same credit bits, same order, same completions —
+// under any interleaving of arrivals, posts and retirements, on the geometry
+// of runLazyScript. The seeded corpus runs under plain `go test`; `go test
+// -fuzz FuzzLazySelectionEquivalence ./internal/core` hunts open-endedly.
 func FuzzLazySelectionEquivalence(f *testing.F) {
 	f.Add([]byte{2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 10, 11, 12, 13, 14, 15}, uint64(1))
 	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, uint64(8))
@@ -310,8 +334,9 @@ func FuzzLazySelectionEquivalence(f *testing.F) {
 }
 
 // TestQueryCountsOnAHotCell: 500 tasks in one grid cell, every arrival with
-// hundreds of them in its disc. With MinAcc ≥ 0.5 LAF and LGF-scoring AAM ask
-// the model about at most 15 % of the hits; with MinAcc < 0.5 Acc* is not
+// hundreds of them in its disc, far more need than K workers can meet, so
+// AAM scores every arrival by LGF. With MinAcc ≥ 0.5 LAF and AAM ask the
+// model about at most 15 % of the hits; with MinAcc < 0.5 Acc* is not
 // monotone in Acc, nothing may be passed over, and they ask about every hit.
 // Either way the grants are the oracle's.
 func TestQueryCountsOnAHotCell(t *testing.T) {
@@ -322,15 +347,14 @@ func TestQueryCountsOnAHotCell(t *testing.T) {
 			in.Tasks = append(in.Tasks, model.Task{ID: model.TaskID(i), Loc: geo.Point{X: rng.Float64() * 25, Y: rng.Float64() * 25}})
 		}
 		for _, p := range newLazyPairs(in) {
-			if p.name == "AAM-LRF" {
-				continue // an LRF score owes nothing to the model: no hit loses by it
-			}
 			for i := 1; i <= 400; i++ {
 				p.arrive(t, model.Worker{Index: i, Loc: geo.Point{X: rng.Float64() * 25, Y: rng.Float64() * 25}, Acc: 0.7 + rng.Float64()*0.3})
 			}
 			p.finish(t)
 			hits, evaluated := p.counts()
 			switch {
+			case p.oracle.lrf > 0: // an LRF score owes nothing to the model: no hit loses by it
+				t.Fatalf("%s MinAcc %v: %d arrivals scored by LRF, want none", p.name, minAcc, p.oracle.lrf)
 			case hits < 400*100:
 				t.Fatalf("%s MinAcc %v: %d hits over 400 arrivals: not a hot cell", p.name, minAcc, hits)
 			case minAcc >= 0.5 && float64(evaluated) > 0.15*float64(hits):

@@ -6,7 +6,6 @@ import (
 
 	"ltc/internal/flow"
 	"ltc/internal/model"
-	"ltc/internal/pqueue"
 )
 
 // MCFLTC is the paper's offline algorithm (Algorithm 1, §III). It walks the
@@ -53,9 +52,6 @@ func (m *MCFLTC) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arr
 	pos := 0
 	batchNo := 0
 	var cands []model.Candidate
-	topk := pqueue.NewTopK(in.K, func(a, b model.Candidate) bool {
-		return a.AccStar < b.AccStar
-	})
 	for pos < len(in.Workers) && !state.allDone() {
 		size := later
 		if batchNo == 0 {
@@ -67,7 +63,7 @@ func (m *MCFLTC) Solve(in *model.Instance, ci *model.CandidateIndex) (*model.Arr
 		}
 		batch := in.Workers[pos : pos+size]
 		pos += size
-		if err := m.solveBatch(in, ci, state, batch, &cands, topk); err != nil {
+		if err := m.solveBatch(in, ci, state, batch, &cands); err != nil {
 			return nil, fmt.Errorf("batch %d: %w", batchNo, err)
 		}
 	}
@@ -81,7 +77,6 @@ func (m *MCFLTC) solveBatch(
 	state *taskState,
 	batch []model.Worker,
 	cands *[]model.Candidate,
-	topk *pqueue.TopK[model.Candidate],
 ) error {
 	// Active tasks: those still below δ. taskNode maps TaskID -> flow node.
 	active := make([]model.TaskID, 0, len(in.Tasks))
@@ -156,25 +151,23 @@ func (m *MCFLTC) solveBatch(
 	}
 
 	// Greedy top-up (lines 8-15): spend leftover capacity on the most
-	// reliable uncompleted tasks the worker has not performed yet.
+	// reliable uncompleted tasks the worker has not performed yet, ranked by
+	// Acc* in a bestK as large as the capacity left.
+	buf := make([]scored, in.K)
 	for b, w := range batch {
 		capLeft := in.K - used[b]
 		if capLeft <= 0 || state.allDone() {
 			continue
 		}
 		*cands = ci.Candidates(w, (*cands)[:0])
-		topk.Reset()
+		q := bestK{top: buf[:0:capLeft]}
 		for _, c := range *cands {
 			if state.done(c.Task) || containsTask(assigned[b], c.Task) {
 				continue
 			}
-			topk.Offer(c)
-			for topk.Len() > capLeft {
-				topk.PopMin()
-			}
+			q.offer(scored{Candidate: c, score: c.AccStar})
 		}
-		for topk.Len() > 0 {
-			c := topk.PopMin()
+		for _, c := range q.top {
 			state.add(w.Index, c.Task, c.AccStar)
 		}
 	}

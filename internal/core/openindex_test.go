@@ -92,7 +92,9 @@ func replayAAM(t *testing.T, cw *workload.ChurnWorkload, arrive func(eng *Engine
 // TestAAMRuleMatchesDenseScan: on every arrival the branch AAM takes is the
 // one the dense scan's sum and maximum dictate, needSum stays within the
 // bound taskState's comment states, and a solver that scans on every
-// arrival ends with the same strategy counts and the same assignments.
+// arrival ends with the same assignments. The branch is read from the switch
+// AAM asks, state.lgfDominates, just before the arrival: asking it twice
+// decides the same and leaves the same state.
 func TestAAMRuleMatchesDenseScan(t *testing.T) {
 	for name, cw := range ruleCases(t) {
 		t.Run(name, func(t *testing.T) {
@@ -111,12 +113,11 @@ func TestAAMRuleMatchesDenseScan(t *testing.T) {
 					scanned++
 				}
 				wantLGF := sum/float64(aam.in.K) >= maxNeed
-				lgf, _ := aam.strategyCounts()
-				eng.Arrive(w)
-				if after, _ := aam.strategyCounts(); (after == lgf+1) != wantLGF {
-					t.Fatalf("worker %d: took LGF = %t, the dense scan says %t (Σ %v, max %v)",
-						w.Index, after == lgf+1, wantLGF, sum, maxNeed)
+				if lgf := st.lgfDominates(aam.in.K); lgf != wantLGF {
+					t.Fatalf("worker %d: takes LGF = %t, the dense scan says %t (Σ %v, max %v)",
+						w.Index, lgf, wantLGF, sum, maxNeed)
 				}
+				eng.Arrive(w)
 			})
 			if skipped == 0 || scanned == 0 {
 				t.Fatalf("%d arrivals decided from needSum, %d by the scan: both branches must run", skipped, scanned)
@@ -125,11 +126,6 @@ func TestAAMRuleMatchesDenseScan(t *testing.T) {
 				aam.state.needWrites = needResync // due for a scan: the dense path
 				eng.Arrive(w)
 			})
-			gl, gr := got.strategyCounts()
-			wl, wr := want.strategyCounts()
-			if gl != wl || gr != wr {
-				t.Fatalf("strategy counts %d/%d, always-scanning solver %d/%d", gl, gr, wl, wr)
-			}
 			if !slices.Equal(got.state.arr.Pairs, want.state.arr.Pairs) ||
 				!slices.Equal(got.state.arr.Accumulated, want.state.arr.Accumulated) {
 				t.Fatal("arrangement differs from the always-scanning solver's")

@@ -60,9 +60,8 @@ func (s *solver) grant(w model.Worker, c model.Candidate) {
 //
 //	for walk(w); q.Next(); { … q.Candidate() … lost() … offer }
 //
-// Candidates rank by a total order, so the walk's order decides nothing: a
-// lower score is weaker, and of two equal scores the one on the higher
-// TaskID (see weaker). The top K is top, weakest first.
+// Candidates rank by a total order, so the walk's order decides nothing (see
+// bestK). The top K is top, weakest first.
 //
 // The rule calls lost for a hit e that cannot enter — it is ineligible, or
 // the top K is full and Acc*(e) is strictly below its weakest score — and
@@ -83,8 +82,8 @@ type scan struct {
 	q model.Query
 	// narrow says the argument above holds for this instance and index.
 	narrow bool
-	// top is the arrival's best K so far, weakest first; capacity K.
-	top []scored
+	// bestK is the arrival's best K so far; capacity K.
+	bestK
 }
 
 // scored is a candidate with the score its rule ranks it by.
@@ -99,6 +98,45 @@ func weaker(a, b scored) bool {
 	return a.score < b.score || a.score == b.score && a.Task > b.Task
 }
 
+// bestK is the heap Q of Algorithms 1–3: the best of a worker's candidates,
+// at most cap(top) of them, kept in top weakest first by weaker. Every top-K
+// rule keeps its picks here — LAF, AAM, Base-off and MCF-LTC's top-up — so
+// of two equal scores each keeps the lower TaskID, whatever order the
+// candidates are offered in.
+type bestK struct {
+	top []scored
+}
+
+// newBestK returns an empty bestK of capacity k ≥ 1.
+func newBestK(k int) bestK { return bestK{top: make([]scored, 0, k)} }
+
+// reset empties b, keeping its capacity.
+func (b *bestK) reset() { b.top = b.top[:0] }
+
+// full reports whether b is full; top[0] is then the one to beat.
+func (b *bestK) full() bool { return len(b.top) == cap(b.top) }
+
+// offer puts c in its place when there is room or c ranks above the weakest
+// kept, which it then evicts.
+func (b *bestK) offer(c scored) {
+	top, i := b.top, len(b.top)
+	if i < cap(top) {
+		top = top[:i+1]
+		for ; i > 0 && weaker(c, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		b.top = top
+	} else {
+		if !weaker(top[0], c) {
+			return
+		}
+		for i = 0; i+1 < len(top) && weaker(top[i+1], c); i++ {
+			top[i] = top[i+1]
+		}
+	}
+	top[i] = c
+}
+
 // farMargin separates "farther" from "as far": c is farther than e when
 // d²(c) > d²(e)·(1+farMargin) + farMargin. That is ≥ 5e-10 relative (or 3e-5
 // absolute near zero) in distance, against the ≤ 1 ulp ≈ 1e-16 by which
@@ -109,38 +147,14 @@ func newScan(in *model.Instance, ci *model.CandidateIndex) scan {
 	return scan{
 		ci:     ci,
 		narrow: in.MinAcc >= 0.5 && !math.IsInf(ci.Radius(), 1),
-		top:    make([]scored, 0, in.K),
+		bestK:  newBestK(in.K),
 	}
 }
 
 // walk empties the top K and starts the walk over w's hits.
 func (s *scan) walk(w model.Worker) {
-	s.top = s.top[:0]
+	s.reset()
 	s.ci.Query(&s.q, w)
-}
-
-// full reports whether the top K is full; top[0] is then the one to beat.
-func (s *scan) full() bool { return len(s.top) == cap(s.top) }
-
-// offer puts c in its place in the top K when there is room or c ranks above
-// the weakest kept, which it then evicts.
-func (s *scan) offer(c scored) {
-	top, i := s.top, len(s.top)
-	if i < cap(top) {
-		top = top[:i+1]
-		for ; i > 0 && weaker(c, top[i-1]); i-- {
-			top[i] = top[i-1]
-		}
-		s.top = top
-	} else {
-		if !weaker(top[0], c) {
-			return
-		}
-		for i = 0; i+1 < len(top) && weaker(top[i+1], c); i++ {
-			top[i] = top[i+1]
-		}
-	}
-	top[i] = c
 }
 
 // lost records that the current hit cannot enter the top K.

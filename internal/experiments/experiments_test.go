@@ -414,7 +414,7 @@ func TestFiguresPinned(t *testing.T) {
 		"fig3-accnormal":   "23d0d1773649c8eb",
 		"fig3-accuniform":  "787f09b4656f885b",
 		"fig4-epsilon":     "4f2c7654351eb5d0",
-		"fig4-scalability": "0de6fcd6afcd3d70",
+		"fig4-scalability": "e0cc6f96effdf35f",
 		"fig4-newyork":     "a1588dc4e00d7711",
 		"fig4-tokyo":       "13dfcde01d98342e",
 	}

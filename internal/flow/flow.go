@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"ltc/internal/pqueue"
 )
 
 // Network is a directed flow network with int32 capacities and float64
@@ -97,7 +95,7 @@ func (g *Network) MinCostFlow(s, t int) (Result, error) {
 	}
 	dist := make([]float64, g.numNodes)
 	prevEdge := make([]int32, g.numNodes)
-	heap := pqueue.NewIndexedMinHeap(g.numNodes)
+	heap := newIndexedMinHeap(g.numNodes)
 
 	var res Result
 	for {
@@ -106,13 +104,13 @@ func (g *Network) MinCostFlow(s, t int) (Result, error) {
 			dist[i] = math.Inf(1)
 			prevEdge[i] = -1
 		}
-		heap.Reset()
+		heap.reset()
 		dist[s] = 0
-		heap.PushOrDecrease(s, 0)
-		for heap.Len() > 0 {
+		heap.pushOrDecrease(s, 0)
+		for heap.len() > 0 {
 			// The heap lowers a queued node's key in place, so a node is
 			// popped once, at its final dist: no stale entry to skip.
-			u, _ := heap.PopMin()
+			u, _ := heap.popMin()
 			for _, e := range g.adj[u] {
 				if g.capa[e] <= 0 {
 					continue
@@ -130,7 +128,7 @@ func (g *Network) MinCostFlow(s, t int) (Result, error) {
 				if nd := dist[u] + rc; nd < dist[int(v)] {
 					dist[v] = nd
 					prevEdge[v] = e
-					heap.PushOrDecrease(int(v), nd)
+					heap.pushOrDecrease(int(v), nd)
 				}
 			}
 		}
