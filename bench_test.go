@@ -173,8 +173,8 @@ func BenchmarkNewPlatform(b *testing.B) {
 
 // BenchmarkAAMArriveHotCell measures one AAM arrival on a hot cell: 500 open
 // tasks in one grid cell, hundreds of them in every worker's disc, K = 6. It
-// reports how many hits an arrival's disc holds and how many of them the
-// accuracy model is asked about. ε is tiny so that δ is large and no task
+// reports how many hits of an arrival's disc the walk examines and how many
+// of them the accuracy model is asked about. ε is tiny so that δ is large and no task
 // completes within one pass over the workers; the solver is rebuilt at the
 // start of every pass, so the counts do not drift with b.N.
 func BenchmarkAAMArriveHotCell(b *testing.B) { benchAAMArrive(b, 25, 0, 25) }

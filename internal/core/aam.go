@@ -51,6 +51,9 @@ func (a *AAM) Arrive(w model.Worker) []Outcome {
 			}
 		}
 		a.offer(scored{Candidate: c, score: score})
+		if a.full() { // no score exceeds the need: floor the walk at the bar
+			a.q.Floor(a.state.arr.Accumulated, a.state.delta, a.top[0].score)
+		}
 	}
 	for _, c := range a.top {
 		a.grant(w, c.Candidate)

@@ -74,8 +74,12 @@ func (s *solver) grant(w model.Worker, c model.Candidate) {
 // wide enough that the computed values are ordered like the exact ones. A
 // hit that only ties the weakest score is not lost: a farther hit may round
 // to the same Acc* and win the tie on a lower TaskID. Without a radius
-// bound, or with MinAcc < 0.5, nothing is passed over and the same loop
-// visits every hit.
+// bound, or with MinAcc < 0.5, nothing is passed over for its distance.
+//
+// AAM also floors the walk (model.Query.Floor): no AAM score exceeds the
+// task's need δ − S[t], so while the top K is full a hit whose need is
+// strictly below the weakest score cannot enter, and the walk passes over it
+// before asking the model. It does not narrow the walk: its Acc* is unknown.
 type scan struct {
 	ci *model.CandidateIndex
 	// q is the arrival's walk, its Task and D2 the hit the loop is at.
@@ -164,7 +168,7 @@ func (s *scan) lost() {
 	}
 }
 
-// QueryCounts reports, over all arrivals so far, how many hits the worker's
-// eligibility disc held and how many of them the accuracy model was asked
-// about.
+// QueryCounts reports, over all arrivals so far, how many hits in the
+// workers' eligibility discs the walks examined — all of them in a walk that
+// never narrowed — and how many of those the accuracy model was asked about.
 func (s *scan) QueryCounts() (hits, evaluated int) { return s.q.Counts() }

@@ -26,10 +26,11 @@ type Candidate struct {
 // There are two ways to ask. Candidates returns every task the worker is
 // eligible for, in ascending TaskID, which takes asking the accuracy model
 // about every hit — every live task in the worker's eligibility disc. A
-// Query walks the hits, nearest cell first, and can be told to Narrow: an
-// online solver that keeps the best K of a worker's candidates narrows the
-// walk as hits lose (see core's scan), and on a hot cell that leaves most of
-// the disc unvisited and unasked about.
+// Query walks the hits, nearest cell first, and can be told to Narrow and to
+// Floor: an online solver that keeps the best K of a worker's candidates
+// narrows the walk as hits lose and floors it at the need the K-th best
+// score leaves (see core's scan), and on a hot cell that leaves most of the
+// disc unvisited and unasked about.
 //
 // The index supports online task lifecycle: Insert adds a task to its grid
 // cell and Remove drops it, both in place (no rebuild, no copy). It is a
@@ -63,23 +64,35 @@ type cellGrid struct {
 	cells []cell
 }
 
-// cell is one grid bucket in struct-of-arrays layout: ids[i] is the task at
-// (xs[i], ys[i]), in strictly ascending id — task ids only grow, so add
-// appends, and remove finds the entry by binary search and closes the gap.
-// Keeping the coordinates beside the ids lets the radius filter sweep two
-// contiguous float64 arrays, and the spatial model read a hit's location,
-// without gathering Task structs through the dense task table — the hot loop
-// of every candidate query touches only these slices.
+// cell is one grid bucket: ids[i] is the task at pts[i], in strictly
+// ascending id — task ids only grow, so add appends, and remove finds the
+// entry by binary search and closes the gap. Keeping the coordinates beside
+// the ids lets the radius filter sweep one contiguous array, and the spatial
+// model read a hit's location, without gathering Task structs through the
+// dense task table — the hot loop of every candidate query touches only
+// these slices. Every index allocates one cell per grid square, most of them
+// empty, so the cell is kept small: one points array, not one per
+// coordinate, leaves room for the box.
+//
+// lo and hi are the corners of a box around every entry the cell has held
+// since it was last empty: add widens it and remove leaves it, so it bounds
+// the live entries, tasks clamped in from outside the grid's rect included,
+// at their own coordinates. A narrowed walk drops a cell whose box lies
+// beyond it.
 type cell struct {
-	ids []int32
-	xs  []float64
-	ys  []float64
+	ids    []int32
+	pts    []geo.Point
+	lo, hi geo.Point
 }
 
 func (c *cell) add(id int32, p geo.Point) {
+	if len(c.ids) == 0 {
+		c.lo, c.hi = p, p
+	}
 	c.ids = append(c.ids, id)
-	c.xs = append(c.xs, p.X)
-	c.ys = append(c.ys, p.Y)
+	c.pts = append(c.pts, p)
+	c.lo = geo.Point{X: min(c.lo.X, p.X), Y: min(c.lo.Y, p.Y)}
+	c.hi = geo.Point{X: max(c.hi.X, p.X), Y: max(c.hi.Y, p.Y)}
 }
 
 // remove deletes task id, found by binary search, keeping the order. A live
@@ -87,8 +100,7 @@ func (c *cell) add(id int32, p geo.Point) {
 func (c *cell) remove(id int32) {
 	i, _ := slices.BinarySearch(c.ids, id)
 	c.ids = slices.Delete(c.ids, i, i+1)
-	c.xs = slices.Delete(c.xs, i, i+1)
-	c.ys = slices.Delete(c.ys, i, i+1)
+	c.pts = slices.Delete(c.pts, i, i+1)
 }
 
 // Lifecycle errors returned by Insert and Remove.
@@ -147,13 +159,14 @@ func (g *cellGrid) clone() *cellGrid {
 	cp.carve(size)
 	for i := range cp.cells {
 		c, src := &cp.cells[i], &g.cells[i]
-		c.ids, c.xs, c.ys = append(c.ids, src.ids...), append(c.xs, src.xs...), append(c.ys, src.ys...)
+		c.ids, c.pts = append(c.ids, src.ids...), append(c.pts, src.pts...)
+		c.lo, c.hi = src.lo, src.hi
 	}
 	return cp
 }
 
 // carve gives the grid one empty cell per entry of size, cutting cell i's
-// arrays from three shared blocks with capacity size[i]: filling a cell to
+// arrays from two shared blocks with capacity size[i]: filling a cell to
 // its size never reallocates, and an append beyond it reallocates that cell
 // alone. A cell of size 0 keeps nil arrays.
 func (g *cellGrid) carve(size []int) {
@@ -161,13 +174,13 @@ func (g *cellGrid) carve(size []int) {
 	for _, k := range size {
 		total += k
 	}
-	ids, xs, ys := make([]int32, total), make([]float64, total), make([]float64, total)
+	ids, pts := make([]int32, total), make([]geo.Point, total)
 	g.cells = make([]cell, len(size))
 	lo := 0
 	for i, k := range size {
 		if k > 0 {
 			hi := lo + k
-			g.cells[i] = cell{ids: ids[lo:lo:hi], xs: xs[lo:lo:hi], ys: ys[lo:lo:hi]}
+			g.cells[i] = cell{ids: ids[lo:lo:hi], pts: pts[lo:lo:hi]}
 			lo = hi
 		}
 	}
@@ -266,8 +279,9 @@ func (ci *CandidateIndex) Candidates(w Worker, dst []Candidate) []Candidate {
 // walk runs in ascending TaskID; on the grid it visits the window's cells
 // nearest first — by the squared distance of each cell's first hit — and
 // each cell in its own ascending id, so the near hits come early and the
-// walk reads one cell at a time. The radius filter reads each cell's xs/ys arrays directly, and
-// the spatial model is asked about a hit at the cell's own coordinates.
+// walk reads one cell at a time. The radius filter reads each cell's points
+// directly, and the spatial model is asked about a hit at the cell's own
+// coordinates.
 //
 // The model is asked about readAhead hits at a time, before the caller sees
 // the first of them: a prediction is a long chain of dependent floating-point
@@ -275,6 +289,12 @@ func (ci *CandidateIndex) Candidates(w Worker, dst []Candidate) []Candidate {
 // at a time each prediction would wait for the last one's branches. A Narrow
 // therefore comes too late for the (at most readAhead − 1) predictions
 // already made beyond it; Next passes those hits over all the same.
+//
+// Two rules let the walk leave hits unread. Once narrowed, it drops a cell
+// whose box (see cell) lies beyond the Narrow: the box's squared distance is
+// computed as an entry's is, and rounding is monotone, so it never exceeds
+// any entry's. And a Floor passes over, before its prediction, a hit whose
+// task needs less than the Floor's bar.
 type Query struct {
 	// Task, D2 and Acc describe the current hit after a true Next: the task,
 	// its squared distance from the worker (0 when there is no radius) and
@@ -298,6 +318,10 @@ type Query struct {
 	// ahead[next:filled] are the hits read ahead and not yet returned.
 	ahead        [readAhead]hit
 	next, filled int
+	// The Floor: credit and delta give a task's need, bar the need below
+	// which a hit is passed over; credit is nil until a Floor.
+	credit     []float64
+	delta, bar float64
 	// hits and predicted count over all the Query's walks.
 	hits, predicted int
 }
@@ -313,11 +337,12 @@ const readAhead = 4
 const windowRuns = 9
 
 // run is a walk's cursor over one cell: entry i is the cell's next hit still
-// visited, at squared distance d2.
+// visited, at squared distance d2. box2 is the squared distance of the
+// cell's box, −1 until a narrowed walk first needs it.
 type run struct {
-	c  *cell
-	i  int
-	d2 float64
+	c        *cell
+	i        int
+	d2, box2 float64
 }
 
 // hit is a hit read ahead.
@@ -330,7 +355,7 @@ type hit struct {
 func (ci *CandidateIndex) Query(q *Query, w Worker) {
 	q.ci, q.w = ci, w
 	q.pos, q.n, q.cur, q.spill = 0, 0, 0, q.spill[:0]
-	q.next, q.filled = 0, 0
+	q.next, q.filled, q.credit = 0, 0, nil
 	q.disc2 = ci.radius * ci.radius
 	q.within2 = q.disc2
 	g := ci.grid
@@ -346,12 +371,11 @@ func (ci *CandidateIndex) Query(q *Query, w Worker) {
 			// seek's loop, in place: most windows are a few entries a cell,
 			// and nine calls would cost more than the entries.
 			c := &g.cells[rowBase+cx]
-			xs, ys := c.xs, c.ys[:len(c.xs)]
-			for i := range xs {
-				dx, dy := xs[i]-x, ys[i]-y
+			for i, p := range c.pts {
+				dx, dy := p.X-x, p.Y-y
 				if d2 := dx*dx + dy*dy; d2 <= disc2 {
 					q.hits++
-					runs = append(runs, run{c: c, i: i, d2: d2})
+					runs = append(runs, run{c: c, i: i, d2: d2, box2: -1})
 					break
 				}
 			}
@@ -373,10 +397,10 @@ func (ci *CandidateIndex) Query(q *Query, w Worker) {
 // visits and reports whether there is one. Every entry it passes or lands on
 // that lies in the disc counts as a hit.
 func (q *Query) seek(r *run, i int) bool {
-	xs, ys := r.c.xs, r.c.ys[:len(r.c.xs)]
+	pts := r.c.pts
 	x, y, disc2, hits := q.w.Loc.X, q.w.Loc.Y, q.disc2, q.hits
-	for ; i < len(xs); i++ {
-		dx, dy := xs[i]-x, ys[i]-y
+	for ; i < len(pts); i++ {
+		dx, dy := pts[i].X-x, pts[i].Y-y
 		if d2 := dx*dx + dy*dy; d2 <= disc2 {
 			hits++
 			if d2 <= q.within2 {
@@ -414,12 +438,15 @@ func (q *Query) fill() bool {
 	ci := q.ci
 	if ci.grid == nil {
 		for ; q.pos < len(ci.live) && q.filled < readAhead; q.pos++ {
-			if ci.live[q.pos] {
+			if !ci.live[q.pos] {
+				continue
+			}
+			q.hits++
+			if !q.floored(q.pos) {
 				q.ahead[q.filled] = hit{task: TaskID(q.pos), acc: ci.in.Model.Predict(q.w, ci.tasks[q.pos])}
 				q.filled++
 			}
 		}
-		q.hits += q.filled
 	}
 	runs := q.spill
 	if len(runs) == 0 {
@@ -428,17 +455,41 @@ func (q *Query) fill() bool {
 	for q.cur < q.n && q.filled < readAhead {
 		r := &runs[q.cur]
 		// A cell's first hit, placed before the last Narrow, may lie beyond it.
-		if r.d2 <= q.within2 {
-			loc := geo.Point{X: r.c.xs[r.i], Y: r.c.ys[r.i]}
-			q.ahead[q.filled] = hit{task: TaskID(r.c.ids[r.i]), d2: r.d2, acc: ci.spatial.PredictAt(q.w, loc)}
+		if id := r.c.ids[r.i]; r.d2 <= q.within2 && !q.floored(int(id)) {
+			q.ahead[q.filled] = hit{task: TaskID(id), d2: r.d2, acc: ci.spatial.PredictAt(q.w, r.c.pts[r.i])}
 			q.filled++
 		}
-		if !q.seek(r, r.i+1) {
+		if q.within2 < q.disc2 && q.beyond(r) || !q.seek(r, r.i+1) {
 			q.cur++
 		}
 	}
 	q.predicted += q.filled
 	return q.filled > 0
+}
+
+// beyond reports whether every entry r's cell has held lies farther than
+// the walk still visits: the box's squared distance, computed the way seek
+// computes an entry's, exceeds within2.
+func (q *Query) beyond(r *run) bool {
+	if r.box2 < 0 {
+		c, x, y := r.c, q.w.Loc.X, q.w.Loc.Y
+		dx, dy := max(c.lo.X-x, 0, x-c.hi.X), max(c.lo.Y-y, 0, y-c.hi.Y)
+		r.box2 = dx*dx + dy*dy
+	}
+	return r.box2 > q.within2
+}
+
+// floored reports whether task id needs less than the Floor's bar, its need
+// computed as core's ledger computes it: max(0, delta − credit[id]).
+func (q *Query) floored(id int) bool {
+	if id >= len(q.credit) {
+		return false
+	}
+	need := q.delta - q.credit[id]
+	if need < 0 {
+		need = 0
+	}
+	return need < q.bar
 }
 
 // Narrow tells the walk that hits at a squared distance above d2 are of no
@@ -449,6 +500,14 @@ func (q *Query) Narrow(d2 float64) {
 	}
 }
 
+// Floor tells the walk that a task whose need, max(0, delta − credit[t]), is
+// below bar is of no more interest: the walk passes over its hits without
+// asking the model about them. credit is read, never written, and a task
+// beyond it is not passed over. A new walk starts with no Floor.
+func (q *Query) Floor(credit []float64, delta, bar float64) {
+	q.credit, q.delta, q.bar = credit, delta, bar
+}
+
 // Candidate returns the current hit as a candidate and reports whether the
 // worker is eligible for the task.
 func (q *Query) Candidate() (Candidate, bool) {
@@ -456,9 +515,10 @@ func (q *Query) Candidate() (Candidate, bool) {
 }
 
 // Counts reports, over all the query's walks so far, how many hits they
-// passed — whether Next returned them or Narrow hid them; a walk's hits are
-// all counted once Next has returned false — and how many of them the
-// accuracy model was asked about.
+// examined — whether Next returned them, or Narrow or the Floor hid them —
+// and how many of them the accuracy model was asked about. A walk that was
+// never narrowed examines every hit by the time Next returns false; a
+// narrowed one leaves unexamined the hits in the cells it dropped.
 func (q *Query) Counts() (hits, predicted int) { return q.hits, q.predicted }
 
 // EligibleWorkerLists returns, for every task (dense ID space, removed tasks

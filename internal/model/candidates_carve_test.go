@@ -9,10 +9,12 @@ import (
 )
 
 // sameCell reports whether two cells list the same ids at the same
-// coordinates, bit for bit.
+// coordinates and hold the same box, bit for bit.
 func sameCell(a, b cell) bool {
-	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	return slices.Equal(a.ids, b.ids) && slices.EqualFunc(a.xs, b.xs, bits) && slices.EqualFunc(a.ys, b.ys, bits)
+	bits := func(p, q geo.Point) bool {
+		return math.Float64bits(p.X) == math.Float64bits(q.X) && math.Float64bits(p.Y) == math.Float64bits(q.Y)
+	}
+	return slices.Equal(a.ids, b.ids) && slices.EqualFunc(a.pts, b.pts, bits) && bits(a.lo, b.lo) && bits(a.hi, b.hi)
 }
 
 // checkGrid fails unless every cell of g equals the reference cell.
@@ -65,7 +67,7 @@ func FuzzCellGridBuild(f *testing.F) {
 		checkGrid(t, "build", g, ref)
 		checkGrid(t, "clone", ci.Clone().grid, ref)
 		for i, c := range g.cells {
-			if cap(c.ids) != len(c.ids) || cap(c.xs) != len(c.xs) || cap(c.ys) != len(c.ys) {
+			if cap(c.ids) != len(c.ids) || cap(c.pts) != len(c.pts) {
 				t.Fatalf("cell %d: capacity not clipped to its %d entries", i, len(c.ids))
 			}
 		}

@@ -30,7 +30,8 @@ func bruteCandidates(in *Instance, tasks []Task, live []bool, w Worker) []Candid
 // the brute-force scan, element by element (order and float bits included),
 // checks a narrowed walk against the same scan, and checks that every grid
 // cell lists its tasks in strictly ascending id — the order a cell's walk
-// and Remove's binary search rely on.
+// and Remove's binary search rely on — inside the cell's box, which a
+// narrowed walk's cell bound relies on.
 func checkAgainstBrute(t *testing.T, ci *CandidateIndex, in *Instance, tasks []Task, live []bool, probes []Worker) {
 	t.Helper()
 	var buf []Candidate
@@ -51,15 +52,18 @@ func checkAgainstBrute(t *testing.T, ci *CandidateIndex, in *Instance, tasks []T
 		return
 	}
 	for n, c := range ci.grid.cells {
-		if len(c.xs) != len(c.ids) || len(c.ys) != len(c.ids) {
-			t.Fatalf("cell %d: %d ids, %d xs, %d ys", n, len(c.ids), len(c.xs), len(c.ys))
+		if len(c.pts) != len(c.ids) {
+			t.Fatalf("cell %d: %d ids, %d points", n, len(c.ids), len(c.pts))
 		}
 		for i, id := range c.ids {
 			if i > 0 && c.ids[i-1] >= id {
 				t.Fatalf("cell %d not in strictly ascending id: %v", n, c.ids)
 			}
-			if loc := tasks[id].Loc; !live[id] || c.xs[i] != loc.X || c.ys[i] != loc.Y {
-				t.Fatalf("cell %d entry %d: task %d (live %v) at (%v, %v), want %v", n, i, id, live[id], c.xs[i], c.ys[i], loc)
+			if loc := tasks[id].Loc; !live[id] || c.pts[i] != loc {
+				t.Fatalf("cell %d entry %d: task %d (live %v) at %v, want %v", n, i, id, live[id], c.pts[i], loc)
+			}
+			if p := c.pts[i]; p.X < c.lo.X || p.Y < c.lo.Y || p.X > c.hi.X || p.Y > c.hi.Y {
+				t.Fatalf("cell %d entry %d at %v outside the cell's box %v–%v", n, i, p, c.lo, c.hi)
 			}
 		}
 	}
@@ -68,9 +72,11 @@ func checkAgainstBrute(t *testing.T, ci *CandidateIndex, in *Instance, tasks []T
 // checkNarrowedWalk walks w's hits, narrows the walk at the first hit to the
 // median hit distance, and checks the walk against the brute-force scan as a
 // set, since the walk's order is the grid's: the hits come with their exact
-// squared distance, each once, every hit in the disc is counted, and besides
-// the first hit, returned whatever its distance, the walk returns exactly the
-// hits within the Narrow.
+// squared distance, each once, and besides the first hit, returned whatever
+// its distance, the walk returns exactly the hits within the Narrow. A walk
+// that never narrowed examines and predicts every hit in the disc; a
+// narrowed one examines at most the disc and predicts at most what it
+// examined. A second walk, never narrowed, must count every hit.
 func checkNarrowedWalk(t *testing.T, ci *CandidateIndex, tasks []Task, live []bool, w Worker) {
 	t.Helper()
 	type hit struct {
@@ -117,8 +123,15 @@ func checkNarrowedWalk(t *testing.T, ci *CandidateIndex, tasks []Task, live []bo
 	if !slices.Equal(set, want) {
 		t.Fatalf("worker %d: walk narrowed to %v returned %v, want %v in any order", w.Index, within, got, want)
 	}
-	if hits, predicted := q.Counts(); hits-hits0 != len(disc) || predicted < len(got) || predicted > len(disc) {
-		t.Fatalf("worker %d: walk counted %d hits, %d predictions; disc holds %d, %d returned", w.Index, hits-hits0, predicted, len(disc), len(got))
+	narrowed := ci.grid != nil && len(got) > 0 && within < ci.radius*ci.radius
+	hits, predicted := q.Counts()
+	if hits -= hits0; predicted < len(got) || predicted > hits || hits > len(disc) || !narrowed && (hits != len(disc) || predicted != hits) {
+		t.Fatalf("worker %d: walk (narrowed %t) counted %d hits, %d predictions; disc holds %d, %d returned", w.Index, narrowed, hits, predicted, len(disc), len(got))
+	}
+	for ci.Query(&q, w); q.Next(); {
+	}
+	if h, p := q.Counts(); h-hits0-hits != len(disc) || p-predicted != len(disc) {
+		t.Fatalf("worker %d: a walk never narrowed counted %d hits, %d predictions; disc holds %d", w.Index, h-hits0-hits, p-predicted, len(disc))
 	}
 }
 

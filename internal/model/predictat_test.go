@@ -157,3 +157,39 @@ func TestQuerySpillsBeyondNineRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryFloor: a Floor passes over, unasked, exactly the hits whose need
+// max(0, delta − credit[t]) is strictly below the bar — a need equal to it
+// is returned, a credit above delta is a need of 0, and a task beyond the
+// credit slice is never passed over — on the grid and without one. The
+// passed-over hits still count as examined, and a new walk has no Floor.
+func TestQueryFloor(t *testing.T) {
+	credit := []float64{0, 1.5, 2.5, 1, 1.75} // needs 2, 0.5, 0, 1, 0.25; task 5 has none
+	for _, m := range []AccuracyModel{HistoricalOnly{}, SigmoidDistance{DMax: 30}} {
+		in := &Instance{Epsilon: 0.1, K: 2, Model: m, MinAcc: 0.5}
+		for i := 0; i < 6; i++ {
+			in.Tasks = append(in.Tasks, Task{ID: TaskID(i), Loc: geo.Point{X: float64(i), Y: 1}})
+		}
+		ci := NewCandidateIndex(in)
+		w := Worker{Index: 1, Loc: geo.Point{X: 2, Y: 2}, Acc: 0.9}
+		var q Query
+		for _, c := range []struct {
+			bar  float64
+			want []TaskID
+		}{{0.5, []TaskID{0, 1, 3, 5}}, {0, []TaskID{0, 1, 2, 3, 4, 5}}, {-1, []TaskID{0, 1, 2, 3, 4, 5}}} { // bar −1: no Floor
+			h0, p0 := q.Counts()
+			ci.Query(&q, w)
+			if c.bar >= 0 {
+				q.Floor(credit, 2, c.bar)
+			}
+			var got []TaskID
+			for q.Next() {
+				got = append(got, q.Task)
+			}
+			slices.Sort(got)
+			if h, p := q.Counts(); !slices.Equal(got, c.want) || h-h0 != 6 || p-p0 != len(c.want) {
+				t.Fatalf("%T, bar %v: walk returned %v with %d hits and %d predictions, want %v of 6", m, c.bar, got, h-h0, p-p0, c.want)
+			}
+		}
+	}
+}
